@@ -36,9 +36,9 @@ func EventChurn(b *testing.B, pooled bool) {
 
 // CancelRearm measures the TCP retransmission-timer idiom: every iteration
 // cancels the previously armed timer and arms a fresh one. Cancellation is
-// lazy, so dead timers ride the heap until popped; the pool must absorb both
-// the fired and the canceled-and-popped objects for this to stay at zero
-// allocations per operation.
+// eager — the timer leaves the heap and its object returns to the pool at
+// once — so the pool must absorb both the fired and the canceled objects for
+// this to stay at zero allocations per operation.
 func CancelRearm(b *testing.B, pooled bool) {
 	k := des.NewKernel()
 	k.SetPooling(pooled)

@@ -8,10 +8,12 @@
 // are fundamentally claims about event counts).
 //
 // Events are closures. Components schedule work with Schedule/At and may
-// cancel a pending event through its handle; cancellation is lazy (the event
-// is marked dead and skipped on pop), which keeps the heap simple and is
-// cheap for the dominant cancel pattern — TCP retransmission timers that are
-// re-armed on every ACK.
+// cancel a pending event through its handle. Cancellation is eager: every
+// event records its heap index, so Cancel removes it in O(log n) and recycles
+// the object at once, and the heap holds only live events. That matters for
+// the dominant cancel pattern — TCP retransmission timers re-armed on every
+// ACK — because a timer longer than the run would otherwise never reach the
+// top of the heap, and every canceled copy would deepen every sift.
 package des
 
 import (
@@ -59,22 +61,31 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // Event is a handle to a scheduled closure. The zero value is meaningless;
 // handles are produced by Kernel.Schedule and Kernel.At.
 type Event struct {
-	at       Time
-	band     uint8
-	key      uint64
-	seq      uint64
-	fn       func()
-	canceled bool
+	at   Time
+	band uint8
+	key  uint64
+	seq  uint64
 
-	// ctx is an optional caller-supplied value attached by AtCtx. The kernel
-	// never interprets it; Snapshot/Restore pass it to the caller's state
-	// callbacks so mutable objects captured by the closure (in practice:
+	// Exactly one of fn and fnCtx is set while the event is pending. fnCtx is
+	// the AtCtxFn form: a handler its owner binds once, which receives ctx
+	// when the event fires, so scheduling it allocates no closure.
+	fn    func()
+	fnCtx func(any)
+
+	// ctx is an optional caller-supplied value attached by AtCtx/AtCtxFn. The
+	// kernel only hands it to fnCtx; Snapshot/Restore pass it to the caller's
+	// state callbacks so mutable objects the event refers to (in practice:
 	// in-flight packets) can be checkpointed alongside the event.
 	ctx any
 
+	// index is the event's position in the kernel heap, or -1 when it is not
+	// in the heap: fired, canceled, pooled, or dropped by Restore.
+	index    int
+	canceled bool
+
 	// Pooling state (see pool.go). gen counts reincarnations: it is bumped
 	// every time the object is recycled, so a holder that recorded Gen() at
-	// schedule time can detect that its event fired and the object now
+	// schedule time can detect that its event is gone and the object now
 	// belongs to someone else. snapped pins the object out of the pool
 	// forever: a KernelState holds it and Restore will write fields back into
 	// it. pooled marks objects currently on the free list.
@@ -83,9 +94,6 @@ type Event struct {
 	pooled  bool
 }
 
-// Time reports when the event will fire (or would have fired, if canceled).
-func (e *Event) Time() Time { return e.at }
-
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
@@ -93,21 +101,18 @@ func (e *Event) Canceled() bool { return e.canceled }
 // canceled. Meaningful only for the event's original incarnation: a holder
 // that may outlive the event must compare Gen() first (a recycled-and-reused
 // object can be Live again on someone else's behalf).
-func (e *Event) Live() bool { return e.fn != nil && !e.pooled }
+func (e *Event) Live() bool { return e.index >= 0 }
 
 // Gen returns the event object's pool incarnation. Holders that keep a handle
-// past the event's execution (the Time Warp processed log) record Gen at
-// schedule time; a later mismatch means the event fired and the object was
-// recycled — the handle must not be used for Cancel.
+// past the event's execution or cancellation (the Time Warp processed log)
+// record Gen at schedule time; a later mismatch means the object was recycled
+// — the handle must not be used for Cancel.
 func (e *Event) Gen() uint64 { return e.gen }
 
-// Ctx returns the context value attached by AtCtx (nil otherwise).
-func (e *Event) Ctx() any { return e.ctx }
-
-// eventHeap is a binary min-heap ordered by (time, band, key, seq). seq is a
-// strictly increasing schedule counter, so two events at the same virtual time
-// in the same band fire in the order they were scheduled — the property that
-// makes runs reproducible. The band (AtCtxBand) separates event classes whose
+// before is the heap order (time, band, key, seq). seq is a strictly
+// increasing schedule counter, so two events at the same virtual time in the
+// same band fire in the order they were scheduled — the property that makes
+// runs reproducible. The band (AtCtxBand) separates event classes whose
 // relative schedule order is NOT reproducible across execution strategies:
 // the PDES engines schedule cross-LP arrivals in a later band so a message
 // ingested early (null-message drains) or late (barrier windows, Time Warp
@@ -121,79 +126,111 @@ func (e *Event) Ctx() any { return e.ctx }
 // PDES engines key each arrival by its transmitting device — a value derived
 // from simulation content, identical no matter which LP the transmitter lives
 // on or when its message was ingested. Plain At/AtCtx schedule with key 0.
-type eventHeap []*Event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].band != h[j].band {
-		return h[i].band < h[j].band
+	if e.band != o.band {
+		return e.band < o.band
 	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+	if e.key != o.key {
+		return e.key < o.key
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
+
+// eventHeap is a binary min-heap in before order that keeps every member's
+// index field equal to its position, so any member can be removed in
+// O(log n).
+type eventHeap []*Event
 
 func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
-	i := len(*h) - 1
+	h.up(len(*h) - 1)
+}
+
+// remove takes the event at position i out of the heap and returns it with
+// index -1. pop is remove(0).
+func (h *eventHeap) remove(i int) *Event {
+	old := *h
+	n := len(old) - 1
+	e := old[i]
+	old[i] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
+	}
+	e.index = -1
+	return e
+}
+
+func (h *eventHeap) pop() *Event { return h.remove(0) }
+
+// up moves the event at i toward the root until its parent precedes it.
+func (h eventHeap) up(i int) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
+		if !e.before(h[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		h[i] = h[parent]
+		h[i].index = i
 		i = parent
 	}
+	h[i] = e
+	e.index = i
 }
 
-func (h *eventHeap) pop() *Event {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	h.siftDown(0)
-	return top
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
+// down moves the event at i toward the leaves until it precedes both
+// children, and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	e := h[i]
+	start, n := i, len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
 		}
-		if smallest == i {
-			return
+		if !h[child].before(e) {
+			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		h[i] = h[child]
+		h[i].index = i
+		i = child
 	}
+	h[i] = e
+	e.index = i
+	return i > start
 }
 
 // Hook observes kernel scheduler activity from the hot path. Implementations
 // live outside this package (internal/obs); the kernel only pays a nil check
 // per event when no hook is installed, so tracing is near-free when off.
 // OnEvent is invoked by the kernel's own goroutine immediately before each
-// live event executes.
+// event executes.
 type Hook interface {
 	OnEvent(at Time, seq uint64)
 }
 
+// publishEvery is how many executed events may pass between publications of
+// the kernel's gauges to their atomic mirrors (see Kernel.publish).
+const publishEvery = 256
+
 // Kernel is a single-threaded discrete-event scheduler: exactly one goroutine
-// may schedule, cancel, and run events. Clock and work counters are published
-// with single-writer atomics, so other goroutines (the obs interval sampler,
-// a metrics snapshot) may read Now, Pending, Stats, and CollectMetrics while
-// the kernel runs; the pdes package builds multi-LP simulations out of one
-// Kernel per logical process.
+// may schedule, cancel, and run events. The clock and the executed,
+// scheduled and canceled counters are single-writer atomics updated per
+// event, so other goroutines (the obs interval sampler, a metrics snapshot,
+// the PDES committed-time readers) may read Now, Pending, Stats, and
+// CollectMetrics live while the kernel runs. The remaining gauges are plain
+// fields of the owning goroutine whose atomic mirrors trail them by at most
+// publishEvery events mid-run and are exact whenever Run, RunBefore,
+// RunLimit or Restore returns. The pdes package builds multi-LP simulations
+// out of one Kernel per logical process.
 type Kernel struct {
 	now    Time
 	heap   eventHeap
@@ -201,19 +238,22 @@ type Kernel struct {
 	nexec  uint64 // events executed
 	nsched uint64 // events scheduled
 	ncanc  uint64 // events canceled
-	heapHW int64  // heap depth high-water mark
-	npend  int64  // current heap depth, mirrored for concurrent readers
 	hook   Hook
-	run    bool
 	stop   bool
 
-	// Event free list (pool.go). Owned by the kernel goroutine like the heap;
-	// the counters are mirrored atomically for concurrent metrics readers.
+	// Event free list (pool.go). Owned by the kernel goroutine like the heap.
 	free    []*Event
 	pooling bool
-	phit    uint64 // allocations served from the free list
-	pmiss   uint64 // allocations that hit the Go allocator
-	nfree   int64  // current free-list depth, mirrored for readers
+
+	// Gauges written only by the owning goroutine, and the atomic mirrors that
+	// publish them (with len(free)) to concurrent readers.
+	heapHW int    // deepest the heap has been
+	phit   uint64 // allocations served from the free list
+	pmiss  uint64 // allocations that hit the Go allocator
+	pub    struct {
+		heapHW, free int64
+		phit, pmiss  uint64
+	}
 }
 
 // NewKernel returns an empty kernel at virtual time zero, with event pooling
@@ -232,8 +272,13 @@ func (k *Kernel) Now() Time { return Time(atomic.LoadInt64((*int64)(&k.now))) }
 // setNow advances the clock visibly to concurrent readers.
 func (k *Kernel) setNow(t Time) { atomic.StoreInt64((*int64)(&k.now), int64(t)) }
 
-// syncPending republishes the heap depth after any heap mutation.
-func (k *Kernel) syncPending() { atomic.StoreInt64(&k.npend, int64(len(k.heap))) }
+// publish copies the owner-only gauges to their atomic mirrors.
+func (k *Kernel) publish() {
+	atomic.StoreInt64(&k.pub.heapHW, int64(k.heapHW))
+	atomic.StoreInt64(&k.pub.free, int64(len(k.free)))
+	atomic.StoreUint64(&k.pub.phit, k.phit)
+	atomic.StoreUint64(&k.pub.pmiss, k.pmiss)
+}
 
 // Schedule runs fn after delay virtual time. A negative delay panics: the
 // simulated world cannot schedule into its own past.
@@ -274,80 +319,86 @@ func (k *Kernel) AtCtxBand(t Time, band uint8, ctx any, fn func()) *Event {
 // transmitting device), so the committed order of same-timestamp arrivals is
 // independent of both the synchronization algorithm and the partitioning.
 func (k *Kernel) AtCtxKeyBand(t Time, band uint8, key uint64, ctx any, fn func()) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v", t, k.now))
-	}
 	if fn == nil {
 		panic("des: nil event function")
 	}
+	return k.schedule(t, band, key, ctx, fn, nil)
+}
+
+// AtCtxFn is AtCtxKeyBand for a handler that receives ctx when the event
+// fires. A component that schedules the same kind of event over and over —
+// a port's packet arrivals — binds fn once and passes the varying object as
+// ctx, so scheduling allocates nothing; Snapshot/Restore treat ctx exactly as
+// for AtCtx.
+func (k *Kernel) AtCtxFn(t Time, band uint8, key uint64, ctx any, fn func(ctx any)) *Event {
+	if fn == nil {
+		panic("des: nil event function")
+	}
+	return k.schedule(t, band, key, ctx, nil, fn)
+}
+
+func (k *Kernel) schedule(t Time, band uint8, key uint64, ctx any, fn func(), fnCtx func(any)) *Event {
+	if t < k.now {
+		panic(fmt.Sprintf("des: schedule at %v before now %v", t, k.now))
+	}
 	k.seq++
-	e := k.alloc(t, ctx, fn)
-	e.band = band
-	e.key = key
+	e := k.alloc()
+	e.at, e.band, e.key, e.seq = t, band, key, k.seq
+	e.fn, e.fnCtx, e.ctx = fn, fnCtx, ctx
 	k.heap.push(e)
 	atomic.AddUint64(&k.nsched, 1)
-	k.syncPending()
-	if d := int64(len(k.heap)); d > atomic.LoadInt64(&k.heapHW) {
-		atomic.StoreInt64(&k.heapHW, d)
+	if n := len(k.heap); n > k.heapHW {
+		k.heapHW = n
 	}
 	return e
 }
 
-// ScheduleCtx is Schedule with a context value attached (see AtCtx).
-func (k *Kernel) ScheduleCtx(delay Time, ctx any, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %d", delay))
-	}
-	return k.AtCtx(k.now+delay, ctx, fn)
-}
-
-// Cancel marks a pending event dead. Canceling an already-fired or
-// already-canceled event is a no-op; cancel-then-reschedule is the normal
-// timer idiom, so this must be forgiving.
+// Cancel removes a pending event from the heap and recycles it; the handle is
+// dead from then on, exactly as after the event fires. Canceling an event
+// that already fired, was already canceled, or was dropped by Restore is a
+// no-op — such an event is not in the heap — because cancel-then-rearm is the
+// normal timer idiom and must be forgiving. What is NOT legal is canceling
+// through a stale handle after the object was reused: release builds cannot
+// detect that (the Gen protocol exists for holders that need to), and
+// pooldebug catches the reuse itself via poisoning.
 func (k *Kernel) Cancel(e *Event) {
-	// A recycled handle is also a no-op (e.pooled guards the pooldebug build,
-	// where pooled events carry a poisoned non-nil fn): per this contract,
-	// canceling after the event fired is legal, however late the caller is.
-	// What is NOT legal is canceling through a stale handle after the object
-	// was reused — release builds cannot detect that (the Gen protocol
-	// exists for holders that need to), and pooldebug catches the reuse
-	// itself via poisoning.
-	if e == nil || e.canceled || e.fn == nil || e.pooled {
+	if e == nil || e.index < 0 {
 		return
 	}
+	k.heap.remove(e.index)
 	e.canceled = true
-	e.fn = nil
 	atomic.AddUint64(&k.ncanc, 1)
+	k.release(e)
 }
 
-// Step executes the single next live event. It returns false when the queue
-// is empty (or holds only canceled events).
+// Step executes the single next event. It returns false when the queue is
+// empty.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap.pop()
-		k.syncPending()
-		checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
-		if e.canceled {
-			k.recycle(e)
-			continue
-		}
-		k.setNow(e.at)
-		fn := e.fn
-		e.fn = nil
-		at, seq := e.at, e.seq
-		atomic.AddUint64(&k.nexec, 1)
-		// Recycle before running fn: anything fn schedules may reuse the
-		// object immediately, which is what makes the steady-state hot path
-		// allocation-free. fn was extracted first, and handles kept past this
-		// point are covered by the Gen() protocol (see pool.go).
-		k.recycle(e)
-		if k.hook != nil {
-			k.hook.OnEvent(at, seq)
-		}
-		fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	e := k.heap.pop()
+	checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
+	k.setNow(e.at)
+	fn, fnCtx, ctx := e.fn, e.fnCtx, e.ctx
+	at, seq := e.at, e.seq
+	if n := atomic.AddUint64(&k.nexec, 1); n%publishEvery == 0 {
+		k.publish()
+	}
+	// Release before running the handler: anything it schedules may reuse the
+	// object immediately, which is what makes the steady-state hot path
+	// allocation-free. The handler was extracted first, and handles kept past
+	// this point are covered by the Gen() protocol (see pool.go).
+	k.release(e)
+	if k.hook != nil {
+		k.hook.OnEvent(at, seq)
+	}
+	if fnCtx != nil {
+		fnCtx(ctx)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run executes events in timestamp order until the queue drains, until the
@@ -355,21 +406,9 @@ func (k *Kernel) Step() bool {
 // Now is min(until, time of last executed event); events beyond `until`
 // remain queued so the caller can resume with a later horizon.
 func (k *Kernel) Run(until Time) {
-	k.run = true
 	k.stop = false
-	defer func() { k.run = false }()
-	for !k.stop {
-		// Skip canceled events without executing them.
-		for len(k.heap) > 0 && k.heap[0].canceled {
-			k.recycle(k.heap.pop())
-			k.syncPending()
-		}
-		if len(k.heap) == 0 {
-			break
-		}
-		if k.heap[0].at > until {
-			break
-		}
+	defer k.publish()
+	for !k.stop && len(k.heap) > 0 && k.heap[0].at <= until {
 		k.Step()
 	}
 	// Advance idle time to the horizon so repeated Run calls observe
@@ -390,17 +429,9 @@ func (k *Kernel) Run(until Time) {
 // already in the heap, where the (band, key) order makes their committed
 // order independent of ingestion timing.
 func (k *Kernel) RunBefore(until Time) {
-	k.run = true
 	k.stop = false
-	defer func() { k.run = false }()
-	for !k.stop {
-		for len(k.heap) > 0 && k.heap[0].canceled {
-			k.recycle(k.heap.pop())
-			k.syncPending()
-		}
-		if len(k.heap) == 0 || k.heap[0].at >= until {
-			break
-		}
+	defer k.publish()
+	for !k.stop && len(k.heap) > 0 && k.heap[0].at < until {
 		k.Step()
 	}
 	if k.now < until && !k.stop {
@@ -415,18 +446,24 @@ func (k *Kernel) RunAll() { k.Run(MaxTime) }
 // It may be called from inside an event.
 func (k *Kernel) Stop() { k.stop = true }
 
-// Pending returns the number of events in the heap, including lazily
-// canceled ones still awaiting removal. Safe to call from any goroutine.
-func (k *Kernel) Pending() int { return int(atomic.LoadInt64(&k.npend)) }
+// Pending returns the number of events in the heap. The heap holds only live
+// events, so that is exactly Scheduled − Executed − Canceled, and it is
+// computed from those per-event counters: exact on the owning goroutine and
+// live for concurrent readers, whose reading may momentarily err high (never
+// negative). Safe to call from any goroutine.
+func (k *Kernel) Pending() int {
+	exec := atomic.LoadUint64(&k.nexec)
+	canc := atomic.LoadUint64(&k.ncanc)
+	if d := int64(atomic.LoadUint64(&k.nsched) - exec - canc); d > 0 {
+		return int(d)
+	}
+	return 0
+}
 
-// NextEventTime returns the time of the earliest live pending event and true,
-// or (0, false) if none is pending. The PDES engine uses this to compute
+// NextEventTime returns the time of the earliest pending event and true, or
+// (0, false) if none is pending. The PDES engine uses this to compute
 // earliest-output-time guarantees.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	for len(k.heap) > 0 && k.heap[0].canceled {
-		k.recycle(k.heap.pop())
-		k.syncPending()
-	}
 	if len(k.heap) == 0 {
 		return 0, false
 	}
@@ -445,16 +482,16 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the kernel's work counters. Safe to call from
-// any goroutine.
+// any goroutine; the last four fields are the published gauges (see Kernel).
 func (k *Kernel) Stats() Stats {
 	return Stats{
 		Executed:      atomic.LoadUint64(&k.nexec),
 		Scheduled:     atomic.LoadUint64(&k.nsched),
 		Canceled:      atomic.LoadUint64(&k.ncanc),
-		HeapHighWater: int(atomic.LoadInt64(&k.heapHW)),
-		PoolHits:      atomic.LoadUint64(&k.phit),
-		PoolMisses:    atomic.LoadUint64(&k.pmiss),
-		PoolFree:      int(atomic.LoadInt64(&k.nfree)),
+		HeapHighWater: int(atomic.LoadInt64(&k.pub.heapHW)),
+		PoolHits:      atomic.LoadUint64(&k.pub.phit),
+		PoolMisses:    atomic.LoadUint64(&k.pub.pmiss),
+		PoolFree:      int(atomic.LoadInt64(&k.pub.free)),
 	}
 }
 
@@ -462,13 +499,14 @@ func (k *Kernel) Stats() Stats {
 // (one per PDES LP) under one group sums the counters and takes the maximum
 // of the gauges. Safe to call while the kernel runs.
 func (k *Kernel) CollectMetrics(e *metrics.Emitter) {
-	e.Counter("events_executed", atomic.LoadUint64(&k.nexec))
-	e.Counter("events_scheduled", atomic.LoadUint64(&k.nsched))
-	e.Counter("events_canceled", atomic.LoadUint64(&k.ncanc))
-	e.Counter("pool_hits", atomic.LoadUint64(&k.phit))
-	e.Counter("pool_misses", atomic.LoadUint64(&k.pmiss))
-	e.Gauge("pool_free", atomic.LoadInt64(&k.nfree))
-	e.Gauge("heap_high_water", atomic.LoadInt64(&k.heapHW))
-	e.Gauge("pending_events", atomic.LoadInt64(&k.npend))
+	st := k.Stats()
+	e.Counter("events_executed", st.Executed)
+	e.Counter("events_scheduled", st.Scheduled)
+	e.Counter("events_canceled", st.Canceled)
+	e.Counter("pool_hits", st.PoolHits)
+	e.Counter("pool_misses", st.PoolMisses)
+	e.Gauge("pool_free", int64(st.PoolFree))
+	e.Gauge("heap_high_water", int64(st.HeapHighWater))
+	e.Gauge("pending_events", int64(k.Pending()))
 	e.Gauge("virtual_time_ns", int64(k.Now()))
 }

@@ -339,3 +339,223 @@ func BenchmarkTimerChurn(b *testing.B) {
 		}
 	}
 }
+
+// checkHeap asserts the heap invariants eager cancellation rests on: every
+// member's index is its position, and every parent precedes its children.
+func checkHeap(t *testing.T, k *Kernel) {
+	t.Helper()
+	for i, e := range k.heap {
+		if e.index != i {
+			t.Fatalf("heap[%d] records index %d", i, e.index)
+		}
+		if i > 0 && e.before(k.heap[(i-1)/2]) {
+			t.Fatalf("heap[%d] precedes its parent", i)
+		}
+	}
+}
+
+// Property: random interleavings of schedule (both handler forms), cancel of
+// the head, middle or tail of the pending set, Step, and Run/RunBefore/
+// RunLimit fire exactly the events a sorted reference model says, in
+// (at, band, key, seq) order; after every Run* return the heap holds exactly
+// the model's pending events and Pending() == Scheduled − Executed − Canceled.
+func TestPropertyEagerCancelMatchesModel(t *testing.T) {
+	type ref struct {
+		at   Time
+		band uint8
+		key  uint64
+		seq  uint64
+		h    *Event
+	}
+	precedes := func(a, b ref) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.band != b.band {
+			return a.band < b.band
+		}
+		if a.key != b.key {
+			return a.key < b.key
+		}
+		return a.seq < b.seq
+	}
+	f := func(ops []uint32) bool {
+		k := NewKernel()
+		var model []ref // pending events, sorted by precedes
+		var fired, want []uint64
+		var seq uint64
+		expect := func(n int) {
+			for _, r := range model[:n] {
+				want = append(want, r.seq)
+			}
+			model = model[n:]
+		}
+		due := func(until Time, inclusive bool) int {
+			n := 0
+			for n < len(model) && (model[n].at < until || inclusive && model[n].at == until) {
+				n++
+			}
+			return n
+		}
+		for _, op := range ops {
+			arg := op >> 3
+			switch op % 5 {
+			case 0, 1: // schedule
+				seq++
+				r := ref{at: k.Now() + Time(arg%50), band: uint8(arg>>6) % 2, key: uint64(arg>>7) % 3, seq: seq}
+				if op%5 == 0 {
+					s := seq
+					r.h = k.AtCtxKeyBand(r.at, r.band, r.key, nil, func() { fired = append(fired, s) })
+				} else {
+					r.h = k.AtCtxFn(r.at, r.band, r.key, seq, func(ctx any) { fired = append(fired, ctx.(uint64)) })
+				}
+				i := sort.Search(len(model), func(i int) bool { return precedes(r, model[i]) })
+				model = append(model, ref{})
+				copy(model[i+1:], model[i:])
+				model[i] = r
+			case 2: // cancel head, middle or tail, then cancel again (a no-op)
+				if len(model) == 0 {
+					continue
+				}
+				i := []int{0, len(model) / 2, len(model) - 1}[arg%3]
+				h := model[i].h
+				k.Cancel(h)
+				k.Cancel(h)
+				if h.Live() || !h.Canceled() {
+					t.Logf("canceled event still live")
+					return false
+				}
+				model = append(model[:i], model[i+1:]...)
+			case 3:
+				if k.Step() != (len(model) > 0) {
+					t.Logf("Step disagrees with a model of %d pending", len(model))
+					return false
+				}
+				if len(model) > 0 {
+					expect(1)
+				}
+			case 4:
+				until := k.Now() + Time(arg%40)
+				switch arg / 40 % 3 {
+				case 0:
+					k.Run(until)
+					expect(due(until, true))
+				case 1:
+					k.RunBefore(until)
+					expect(due(until, false))
+				case 2:
+					limit := int(arg/120) % 4
+					n := due(until, true)
+					if n > limit {
+						n = limit
+					}
+					if ran := k.RunLimit(until, limit); ran != n {
+						t.Logf("RunLimit ran %d, model %d", ran, n)
+						return false
+					}
+					expect(n)
+				}
+				st := k.Stats()
+				if p := k.Pending(); p != len(model) || p != len(k.heap) ||
+					uint64(p) != st.Scheduled-st.Executed-st.Canceled {
+					t.Logf("Pending %d, heap %d, model %d, stats %+v", p, len(k.heap), len(model), st)
+					return false
+				}
+				checkHeap(t, k)
+			}
+			if len(fired) != len(want) {
+				t.Logf("fired %d events, model %d", len(fired), len(want))
+				return false
+			}
+		}
+		k.RunAll()
+		expect(len(model))
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Logf("firing %d: seq %d, model seq %d", i, fired[i], want[i])
+				return false
+			}
+		}
+		return len(fired) == len(want) && k.Pending() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The TCP RTO idiom must keep the heap at its live size: with eager
+// cancellation a timer re-armed on every ACK never leaves dead copies behind,
+// and the pool absorbs every canceled object.
+func TestCancelRearmKeepsHeapShallow(t *testing.T) {
+	k := NewKernel()
+	noop := func() {}
+	var timer *Event
+	for i := 0; i < 100_000; i++ {
+		k.Cancel(timer)
+		timer = k.Schedule(1000, noop)
+		if i%64 == 0 {
+			k.Schedule(10, noop)
+			k.Step()
+		}
+	}
+	k.Run(k.Now()) // publishes the gauges
+	st := k.Stats()
+	if st.HeapHighWater > 2 {
+		t.Errorf("heap high-water %d after cancel/re-arm churn, want <= 2", st.HeapHighWater)
+	}
+	if st.PoolMisses > 2 {
+		t.Errorf("%d pool misses, want <= 2: canceled events are not recycled", st.PoolMisses)
+	}
+}
+
+// A snapshot pins a pending event; canceling it afterwards takes it out of
+// the heap, and Restore must put it back exactly once, at a valid index.
+func TestRestoreResurrectsCanceledEventOnce(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	k.At(3, func() {})
+	h := k.At(5, func() { fired++ })
+	k.At(7, func() {})
+	st := k.Snapshot(nil)
+	k.Cancel(h)
+	if h.Live() || k.Pending() != 2 {
+		t.Fatalf("after cancel: live=%v pending=%d, want false 2", h.Live(), k.Pending())
+	}
+	k.Restore(st, nil)
+	if !h.Live() || k.heap[h.index] != h || h.Canceled() {
+		t.Fatalf("restore did not resurrect the canceled event in place")
+	}
+	if k.Pending() != 3 || len(k.heap) != 3 {
+		t.Fatalf("pending %d, heap %d after restore, want 3", k.Pending(), len(k.heap))
+	}
+	checkHeap(t, k)
+	k.RunAll()
+	if fired != 1 {
+		t.Fatalf("resurrected event fired %d times, want 1", fired)
+	}
+}
+
+// A handle to an event scheduled after the snapshot is dead once Restore
+// drops the event; canceling through it must not touch whatever now occupies
+// the heap slot it used to hold.
+func TestCancelDroppedHandleIsNoOp(t *testing.T) {
+	k := NewKernel()
+	kept := 0
+	k.At(5, func() { kept++ })
+	st := k.Snapshot(nil)
+	dropped := k.At(1, func() { t.Error("dropped event fired") }) // heap root
+	k.Restore(st, nil)
+	if dropped.Live() {
+		t.Fatal("dropped event still reads live")
+	}
+	k.Cancel(dropped)
+	if k.Pending() != 1 || len(k.heap) != 1 || k.Stats().Canceled != 0 {
+		t.Fatalf("cancel through a dropped handle changed the heap: pending %d, heap %d, %+v",
+			k.Pending(), len(k.heap), k.Stats())
+	}
+	checkHeap(t, k)
+	k.RunAll()
+	if kept != 1 {
+		t.Fatalf("kept event fired %d times, want 1", kept)
+	}
+}

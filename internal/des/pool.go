@@ -1,7 +1,5 @@
 package des
 
-import "sync/atomic"
-
 // Free-list event pool.
 //
 // The hot path of a packet-level simulation is event churn: every packet at
@@ -15,57 +13,53 @@ import "sync/atomic"
 //
 // Ownership rules (see DESIGN.md "Event ownership under pooling"):
 //
-//   - The kernel owns every event on the heap. Once an event has fired or a
-//     canceled event has been popped, its object may be recycled and reused
-//     by a later Schedule/At call with a bumped generation counter.
-//   - A handle returned by Schedule is valid for Cancel until the event fires;
-//     the timer idiom (cancel-then-rearm, nil the handle when it fires) is
-//     safe because Cancel on a recycled event is a no-op in release builds
-//     (fn is nil while pooled) and a loud panic under -tags pooldebug.
+//   - The kernel owns every event on the heap. Once an event has fired or
+//     been canceled, its object may be recycled and reused by a later
+//     Schedule/At call with a bumped generation counter.
+//   - A handle returned by Schedule is valid until the event fires or is
+//     canceled; after that it is dead. The timer idiom (cancel-then-rearm,
+//     nil the handle when it fires) is safe because Cancel on an event that
+//     is no longer in the heap is a no-op (its index is -1).
 //   - Holders that must detect reuse (the Time Warp processed log) record
-//     Gen() at schedule time and treat a mismatch as "the original fired".
+//     Gen() at schedule time and treat a mismatch as "the original is gone".
 //   - Events captured by a Snapshot are pinned: Restore writes fields back
 //     into the same objects, so recycling them would corrupt the checkpoint.
-//     Snapshot marks every pending event `snapped`, and recycle refuses
-//     snapped events forever (they fall back to the garbage collector — a
-//     pool-miss-rate cost paid only by optimistic PDES runs).
+//     Snapshot marks every pending event `snapped`, and release refuses to
+//     recycle snapped events forever (they fall back to the garbage
+//     collector — a pool-miss-rate cost paid only by checkpointing runs).
 
-// alloc returns an event initialized for scheduling, reusing a pooled object
-// when one is available. Counters are published atomically for mid-run
-// metrics snapshots.
-func (k *Kernel) alloc(t Time, ctx any, fn func()) *Event {
+// alloc returns an event object for scheduling, reusing a pooled one when
+// available; the caller fills in every scheduling field.
+func (k *Kernel) alloc() *Event {
 	if n := len(k.free); k.pooling && n > 0 {
 		e := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		atomic.StoreInt64(&k.nfree, int64(n-1))
-		atomic.AddUint64(&k.phit, 1)
-		e.at, e.seq, e.fn, e.ctx = t, k.seq, fn, ctx
+		k.phit++
 		e.canceled, e.pooled = false, false
 		return e
 	}
-	atomic.AddUint64(&k.pmiss, 1)
-	return &Event{at: t, seq: k.seq, fn: fn, ctx: ctx}
+	k.pmiss++
+	return &Event{}
 }
 
-// recycle returns an event that has left the heap (fired, or canceled and
-// popped) to the free list. Snapshot-pinned events are never recycled: a
+// release drops an event that has left the heap (fired or canceled) and
+// returns it to the free list. Snapshot-pinned events are never recycled: a
 // Restore must find them intact. The generation counter is bumped so stale
 // handles (Gen recorded at schedule time) observably mismatch, and under
 // -tags pooldebug the object is poisoned so any use blows up loudly.
-func (k *Kernel) recycle(e *Event) {
+func (k *Kernel) release(e *Event) {
+	e.fn, e.fnCtx, e.ctx = nil, nil, nil
 	if !k.pooling || e.snapped {
 		return
 	}
 	e.gen++
-	e.fn, e.ctx = nil, nil
 	// canceled is left as-is (alloc resets it on reuse): a handle held past a
 	// cancellation keeps answering Canceled() truthfully until the object is
 	// actually reincarnated.
 	e.pooled = true
 	poisonEvent(e)
 	k.free = append(k.free, e)
-	atomic.StoreInt64(&k.nfree, int64(len(k.free)))
 }
 
 // SetPooling enables or disables event recycling (enabled by default).

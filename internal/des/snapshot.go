@@ -3,7 +3,7 @@ package des
 import "sync/atomic"
 
 // Kernel snapshot/restore: the state-saving hooks the optimistic (Time Warp)
-// PDES engine is built on.
+// PDES engine and the snapshot-fork pool are built on.
 //
 // A snapshot records the kernel's clock, counters, and every pending event's
 // fields. Restore writes those fields back INTO THE SAME Event objects and
@@ -14,23 +14,23 @@ import "sync/atomic"
 // and canceling through that handle affects the event actually in the heap.
 //
 // Closures are opaque, so the kernel cannot deep-copy the mutable objects
-// they capture. Events that capture a mutable object attach it as the event
-// context (AtCtx); Snapshot calls saveCtx for each context so the caller can
-// record its contents, and Restore calls restoreCtx to write them back. The
-// PDES engine uses this to checkpoint in-flight packets, whose header fields
-// are mutated hop by hop.
+// they capture. Events that refer to a mutable object attach it as the event
+// context (AtCtx, AtCtxFn); Snapshot calls saveCtx for each context so the
+// caller can record its contents, and Restore calls restoreCtx to write them
+// back. The PDES engine uses this to checkpoint in-flight packets, whose
+// header fields are mutated hop by hop.
 
 // savedEvent is one pending event's checkpointed fields.
 type savedEvent struct {
-	ev       *Event
-	at       Time
-	band     uint8
-	key      uint64
-	seq      uint64
-	fn       func()
-	canceled bool
-	ctx      any
-	ctxBlob  any
+	ev      *Event
+	at      Time
+	band    uint8
+	key     uint64
+	seq     uint64
+	fn      func()
+	fnCtx   func(any)
+	ctx     any
+	ctxBlob any
 }
 
 // KernelState is an opaque checkpoint of a kernel, produced by Snapshot.
@@ -62,7 +62,7 @@ func (k *Kernel) Snapshot(saveCtx func(ctx any) any) *KernelState {
 		events: make([]savedEvent, len(k.heap)),
 	}
 	// The heap array is saved in heap order: it is already a valid binary
-	// heap for (at, seq), so Restore can reinstate it without re-heapifying.
+	// heap, so Restore can reinstate it without re-heapifying.
 	for i, e := range k.heap {
 		// Pin the event out of the free list: this KernelState now holds the
 		// pointer and Restore will write fields back into the object, so it
@@ -71,7 +71,8 @@ func (k *Kernel) Snapshot(saveCtx func(ctx any) any) *KernelState {
 		// were pending at a checkpoint instant.
 		e.snapped = true
 		checkNotPooled(e, "Snapshot")
-		se := savedEvent{ev: e, at: e.at, band: e.band, key: e.key, seq: e.seq, fn: e.fn, canceled: e.canceled, ctx: e.ctx}
+		se := savedEvent{ev: e, at: e.at, band: e.band, key: e.key, seq: e.seq,
+			fn: e.fn, fnCtx: e.fnCtx, ctx: e.ctx}
 		if e.ctx != nil && saveCtx != nil {
 			se.ctxBlob = saveCtx(e.ctx)
 		}
@@ -82,9 +83,10 @@ func (k *Kernel) Snapshot(saveCtx func(ctx any) any) *KernelState {
 
 // Restore rolls the kernel back to st: clock, counters, and the event heap
 // exactly as they were, with every saved event's fields written back into the
-// original Event object. Events scheduled after the snapshot simply vanish
-// (they are absent from the saved heap). restoreCtx (may be nil) is invoked
-// with each saved event context and the blob saveCtx produced for it.
+// original Event object — an event canceled since the snapshot is pending
+// again. Events scheduled after the snapshot simply vanish (they are absent
+// from the saved heap). restoreCtx (may be nil) is invoked with each saved
+// event context and the blob saveCtx produced for it.
 func (k *Kernel) Restore(st *KernelState, restoreCtx func(ctx, blob any)) {
 	k.setNow(st.now)
 	k.seq = st.seq
@@ -94,44 +96,46 @@ func (k *Kernel) Restore(st *KernelState, restoreCtx func(ctx, blob any)) {
 	atomic.StoreUint64(&k.nexec, st.nexec)
 	atomic.StoreUint64(&k.nsched, st.nsched)
 	atomic.StoreUint64(&k.ncanc, st.ncanc)
-	// Events scheduled after the snapshot simply drop out of the heap here.
-	// They are NOT recycled: a later (now discarded) snapshot may still pin
-	// them, and dangling references in rolled-back bookkeeping must keep
-	// reading them as dead — so they fall to the garbage collector.
-	heap := make(eventHeap, 0, len(st.events))
+	// Events scheduled after the snapshot drop out of the heap here. They are
+	// NOT recycled: a later (now discarded) snapshot may still pin them, and
+	// dangling references in rolled-back bookkeeping must keep reading them
+	// as dead — index -1, so Live is false and Cancel is a no-op — so they
+	// fall to the garbage collector.
+	for i, e := range k.heap {
+		e.index = -1
+		k.heap[i] = nil
+	}
+	k.heap = k.heap[:0]
 	for i := range st.events {
 		se := &st.events[i]
-		se.ev.at, se.ev.band, se.ev.key, se.ev.seq, se.ev.fn, se.ev.canceled = se.at, se.band, se.key, se.seq, se.fn, se.canceled
+		e := se.ev
+		e.at, e.band, e.key, e.seq = se.at, se.band, se.key, se.seq
+		e.fn, e.fnCtx, e.ctx = se.fn, se.fnCtx, se.ctx
+		e.canceled = false
+		e.index = i
 		if se.ctx != nil && restoreCtx != nil {
 			restoreCtx(se.ctx, se.ctxBlob)
 		}
-		heap = append(heap, se.ev)
+		k.heap = append(k.heap, e)
 	}
-	k.heap = heap
-	k.syncPending()
-	if d := int64(len(k.heap)); d > atomic.LoadInt64(&k.heapHW) {
-		atomic.StoreInt64(&k.heapHW, d)
+	if n := len(k.heap); n > k.heapHW {
+		k.heapHW = n
 	}
+	k.publish()
 }
 
-// RunLimit executes up to max live events with timestamps <= until and
-// returns how many ran. Unlike Run it never advances the clock past the last
+// RunLimit executes up to max events with timestamps <= until and returns
+// how many ran. Unlike Run it never advances the clock past the last
 // executed event: idle virtual time is not consumed, so a later Restore/
 // rollback decision can compare message timestamps against the time of real
 // executed work only. This is the stepping primitive of the optimistic PDES
 // engine, which must surface between batches to poll its message queues.
 func (k *Kernel) RunLimit(until Time, max int) int {
 	ran := 0
-	for ran < max {
-		for len(k.heap) > 0 && k.heap[0].canceled {
-			k.recycle(k.heap.pop())
-			k.syncPending()
-		}
-		if len(k.heap) == 0 || k.heap[0].at > until {
-			break
-		}
+	for ran < max && len(k.heap) > 0 && k.heap[0].at <= until {
 		k.Step()
 		ran++
 	}
+	k.publish()
 	return ran
 }

@@ -9,17 +9,18 @@ import (
 
 // The kernel's contract is single-writer atomics: one goroutine runs events
 // while any number of observers read Now/Pending/Stats/CollectMetrics. This
-// test exists for the race detector — heap_high_water in particular is
-// written from two places (AtCtxBand and Restore) and read by samplers, so a
-// non-atomic access anywhere in the counter plumbing fails `go test -race`.
+// test exists for the race detector — the gauges in particular are plain
+// owner fields that readers may only see through their published atomic
+// mirrors, so a reader touching an owner field, or a non-atomic publish,
+// fails `go test -race`.
 func TestStatsConcurrentWithRun(t *testing.T) {
 	k := NewKernel()
 	reg := metrics.NewRegistry()
 	reg.Register("des", k)
 
 	// A self-perpetuating workload with churn in both directions: schedules,
-	// cancels (so recycle runs mid-heap), and nested fan-out (so the heap
-	// high-water mark keeps moving while readers poll it).
+	// cancels (so events leave mid-heap and are recycled), and nested fan-out
+	// (so the heap high-water mark keeps moving while readers poll it).
 	var n int
 	var tick func()
 	tick = func() {

@@ -105,19 +105,25 @@ type Port struct {
 	peer     Device
 	peerPort int
 
+	// queue[qhead:] is the FIFO. Dequeuing advances qhead instead of
+	// reslicing, so the backing array is kept and reused: a port in steady
+	// state enqueues without allocating (see pushQueue).
 	queue       []*packet.Packet
+	qhead       int
 	queuedBytes int64
 	busy        bool
 
 	// txSize is the size of the packet currently serializing. The completion
 	// event reads it instead of capturing the packet, which lets every
-	// transmission share the single txDone closure below — the event objects
-	// come from the kernel pool, so a port in steady state transmits with one
-	// closure allocation per packet (the arrival, which must capture the
-	// packet) instead of two. txSize is checkpointed with the port state: a
-	// rollback can land between transmit start and completion.
+	// transmission share the single txDone closure below; txSize is
+	// checkpointed with the port state, since a rollback can land between
+	// transmit start and completion. The arrival at the peer likewise shares
+	// one handler, arrive, which receives its packet as the event context.
+	// Both are bound once in NewPort and the event objects come from the
+	// kernel pool, so forwarding a packet allocates nothing.
 	txSize int64
-	txDone func() // allocated once in NewPort, rescheduled per transmission
+	txDone func()
+	arrive func(any)
 
 	stats PortStats
 
@@ -145,6 +151,7 @@ func NewPort(k *des.Kernel, owner Device, index int, cfg LinkConfig) *Port {
 	}
 	p := &Port{kernel: k, owner: owner, index: index, cfg: cfg}
 	p.txDone = p.onTxDone
+	p.arrive = p.onArrive
 	return p
 }
 
@@ -229,7 +236,7 @@ func (p *Port) Send(pkt *packet.Packet) {
 		}
 	}
 	pkt.EnqueueTime = p.kernel.Now()
-	p.queue = append(p.queue, pkt)
+	p.pushQueue(pkt)
 	atomic.AddInt64(&p.queuedBytes, size)
 	if p.queuedBytes > p.stats.MaxQueue {
 		atomic.StoreInt64(&p.stats.MaxQueue, p.queuedBytes)
@@ -249,20 +256,33 @@ func (p *Port) dropFault(pkt *packet.Packet) {
 	}
 }
 
-// popQueue dequeues the head-of-line packet, nil when the queue is empty.
+// pushQueue appends pkt to the FIFO. When the backing array is full and at
+// least half of it is already-dequeued prefix, the live packets slide to the
+// front instead of the array growing, so a queue that never quite drains
+// reuses one array of at most twice its peak depth.
+func (p *Port) pushQueue(pkt *packet.Packet) {
+	if n := len(p.queue); n == cap(p.queue) && p.qhead > 0 && 2*p.qhead >= n {
+		live := copy(p.queue, p.queue[p.qhead:])
+		clear(p.queue[live:])
+		p.queue, p.qhead = p.queue[:live], 0
+	}
+	p.queue = append(p.queue, pkt)
+}
+
+// popQueue dequeues the head-of-line packet, nil when the queue is empty. A
+// drained queue rewinds to the start of its backing array and keeps it: the
+// next burst reuses the high-water allocation instead of regrowing it.
 func (p *Port) popQueue() *packet.Packet {
-	if len(p.queue) == 0 {
+	if p.qhead == len(p.queue) {
 		return nil
 	}
-	next := p.queue[0]
-	p.queue[0] = nil
-	p.queue = p.queue[1:]
-	atomic.AddInt64(&p.queuedBytes, -int64(next.Size()))
-	if len(p.queue) == 0 {
-		// Reset the backing array so a long-drained queue does not
-		// pin its high-water-mark allocation forever.
-		p.queue = nil
+	next := p.queue[p.qhead]
+	p.queue[p.qhead] = nil
+	p.qhead++
+	if p.qhead == len(p.queue) {
+		p.queue, p.qhead = p.queue[:0], 0
 	}
+	atomic.AddInt64(&p.queuedBytes, -int64(next.Size()))
 	return next
 }
 
@@ -288,26 +308,26 @@ func (p *Port) transmit(pkt *packet.Packet) {
 	p.txSize = int64(pkt.Size())
 	ser := p.cfg.SerializationDelay(pkt.Size())
 	arrival := ser + p.cfg.PropDelay
-	peer, peerPort := p.peer, p.peerPort
 	if p.trace != nil {
 		p.trace.Emit(obs.Event{TS: p.kernel.Now(), Dur: ser, Ph: obs.PhSpan,
 			Name: "tx", Cat: "netsim", Tid: p.tid,
 			K1: "bytes", V1: int64(pkt.Size()), K2: "flow", V2: int64(pkt.FlowID)})
 	}
-	// The packet rides as the event context so kernel snapshots (optimistic
-	// PDES rollback) can checkpoint the contents of packets in flight on the
-	// wire — switches mutate TTL/hops/ECN in place on delivery.
-	if b := p.cfg.ArrivalBand; b != 0 {
-		p.kernel.AtCtxKeyBand(p.kernel.Now()+arrival, b, ArrivalKey(p.owner.NodeID()), pkt, func() {
-			peer.Receive(pkt, peerPort)
-		})
-	} else {
-		p.kernel.ScheduleCtx(arrival, pkt, func() {
-			peer.Receive(pkt, peerPort)
-		})
+	// The packet rides as the event context: it is what the shared arrive
+	// handler delivers, and it lets kernel snapshots (optimistic PDES
+	// rollback) checkpoint the contents of packets in flight on the wire —
+	// switches mutate TTL/hops/ECN in place on delivery.
+	var key uint64
+	if p.cfg.ArrivalBand != 0 {
+		key = ArrivalKey(p.owner.NodeID())
 	}
+	p.kernel.AtCtxFn(p.kernel.Now()+arrival, p.cfg.ArrivalBand, key, pkt, p.arrive)
 	p.kernel.Schedule(ser, p.txDone)
 }
+
+// onArrive is the arrival handler shared by every transmission on this port
+// (see arrive): the packet has finished propagating and reaches the peer.
+func (p *Port) onArrive(ctx any) { p.peer.Receive(ctx.(*packet.Packet), p.peerPort) }
 
 // onTxDone is the serialization-complete handler, shared by every
 // transmission on this port (see txDone): it charges the stats for the packet

@@ -361,3 +361,82 @@ func BenchmarkLinkForwarding(b *testing.B) {
 		dst.inPorts = dst.inPorts[:0]
 	}
 }
+
+// A steady-state host–switch–host line forwards without allocating: every
+// arrival shares its port's pre-bound handler, the FIFOs reuse their backing
+// arrays, and the event objects come from the kernel pool. The switch egress
+// runs at half the NIC rate so each burst queues at both the NIC and the
+// switch port.
+func TestForwardingAllocatesNothing(t *testing.T) {
+	k := des.NewKernel()
+	h0, h1 := NewHost(k, 0, 0), NewHost(k, 1, 1)
+	sw := NewSwitch(k, 2, RouterFunc(func(_ packet.NodeID, p *packet.Packet) (int, bool) {
+		return int(p.Dst), true // port i faces host i
+	}))
+	nic := LinkConfig{BandwidthBps: 10 * gbps, PropDelay: des.Microsecond, QueueBytes: 1 << 20}
+	egress := LinkConfig{BandwidthBps: 5 * gbps, PropDelay: des.Microsecond, QueueBytes: 1 << 20}
+	Connect(h0.AttachNIC(nic), sw.AddPort(egress))
+	Connect(h1.AttachNIC(nic), sw.AddPort(egress))
+
+	const burst = 32
+	free := make([]*packet.Packet, 0, burst)
+	for i := 0; i < burst; i++ {
+		free = append(free, &packet.Packet{Src: 0, Dst: 1, PayloadLen: packet.MSS})
+	}
+	h1.Handler = func(p *packet.Packet) { free = append(free, p) }
+	bursts := 0
+	send := func() {
+		bursts++
+		for len(free) > 0 {
+			p := free[len(free)-1]
+			free = free[:len(free)-1]
+			p.TTL, p.Hops, p.SendTime = 0, 0, 0
+			h0.Send(p)
+		}
+		k.RunAll()
+	}
+	send() // warm the pool and grow the FIFO arrays
+	if allocs := testing.AllocsPerRun(20, send); allocs != 0 {
+		t.Errorf("%.1f allocs per %d-packet burst (%d hops), want 0", allocs, burst, 2*burst)
+	}
+	if got, want := h1.RxPackets, uint64(bursts*burst); got != want {
+		t.Errorf("delivered %d packets, want %d", got, want)
+	}
+	if q := sw.Port(1).Stats().MaxQueue; q == 0 {
+		t.Error("switch egress never queued; the burst does not exercise the FIFO")
+	}
+}
+
+// A queue that never drains still reuses one backing array: once the
+// dequeued prefix is at least half the array, the live packets slide to the
+// front instead of the array growing, and FIFO order survives the slide.
+func TestStandingQueueKeepsItsArray(t *testing.T) {
+	k := des.NewKernel()
+	port, dst := mkLink(t, k, LinkConfig{BandwidthBps: gbps, QueueBytes: 1 << 20})
+	seq := uint32(0)
+	send := func() {
+		port.Send(&packet.Packet{Seq: seq, PayloadLen: 100})
+		seq++
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	for i := 0; i < 1000; i++ { // one in, one out: the depth stays at 7
+		send()
+		for head := port.qhead; port.qhead == head && len(port.queue) > 0; {
+			k.Step()
+		}
+	}
+	if c := cap(port.queue); c > 32 {
+		t.Errorf("standing queue of 7 grew its array to %d", c)
+	}
+	k.RunAll()
+	if len(dst.got) != int(seq) {
+		t.Fatalf("delivered %d packets, want %d", len(dst.got), seq)
+	}
+	for i, p := range dst.got {
+		if p.Seq != uint32(i) {
+			t.Fatalf("delivery %d carried seq %d", i, p.Seq)
+		}
+	}
+}

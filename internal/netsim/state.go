@@ -33,9 +33,9 @@ type portState struct {
 // SaveState implements the pdes StateSaver contract for a port.
 func (p *Port) SaveState() any {
 	st := portState{queuedBytes: p.queuedBytes, busy: p.busy, txSize: p.txSize, stats: p.stats}
-	if len(p.queue) > 0 {
-		st.queue = make([]packet.Packet, len(p.queue))
-		for i, pkt := range p.queue {
+	if live := p.queue[p.qhead:]; len(live) > 0 {
+		st.queue = make([]packet.Packet, len(live))
+		for i, pkt := range live {
 			st.queue[i] = *pkt
 		}
 	}
@@ -56,13 +56,11 @@ func (p *Port) RestoreState(v any) {
 	atomic.StoreUint64(&p.stats.ECNMarks, st.stats.ECNMarks)
 	atomic.StoreUint64(&p.stats.FaultDrops, st.stats.FaultDrops)
 	atomic.StoreInt64(&p.stats.MaxQueue, st.stats.MaxQueue)
-	p.queue = nil
-	if len(st.queue) > 0 {
-		p.queue = make([]*packet.Packet, len(st.queue))
-		for i := range st.queue {
-			q := st.queue[i] // copy; the checkpoint stays pristine
-			p.queue[i] = &q
-		}
+	clear(p.queue)
+	p.queue, p.qhead = p.queue[:0], 0
+	for i := range st.queue {
+		q := st.queue[i] // copy; the checkpoint stays pristine
+		p.queue = append(p.queue, &q)
 	}
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"approxsim/internal/des"
@@ -125,5 +126,64 @@ func TestSwitchSaveRestore(t *testing.T) {
 	sw.RestoreState(st)
 	if sw.RouteDrops != 1 {
 		t.Errorf("RouteDrops = %d after restore, want 1", sw.RouteDrops)
+	}
+}
+
+// TestPortStateRoundTripPartlyDrained checkpoints a port whose FIFO has
+// already dequeued some packets (a nonzero head index) and restores it both
+// after the queue has drained and while it is partly drained again: the
+// restored FIFO must hold the same packets in the same order with the same
+// byte count, and the replay must deliver exactly what the first run
+// delivered after the checkpoint.
+func TestPortStateRoundTripPartlyDrained(t *testing.T) {
+	k := des.NewKernel()
+	cfg := LinkConfig{BandwidthBps: 1e9, QueueBytes: 1 << 20}
+	port, dst := mkLink(t, k, cfg)
+	for i := 0; i < 6; i++ {
+		port.Send(&packet.Packet{Seq: uint32(i), PayloadLen: int32(100 * (i + 1))})
+	}
+	for port.qhead < 2 {
+		k.Step()
+	}
+	fifo := func() (seqs []uint32) {
+		for _, p := range port.queue[port.qhead:] {
+			seqs = append(seqs, p.Seq)
+		}
+		return seqs
+	}
+	delivered := func(from int) (seqs []uint32) {
+		for _, p := range dst.got[from:] {
+			seqs = append(seqs, p.Seq)
+		}
+		return seqs
+	}
+	st := port.SaveState()
+	ks := k.Snapshot(savePkt)
+	queued, wantFIFO, before := port.QueuedBytes(), fifo(), len(dst.got)
+
+	k.RunAll() // drains the FIFO and rewinds it to the array's start
+	first := delivered(before)
+	restore := func(when string) {
+		port.RestoreState(st)
+		k.Restore(ks, restorePkt)
+		dst.got = dst.got[:before]
+		if got := port.QueuedBytes(); got != queued {
+			t.Fatalf("%s: restored queue holds %d bytes, snapshot had %d", when, got, queued)
+		}
+		if got := fifo(); fmt.Sprint(got) != fmt.Sprint(wantFIFO) {
+			t.Fatalf("%s: restored FIFO order %v, want %v", when, got, wantFIFO)
+		}
+	}
+	restore("after drain")
+	for port.qhead == 0 { // partly drained again
+		k.Step()
+	}
+	restore("mid-drain")
+	k.RunAll()
+	if got := delivered(before); fmt.Sprint(got) != fmt.Sprint(first) {
+		t.Fatalf("replay delivered %v, first run %v", got, first)
+	}
+	if port.QueuedBytes() != 0 {
+		t.Errorf("queue holds %d bytes after the replay drained it", port.QueuedBytes())
 	}
 }

@@ -43,11 +43,13 @@ type conn struct {
 	est *rttEstimator
 	// rtoTimer follows the kernel's pooled-event ownership rules (DESIGN.md
 	// "Event ownership under pooling"): the handle is only dereferenced while
-	// the event is pending. onRTO nils it as its first action — the kernel
-	// recycles the object before running the closure, so from that point the
-	// handle is stale and must not reach Cancel. armRTO's cancel-then-rearm
-	// therefore only ever cancels a live, un-fired timer.
+	// the event is pending, and is dead once the timer fires or is canceled.
+	// onRTO nils it as its first action — the kernel recycles the object
+	// before running the handler — and every Cancel is followed by
+	// reassigning or nilling it, so only a live, un-fired timer is canceled.
+	// rtoFn is onRTO bound once per sender, so re-arming allocates nothing.
 	rtoTimer *des.Event
+	rtoFn    func()
 
 	// ECN response state: one window reduction per RTT.
 	ecnReactUntil int64
@@ -71,7 +73,7 @@ type interval struct{ lo, hi int64 }
 
 func newSenderConn(s *Stack, dst packet.HostID, size int64, flow uint64, onDone func(FlowResult)) *conn {
 	cfg := s.cfg
-	return &conn{
+	c := &conn{
 		stack:    s,
 		role:     roleSender,
 		peer:     dst,
@@ -84,6 +86,8 @@ func newSenderConn(s *Stack, dst packet.HostID, size int64, flow uint64, onDone 
 		start:    s.kernel.Now(),
 		onDone:   onDone,
 	}
+	c.rtoFn = c.onRTO
+	return c
 }
 
 func newReceiverConn(s *Stack, src packet.HostID, flow uint64) *conn {
@@ -145,7 +149,7 @@ func (c *conn) armRTO() {
 	if c.rtoTimer != nil {
 		c.stack.kernel.Cancel(c.rtoTimer)
 	}
-	c.rtoTimer = c.stack.kernel.Schedule(c.est.current(), c.onRTO)
+	c.rtoTimer = c.stack.kernel.Schedule(c.est.current(), c.rtoFn)
 }
 
 func (c *conn) cancelRTO() {

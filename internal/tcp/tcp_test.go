@@ -552,3 +552,22 @@ func TestPropertyNoDataBeyondFlowSize(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Re-arming the retransmission timer — on every ACK, the hottest timer path —
+// allocates nothing: the handler is bound once per connection and the
+// canceled event object goes straight back to the kernel pool for the new one.
+func TestRTORearmAllocatesNothing(t *testing.T) {
+	k, sa, _, _ := pair(fastLink(), Config{})
+	c := newSenderConn(sa, 1, 1<<20, 1, nil)
+	c.armRTO() // warm the pool
+	if allocs := testing.AllocsPerRun(1000, c.armRTO); allocs != 0 {
+		t.Errorf("%.1f allocs per RTO re-arm, want 0", allocs)
+	}
+	if st := k.Stats(); k.Pending() != 1 || st.Canceled == 0 {
+		t.Errorf("re-arming left %d pending events (%+v), want exactly the live timer", k.Pending(), st)
+	}
+	c.cancelRTO()
+	if k.Pending() != 0 || c.rtoTimer != nil {
+		t.Errorf("cancelRTO left %d pending events", k.Pending())
+	}
+}
