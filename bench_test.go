@@ -24,8 +24,8 @@ import (
 	"approxsim/internal/nn"
 	"approxsim/internal/obs"
 	"approxsim/internal/packet"
-	"approxsim/internal/pdes"
 	"approxsim/internal/rng"
+	"approxsim/internal/scenario"
 	"approxsim/internal/topology"
 	"approxsim/internal/traffic"
 )
@@ -47,14 +47,22 @@ func BenchmarkFig1LeafSpine(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var simSec, wallSec float64
 				var events uint64
+				spec := scenario.Spec{
+					Mode:      "pdes",
+					Topology:  scenario.Topology{Racks: tors},
+					Workload:  scenario.Workload{Load: 0.3},
+					LPs:       lps,
+					Seed:      17,
+					HorizonMS: float64(benchDuration) / float64(des.Millisecond),
+				}
 				for i := 0; i < b.N; i++ {
-					res, err := pdes.RunLeafSpine(tors, lps, 0.3, benchDuration, 17)
+					r, err := scenario.Run(spec)
 					if err != nil {
 						b.Fatal(err)
 					}
-					simSec += res.SimSeconds
-					wallSec += res.WallSeconds
-					events += res.Events
+					simSec += r.Perf.SimSeconds
+					wallSec += r.Perf.WallSeconds
+					events += r.Perf.Events
 				}
 				if wallSec > 0 {
 					b.ReportMetric(simSec/wallSec, "sim_s/wall_s")

@@ -20,9 +20,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"approxsim/internal/des"
+	"approxsim/internal/packet"
 	"approxsim/internal/pdes"
+	"approxsim/internal/topology"
+	"approxsim/internal/traffic"
 )
 
 // row is one (partitioner, seed) run.
@@ -57,6 +61,34 @@ func parseSeeds(s string) ([]uint64, error) {
 	return out, nil
 }
 
+// run simulates the Poisson web-search workload of (load, seed) on every host
+// of cfg for dur under null messages, with the fabric placed by part.
+func run(cfg topology.Config, lps int, load float64, dur des.Time, seed uint64,
+	part pdes.Partitioner) (*pdes.ExperimentResult, error) {
+
+	hosts := make([]packet.HostID, cfg.NumHosts())
+	for i := range hosts {
+		hosts[i] = packet.HostID(i)
+	}
+	specs, err := traffic.GenerateSpecs(traffic.Config{
+		Load:             load,
+		HostBandwidthBps: cfg.HostLink.BandwidthBps,
+		Seed:             seed,
+	}, hosts, dur)
+	if err != nil {
+		return nil, err
+	}
+	net, err := pdes.Build(cfg, lps, specs, pdes.WithPartitioner(part))
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	if err := net.Sys.Run(dur); err != nil {
+		return nil, err
+	}
+	return net.AssembleResult(net.Sys.Stats(), dur, time.Since(start)), nil
+}
+
 func main() {
 	var (
 		out   = flag.String("o", "BENCH_partition.json", "output JSON path (- for stdout)")
@@ -74,6 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 	dur := des.Time(*durMS) * des.Millisecond
+	cfg := topology.DefaultLeafSpineConfig(*n)
 
 	report := struct {
 		Racks      int                  `json:"racks"`
@@ -96,8 +129,7 @@ func main() {
 		var agg aggregate
 		for _, seed := range seeds {
 			fmt.Fprintf(os.Stderr, "benchpartition: %s seed=%d...\n", name, seed)
-			res, err := pdes.RunLeafSpineSync(*n, *lps, *load, dur, seed,
-				pdes.NullMessages, pdes.WithPartitioner(part))
+			res, err := run(cfg, *lps, *load, dur, seed, part)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchpartition:", err)
 				os.Exit(2)

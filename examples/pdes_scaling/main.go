@@ -21,6 +21,7 @@ import (
 
 	"approxsim/internal/des"
 	"approxsim/internal/pdes"
+	"approxsim/internal/scenario"
 )
 
 func main() {
@@ -50,10 +51,19 @@ func main() {
 				if lps == 1 && algo != pdes.NullMessages {
 					continue // one LP never synchronizes; one row is enough
 				}
-				res, err := pdes.RunLeafSpineSync(n, lps, load, dur, seed, algo)
+				r, err := scenario.Run(scenario.Spec{
+					Mode:      "pdes",
+					Topology:  scenario.Topology{Racks: n},
+					Workload:  scenario.Workload{Load: load},
+					Sync:      algo.String(),
+					LPs:       lps,
+					Seed:      seed,
+					HorizonMS: float64(dur) / float64(des.Millisecond),
+				})
 				if err != nil {
 					log.Fatal(err)
 				}
+				res := r.Experiment
 				fmt.Printf("%6d %4d %9v %14.4g %10d %12d %12d %10d\n",
 					n, lps, algo, res.SimPerWall, res.Events,
 					res.Nulls+res.Barriers, res.CrossPkts, res.Rollbacks)

@@ -8,7 +8,7 @@ import (
 	"approxsim/internal/flowsim"
 	"approxsim/internal/nn"
 	"approxsim/internal/packet"
-	"approxsim/internal/pdes"
+	"approxsim/internal/scenario"
 	"approxsim/internal/topology"
 	"approxsim/internal/traffic"
 )
@@ -144,16 +144,25 @@ func TestEnginesAgreeOnLightLoad(t *testing.T) {
 	}
 }
 
-// TestPDESAndTopologyEnginesAgree: the pdes leaf-spine builder (1 LP) and
-// an equivalent run should both complete the same workload; this guards the
-// duplicated routing arithmetic.
+// TestPDESCompletesAcrossLPCounts: the same pdes-mode workload completes a
+// comparable flow count whether the leaf-spine runs on 1, 2 or 4 LPs. (The
+// exact guard that the PDES network and the single-kernel topology share one
+// port layout is pdes.TestPortLayoutMatchesTopology.)
 func TestPDESCompletesAcrossLPCounts(t *testing.T) {
 	var base int
 	for _, lps := range []int{1, 2, 4} {
-		res, err := pdes.RunLeafSpine(8, lps, 0.3, 2*des.Millisecond, 5)
+		r, err := scenario.Run(scenario.Spec{
+			Mode:      "pdes",
+			Topology:  scenario.Topology{Racks: 8},
+			Workload:  scenario.Workload{Load: 0.3},
+			LPs:       lps,
+			Seed:      5,
+			HorizonMS: 2,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := r.Experiment
 		if res.FlowsCompleted == 0 {
 			t.Fatalf("lps=%d completed nothing", lps)
 		}

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"approxsim/internal/des"
-	"approxsim/internal/metrics"
 	"approxsim/internal/pdes"
+	"approxsim/internal/scenario"
 )
 
 // EventChurn measures the kernel's steady-state schedule/execute cycle: one
@@ -86,18 +86,24 @@ var (
 func TimewarpLeafSpine(b *testing.B, lazy bool, cfg LeafSpineConfig) {
 	b.ReportAllocs()
 	var rollbacks, antis, saved uint64
+	spec := scenario.Spec{
+		Mode:      "pdes",
+		Topology:  scenario.Topology{Racks: cfg.ToRs},
+		Workload:  scenario.Workload{Load: cfg.Load},
+		Sync:      "timewarp",
+		LPs:       cfg.LPs,
+		Seed:      cfg.Seed,
+		HorizonMS: float64(cfg.Dur) / float64(des.Millisecond),
+	}
 	for i := 0; i < b.N; i++ {
-		reg := metrics.NewRegistry()
-		res, err := pdes.RunLeafSpineObserved(cfg.ToRs, cfg.LPs, cfg.Load, cfg.Dur, cfg.Seed,
-			pdes.TimeWarp, reg,
+		// scenario.Run fails the run on any causality violation.
+		r, err := scenario.Run(spec, scenario.WithPDESOptions(
 			pdes.WithGVTInterval(50*time.Microsecond),
-			pdes.WithLazyCancellation(lazy))
+			pdes.WithLazyCancellation(lazy)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Violations != 0 {
-			b.Fatalf("%d causality violations", res.Violations)
-		}
+		res := r.Experiment
 		rollbacks += res.Rollbacks
 		antis += res.AntiMessages
 		saved += res.LazyCancelSaved

@@ -47,8 +47,8 @@ type LinkConfig struct {
 	// ArrivalBand, when nonzero, schedules this link's arrival events in the
 	// given kernel ordering band, keyed by the transmitting device — so two
 	// same-timestamp arrivals at a device commit in transmitter order rather
-	// than schedule order. The PDES builders set band 1 on every link that can
-	// cross an LP boundary under ANY partitioning: cross-LP arrivals are
+	// than schedule order. The PDES network builder sets band 1 on every link
+	// that can cross an LP boundary under ANY partitioning: cross-LP arrivals are
 	// re-scheduled on the receiving kernel with the same (band, key), making
 	// the committed event order identical whether a given link happens to be
 	// local or cut.

@@ -93,7 +93,7 @@ func TestLookaheadMergeTakesMinimum(t *testing.T) {
 
 func TestManyFlowsManyLPsStress(t *testing.T) {
 	// 8 racks over 4 LPs, bidirectional TCP between all rack pairs.
-	ls, err := BuildLeafSpine(topology.DefaultLeafSpineConfig(8), 4)
+	net, err := Build(topology.DefaultLeafSpineConfig(8), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ func TestManyFlowsManyLPsStress(t *testing.T) {
 				continue
 			}
 			src, dst := packet.HostID(src), packet.HostID(dst)
-			stack := ls.Stacks[src]
-			lp := ls.Sys.LP(ls.lpOfHost[src])
+			stack := net.Stacks[src]
+			lp := net.Sys.LP(net.lpOf[src])
 			flowID := id
 			id++
 			lp.Kernel().At(des.Microsecond, func() {
@@ -115,11 +115,11 @@ func TestManyFlowsManyLPsStress(t *testing.T) {
 		}
 	}
 	want := int(id - 1)
-	ls.Sys.Run(2 * des.Second)
+	net.Sys.Run(2 * des.Second)
 	if done != want {
 		t.Errorf("%d of %d flows completed in 4-LP stress", done, want)
 	}
-	if ls.Sys.Stats().CrossPkts == 0 {
+	if net.Sys.Stats().CrossPkts == 0 {
 		t.Error("stress run never crossed an LP boundary")
 	}
 }

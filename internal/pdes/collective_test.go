@@ -45,12 +45,17 @@ func committedGroupsCollective(t *testing.T, reg *metrics.Registry) string {
 func runCollectiveOnly(t *testing.T, tors, lps int, dur des.Time, algo SyncAlgo,
 	reg *metrics.Registry, ps ...collective.Params) *ExperimentResult {
 	t.Helper()
-	cfg := topology.DefaultLeafSpineConfig(tors)
-	res, err := RunLeafSpineSpecs(cfg, lps, nil, dur, algo, reg, WithCollectives(ps...))
+	net, err := Build(topology.DefaultLeafSpineConfig(tors), lps, nil, WithSyncAlgo(algo), WithCollectives(ps...))
 	if err != nil {
+		t.Fatalf("collective build (%v, lps=%d): %v", algo, lps, err)
+	}
+	if reg != nil {
+		net.RegisterMetrics(reg)
+	}
+	if err := net.Sys.Run(dur); err != nil {
 		t.Fatalf("collective run (%v, lps=%d): %v", algo, lps, err)
 	}
-	return res
+	return net.AssembleResult(net.Sys.Stats(), dur, 0)
 }
 
 // TestCollectiveRingCompletes is the basic liveness check: a 4-rank ring
@@ -205,7 +210,7 @@ func TestDeterminismPropertyCollective(t *testing.T) {
 
 			run := func(algo SyncAlgo, lps int, opts ...Option) (string, *ExperimentResult) {
 				reg := metrics.NewRegistry()
-				res, err := RunLeafSpineObserved(tors, lps, load, dur, seed, algo, reg,
+				res, err := runNetwork(topology.DefaultLeafSpineConfig(tors), lps, load, dur, seed, algo, reg, nil,
 					append([]Option{WithCollectives(coll)}, opts...)...)
 				if err != nil {
 					t.Fatalf("%v lps=%d: %v", algo, lps, err)
@@ -254,7 +259,7 @@ func TestDeterminismPropertyCollective(t *testing.T) {
 }
 
 // TestCollectiveClosDeterminism runs the same closed-loop contract on the
-// three-tier Clos builder: ring all-reduce plus background traffic, parallel
+// three-tier Clos: ring all-reduce plus background traffic, parallel
 // conservative runs vs the sequential reference.
 func TestCollectiveClosDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -263,7 +268,8 @@ func TestCollectiveClosDeterminism(t *testing.T) {
 	coll := collective.Params{Kind: collective.Ring, SizeBytes: 64 << 10, Iters: 1, Hosts: 6}
 	run := func(algo SyncAlgo, lps int) (string, *ExperimentResult) {
 		reg := metrics.NewRegistry()
-		res, err := RunClosObserved(4, lps, 0.2, 2*des.Millisecond, 7, algo, reg, WithCollectives(coll))
+		res, err := runNetwork(topology.DefaultClosConfig(4), lps, 0.2, 2*des.Millisecond, 7, algo, reg, nil,
+			WithCollectives(coll))
 		if err != nil {
 			t.Fatalf("%v lps=%d: %v", algo, lps, err)
 		}

@@ -9,8 +9,7 @@ import (
 	"approxsim/internal/traffic"
 )
 
-// Collective workload wiring shared by the topology builders (BuildLeafSpine,
-// BuildClos). Three phases:
+// Collective workload wiring for Build. Three phases:
 //
 //  1. buildCollectives (before placement) resolves each Params against the
 //     topology's host count and folds the instances' exact flow catalogs into

@@ -7,23 +7,8 @@ import (
 	"approxsim/internal/des"
 	"approxsim/internal/netsim"
 	"approxsim/internal/packet"
+	"approxsim/internal/topology"
 )
-
-// twoHostSystemInbox is twoHostSystem with an explicit inbox capacity, for
-// exercising the bounded-inbox deadlock path.
-func twoHostSystemInbox(t *testing.T, inboxCap int) (*System, *netsim.Host, *netsim.Host) {
-	t.Helper()
-	s := NewSystemWithInbox(2, inboxCap)
-	a := netsim.NewHost(s.LP(0).Kernel(), 0, 0)
-	b := netsim.NewHost(s.LP(1).Kernel(), 1, 1)
-	cfg := netsim.LinkConfig{BandwidthBps: 1e9, PropDelay: 0, QueueBytes: 1 << 26}
-	na := a.AttachNIC(cfg)
-	nb := b.AttachNIC(cfg)
-	if err := s.Connect(s.LP(0), na, s.LP(1), nb, a, b, 10*des.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	return s, a, b
-}
 
 // runWithWatchdog fails the test if fn does not return within the deadline —
 // the signature of a cross-LP send deadlock.
@@ -47,7 +32,7 @@ func runWithWatchdog(t *testing.T, deadline time.Duration, fn func()) {
 // LPs permanently (each blocked sending into the other's full inbox).
 // The drain-while-sending loop in LP.send must make this complete.
 func TestTinyInboxNoDeadlock(t *testing.T) {
-	s, a, b := twoHostSystemInbox(t, 1)
+	s, a, b := twoHostSystem(t, WithInboxCap(1))
 	gotA, gotB := 0, 0
 	a.Handler = func(*packet.Packet) { gotA++ }
 	b.Handler = func(*packet.Packet) { gotB++ }
@@ -74,7 +59,7 @@ func TestTinyInboxNoDeadlock(t *testing.T) {
 // TestTinyInboxBarrierNoDeadlock exercises the same bounded-inbox hazard in
 // barrier mode, where all LPs send concurrently inside each window.
 func TestTinyInboxBarrierNoDeadlock(t *testing.T) {
-	s, a, b := twoHostSystemInbox(t, 1)
+	s, a, b := twoHostSystem(t, WithInboxCap(1), WithSyncAlgo(Barrier))
 	gotA, gotB := 0, 0
 	a.Handler = func(*packet.Packet) { gotA++ }
 	b.Handler = func(*packet.Packet) { gotB++ }
@@ -89,7 +74,7 @@ func TestTinyInboxBarrierNoDeadlock(t *testing.T) {
 			b.Send(&packet.Packet{Src: 1, Dst: 0, PayloadLen: 934})
 		}
 	})
-	runWithWatchdog(t, 30*time.Second, func() { s.RunBarrier(10 * des.Millisecond) })
+	runWithWatchdog(t, 30*time.Second, func() { s.Run(10 * des.Millisecond) })
 	if gotA != burst || gotB != burst {
 		t.Errorf("delivered %d/%d packets, want %d each way", gotA, gotB, burst)
 	}
@@ -112,10 +97,9 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 		end   = 100 * des.Microsecond
 		burst = 64
 	)
-	for _, mode := range []string{"nullmsg", "barrier"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			s := NewSystemWithInbox(2, 1)
+	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
+		t.Run(algo.String(), func(t *testing.T) {
+			s := NewSystem(2, WithInboxCap(1), WithSyncAlgo(algo))
 			a := netsim.NewHost(s.LP(0).Kernel(), 0, 0)
 			b := netsim.NewHost(s.LP(1).Kernel(), 1, 1)
 			// Near-infinite bandwidth: serialization rounds to zero, so a
@@ -143,13 +127,7 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 					b.Send(&packet.Packet{Src: 1, Dst: 0, PayloadLen: 100})
 				}
 			})
-			runWithWatchdog(t, 30*time.Second, func() {
-				if mode == "barrier" {
-					s.RunBarrier(end)
-				} else {
-					s.Run(end)
-				}
-			})
+			runWithWatchdog(t, 30*time.Second, func() { s.Run(end) })
 			if gotA+gotB != 0 {
 				t.Errorf("%d beyond-horizon packets were delivered, want 0", gotA+gotB)
 			}
@@ -172,13 +150,7 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 			}
 			// The parked burst is in-flight traffic, not loss: the next run
 			// segment must deliver every packet exactly once, with no recount.
-			runWithWatchdog(t, 30*time.Second, func() {
-				if mode == "barrier" {
-					s.RunBarrier(end + 100*des.Microsecond)
-				} else {
-					s.Run(end + 100*des.Microsecond)
-				}
-			})
+			runWithWatchdog(t, 30*time.Second, func() { s.Run(end + 100*des.Microsecond) })
 			if gotA != burst || gotB != burst {
 				t.Errorf("next segment delivered %d/%d parked packets, want %d each way",
 					gotA, gotB, burst)
@@ -195,9 +167,9 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 // completes inside the run but its cross-LP arrival stamp lands beyond the
 // horizon: send at 90us, tx done at 98us, arrival 98us + 10us lookahead =
 // 108us > end = 100us.
-func postHorizonScenario(t *testing.T) (*System, *int) {
+func postHorizonScenario(t *testing.T, opts ...Option) (*System, *int) {
 	t.Helper()
-	s, a, b := twoHostSystem(t)
+	s, a, b := twoHostSystem(t, opts...)
 	got := 0
 	b.Handler = func(*packet.Packet) { got++ }
 	s.LP(0).Kernel().Schedule(90*des.Microsecond, func() {
@@ -245,10 +217,10 @@ func TestRunParksPostHorizonPackets(t *testing.T) {
 }
 
 func TestRunBarrierParksPostHorizonPackets(t *testing.T) {
-	s, got := postHorizonScenario(t)
-	s.RunBarrier(100 * des.Microsecond)
+	s, got := postHorizonScenario(t, WithSyncAlgo(Barrier))
+	s.Run(100 * des.Microsecond)
 	checkPostHorizonParked(t, s, *got)
-	s.RunBarrier(120 * des.Microsecond)
+	s.Run(120 * des.Microsecond)
 	if *got != 1 {
 		t.Errorf("parked packet delivered %d times by the next segment, want 1", *got)
 	}
@@ -276,18 +248,18 @@ func TestParkedRepark(t *testing.T) {
 	}
 }
 
-// TestBarrierDeliversAtExactHorizon pins the other half of the RunBarrier
+// TestBarrierDeliversAtExactHorizon pins the other half of the barrier
 // drain fix: a delivery stamped exactly at `end` must execute (as it does in
 // the null-message engine), not linger in the heap. Send at 82us: tx done
 // 90us, arrival 90+10 = 100us = end.
 func TestBarrierDeliversAtExactHorizon(t *testing.T) {
-	s, a, b := twoHostSystem(t)
+	s, a, b := twoHostSystem(t, WithSyncAlgo(Barrier))
 	got := 0
 	b.Handler = func(*packet.Packet) { got++ }
 	s.LP(0).Kernel().Schedule(82*des.Microsecond, func() {
 		a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 934})
 	})
-	s.RunBarrier(100 * des.Microsecond)
+	s.Run(100 * des.Microsecond)
 	if got != 1 {
 		t.Errorf("at-horizon packet delivered %d times, want 1", got)
 	}
@@ -305,7 +277,6 @@ func TestLeafSpineStress(t *testing.T) {
 		t.Skip("stress test skipped in -short mode")
 	}
 	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
-		algo := algo
 		name := "null"
 		if algo == Barrier {
 			name = "barrier"
@@ -314,7 +285,7 @@ func TestLeafSpineStress(t *testing.T) {
 			var res *ExperimentResult
 			runWithWatchdog(t, 120*time.Second, func() {
 				var err error
-				res, err = RunLeafSpineSync(8, 8, 0.6, 2*des.Millisecond, 7, algo)
+				res, err = runNetwork(topology.DefaultLeafSpineConfig(8), 8, 0.6, 2*des.Millisecond, 7, algo, nil, nil)
 				if err != nil {
 					t.Error(err)
 				}

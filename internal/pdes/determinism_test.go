@@ -87,11 +87,12 @@ func TestDeterminismProperty(t *testing.T) {
 			tors := 2 + 2*r.Intn(2)                        // 2 or 4 ToRs
 			load := 0.3 + 0.4*r.Float64()                  // 0.3 .. 0.7
 			dur := des.Millisecond * des.Time(1+r.Intn(2)) // 1ms or 2ms
-			lpsHigh := tors                                // 2 or 4 (BuildLeafSpine caps lps at the ToR count)
+			lpsHigh := tors                                // 2 or 4 (Build caps lps at the ToR count)
+			cfg := topology.DefaultLeafSpineConfig(tors)
 
 			run := func(algo SyncAlgo, lps int, opts ...Option) string {
 				reg := metrics.NewRegistry()
-				res, err := RunLeafSpineObserved(tors, lps, load, dur, seed, algo, reg, opts...)
+				res, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, nil, opts...)
 				if err != nil {
 					t.Fatalf("%v lps=%d %v: %v", algo, lps, opts, err)
 				}
@@ -155,8 +156,7 @@ func TestDeterminismProperty(t *testing.T) {
 			// exchange. Nullmsg sweeps every partitioner; barrier rotates one.
 			runSeg := func(algo SyncAlgo, lps int, opts ...Option) string {
 				reg := metrics.NewRegistry()
-				res, err := runLeafSpineSegmentedObserved(tors, lps, load,
-					[]des.Time{dur / 2}, dur, seed, algo, reg, opts...)
+				res, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, []des.Time{dur / 2}, opts...)
 				if err != nil {
 					t.Fatalf("segmented %v lps=%d: %v", algo, lps, err)
 				}
@@ -184,7 +184,7 @@ func TestDeterminismProperty(t *testing.T) {
 			// stateful (checkpoint-hostile) failure model would fail.
 			spec := "link:tor0-spine0@300us+400us,detect=20us,jitter=10us;" +
 				"switch:spine1@700us+250us,detect=30us,jitter=5us"
-			fsched, err := topology.ParseFaults(topology.DefaultLeafSpineConfig(tors), spec)
+			fsched, err := topology.ParseFaults(cfg, spec)
 			if err != nil {
 				t.Fatal(err)
 			}

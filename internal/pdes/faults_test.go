@@ -24,10 +24,6 @@ import (
 // tcp.fct_ns histogram rows and the fault_drops counter deltas.
 func TestLinkFlapDegradesTailLatency(t *testing.T) {
 	cfg := topology.DefaultLeafSpineConfig(4)
-	hosts := make([]packet.HostID, cfg.NumHosts())
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
 	const (
 		seed    = uint64(7)
 		load    = 0.5
@@ -39,7 +35,7 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 	// tor0's healthy ECMP hash pins it onto uplink 0 — the link that flaps.
 	// It guarantees traffic is in flight across the failure instant no
 	// matter what the generated workload does.
-	tor0 := packet.NodeID(cfg.NumHosts())
+	tor0, _, _ := cfg.Bases()
 	victim := traffic.FlowSpec{Src: 0, Size: 1 << 20, At: 100 * des.Microsecond}
 	for id := uint64(9000); victim.ID == 0; id++ {
 		for d := cfg.ServersPerToR; d < cfg.NumHosts(); d++ {
@@ -51,17 +47,15 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 		}
 	}
 
-	run := func(spec string) (*LeafSpine, *metrics.Registry, []samplerRow, traffic.Summary) {
-		specs, err := traffic.GenerateSpecs(traffic.Config{
-			Load: load, HostBandwidthBps: cfg.HostLink.BandwidthBps, Seed: seed,
-		}, hosts, gen)
+	run := func(spec string) (*Network, *metrics.Registry, []samplerRow, traffic.Summary) {
+		specs, err := poissonSpecs(cfg, load, gen, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		specs = append(specs, victim)
 		reg := metrics.NewRegistry()
 		var buf bytes.Buffer
-		opts := []Option{withWorkload(specs), WithSampler(obs.NewSampler(reg, &buf, 5*des.Millisecond))}
+		opts := []Option{WithSampler(obs.NewSampler(reg, &buf, 5*des.Millisecond))}
 		if spec != "" {
 			sched, err := topology.ParseFaults(cfg, spec)
 			if err != nil {
@@ -69,16 +63,15 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 			}
 			opts = append(opts, WithFaults(sched))
 		}
-		ls, err := BuildLeafSpine(cfg, 1, opts...)
+		net, err := Build(cfg, 1, specs, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls.RegisterMetrics(reg)
-		ls.Schedule(specs)
-		if err := ls.Sys.Run(horizon); err != nil {
+		net.RegisterMetrics(reg)
+		if err := net.Sys.Run(horizon); err != nil {
 			t.Fatal(err)
 		}
-		results := ls.Results()
+		results := net.Results()
 		if len(results) != len(specs) {
 			t.Fatalf("flow accounting hole: %d specs, %d results", len(specs), len(results))
 		}
@@ -88,12 +81,12 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 					r.FlowID, r.Src, r.Dst, r.Size, horizon)
 			}
 		}
-		return ls, reg, decodeRows(t, buf.Bytes()), traffic.Summarize(results, horizon)
+		return net, reg, decodeRows(t, buf.Bytes()), traffic.Summarize(results, horizon)
 	}
 
-	hLS, _, hRows, hSum := run("")
+	hNet, _, hRows, hSum := run("")
 	flap := "link:tor0-spine0@400us+1500us,detect=400us,jitter=50us"
-	fLS, fReg, fRows, fSum := run(flap)
+	fNet, fReg, fRows, fSum := run(flap)
 
 	// (a) Tail latency degrades measurably: flows whose early segments
 	// blackhole pay at least a retransmission timeout.
@@ -107,10 +100,10 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 	// record fault drops (the victim guarantees in-flight traffic on the
 	// dead link during the detection delay), and the metrics registry must
 	// agree exactly with the builder's accounting.
-	if hLS.FaultDrops() != 0 || hLS.RouteDrops() != 0 {
-		t.Errorf("healthy run recorded drops: fault=%d route=%d", hLS.FaultDrops(), hLS.RouteDrops())
+	if hNet.FaultDrops() != 0 || hNet.RouteDrops() != 0 {
+		t.Errorf("healthy run recorded drops: fault=%d route=%d", hNet.FaultDrops(), hNet.RouteDrops())
 	}
-	if fLS.FaultDrops() == 0 {
+	if fNet.FaultDrops() == 0 {
 		t.Error("link flap produced zero fault drops — blackholing is not being counted")
 	}
 	var regFault, regRoute uint64
@@ -125,9 +118,9 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 			regRoute += m.Value.Counter
 		}
 	}
-	if regFault != fLS.FaultDrops() || regRoute != fLS.RouteDrops() {
+	if regFault != fNet.FaultDrops() || regRoute != fNet.RouteDrops() {
 		t.Errorf("drop accounting mismatch: registry fault=%d route=%d, builder fault=%d route=%d",
-			regFault, regRoute, fLS.FaultDrops(), fLS.RouteDrops())
+			regFault, regRoute, fNet.FaultDrops(), fNet.RouteDrops())
 	}
 
 	// (c) The interval series carries the evidence: fct_ns histogram rows
@@ -150,8 +143,8 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 	for _, r := range fRows {
 		seriesFault += r.Counters["netsim.fault_drops"]
 	}
-	if uint64(seriesFault) != fLS.FaultDrops() {
-		t.Errorf("interval fault_drop deltas telescope to %d, want %d", seriesFault, fLS.FaultDrops())
+	if uint64(seriesFault) != fNet.FaultDrops() {
+		t.Errorf("interval fault_drop deltas telescope to %d, want %d", seriesFault, fNet.FaultDrops())
 	}
 }
 

@@ -2,30 +2,23 @@ package pdes
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"approxsim/internal/des"
-	"approxsim/internal/packet"
+	"approxsim/internal/faults"
 	"approxsim/internal/tcp"
 	"approxsim/internal/topology"
 	"approxsim/internal/traffic"
 )
 
-// forkSpecs generates the shared workload the fork tests run. The warm-fork
-// tests pass a high load so that, with microsecond lookahead, some cross-LP
-// packet is reliably in flight at the warm point — the parked-buffer case.
+// forkSpecs is poissonSpecs for the fork tests. The warm-fork tests pass a
+// high load so that, with microsecond lookahead, some cross-LP packet is
+// reliably in flight at the warm point — the parked-buffer case.
 func forkSpecs(t *testing.T, cfg topology.Config, load float64, dur des.Time, seed uint64) []traffic.FlowSpec {
 	t.Helper()
-	hosts := make([]packet.HostID, cfg.ToRsPerCluster*cfg.ServersPerToR)
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load:             load,
-		HostBandwidthBps: cfg.HostLink.BandwidthBps,
-		Seed:             seed,
-	}, hosts, dur)
+	specs, err := poissonSpecs(cfg, load, dur, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,89 +46,94 @@ func mustEqualFlows(t *testing.T, label string, a, b []tcp.FlowResult) {
 	}
 }
 
-// TestForkMatchesColdStart proves the tentpole property: restoring a t=0
-// checkpoint of a dynamically-faultable build and applying a variant's fault
-// schedule commits flow results bit-identical to a cold start built with that
-// schedule baked in — for the healthy variant and a faulted one, across
-// multiple restores of the same pristine checkpoint.
+// TestForkMatchesColdStart proves the fork property on both fabric kinds:
+// restoring a t=0 checkpoint of a dynamically-faultable build and applying a
+// variant's fault schedule commits flow results bit-identical to a cold start
+// built with that schedule baked in — for the healthy variant and every
+// faulted one, across multiple restores of the same pristine checkpoint.
 func TestForkMatchesColdStart(t *testing.T) {
 	const (
-		tors = 4
 		lps  = 2
 		seed = 7
 		dur  = 2 * des.Millisecond
 	)
-	cfg := topology.DefaultLeafSpineConfig(tors)
-	specs := forkSpecs(t, cfg, 0.3, dur, seed)
-	sched, err := topology.ParseFaults(cfg, "switch:spine0@500us+600us,detect=50us,jitter=10us")
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		cfg    topology.Config
+		faults []string
+	}{
+		{"leafspine", topology.DefaultLeafSpineConfig(4), []string{
+			"switch:spine0@500us+600us,detect=50us,jitter=10us",
+		}},
+		{"clos", topology.DefaultClosConfig(4), []string{
+			"link:agg0-core0@500us+600us,detect=50us,jitter=10us",
+			"switch:core1@500us+600us,detect=50us,jitter=10us",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := forkSpecs(t, tc.cfg, 0.3, dur, seed)
+			variants := []*faults.Schedule{nil} // healthy first
+			for _, spec := range tc.faults {
+				sched, err := topology.ParseFaults(tc.cfg, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				variants = append(variants, sched)
+			}
+			colds := make([]*Network, len(variants))
+			for i, sched := range variants {
+				net, err := Build(tc.cfg, lps, specs, WithFaults(sched))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := net.Sys.Run(dur); err != nil {
+					t.Fatal(err)
+				}
+				colds[i] = net
+				// The healthy run must lose nothing; every faulted one must
+				// change the outcome, or its fork proves nothing.
+				if drops := net.FaultDrops(); i == 0 && drops != 0 {
+					t.Fatalf("healthy cold run recorded %d fault drops", drops)
+				} else if i > 0 && drops == 0 && reflect.DeepEqual(
+					sortedFlows(net.Results()), sortedFlows(colds[0].Results())) {
+					t.Fatalf("variant %d (%s) changed nothing", i, tc.faults[i-1])
+				}
+			}
 
-	cold := func(opts ...Option) *LeafSpine {
-		ls, err := BuildLeafSpineWorkload(cfg, lps, specs, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ls.Sys.Run(dur); err != nil {
-			t.Fatal(err)
-		}
-		return ls
-	}
-	healthy := cold()
-	faulted := cold(WithFaults(sched))
-	if healthy.FaultDrops() != 0 {
-		t.Fatalf("healthy cold run recorded %d fault drops", healthy.FaultDrops())
-	}
-
-	// One dynamically-faultable baseline, checkpointed at t=0.
-	base, err := BuildLeafSpineWorkload(cfg, lps, specs, WithDynamicFaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := base.Sys.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckpt.At() != 0 {
-		t.Fatalf("t=0 checkpoint stamped at %v", ckpt.At())
-	}
-
-	for round := 0; round < 2; round++ {
-		// Faulted variant.
-		if err := base.Sys.Restore(ckpt); err != nil {
-			t.Fatal(err)
-		}
-		if err := base.SetFaults(sched); err != nil {
-			t.Fatal(err)
-		}
-		pre := base.Sys.Stats()
-		if err := base.Sys.Run(dur); err != nil {
-			t.Fatal(err)
-		}
-		delta := base.Sys.Stats().Sub(pre)
-		if delta.Violations != 0 {
-			t.Fatalf("round %d: %d causality violations", round, delta.Violations)
-		}
-		mustEqualFlows(t, "faulted fork", faulted.Results(), base.Results())
-		if got, want := base.FaultDrops(), faulted.FaultDrops(); got != want {
-			t.Fatalf("round %d: fork fault drops %d, cold %d", round, got, want)
-		}
-
-		// Healthy variant from the same pristine checkpoint.
-		if err := base.Sys.Restore(ckpt); err != nil {
-			t.Fatal(err)
-		}
-		if err := base.SetFaults(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := base.Sys.Run(dur); err != nil {
-			t.Fatal(err)
-		}
-		mustEqualFlows(t, "healthy fork", healthy.Results(), base.Results())
-		if base.FaultDrops() != 0 {
-			t.Fatalf("round %d: healthy fork recorded %d fault drops", round, base.FaultDrops())
-		}
+			// One dynamically-faultable baseline, checkpointed at t=0.
+			base, err := Build(tc.cfg, lps, specs, WithDynamicFaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt, err := base.Sys.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpt.At() != 0 {
+				t.Fatalf("t=0 checkpoint stamped at %v", ckpt.At())
+			}
+			for round := 0; round < 2; round++ {
+				for i, sched := range variants {
+					if err := base.Sys.Restore(ckpt); err != nil {
+						t.Fatal(err)
+					}
+					if err := base.SetFaults(sched); err != nil {
+						t.Fatal(err)
+					}
+					pre := base.Sys.Stats()
+					if err := base.Sys.Run(dur); err != nil {
+						t.Fatal(err)
+					}
+					if delta := base.Sys.Stats().Sub(pre); delta.Violations != 0 {
+						t.Fatalf("round %d variant %d: %d causality violations", round, i, delta.Violations)
+					}
+					mustEqualFlows(t, fmt.Sprintf("variant %d fork", i), colds[i].Results(), base.Results())
+					if got, want := base.FaultDrops(), colds[i].FaultDrops(); got != want {
+						t.Fatalf("round %d variant %d: fork fault drops %d, cold %d", round, i, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -160,11 +158,11 @@ func TestWarmCheckpointFork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coldLS, err := BuildLeafSpineWorkload(cfg, 1, specs, WithFaults(sched))
+	coldNet, err := Build(cfg, 1, specs, WithFaults(sched))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coldLS.Sys.Run(dur); err != nil {
+	if err := coldNet.Sys.Run(dur); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,22 +181,22 @@ func TestWarmCheckpointFork(t *testing.T) {
 		{Barrier, 4},
 	} {
 		name := fmt.Sprintf("%v-lps%d", tc.algo, tc.lps)
-		warmLS, err := BuildLeafSpineWorkload(cfg, tc.lps, specs,
+		warmNet, err := Build(cfg, tc.lps, specs,
 			WithSyncAlgo(tc.algo), WithDynamicFaults())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := warmLS.Sys.Run(warm); err != nil {
+		if err := warmNet.Sys.Run(warm); err != nil {
 			t.Fatal(err)
 		}
-		ckpt, err := warmLS.Sys.Checkpoint()
+		ckpt, err := warmNet.Sys.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ckpt.At() != warm {
 			t.Fatalf("%s: warm checkpoint stamped at %v, want %v", name, ckpt.At(), warm)
 		}
-		if st := warmLS.Sys.Stats(); tc.lps > 1 {
+		if st := warmNet.Sys.Stats(); tc.lps > 1 {
 			multiLPParked += st.ParkedArrivals
 			if st.PostHorizonDrops != 0 {
 				t.Fatalf("%s: %d packets dropped at the warm point instead of parked",
@@ -206,21 +204,21 @@ func TestWarmCheckpointFork(t *testing.T) {
 			}
 		}
 		for round := 0; round < 2; round++ {
-			if err := warmLS.Sys.Restore(ckpt); err != nil {
+			if err := warmNet.Sys.Restore(ckpt); err != nil {
 				t.Fatal(err)
 			}
-			if err := warmLS.SetFaults(sched); err != nil {
+			if err := warmNet.SetFaults(sched); err != nil {
 				t.Fatal(err)
 			}
-			pre := warmLS.Sys.Stats()
-			if err := warmLS.Sys.Run(dur); err != nil {
+			pre := warmNet.Sys.Stats()
+			if err := warmNet.Sys.Run(dur); err != nil {
 				t.Fatal(err)
 			}
-			if delta := warmLS.Sys.Stats().Sub(pre); delta.Violations != 0 {
+			if delta := warmNet.Sys.Stats().Sub(pre); delta.Violations != 0 {
 				t.Fatalf("%s round %d: %d causality violations", name, round, delta.Violations)
 			}
-			mustEqualFlows(t, name+" warm fork", coldLS.Results(), warmLS.Results())
-			if got, want := warmLS.FaultDrops(), coldLS.FaultDrops(); got != want {
+			mustEqualFlows(t, name+" warm fork", coldNet.Results(), warmNet.Results())
+			if got, want := warmNet.FaultDrops(), coldNet.FaultDrops(); got != want {
 				t.Fatalf("%s round %d: warm-fork fault drops %d, cold %d", name, round, got, want)
 			}
 		}
@@ -252,15 +250,15 @@ func TestForkAfterSegmentedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coldLS, err := BuildLeafSpineWorkload(cfg, 1, specs, WithFaults(sched))
+	coldNet, err := Build(cfg, 1, specs, WithFaults(sched))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coldLS.Sys.Run(dur); err != nil {
+	if err := coldNet.Sys.Run(dur); err != nil {
 		t.Fatal(err)
 	}
 
-	base, err := BuildLeafSpineWorkload(cfg, lps, specs, WithDynamicFaults())
+	base, err := Build(cfg, lps, specs, WithDynamicFaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +286,7 @@ func TestForkAfterSegmentedRun(t *testing.T) {
 		if err := base.Sys.Run(dur); err != nil {
 			t.Fatal(err)
 		}
-		mustEqualFlows(t, "segmented warm fork vs cold", coldLS.Results(), base.Results())
+		mustEqualFlows(t, "segmented warm fork vs cold", coldNet.Results(), base.Results())
 		if round == 0 {
 			first = sortedFlows(base.Results())
 		} else {
@@ -301,7 +299,7 @@ func TestForkAfterSegmentedRun(t *testing.T) {
 func TestSetFaultsRequiresDynamicBuild(t *testing.T) {
 	cfg := topology.DefaultLeafSpineConfig(4)
 	specs := forkSpecs(t, cfg, 0.3, des.Millisecond, 3)
-	ls, err := BuildLeafSpineWorkload(cfg, 2, specs)
+	net, err := Build(cfg, 2, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +307,10 @@ func TestSetFaultsRequiresDynamicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.SetFaults(sched); err == nil {
+	if err := net.SetFaults(sched); err == nil {
 		t.Fatal("SetFaults on a static build should fail")
 	}
-	if err := ls.SetFaults(nil); err != nil {
+	if err := net.SetFaults(nil); err != nil {
 		t.Fatalf("clearing faults should always succeed: %v", err)
 	}
 }

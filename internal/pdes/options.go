@@ -8,7 +8,6 @@ import (
 	"approxsim/internal/des"
 	"approxsim/internal/faults"
 	"approxsim/internal/obs"
-	"approxsim/internal/traffic"
 )
 
 // SyncAlgo selects the synchronization algorithm a System runs under.
@@ -79,7 +78,6 @@ type config struct {
 	windowMin       des.Time
 	windowMax       des.Time
 	partitioner     Partitioner
-	workload        []traffic.FlowSpec
 	collectives     []collective.Params
 	faults          *faults.Schedule
 	dynFaults       bool
@@ -218,39 +216,28 @@ func WithSampler(s *obs.Sampler) Option { return func(c *config) { c.sampler = s
 // (see WithSampler). Non-positive keeps the sampler's default (1ms).
 func WithSamplerPoll(d time.Duration) Option { return func(c *config) { c.samplerPoll = d } }
 
-// WithPartitioner selects how the topology builders place fabric switches
-// onto LPs (see Partitioner). The default is ContiguousPartitioner, which
-// reproduces the historical placement exactly. Committed simulation results
-// are bit-identical across partitioners — the choice affects performance
+// WithPartitioner selects how Build places fabric switches onto LPs (see
+// Partitioner). The default is ContiguousPartitioner, which reproduces the
+// historical placement exactly. Committed simulation results are
+// bit-identical across partitioners — the choice affects performance
 // (cross-LP traffic, null-message volume), never outcomes.
 func WithPartitioner(p Partitioner) Option { return func(c *config) { c.partitioner = p } }
 
-// withWorkload hands the builders the flow specs that will later be
-// scheduled, so the partitioning graph can be weighted with the exact
-// per-link packet counts ECMP will pin the flows to, and so provably idle
-// cross-LP channels can be marked quiescent (System.LimitChannels). The run
-// helpers set it automatically; it is unexported because scheduling a
-// DIFFERENT workload than the one declared here would make the quiescence
-// analysis unsound.
-func withWorkload(specs []traffic.FlowSpec) Option {
-	return func(c *config) { c.workload = specs }
-}
-
 // WithCollectives installs closed-loop collective-communication workloads
 // (ring/tree all-reduce, all-to-all; see internal/collective) on the built
-// topology. Unlike withWorkload's open-loop schedule, collective flows launch
+// network. Unlike the open-loop specs Build schedules, collective flows launch
 // from TCP completion callbacks — but their complete flow catalog (src, dst,
-// size, ID) is still known at build time, so the builders fold it into the
-// declared workload: partition-graph weighting and channel quiescence see
-// exactly the flows that will run, keeping both analyses sound. Safe to
-// export because the catalog comes from the same Params that drive the
-// launches — declared and actual workloads cannot diverge. Ranks are the
-// first Hosts host IDs of the topology (all hosts when Hosts is 0).
+// size, ID) is still known at build time, so Build folds it into the declared
+// workload: partition-graph weighting and channel quiescence see exactly the
+// flows that will run, keeping both analyses sound. The catalog comes from
+// the same Params that drive the launches, so declared and actual workloads
+// cannot diverge. Ranks are the first Hosts host IDs of the topology (all
+// hosts when Hosts is 0).
 func WithCollectives(ps ...collective.Params) Option {
 	return func(c *config) { c.collectives = append(c.collectives, ps...) }
 }
 
-// WithFaults installs a fault schedule on the built topology: link and switch
+// WithFaults installs a fault schedule on the built network: link and switch
 // down state becomes visible to the netsim transmit/receive paths, routing
 // turns failure-aware (deterministic ECMP rehash over the surviving set after
 // a per-switch detection delay), the partition graph is weighted by the union
@@ -261,8 +248,8 @@ func WithCollectives(ps ...collective.Params) Option {
 // schedule. A nil or empty schedule is the healthy default.
 func WithFaults(s *faults.Schedule) Option { return func(c *config) { c.faults = s } }
 
-// WithDynamicFaults builds the topology so its fault schedule can be swapped
-// between runs (LeafSpine.SetFaults) instead of being baked in at
+// WithDynamicFaults builds the network so its fault schedule can be swapped
+// between runs (Network.SetFaults) instead of being baked in at
 // construction. Every link and switch gets a down-state closure that reads
 // the CURRENT schedule — an empty schedule costs one nil-check per transmit —
 // which is what lets a checkpointed baseline (System.Checkpoint) be restored

@@ -122,7 +122,7 @@ const defaultMaxImbalance = 1.5
 
 // ContiguousPartitioner is the historical baseline: fabric switch f goes to
 // LP f%lps, ignoring the graph entirely. Combined with the contiguous block
-// pinning this reproduces the original BuildLeafSpine placement exactly —
+// pinning this reproduces the original leaf-spine placement exactly —
 // racks split in contiguous runs, spines scattered round-robin — which is
 // also the most boundary-hostile placement a balanced assignment can make on
 // a leaf-spine: every LP hosts fabric, so every LP pair carries an active

@@ -35,7 +35,7 @@ func randGraph(seed uint64, blocks, fabric int) *Graph {
 }
 
 // contiguousBlocks pins block b to LP b*lps/blocks — the same rule the
-// topology builders use.
+// PDES network builder uses.
 func contiguousBlocks(blocks, lps int) []int {
 	out := make([]int, blocks)
 	for b := range out {
@@ -70,7 +70,7 @@ func TestParsePartitioner(t *testing.T) {
 
 // TestPartitionersRespectLoadBound checks the imbalance bound on a graph
 // where a bounded placement certainly exists (fabric weight is a small
-// fraction of the total), for every LP count the builders use.
+// fraction of the total), for every LP count the network builder uses.
 func TestPartitionersRespectLoadBound(t *testing.T) {
 	for _, lps := range []int{2, 3, 4} {
 		blocks, fabric := 2*lps, lps

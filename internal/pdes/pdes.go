@@ -266,13 +266,6 @@ func NewSystem(n int, opts ...Option) *System {
 	return s
 }
 
-// NewSystemWithInbox is NewSystem with an explicit per-LP inbox capacity.
-//
-// Deprecated: use NewSystem(n, WithInboxCap(cap)).
-func NewSystemWithInbox(n, inboxCap int) *System {
-	return NewSystem(n, WithInboxCap(inboxCap))
-}
-
 // Algo returns the synchronization algorithm the system was built with.
 func (s *System) Algo() SyncAlgo { return s.cfg.algo }
 
@@ -547,12 +540,6 @@ func (s *System) startStallWatchdog() func() {
 	}()
 	return func() { close(stop); <-done }
 }
-
-// RunBarrier executes all LPs to the horizon under barrier synchronization
-// regardless of the configured SyncAlgo.
-//
-// Deprecated: build the system with WithSyncAlgo(Barrier) and call Run.
-func (s *System) RunBarrier(end des.Time) { s.runBarrier(end) }
 
 // runNull executes the Chandy-Misra-Bryant null-message protocol.
 func (s *System) runNull(end des.Time) {

@@ -29,12 +29,16 @@ func TestNewSystemPanicsOnZero(t *testing.T) {
 	NewSystem(0)
 }
 
-// twoHostSystem wires host A on LP0 to host B on LP1 over one duplex link.
-func twoHostSystem(t *testing.T) (*System, *netsim.Host, *netsim.Host) {
+// twoHostSystem wires host A on LP0 to host B on LP1 over one duplex link,
+// on a system built with opts. The hosts are registered as rollback savers,
+// so the pair also runs under Time Warp.
+func twoHostSystem(t *testing.T, opts ...Option) (*System, *netsim.Host, *netsim.Host) {
 	t.Helper()
-	s := NewSystem(2)
+	s := NewSystem(2, opts...)
 	a := netsim.NewHost(s.LP(0).Kernel(), 0, 0)
 	b := netsim.NewHost(s.LP(1).Kernel(), 1, 1)
+	s.LP(0).AddSaver(a)
+	s.LP(1).AddSaver(b)
 	cfg := netsim.LinkConfig{BandwidthBps: 1e9, PropDelay: 0, QueueBytes: 1 << 26}
 	na := a.AttachNIC(cfg)
 	nb := b.AttachNIC(cfg)
@@ -134,13 +138,15 @@ func TestNullMessagesFlow(t *testing.T) {
 }
 
 func TestBuildLeafSpineValidation(t *testing.T) {
-	if _, err := BuildLeafSpine(topology.DefaultClosConfig(2), 1); err == nil {
-		t.Error("Clos config accepted by leaf-spine builder")
+	bad := topology.DefaultLeafSpineConfig(4)
+	bad.Clusters = 2
+	if _, err := Build(bad, 1, nil); err == nil {
+		t.Error("invalid leaf-spine config accepted")
 	}
-	if _, err := BuildLeafSpine(topology.DefaultLeafSpineConfig(4), 0); err == nil {
+	if _, err := Build(topology.DefaultLeafSpineConfig(4), 0, nil); err == nil {
 		t.Error("0 LPs accepted")
 	}
-	if _, err := BuildLeafSpine(topology.DefaultLeafSpineConfig(4), 8); err == nil {
+	if _, err := Build(topology.DefaultLeafSpineConfig(4), 8, nil); err == nil {
 		t.Error("more LPs than racks accepted")
 	}
 }
@@ -148,7 +154,7 @@ func TestBuildLeafSpineValidation(t *testing.T) {
 // runExperiment is a tiny Fig. 1 cell used by several tests.
 func runExperiment(t *testing.T, n, lps int) *ExperimentResult {
 	t.Helper()
-	res, err := RunLeafSpine(n, lps, 0.3, 2*des.Millisecond, 9)
+	res, err := runNetwork(topology.DefaultLeafSpineConfig(n), lps, 0.3, 2*des.Millisecond, 9, NullMessages, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +219,7 @@ func TestDeterministicSequentialExperiment(t *testing.T) {
 }
 
 func TestBarrierModeDeliversAcrossLPs(t *testing.T) {
-	s, a, b := twoHostSystem(t)
+	s, a, b := twoHostSystem(t, WithSyncAlgo(Barrier))
 	var at []des.Time
 	b.Handler = func(p *packet.Packet) { at = append(at, s.LP(1).Kernel().Now()) }
 	s.LP(0).Kernel().Schedule(0, func() {
@@ -221,7 +227,7 @@ func TestBarrierModeDeliversAcrossLPs(t *testing.T) {
 			a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 934})
 		}
 	})
-	s.RunBarrier(des.Millisecond)
+	s.Run(des.Millisecond)
 	if len(at) != 10 {
 		t.Fatalf("barrier mode delivered %d of 10", len(at))
 	}
@@ -236,14 +242,14 @@ func TestBarrierModeDeliversAcrossLPs(t *testing.T) {
 }
 
 func TestBarrierModeTCPFlow(t *testing.T) {
-	s, a, b := twoHostSystem(t)
+	s, a, b := twoHostSystem(t, WithSyncAlgo(Barrier))
 	sa := tcp.NewStack(a, tcp.Config{})
 	tcp.NewStack(b, tcp.Config{})
 	done := false
 	s.LP(0).Kernel().Schedule(des.Microsecond, func() {
 		sa.StartFlow(1, 80_000, 1, func(tcp.FlowResult) { done = true })
 	})
-	s.RunBarrier(des.Second)
+	s.Run(des.Second)
 	if !done {
 		t.Fatal("TCP flow did not complete under barrier synchronization")
 	}
@@ -252,8 +258,8 @@ func TestBarrierModeTCPFlow(t *testing.T) {
 func TestBarrierMatchesNullMessageResults(t *testing.T) {
 	// The two conservative algorithms must deliver the same packets for
 	// the same scenario (ordering within a timestamp may differ).
-	run := func(barrier bool) int {
-		s, a, b := twoHostSystem(t)
+	run := func(algo SyncAlgo) int {
+		s, a, b := twoHostSystem(t, WithSyncAlgo(algo))
 		got := 0
 		b.Handler = func(*packet.Packet) { got++ }
 		s.LP(0).Kernel().Schedule(0, func() {
@@ -261,20 +267,16 @@ func TestBarrierMatchesNullMessageResults(t *testing.T) {
 				a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 500})
 			}
 		})
-		if barrier {
-			s.RunBarrier(des.Millisecond)
-		} else {
-			s.Run(des.Millisecond)
-		}
+		s.Run(des.Millisecond)
 		return got
 	}
-	if nm, bar := run(false), run(true); nm != bar {
+	if nm, bar := run(NullMessages), run(Barrier); nm != bar {
 		t.Errorf("null-message delivered %d, barrier %d", nm, bar)
 	}
 }
 
 func TestRunLeafSpineSyncBarrier(t *testing.T) {
-	res, err := RunLeafSpineSync(4, 2, 0.3, des.Millisecond, 9, Barrier)
+	res, err := runNetwork(topology.DefaultLeafSpineConfig(4), 2, 0.3, des.Millisecond, 9, Barrier, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
+	"approxsim/internal/topology"
 )
 
 // Pool-abuse smoke test across all three synchronization algorithms. In a
@@ -26,7 +27,7 @@ func TestAllAlgosPoolDebug(t *testing.T) {
 
 	run := func(algo SyncAlgo, opts ...Option) string {
 		reg := metrics.NewRegistry()
-		res, err := RunLeafSpineObserved(tors, lps, load, dur, seed, algo, reg, opts...)
+		res, err := runNetwork(topology.DefaultLeafSpineConfig(tors), lps, load, dur, seed, algo, reg, nil, opts...)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -66,7 +67,8 @@ func TestLazyDelayedAntiFallback(t *testing.T) {
 	dur := des.Millisecond
 
 	refReg := metrics.NewRegistry()
-	if _, err := RunLeafSpineObserved(tors, lps, load, dur, seed, NullMessages, refReg); err != nil {
+	cfg := topology.DefaultLeafSpineConfig(tors)
+	if _, err := runNetwork(cfg, lps, load, dur, seed, NullMessages, refReg, nil); err != nil {
 		t.Fatal(err)
 	}
 	ref := committedGroups(t, refReg)
@@ -74,8 +76,7 @@ func TestLazyDelayedAntiFallback(t *testing.T) {
 	twDisableLazyMatch = true
 	defer func() { twDisableLazyMatch = false }()
 	reg := metrics.NewRegistry()
-	res, err := RunLeafSpineObserved(tors, lps, load, dur, seed, TimeWarp, reg,
-		WithGVTInterval(50*time.Microsecond))
+	res, err := runNetwork(cfg, lps, load, dur, seed, TimeWarp, reg, nil, WithGVTInterval(50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,104 +7,27 @@ import (
 	"approxsim/internal/collective"
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
-	"approxsim/internal/packet"
 	"approxsim/internal/topology"
-	"approxsim/internal/traffic"
 )
 
 // Segmented-run determinism: Run(t1); Run(t2) must commit bit-identically to
 // a single Run(t2). The hazard is the cross-LP packets in flight at t1 —
 // stamped in (t1, t1+lookahead] — which the engine parks at the first horizon
-// and re-ingests at the second Run's entry. These helpers mirror the
-// single-shot runners but split the horizon at the given cut points; the
-// committed netsim/tcp (and collective) metric groups are then compared
-// against the cold single-run reference.
-
-// runLeafSpineSegmentedObserved mirrors RunLeafSpineObserved but runs the
-// system through each cut point before the final horizon.
-func runLeafSpineSegmentedObserved(tors, lps int, load float64, cuts []des.Time, dur des.Time,
-	seed uint64, algo SyncAlgo, reg *metrics.Registry, opts ...Option) (*ExperimentResult, error) {
-
-	cfg := topology.DefaultLeafSpineConfig(tors)
-	hosts := make([]packet.HostID, tors*cfg.ServersPerToR)
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load:             load,
-		HostBandwidthBps: cfg.HostLink.BandwidthBps,
-		Seed:             seed,
-	}, hosts, dur)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := BuildLeafSpineWorkload(cfg, lps, specs, append([]Option{WithSyncAlgo(algo)}, opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	if reg != nil {
-		ls.RegisterMetrics(reg)
-	}
-	for _, c := range cuts {
-		if err := ls.Sys.Run(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := ls.Sys.Run(dur); err != nil {
-		return nil, err
-	}
-	return ls.AssembleResult(ls.Sys.Stats(), len(specs), dur, 0), nil
-}
-
-// runClosSegmentedObserved is the Clos twin of runLeafSpineSegmentedObserved;
-// it returns the system counters rather than a full ExperimentResult (the
-// comparison happens on the registry snapshot).
-func runClosSegmentedObserved(clusters, lps int, load float64, cuts []des.Time, dur des.Time,
-	seed uint64, algo SyncAlgo, reg *metrics.Registry, opts ...Option) (Stats, error) {
-
-	cfg := topology.DefaultClosConfig(clusters)
-	hosts := make([]packet.HostID, clusters*cfg.ToRsPerCluster*cfg.ServersPerToR)
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load:             load,
-		HostBandwidthBps: cfg.HostLink.BandwidthBps,
-		Seed:             seed,
-	}, hosts, dur)
-	if err != nil {
-		return Stats{}, err
-	}
-	cl, err := BuildClos(cfg, lps, append([]Option{WithSyncAlgo(algo), withWorkload(specs)}, opts...)...)
-	if err != nil {
-		return Stats{}, err
-	}
-	if reg != nil {
-		cl.RegisterMetrics(reg)
-	}
-	cl.Schedule(specs)
-	for _, c := range cuts {
-		if err := cl.Sys.Run(c); err != nil {
-			return Stats{}, err
-		}
-	}
-	if err := cl.Sys.Run(dur); err != nil {
-		return Stats{}, err
-	}
-	return cl.Sys.Stats(), nil
-}
+// and re-ingests at the second Run's entry. The runs below split the horizon
+// at the given cut points; the committed netsim/tcp (and collective) metric
+// groups are then compared against the cold single-run reference.
 
 // checkSegmentedClean fails on any of the invariants a segmented conservative
 // run must keep: no causality violations, and no terminal drops (the
 // conservative engines park — PostHorizonDrops belongs to Time Warp alone).
-func checkSegmentedClean(t *testing.T, name string, st Stats) {
+func checkSegmentedClean(t *testing.T, name string, res *ExperimentResult) {
 	t.Helper()
-	if st.Violations != 0 {
-		t.Fatalf("%s: %d causality violations", name, st.Violations)
+	if res.Violations != 0 {
+		t.Fatalf("%s: %d causality violations", name, res.Violations)
 	}
-	if st.PostHorizonDrops != 0 {
+	if res.PostHorizonDrops != 0 {
 		t.Fatalf("%s: %d post-horizon drops (conservative engines must park, not drop)",
-			name, st.PostHorizonDrops)
+			name, res.PostHorizonDrops)
 	}
 }
 
@@ -133,11 +56,11 @@ func TestDeterminismPropertySegmented(t *testing.T) {
 		)
 		run := func(algo SyncAlgo, lps int, cuts []des.Time, opts ...Option) string {
 			reg := metrics.NewRegistry()
-			st, err := runClosSegmentedObserved(clusters, lps, load, cuts, dur, seed, algo, reg, opts...)
+			res, err := runNetwork(topology.DefaultClosConfig(clusters), lps, load, dur, seed, algo, reg, cuts, opts...)
 			if err != nil {
 				t.Fatalf("%v lps=%d cuts=%v: %v", algo, lps, cuts, err)
 			}
-			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), st)
+			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), res)
 			return committedGroups(t, reg)
 		}
 		ref := run(NullMessages, 1, nil)
@@ -175,22 +98,21 @@ func TestDeterminismPropertySegmented(t *testing.T) {
 		cfg := topology.DefaultLeafSpineConfig(tors)
 		run := func(algo SyncAlgo, lps int, cuts []des.Time) string {
 			reg := metrics.NewRegistry()
-			ls, err := BuildLeafSpineWorkload(cfg, lps, nil,
-				WithSyncAlgo(algo), WithCollectives(p))
+			net, err := Build(cfg, lps, nil, WithSyncAlgo(algo), WithCollectives(p))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ls.RegisterMetrics(reg)
+			net.RegisterMetrics(reg)
 			for _, c := range cuts {
-				if err := ls.Sys.Run(c); err != nil {
+				if err := net.Sys.Run(c); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := ls.Sys.Run(dur); err != nil {
+			if err := net.Sys.Run(dur); err != nil {
 				t.Fatal(err)
 			}
-			res := ls.AssembleResult(ls.Sys.Stats(), 0, dur, 0)
-			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), ls.Sys.Stats())
+			res := net.AssembleResult(net.Sys.Stats(), dur, 0)
+			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), res)
 			if res.CollectiveIters != p.Iters {
 				t.Fatalf("%v lps=%d cuts=%v: %d iterations completed, want %d",
 					algo, lps, cuts, res.CollectiveIters, p.Iters)

@@ -12,37 +12,26 @@ import (
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
-	"approxsim/internal/packet"
 	"approxsim/internal/topology"
-	"approxsim/internal/traffic"
 )
 
 // telemetryWorkload builds the standard small leaf-spine with a short Poisson
-// workload scheduled, returning the experiment and its horizon.
-func telemetryWorkload(t *testing.T, lps int, dur des.Time, opts ...Option) *LeafSpine {
+// workload scheduled over dur.
+func telemetryWorkload(t *testing.T, lps int, dur des.Time, opts ...Option) *Network {
 	t.Helper()
 	cfg := topology.DefaultLeafSpineConfig(4)
-	ls, err := BuildLeafSpine(cfg, lps, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := make([]packet.HostID, len(ls.Hosts))
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load:             0.4,
-		HostBandwidthBps: cfg.HostLink.BandwidthBps,
-		Seed:             3,
-	}, hosts, dur)
+	specs, err := poissonSpecs(cfg, 0.4, dur, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) == 0 {
 		t.Fatal("workload generated no flows")
 	}
-	ls.Schedule(specs)
-	return ls
+	net, err := Build(cfg, lps, specs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
 // TestSnapshotConcurrentWithRun is the mid-run safety contract under the race
@@ -53,10 +42,10 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 	for _, algo := range []SyncAlgo{NullMessages, Barrier, TimeWarp} {
 		t.Run(algo.String(), func(t *testing.T) {
 			dur := des.Millisecond
-			ls := telemetryWorkload(t, 2, dur,
+			net := telemetryWorkload(t, 2, dur,
 				WithSyncAlgo(algo), WithGVTInterval(50*time.Microsecond))
 			reg := metrics.NewRegistry()
-			ls.RegisterMetrics(reg)
+			net.RegisterMetrics(reg)
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -71,16 +60,16 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 					default:
 					}
 					reg.Snapshot()
-					ls.Sys.Stats()
+					net.Sys.Stats()
 					snaps++
 				}
 			}()
-			if err := ls.Sys.Run(dur); err != nil {
+			if err := net.Sys.Run(dur); err != nil {
 				t.Fatal(err)
 			}
 			close(stop)
 			wg.Wait()
-			if st := ls.Sys.Stats(); st.Violations != 0 {
+			if st := net.Sys.Stats(); st.Violations != 0 {
 				t.Errorf("%v: %d causality violations", algo, st.Violations)
 			}
 		})
@@ -130,15 +119,15 @@ func TestTimeWarpTelemetryEndToEnd(t *testing.T) {
 	// A modest speculation window keeps the traced run out of the rollback-
 	// thrash regime (tracing lengthens the speculative critical path, and
 	// thrash wastes wall time re-tracing undone work).
-	ls := telemetryWorkload(t, 2, dur,
+	net := telemetryWorkload(t, 2, dur,
 		WithSyncAlgo(TimeWarp),
 		WithGVTInterval(50*time.Microsecond),
 		WithTimeWindow(30*des.Microsecond),
 		WithObs(tracer),
 		WithSampler(sampler),
 		WithSamplerPoll(100*time.Microsecond))
-	ls.RegisterMetrics(reg)
-	if err := ls.Sys.Run(dur); err != nil {
+	net.RegisterMetrics(reg)
+	if err := net.Sys.Run(dur); err != nil {
 		t.Fatal(err)
 	}
 

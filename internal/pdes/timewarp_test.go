@@ -1,16 +1,13 @@
 package pdes
 
 import (
-	"sort"
 	"testing"
 	"time"
 
 	"approxsim/internal/des"
-	"approxsim/internal/netsim"
 	"approxsim/internal/packet"
 	"approxsim/internal/tcp"
 	"approxsim/internal/topology"
-	"approxsim/internal/traffic"
 )
 
 // twRecorder is rollback-aware test state: arrival timestamps recorded from a
@@ -25,26 +22,8 @@ func (r *twRecorder) RestoreState(v any) {
 	r.arrivals = append([]des.Time(nil), v.([]des.Time)...)
 }
 
-// twoHostTW is twoHostSystem with the given options and hosts registered as
-// rollback savers.
-func twoHostTW(t *testing.T, opts ...Option) (*System, *netsim.Host, *netsim.Host) {
-	t.Helper()
-	s := NewSystem(2, opts...)
-	a := netsim.NewHost(s.LP(0).Kernel(), 0, 0)
-	b := netsim.NewHost(s.LP(1).Kernel(), 1, 1)
-	s.LP(0).AddSaver(a)
-	s.LP(1).AddSaver(b)
-	cfg := netsim.LinkConfig{BandwidthBps: 1e9, PropDelay: 0, QueueBytes: 1 << 26}
-	na := a.AttachNIC(cfg)
-	nb := b.AttachNIC(cfg)
-	if err := s.Connect(s.LP(0), na, s.LP(1), nb, a, b, 10*des.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	return s, a, b
-}
-
 func TestTimeWarpCrossLPDelivery(t *testing.T) {
-	s, a, b := twoHostTW(t, WithSyncAlgo(TimeWarp), WithGVTInterval(50*time.Microsecond))
+	s, a, b := twoHostSystem(t, WithSyncAlgo(TimeWarp), WithGVTInterval(50*time.Microsecond))
 	rec := &twRecorder{}
 	s.LP(1).AddSaver(rec)
 	b.Handler = func(p *packet.Packet) {
@@ -70,7 +49,7 @@ func TestTimeWarpCrossLPDelivery(t *testing.T) {
 }
 
 func TestTimeWarpTCPFlowAcrossLPs(t *testing.T) {
-	s, a, b := twoHostTW(t, WithSyncAlgo(TimeWarp), WithGVTInterval(50*time.Microsecond))
+	s, a, b := twoHostSystem(t, WithSyncAlgo(TimeWarp), WithGVTInterval(50*time.Microsecond))
 	sa := tcp.NewStack(a, tcp.Config{})
 	sb := tcp.NewStack(b, tcp.Config{})
 	s.LP(0).AddSaver(sa)
@@ -99,7 +78,7 @@ func TestTimeWarpTCPFlowAcrossLPs(t *testing.T) {
 // kernel time so coast-forward replays it identically.
 func stragglerScenario(t *testing.T, algo SyncAlgo, stall time.Duration, opts ...Option) (*System, *twRecorder) {
 	t.Helper()
-	s, a, b := twoHostTW(t, append([]Option{WithSyncAlgo(algo),
+	s, a, b := twoHostSystem(t, append([]Option{WithSyncAlgo(algo),
 		WithGVTInterval(50 * time.Microsecond), WithCheckpointEvery(16)}, opts...)...)
 	rec := &twRecorder{}
 	s.LP(0).AddSaver(rec)
@@ -199,33 +178,22 @@ func TestParseSyncAlgo(t *testing.T) {
 func leafSpineFlows(t *testing.T, algo SyncAlgo, opts ...Option) ([]tcp.FlowResult, Stats) {
 	t.Helper()
 	cfg := topology.DefaultLeafSpineConfig(4)
-	ls, err := BuildLeafSpine(cfg, 2, append([]Option{WithSyncAlgo(algo)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := make([]packet.HostID, len(ls.Hosts))
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
 	dur := 5 * des.Millisecond
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load:             0.5,
-		HostBandwidthBps: cfg.HostLink.BandwidthBps,
-		Seed:             7,
-	}, hosts, dur)
+	specs, err := poissonSpecs(cfg, 0.5, dur, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) == 0 {
 		t.Fatal("workload generated no flows")
 	}
-	ls.Schedule(specs)
-	if err := ls.Sys.Run(dur); err != nil {
+	net, err := Build(cfg, 2, specs, append([]Option{WithSyncAlgo(algo)}, opts...)...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := ls.Results()
-	sort.Slice(res, func(i, j int) bool { return res[i].FlowID < res[j].FlowID })
-	return res, ls.Sys.Stats()
+	if err := net.Sys.Run(dur); err != nil {
+		t.Fatal(err)
+	}
+	return sortedFlows(net.Results()), net.Sys.Stats()
 }
 
 // TestCrossAlgoEquivalence is the central correctness claim of the redesign:
@@ -271,37 +239,17 @@ func TestCrossAlgoEquivalence(t *testing.T) {
 // a tiny speculation window and cheap checkpoints force frequent GVT rounds
 // and make any straggler cascade through rollbacks.
 func TestTimeWarpRollbackStress(t *testing.T) {
-	cfg := topology.DefaultLeafSpineConfig(4)
-	ls, err := BuildLeafSpine(cfg, 4,
-		WithSyncAlgo(TimeWarp),
+	res, err := runNetwork(topology.DefaultLeafSpineConfig(4), 4, 0.6, 2*des.Millisecond, 11, TimeWarp, nil, nil,
 		WithGVTInterval(20*time.Microsecond),
 		WithCheckpointEvery(32),
 		WithTimeWindow(20*des.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := make([]packet.HostID, len(ls.Hosts))
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
+	if res.Violations != 0 {
+		t.Errorf("causality violations under stress: %d", res.Violations)
 	}
-	dur := 2 * des.Millisecond
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load:             0.6,
-		HostBandwidthBps: cfg.HostLink.BandwidthBps,
-		Seed:             11,
-	}, hosts, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls.Schedule(specs)
-	if err := ls.Sys.Run(dur); err != nil {
-		t.Fatal(err)
-	}
-	st := ls.Sys.Stats()
-	if st.Violations != 0 {
-		t.Errorf("causality violations under stress: %d", st.Violations)
-	}
-	if st.GVTAdvances == 0 {
+	if res.GVTAdvances == 0 {
 		t.Error("GVT never advanced under stress")
 	}
 }

@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
 	"approxsim/internal/faults"
 	"approxsim/internal/obs"
@@ -34,11 +32,10 @@ type Pool struct {
 // serializes variant runs — forks share the one underlying System — while
 // different baselines run concurrently.
 type baseline struct {
-	mu    sync.Mutex
-	cfg   topology.Config
-	ls    *pdes.LeafSpine
-	ckpt  *pdes.SystemState
-	flows int // flow specs scheduled (FlowsStarted for every variant)
+	mu   sync.Mutex
+	cfg  topology.Config
+	net  *pdes.Network
+	ckpt *pdes.SystemState
 }
 
 // NewPool creates a pool retaining at most max baselines (least-recently-used
@@ -134,7 +131,7 @@ func (p *Pool) run(sp Spec, res *Result, prog *obs.Progress) error {
 	}
 	p.mu.Unlock()
 
-	if err := b.ls.Sys.Restore(b.ckpt); err != nil {
+	if err := b.net.Sys.Restore(b.ckpt); err != nil {
 		return err
 	}
 	var sched *faults.Schedule
@@ -143,31 +140,13 @@ func (p *Pool) run(sp Spec, res *Result, prog *obs.Progress) error {
 			return err
 		}
 	}
-	if err := b.ls.SetFaults(sched); err != nil {
+	if err := b.net.SetFaults(sched); err != nil {
 		return err
 	}
-	// Counters accumulate across forks on the shared system; the base must be
-	// sampled after Restore (which rewinds kernel event counts with the
-	// checkpoint) for the deltas to belong to this run alone.
-	base := b.ls.Sys.Stats()
-	// The events clock reports this fork's delta, matching the assembled
-	// result; committed time is absolute (forks resume at the warm point,
-	// never before it, so the reading is monotone within the run).
-	stopWatch := prog.Watch(b.ls.Sys.CommittedTime,
-		func() uint64 { return b.ls.Sys.Stats().Events - base.Events }, 0)
-	start := time.Now()
-	if err := b.ls.Sys.Run(sp.horizon()); err != nil {
-		stopWatch()
-		return err
-	}
-	wall := time.Since(start)
-	stopWatch()
-	r := b.ls.AssembleResult(b.ls.Sys.Stats().Sub(base), b.flows, sp.horizon(), wall)
-	if err := checkExperiment(r); err != nil {
-		return err
-	}
-	res.Experiment, res.Metrics, res.Perf = r, metricsFromExperiment(r), perfFromExperiment(r, forked)
-	return nil
+	// Counters accumulate across forks on the shared system; runNetwork
+	// samples its base after Restore (which rewinds kernel event counts with
+	// the checkpoint), so the deltas belong to this run alone.
+	return sp.runNetwork(b.net, res, prog, forked)
 }
 
 // build constructs and warms the family baseline from its first member's
@@ -179,28 +158,15 @@ func (b *baseline) build(sp Spec) error {
 	if err != nil {
 		return err
 	}
-	algo, err := pdes.ParseSyncAlgo(sp.Sync)
-	if err != nil {
-		return err
-	}
-	if algo == pdes.TimeWarp {
-		return fmt.Errorf("scenario: the baseline pool supports the conservative engines only")
-	}
-	part, err := pdes.ParsePartitioner(sp.Partition)
-	if err != nil {
-		return err
-	}
-	popts := []pdes.Option{pdes.WithDynamicFaults(), pdes.WithSyncAlgo(algo), pdes.WithPartitioner(part)}
 	// The collective spec is part of the baseline identity (BaselineKey only
 	// clears faults), so every fork of this family re-runs the same
 	// closed-loop workload from the warm checkpoint — rank progress state is
 	// a registered saver and rewinds with everything else.
-	if ps, err := sp.collectives(); err != nil {
+	popts, err := sp.pdesOptions()
+	if err != nil {
 		return err
-	} else if len(ps) > 0 {
-		popts = append(popts, pdes.WithCollectives(ps...))
 	}
-	ls, err := pdes.BuildLeafSpineWorkload(cfg, sp.LPs, specs, popts...)
+	net, err := pdes.Build(cfg, sp.LPs, specs, append(popts, pdes.WithDynamicFaults())...)
 	if err != nil {
 		return err
 	}
@@ -210,14 +176,15 @@ func (b *baseline) build(sp Spec) error {
 	// the warm point are parked by the engine and ride the checkpoint, so a
 	// multi-LP warm fork commits identically to a cold run.
 	if warm := sp.warm(); warm > 0 {
-		if err := ls.Sys.Run(warm); err != nil {
+		if err := net.Sys.Run(warm); err != nil {
 			return err
 		}
 	}
-	ckpt, err := ls.Sys.Checkpoint()
+	// Checkpoint refuses Time Warp, which owns its own snapshots.
+	ckpt, err := net.Sys.Checkpoint()
 	if err != nil {
 		return err
 	}
-	b.cfg, b.ls, b.ckpt, b.flows = cfg, ls, ckpt, len(specs)
+	b.cfg, b.net, b.ckpt = cfg, net, ckpt
 	return nil
 }

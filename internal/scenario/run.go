@@ -35,9 +35,9 @@ type runOptions struct {
 func WithModels(m *core.Models) RunOption { return func(o *runOptions) { o.models = m } }
 
 // WithRegistry registers every component of the run into r (see
-// core.Config.Metrics and pdes.RunLeafSpineObserved). A registry pins the run
-// to a cold start — pooled baselines are shared across calls and cannot carry
-// a caller's registry.
+// core.Config.Metrics and pdes.Network.RegisterMetrics). A registry pins the
+// run to a cold start — pooled baselines are shared across calls and cannot
+// carry a caller's registry.
 func WithRegistry(r *metrics.Registry) RunOption { return func(o *runOptions) { o.registry = r } }
 
 // WithPDESOptions forwards extra engine options to a pdes-mode run (tracing,
@@ -237,13 +237,9 @@ func (s Spec) runPDES(res *Result, ro *runOptions) error {
 	if err != nil {
 		return err
 	}
-	algo, _ := pdes.ParseSyncAlgo(s.Sync) // grammar checked by Validate
-	part, _ := pdes.ParsePartitioner(s.Partition)
-	popts := append([]pdes.Option{pdes.WithSyncAlgo(algo), pdes.WithPartitioner(part)}, ro.pdesOpts...)
-	if ps, err := s.collectives(); err != nil {
+	popts, err := s.pdesOptions()
+	if err != nil {
 		return err
-	} else if len(ps) > 0 {
-		popts = append(popts, pdes.WithCollectives(ps...))
 	}
 	if s.Faults != "" {
 		sched, err := topology.ParseFaults(cfg, s.Faults)
@@ -252,27 +248,54 @@ func (s Spec) runPDES(res *Result, ro *runOptions) error {
 		}
 		popts = append(popts, pdes.WithFaults(sched))
 	}
-	// Build-then-run (the body of pdes.RunLeafSpineSpecs) rather than the
-	// one-shot helper, so the live System is in hand to watch mid-run.
-	ls, err := pdes.BuildLeafSpineWorkload(cfg, s.LPs, specs, popts...)
+	net, err := pdes.Build(cfg, s.LPs, specs, append(popts, ro.pdesOpts...)...)
 	if err != nil {
 		return err
 	}
 	if ro.registry != nil {
-		ls.RegisterMetrics(ro.registry)
+		net.RegisterMetrics(ro.registry)
 	}
-	stop := ro.progress.Watch(ls.Sys.CommittedTime, func() uint64 { return ls.Sys.Stats().Events }, 0)
+	return s.runNetwork(net, res, ro.progress, false)
+}
+
+// pdesOptions returns the engine options every pdes-mode build of the spec
+// shares: synchronization algorithm, partitioner and collective workload.
+func (s Spec) pdesOptions() ([]pdes.Option, error) {
+	algo, _ := pdes.ParseSyncAlgo(s.Sync) // grammar checked by Validate
+	part, _ := pdes.ParsePartitioner(s.Partition)
+	opts := []pdes.Option{pdes.WithSyncAlgo(algo), pdes.WithPartitioner(part)}
+	ps, err := s.collectives()
+	if err != nil {
+		return nil, err
+	}
+	if len(ps) > 0 {
+		opts = append(opts, pdes.WithCollectives(ps...))
+	}
+	return opts, nil
+}
+
+// runNetwork runs a built network to the spec's horizon, publishing live
+// progress into prog, and fills res. Engine counters are reported as deltas
+// over this run: a network restored from a pooled checkpoint reports its own
+// run alone, and on a fresh network the delta is the whole count.
+func (s Spec) runNetwork(net *pdes.Network, res *Result, prog *obs.Progress, forked bool) error {
+	base := net.Sys.Stats()
+	// The events clock reports this run's delta, matching the assembled
+	// result; committed time is absolute (forks resume at the warm point,
+	// never before it, so the reading is monotone within the run).
+	stop := prog.Watch(net.Sys.CommittedTime, func() uint64 { return net.Sys.Stats().Events - base.Events }, 0)
 	start := time.Now()
-	runErr := ls.Sys.Run(s.horizon())
+	err := net.Sys.Run(s.horizon())
+	wall := time.Since(start)
 	stop()
-	if runErr != nil {
-		return runErr
+	if err != nil {
+		return err
 	}
-	r := ls.AssembleResult(ls.Sys.Stats(), len(specs), s.horizon(), time.Since(start))
+	r := net.AssembleResult(net.Sys.Stats().Sub(base), s.horizon(), wall)
 	if err := checkExperiment(r); err != nil {
 		return err
 	}
-	res.Experiment, res.Metrics, res.Perf = r, metricsFromExperiment(r), perfFromExperiment(r, false)
+	res.Experiment, res.Metrics, res.Perf = r, metricsFromExperiment(r), perfFromExperiment(r, forked)
 	return nil
 }
 

@@ -15,11 +15,11 @@ import (
 // Failure-aware up/down routing.
 //
 // RouteOn is the single routing function every simulator layer shares: the
-// single-kernel Topology, the PDES leaf-spine and Clos builders, and the
-// partition-graph weighting all call it, so the ECMP arithmetic and the
-// failure semantics cannot drift apart. It is a pure function of
-// (config, schedule, time) — see package faults for why that purity is what
-// makes fault injection bit-reproducible under every sync algorithm.
+// single-kernel Topology, the PDES network builder, and its partition-graph
+// weighting all call it, so the ECMP arithmetic and the failure semantics
+// cannot drift apart. It is a pure function of (config, schedule, time) — see
+// package faults for why that purity is what makes fault injection
+// bit-reproducible under every sync algorithm.
 //
 // The failure model is link-state routing with a detection delay: every
 // switch eventually knows the up/down state of every link and switch in the
@@ -40,9 +40,7 @@ func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID,
 	if dst < 0 || dst >= cfg.NumHosts() {
 		return 0, false
 	}
-	torBase := packet.NodeID(cfg.NumHosts())
-	aggBase := torBase + packet.NodeID(cfg.NumToRs())
-	coreBase := aggBase + packet.NodeID(cfg.NumAggs())
+	torBase, aggBase, coreBase := cfg.Bases()
 	dstToR := dst / cfg.ServersPerToR
 	dstCluster := dst / perCluster
 	healthy := sched.Empty()
@@ -59,7 +57,7 @@ func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID,
 		if dstCluster == cluster {
 			return dstToR % cfg.ToRsPerCluster, true // down to ToR
 		}
-		h := ECMPHash(sw, p, cfg.ECMPSeed)
+		h := ecmpHash(sw, p, cfg.ECMPSeed)
 		if healthy {
 			return cfg.ToRsPerCluster + int(h%uint64(cfg.CoresPerAgg)), true
 		}
@@ -90,14 +88,14 @@ func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID,
 			return dst % cfg.ServersPerToR, true // down to host
 		}
 		uplinks := cfg.AggsPerCluster
-		h := ECMPHash(sw, p, cfg.ECMPSeed)
+		h := ecmpHash(sw, p, cfg.ECMPSeed)
 		if healthy {
 			return cfg.ServersPerToR + int(h%uint64(uplinks)), true
 		}
 		dstToRID := torBase + packet.NodeID(dstToR)
 		var survivors []int
 		for a := 0; a < uplinks; a++ {
-			if torUplinkDead(cfg, sched, now, sw, a, aggBase, dstToRID, dstCluster) {
+			if torUplinkDead(cfg, sched, now, sw, a, torBase, aggBase, dstToRID, dstCluster) {
 				continue
 			}
 			survivors = append(survivors, a)
@@ -115,7 +113,7 @@ func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID,
 // torUplinkDead reports whether ToR sw believes (at time now) that uplink
 // position a cannot carry traffic toward dstToR.
 func torUplinkDead(cfg Config, sched *faults.Schedule, now des.Time,
-	sw packet.NodeID, a int, aggBase, dstToRID packet.NodeID, dstCluster int) bool {
+	sw packet.NodeID, a int, torBase, aggBase, dstToRID packet.NodeID, dstCluster int) bool {
 
 	if cfg.Kind == LeafSpine {
 		spine := aggBase + packet.NodeID(a)
@@ -123,7 +121,6 @@ func torUplinkDead(cfg Config, sched *faults.Schedule, now des.Time,
 			sched.ViewedSwitchDown(sw, spine, now) ||
 			sched.ViewedLinkDown(sw, spine, dstToRID, now)
 	}
-	torBase := aggBase - packet.NodeID(cfg.NumToRs())
 	cluster := int(sw-torBase) / cfg.ToRsPerCluster
 	srcAgg := aggBase + packet.NodeID(cluster*cfg.AggsPerCluster+a)
 	if sched.ViewedLinkDown(sw, sw, srcAgg, now) ||
@@ -142,50 +139,40 @@ func torUplinkDead(cfg Config, sched *faults.Schedule, now des.Time,
 }
 
 // ParseFaults parses a fault scenario spec (see faults.Parse for the grammar)
-// resolving device names against cfg's dense ID layout: host<i>, tor<i>,
-// spine<i> (leaf-spine) or agg<i>, and core<i>. The schedule's detection
-// jitter is salted with cfg.ECMPSeed so a config fully determines the
-// scenario.
+// resolving device names back to NodeIDs — the inverse of Config.NodeName,
+// with spine<i> and agg<i> accepted on either fabric kind. The schedule's
+// detection jitter is salted with cfg.ECMPSeed so a config fully determines
+// the scenario.
 func ParseFaults(cfg Config, spec string) (*faults.Schedule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	torBase := cfg.NumHosts()
-	aggBase := torBase + cfg.NumToRs()
-	coreBase := aggBase + cfg.NumAggs()
+	tor, agg, core := cfg.Bases()
+	type tier struct {
+		base packet.NodeID
+		n    int
+	}
+	tiers := map[string]tier{
+		"host":  {0, cfg.NumHosts()},
+		"tor":   {tor, cfg.NumToRs()},
+		"spine": {agg, cfg.NumAggs()},
+		"agg":   {agg, cfg.NumAggs()},
+		"core":  {core, cfg.NumCores()},
+	}
 	resolve := func(name string) (packet.NodeID, error) {
-		tier := strings.TrimRight(name, "0123456789")
-		idx, err := strconv.Atoi(name[len(tier):])
+		prefix := strings.TrimRight(name, "0123456789")
+		idx, err := strconv.Atoi(name[len(prefix):])
 		if err != nil {
 			return 0, fmt.Errorf("device %q: missing index", name)
 		}
-		bad := func(n int) error {
-			return fmt.Errorf("device %q: index out of range (have %d)", name, n)
+		t, ok := tiers[prefix]
+		if !ok {
+			return 0, fmt.Errorf("device %q: unknown tier %q", name, prefix)
 		}
-		switch tier {
-		case "host":
-			if idx >= cfg.NumHosts() {
-				return 0, bad(cfg.NumHosts())
-			}
-			return packet.NodeID(idx), nil
-		case "tor":
-			if idx >= cfg.NumToRs() {
-				return 0, bad(cfg.NumToRs())
-			}
-			return packet.NodeID(torBase + idx), nil
-		case "spine", "agg":
-			if idx >= cfg.NumAggs() {
-				return 0, bad(cfg.NumAggs())
-			}
-			return packet.NodeID(aggBase + idx), nil
-		case "core":
-			if idx >= cfg.NumCores() {
-				return 0, bad(cfg.NumCores())
-			}
-			return packet.NodeID(coreBase + idx), nil
-		default:
-			return 0, fmt.Errorf("device %q: unknown tier %q", name, tier)
+		if idx >= t.n {
+			return 0, fmt.Errorf("device %q: index out of range (have %d)", name, t.n)
 		}
+		return t.base + packet.NodeID(idx), nil
 	}
 	return faults.Parse(spec, cfg.ECMPSeed, resolve)
 }
@@ -249,8 +236,8 @@ func (t *Topology) switchByID(id packet.NodeID) *netsim.Switch {
 // trace instants on the involved switch's track. The events carry no
 // simulation state — fault state itself is a pure function of time — they
 // exist so the outage windows are visible in the Chrome trace next to the
-// packet lifecycle they explain. PDES builders call this once per LP with a
-// lookup restricted to locally owned switches.
+// packet lifecycle they explain. The PDES network builder calls this once per
+// LP with a lookup restricted to locally owned switches.
 func ScheduleFaultInstants(k *des.Kernel, sched *faults.Schedule,
 	lookup func(packet.NodeID) *netsim.Switch) {
 

@@ -156,6 +156,107 @@ func (c Config) NumCores() int {
 	return c.AggsPerCluster * c.CoresPerAgg
 }
 
+// NumNodes returns the device count: hosts plus every switch tier.
+func (c Config) NumNodes() int { return c.NumHosts() + c.NumToRs() + c.NumAggs() + c.NumCores() }
+
+// Bases returns the first NodeID of the ToR, aggregation (spine) and core
+// tiers. Hosts occupy NodeIDs 0..NumHosts()-1, equal to their HostIDs; each
+// switch tier follows densely in that order.
+func (c Config) Bases() (tor, agg, core packet.NodeID) {
+	tor = packet.NodeID(c.NumHosts())
+	agg = tor + packet.NodeID(c.NumToRs())
+	core = agg + packet.NodeID(c.NumAggs())
+	return tor, agg, core
+}
+
+// NodeName returns the device name of id: host<i>, tor<i>, spine<i>
+// (leaf-spine) or agg<i>, and core<i>, indexed within the tier. Trace tracks
+// carry these names and ParseFaults resolves them back to NodeIDs.
+func (c Config) NodeName(id packet.NodeID) string {
+	tor, agg, core := c.Bases()
+	switch {
+	case id >= core:
+		return fmt.Sprintf("core%d", id-core)
+	case id >= agg && c.Kind == LeafSpine:
+		return fmt.Sprintf("spine%d", id-agg)
+	case id >= agg:
+		return fmt.Sprintf("agg%d", id-agg)
+	case id >= tor:
+		return fmt.Sprintf("tor%d", id-tor)
+	default:
+		return fmt.Sprintf("host%d", id)
+	}
+}
+
+// NICLink returns the host end of a server link. The host's egress queue
+// models the NIC transmit queue (a Linux qdisc of a few hundred frames): much
+// deeper than a switch port — a sender rarely drops its own packets — but
+// bounded, so sender-side bufferbloat cannot grow without limit. The ToR end
+// keeps HostLink, so incast loss at the rack edge is preserved.
+func (c Config) NICLink() netsim.LinkConfig {
+	nic := c.HostLink
+	if min := int64(200 * packet.MaxFrameSize); nic.QueueBytes < min {
+		nic.QueueBytes = min
+	}
+	nic.ECNThresholdBytes = 0
+	return nic
+}
+
+// Link is one duplex link of a topology's wiring plan.
+type Link struct {
+	// A is the lower-tier endpoint (host, ToR or aggregation switch), B the
+	// upper-tier one (ToR, spine, aggregation switch or core).
+	A, B packet.NodeID
+	// Cfg configures both ports, except that a host end uses NICLink.
+	Cfg netsim.LinkConfig
+	// Fabric marks links into the top tier (ToR–spine on a leaf-spine,
+	// agg–core on a Clos): the only links a PDES partition may cut.
+	Fabric bool
+}
+
+// Links returns the wiring plan in the order builders create ports. Each link
+// appends one port to each endpoint, and the order makes the resulting port
+// indices the layout the Route arithmetic assumes:
+//
+//	ToR:  ports [0, ServersPerToR) face hosts (by in-rack position);
+//	      ports [ServersPerToR, ServersPerToR+uplinks) face aggs/spines.
+//	Agg:  ports [0, ToRsPerCluster) face ToRs (leaf index for LeafSpine);
+//	      ports [ToRsPerCluster, +CoresPerAgg) face its core group.
+//	Core: port c faces cluster c's agg at this core's aggregation position.
+func (c Config) Links() []Link {
+	tor, agg, core := c.Bases()
+	links := make([]Link, 0, c.NumHosts()+c.NumToRs()*c.AggsPerCluster+c.NumAggs()*c.CoresPerAgg)
+	for h := 0; h < c.NumHosts(); h++ {
+		links = append(links, Link{A: packet.NodeID(h), B: tor + packet.NodeID(h/c.ServersPerToR), Cfg: c.HostLink})
+	}
+	if c.Kind == LeafSpine {
+		for t := 0; t < c.NumToRs(); t++ {
+			for s := 0; s < c.NumAggs(); s++ {
+				links = append(links, Link{A: tor + packet.NodeID(t), B: agg + packet.NodeID(s),
+					Cfg: c.FabricLink, Fabric: true})
+			}
+		}
+		return links
+	}
+	for cl := 0; cl < c.Clusters; cl++ {
+		for a := 0; a < c.AggsPerCluster; a++ {
+			for t := 0; t < c.ToRsPerCluster; t++ {
+				links = append(links, Link{A: tor + packet.NodeID(cl*c.ToRsPerCluster+t),
+					B: agg + packet.NodeID(cl*c.AggsPerCluster+a), Cfg: c.FabricLink})
+			}
+		}
+	}
+	for cl := 0; cl < c.Clusters; cl++ {
+		for a := 0; a < c.AggsPerCluster; a++ {
+			for j := 0; j < c.CoresPerAgg; j++ {
+				links = append(links, Link{A: agg + packet.NodeID(cl*c.AggsPerCluster+a),
+					B: core + packet.NodeID(a*c.CoresPerAgg+j), Cfg: c.CoreLink, Fabric: true})
+			}
+		}
+	}
+	return links
+}
+
 // Topology is a fully wired network: devices plus the index arithmetic that
 // routes packets over them.
 type Topology struct {
@@ -167,7 +268,7 @@ type Topology struct {
 	Aggs  []*netsim.Switch // Cluster switches (spines for LeafSpine)
 	Cores []*netsim.Switch
 
-	hostBase, torBase, aggBase, coreBase packet.NodeID
+	torBase, aggBase, coreBase packet.NodeID
 
 	// links records every wired duplex link so SetFaults can install
 	// down-state closures on the affected ports.
@@ -209,29 +310,15 @@ func (t *Topology) CollectMetrics(e *metrics.Emitter) {
 // process 0); devices separate onto threads by NodeID. Both arguments are
 // nil-safe, so callers can pass a disabled tracer through unchanged.
 func (t *Topology) SetTrace(tr *obs.Tracer, b *obs.Buf) {
-	name := func(sw *netsim.Switch) string {
-		id := sw.NodeID()
-		switch {
-		case id >= t.coreBase:
-			return fmt.Sprintf("core%d", id-t.coreBase)
-		case id >= t.aggBase:
-			if t.Cfg.Kind == LeafSpine {
-				return fmt.Sprintf("spine%d", id-t.aggBase)
-			}
-			return fmt.Sprintf("agg%d", id-t.aggBase)
-		default:
-			return fmt.Sprintf("tor%d", id-t.torBase)
-		}
-	}
 	for _, tier := range [][]*netsim.Switch{t.ToRs, t.Aggs, t.Cores} {
 		for _, sw := range tier {
 			sw.SetTrace(b)
-			tr.NameThread(b.Pid(), int32(sw.NodeID()), name(sw))
+			tr.NameThread(b.Pid(), int32(sw.NodeID()), t.Cfg.NodeName(sw.NodeID()))
 		}
 	}
 	for _, h := range t.Hosts {
 		h.SetTrace(b)
-		tr.NameThread(b.Pid(), int32(h.NodeID()), fmt.Sprintf("host%d", h.ID()))
+		tr.NameThread(b.Pid(), int32(h.NodeID()), t.Cfg.NodeName(h.NodeID()))
 	}
 }
 
@@ -243,95 +330,32 @@ func Build(k *des.Kernel, cfg Config) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{Cfg: cfg, Kernel: k}
-	nh, nt, na, nc := cfg.NumHosts(), cfg.NumToRs(), cfg.NumAggs(), cfg.NumCores()
-	t.hostBase = 0
-	t.torBase = packet.NodeID(nh)
-	t.aggBase = t.torBase + packet.NodeID(nt)
-	t.coreBase = t.aggBase + packet.NodeID(na)
-
-	for i := 0; i < nh; i++ {
-		t.Hosts = append(t.Hosts, netsim.NewHost(k, packet.HostID(i), t.hostBase+packet.NodeID(i)))
+	t.torBase, t.aggBase, t.coreBase = cfg.Bases()
+	for i := 0; i < cfg.NumHosts(); i++ {
+		t.Hosts = append(t.Hosts, netsim.NewHost(k, packet.HostID(i), packet.NodeID(i)))
 	}
-	for i := 0; i < nt; i++ {
+	for i := 0; i < cfg.NumToRs(); i++ {
 		t.ToRs = append(t.ToRs, netsim.NewSwitch(k, t.torBase+packet.NodeID(i), t))
 	}
-	for i := 0; i < na; i++ {
+	for i := 0; i < cfg.NumAggs(); i++ {
 		t.Aggs = append(t.Aggs, netsim.NewSwitch(k, t.aggBase+packet.NodeID(i), t))
 	}
-	for i := 0; i < nc; i++ {
+	for i := 0; i < cfg.NumCores(); i++ {
 		t.Cores = append(t.Cores, netsim.NewSwitch(k, t.coreBase+packet.NodeID(i), t))
 	}
 
-	t.wire()
+	// Ports follow the wiring plan (see Links for the layout it yields).
+	nic := cfg.NICLink()
+	for _, l := range cfg.Links() {
+		var pa *netsim.Port
+		if sw := t.switchByID(l.A); sw != nil {
+			pa = sw.AddPort(l.Cfg)
+		} else {
+			pa = t.Hosts[l.A].AttachNIC(nic)
+		}
+		t.connect(l.A, pa, l.B, t.switchByID(l.B).AddPort(l.Cfg))
+	}
 	return t, nil
-}
-
-// Port layout (referenced by the Route arithmetic below):
-//
-//	ToR:  ports [0, ServersPerToR) face hosts (by in-rack position);
-//	      ports [ServersPerToR, ServersPerToR+uplinks) face aggs/spines.
-//	Agg:  ports [0, ToRsPerCluster) face ToRs (leaf index for LeafSpine);
-//	      ports [ToRsPerCluster, +CoresPerAgg) face its core group.
-//	Core: port c faces cluster c's agg at this core's aggregation position.
-func (t *Topology) wire() {
-	cfg := t.Cfg
-	// Host <-> ToR. The host's egress queue models the NIC transmit queue
-	// (a Linux qdisc of a few hundred frames): much deeper than a switch
-	// port — a sender rarely drops its own packets — but bounded, so
-	// sender-side bufferbloat cannot grow without limit. The ToR->host
-	// direction keeps cfg.HostLink, so incast loss at the rack edge is
-	// preserved.
-	nicCfg := cfg.HostLink
-	if min := int64(200 * packet.MaxFrameSize); nicCfg.QueueBytes < min {
-		nicCfg.QueueBytes = min
-	}
-	nicCfg.ECNThresholdBytes = 0
-	for h, host := range t.Hosts {
-		tor := t.ToRs[h/cfg.ServersPerToR]
-		nic := host.AttachNIC(nicCfg)
-		tp := tor.AddPort(cfg.HostLink)
-		t.connect(host.NodeID(), nic, tor.NodeID(), tp)
-	}
-	// ToR <-> Agg.
-	if cfg.Kind == LeafSpine {
-		for ti, tor := range t.ToRs {
-			for si, spine := range t.Aggs {
-				up := tor.AddPort(cfg.FabricLink)
-				// Spine port index == leaf index; add lazily in order.
-				for spine.NumPorts() <= ti {
-					spine.AddPort(cfg.FabricLink)
-				}
-				t.connect(tor.NodeID(), up, spine.NodeID(), spine.Port(ti))
-				_ = si
-			}
-		}
-		return
-	}
-	for c := 0; c < cfg.Clusters; c++ {
-		for a := 0; a < cfg.AggsPerCluster; a++ {
-			agg := t.Aggs[c*cfg.AggsPerCluster+a]
-			for tr := 0; tr < cfg.ToRsPerCluster; tr++ {
-				tor := t.ToRs[c*cfg.ToRsPerCluster+tr]
-				up := tor.AddPort(cfg.FabricLink)   // ToR port ServersPerToR+a
-				down := agg.AddPort(cfg.FabricLink) // Agg port tr
-				t.connect(tor.NodeID(), up, agg.NodeID(), down)
-			}
-		}
-	}
-	// Agg <-> Core.
-	for c := 0; c < cfg.Clusters; c++ {
-		for a := 0; a < cfg.AggsPerCluster; a++ {
-			agg := t.Aggs[c*cfg.AggsPerCluster+a]
-			for j := 0; j < cfg.CoresPerAgg; j++ {
-				core := t.Cores[a*cfg.CoresPerAgg+j]
-				up := agg.AddPort(cfg.CoreLink) // Agg port ToRsPerCluster+j
-				for core.NumPorts() <= c {
-					core.AddPort(cfg.CoreLink)
-				}
-				t.connect(agg.NodeID(), up, core.NodeID(), core.Port(c)) // Core port c
-			}
-		}
-	}
 }
 
 // --- Identity helpers ---
@@ -376,12 +400,12 @@ func (t *Topology) nodeTier(id packet.NodeID) int {
 
 // --- ECMP ---
 
-// ECMPHash mixes the flow identity with a per-switch salt, modeling
+// ecmpHash mixes the flow identity with a per-switch salt, modeling
 // hardware ECMP (each switch hashes the 5-tuple with its own seed so a flow
-// takes one deterministic path but different flows spread). It is exported
-// so the PDES builders' partition-graph weighting uses the exact arithmetic
-// the routers do.
-func ECMPHash(sw packet.NodeID, p *packet.Packet, seed uint64) uint64 {
+// takes one deterministic path but different flows spread). Callers outside
+// the package reach it only through RouteOn, so partition-graph weighting
+// uses the exact arithmetic the routers do.
+func ecmpHash(sw packet.NodeID, p *packet.Packet, seed uint64) uint64 {
 	x := uint64(sw)*0x9e3779b97f4a7c15 ^ seed
 	// Hash the canonical flow direction (src,dst,flow) — not symmetric:
 	// forward and reverse directions may take different paths, as in
