@@ -12,11 +12,11 @@
 //	sp := scenario.Spec{Mode: "full", Capture: "cluster", ...}
 //	full, _ := scenario.Run(sp)                           // capture training traces
 //	models, _ := core.TrainModels(full.Run.Records, ...)  // fit macro + LSTM micro models
-//	sp.Mode = "hybrid"                                    // 1 real cluster + N-1 approximated
+//	sp.Mode, sp.Capture = "hybrid", ""                    // 1 real cluster + N-1 approximated
 //	hybrid, _ := scenario.Run(sp, scenario.WithModels(models))
 //	cmp, _ := core.CompareRTT(truth.Run, hybrid.Run, 128) // Fig. 4 accuracy
 //
-// The same Spec, as JSON, drives the cmd/simd scenario server. The
-// benchmarks in bench_test.go regenerate every measured figure of the
-// paper; cmd/figures prints the same series as data tables.
+// The same Spec, as JSON, drives the cmd/simd scenario server. cmd/figures
+// regenerates every measured figure of the paper as data tables, and the
+// benchmark/ module (declared by BENCHMARK.json) measures the system.
 package approxsim

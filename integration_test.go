@@ -19,12 +19,18 @@ import (
 // than full fidelity, and its RTT distribution stays within a sane
 // divergence of ground truth.
 func TestPipelineEndToEnd(t *testing.T) {
-	cfg := core.Config{Clusters: 2, Duration: 5 * des.Millisecond, Load: 0.4, Seed: 99}
-	full, err := core.RunFull(cfg, true)
+	sp := scenario.Spec{
+		Topology:  scenario.Topology{Clusters: 2},
+		Workload:  scenario.Workload{Load: 0.4},
+		Seed:      99,
+		HorizonMS: 5,
+		Capture:   "cluster",
+	}
+	full, err := scenario.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := core.TrainModels(full.Records, cfg.TopologyConfig(), core.TrainOptions{
+	models, err := core.TrainModels(full.Run.Records, sp.EngineConfig().TopologyConfig(), core.TrainOptions{
 		Hidden: 16, Layers: 1,
 		NN:   nn.TrainConfig{LR: 0.02, Batches: 200, Batch: 16, BPTT: 16, Seed: 99},
 		Seed: 99,
@@ -33,25 +39,27 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	big := cfg
-	big.Clusters = 8
+	big := sp
+	big.Capture = ""
+	big.Topology.Clusters = 8
 	big.Seed = 1099 // held-out workload
-	truth, err := core.RunFull(big, false)
+	truth, err := scenario.Run(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := core.RunHybrid(big, models)
+	big.Mode = "hybrid"
+	hybrid, err := scenario.Run(big, scenario.WithModels(models))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if hybrid.Summary.Completed == 0 {
+	if hybrid.Metrics.Completed == 0 {
 		t.Fatal("hybrid completed no flows")
 	}
-	if hybrid.Events >= truth.Events {
-		t.Errorf("hybrid events %d >= full %d: no elision", hybrid.Events, truth.Events)
+	if hybrid.Perf.Events >= truth.Perf.Events {
+		t.Errorf("hybrid events %d >= full %d: no elision", hybrid.Perf.Events, truth.Perf.Events)
 	}
-	cmp, err := core.CompareRTT(truth, hybrid, 64)
+	cmp, err := core.CompareRTT(truth.Run, hybrid.Run, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,33 +70,38 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Errorf("KS distance %.3f: approximation unrelated to ground truth", cmp.KS)
 	}
 	t.Logf("events: full=%d hybrid=%d (%.2fx); KS=%.3f",
-		truth.Events, hybrid.Events,
-		float64(truth.Events)/float64(hybrid.Events), cmp.KS)
+		truth.Perf.Events, hybrid.Perf.Events,
+		float64(truth.Perf.Events)/float64(hybrid.Perf.Events), cmp.KS)
 }
 
-// TestRunFullDeterministic pins the whole-system determinism guarantee at
-// the top level: identical seeds must give identical event counts and flow
+// TestFullDeterministic pins the whole-system determinism guarantee at the
+// top level: identical seeds must give identical event counts and flow
 // outcomes.
-func TestRunFullDeterministic(t *testing.T) {
-	cfg := core.Config{Clusters: 2, Duration: 3 * des.Millisecond, Load: 0.4, Seed: 123}
-	a, err := core.RunFull(cfg, false)
+func TestFullDeterministic(t *testing.T) {
+	sp := scenario.Spec{
+		Topology:  scenario.Topology{Clusters: 2},
+		Workload:  scenario.Workload{Load: 0.4},
+		Seed:      123,
+		HorizonMS: 3,
+	}
+	a, err := scenario.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.RunFull(cfg, false)
+	b, err := scenario.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Events != b.Events {
-		t.Errorf("event counts differ: %d vs %d", a.Events, b.Events)
+	if a.Run.Events != b.Run.Events {
+		t.Errorf("event counts differ: %d vs %d", a.Run.Events, b.Run.Events)
 	}
-	if a.Summary.Completed != b.Summary.Completed ||
-		a.Summary.TotalBytes != b.Summary.TotalBytes ||
-		a.Summary.Retrans != b.Summary.Retrans {
-		t.Errorf("summaries differ: %+v vs %+v", a.Summary, b.Summary)
+	if a.Run.Summary.Completed != b.Run.Summary.Completed ||
+		a.Run.Summary.TotalBytes != b.Run.Summary.TotalBytes ||
+		a.Run.Summary.Retrans != b.Run.Summary.Retrans {
+		t.Errorf("summaries differ: %+v vs %+v", a.Run.Summary, b.Run.Summary)
 	}
-	if a.RTTs.Len() != b.RTTs.Len() {
-		t.Errorf("RTT sample counts differ: %d vs %d", a.RTTs.Len(), b.RTTs.Len())
+	if a.Run.RTTs.Len() != b.Run.RTTs.Len() {
+		t.Errorf("RTT sample counts differ: %d vs %d", a.Run.RTTs.Len(), b.Run.RTTs.Len())
 	}
 }
 
@@ -131,16 +144,21 @@ func TestEnginesAgreeOnLightLoad(t *testing.T) {
 	}
 	fluidMean /= float64(n)
 
-	cfg := core.Config{Clusters: 2, Duration: dur, Drain: dur * 9, Load: 0.1, Seed: 7}
-	pk, err := core.RunFull(cfg, false)
+	pk, err := scenario.Run(scenario.Spec{
+		Topology:  scenario.Topology{Clusters: 2},
+		Workload:  scenario.Workload{Load: 0.1},
+		Seed:      7,
+		HorizonMS: float64(dur / des.Millisecond),
+		DrainMS:   float64(9 * dur / des.Millisecond),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk.Summary.MeanFCT < fluidMean*0.8 {
-		t.Errorf("packet mean FCT %.3g beats fluid bound %.3g: impossible", pk.Summary.MeanFCT, fluidMean)
+	if pk.Metrics.MeanFCTSec < fluidMean*0.8 {
+		t.Errorf("packet mean FCT %.3g beats fluid bound %.3g: impossible", pk.Metrics.MeanFCTSec, fluidMean)
 	}
-	if pk.Summary.MeanFCT > fluidMean*50 {
-		t.Errorf("packet mean FCT %.3g vs fluid %.3g: engines disagree wildly", pk.Summary.MeanFCT, fluidMean)
+	if pk.Metrics.MeanFCTSec > fluidMean*50 {
+		t.Errorf("packet mean FCT %.3g vs fluid %.3g: engines disagree wildly", pk.Metrics.MeanFCTSec, fluidMean)
 	}
 }
 

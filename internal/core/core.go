@@ -1,20 +1,24 @@
 // Package core is the library's orchestration layer: it assembles the
 // paper's complete workflow out of the substrate packages.
 //
-// The workflow (paper §3, Fig. 3):
+// The workflow (paper §3, Fig. 3) is one Run function called twice around
+// a training step:
 //
-//  1. RunFull executes a small network in full packet-level fidelity and —
-//     when asked — captures boundary traces for one cluster.
+//  1. Run without models executes a small network in full packet-level
+//     fidelity and, given a Boundary, captures the packets crossing it at
+//     the observed cluster.
 //  2. TrainModels fits the macro-state classifier parameters and the two
 //     LSTM micro models (ingress and egress) from those traces.
-//  3. RunHybrid executes a (typically much larger) network in which one
-//     cluster and all core switches stay full-fidelity while every other
-//     cluster's fabric is replaced by the trained models, and traffic
-//     wholly between approximated clusters is elided from the flow
-//     schedule.
+//  3. Run with models executes a (typically much larger) network in which
+//     the observed cluster stays full-fidelity while everything beyond the
+//     same Boundary is replaced by the trained models, and traffic that
+//     never touches the observed cluster is elided from the flow schedule.
 //  4. CompareRTT quantifies accuracy as the paper does — the distribution
-//     of RTTs observed by hosts in the real cluster (Fig. 4) — and
-//     MeasureSpeedup reports the wall-clock ratio (Fig. 5).
+//     of RTTs observed by hosts in the real cluster (Fig. 4). The Fig. 5
+//     speed-up is the ratio of two runs' walls and events.
+//
+// Front-ends describe an experiment as a scenario.Spec and call
+// scenario.Run, which validates and hashes the spec and dispatches here.
 package core
 
 import (
@@ -248,27 +252,73 @@ func workloadConfig(cfg Config, topo *topology.Topology) traffic.Config {
 	}
 }
 
-// RunFull executes the configured experiment in full packet-level fidelity.
-// When captureBoundary is true, the observed cluster's fabric traversals are
-// recorded for training.
-//
-// Deprecated: front-ends (cmd/, examples/, services) should describe the
-// experiment as a scenario.Spec and call scenario.Run, which validates the
-// configuration, hashes it for result caching, and dispatches here — direct
-// calls bypass all three. This function remains as the mode="full" engine
-// behind scenario.Run (scenario imports core, so the engine cannot call up).
-func RunFull(cfg Config, captureBoundary bool) (*RunResult, error) {
+// Boundary names the region around the observed cluster that a run acts
+// on. A run without models records the packets crossing it (the training
+// capture); a run with models replaces what lies beyond it. Capturing and
+// replacing at the same boundary is the paper's whole pipeline.
+type Boundary int
+
+// Boundaries.
+const (
+	// NoBoundary records and replaces nothing: a plain full-fidelity run.
+	NoBoundary Boundary = iota
+	// ClusterBoundary is the per-cluster fabric boundary (the paper's
+	// primary design): captured at the observed cluster's fabric, replaced
+	// at every other cluster's.
+	ClusterBoundary
+	// WholeNetBoundary is the §7 "single black box": everything beyond the
+	// observed cluster's aggregation switches, cores included, as one region.
+	WholeNetBoundary
+)
+
+// region is one approximated part of the network: a cluster's fabric or the
+// whole-network black box.
+type region interface {
+	metrics.Collector
+	Stats() approx.Stats
+	DisableMacro()
+}
+
+// Run executes one experiment on a single kernel. With models nil the whole
+// network runs at packet level, and the observed cluster's traversals of
+// boundary b are recorded in RunResult.Records for training. With models
+// set, everything beyond b is replaced by approximated fabrics (one per
+// cluster other than the observed one for ClusterBoundary, one black box for
+// WholeNetBoundary), and traffic that never touches the observed cluster is
+// elided from the flow schedule (§6.2).
+func Run(cfg Config, b Boundary, models *Models) (*RunResult, error) {
 	cfg = cfg.withDefaults()
+	if models != nil && (models.Egress == nil || models.Ingress == nil) {
+		return nil, fmt.Errorf("core: approximating a boundary requires trained models")
+	}
+	if models != nil && b == NoBoundary {
+		return nil, fmt.Errorf("core: models given but no boundary to replace")
+	}
 	k, topo, stacks, err := buildNetwork(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rec *trace.BoundaryRecorder
-	if captureBoundary {
+	var regions []region
+	switch {
+	case models != nil:
+		if regions, err = splice(cfg, topo, b, models); err != nil {
+			return nil, err
+		}
+	case b == ClusterBoundary:
 		rec = trace.AttachBoundary(topo, cfg.ObservedCluster)
+	case b == WholeNetBoundary:
+		rec = trace.AttachWholeNetworkBoundary(topo, cfg.ObservedCluster)
 	}
 	rtt := attachClusterRTT(topo, stacks, cfg.ObservedCluster)
-	gen, err := traffic.NewGenerator(k, stacks, workloadConfig(cfg, topo))
+
+	wcfg := workloadConfig(cfg, topo)
+	if models != nil {
+		for _, h := range topo.HostsInCluster(cfg.ObservedCluster) {
+			wcfg.MustTouch = append(wcfg.MustTouch, h.ID())
+		}
+	}
+	gen, err := traffic.NewGenerator(k, stacks, wcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +342,51 @@ func RunFull(cfg Config, captureBoundary bool) (*RunResult, error) {
 	if rec != nil {
 		res.Records = rec.Records
 	}
+	for _, r := range regions {
+		res.FabricStats = append(res.FabricStats, r.Stats())
+	}
 	return res, nil
+}
+
+// splice replaces everything beyond boundary b with models and registers
+// each approximated region with cfg.Metrics when set.
+func splice(cfg Config, topo *topology.Topology, b Boundary, models *Models) ([]region, error) {
+	var regions []region
+	if b == WholeNetBoundary {
+		out := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample,
+			models.Seed^0xbb01, models.EgressFloor)
+		in := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample,
+			models.Seed^0xbb02, models.IngressFloor)
+		bb, err := approx.SpliceWholeNetwork(topo, cfg.ObservedCluster, out, in, models.Macro)
+		if err != nil {
+			return nil, err
+		}
+		regions = append(regions, bb)
+	} else {
+		for c := 0; c < topo.Cfg.Clusters; c++ {
+			if c == cfg.ObservedCluster {
+				continue
+			}
+			eg := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample,
+				models.Seed^uint64(c)<<8^1, models.EgressFloor)
+			ing := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample,
+				models.Seed^uint64(c)<<8^2, models.IngressFloor)
+			fab, err := approx.Splice(topo, c, eg, ing, models.Macro)
+			if err != nil {
+				return nil, err
+			}
+			regions = append(regions, fab)
+		}
+	}
+	for _, r := range regions {
+		if models.NoMacro {
+			r.DisableMacro()
+		}
+		if cfg.Metrics != nil {
+			cfg.Metrics.Register("approx", r)
+		}
+	}
+	return regions, nil
 }
 
 func attachClusterRTT(topo *topology.Topology, stacks []*tcp.Stack, cluster int) *trace.RTTRecorder {
@@ -372,76 +466,6 @@ func TrainModels(records []trace.Record, topoCfg topology.Config, opts TrainOpti
 	}, nil
 }
 
-// RunHybrid executes the experiment with every cluster except the observed
-// one replaced by an approximated fabric (paper Fig. 3). Traffic wholly
-// between approximated clusters is elided from the flow schedule (§6.2).
-//
-// Deprecated: call scenario.Run with a mode="hybrid" Spec (plus
-// scenario.WithModels for in-process bundles) instead; see RunFull. This
-// function remains as the engine behind scenario.Run.
-func RunHybrid(cfg Config, models *Models) (*RunResult, error) {
-	cfg = cfg.withDefaults()
-	if models == nil || models.Egress == nil || models.Ingress == nil {
-		return nil, fmt.Errorf("core: RunHybrid requires trained models")
-	}
-	k, topo, stacks, err := buildNetwork(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var fabrics []*approx.Fabric
-	for c := 0; c < topo.Cfg.Clusters; c++ {
-		if c == cfg.ObservedCluster {
-			continue
-		}
-		eg := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample,
-			models.Seed^uint64(c)<<8^1, models.EgressFloor)
-		ing := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample,
-			models.Seed^uint64(c)<<8^2, models.IngressFloor)
-		fab, err := approx.Splice(topo, c, eg, ing, models.Macro)
-		if err != nil {
-			return nil, err
-		}
-		if models.NoMacro {
-			fab.DisableMacro()
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Register("approx", fab)
-		}
-		fabrics = append(fabrics, fab)
-	}
-	rtt := attachClusterRTT(topo, stacks, cfg.ObservedCluster)
-
-	wcfg := workloadConfig(cfg, topo)
-	for _, h := range topo.HostsInCluster(cfg.ObservedCluster) {
-		wcfg.MustTouch = append(wcfg.MustTouch, h.ID())
-	}
-	gen, err := traffic.NewGenerator(k, stacks, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	sampler := installSampler(cfg, k)
-
-	start := time.Now()
-	gen.Start(cfg.Duration)
-	k.Run(cfg.Duration + cfg.Drain)
-	wall := time.Since(start)
-	if err := sampler.Close(k.Now()); err != nil {
-		return nil, fmt.Errorf("core: metrics time series: %w", err)
-	}
-
-	res := &RunResult{
-		Summary: traffic.Summarize(gen.Results, cfg.Duration+cfg.Drain),
-		RTTs:    rtt.Sample,
-		Events:  k.Stats().Executed,
-		Wall:    wall,
-		SimTime: cfg.Duration + cfg.Drain,
-	}
-	for _, f := range fabrics {
-		res.FabricStats = append(res.FabricStats, f.Stats())
-	}
-	return res, nil
-}
-
 // RTTComparison is the Fig. 4 deliverable: both CDFs plus the KS distance.
 type RTTComparison struct {
 	Full, Approx []stats.CDFPoint
@@ -460,41 +484,4 @@ func CompareRTT(full, hybrid *RunResult, maxPoints int) (*RTTComparison, error) 
 		Approx: hybrid.RTTs.CDF(maxPoints),
 		KS:     stats.KSDistance(full.RTTs, hybrid.RTTs),
 	}, nil
-}
-
-// SpeedupResult is one row of the Fig. 5 series.
-type SpeedupResult struct {
-	Clusters                 int
-	FullWall, HybridWall     time.Duration
-	FullEvents, HybridEvents uint64
-	Speedup                  float64 // FullWall / HybridWall
-	EventRatio               float64 // FullEvents / HybridEvents
-}
-
-// MeasureSpeedup runs the same experiment full and hybrid and reports the
-// wall-clock speedup and event-count ratio.
-func MeasureSpeedup(cfg Config, models *Models) (*SpeedupResult, error) {
-	cfg = cfg.withDefaults()
-	full, err := RunFull(cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	hybrid, err := RunHybrid(cfg, models)
-	if err != nil {
-		return nil, err
-	}
-	res := &SpeedupResult{
-		Clusters:     cfg.TopologyConfig().Clusters,
-		FullWall:     full.Wall,
-		HybridWall:   hybrid.Wall,
-		FullEvents:   full.Events,
-		HybridEvents: hybrid.Events,
-	}
-	if hybrid.Wall > 0 {
-		res.Speedup = float64(full.Wall) / float64(hybrid.Wall)
-	}
-	if hybrid.Events > 0 {
-		res.EventRatio = float64(full.Events) / float64(hybrid.Events)
-	}
-	return res, nil
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"approxsim/internal/core"
-	"approxsim/internal/des"
 	"approxsim/internal/nn"
+	"approxsim/internal/scenario"
 )
 
 // Example demonstrates the paper's end-to-end workflow: run a small network
@@ -13,21 +13,23 @@ import (
 // the same scale. Counts vary with the model, so the example prints only
 // invariants.
 func Example() {
-	cfg := core.Config{
-		Clusters: 2,
-		Duration: 2 * des.Millisecond,
-		Load:     0.4,
-		Seed:     12345,
+	sp := scenario.Spec{
+		Topology:  scenario.Topology{Clusters: 2},
+		Workload:  scenario.Workload{Load: 0.4},
+		Seed:      12345,
+		HorizonMS: 2,
 	}
 
 	// 1. Full-fidelity run, capturing cluster 0's fabric boundary.
-	full, err := core.RunFull(cfg, true)
+	capture := sp
+	capture.Capture = "cluster"
+	full, err := scenario.Run(capture)
 	if err != nil {
 		panic(err)
 	}
 
 	// 2. Train small ingress/egress LSTMs from the capture.
-	models, err := core.TrainModels(full.Records, cfg.TopologyConfig(), core.TrainOptions{
+	models, err := core.TrainModels(full.Run.Records, sp.EngineConfig().TopologyConfig(), core.TrainOptions{
 		Hidden: 8, Layers: 1,
 		NN:   nn.TrainConfig{LR: 0.02, Batches: 20, Batch: 8, BPTT: 8, Seed: 1},
 		Seed: 1,
@@ -37,14 +39,15 @@ func Example() {
 	}
 
 	// 3. Hybrid run: cluster 1's fabric replaced by the models.
-	hybrid, err := core.RunHybrid(cfg, models)
+	sp.Mode = "hybrid"
+	hybrid, err := scenario.Run(sp, scenario.WithModels(models))
 	if err != nil {
 		panic(err)
 	}
 
-	fmt.Println("captured records:", len(full.Records) > 0)
-	fmt.Println("hybrid completed flows:", hybrid.Summary.Completed > 0)
-	fmt.Println("hybrid elided events:", hybrid.Events < full.Events)
+	fmt.Println("captured records:", len(full.Run.Records) > 0)
+	fmt.Println("hybrid completed flows:", hybrid.Metrics.Completed > 0)
+	fmt.Println("hybrid elided events:", hybrid.Perf.Events < full.Perf.Events)
 	// Output:
 	// captured records: true
 	// hybrid completed flows: true
@@ -54,12 +57,19 @@ func Example() {
 // ExampleCompareRTT shows the Fig. 4 accuracy comparison reduced to its
 // KS-distance summary.
 func ExampleCompareRTT() {
-	cfg := core.Config{Clusters: 2, Duration: 2 * des.Millisecond, Load: 0.4, Seed: 777}
-	full, err := core.RunFull(cfg, true)
+	sp := scenario.Spec{
+		Topology:  scenario.Topology{Clusters: 2},
+		Workload:  scenario.Workload{Load: 0.4},
+		Seed:      777,
+		HorizonMS: 2,
+	}
+	capture := sp
+	capture.Capture = "cluster"
+	full, err := scenario.Run(capture)
 	if err != nil {
 		panic(err)
 	}
-	models, err := core.TrainModels(full.Records, cfg.TopologyConfig(), core.TrainOptions{
+	models, err := core.TrainModels(full.Run.Records, sp.EngineConfig().TopologyConfig(), core.TrainOptions{
 		Hidden: 8, Layers: 1,
 		NN:   nn.TrainConfig{LR: 0.02, Batches: 20, Batch: 8, BPTT: 8, Seed: 1},
 		Seed: 1,
@@ -67,15 +77,16 @@ func ExampleCompareRTT() {
 	if err != nil {
 		panic(err)
 	}
-	truth, err := core.RunFull(cfg, false)
+	truth, err := scenario.Run(sp)
 	if err != nil {
 		panic(err)
 	}
-	hybrid, err := core.RunHybrid(cfg, models)
+	sp.Mode = "hybrid"
+	hybrid, err := scenario.Run(sp, scenario.WithModels(models))
 	if err != nil {
 		panic(err)
 	}
-	cmp, err := core.CompareRTT(truth, hybrid, 32)
+	cmp, err := core.CompareRTT(truth.Run, hybrid.Run, 32)
 	if err != nil {
 		panic(err)
 	}

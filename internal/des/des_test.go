@@ -508,6 +508,43 @@ func TestCancelRearmKeepsHeapShallow(t *testing.T) {
 	}
 }
 
+// The kernel's innermost loop allocates nothing with pooling on: one event
+// that reschedules itself each time it fires cycles a single object through
+// the free list.
+func TestPooledEventChurnAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	var step func()
+	step = func() { k.Schedule(1, step) }
+	k.Schedule(1, step)
+	for i := 0; i < 64; i++ { // warm the free list past the cold-start misses
+		k.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
+		t.Errorf("%.2f allocs per pooled event, want 0", allocs)
+	}
+}
+
+// The TCP RTO idiom (cancel the armed timer, arm a fresh one) allocates
+// nothing with pooling on: the pool absorbs both fired and canceled objects.
+func TestPooledCancelRearmAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	noop := func() {}
+	var timer *Event
+	var tick func()
+	tick = func() {
+		k.Cancel(timer)
+		timer = k.Schedule(10, noop)
+		k.Schedule(1, tick)
+	}
+	k.Schedule(1, tick)
+	for i := 0; i < 64; i++ {
+		k.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs != 0 {
+		t.Errorf("%.2f allocs per cancel+re-arm, want 0", allocs)
+	}
+}
+
 // A snapshot pins a pending event; canceling it afterwards takes it out of
 // the heap, and Restore must put it back exactly once, at a valid index.
 func TestRestoreResurrectsCanceledEventOnce(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"approxsim/internal/des"
 	"approxsim/internal/rng"
+	"approxsim/internal/topology"
 )
 
 // randGraph builds a random bipartite communication graph: block weights near
@@ -133,6 +135,46 @@ func TestSpineConcentratesChannels(t *testing.T) {
 	if spine.Channels >= cont.Channels {
 		t.Errorf("spine keeps %d active channels, contiguous %d — packing bought nothing",
 			spine.Channels, cont.Channels)
+	}
+}
+
+// TestPlacementBeatsContiguous runs the Fig. 1 leaf-spine workload (8 racks,
+// 4 LPs, load 0.7, 2 ms) over a fixed seed set: summed over the seeds, the
+// spine-aware and min-cut placements must each send fewer cross-LP packets
+// AND fewer null messages than contiguous. Cross-LP packets are exact for a
+// placement; the null count wobbles with goroutine timing, but whole channels
+// going quiescent moves it by far more than that jitter.
+func TestPlacementBeatsContiguous(t *testing.T) {
+	cfg := topology.DefaultLeafSpineConfig(8)
+	type sums struct{ cross, nulls uint64 }
+	total := map[string]sums{}
+	for _, name := range []string{"contiguous", "spine", "mincut"} {
+		part, err := ParsePartitioner(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{1, 2, 3, 42} {
+			res, err := runNetwork(cfg, 4, 0.7, 2*des.Millisecond, seed, NullMessages, nil, nil,
+				WithPartitioner(part))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violations != 0 || res.QuiescentSends != 0 {
+				t.Fatalf("%s seed=%d: %d violations, %d quiescent-channel sends",
+					name, seed, res.Violations, res.QuiescentSends)
+			}
+			s := total[name]
+			s.cross += res.CrossPkts
+			s.nulls += res.Nulls
+			total[name] = s
+		}
+	}
+	base := total["contiguous"]
+	for _, name := range []string{"spine", "mincut"} {
+		if s := total[name]; s.cross >= base.cross || s.nulls >= base.nulls {
+			t.Errorf("%s cross=%d nulls=%d does not beat contiguous cross=%d nulls=%d",
+				name, s.cross, s.nulls, base.cross, base.nulls)
+		}
 	}
 }
 

@@ -89,29 +89,14 @@ func Run(sp Spec, opts ...RunOption) (*Result, error) {
 	}
 	res := &Result{Spec: n, Key: key}
 	switch n.Mode {
-	case "full":
-		kind := core.CaptureNone
-		switch n.Capture {
-		case "cluster":
-			kind = core.CaptureCluster
-		case "wholenet":
-			kind = core.CaptureWholeNet
+	case "full", "hybrid", "blackbox":
+		var m *core.Models
+		if n.Mode != "full" {
+			if m, err = n.resolveModels(&ro); err != nil {
+				return nil, err
+			}
 		}
-		r, err := core.RunFullWithCapture(n.coreConfig(&ro), kind)
-		if err != nil {
-			return nil, err
-		}
-		res.Run, res.Metrics, res.Perf = r, metricsFromRun(r), perfFromRun(r)
-	case "hybrid", "blackbox":
-		m, err := n.resolveModels(&ro)
-		if err != nil {
-			return nil, err
-		}
-		run := core.RunHybrid
-		if n.Mode == "blackbox" {
-			run = core.RunBlackBox
-		}
-		r, err := run(n.coreConfig(&ro), m)
+		r, err := core.Run(n.coreConfig(&ro), n.boundary(), m)
 		if err != nil {
 			return nil, err
 		}
@@ -133,11 +118,24 @@ func Run(sp Spec, opts ...RunOption) (*Result, error) {
 }
 
 // EngineConfig returns the clos-mode engine config this spec describes, for
-// callers that must drive the engine directly in ways Run does not cover —
-// e.g. core.MeasureSpeedup, which interleaves its own full/hybrid run pairs.
-// Pdes-mode specs have no core.Config; they only run through Run.
+// callers that need its resolved topology (core.TrainModels reads feature
+// geometry from it). Pdes-mode specs have no core.Config; they only run
+// through Run.
 func (s Spec) EngineConfig() core.Config {
 	return s.Normalized().coreConfig(&runOptions{})
+}
+
+// boundary is the core pipeline boundary a clos-mode spec acts on: the one a
+// full run captures, or the one hybrid (per cluster) and blackbox (whole
+// network) replace with models.
+func (s Spec) boundary() core.Boundary {
+	switch {
+	case s.Mode == "hybrid" || s.Capture == "cluster":
+		return core.ClusterBoundary
+	case s.Mode == "blackbox" || s.Capture == "wholenet":
+		return core.WholeNetBoundary
+	}
+	return core.NoBoundary
 }
 
 // coreConfig assembles the clos-mode engine config (normalized specs only).

@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
+	"approxsim/internal/core"
 	"approxsim/internal/des"
+	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
 )
 
@@ -180,6 +183,26 @@ func TestRunDeterminism(t *testing.T) {
 				t.Fatalf("degenerate run: %+v", a.Metrics)
 			}
 		})
+	}
+}
+
+// TestFullModeWritesIntervalSeries: a full-mode run configured for interval
+// metrics streams at least one JSONL row per interval of the horizon, the
+// same as every other single-kernel mode.
+func TestFullModeWritesIntervalSeries(t *testing.T) {
+	const interval = 500 * des.Microsecond
+	sp := Spec{Mode: "full", Workload: Workload{Load: 0.3}, Seed: 5, HorizonMS: 2}
+	var buf bytes.Buffer
+	_, err := Run(sp, WithRegistry(metrics.NewRegistry()), WithCoreConfig(func(cfg *core.Config) {
+		cfg.MetricsInterval = interval
+		cfg.MetricsWriter = &buf
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := bytes.Count(buf.Bytes(), []byte("\n"))
+	if want := int(des.Time(sp.HorizonMS*float64(des.Millisecond)) / interval); rows < want {
+		t.Fatalf("%d JSONL rows written, want at least %d", rows, want)
 	}
 }
 
