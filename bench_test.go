@@ -4,8 +4,8 @@ import (
 	"io"
 	"testing"
 
-	"approxsim/internal/core"
 	"approxsim/internal/obs"
+	"approxsim/internal/pdes"
 	"approxsim/internal/scenario"
 )
 
@@ -35,8 +35,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var opts []scenario.RunOption
 				if v.opts != nil {
-					tracer := obs.New(v.opts())
-					opts = append(opts, scenario.WithCoreConfig(func(cfg *core.Config) { cfg.Trace = tracer }))
+					opts = append(opts, scenario.WithPDESOptions(pdes.WithObs(obs.New(v.opts()))))
 				}
 				res, err := scenario.Run(sp, opts...)
 				if err != nil {

@@ -37,7 +37,7 @@
 //	                     automatically on causality violation or rollback abort
 //	-dump FILE           where flight-recorder dumps go (default flight_recorder.json)
 //	-max-rollbacks N     abort a timewarp run after N rollbacks (0 = unlimited)
-//	-progress N          print a progress line to stderr every N virtual ms
+//	-progress N          print a progress line to stderr every N committed virtual ms
 //	-pprof ADDR          serve net/http/pprof on ADDR (e.g. localhost:6060)
 package main
 
@@ -46,9 +46,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"time"
 
 	"approxsim/internal/core"
 	"approxsim/internal/des"
@@ -267,37 +269,27 @@ func run(f *scenario.Flags, opts obsOptions) error {
 	}
 	defer orun.close()
 
-	ropts := []scenario.RunOption{}
+	// Every packet-level mode takes the engine options; fluid ignores them.
+	ropts := []scenario.RunOption{scenario.WithPDESOptions(pdesOptions(opts, orun, reg)...)}
 	if reg != nil {
 		ropts = append(ropts, scenario.WithRegistry(reg))
 	}
-	switch f.Mode {
-	case "pdes":
-		ropts = append(ropts, scenario.WithPDESOptions(pdesOptions(opts, orun, reg)...))
-	case "hybrid", "blackbox":
-		if f.Models == "" {
-			m, err := trainInProcess(sp, f.Mode)
-			if err != nil {
-				return err
-			}
-			ropts = append(ropts, scenario.WithModels(m))
+	if (f.Mode == "hybrid" || f.Mode == "blackbox") && f.Models == "" {
+		m, err := trainInProcess(sp, f.Mode)
+		if err != nil {
+			return err
 		}
-		fallthrough
-	default:
-		// Single-kernel modes take the observability plumbing through the
-		// engine config; fluid ignores it.
-		ropts = append(ropts, scenario.WithCoreConfig(func(cfg *core.Config) {
-			cfg.MetricsInterval = opts.interval
-			if orun.series != nil {
-				cfg.MetricsWriter = orun.series
-			}
-			cfg.Trace = orun.tracer
-			cfg.ProgressEvery = opts.progress
-			cfg.ProgressWriter = os.Stderr
-		}))
+		ropts = append(ropts, scenario.WithModels(m))
+	}
+	stopProgress := func() {}
+	if opts.progress > 0 {
+		prog := obs.NewProgress(des.Time(sp.Normalized().HorizonMS * float64(des.Millisecond)))
+		ropts = append(ropts, scenario.WithProgress(prog))
+		stopProgress = reportProgress(os.Stderr, prog, opts.progress)
 	}
 
 	res, runErr := scenario.Run(sp, ropts...)
+	stopProgress()
 	if runErr == nil {
 		report(res)
 	}
@@ -318,11 +310,50 @@ func run(f *scenario.Flags, opts obsOptions) error {
 	return nil
 }
 
+// reportProgress prints a progress line to w whenever the run's committed
+// virtual time crosses a multiple of every, and a last line when the
+// returned stop is called. It reads the same committed-time gauges the
+// scenario server serves for GET /v1/runs/{id}, so it works in every mode:
+// packet-level runs publish them live, fluid runs once at the end.
+func reportProgress(w io.Writer, prog *obs.Progress, every des.Time) (stop func()) {
+	start := time.Now()
+	line := func() {
+		t, wall := prog.Committed(), time.Since(start).Seconds()
+		rate := float64(0)
+		if wall > 0 {
+			rate = t.Seconds() / wall
+		}
+		fmt.Fprintf(w, "progress t=%v wall=%.3fs sim_per_wall=%.4g events=%d\n", t, wall, rate, prog.Events())
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(time.Millisecond)
+		defer ticker.Stop()
+		for next := every; ; {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
+				if t := prog.Committed(); t >= next {
+					line()
+					next = t - t%every + every
+				}
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+		line()
+	}
+}
+
 // pdesOptions translates the observability flags into engine options for a
-// pdes-mode run. Unlike the single-kernel modes the time-series sampler here
-// is polling-driven off the system's committed-time clock (System.Run manages
-// its lifecycle), because under optimistic sync a kernel-scheduled sample
-// could itself be rolled back.
+// packet-level run. System.Run manages the interval sampler's lifecycle: on
+// one LP it rides the kernel, on several it polls the committed-time clock,
+// because under optimistic sync a kernel-scheduled sample could itself be
+// rolled back.
 func pdesOptions(opts obsOptions, orun *obsRun, reg *metrics.Registry) []pdes.Option {
 	var popts []pdes.Option
 	if orun.tracer != nil {
@@ -374,8 +405,7 @@ func trainInProcess(sp scenario.Spec, mode string) (*core.Models, error) {
 	if err != nil {
 		return nil, err
 	}
-	topoCfg := core.Config{Clusters: trainSp.Topology.Clusters, DCTCP: trainSp.DCTCP}.TopologyConfig()
-	return core.TrainModels(res.Run.Records, topoCfg, core.TrainOptions{
+	return core.TrainModels(res.Run.Records, trainSp.EngineConfig().TopologyConfig(), core.TrainOptions{
 		Hidden: 16, Layers: 1,
 		NN:   nn.TrainConfig{LR: 0.02, Batches: 300, Batch: 16, BPTT: 16, Seed: sp.Seed},
 		Seed: sp.Seed,
@@ -400,7 +430,7 @@ func report(res *scenario.Result) {
 				fs.EgressDrops, fs.IngressDrops, fs.Conflicts)
 		}
 	}
-	if e := res.Experiment; e != nil {
+	if e := res.Experiment; e != nil && res.Spec.Mode == "pdes" {
 		fmt.Printf("sync=%s lps=%d nulls=%d barriers=%d cross_lp_packets=%d parked_arrivals=%d post_horizon_drops=%d violations=%d eit_stalls=%d\n",
 			res.Spec.Sync, e.LPs, e.Nulls, e.Barriers, e.CrossPkts,
 			e.ParkedArrivals, e.PostHorizonDrops, e.Violations, e.EITStalls)

@@ -61,7 +61,7 @@ func run(out, traceOut string, durMS int, load float64, seed uint64,
 	full := res.Run
 	eg, ing := trace.Split(full.Records)
 	fmt.Fprintf(os.Stderr, "captured %d egress and %d ingress traversals (%d events, %.2fs wall)\n",
-		len(eg), len(ing), full.Events, full.Wall.Seconds())
+		len(eg), len(ing), res.Perf.Events, res.Perf.WallSeconds)
 
 	if traceOut != "" {
 		f, err := os.Create(traceOut)

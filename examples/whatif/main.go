@@ -30,6 +30,8 @@ import (
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
 	"approxsim/internal/nn"
+	"approxsim/internal/obs"
+	"approxsim/internal/pdes"
 	"approxsim/internal/scenario"
 )
 
@@ -78,17 +80,14 @@ func main() {
 			HorizonMS: 4,
 		}
 		reg := metrics.NewRegistry()
-		tag := fmt.Sprintf("buffer=%dpkt", frames)
+		// Interval telemetry: one tagged row per virtual millisecond of this
+		// sweep point, appended to the shared JSONL file.
+		sampler := obs.NewSampler(reg, series, des.Millisecond)
+		sampler.SetTag(fmt.Sprintf("buffer=%dpkt", frames))
 		res, err := scenario.Run(sp,
 			scenario.WithModels(models),
 			scenario.WithRegistry(reg),
-			// Interval telemetry: one tagged row per virtual millisecond of
-			// this sweep point, appended to the shared JSONL file.
-			scenario.WithCoreConfig(func(cfg *core.Config) {
-				cfg.MetricsInterval = des.Millisecond
-				cfg.MetricsWriter = series
-				cfg.MetricsTag = tag
-			}))
+			scenario.WithPDESOptions(pdes.WithSampler(sampler)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -92,13 +92,13 @@ func TestFullDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Run.Events != b.Run.Events {
-		t.Errorf("event counts differ: %d vs %d", a.Run.Events, b.Run.Events)
+	if a.Perf.Events != b.Perf.Events {
+		t.Errorf("event counts differ: %d vs %d", a.Perf.Events, b.Perf.Events)
 	}
-	if a.Run.Summary.Completed != b.Run.Summary.Completed ||
-		a.Run.Summary.TotalBytes != b.Run.Summary.TotalBytes ||
-		a.Run.Summary.Retrans != b.Run.Summary.Retrans {
-		t.Errorf("summaries differ: %+v vs %+v", a.Run.Summary, b.Run.Summary)
+	if a.Metrics.Completed != b.Metrics.Completed ||
+		a.Metrics.TotalBytes != b.Metrics.TotalBytes ||
+		a.Metrics.Retrans != b.Metrics.Retrans {
+		t.Errorf("summaries differ: %+v vs %+v", a.Metrics, b.Metrics)
 	}
 	if a.Run.RTTs.Len() != b.Run.RTTs.Len() {
 		t.Errorf("RTT sample counts differ: %d vs %d", a.Run.RTTs.Len(), b.Run.RTTs.Len())

@@ -29,13 +29,18 @@ func trainPredictors(t *testing.T) (*topology.Topology, *micro.Predictor, *micro
 		stacks[i] = tcp.NewStack(h, tcp.Config{})
 	}
 	rec := trace.AttachBoundary(topo, 0)
-	g, err := traffic.NewGenerator(k, stacks, traffic.Config{
-		Load: 0.4, HostBandwidthBps: 10e9, Seed: 51,
-	})
+	hosts := make([]packet.HostID, len(stacks))
+	for i := range hosts {
+		hosts[i] = packet.HostID(i)
+	}
+	specs, err := traffic.GenerateSpecs(traffic.Config{Load: 0.4, HostBandwidthBps: 10e9, Seed: 51}, hosts, 4*des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Start(4 * des.Millisecond)
+	for _, sp := range specs {
+		stack := stacks[sp.Src]
+		k.At(sp.At, func() { stack.StartFlow(sp.Dst, sp.Size, sp.ID, nil) })
+	}
 	k.Run(6 * des.Millisecond)
 
 	cfg := micro.TrainConfig{
@@ -278,13 +283,18 @@ func TestEnsembleDrivesFabric(t *testing.T) {
 		stacks[i] = tcp.NewStack(h, tcp.Config{})
 	}
 	rec := trace.AttachBoundary(topo, 0)
-	g, err := traffic.NewGenerator(k, stacks, traffic.Config{
-		Load: 0.4, HostBandwidthBps: 10e9, Seed: 61,
-	})
+	hosts := make([]packet.HostID, len(stacks))
+	for i := range hosts {
+		hosts[i] = packet.HostID(i)
+	}
+	specs, err := traffic.GenerateSpecs(traffic.Config{Load: 0.4, HostBandwidthBps: 10e9, Seed: 61}, hosts, 4*des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Start(4 * des.Millisecond)
+	for _, sp := range specs {
+		stack := stacks[sp.Src]
+		k.At(sp.At, func() { stack.StartFlow(sp.Dst, sp.Size, sp.ID, nil) })
+	}
 	k.Run(6 * des.Millisecond)
 
 	cfg := micro.TrainConfig{

@@ -124,13 +124,18 @@ func captureTraining(t *testing.T, durMs int) (*topology.Topology, []trace.Recor
 		stacks[i] = tcp.NewStack(h, tcp.Config{})
 	}
 	rec := trace.AttachBoundary(topo, 0)
-	g, err := traffic.NewGenerator(k, stacks, traffic.Config{
-		Load: 0.5, HostBandwidthBps: 10e9, Seed: 33,
-	})
+	hosts := make([]packet.HostID, len(stacks))
+	for i := range hosts {
+		hosts[i] = packet.HostID(i)
+	}
+	specs, err := traffic.GenerateSpecs(traffic.Config{Load: 0.5, HostBandwidthBps: 10e9, Seed: 33}, hosts, des.Time(durMs)*des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Start(des.Time(durMs) * des.Millisecond)
+	for _, sp := range specs {
+		stack := stacks[sp.Src]
+		k.At(sp.At, func() { stack.StartFlow(sp.Dst, sp.Size, sp.ID, nil) })
+	}
 	k.Run(des.Time(durMs+3) * des.Millisecond)
 	return topo, rec.Records
 }

@@ -299,6 +299,9 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 	// Perfetto process, device = named thread track); the Tracer/Buf methods
 	// are nil-safe, so the untraced path costs nothing.
 	tr := n.Sys.Tracer()
+	// A fabric that marks ECN is a DCTCP fabric (see core.Config.DCTCP):
+	// its hosts run the proportional ECN response.
+	tcpCfg := tcp.Config{DCTCP: cfg.FabricLink.ECNThresholdBytes > 0}
 	tor, _, _ := cfg.Bases()
 	for id := tor; int(id) < cfg.NumNodes(); id++ {
 		lp := n.Sys.LP(n.lpOf[id])
@@ -311,7 +314,7 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 	for h := 0; h < cfg.NumHosts(); h++ {
 		lp := n.Sys.LP(n.lpOf[h])
 		host := netsim.NewHost(lp.Kernel(), packet.HostID(h), packet.NodeID(h))
-		stack := tcp.NewStack(host, tcp.Config{})
+		stack := tcp.NewStack(host, tcpCfg)
 		host.SetTrace(lp.Trace())
 		stack.SetTrace(lp.Trace())
 		tr.NameThread(int32(lp.ID()), int32(h), cfg.NodeName(packet.NodeID(h)))
@@ -476,6 +479,17 @@ func (n *Network) SetFaults(sched *faults.Schedule) error {
 	return nil
 }
 
+// Topology exposes the devices of a one-LP network as a topology.Topology on
+// that LP's kernel, for the packages that act on one: boundary capture, the
+// approximation splice and model features. Its Route is the healthy
+// arithmetic; the switches keep routing through the network.
+func (n *Network) Topology() (*topology.Topology, error) {
+	if lps := n.Sys.NumLPs(); lps != 1 {
+		return nil, fmt.Errorf("pdes: a Topology view needs one LP, the network has %d", lps)
+	}
+	return topology.Assemble(n.Sys.LP(0).Kernel(), n.Cfg, n.Hosts, n.Switches), nil
+}
+
 // switchByID maps a NodeID to the owning switch, nil for hosts.
 func (n *Network) switchByID(id packet.NodeID) *netsim.Switch {
 	tor, _, _ := n.Cfg.Bases()
@@ -595,6 +609,7 @@ type ExperimentResult struct {
 	MeanFCTSec float64
 	P99FCTSec  float64
 	// Transport summary over completed flows (see traffic.Summarize).
+	TotalBytes int64
 	Retrans    uint64
 	Timeouts   uint64
 	GoodputBps float64
@@ -654,6 +669,7 @@ func (n *Network) AssembleResult(st Stats, dur des.Time, wall time.Duration) *Ex
 	res.FlowsCompleted = sum.Completed
 	res.MeanFCTSec = sum.MeanFCT
 	res.P99FCTSec = sum.P99FCT
+	res.TotalBytes = sum.TotalBytes
 	res.Retrans = sum.Retrans
 	res.Timeouts = sum.Timeouts
 	res.GoodputBps = sum.GoodputBps

@@ -204,12 +204,14 @@ func WithAdaptiveWindow(min, max des.Time) Option {
 func WithObs(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithSampler attaches an interval metrics sampler whose lifecycle Run
-// manages: a wall-clock poller over the system's committed virtual time (GVT
-// under Time Warp, the minimum kernel clock under the conservative engines)
-// starts when Run starts and is closed — emitting the final row — when Run
-// returns. Polling committed time is what makes interval rows safe under
-// optimism: a sampler event inside a speculative kernel would be rolled back
-// and re-fired. A nil sampler is ignored.
+// manages: on several LPs a wall-clock poller over the system's committed
+// virtual time (GVT under Time Warp, the minimum kernel clock under the
+// conservative engines) starts when Run starts; on one LP the sampler is a
+// recurring event on its kernel, sampling at exact sim-time boundaries.
+// Either way it is closed — emitting the final row — when Run returns.
+// Polling committed time is what makes interval rows safe under optimism: a
+// sampler event inside a speculative kernel would be rolled back and
+// re-fired. A nil sampler is ignored.
 func WithSampler(s *obs.Sampler) Option { return func(c *config) { c.sampler = s } }
 
 // WithSamplerPoll sets the wall-clock poll period of the Run-managed sampler

@@ -242,11 +242,11 @@ func NewSystem(n int, opts ...Option) *System {
 	}
 	s.window = int64(w)
 	for i := 0; i < n; i++ {
-		lp := &LP{
-			id:     i,
-			sys:    s,
-			kernel: des.NewKernel(),
-			inbox:  make(chan message, cfg.inboxCap),
+		lp := &LP{id: i, sys: s, kernel: des.NewKernel()}
+		if n > 1 {
+			// A lone LP has no cross-LP channel, so it never receives a
+			// message; a nil inbox spares it the full-capacity buffer.
+			lp.inbox = make(chan message, cfg.inboxCap)
 		}
 		lp.kernel.SetPooling(cfg.pool)
 		if cfg.tracer != nil {
@@ -468,7 +468,14 @@ func (s *System) ActiveChannels() int {
 // algorithms; Time Warp fails when WithMaxRollbacks is exceeded.
 func (s *System) Run(end des.Time) error {
 	if sp := s.cfg.sampler; sp != nil {
-		sp.StartPolling(s.CommittedTime, s.cfg.samplerPoll)
+		if len(s.lps) == 1 {
+			// Every algorithm runs a lone LP as its plain kernel, so the
+			// sampler rides that kernel as a recurring event: rows land at
+			// exact sim-time boundaries, race-free.
+			sp.InstallKernel(s.lps[0].kernel, end)
+		} else {
+			sp.StartPolling(s.CommittedTime, s.cfg.samplerPoll)
+		}
 	}
 	if stopWatch := s.startStallWatchdog(); stopWatch != nil {
 		defer stopWatch()

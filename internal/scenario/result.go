@@ -71,35 +71,30 @@ type Result struct {
 	Metrics Metrics `json:"metrics"`
 	Perf    Perf    `json:"perf"`
 
-	// Engine-native results for callers that need more than the summary
-	// (RTT CDFs, boundary captures, fabric stats, partition layout). Exactly
-	// one is non-nil, per mode; neither serializes.
+	// Engine-native results for callers that need more than the summary,
+	// never serialized. Experiment is the assembled packet-level result
+	// (partition layout, sync counters) of every mode but fluid; Run adds
+	// what the paper's pipeline measured (RTT samples, boundary captures,
+	// fabric stats) in the clos modes full, hybrid and blackbox.
 	Run        *core.RunResult        `json:"-"`
 	Experiment *pdes.ExperimentResult `json:"-"`
 }
 
-// metricsFromRun reduces a clos-mode engine result to the deterministic block.
-func metricsFromRun(r *core.RunResult) Metrics {
-	s := r.Summary
-	m := Metrics{
-		Flows:      s.Flows,
-		Completed:  s.Completed,
-		MeanFCTSec: s.MeanFCT,
-		P99FCTSec:  s.P99FCT,
-		TotalBytes: s.TotalBytes,
-		Retrans:    s.Retrans,
-		Timeouts:   s.Timeouts,
-		GoodputBps: s.GoodputBps,
-	}
-	if r.RTTs != nil && r.RTTs.Len() > 0 {
+// addPipeline adds what only a clos run's pipeline and transport summary
+// report: delivered bytes and the observed cluster's RTT quantiles. Pdes-mode
+// results have never carried total_bytes; adding it there would change every
+// committed pdes-mode Metrics block.
+func (m *Metrics) addPipeline(e *pdes.ExperimentResult, r *core.RunResult) {
+	m.TotalBytes = e.TotalBytes
+	if r.RTTs.Len() > 0 {
 		m.RTTSamples = r.RTTs.Len()
 		m.RTTP50Sec = r.RTTs.Quantile(0.5)
 		m.RTTP99Sec = r.RTTs.Quantile(0.99)
 	}
-	return m
 }
 
-// metricsFromExperiment reduces a pdes-mode result to the deterministic block.
+// metricsFromExperiment reduces a packet-level result to the deterministic
+// block. Flows counts flows started, in every mode.
 func metricsFromExperiment(r *pdes.ExperimentResult) Metrics {
 	return Metrics{
 		Flows:      r.FlowsStarted,
@@ -119,17 +114,7 @@ func metricsFromExperiment(r *pdes.ExperimentResult) Metrics {
 	}
 }
 
-// perfFromRun reduces a clos-mode engine result to the performance block.
-func perfFromRun(r *core.RunResult) Perf {
-	return Perf{
-		WallSeconds: r.Wall.Seconds(),
-		SimSeconds:  r.SimTime.Seconds(),
-		SimPerWall:  r.SimSecondsPerSecond(),
-		Events:      r.Events,
-	}
-}
-
-// perfFromExperiment reduces a pdes-mode result to the performance block.
+// perfFromExperiment reduces a packet-level result to the performance block.
 func perfFromExperiment(r *pdes.ExperimentResult, forked bool) Perf {
 	return Perf{
 		WallSeconds:      r.WallSeconds,

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"testing"
 
-	"approxsim/internal/core"
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
+	"approxsim/internal/pdes"
 )
 
 // mustMetricsJSON canonicalizes a Metrics block for bit-level comparison —
@@ -193,10 +193,8 @@ func TestFullModeWritesIntervalSeries(t *testing.T) {
 	const interval = 500 * des.Microsecond
 	sp := Spec{Mode: "full", Workload: Workload{Load: 0.3}, Seed: 5, HorizonMS: 2}
 	var buf bytes.Buffer
-	_, err := Run(sp, WithRegistry(metrics.NewRegistry()), WithCoreConfig(func(cfg *core.Config) {
-		cfg.MetricsInterval = interval
-		cfg.MetricsWriter = &buf
-	}))
+	reg := metrics.NewRegistry()
+	_, err := Run(sp, WithRegistry(reg), WithPDESOptions(pdes.WithSampler(obs.NewSampler(reg, &buf, interval))))
 	if err != nil {
 		t.Fatal(err)
 	}

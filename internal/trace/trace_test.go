@@ -250,13 +250,18 @@ func TestRealisticTrainingCapture(t *testing.T) {
 	// cluster 0 for several milliseconds. Verify the capture has both
 	// directions and a sane latency distribution.
 	k, _, stacks, rec := testbed(t)
-	g, err := traffic.NewGenerator(k, stacks, traffic.Config{
-		Load: 0.4, HostBandwidthBps: 10e9, Seed: 21,
-	})
+	hosts := make([]packet.HostID, len(stacks))
+	for i := range hosts {
+		hosts[i] = packet.HostID(i)
+	}
+	specs, err := traffic.GenerateSpecs(traffic.Config{Load: 0.4, HostBandwidthBps: 10e9, Seed: 21}, hosts, 5*des.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Start(5 * des.Millisecond)
+	for _, sp := range specs {
+		stack := stacks[sp.Src]
+		k.At(sp.At, func() { stack.StartFlow(sp.Dst, sp.Size, sp.ID, nil) })
+	}
 	k.Run(8 * des.Millisecond)
 	eg, ing := Split(rec.Records)
 	if len(eg) < 50 || len(ing) < 50 {

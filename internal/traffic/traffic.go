@@ -133,127 +133,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Generator schedules flow arrivals onto a set of TCP stacks.
-type Generator struct {
-	cfg    Config
-	kernel *des.Kernel
-	stacks []*tcp.Stack // indexed by HostID
-	src    *rng.Source
-
+// generator draws arrivals, endpoints and sizes from one seeded stream.
+type generator struct {
+	cfg        Config
+	src        *rng.Source
 	nextFlowID uint64
-	started    uint64
-	stopped    bool
 	touch      map[packet.HostID]bool
 
-	// Results accumulates every completed flow from this workload.
-	Results []tcp.FlowResult
-
-	// eligible are the hosts that may source or sink traffic; defaults to
-	// all stacks, restricted by SetEligibleHosts.
+	// eligible are the hosts that may source or sink traffic.
 	eligible []packet.HostID
 	// perm is the fixed destination mapping for the Permutation pattern,
 	// built lazily from the first pick.
 	perm []int
 }
 
-// NewGenerator creates a workload over stacks (indexed by host ID; entries
-// may be nil for hosts that do not participate).
-func NewGenerator(k *des.Kernel, stacks []*tcp.Stack, cfg Config) (*Generator, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g := &Generator{
-		cfg:        cfg,
-		kernel:     k,
-		stacks:     stacks,
-		src:        rng.NewLabeled(cfg.Seed, "traffic"),
-		nextFlowID: cfg.FirstFlowID,
-	}
-	for i, s := range stacks {
-		if s != nil {
-			g.eligible = append(g.eligible, packet.HostID(i))
-		}
-	}
-	if len(g.eligible) < 2 {
-		return nil, fmt.Errorf("traffic: need at least 2 participating hosts")
-	}
-	if len(cfg.MustTouch) > 0 {
-		g.touch = make(map[packet.HostID]bool, len(cfg.MustTouch))
-		for _, h := range cfg.MustTouch {
-			g.touch[h] = true
-		}
-	}
-	return g, nil
-}
-
-// SetEligibleHosts restricts traffic endpoints to the given hosts. The
-// hybrid simulation uses this to elide flows wholly between approximated
-// clusters (paper §6.2) by listing only hosts whose traffic matters.
-func (g *Generator) SetEligibleHosts(hosts []packet.HostID) {
-	g.eligible = append([]packet.HostID(nil), hosts...)
-}
-
-// ArrivalRate returns the calibrated network-wide flow arrival rate in
+// arrivalRate returns the calibrated network-wide flow arrival rate in
 // flows per second: load × aggregate host bandwidth / mean flow size.
-func (g *Generator) ArrivalRate() float64 {
+func (g *generator) arrivalRate() float64 {
 	meanBits := g.cfg.SizeCDF.Mean() * 8
 	aggBps := float64(g.cfg.HostBandwidthBps) * float64(len(g.eligible))
 	return g.cfg.Load * aggBps / meanBits
 }
 
-// Start begins scheduling arrivals until stop time horizon; flows started
-// before the horizon run to completion.
-func (g *Generator) Start(until des.Time) {
-	g.scheduleNext(until)
-}
-
-// Stop prevents further arrivals (in-flight flows continue).
-func (g *Generator) Stop() { g.stopped = true }
-
-// Started returns how many flows the generator has launched.
-func (g *Generator) Started() uint64 { return g.started }
-
-func (g *Generator) scheduleNext(until des.Time) {
-	if g.stopped {
-		return
-	}
-	gap := des.FromSeconds(g.src.Exp(g.ArrivalRate()))
-	if gap < 1 {
-		gap = 1
-	}
-	next := g.kernel.Now() + gap
-	if next > until {
-		return
-	}
-	g.kernel.At(next, func() {
-		g.launchOne()
-		g.scheduleNext(until)
-	})
-}
-
-func (g *Generator) launchOne() {
-	src, dst := g.pickPair()
-	size := int64(g.cfg.SizeCDF.Sample(g.src))
-	if size < 1 {
-		size = 1
-	}
-	if g.touch != nil && !g.touch[src] && !g.touch[dst] {
-		// The flow exists in the modeled data center but runs wholly
-		// between approximated clusters: elide it from the flow schedule
-		// (paper section 6.2). Thinning (rather than resampling) keeps the
-		// arrival rate of the surviving flows identical to the full run's.
-		return
-	}
-	id := g.nextFlowID
-	g.nextFlowID++
-	g.started++
-	g.stacks[src].StartFlow(dst, size, id, func(r tcp.FlowResult) {
-		g.Results = append(g.Results, r)
-	})
-}
-
-func (g *Generator) pickPair() (src, dst packet.HostID) {
+func (g *generator) pickPair() (src, dst packet.HostID) {
 	n := len(g.eligible)
 	cs := g.cfg.ClusterSize
 	switch g.cfg.Pattern {
@@ -365,10 +267,10 @@ func quantile(xs []float64, q float64) float64 {
 	return ys[idx]
 }
 
-// FlowSpec is one pre-generated flow arrival. The PDES engine uses static
-// schedules because arrivals must be scheduled on the source host's logical
-// process, and the single-threaded comparison run must see the identical
-// workload.
+// FlowSpec is one pre-generated flow arrival. Every packet-level engine runs
+// static schedules: arrivals are scheduled on the source host's logical
+// process at build time, and the same schedule declares the workload to the
+// partitioner and the channel-quiescence analysis.
 type FlowSpec struct {
 	At       des.Time
 	Src, Dst packet.HostID
@@ -387,7 +289,7 @@ func GenerateSpecs(cfg Config, hosts []packet.HostID, until des.Time) ([]FlowSpe
 	if len(hosts) < 2 {
 		return nil, fmt.Errorf("traffic: need at least 2 hosts")
 	}
-	g := &Generator{
+	g := &generator{
 		cfg:        cfg,
 		src:        rng.NewLabeled(cfg.Seed, "traffic"),
 		nextFlowID: cfg.FirstFlowID,
@@ -399,7 +301,7 @@ func GenerateSpecs(cfg Config, hosts []packet.HostID, until des.Time) ([]FlowSpe
 			g.touch[h] = true
 		}
 	}
-	rate := g.ArrivalRate()
+	rate := g.arrivalRate()
 	var specs []FlowSpec
 	t := des.Time(0)
 	for {
@@ -416,9 +318,10 @@ func GenerateSpecs(cfg Config, hosts []packet.HostID, until des.Time) ([]FlowSpe
 		if size < 1 {
 			size = 1
 		}
-		// Seed parity with the live Generator (launchOne): thin MustTouch
-		// misses AFTER the pair and size draws and WITHOUT consuming a flow
-		// ID, so the same seed yields the same flow list either way.
+		// Thin MustTouch misses AFTER the pair and size draws and WITHOUT
+		// consuming a flow ID: the surviving flows keep the arrival times,
+		// endpoints and sizes they have in the unthinned schedule (and the
+		// arrival rate of the full run), numbered densely.
 		if g.touch != nil && !g.touch[src] && !g.touch[dst] {
 			continue
 		}

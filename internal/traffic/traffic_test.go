@@ -70,41 +70,59 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
-func TestArrivalRateCalibration(t *testing.T) {
-	k, _, stacks := testbed(t)
-	_ = k
-	g, err := NewGenerator(k, stacks, Config{
-		Load: 0.5, HostBandwidthBps: 10e9, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// allHosts lists the testbed's 16 hosts.
+func allHosts() []packet.HostID {
+	hosts := make([]packet.HostID, 16)
+	for i := range hosts {
+		hosts[i] = packet.HostID(i)
 	}
+	return hosts
+}
+
+// launch generates cfg's schedule over hosts until the horizon, starts every
+// flow on a fresh testbed at its arrival time, runs the network to
+// quiescence and returns the schedule and the completed flows' results.
+func launch(t *testing.T, cfg Config, hosts []packet.HostID, until des.Time) ([]FlowSpec, []tcp.FlowResult) {
+	if t != nil {
+		t.Helper()
+	}
+	specs, err := GenerateSpecs(cfg, hosts, until)
+	if err != nil {
+		panic(err)
+	}
+	k, _, stacks := testbed(t)
+	var done []tcp.FlowResult
+	for _, sp := range specs {
+		stack := stacks[sp.Src]
+		k.At(sp.At, func() {
+			stack.StartFlow(sp.Dst, sp.Size, sp.ID, func(r tcp.FlowResult) { done = append(done, r) })
+		})
+	}
+	k.RunAll()
+	return specs, done
+}
+
+func TestArrivalRateCalibration(t *testing.T) {
+	cfg := Config{Load: 0.5, HostBandwidthBps: 10e9, Seed: 1}.withDefaults()
+	g := &generator{cfg: cfg, eligible: allHosts()}
 	// rate = 0.5 * 16 hosts * 10e9 bps / (mean*8 bits).
 	mean := WebSearchCDF().Mean()
 	want := 0.5 * 16 * 10e9 / (mean * 8)
-	if got := g.ArrivalRate(); math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("ArrivalRate = %v, want %v", got, want)
+	if got := g.arrivalRate(); math.Abs(got-want)/want > 1e-9 {
+		t.Errorf("arrivalRate = %v, want %v", got, want)
 	}
 }
 
 func TestGeneratorRunsFlows(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
-		Load: 0.3, HostBandwidthBps: 10e9, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start(5 * des.Millisecond)
-	k.RunAll()
-	if g.Started() == 0 {
+	specs, done := launch(t, Config{Load: 0.3, HostBandwidthBps: 10e9, Seed: 7}, allHosts(), 5*des.Millisecond)
+	if len(specs) == 0 {
 		t.Fatal("no flows started in 5ms at 30% load")
 	}
-	if len(g.Results) == 0 {
+	if len(done) == 0 {
 		t.Fatal("no flows completed")
 	}
 	comp := 0
-	for _, r := range g.Results {
+	for _, r := range done {
 		if r.Completed {
 			comp++
 		}
@@ -115,14 +133,9 @@ func TestGeneratorRunsFlows(t *testing.T) {
 }
 
 func TestDeterministicWorkload(t *testing.T) {
-	run := func() (uint64, int) {
-		k, _, stacks := testbed(nil)
-		g, _ := NewGenerator(k, stacks, Config{
-			Load: 0.3, HostBandwidthBps: 10e9, Seed: 42,
-		})
-		g.Start(3 * des.Millisecond)
-		k.RunAll()
-		return g.Started(), len(g.Results)
+	run := func() (int, int) {
+		specs, done := launch(nil, Config{Load: 0.3, HostBandwidthBps: 10e9, Seed: 42}, allHosts(), 3*des.Millisecond)
+		return len(specs), len(done)
 	}
 	s1, r1 := run()
 	s2, r2 := run()
@@ -132,14 +145,12 @@ func TestDeterministicWorkload(t *testing.T) {
 }
 
 func TestSeedChangesWorkload(t *testing.T) {
-	run := func(seed uint64) uint64 {
-		k, _, stacks := testbed(nil)
-		g, _ := NewGenerator(k, stacks, Config{
-			Load: 0.3, HostBandwidthBps: 10e9, Seed: seed,
-		})
-		g.Start(3 * des.Millisecond)
-		k.RunAll()
-		return g.Started()
+	run := func(seed uint64) int {
+		specs, err := GenerateSpecs(Config{Load: 0.3, HostBandwidthBps: 10e9, Seed: seed}, allHosts(), 3*des.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(specs)
 	}
 	// Different seeds should (overwhelmingly) give different arrival counts;
 	// accept equality of counts only if it happens for one pair.
@@ -149,20 +160,15 @@ func TestSeedChangesWorkload(t *testing.T) {
 }
 
 func TestInterClusterPattern(t *testing.T) {
-	k, topo, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
+	_, topo, _ := testbed(t)
+	_, done := launch(t, Config{
 		Pattern: InterCluster, Load: 0.3, HostBandwidthBps: 10e9,
 		Seed: 3, ClusterSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start(3 * des.Millisecond)
-	k.RunAll()
-	if len(g.Results) == 0 {
+	}, allHosts(), 3*des.Millisecond)
+	if len(done) == 0 {
 		t.Fatal("no completions")
 	}
-	for _, r := range g.Results {
+	for _, r := range done {
 		if topo.ClusterOf(r.Src) == topo.ClusterOf(r.Dst) {
 			t.Fatalf("flow %d is intra-cluster (%d->%d) under InterCluster pattern",
 				r.FlowID, r.Src, r.Dst)
@@ -171,17 +177,12 @@ func TestInterClusterPattern(t *testing.T) {
 }
 
 func TestIntraClusterPattern(t *testing.T) {
-	k, topo, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
+	_, topo, _ := testbed(t)
+	_, done := launch(t, Config{
 		Pattern: IntraCluster, Load: 0.3, HostBandwidthBps: 10e9,
 		Seed: 3, ClusterSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start(3 * des.Millisecond)
-	k.RunAll()
-	for _, r := range g.Results {
+	}, allHosts(), 3*des.Millisecond)
+	for _, r := range done {
 		if topo.ClusterOf(r.Src) != topo.ClusterOf(r.Dst) {
 			t.Fatalf("flow %d crossed clusters under IntraCluster pattern", r.FlowID)
 		}
@@ -189,18 +190,12 @@ func TestIntraClusterPattern(t *testing.T) {
 }
 
 func TestIncastPattern(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
+	_, done := launch(t, Config{
 		Pattern: Incast, Load: 0.4, HostBandwidthBps: 10e9,
 		Seed: 5, IncastFanIn: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start(3 * des.Millisecond)
-	k.RunAll()
+	}, allHosts(), 3*des.Millisecond)
 	// 16 hosts, fan-in 7 -> 2 receivers (hosts 0 and 1).
-	for _, r := range g.Results {
+	for _, r := range done {
 		if r.Dst > 1 {
 			t.Fatalf("incast receiver %d outside expected set", r.Dst)
 		}
@@ -210,20 +205,12 @@ func TestIncastPattern(t *testing.T) {
 	}
 }
 
+// The hosts argument is the eligible set: no flow leaves it.
 func TestEligibleHostsRestriction(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
-		Load: 0.3, HostBandwidthBps: 10e9, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	allowed := []packet.HostID{0, 1, 2, 3}
-	g.SetEligibleHosts(allowed)
-	g.Start(3 * des.Millisecond)
-	k.RunAll()
+	_, done := launch(t, Config{Load: 0.3, HostBandwidthBps: 10e9, Seed: 9}, allowed, 3*des.Millisecond)
 	inSet := func(h packet.HostID) bool { return h <= 3 }
-	for _, r := range g.Results {
+	for _, r := range done {
 		if !inSet(r.Src) || !inSet(r.Dst) {
 			t.Fatalf("flow %d->%d escaped eligible set", r.Src, r.Dst)
 		}
@@ -231,14 +218,11 @@ func TestEligibleHostsRestriction(t *testing.T) {
 }
 
 func TestFlowIDsUnique(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, _ := NewGenerator(k, stacks, Config{
+	_, done := launch(t, Config{
 		Load: 0.5, HostBandwidthBps: 10e9, Seed: 11, FirstFlowID: 1000,
-	})
-	g.Start(3 * des.Millisecond)
-	k.RunAll()
+	}, allHosts(), 3*des.Millisecond)
 	seen := map[uint64]bool{}
-	for _, r := range g.Results {
+	for _, r := range done {
 		if r.FlowID < 1000 {
 			t.Fatalf("flow id %d below FirstFlowID", r.FlowID)
 		}
@@ -249,19 +233,28 @@ func TestFlowIDsUnique(t *testing.T) {
 	}
 }
 
+// Arrivals stop at the horizon: a shorter horizon's schedule is exactly the
+// prefix of a longer one's.
 func TestStopHaltsArrivals(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, _ := NewGenerator(k, stacks, Config{
-		Load: 0.3, HostBandwidthBps: 10e9, Seed: 13,
-	})
-	g.Start(50 * des.Millisecond)
-	k.Run(des.Millisecond)
-	g.Stop()
-	at := g.Started()
-	k.RunAll()
-	// One arrival may already be enqueued past the stop; allow +1.
-	if g.Started() > at+1 {
-		t.Errorf("arrivals continued after Stop: %d -> %d", at, g.Started())
+	cfg := Config{Load: 0.3, HostBandwidthBps: 10e9, Seed: 13}
+	short, err := GenerateSpecs(cfg, allHosts(), des.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := GenerateSpecs(cfg, allHosts(), 50*des.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(short) == 0 || len(long) <= len(short) {
+		t.Fatalf("%d arrivals in 1ms, %d in 50ms", len(short), len(long))
+	}
+	for i, sp := range short {
+		if sp.At > des.Millisecond || sp != long[i] {
+			t.Fatalf("arrival %d: %+v past the horizon or not a prefix of %+v", i, sp, long[i])
+		}
+	}
+	if long[len(short)].At <= des.Millisecond {
+		t.Errorf("arrival %+v within the horizon missing from the short schedule", long[len(short)])
 	}
 }
 
@@ -288,29 +281,20 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestNeedTwoHosts(t *testing.T) {
-	k := des.NewKernel()
-	if _, err := NewGenerator(k, make([]*tcp.Stack, 5), Config{
-		Load: 0.5, HostBandwidthBps: 1e9,
-	}); err == nil {
+	if _, err := GenerateSpecs(Config{Load: 0.5, HostBandwidthBps: 1e9}, nil, des.Millisecond); err == nil {
 		t.Error("generator accepted zero participating hosts")
 	}
 }
 
 func TestMustTouchRestriction(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
+	_, done := launch(t, Config{
 		Load: 0.4, HostBandwidthBps: 10e9, Seed: 15,
 		MustTouch: []packet.HostID{0, 1, 2, 3, 4, 5, 6, 7}, // cluster 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start(3 * des.Millisecond)
-	k.RunAll()
-	if len(g.Results) == 0 {
+	}, allHosts(), 3*des.Millisecond)
+	if len(done) == 0 {
 		t.Fatal("no flows completed")
 	}
-	for _, r := range g.Results {
+	for _, r := range done {
 		if r.Src > 7 && r.Dst > 7 {
 			t.Fatalf("flow %d->%d touches no cluster-0 host", r.Src, r.Dst)
 		}
@@ -349,21 +333,15 @@ func TestGenerateSpecs(t *testing.T) {
 }
 
 func TestPermutationPattern(t *testing.T) {
-	k, _, stacks := testbed(t)
-	g, err := NewGenerator(k, stacks, Config{
+	_, done := launch(t, Config{
 		Pattern: Permutation, Load: 0.4, HostBandwidthBps: 10e9, Seed: 19,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start(4 * des.Millisecond)
-	k.RunAll()
-	if len(g.Results) == 0 {
+	}, allHosts(), 4*des.Millisecond)
+	if len(done) == 0 {
 		t.Fatal("no completions")
 	}
 	// Every source must map to exactly one destination, never itself.
 	seen := map[packet.HostID]packet.HostID{}
-	for _, r := range g.Results {
+	for _, r := range done {
 		if r.Src == r.Dst {
 			t.Fatalf("permutation produced a self-flow at host %d", r.Src)
 		}
