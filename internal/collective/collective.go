@@ -19,6 +19,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -207,6 +208,9 @@ func parseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(u, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("collective: bad size %q: %v", s, err)
+	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("collective: size %q overflows", s)
 	}
 	return n * mult, nil
 }

@@ -383,7 +383,8 @@ func parseClause(clause string, resolve func(string) (packet.NodeID, error)) (Fa
 }
 
 // ParseDuration parses a virtual-time duration like "500us", "1.5ms", "2s",
-// or a bare nanosecond count.
+// or a bare nanosecond count. Negative, non-finite and unrepresentable
+// durations are errors.
 func ParseDuration(s string) (des.Time, error) {
 	s = strings.TrimSpace(s)
 	unit := des.Time(1)
@@ -400,7 +401,8 @@ func ParseDuration(s string) (des.Time, error) {
 		s, unit = s[:len(s)-1], des.Second
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	// The negated comparison also rejects NaN.
+	if ns := v * float64(unit); err != nil || !(ns >= 0 && ns < float64(des.MaxTime)) {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
 	return des.Time(v * float64(unit)), nil

@@ -9,8 +9,7 @@
 //     and handed to every subsystem. A nil *Tracer is fully inert — every
 //     method is nil-safe — so the disabled path costs call sites one pointer
 //     check.
-//   - A Buf is a per-goroutine emission handle (one per PDES LP, or one for a
-//     single-kernel run). The owning goroutine appends trace events without
+//   - A Buf is a per-goroutine emission handle (one per PDES LP). The owning goroutine appends trace events without
 //     locks; the flight-recorder ring inside it is mutex-guarded because
 //     dumps are triggered cross-goroutine (LP 3's causality violation dumps
 //     LP 5's recent history too).

@@ -23,9 +23,9 @@ import (
 //
 // Two drive modes cover the two engine shapes:
 //
-//   - InstallKernel schedules a recurring kernel event — the same pattern as
-//     the -progress reporter — so single-kernel runs sample deterministically
-//     at exact sim-time boundaries, on the kernel's own goroutine.
+//   - InstallKernel schedules a recurring kernel event, so single-kernel
+//     runs (a one-LP PDES system included) sample deterministically at exact
+//     sim-time boundaries, on the kernel's own goroutine.
 //   - StartPolling spawns a wall-clock poller over a committed-time clock
 //     (GVT for Time Warp, min kernel time for conservative PDES). A sampler
 //     event inside an optimistic kernel would be rolled back and re-fired,

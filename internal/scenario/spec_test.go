@@ -384,3 +384,24 @@ func TestFlagsSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidateErrorDeterministic: a clos spec setting several pdes-only
+// fields reports the same one every time — the scenario server quotes the
+// message in its 400 body.
+func TestValidateErrorDeterministic(t *testing.T) {
+	var sp Spec
+	if err := json.Unmarshal([]byte(`{"mode":"full","sync":"barrier","lps":2}`), &sp); err != nil {
+		t.Fatal(err)
+	}
+	msgs := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		err := sp.Validate()
+		if err == nil {
+			t.Fatal("clos spec with pdes-only fields accepted")
+		}
+		msgs[err.Error()] = true
+	}
+	if len(msgs) != 1 {
+		t.Fatalf("50 validations gave %d different messages: %v", len(msgs), msgs)
+	}
+}
