@@ -1,10 +1,12 @@
 package pdes
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"approxsim/internal/des"
+	"approxsim/internal/metrics"
 	"approxsim/internal/netsim"
 	"approxsim/internal/packet"
 	"approxsim/internal/topology"
@@ -80,6 +82,91 @@ func TestTinyInboxBarrierNoDeadlock(t *testing.T) {
 	}
 	if v := s.Stats().Violations; v != 0 {
 		t.Errorf("%d causality violations under tiny inboxes (barrier)", v)
+	}
+}
+
+// TestBarrierOversubscribedTinyInbox runs more barrier LPs than cores: four
+// LPs on GOMAXPROCS(1) with capacity-1 inboxes. A window waiter that spun
+// without yielding would starve the LPs still computing, and a lost wakeup
+// would park a waiter forever; either way the run would not finish. It must
+// finish and commit the same netsim+tcp result as the single-LP reference.
+func TestBarrierOversubscribedTinyInbox(t *testing.T) {
+	cfg := topology.DefaultLeafSpineConfig(4)
+	const (
+		load = 0.6
+		dur  = 2 * des.Millisecond
+		seed = 3
+	)
+	run := func(lps int, algo SyncAlgo, opts ...Option) string {
+		reg := metrics.NewRegistry()
+		res, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violations != 0 {
+			t.Fatalf("lps=%d: %d causality violations", lps, res.Violations)
+		}
+		return committedGroups(t, reg)
+	}
+	ref := run(1, NullMessages)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var got string
+	runWithWatchdog(t, 60*time.Second, func() { got = run(4, Barrier, WithInboxCap(1)) })
+	if got != ref {
+		t.Errorf("oversubscribed barrier run diverged from lps=1:\nref: %s\ngot: %s", ref, got)
+	}
+}
+
+// TestBarrierWakesParkedWorkers drives the window release directly: one LP
+// arrives late at every window, long after the others have used up their
+// polling budget and parked, so each release must wake parked waiters. A lost
+// wakeup leaves a waiter parked for good and trips the watchdog.
+func TestBarrierWakesParkedWorkers(t *testing.T) {
+	const windows = 20
+	s := NewSystem(3)
+	b := newBarrier(s.NumLPs())
+	runWithWatchdog(t, 30*time.Second, func() {
+		done := make(chan struct{})
+		for i := 0; i < s.NumLPs(); i++ {
+			go func(lp *LP) {
+				defer func() { done <- struct{}{} }()
+				for k := int64(1); k <= windows; k++ {
+					if lp.ID() == 0 {
+						time.Sleep(2 * time.Millisecond)
+					}
+					lp.awaitWindow(b, k)
+				}
+			}(s.LP(i))
+		}
+		for i := 0; i < s.NumLPs(); i++ {
+			<-done
+		}
+	})
+	if got := b.arrived.Load(); got != windows*int64(s.NumLPs()) {
+		t.Errorf("%d arrivals, want %d", got, windows*s.NumLPs())
+	}
+}
+
+// TestBarrierWindowsDoNotAllocate pins the persistent barrier workers: a
+// window costs no goroutine, channel or WaitGroup. A near-idle 10 ms run has
+// 900 more 10 µs windows than a 1 ms run and may allocate at most 0.05 more
+// objects per extra window.
+func TestBarrierWindowsDoNotAllocate(t *testing.T) {
+	allocs := func(end des.Time) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s, a, _ := twoHostSystem(t, WithSyncAlgo(Barrier))
+			s.LP(0).Kernel().Schedule(0, func() {
+				a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 934})
+			})
+			s.Run(end)
+		})
+	}
+	const short, long = des.Millisecond, 10 * des.Millisecond
+	extraWindows := float64((long - short) / (10 * des.Microsecond))
+	short1, long1 := allocs(short), allocs(long)
+	if per := (long1 - short1) / extraWindows; per >= 0.05 {
+		t.Errorf("%.0f allocs at 1 ms, %.0f at 10 ms: %.3f per extra window, want < 0.05",
+			short1, long1, per)
 	}
 }
 

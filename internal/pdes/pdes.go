@@ -22,6 +22,7 @@ package pdes
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,16 +35,14 @@ import (
 )
 
 // message is one cross-LP communication: a packet delivery or, when pkt is
-// nil, a null message (pure timestamp promise). src is the transmitting
-// device, carried so the receiver can schedule the arrival with the same
-// content-derived ordering key a local delivery would use (netsim.ArrivalKey).
+// nil, a null message (pure timestamp promise). via is the proxy that shipped
+// the packet: it carries the ordering key and the receiver-side handler the
+// arrival is scheduled with.
 type message struct {
 	from int
 	at   des.Time
 	pkt  *packet.Packet
-	src  packet.NodeID
-	dst  netsim.Device
-	port int
+	via  *proxy
 }
 
 // outLink is the sender-side view of a cross-LP channel.
@@ -306,11 +305,19 @@ func (s *System) CommittedTime() des.Time {
 // proxy then ships the packet with the propagation delay added — making the
 // propagation delay the channel's lookahead.
 type proxy struct {
-	lp   *LP
-	out  *outLink
-	src  packet.NodeID // the local transmitting device (the arrival's order key)
-	dst  netsim.Device
-	port int
+	lp  *LP
+	out *outLink
+	key uint64 // netsim.ArrivalKey of the local transmitting device
+
+	// deliver is the receiver-side arrival handler, bound once at Connect to
+	// the remote device and port. The arrival event carries the packet as its
+	// context (des.Kernel.AtCtxFn), so a cross-LP arrival allocates no closure.
+	deliver func(ctx any)
+}
+
+func newProxy(lp *LP, out *outLink, src, dst netsim.Device, port int) *proxy {
+	return &proxy{lp: lp, out: out, key: netsim.ArrivalKey(src.NodeID()),
+		deliver: func(ctx any) { dst.Receive(ctx.(*packet.Packet), port) }}
 }
 
 // NodeID implements netsim.Device (proxies are invisible to routing).
@@ -320,7 +327,7 @@ func (p *proxy) NodeID() packet.NodeID { return -1000 - packet.NodeID(p.lp.id) }
 func (p *proxy) Receive(pkt *packet.Packet, _ int) {
 	at := p.lp.kernel.Now() + p.out.lookahead
 	if p.lp.tw != nil {
-		p.lp.twEmit(p.out.to, at, pkt, p.src, p.dst, p.port)
+		p.lp.twEmit(p, at, pkt)
 		return
 	}
 	atomic.AddUint64(&p.lp.CrossPkts, 1)
@@ -330,7 +337,7 @@ func (p *proxy) Receive(pkt *packet.Packet, _ int) {
 	if at > p.out.lastSent {
 		p.out.lastSent = at
 	}
-	p.lp.send(p.out.to, message{from: p.lp.id, at: at, pkt: pkt, src: p.src, dst: p.dst, port: p.port})
+	p.lp.send(p.out.to, message{from: p.lp.id, at: at, pkt: pkt, via: p})
 }
 
 // send delivers m to dst's inbox without risking deadlock. A naive blocking
@@ -386,8 +393,8 @@ func (s *System) Connect(la *LP, a *netsim.Port, lb *LP, b *netsim.Port,
 	}
 	outAB := s.ensureOut(la, lb, lookahead)
 	outBA := s.ensureOut(lb, la, lookahead)
-	pa := &proxy{lp: la, out: outAB, src: aOwner.NodeID(), dst: bOwner, port: b.Index()}
-	pb := &proxy{lp: lb, out: outBA, src: bOwner.NodeID(), dst: aOwner, port: a.Index()}
+	pa := newProxy(la, outAB, aOwner, bOwner, b.Index())
+	pb := newProxy(lb, outBA, bOwner, aOwner, a.Index())
 	netsim.Connect(a, netsim.NewPort(la.kernel, pa, 0, a.Config()))
 	netsim.Connect(b, netsim.NewPort(lb.kernel, pb, 0, b.Config()))
 	return nil
@@ -760,8 +767,7 @@ func (lp *LP) ingest(m message) {
 // whether the arrival was ingested live or re-ingested from the parked
 // buffer at a later Run entry (resumeParked).
 func (lp *LP) scheduleArrival(at des.Time, m message) {
-	pkt, dst, port := m.pkt, m.dst, m.port
-	lp.kernel.AtCtxKeyBand(at, 1, netsim.ArrivalKey(m.src), pkt, func() { dst.Receive(pkt, port) })
+	lp.kernel.AtCtxFn(at, 1, m.via.key, m.pkt, m.via.deliver)
 }
 
 // resumeParked re-ingests arrivals parked past a previous run's horizon.
@@ -927,6 +933,12 @@ func (s *System) CollectMetrics(e *metrics.Emitter) {
 // timestamp >= t+d (lookahead >= d), so delivering queued messages at the
 // next window boundary preserves causality.
 //
+// Each LP runs on one worker goroutine for the whole run. A worker drains its
+// inbox, executes its window, arrives at the barrier and waits there for the
+// other LPs (LP.awaitWindow): it polls the shared arrival counter for a
+// bounded number of scheduler yields, then parks until the last arrival
+// wakes it. Nothing is spawned or allocated per window.
+//
 // Compared to null messages, barriers trade per-channel chatter for
 // synchronization points whose count is horizon/lookahead — a different
 // flavor of the same Figure 1 overhead.
@@ -968,25 +980,18 @@ func (s *System) runBarrier(end des.Time) {
 	// keyed heap orders events identically regardless of which window
 	// ingested them — the segmented-determinism tests pin this.
 	start := s.CommittedTime()
-	for t := start; t < end; t += delta {
-		horizon := t + delta
-		if horizon > end {
-			horizon = end
-		}
-		// Two-phase window: every LP computes, then keeps draining its
-		// bounded inbox until ALL LPs have finished computing. Without the
-		// drain phase an LP that finishes early stops consuming, and a
-		// neighbor still mid-window can block forever sending into its full
-		// inbox. Ingesting here is safe: window messages carry timestamps
-		// >= horizon, so they only schedule future events. Once every LP has
-		// passed compute.Done no send is in flight, so stopping is safe.
-		var wg, compute sync.WaitGroup
-		stop := make(chan struct{})
-		for _, lp := range s.lps {
-			wg.Add(1)
-			compute.Add(1)
-			go func(lp *LP) {
-				defer wg.Done()
+	b := newBarrier(n)
+	var wg sync.WaitGroup
+	for _, lp := range s.lps {
+		wg.Add(1)
+		go func(lp *LP) {
+			defer wg.Done()
+			var k int64
+			for t := start; t < end; t += delta {
+				horizon := t + delta
+				if horizon > end {
+					horizon = end
+				}
 				lp.drain(false)
 				lp.maxHorizon(horizon)
 				// Strictly below the window boundary: a message sent during
@@ -998,21 +1003,12 @@ func (s *System) runBarrier(end des.Time) {
 				// identically).
 				lp.kernel.RunBefore(horizon)
 				atomic.AddUint64(&lp.Barriers, 1)
-				compute.Done()
-				for {
-					select {
-					case m := <-lp.inbox:
-						lp.ingest(m)
-					case <-stop:
-						return
-					}
-				}
-			}(lp)
-		}
-		compute.Wait()
-		close(stop)
-		wg.Wait()
+				k++
+				lp.awaitWindow(b, k)
+			}
+		}(lp)
 	}
+	wg.Wait()
 	// Final catch-up: messages sent during the last window carry timestamps
 	// at or beyond `end`; deliveries stamped exactly `end` still execute and
 	// may themselves emit cross-LP sends. A sequential drain-and-run here can
@@ -1020,4 +1016,74 @@ func (s *System) runBarrier(end des.Time) {
 	// on an earlier, no-longer-consuming LP), so the catch-up runs all LPs
 	// concurrently with live drainers, matching the null-message engine.
 	s.finalCatchUp(end)
+}
+
+// barrierSpins is how many scheduler yields a barrier worker polls for the
+// window release before it parks. Most releases come within a few
+// microseconds, so polling spares them a park/wake round trip; the bound
+// keeps a worker that waits on a slow LP from holding a core, and with more
+// LPs than cores each yield hands the core to an LP still computing.
+const barrierSpins = 200
+
+// barrier releases runBarrier's windows. Window k is complete when the
+// shared arrival counter reaches k·n. A worker that parks raises its parked
+// flag first; the last arrival sends a token on the 1-slot wake channel of
+// every parked worker. Waiters re-check the counter after any wake, so a
+// stale token left from an earlier window is harmless.
+type barrier struct {
+	n       int64
+	arrived atomic.Int64
+	parked  []atomic.Bool
+	wake    []chan struct{}
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: int64(n), parked: make([]atomic.Bool, n), wake: make([]chan struct{}, n)}
+	for i := range b.wake {
+		b.wake[i] = make(chan struct{}, 1)
+	}
+	return b
+}
+
+// awaitWindow arrives at the barrier for window k and returns once every LP
+// has arrived. While it waits the LP keeps ingesting its inbox, so a neighbor
+// still computing never blocks for good on a full inbox; the messages carry
+// timestamps at or beyond the window's end, so they only schedule future
+// events. The parked flag and the counter are a store-then-load pair on each
+// side, so either the waiter sees the last arrival or the last arrival sees
+// the flag: no wakeup is lost.
+func (lp *LP) awaitWindow(b *barrier, k int64) {
+	target := k * b.n
+	if b.arrived.Add(1) == target {
+		for i := range b.parked {
+			if b.parked[i].Load() {
+				select {
+				case b.wake[i] <- struct{}{}:
+				default:
+				}
+			}
+		}
+		return
+	}
+	for i := 0; i < barrierSpins; i++ {
+		if b.arrived.Load() >= target {
+			return
+		}
+		lp.drain(false)
+		runtime.Gosched()
+	}
+	parked, wake := &b.parked[lp.id], b.wake[lp.id]
+	for {
+		parked.Store(true)
+		if b.arrived.Load() >= target {
+			parked.Store(false)
+			return
+		}
+		select {
+		case <-wake:
+		case m := <-lp.inbox:
+			lp.ingest(m)
+		}
+		parked.Store(false)
+	}
 }

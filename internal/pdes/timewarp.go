@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"approxsim/internal/des"
-	"approxsim/internal/netsim"
 	"approxsim/internal/obs"
 	"approxsim/internal/packet"
 )
@@ -53,13 +52,12 @@ type twMsg struct {
 	// every (re)ingestion so per-hop mutation of a speculative delivery never
 	// leaks into a replay.
 	orig packet.Packet
-	// src is the transmitting device, carried so the receiver can key the
-	// delivery event (netsim.ArrivalKey) — same-timestamp arrivals commit in
-	// transmitter order regardless of message arrival interleaving.
-	src  packet.NodeID
-	dst  netsim.Device
-	port int
-	neg  bool // anti-message: annihilate the matching positive
+	// via is the proxy that shipped the packet: its key orders the delivery
+	// event by transmitting device — same-timestamp arrivals commit in
+	// transmitter order regardless of message arrival interleaving — and its
+	// deliver handler is the event's pre-bound function.
+	via *proxy
+	neg bool // anti-message: annihilate the matching positive
 	// color is the Mattern round parity the message was sent under; ctrl
 	// carries the GVT phase (twCtrl*) for coordinator messages, for which
 	// color is the new parity to adopt.
@@ -179,8 +177,9 @@ func (lp *LP) twSend(to *LP, m twMsg) {
 // the anti-message), then send. During coast-forward the send is suppressed
 // entirely — the original message from the first execution is still valid
 // and still logged.
-func (lp *LP) twEmit(to *LP, at des.Time, pkt *packet.Packet, src packet.NodeID, dst netsim.Device, port int) {
+func (lp *LP) twEmit(via *proxy, at des.Time, pkt *packet.Packet) {
 	t := lp.tw
+	to := via.out.to
 	if t.coasting {
 		return
 	}
@@ -211,7 +210,7 @@ func (lp *LP) twEmit(to *LP, at des.Time, pkt *packet.Packet, src packet.NodeID,
 			if s.to != to || s.m.at != at {
 				continue
 			}
-			if s.m.dst == dst && s.m.port == port && s.m.orig == *pkt {
+			if s.m.via == via && s.m.orig == *pkt {
 				atomic.AddUint64(&lp.LazyCancelSaved, 1)
 				t.outLog = append(t.outLog, *s)
 				t.lazyQ = append(t.lazyQ[:i], t.lazyQ[i+1:]...)
@@ -238,7 +237,7 @@ func (lp *LP) twEmit(to *LP, at des.Time, pkt *packet.Packet, src packet.NodeID,
 		}
 	}
 	t.sendSeq[to.id]++
-	m := twMsg{from: lp.id, seq: t.sendSeq[to.id], at: at, orig: *pkt, src: src, dst: dst, port: port}
+	m := twMsg{from: lp.id, seq: t.sendSeq[to.id], at: at, orig: *pkt, via: via}
 	t.outLog = append(t.outLog, twSent{to: to, sendAt: now, m: m})
 	lp.twSend(to, m)
 }
@@ -392,11 +391,10 @@ func (lp *LP) twHandlePositive(m twMsg) {
 func (lp *LP) twIngest(m twMsg) {
 	pkt := new(packet.Packet)
 	*pkt = m.orig
-	dst, port := m.dst, m.port
 	// Band 1, keyed by transmitter, matches the conservative ingest path:
 	// arrivals order after same-timestamp local events and same-timestamp
 	// arrivals order by transmitting device in every engine (see LP.ingest).
-	ev := lp.kernel.AtCtxKeyBand(m.at, 1, netsim.ArrivalKey(m.src), pkt, func() { dst.Receive(pkt, port) })
+	ev := lp.kernel.AtCtxFn(m.at, 1, m.via.key, pkt, m.via.deliver)
 	lp.tw.processed = append(lp.tw.processed, twEntry{m: m, pkt: pkt, ev: ev, gen: ev.Gen()})
 }
 
@@ -479,8 +477,7 @@ func (lp *LP) twRollback(at des.Time) {
 			continue
 		}
 		*e.pkt = e.m.orig
-		pkt, dst, port := e.pkt, e.m.dst, e.m.port
-		e.ev = lp.kernel.AtCtxKeyBand(e.m.at, 1, netsim.ArrivalKey(e.m.src), pkt, func() { dst.Receive(pkt, port) })
+		e.ev = lp.kernel.AtCtxFn(e.m.at, 1, e.m.via.key, e.pkt, e.m.via.deliver)
 		e.gen = e.ev.Gen()
 	}
 	t.snaps = t.snaps[:idx+1]
