@@ -21,7 +21,9 @@
 // (pack spines next to the racks they exchange the most traffic with), or
 // mincut (greedy Kernighan-Lin refinement of the cut). Committed results
 // are bit-identical across partitioners; only the synchronization overhead
-// changes.
+// changes. Time Warp has one fixed configuration — a 50µs speculation window
+// past GVT, a GVT round every 200µs of wall time, a checkpoint every 256
+// events, and lazy cancellation — and -max-rollbacks is its only knob.
 //
 // Hybrid mode loads models produced by the trainmodel command; if -models
 // is omitted it trains a small model in-process first (convenient for
@@ -71,9 +73,6 @@ func main() {
 		flightRec  = flag.Int("flight-recorder", 0, "flight-recorder ring capacity in events per LP (0 = off)")
 		dumpPath   = flag.String("dump", "flight_recorder.json", "flight-recorder dump output path (with -flight-recorder)")
 		maxRB      = flag.Uint64("max-rollbacks", 0, "abort a timewarp run after N rollbacks (0 = unlimited)")
-		noPool     = flag.Bool("no-pool", false, "disable the kernel event free list (pdes mode; for A/B measurement)")
-		eagerCan   = flag.Bool("eager-cancel", false, "timewarp: anti-message rolled-back sends immediately instead of lazy cancellation")
-		adaptWin   = flag.String("adaptive-window", "", "timewarp: adapt the speculation window between MIN:MAX microseconds (e.g. 10:200)")
 		progressMS = flag.Int("progress", 0, "progress line to stderr every N virtual ms (0 = off)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
@@ -88,9 +87,6 @@ func main() {
 		flightRec:    *flightRec,
 		dumpPath:     *dumpPath,
 		maxRollbacks: *maxRB,
-		noPool:       *noPool,
-		eagerCancel:  *eagerCan,
-		adaptWindow:  *adaptWin,
 	}
 	if err := run(f, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "approxsim:", err)
@@ -108,9 +104,6 @@ type obsOptions struct {
 	flightRec    int
 	dumpPath     string
 	maxRollbacks uint64
-	noPool       bool
-	eagerCancel  bool
-	adaptWindow  string // "MIN:MAX" in microseconds, empty = fixed window
 }
 
 // registry returns the registry to wire into the run — nil only when neither
@@ -365,21 +358,6 @@ func pdesOptions(opts obsOptions, orun *obsRun, reg *metrics.Registry) []pdes.Op
 	if opts.maxRollbacks > 0 {
 		popts = append(popts, pdes.WithMaxRollbacks(opts.maxRollbacks))
 	}
-	if opts.noPool {
-		popts = append(popts, pdes.WithEventPool(false))
-	}
-	if opts.eagerCancel {
-		popts = append(popts, pdes.WithLazyCancellation(false))
-	}
-	if opts.adaptWindow != "" {
-		var minUS, maxUS int64
-		if n, err := fmt.Sscanf(opts.adaptWindow, "%d:%d", &minUS, &maxUS); n == 2 && err == nil {
-			popts = append(popts, pdes.WithAdaptiveWindow(
-				des.Time(minUS)*des.Microsecond, des.Time(maxUS)*des.Microsecond))
-		} else {
-			fmt.Fprintf(os.Stderr, "approxsim: ignoring bad -adaptive-window %q (want MIN:MAX microseconds)\n", opts.adaptWindow)
-		}
-	}
 	return popts
 }
 
@@ -437,9 +415,8 @@ func report(res *scenario.Result) {
 		fmt.Printf("partition=%s cut_edges=%d cut_weight=%.1f active_channels=%d lp_load_imbalance=%.3f\n",
 			e.Partition, e.CutEdges, e.CutWeight, e.Channels, e.LoadImbalance)
 		if res.Spec.Sync == "timewarp" {
-			fmt.Printf("rollbacks=%d anti_messages=%d lazy_saved=%d gvt_advances=%d checkpoints=%d window_shrinks=%d window_grows=%d\n",
-				e.Rollbacks, e.AntiMessages, e.LazyCancelSaved, e.GVTAdvances,
-				e.Checkpoints, e.WindowShrinks, e.WindowGrows)
+			fmt.Printf("rollbacks=%d anti_messages=%d lazy_saved=%d gvt_advances=%d checkpoints=%d\n",
+				e.Rollbacks, e.AntiMessages, e.LazyCancelSaved, e.GVTAdvances, e.Checkpoints)
 		}
 		if res.Spec.Faults != "" {
 			fmt.Printf("fault_drops=%d route_drops=%d\n", m.FaultDrops, m.RouteDrops)

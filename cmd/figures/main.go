@@ -108,7 +108,7 @@ func fig1(durMS int, load float64, seed uint64, quick bool, sweep *scenario.Flag
 	}
 	fmt.Printf("# Figure 1: leaf-spine scaling, sim-seconds per wall-second (sync=%s partition=%s)\n",
 		sweep.Sync, sweep.Partition)
-	header := "tors\tlps\tsim_per_wall\tevents\tsync_msgs\tcross_pkts\tparked\tdropped\tchannels\trollbacks\tckpts\twin_shrink\twin_grow\tflows"
+	header := "tors\tlps\tsim_per_wall\tevents\tsync_msgs\tcross_pkts\tparked\tdropped\tchannels\trollbacks\tckpts\tflows"
 	if sweep.Faults != "" {
 		fmt.Printf("# faults: %s\n", sweep.Faults)
 		header += "\tfault_drops\troute_drops\tp99_fct"
@@ -156,12 +156,11 @@ func fig1(durMS int, load float64, seed uint64, quick bool, sweep *scenario.Flag
 		e := res.Experiment
 		snap := reg.Snapshot()
 		syncMsgs := snap.Counter("pdes", "null_messages") + snap.Counter("pdes", "barriers")
-		fmt.Printf("%d\t%d\t%.6g\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d",
+		fmt.Printf("%d\t%d\t%.6g\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d",
 			n, lps, res.Perf.SimPerWall, snap.Counter("des", "events_executed"),
 			syncMsgs, snap.Counter("pdes", "cross_lp_packets"),
 			e.ParkedArrivals, e.PostHorizonDrops, e.Channels,
-			snap.Counter("pdes", "rollbacks"), e.Checkpoints,
-			e.WindowShrinks, e.WindowGrows, res.Metrics.Completed)
+			snap.Counter("pdes", "rollbacks"), e.Checkpoints, res.Metrics.Completed)
 		if sweep.Faults != "" {
 			fmt.Printf("\t%d\t%d\t%.6g", res.Metrics.FaultDrops, res.Metrics.RouteDrops, res.Metrics.P99FCTSec)
 		}

@@ -242,8 +242,7 @@ type Kernel struct {
 	stop   bool
 
 	// Event free list (pool.go). Owned by the kernel goroutine like the heap.
-	free    []*Event
-	pooling bool
+	free []*Event
 
 	// Gauges written only by the owning goroutine, and the atomic mirrors that
 	// publish them (with len(free)) to concurrent readers.
@@ -256,10 +255,9 @@ type Kernel struct {
 	}
 }
 
-// NewKernel returns an empty kernel at virtual time zero, with event pooling
-// enabled (see SetPooling).
+// NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{heap: make(eventHeap, 0, 1024), pooling: true}
+	return &Kernel{heap: make(eventHeap, 0, 1024)}
 }
 
 // SetHook installs (or, with nil, removes) the scheduler hook. Must be called

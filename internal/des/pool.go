@@ -31,7 +31,7 @@ package des
 // alloc returns an event object for scheduling, reusing a pooled one when
 // available; the caller fills in every scheduling field.
 func (k *Kernel) alloc() *Event {
-	if n := len(k.free); k.pooling && n > 0 {
+	if n := len(k.free); n > 0 {
 		e := k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
@@ -50,7 +50,7 @@ func (k *Kernel) alloc() *Event {
 // -tags pooldebug the object is poisoned so any use blows up loudly.
 func (k *Kernel) release(e *Event) {
 	e.fn, e.fnCtx, e.ctx = nil, nil, nil
-	if !k.pooling || e.snapped {
+	if e.snapped {
 		return
 	}
 	e.gen++
@@ -61,11 +61,3 @@ func (k *Kernel) release(e *Event) {
 	poisonEvent(e)
 	k.free = append(k.free, e)
 }
-
-// SetPooling enables or disables event recycling (enabled by default).
-// Disabling mid-run is safe — already pooled objects are simply never reused
-// again — but the switch must be flipped from the kernel's owning goroutine.
-func (k *Kernel) SetPooling(on bool) { k.pooling = on }
-
-// Pooling reports whether event recycling is enabled.
-func (k *Kernel) Pooling() bool { return k.pooling }

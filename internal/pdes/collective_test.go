@@ -245,14 +245,10 @@ func TestDeterminismPropertyCollective(t *testing.T) {
 			pb := partitioners[int(seed)%len(partitioners)]
 			got, res := run(Barrier, lpsHigh, WithPartitioner(pb))
 			check(fmt.Sprintf("barrier(lps=%d,%s)", lpsHigh, pb.Name()), got, res)
-			got, res = run(Barrier, 2, WithEventPool(seed%2 == 0))
+			got, res = run(Barrier, 2)
 			check("barrier(lps=2)", got, res)
 			pt := partitioners[int(seed/2)%len(partitioners)]
-			twOpts := []Option{WithGVTInterval(50 * time.Microsecond), WithPartitioner(pt)}
-			if seed%2 == 1 {
-				twOpts = append(twOpts, WithLazyCancellation(false))
-			}
-			got, res = run(TimeWarp, 2, twOpts...)
+			got, res = run(TimeWarp, 2, withGVTInterval(50*time.Microsecond), WithPartitioner(pt))
 			check(fmt.Sprintf("timewarp(lps=2,%s)", pt.Name()), got, res)
 		})
 	}

@@ -13,11 +13,9 @@ import (
 )
 
 // Determinism property test: the committed results of a leaf-spine run must
-// be bit-identical across synchronization algorithms AND across every
-// kernel-internal toggle that is supposed to be invisible — the event free
-// list, lazy vs aggressive cancellation, and the adaptive speculation window.
-// Pooling recycles event objects, lazy cancellation suppresses anti-messages,
-// and the adaptive window reshapes speculation; none of them may change what
+// be bit-identical across synchronization algorithms, LP counts and
+// partitioners. The event free list recycles event objects and Time Warp's
+// lazy cancellation suppresses anti-messages; neither may change what
 // commits. A single flipped bit in the netsim or tcp metric groups here means
 // an ownership bug (a recycled event fired with stale state) or a
 // cancellation bug (a send that should have been annihilated, wasn't).
@@ -25,7 +23,7 @@ import (
 // committedGroups snapshots reg and returns the JSON encoding of the groups
 // that must agree across engines: netsim and tcp. The des and pdes groups
 // legitimately differ (executed-event counts include nulls, rollbacks, and
-// re-execution; pool hit rates depend on the toggle under test).
+// re-execution; pool hit rates depend on the engine).
 func committedGroups(t *testing.T, reg *metrics.Registry) string {
 	t.Helper()
 	raw, err := json.Marshal(reg.Snapshot())
@@ -44,12 +42,11 @@ func committedGroups(t *testing.T, reg *metrics.Registry) string {
 
 // TestDeterminismProperty drives ~25 randomized leaf-spine workloads. Each
 // seed picks a topology size, offered load, and horizon; the same workload
-// then runs under null messages (the reference), barrier sync with the event
-// pool alternately on and off, and one Time Warp variant from a rotating set
-// covering the pool × cancellation × adaptive-window matrix. The reference is
-// a SINGLE-LP run — a plain sequential simulation — and every parallel run's
-// committed netsim+tcp metric snapshot must match it exactly, across LP
-// counts (1, 2, and 4 where the topology permits), across all three
+// then runs under null messages (the reference), barrier sync, and Time Warp
+// at 2 LPs on odd seeds and at the highest LP count on even ones. The
+// reference is a SINGLE-LP run — a plain sequential simulation — and every
+// parallel run's committed netsim+tcp metric snapshot must match it exactly,
+// across LP counts (1, 2, and 4 where the topology permits), across all three
 // partitioners (contiguous, spine-aware, min-cut), and across all three
 // synchronization algorithms. Partitioning moves devices between LPs and
 // reshapes which arrivals cross LP boundaries; the keyed arrival ordering
@@ -61,18 +58,6 @@ func committedGroups(t *testing.T, reg *metrics.Registry) string {
 func TestDeterminismProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is heavy; skipped under -short")
-	}
-
-	type twVariant struct {
-		name string
-		opts []Option
-	}
-	twVariants := []twVariant{
-		{"pool+lazy", nil},
-		{"nopool+lazy", []Option{WithEventPool(false)}},
-		{"pool+eager", []Option{WithLazyCancellation(false)}},
-		{"nopool+eager", []Option{WithEventPool(false), WithLazyCancellation(false)}},
-		{"pool+lazy+adaptive", []Option{WithAdaptiveWindow(10*des.Microsecond, 200*des.Microsecond)}},
 	}
 	partitioners := []Partitioner{
 		ContiguousPartitioner{},
@@ -88,6 +73,10 @@ func TestDeterminismProperty(t *testing.T) {
 			load := 0.3 + 0.4*r.Float64()                  // 0.3 .. 0.7
 			dur := des.Millisecond * des.Time(1+r.Intn(2)) // 1ms or 2ms
 			lpsHigh := tors                                // 2 or 4 (Build caps lps at the ToR count)
+			twLPs := lpsHigh                               // Time Warp: 2 LPs on odd seeds
+			if seed%2 == 1 {
+				twLPs = 2
+			}
 			cfg := topology.DefaultLeafSpineConfig(tors)
 
 			run := func(algo SyncAlgo, lps int, opts ...Option) string {
@@ -123,23 +112,17 @@ func TestDeterminismProperty(t *testing.T) {
 					run(NullMessages, lpsHigh, WithPartitioner(p)))
 			}
 
-			// Barrier at lps=2 with the pool toggle alternating, and at
-			// lpsHigh with a rotating partitioner.
-			poolOn := seed%2 == 0
-			check(fmt.Sprintf("barrier(lps=2,pool=%v)", poolOn),
-				run(Barrier, 2, WithEventPool(poolOn)))
+			// Barrier at lps=2, and at lpsHigh with a rotating partitioner.
+			check("barrier(lps=2)", run(Barrier, 2))
 			pb := partitioners[int(seed)%len(partitioners)]
 			check(fmt.Sprintf("barrier(lps=%d,%s)", lpsHigh, pb.Name()),
 				run(Barrier, lpsHigh, WithPartitioner(pb)))
 
-			// One Time Warp variant from the rotating kernel-toggle matrix,
-			// paired with a rotating partitioner so every (variant,
+			// Time Warp with a rotating partitioner, so every (LP count,
 			// partitioner) combination appears across the seed sweep.
-			v := twVariants[int(seed)%len(twVariants)]
 			pt := partitioners[int(seed/2)%len(partitioners)]
-			opts := append([]Option{WithGVTInterval(50 * time.Microsecond), WithPartitioner(pt)}, v.opts...)
-			check(fmt.Sprintf("timewarp(lps=2,%s,%s)", v.name, pt.Name()),
-				run(TimeWarp, 2, opts...))
+			check(fmt.Sprintf("timewarp(lps=%d,%s)", twLPs, pt.Name()),
+				run(TimeWarp, twLPs, withGVTInterval(50*time.Microsecond), WithPartitioner(pt)))
 
 			// Cross-algo at an intermediate LP count when the topology is
 			// large enough to make lps=2 distinct from lpsHigh.
@@ -202,11 +185,9 @@ func TestDeterminismProperty(t *testing.T) {
 			pf := partitioners[int(seed)%len(partitioners)]
 			fcheck(fmt.Sprintf("faults/barrier(lps=2,%s)", pf.Name()),
 				run(Barrier, 2, WithFaults(fsched), WithPartitioner(pf)))
-			fv := twVariants[int(seed)%len(twVariants)]
-			fopts := append([]Option{WithFaults(fsched),
-				WithGVTInterval(50 * time.Microsecond), WithPartitioner(pf)}, fv.opts...)
-			fcheck(fmt.Sprintf("faults/timewarp(lps=2,%s,%s)", fv.name, pf.Name()),
-				run(TimeWarp, 2, fopts...))
+			fcheck(fmt.Sprintf("faults/timewarp(lps=%d,%s)", twLPs, pf.Name()),
+				run(TimeWarp, twLPs, WithFaults(fsched),
+					withGVTInterval(50*time.Microsecond), WithPartitioner(pf)))
 		})
 	}
 }

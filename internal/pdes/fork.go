@@ -158,8 +158,6 @@ func (s Stats) Sub(base Stats) Stats {
 		RolledBackEvents: s.RolledBackEvents - base.RolledBackEvents,
 		GVTAdvances:      s.GVTAdvances - base.GVTAdvances,
 		LazyCancelSaved:  s.LazyCancelSaved - base.LazyCancelSaved,
-		WindowShrinks:    s.WindowShrinks - base.WindowShrinks,
-		WindowGrows:      s.WindowGrows - base.WindowGrows,
 		Checkpoints:      s.Checkpoints - base.Checkpoints,
 		QuiescentSends:   s.QuiescentSends - base.QuiescentSends,
 	}

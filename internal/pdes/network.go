@@ -593,8 +593,6 @@ type ExperimentResult struct {
 	LazyCancelSaved  uint64 // Time Warp: anti-messages avoided by lazy cancellation
 	GVTAdvances      uint64 // Time Warp: committed GVT advances
 	Checkpoints      uint64 // Time Warp: state snapshots taken
-	WindowShrinks    uint64 // Time Warp: adaptive-window contractions
-	WindowGrows      uint64 // Time Warp: adaptive-window expansions
 	QuiescentSends   uint64 // packets on promised-idle channels: nonzero means the analysis is unsound
 	FlowsStarted     int
 	FlowsCompleted   int
@@ -652,8 +650,6 @@ func (n *Network) AssembleResult(st Stats, dur des.Time, wall time.Duration) *Ex
 		LazyCancelSaved:  st.LazyCancelSaved,
 		GVTAdvances:      st.GVTAdvances,
 		Checkpoints:      st.Checkpoints,
-		WindowShrinks:    st.WindowShrinks,
-		WindowGrows:      st.WindowGrows,
 		QuiescentSends:   st.QuiescentSends,
 		FlowsStarted:     len(n.specs),
 		Partition:        n.Partition.Name,

@@ -59,28 +59,33 @@ func ParseSyncAlgo(s string) (SyncAlgo, error) {
 	}
 }
 
-// config collects everything an Option can set on a System.
+// config collects everything an Option can set on a System, plus the fixed
+// Time Warp tuning every run uses (in-package tests may override it).
 type config struct {
-	algo            SyncAlgo
-	inboxCap        int
-	defLookahead    des.Time
-	gvtInterval     time.Duration
-	maxRollbacks    uint64
+	algo         SyncAlgo
+	inboxCap     int
+	maxRollbacks uint64
+	tracer       *obs.Tracer
+	sampler      *obs.Sampler
+	samplerPoll  time.Duration
+	stallTimeout time.Duration
+	partitioner  Partitioner
+	collectives  []collective.Params
+	faults       *faults.Schedule
+	dynFaults    bool
+
+	// gvtInterval is the wall-clock period of the Time Warp GVT computation
+	// (Mattern rounds): shorter commits and fossil-collects more eagerly at
+	// the cost of more control traffic.
+	gvtInterval time.Duration
+	// checkpointEvery is how many executed events separate consecutive Time
+	// Warp checkpoints on each LP: fewer cheapen rollbacks (less
+	// re-execution) but tax forward progress with snapshot copies.
 	checkpointEvery int
-	window          des.Time
-	tracer          *obs.Tracer
-	sampler         *obs.Sampler
-	samplerPoll     time.Duration
-	stallTimeout    time.Duration
-	pool            bool
-	lazyCancel      bool
-	adaptWindow     bool
-	windowMin       des.Time
-	windowMax       des.Time
-	partitioner     Partitioner
-	collectives     []collective.Params
-	faults          *faults.Schedule
-	dynFaults       bool
+	// window bounds Time Warp speculation to GVT + window of virtual time: a
+	// small window approaches conservative lockstep, an enormous one lets
+	// idle LPs race to the horizon and roll back on every arrival.
+	window des.Time
 }
 
 func defaultConfig() config {
@@ -90,8 +95,6 @@ func defaultConfig() config {
 		gvtInterval:     200 * time.Microsecond,
 		checkpointEvery: 256,
 		window:          50 * des.Microsecond,
-		pool:            true,
-		lazyCancel:      true,
 	}
 }
 
@@ -117,82 +120,10 @@ func WithInboxCap(n int) Option {
 	}
 }
 
-// WithLookahead sets the default lookahead applied to cross-LP Connect calls
-// that pass a non-positive lookahead. Zero (the default) keeps Connect's
-// strict behavior: callers must supply a positive lookahead per link.
-func WithLookahead(d des.Time) Option { return func(c *config) { c.defLookahead = d } }
-
-// WithGVTInterval sets the wall-clock period of the Time Warp GVT
-// computation (Mattern rounds). Shorter intervals commit and fossil-collect
-// more eagerly at the cost of more control traffic. Default 200µs.
-func WithGVTInterval(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.gvtInterval = d
-		}
-	}
-}
-
 // WithMaxRollbacks aborts a Time Warp run with an error once the total
 // rollback count across LPs exceeds n — a safety valve against rollback
 // thrashing on hostile topologies. Zero (the default) means unlimited.
 func WithMaxRollbacks(n uint64) Option { return func(c *config) { c.maxRollbacks = n } }
-
-// WithCheckpointEvery sets how many executed events separate consecutive
-// Time Warp state checkpoints on each LP. Smaller values cheapen rollbacks
-// (less re-execution) but tax forward progress with snapshot copies.
-// Default 256.
-func WithCheckpointEvery(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.checkpointEvery = n
-		}
-	}
-}
-
-// WithTimeWindow bounds Time Warp speculation to GVT + window of virtual
-// time. A small window approaches conservative lockstep; an enormous one
-// lets idle LPs race to the horizon and roll back on every arrival.
-// Default 50µs.
-func WithTimeWindow(w des.Time) Option {
-	return func(c *config) {
-		if w > 0 {
-			c.window = w
-		}
-	}
-}
-
-// WithEventPool toggles the per-LP kernel event free list (see
-// des.Kernel.SetPooling). On by default; committed results are bit-identical
-// either way — the toggle exists for benchmarking the pool's effect and for
-// the determinism property tests that prove that claim.
-func WithEventPool(on bool) Option { return func(c *config) { c.pool = on } }
-
-// WithLazyCancellation selects how Time Warp rollbacks cancel speculative
-// output. On (the default), cancelled sends are held back and compared
-// against the re-execution: a send the LP regenerates identically needs no
-// anti-message at all, which spares the receiver a matching rollback cascade.
-// Off is classic aggressive cancellation (every rolled-back send is
-// anti-messaged immediately). Committed results are bit-identical either way.
-func WithLazyCancellation(on bool) Option { return func(c *config) { c.lazyCancel = on } }
-
-// WithAdaptiveWindow lets the GVT coordinator steer the Time Warp speculation
-// window between min and max from the observed rollback rate: rounds that
-// rolled back halve the window (speculation is outrunning the inputs), quiet
-// rounds grow it by a quarter. The window only bounds how far LPs may execute
-// beyond GVT — it never affects committed results — so runs stay
-// bit-reproducible while wasted speculative work shrinks on hostile
-// topologies. The starting point is WithTimeWindow's value clamped to
-// [min, max].
-func WithAdaptiveWindow(min, max des.Time) Option {
-	return func(c *config) {
-		if min <= 0 || max < min {
-			panic("pdes: adaptive window needs 0 < min <= max")
-		}
-		c.adaptWindow = true
-		c.windowMin, c.windowMax = min, max
-	}
-}
 
 // WithObs attaches an observability tracer: each LP gets a per-goroutine
 // emission Buf (trace process = LP id), the synchronization machinery emits

@@ -203,14 +203,6 @@ type System struct {
 	// CommittedTime works from any goroutine during a Time Warp run.
 	committed int64
 
-	// window is the current Time Warp speculation window (des.Time, atomic):
-	// fixed at cfg.window normally, steered between cfg.windowMin and
-	// cfg.windowMax by the GVT coordinator under WithAdaptiveWindow. LPs read
-	// it in twLimit; the shrink/grow counters record the coordinator's moves.
-	window        int64
-	windowShrinks uint64
-	windowGrows   uint64
-
 	// cbuf is the GVT coordinator's trace handle (pid one past the last LP);
 	// nil when tracing is off.
 	cbuf *obs.Buf
@@ -220,7 +212,7 @@ type System struct {
 // synchronization algorithm Run dispatches on (default NullMessages) and its
 // knobs:
 //
-//	NewSystem(8, WithSyncAlgo(TimeWarp), WithGVTInterval(time.Millisecond))
+//	NewSystem(8, WithSyncAlgo(TimeWarp), WithMaxRollbacks(1e6))
 func NewSystem(n int, opts ...Option) *System {
 	if n < 1 {
 		panic("pdes: need at least one LP")
@@ -230,16 +222,6 @@ func NewSystem(n int, opts ...Option) *System {
 		o(&cfg)
 	}
 	s := &System{cfg: cfg}
-	w := cfg.window
-	if cfg.adaptWindow {
-		if w < cfg.windowMin {
-			w = cfg.windowMin
-		}
-		if w > cfg.windowMax {
-			w = cfg.windowMax
-		}
-	}
-	s.window = int64(w)
 	for i := 0; i < n; i++ {
 		lp := &LP{id: i, sys: s, kernel: des.NewKernel()}
 		if n > 1 {
@@ -247,7 +229,6 @@ func NewSystem(n int, opts ...Option) *System {
 			// message; a nil inbox spares it the full-capacity buffer.
 			lp.inbox = make(chan message, cfg.inboxCap)
 		}
-		lp.kernel.SetPooling(cfg.pool)
 		if cfg.tracer != nil {
 			lp.buf = cfg.tracer.NewBuf(int32(i), fmt.Sprintf("LP %d", i))
 			// Feed the flight recorder one record per executed kernel event.
@@ -381,9 +362,6 @@ func (s *System) Connect(la *LP, a *netsim.Port, lb *LP, b *netsim.Port,
 	if la == lb {
 		netsim.Connect(a, b)
 		return nil
-	}
-	if lookahead <= 0 {
-		lookahead = s.cfg.defLookahead
 	}
 	if lookahead <= 0 {
 		return fmt.Errorf("pdes: cross-LP links need positive lookahead")
@@ -860,11 +838,8 @@ type Stats struct {
 	AntiMessages     uint64
 	RolledBackEvents uint64
 	GVTAdvances      uint64
-	// LazyCancelSaved counts anti-messages avoided by lazy cancellation;
-	// WindowShrinks/WindowGrows count adaptive speculation-window moves.
+	// LazyCancelSaved counts anti-messages avoided by lazy cancellation.
 	LazyCancelSaved uint64
-	WindowShrinks   uint64
-	WindowGrows     uint64
 	// Checkpoints counts state snapshots taken (Time Warp only).
 	Checkpoints uint64
 	// QuiescentSends counts packets emitted on channels LimitChannels marked
@@ -894,8 +869,6 @@ func (s *System) Stats() Stats {
 		out.QuiescentSends += atomic.LoadUint64(&lp.QuiescentSends)
 	}
 	out.GVTAdvances = atomic.LoadUint64(&s.gvtAdvances)
-	out.WindowShrinks = atomic.LoadUint64(&s.windowShrinks)
-	out.WindowGrows = atomic.LoadUint64(&s.windowGrows)
 	return out
 }
 
@@ -904,9 +877,6 @@ func (s *System) Stats() Stats {
 func (s *System) CollectMetrics(e *metrics.Emitter) {
 	e.Gauge("lps", int64(len(s.lps)))
 	e.Counter("gvt_advances", atomic.LoadUint64(&s.gvtAdvances))
-	e.Counter("window_shrinks", atomic.LoadUint64(&s.windowShrinks))
-	e.Counter("window_grows", atomic.LoadUint64(&s.windowGrows))
-	e.Gauge("speculation_window_ns", atomic.LoadInt64(&s.window))
 	for _, lp := range s.lps {
 		e.Counter("null_messages", atomic.LoadUint64(&lp.Nulls))
 		e.Counter("barriers", atomic.LoadUint64(&lp.Barriers))

@@ -44,7 +44,7 @@ func TestAllAlgosPoolDebug(t *testing.T) {
 	// Lazy cancellation plus a short GVT interval provokes real rollbacks, so
 	// the poisoned build exercises checkpoint pinning, re-ingestion, and the
 	// lazy-queue reclaim path — the places stale handles would hide.
-	if got := run(TimeWarp, WithGVTInterval(50*time.Microsecond)); got != ref {
+	if got := run(TimeWarp, withGVTInterval(50*time.Microsecond)); got != ref {
 		t.Errorf("timewarp diverged from nullmsg:\nref: %s\ngot: %s", ref, got)
 	}
 }
@@ -76,7 +76,7 @@ func TestLazyDelayedAntiFallback(t *testing.T) {
 	twDisableLazyMatch = true
 	defer func() { twDisableLazyMatch = false }()
 	reg := metrics.NewRegistry()
-	res, err := runNetwork(cfg, lps, load, dur, seed, TimeWarp, reg, nil, WithGVTInterval(50*time.Microsecond))
+	res, err := runNetwork(cfg, lps, load, dur, seed, TimeWarp, reg, nil, withGVTInterval(50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}

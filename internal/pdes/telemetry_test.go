@@ -43,7 +43,7 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			dur := des.Millisecond
 			net := telemetryWorkload(t, 2, dur,
-				WithSyncAlgo(algo), WithGVTInterval(50*time.Microsecond))
+				WithSyncAlgo(algo), withGVTInterval(50*time.Microsecond))
 			reg := metrics.NewRegistry()
 			net.RegisterMetrics(reg)
 
@@ -121,8 +121,8 @@ func TestTimeWarpTelemetryEndToEnd(t *testing.T) {
 	// thrash wastes wall time re-tracing undone work).
 	net := telemetryWorkload(t, 2, dur,
 		WithSyncAlgo(TimeWarp),
-		WithGVTInterval(50*time.Microsecond),
-		WithTimeWindow(30*des.Microsecond),
+		withGVTInterval(50*time.Microsecond),
+		withTimeWindow(30*des.Microsecond),
 		WithObs(tracer),
 		WithSampler(sampler),
 		WithSamplerPoll(100*time.Microsecond))

@@ -288,7 +288,7 @@ func (lp *LP) twLazyFlushable() bool {
 // capped at the horizon.
 func (lp *LP) twLimit() des.Time {
 	gvt := des.Time(lp.tw.shared.gvt.Load())
-	limit := gvt + des.Time(atomic.LoadInt64(&lp.sys.window))
+	limit := gvt + lp.sys.cfg.window
 	if limit < gvt || limit > lp.end {
 		limit = lp.end
 	}
@@ -484,34 +484,24 @@ func (lp *LP) twRollback(at des.Time) {
 
 	// Output sent at or after the straggler is suspect; output sent before it
 	// stays valid (the coast below regenerates — and suppresses — exactly it).
-	// Under aggressive cancellation every suspect record is anti-messaged on
-	// the spot. Under lazy cancellation the records move to the lazy queue
-	// instead: the upcoming re-execution usually regenerates them verbatim
-	// (twEmit matches them back into the output log), and only the ones it
-	// does not are eventually flushed as anti-messages (twFlushLazy).
+	// Cancellation is lazy: the suspect records move to the lazy queue, the
+	// upcoming re-execution usually regenerates them verbatim (twEmit matches
+	// them back into the output log), and only the ones it does not are
+	// eventually flushed as anti-messages (twFlushLazy).
 	cut := len(t.outLog)
 	for cut > 0 && t.outLog[cut-1].sendAt >= at {
 		cut--
 	}
-	if n := len(t.outLog) - cut; n > 0 {
-		if lp.sys.cfg.lazyCancel {
-			had := len(t.lazyQ) > 0
-			t.lazyQ = append(t.lazyQ, t.outLog[cut:]...)
-			if had {
-				// Records from an earlier rollback may interleave with this
-				// cut; both runs are individually sorted by sendAt, so a
-				// stable sort is a deterministic merge.
-				sort.SliceStable(t.lazyQ, func(i, j int) bool {
-					return t.lazyQ[i].sendAt < t.lazyQ[j].sendAt
-				})
-			}
-		} else {
-			for _, sent := range t.outLog[cut:] {
-				a := sent.m
-				a.neg = true
-				atomic.AddUint64(&lp.AntiMessages, 1)
-				lp.twSend(sent.to, a)
-			}
+	if len(t.outLog) > cut {
+		had := len(t.lazyQ) > 0
+		t.lazyQ = append(t.lazyQ, t.outLog[cut:]...)
+		if had {
+			// Records from an earlier rollback may interleave with this cut;
+			// both runs are individually sorted by sendAt, so a stable sort
+			// is a deterministic merge.
+			sort.SliceStable(t.lazyQ, func(i, j int) bool {
+				return t.lazyQ[i].sendAt < t.lazyQ[j].sendAt
+			})
 		}
 	}
 	t.outLog = t.outLog[:cut]

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"approxsim/internal/des"
+	"approxsim/internal/metrics"
 	"approxsim/internal/packet"
 	"approxsim/internal/tcp"
 	"approxsim/internal/topology"
@@ -23,7 +24,7 @@ func (r *twRecorder) RestoreState(v any) {
 }
 
 func TestTimeWarpCrossLPDelivery(t *testing.T) {
-	s, a, b := twoHostSystem(t, WithSyncAlgo(TimeWarp), WithGVTInterval(50*time.Microsecond))
+	s, a, b := twoHostSystem(t, WithSyncAlgo(TimeWarp), withGVTInterval(50*time.Microsecond))
 	rec := &twRecorder{}
 	s.LP(1).AddSaver(rec)
 	b.Handler = func(p *packet.Packet) {
@@ -49,7 +50,7 @@ func TestTimeWarpCrossLPDelivery(t *testing.T) {
 }
 
 func TestTimeWarpTCPFlowAcrossLPs(t *testing.T) {
-	s, a, b := twoHostSystem(t, WithSyncAlgo(TimeWarp), WithGVTInterval(50*time.Microsecond))
+	s, a, b := twoHostSystem(t, WithSyncAlgo(TimeWarp), withGVTInterval(50*time.Microsecond))
 	sa := tcp.NewStack(a, tcp.Config{})
 	sb := tcp.NewStack(b, tcp.Config{})
 	s.LP(0).AddSaver(sa)
@@ -79,7 +80,7 @@ func TestTimeWarpTCPFlowAcrossLPs(t *testing.T) {
 func stragglerScenario(t *testing.T, algo SyncAlgo, stall time.Duration, opts ...Option) (*System, *twRecorder) {
 	t.Helper()
 	s, a, b := twoHostSystem(t, append([]Option{WithSyncAlgo(algo),
-		WithGVTInterval(50 * time.Microsecond), WithCheckpointEvery(16)}, opts...)...)
+		withGVTInterval(50 * time.Microsecond), withCheckpointEvery(16)}, opts...)...)
 	rec := &twRecorder{}
 	s.LP(0).AddSaver(rec)
 	a.Handler = func(p *packet.Packet) {
@@ -217,7 +218,7 @@ func TestCrossAlgoEquivalence(t *testing.T) {
 		t.Fatal("reference run completed no flows")
 	}
 	for _, algo := range []SyncAlgo{Barrier, TimeWarp} {
-		got, st := leafSpineFlows(t, algo, WithGVTInterval(50*time.Microsecond))
+		got, st := leafSpineFlows(t, algo, withGVTInterval(50*time.Microsecond))
 		if st.Violations != 0 {
 			t.Errorf("%v: %d causality violations", algo, st.Violations)
 		}
@@ -237,19 +238,33 @@ func TestCrossAlgoEquivalence(t *testing.T) {
 // TestTimeWarpRollbackStress shakes the optimistic engine — and, under
 // -race, its cross-goroutine protocol — with an aggressive configuration:
 // a tiny speculation window and cheap checkpoints force frequent GVT rounds
-// and make any straggler cascade through rollbacks.
+// and make any straggler cascade through rollbacks. Whatever the rollbacks
+// undo, the committed netsim+tcp snapshot must equal a sequential run's.
 func TestTimeWarpRollbackStress(t *testing.T) {
-	res, err := runNetwork(topology.DefaultLeafSpineConfig(4), 4, 0.6, 2*des.Millisecond, 11, TimeWarp, nil, nil,
-		WithGVTInterval(20*time.Microsecond),
-		WithCheckpointEvery(32),
-		WithTimeWindow(20*des.Microsecond))
-	if err != nil {
-		t.Fatal(err)
+	const seed = 11
+	cfg := topology.DefaultLeafSpineConfig(4)
+	run := func(algo SyncAlgo, lps int, opts ...Option) (string, *ExperimentResult) {
+		reg := metrics.NewRegistry()
+		res, err := runNetwork(cfg, lps, 0.6, 2*des.Millisecond, seed, algo, reg, nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return committedGroups(t, reg), res
 	}
+	ref, _ := run(NullMessages, 1)
+	got, res := run(TimeWarp, 4,
+		withGVTInterval(20*time.Microsecond),
+		withCheckpointEvery(32),
+		withTimeWindow(20*des.Microsecond))
+	t.Logf("rollbacks=%d gvt_advances=%d", res.Rollbacks, res.GVTAdvances)
 	if res.Violations != 0 {
 		t.Errorf("causality violations under stress: %d", res.Violations)
 	}
 	if res.GVTAdvances == 0 {
 		t.Error("GVT never advanced under stress")
+	}
+	if got != ref {
+		t.Errorf("committed snapshot after %d rollbacks diverged from the sequential reference:\nref: %s\ngot: %s",
+			res.Rollbacks, ref, got)
 	}
 }

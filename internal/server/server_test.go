@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -240,6 +241,33 @@ func TestRejections(t *testing.T) {
 	}
 	if st := s.Stats(); st.Runs != 0 {
 		t.Fatalf("rejected requests reached the engine: %+v", st)
+	}
+}
+
+// TestOversizeBody: a /v1/run or /v1/sweep body past maxBodyBytes is refused
+// with 413 and an error reply, counted as an error, and leaves the server
+// serving the next normal request.
+func TestOversizeBody(t *testing.T) {
+	s, ts := newTestServer(t)
+	big := strings.Repeat("a", maxBodyBytes+1)
+	for path, body := range map[string]string{
+		"/v1/run":   `{"mode":"` + big + `"}`,
+		"/v1/sweep": `{"scenarios":["` + big + `"]}`,
+	} {
+		var r RunResponse
+		if code := post(t, ts, path, body, &r); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, code)
+		}
+		if r.Error == "" {
+			t.Errorf("%s: no error in reply", path)
+		}
+	}
+	if st := s.Stats(); st.Errors != 2 || st.Runs != 0 {
+		t.Fatalf("after two oversize bodies: errors=%d runs=%d, want 2 and 0", st.Errors, st.Runs)
+	}
+	var r RunResponse
+	if code := post(t, ts, "/v1/run", fmt.Sprintf(pdesSpec, 3, ""), &r); code != http.StatusOK || r.Error != "" {
+		t.Fatalf("normal request after oversize bodies: status %d, error %q", code, r.Error)
 	}
 }
 
