@@ -53,6 +53,10 @@ type Fabric struct {
 	hostPorts []*netsim.Port // attachment points for the cluster's hosts
 	corePorts []*netsim.Port // attachment points for the core switches
 
+	// Delivery handlers, one per attachment point, bound at Splice.
+	toHost []func(ctx any)
+	toCore []func(ctx any)
+
 	// Conflict-resolution state: earliest time each boundary may next
 	// deliver, per core switch (egress) and per host (ingress).
 	coreFree []des.Time
@@ -108,6 +112,14 @@ func (f *Fabric) macroFeature() macro.State {
 	return f.cls.Current()
 }
 
+// deliverTo binds the delivery handler for one attachment point: a predicted
+// delivery is scheduled with des.Kernel.AtCtxFn and the packet as its
+// context, so it allocates no closure. Band 0 and key 0 are the ordering key
+// des.Kernel.At uses.
+func deliverTo(dev netsim.Device, port int) func(ctx any) {
+	return func(ctx any) { dev.Receive(ctx.(*packet.Packet), port) }
+}
+
 // nodeID returns the fabric's device ID. Negative IDs cannot collide with
 // topology-assigned ones.
 func fabricNodeID(cluster int) packet.NodeID { return packet.NodeID(-(cluster + 1)) }
@@ -144,12 +156,14 @@ func Splice(topo *topology.Topology, c int, egress, ingress micro.PacketPredicto
 	for i, h := range hosts {
 		p := netsim.NewPort(topo.Kernel, f, i, topo.Cfg.HostLink)
 		f.hostPorts = append(f.hostPorts, p)
+		f.toHost = append(f.toHost, deliverTo(h, 0))
 		netsim.Connect(h.NIC(), p)
 	}
 	f.coreFree = make([]des.Time, len(topo.Cores))
 	for j, core := range topo.Cores {
 		p := netsim.NewPort(topo.Kernel, f, len(hosts)+j, topo.Cfg.CoreLink)
 		f.corePorts = append(f.corePorts, p)
+		f.toCore = append(f.toCore, deliverTo(core, c))
 		netsim.Connect(core.Port(c), p)
 	}
 	return f, nil
@@ -218,13 +232,9 @@ func (f *Fabric) fromHost(pkt *packet.Packet) {
 	}
 	f.coreFree[coreIdx] = at + ser
 
-	core := f.topo.Cores[coreIdx]
-	cluster := f.cluster
 	pkt.Hops += 2 // the elided ToR and Agg hops
 	pkt.TTL -= 2
-	f.kernel.At(at, func() {
-		core.Receive(pkt, cluster)
-	})
+	f.kernel.AtCtxFn(at, 0, 0, pkt, f.toCore[coreIdx])
 }
 
 // fromCore handles a packet a core switch forwarded down into the cluster.
@@ -257,10 +267,7 @@ func (f *Fabric) deliverToHost(pkt *packet.Packet, at des.Time) {
 	}
 	f.hostFree[local] = at + ser
 
-	host := f.topo.Hosts[pkt.Dst]
 	pkt.Hops += 2
 	pkt.TTL -= 2
-	f.kernel.At(at, func() {
-		host.Receive(pkt, 0)
-	})
+	f.kernel.AtCtxFn(at, 0, 0, pkt, f.toHost[local])
 }

@@ -37,6 +37,10 @@ type BlackBox struct {
 	aggPorts  []*netsim.Port // attachment per (real agg, core uplink)
 	hostPorts []*netsim.Port // attachment per remote host
 
+	// Delivery handlers, one per attachment point (see deliverTo).
+	toAgg  []func(ctx any)
+	toHost []func(ctx any)
+
 	hostFree []des.Time // conflict resolution per remote host
 	aggFree  []des.Time // conflict resolution per real-agg uplink
 
@@ -99,6 +103,7 @@ func SpliceWholeNetwork(topo *topology.Topology, real int,
 			up := agg.Port(topo.CoreFacingAggPort(j))
 			p := netsim.NewPort(topo.Kernel, bb, len(bb.aggPorts), topo.Cfg.CoreLink)
 			bb.aggPorts = append(bb.aggPorts, p)
+			bb.toAgg = append(bb.toAgg, deliverTo(agg, topo.CoreFacingAggPort(j)))
 			netsim.Connect(up, p)
 		}
 	}
@@ -113,6 +118,7 @@ func SpliceWholeNetwork(topo *topology.Topology, real int,
 				len(bb.aggPorts)+len(bb.hostPorts), topo.Cfg.HostLink)
 			bb.hostPorts = append(bb.hostPorts, p)
 			bb.hostFree = append(bb.hostFree, 0)
+			bb.toHost = append(bb.toHost, deliverTo(h, 0))
 			netsim.Connect(h.NIC(), p)
 		}
 	}
@@ -182,12 +188,9 @@ func (b *BlackBox) fromRealCluster(pkt *packet.Packet) {
 	}
 	b.hostFree[local] = at + ser
 
-	host := b.topo.Hosts[pkt.Dst]
 	pkt.Hops += 3 // elided core + remote agg + remote ToR
 	pkt.TTL -= 3
-	b.kernel.At(at, func() {
-		host.Receive(pkt, 0)
-	})
+	b.kernel.AtCtxFn(at, 0, 0, pkt, b.toHost[local])
 }
 
 // fromRemoteHost handles inbound packets (remote host -> real cluster) and
@@ -217,10 +220,9 @@ func (b *BlackBox) fromRemoteHost(pkt *packet.Packet) {
 			b.stats.Conflicts++
 		}
 		b.hostFree[local] = at + ser
-		host := b.topo.Hosts[pkt.Dst]
 		pkt.Hops += 5
 		pkt.TTL -= 5
-		b.kernel.At(at, func() { host.Receive(pkt, 0) })
+		b.kernel.AtCtxFn(at, 0, 0, pkt, b.toHost[local])
 		return
 	}
 
@@ -251,11 +253,7 @@ func (b *BlackBox) fromRemoteHost(pkt *packet.Packet) {
 	}
 	b.aggFree[slot] = at + ser
 
-	agg := b.topo.Aggs[aggIdx]
-	inPort := b.topo.CoreFacingAggPort(corePick)
 	pkt.Hops += 3 // elided remote ToR + remote agg + core
 	pkt.TTL -= 3
-	b.kernel.At(at, func() {
-		agg.Receive(pkt, inPort)
-	})
+	b.kernel.AtCtxFn(at, 0, 0, pkt, b.toAgg[slot])
 }

@@ -171,3 +171,30 @@ func TestBlackBoxTCPFullTransfer(t *testing.T) {
 		t.Fatalf("%d of 2 TCP flows completed through the black box", done)
 	}
 }
+
+// TestBlackBoxTraversalDoesNotAllocate is the black-box twin of
+// TestFabricTraversalDoesNotAllocate: outbound, inbound and remote-to-remote
+// packets, sent from host NICs, allocate nothing end to end.
+func TestBlackBoxTraversalDoesNotAllocate(t *testing.T) {
+	k, topo, _ := bbBed(t, 1)
+	delivered := 0
+	for _, h := range []int{0, 8, 24} {
+		topo.Hosts[h].OnReceive = func(*packet.Packet) { delivered++ }
+	}
+	var out, in, remote packet.Packet
+	traverse := func() {
+		out = packet.Packet{Src: 8, Dst: 0, FlowID: 1, PayloadLen: 100}
+		in = packet.Packet{Src: 0, Dst: 8, FlowID: 2, PayloadLen: 100}
+		remote = packet.Packet{Src: 16, Dst: 24, FlowID: 3, PayloadLen: 100}
+		topo.Hosts[8].Send(&out)
+		topo.Hosts[0].Send(&in)
+		topo.Hosts[16].Send(&remote)
+		k.RunAll()
+	}
+	if allocs := testing.AllocsPerRun(100, traverse); allocs != 0 {
+		t.Errorf("three traversals allocate %.1f objects, want 0", allocs)
+	}
+	if delivered != 3*101 {
+		t.Errorf("%d deliveries, want %d", delivered, 3*101)
+	}
+}

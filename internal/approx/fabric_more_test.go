@@ -156,3 +156,28 @@ func TestMisroutedPacketBlackholed(t *testing.T) {
 		t.Error("misrouted packet counted as a traversal")
 	}
 }
+
+// TestFabricTraversalDoesNotAllocate pins the allocation-free boundary path:
+// a traversal in each direction (prediction, conflict resolution, the one
+// delivery event and the packet's onward hops) allocates nothing.
+func TestFabricTraversalDoesNotAllocate(t *testing.T) {
+	k, topo, fab := rawBed(t, 2*des.Microsecond)
+	delivered := 0
+	topo.Hosts[0].OnReceive = func(*packet.Packet) { delivered++ }
+	topo.Hosts[9].OnReceive = func(*packet.Packet) { delivered++ }
+	hostPorts := topo.Cfg.ToRsPerCluster * topo.Cfg.ServersPerToR
+	var up, down packet.Packet
+	traverse := func() {
+		up = packet.Packet{Src: 8, Dst: 0, FlowID: 9, PayloadLen: 1000, TTL: 8}
+		down = packet.Packet{Src: 0, Dst: 9, FlowID: 10, PayloadLen: 1000, TTL: 8}
+		fab.Receive(&up, 0)           // egress: host 8 toward cluster 0
+		fab.Receive(&down, hostPorts) // ingress: core 0 toward host 9
+		k.RunAll()
+	}
+	if allocs := testing.AllocsPerRun(100, traverse); allocs != 0 {
+		t.Errorf("one traversal each way allocates %.1f objects, want 0", allocs)
+	}
+	if delivered != 2*101 {
+		t.Errorf("%d deliveries, want %d", delivered, 2*101)
+	}
+}

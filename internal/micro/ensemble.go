@@ -28,6 +28,7 @@ type Ensemble struct {
 	Fallback *nn.Model
 
 	feat   *Featurizer
+	x      [FeatureDim]float64            // Predict's feature buffer
 	states [macro.NumStates + 1]*nn.State // +1: fallback
 	policy DropPolicy
 	src    *rng.Source
@@ -132,7 +133,7 @@ func TrainEnsemble(topo *topology.Topology, dir trace.Direction,
 func (e *Ensemble) Predict(now des.Time, src, dst packet.HostID, flow uint64,
 	size int32, isAck bool, st macro.State) (drop bool, latency des.Time) {
 
-	x := e.feat.Features(now, src, dst, flow, size, isAck, st)
+	e.feat.featuresInto(&e.x, now, src, dst, flow, size, isAck, st)
 	idx := int(st)
 	m := e.Experts[idx]
 	if m == nil {
@@ -140,7 +141,7 @@ func (e *Ensemble) Predict(now des.Time, src, dst packet.HostID, flow uint64,
 		m = e.Fallback
 	}
 	e.picks[idx]++
-	prob, latRaw := m.Predict(x, e.states[idx])
+	prob, latRaw := m.Predict(e.x[:], e.states[idx])
 	switch e.policy {
 	case Threshold:
 		drop = prob > 0.5

@@ -75,9 +75,20 @@ func NewFeaturizer(topo *topology.Topology) *Featurizer {
 var gapScale = math.Log1p(1e9)
 
 // Features computes the model input for a packet arriving at the boundary
-// now, and advances the inter-arrival state.
+// now, and advances the inter-arrival state. It returns a fresh slice, which
+// the training paths keep; streaming inference featurizes into a buffer it
+// owns (featuresInto).
 func (f *Featurizer) Features(now des.Time, src, dst packet.HostID, flow uint64,
 	size int32, isAck bool, st macro.State) []float64 {
+
+	x := new([FeatureDim]float64)
+	f.featuresInto(x, now, src, dst, flow, size, isAck, st)
+	return x[:]
+}
+
+// featuresInto is Features writing into x instead of allocating.
+func (f *Featurizer) featuresInto(x *[FeatureDim]float64, now des.Time, src, dst packet.HostID,
+	flow uint64, size int32, isAck bool, st macro.State) {
 
 	gap := float64(0)
 	if f.hasLast {
@@ -100,21 +111,19 @@ func (f *Featurizer) Features(now des.Time, src, dst packet.HostID, flow uint64,
 		}
 		return float64(id) / (nHosts + nt + na + nc)
 	}
-	x := make([]float64, 0, FeatureDim)
-	x = append(x,
-		float64(src)/nHosts,
-		float64(dst)/nHosts,
+	*x = [FeatureDim]float64{
+		float64(src) / nHosts,
+		float64(dst) / nHosts,
 		norm(path.SrcToR, nt),
 		norm(path.SrcAgg, na),
 		norm(path.Core, nc),
-		float64(size)/float64(packet.MaxFrameSize),
+		float64(size) / float64(packet.MaxFrameSize),
 		boolTo01(isAck),
-		math.Log1p(gap)/gapScale,
-		math.Log1p(f.gapEWMA)/gapScale,
-	)
+		math.Log1p(gap) / gapScale,
+		math.Log1p(f.gapEWMA) / gapScale,
+	}
 	oh := st.OneHot()
-	x = append(x, oh[:]...)
-	return x
+	copy(x[FeatureDim-macro.NumStates:], oh[:])
 }
 
 func boolTo01(b bool) float64 {
@@ -153,6 +162,7 @@ type Predictor struct {
 	Dir   trace.Direction
 
 	feat   *Featurizer
+	x      [FeatureDim]float64 // Predict's feature buffer
 	state  *nn.State
 	policy DropPolicy
 	src    *rng.Source
@@ -187,8 +197,8 @@ func NewPredictor(m *nn.Model, dir trace.Direction, topo *topology.Topology,
 func (p *Predictor) Predict(now des.Time, src, dst packet.HostID, flow uint64,
 	size int32, isAck bool, st macro.State) (drop bool, latency des.Time) {
 
-	x := p.feat.Features(now, src, dst, flow, size, isAck, st)
-	prob, latRaw := p.Model.Predict(x, p.state)
+	p.feat.featuresInto(&p.x, now, src, dst, flow, size, isAck, st)
+	prob, latRaw := p.Model.Predict(p.x[:], p.state)
 	switch p.policy {
 	case Threshold:
 		drop = prob > 0.5

@@ -284,3 +284,24 @@ func TestThresholdPolicyDeterministic(t *testing.T) {
 		t.Error("Threshold policy varied with seed")
 	}
 }
+
+// TestPredictDoesNotAllocate pins streaming inference: Predictor.Predict and
+// Ensemble.Predict featurize into a buffer they own, so a packet allocates
+// nothing.
+func TestPredictDoesNotAllocate(t *testing.T) {
+	topo := buildTopo(t)
+	m := nn.NewModel(FeatureDim, 8, 2, rng.New(1))
+	p := NewPredictor(m, trace.Egress, topo, Sample, 1, 0)
+	e := &Ensemble{Fallback: m, feat: NewFeaturizer(topo), policy: Sample, src: rng.New(2),
+		LatencyCeiling: 100 * des.Millisecond}
+	e.states[macro.NumStates] = m.NewState()
+	now := des.Time(0)
+	for name, pred := range map[string]PacketPredictor{"Predictor": p, "Ensemble": e} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			now += des.Microsecond
+			pred.Predict(now, 0, 8, 1, 1500, false, macro.Minimal)
+		}); allocs != 0 {
+			t.Errorf("%s.Predict allocates %.1f objects per packet, want 0", name, allocs)
+		}
+	}
+}

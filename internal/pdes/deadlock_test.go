@@ -392,3 +392,102 @@ func TestLeafSpineStress(t *testing.T) {
 		})
 	}
 }
+
+// eitPollRun runs a leaf-spine workload on lps LPs under null messages and
+// returns the committed netsim+tcp groups with the run's result.
+func eitPollRun(t *testing.T, lps int, seed uint64, opts ...Option) (string, *ExperimentResult) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	res, err := runNetwork(topology.DefaultLeafSpineConfig(4), lps, 0.6, 2*des.Millisecond, seed,
+		NullMessages, reg, nil, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violations != 0 {
+		t.Fatalf("lps=%d seed %d: %d causality violations", lps, seed, res.Violations)
+	}
+	return committedGroups(t, reg), res
+}
+
+// TestEITPollConcurrentSystemsPark runs two 2-LP null-message Systems at
+// once, as a server's two workers do. Neither may poll: each EIT stall must
+// park, and each run must still commit what its lps=1 reference commits. The
+// test holds one parallel-run slot itself, as a third System would, so every
+// stall sees another System however the two starts interleave.
+func TestEITPollConcurrentSystemsPark(t *testing.T) {
+	seeds := []uint64{3, 4}
+	refs := make([]string, len(seeds))
+	for i, seed := range seeds {
+		refs[i], _ = eitPollRun(t, 1, seed)
+	}
+	parallelRuns.Add(1)
+	defer parallelRuns.Add(-1)
+	got := make([]string, len(seeds))
+	res := make([]*ExperimentResult, len(seeds))
+	done := make(chan int)
+	for i, seed := range seeds {
+		go func(i int, seed uint64) {
+			defer func() { done <- i }()
+			got[i], res[i] = eitPollRun(t, 2, seed)
+		}(i, seed)
+	}
+	for range seeds {
+		<-done
+	}
+	for i, seed := range seeds {
+		if got[i] != refs[i] {
+			t.Errorf("seed %d: concurrent 2-LP run diverged from lps=1:\nref: %s\ngot: %s", seed, refs[i], got[i])
+		}
+		if r := res[i]; r.EITStalls == 0 || r.EITParks != r.EITStalls {
+			t.Errorf("seed %d: eit_parks %d, eit_stalls %d; want equal and nonzero", seed, r.EITParks, r.EITStalls)
+		}
+	}
+}
+
+// TestEITPollOversubscribedTinyInbox runs 2 LPs on one core with
+// capacity-1 inboxes, the null-message twin of
+// TestBarrierOversubscribedTinyInbox. With fewer cores than LPs no stall
+// may poll, and the run must finish and commit what lps=1 commits.
+func TestEITPollOversubscribedTinyInbox(t *testing.T) {
+	const seed = 3
+	ref, _ := eitPollRun(t, 1, seed)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var got string
+	var res *ExperimentResult
+	runWithWatchdog(t, 60*time.Second, func() { got, res = eitPollRun(t, 2, seed, WithInboxCap(1)) })
+	if got != ref {
+		t.Errorf("oversubscribed null-message run diverged from lps=1:\nref: %s\ngot: %s", ref, got)
+	}
+	if res.EITParks != res.EITStalls {
+		t.Errorf("eit_parks %d, eit_stalls %d: a stall polled with fewer cores than LPs", res.EITParks, res.EITStalls)
+	}
+}
+
+// TestEITPollGate pins the poll gate and the process-wide count of running
+// multi-LP Systems behind it: the count is back to 0 after every Run,
+// segmented runs included, and a System polls only while it is the one
+// running System and its LPs fit the cores.
+func TestEITPollGate(t *testing.T) {
+	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
+		if _, err := runNetwork(topology.DefaultLeafSpineConfig(4), 2, 0.4, des.Millisecond, 5,
+			algo, nil, []des.Time{400 * des.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		if n := parallelRuns.Load(); n != 0 {
+			t.Fatalf("%v: %d parallel runs registered after Run(t1); Run(t2) returned, want 0", algo, n)
+		}
+	}
+	s := NewSystem(2)
+	for _, c := range []struct {
+		fits    bool
+		running int32
+		want    bool
+	}{{true, 1, true}, {true, 2, false}, {false, 1, false}} {
+		s.fitsCores = c.fits
+		parallelRuns.Add(c.running)
+		if got := s.mayPoll(); got != c.want {
+			t.Errorf("fitsCores=%v with %d running: mayPoll %v, want %v", c.fits, c.running, got, c.want)
+		}
+		parallelRuns.Add(-c.running)
+	}
+}

@@ -151,6 +151,7 @@ func (s Stats) Sub(base Stats) Stats {
 		CrossPkts:        s.CrossPkts - base.CrossPkts,
 		Violations:       s.Violations - base.Violations,
 		EITStalls:        s.EITStalls - base.EITStalls,
+		EITParks:         s.EITParks - base.EITParks,
 		ParkedArrivals:   s.ParkedArrivals - base.ParkedArrivals,
 		PostHorizonDrops: s.PostHorizonDrops - base.PostHorizonDrops,
 		Rollbacks:        s.Rollbacks - base.Rollbacks,

@@ -586,6 +586,7 @@ type ExperimentResult struct {
 	CrossPkts        uint64
 	Violations       uint64 // causality violations: nonzero means a sync bug
 	EITStalls        uint64
+	EITParks         uint64 // EIT stalls that parked: EITStalls - EITParks were absorbed by polling
 	ParkedArrivals   uint64 // conservative: in-flight packets parked at the horizon, resumable
 	PostHorizonDrops uint64 // Time Warp: packets lost at the terminal horizon
 	Rollbacks        uint64 // Time Warp: state restores
@@ -643,6 +644,7 @@ func (n *Network) AssembleResult(st Stats, dur des.Time, wall time.Duration) *Ex
 		CrossPkts:        st.CrossPkts,
 		Violations:       st.Violations,
 		EITStalls:        st.EITStalls,
+		EITParks:         st.EITParks,
 		ParkedArrivals:   st.ParkedArrivals,
 		PostHorizonDrops: st.PostHorizonDrops,
 		Rollbacks:        st.Rollbacks,

@@ -66,6 +66,12 @@ type LP struct {
 	kernel *des.Kernel
 	inbox  chan message
 
+	// sleeping and wake are the LP's parking slot in wait: the LP raises
+	// sleeping before it parks, and a barrier release sends a token on the
+	// 1-slot wake channel of every LP it finds sleeping.
+	sleeping atomic.Bool
+	wake     chan struct{}
+
 	// tw holds the Time Warp per-LP state (queues, checkpoints, counters);
 	// nil under the conservative engines. See timewarp.go.
 	tw *lpTW
@@ -115,6 +121,9 @@ type LP struct {
 	// EITStalls counts the times the LP exhausted its input promises and had
 	// to block waiting for a neighbor — the paper's §2.2 lockstep overhead.
 	EITStalls uint64
+	// EITParks counts the EIT stalls that ended in a park: polling (see wait)
+	// absorbed the other EITStalls − EITParks.
+	EITParks uint64
 	// ParkedArrivals counts cross-LP packets stamped beyond the run horizon
 	// and moved to the parked buffer. They cannot execute inside the run
 	// that received them, but they are NOT lost: the next Run (or a restored
@@ -206,6 +215,11 @@ type System struct {
 	// cbuf is the GVT coordinator's trace handle (pid one past the last LP);
 	// nil when tracing is off.
 	cbuf *obs.Buf
+
+	// fitsCores records, at the entry of a multi-LP conservative run, whether
+	// every LP has a core of its own (LPs ≤ GOMAXPROCS). Read on every wait,
+	// so GOMAXPROCS, which takes the scheduler lock, is asked once per Run.
+	fitsCores bool
 }
 
 // NewSystem creates n empty logical processes. Options select the
@@ -228,6 +242,7 @@ func NewSystem(n int, opts ...Option) *System {
 			// A lone LP has no cross-LP channel, so it never receives a
 			// message; a nil inbox spares it the full-capacity buffer.
 			lp.inbox = make(chan message, cfg.inboxCap)
+			lp.wake = make(chan struct{}, 1)
 		}
 		if cfg.tracer != nil {
 			lp.buf = cfg.tracer.NewBuf(int32(i), fmt.Sprintf("LP %d", i))
@@ -569,6 +584,8 @@ func (s *System) runNull(end des.Time) {
 		s.lps[0].kernel.Run(end)
 		return
 	}
+	s.enterParallel()
+	defer parallelRuns.Add(-1)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var drainers sync.WaitGroup
@@ -637,7 +654,7 @@ func (s *System) finalCatchUp(end des.Time) {
 		compute.Add(1)
 		go func(lp *LP) {
 			defer wg.Done()
-			lp.drain(false)
+			lp.drain()
 			lp.kernel.Run(end)
 			compute.Done()
 			for {
@@ -676,7 +693,7 @@ func (lp *LP) eit() des.Time {
 // run is the LP main loop.
 func (lp *LP) run() {
 	for {
-		lp.drain(false)
+		lp.drain()
 		horizon := lp.eit()
 		if horizon > lp.end {
 			horizon = lp.end
@@ -692,7 +709,15 @@ func (lp *LP) run() {
 		if horizon >= lp.end {
 			return
 		}
-		lp.drain(true)
+		// A send that meets a full inbox ingests while it waits (LP.send), so
+		// the promise this LP needs may already be in. Stall only while the
+		// EIT still sits at the horizon: a neighbor that has sent its final
+		// promise and returned sends nothing more, and waiting for it would
+		// park this LP for good.
+		if lp.eit() > horizon {
+			continue
+		}
+		lp.stall()
 	}
 }
 
@@ -773,24 +798,104 @@ func (lp *LP) resumeParked() {
 	}
 }
 
-// drain ingests inbox messages; when block is set it waits for at least one.
-func (lp *LP) drain(block bool) {
+// drain ingests every message waiting in the inbox and reports whether there
+// was any.
+func (lp *LP) drain() bool {
 	lp.inboxDepth(len(lp.inbox))
-	if block {
-		atomic.AddUint64(&lp.EITStalls, 1)
-		if lp.buf.Enabled() {
-			lp.buf.Emit(obs.Event{TS: lp.kernel.Now(), Ph: obs.PhInstant, Name: "eit_stall",
-				Cat: "pdes", K1: "stalls", V1: int64(atomic.LoadUint64(&lp.EITStalls))})
-		}
-		lp.ingest(<-lp.inbox)
-	}
+	got := false
 	for {
 		select {
 		case m := <-lp.inbox:
 			lp.ingest(m)
+			got = true
 		default:
-			return
+			return got
 		}
+	}
+}
+
+// stall is the null-message EIT stall: the LP has run up to its earliest
+// input time and waits for a neighbor's next message, which may raise it.
+func (lp *LP) stall() {
+	atomic.AddUint64(&lp.EITStalls, 1)
+	if lp.buf.Enabled() {
+		lp.buf.Emit(obs.Event{TS: lp.kernel.Now(), Ph: obs.PhInstant, Name: "eit_stall",
+			Cat: "pdes", K1: "stalls", V1: int64(atomic.LoadUint64(&lp.EITStalls))})
+	}
+	if lp.wait(func(ingested bool) bool { return ingested }) {
+		atomic.AddUint64(&lp.EITParks, 1)
+	}
+	lp.drain()
+}
+
+// waitPoll bounds how long a waiting LP polls before it parks. Most waits end
+// within a few microseconds, so polling spares them a park/wake round trip;
+// the bound keeps an LP that waits on a slow neighbor from holding a core.
+// It is wall time, not a count of yields: a yield costs several times more
+// when the host is busy or the race detector is on, and a count would stretch
+// every unanswered poll with it.
+const waitPoll = 30 * time.Microsecond
+
+// parallelRuns counts the multi-LP Systems inside a conservative Run in this
+// process (raised and lowered by runNull and runBarrier).
+var parallelRuns atomic.Int32
+
+// enterParallel registers a multi-LP conservative run; the caller lowers
+// parallelRuns when the run returns.
+func (s *System) enterParallel() {
+	s.fitsCores = len(s.lps) <= runtime.GOMAXPROCS(0)
+	parallelRuns.Add(1)
+}
+
+// mayPoll is wait's gate: a waiting LP polls only while its System is the
+// only multi-LP run in the process and every one of its LPs has a core.
+// Otherwise the cores a poller would hold belong to someone else — another
+// System's LPs, or a server's request goroutines that no LP count sees — and
+// the LP parks at once.
+func (s *System) mayPoll() bool {
+	return s.fitsCores && parallelRuns.Load() == 1
+}
+
+// wait is the one blocking wait of both conservative engines: the
+// null-message EIT stall and the barrier window wait. It returns once ready
+// reports true; ready is asked after each inbox ingest and told whether that
+// ingest took a message. The LP ingests its inbox the whole time, so a
+// neighbor blocked sending to it always makes progress.
+//
+// While mayPoll allows, the LP first polls for up to waitPoll in rounds of
+// ingest, check, runtime.Gosched. Then it parks: it raises its sleeping flag,
+// re-checks ready, and blocks on its inbox or its wake channel. The flag and
+// the condition ready reads are a store-then-load pair on each side (see
+// awaitWindow), so no wakeup is lost. wait reports whether it parked.
+func (lp *LP) wait(ready func(ingested bool) bool) (parked bool) {
+	if lp.sys.mayPoll() {
+		start := time.Now()
+		for {
+			if ready(lp.drain()) {
+				return false
+			}
+			if time.Since(start) > waitPoll {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	ingested := false
+	for {
+		lp.sleeping.Store(true)
+		if ready(ingested) {
+			lp.sleeping.Store(false)
+			return parked
+		}
+		parked = true
+		select {
+		case <-lp.wake:
+			ingested = false
+		case m := <-lp.inbox:
+			lp.ingest(m)
+			ingested = true
+		}
+		lp.sleeping.Store(false)
 	}
 }
 
@@ -824,8 +929,10 @@ type Stats struct {
 	// Violations is the total causality-violation count — always zero under
 	// a correct conservative protocol; tests fail when it is not.
 	Violations uint64
-	// EITStalls counts blocking waits for neighbor promises.
+	// EITStalls counts blocking waits for neighbor promises, and EITParks
+	// the ones polling did not absorb.
 	EITStalls uint64
+	EITParks  uint64
 	// ParkedArrivals counts cross-LP packets stamped beyond a conservative
 	// run's horizon and parked for the next segment — resumable, not lost.
 	ParkedArrivals uint64
@@ -859,6 +966,7 @@ func (s *System) Stats() Stats {
 		out.CrossPkts += atomic.LoadUint64(&lp.CrossPkts)
 		out.Violations += atomic.LoadUint64(&lp.Violations)
 		out.EITStalls += atomic.LoadUint64(&lp.EITStalls)
+		out.EITParks += atomic.LoadUint64(&lp.EITParks)
 		out.ParkedArrivals += atomic.LoadUint64(&lp.ParkedArrivals)
 		out.PostHorizonDrops += atomic.LoadUint64(&lp.PostHorizonDrops)
 		out.Rollbacks += atomic.LoadUint64(&lp.Rollbacks)
@@ -883,6 +991,7 @@ func (s *System) CollectMetrics(e *metrics.Emitter) {
 		e.Counter("cross_lp_packets", atomic.LoadUint64(&lp.CrossPkts))
 		e.Counter("causality_violations", atomic.LoadUint64(&lp.Violations))
 		e.Counter("eit_stalls", atomic.LoadUint64(&lp.EITStalls))
+		e.Counter("eit_parks", atomic.LoadUint64(&lp.EITParks))
 		e.Counter("parked_arrivals", atomic.LoadUint64(&lp.ParkedArrivals))
 		e.Counter("post_horizon_drops", atomic.LoadUint64(&lp.PostHorizonDrops))
 		e.Counter("rollbacks", atomic.LoadUint64(&lp.Rollbacks))
@@ -905,9 +1014,9 @@ func (s *System) CollectMetrics(e *metrics.Emitter) {
 //
 // Each LP runs on one worker goroutine for the whole run. A worker drains its
 // inbox, executes its window, arrives at the barrier and waits there for the
-// other LPs (LP.awaitWindow): it polls the shared arrival counter for a
-// bounded number of scheduler yields, then parks until the last arrival
-// wakes it. Nothing is spawned or allocated per window.
+// other LPs (LP.awaitWindow): like an EIT stall it goes through LP.wait,
+// polling the shared arrival counter while the gate allows, then parking
+// until the last arrival wakes it. Nothing is spawned or allocated per window.
 //
 // Compared to null messages, barriers trade per-channel chatter for
 // synchronization points whose count is horizon/lookahead — a different
@@ -929,6 +1038,8 @@ func (s *System) runBarrier(end des.Time) {
 		s.lps[0].kernel.Run(end)
 		return
 	}
+	s.enterParallel()
+	defer parallelRuns.Add(-1)
 	delta := des.MaxTime
 	for _, lp := range s.lps {
 		for _, o := range lp.outs {
@@ -962,7 +1073,7 @@ func (s *System) runBarrier(end des.Time) {
 				if horizon > end {
 					horizon = end
 				}
-				lp.drain(false)
+				lp.drain()
 				lp.maxHorizon(horizon)
 				// Strictly below the window boundary: a message sent during
 				// this window may be stamped exactly `horizon`, and it is only
@@ -988,72 +1099,36 @@ func (s *System) runBarrier(end des.Time) {
 	s.finalCatchUp(end)
 }
 
-// barrierSpins is how many scheduler yields a barrier worker polls for the
-// window release before it parks. Most releases come within a few
-// microseconds, so polling spares them a park/wake round trip; the bound
-// keeps a worker that waits on a slow LP from holding a core, and with more
-// LPs than cores each yield hands the core to an LP still computing.
-const barrierSpins = 200
-
 // barrier releases runBarrier's windows. Window k is complete when the
-// shared arrival counter reaches k·n. A worker that parks raises its parked
-// flag first; the last arrival sends a token on the 1-slot wake channel of
-// every parked worker. Waiters re-check the counter after any wake, so a
-// stale token left from an earlier window is harmless.
+// shared arrival counter reaches k·n; the last arrival wakes every LP it finds
+// sleeping in wait. Waiters re-check the counter after any wake, so a stale
+// token left from an earlier window is harmless.
 type barrier struct {
 	n       int64
 	arrived atomic.Int64
-	parked  []atomic.Bool
-	wake    []chan struct{}
 }
 
-func newBarrier(n int) *barrier {
-	b := &barrier{n: int64(n), parked: make([]atomic.Bool, n), wake: make([]chan struct{}, n)}
-	for i := range b.wake {
-		b.wake[i] = make(chan struct{}, 1)
-	}
-	return b
-}
+func newBarrier(n int) *barrier { return &barrier{n: int64(n)} }
 
 // awaitWindow arrives at the barrier for window k and returns once every LP
 // has arrived. While it waits the LP keeps ingesting its inbox, so a neighbor
 // still computing never blocks for good on a full inbox; the messages carry
 // timestamps at or beyond the window's end, so they only schedule future
-// events. The parked flag and the counter are a store-then-load pair on each
-// side, so either the waiter sees the last arrival or the last arrival sees
-// the flag: no wakeup is lost.
+// events. A waiter raises its sleeping flag before it re-checks the counter,
+// and the last arrival bumps the counter before it reads the flags: either
+// the waiter sees the last arrival or the last arrival sees the flag.
 func (lp *LP) awaitWindow(b *barrier, k int64) {
 	target := k * b.n
 	if b.arrived.Add(1) == target {
-		for i := range b.parked {
-			if b.parked[i].Load() {
+		for _, p := range lp.sys.lps {
+			if p.sleeping.Load() {
 				select {
-				case b.wake[i] <- struct{}{}:
+				case p.wake <- struct{}{}:
 				default:
 				}
 			}
 		}
 		return
 	}
-	for i := 0; i < barrierSpins; i++ {
-		if b.arrived.Load() >= target {
-			return
-		}
-		lp.drain(false)
-		runtime.Gosched()
-	}
-	parked, wake := &b.parked[lp.id], b.wake[lp.id]
-	for {
-		parked.Store(true)
-		if b.arrived.Load() >= target {
-			parked.Store(false)
-			return
-		}
-		select {
-		case <-wake:
-		case m := <-lp.inbox:
-			lp.ingest(m)
-		}
-		parked.Store(false)
-	}
+	lp.wait(func(bool) bool { return b.arrived.Load() >= target })
 }
