@@ -6,7 +6,9 @@ import (
 
 	"approxsim/internal/core"
 	"approxsim/internal/metrics"
+	"approxsim/internal/micro"
 	"approxsim/internal/nn"
+	"approxsim/internal/rng"
 	"approxsim/internal/scenario"
 	"approxsim/internal/trace"
 )
@@ -206,6 +208,21 @@ func TestModelsSaveLoadRoundTrip(t *testing.T) {
 func TestLoadModelsRejectsGarbage(t *testing.T) {
 	if _, err := core.LoadModels(bytes.NewReader([]byte("nonsense"))); err == nil {
 		t.Error("LoadModels accepted garbage")
+	}
+}
+
+// TestLoadModelsRejectsWrongInputWidth: a bundle whose models were built for
+// another feature width is refused at load, not left to panic in Predict.
+func TestLoadModelsRejectsWrongInputWidth(t *testing.T) {
+	_, models := quickTrain(t)
+	wrong := *models
+	wrong.Ingress = nn.NewModel(micro.FeatureDim+1, 4, 1, rng.New(1))
+	var buf bytes.Buffer
+	if err := wrong.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadModels(&buf); err == nil {
+		t.Error("LoadModels accepted a model of the wrong input width")
 	}
 }
 

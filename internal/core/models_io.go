@@ -6,6 +6,7 @@ import (
 
 	"approxsim/internal/des"
 	"approxsim/internal/macro"
+	"approxsim/internal/micro"
 	"approxsim/internal/nn"
 )
 
@@ -56,6 +57,10 @@ func LoadModels(r io.Reader) (*Models, error) {
 	ing, err := nn.Load(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: ingress model: %w", err)
+	}
+	if eg.InDim != micro.FeatureDim || ing.InDim != micro.FeatureDim {
+		return nil, fmt.Errorf("core: models take %d and %d inputs, the featurizer gives %d",
+			eg.InDim, ing.InDim, micro.FeatureDim)
 	}
 	return &Models{
 		Egress: eg, Ingress: ing,

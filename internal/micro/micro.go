@@ -357,5 +357,8 @@ func LoadPredictor(r io.Reader, topo *topology.Topology, seed uint64) (*Predicto
 	if err != nil {
 		return nil, err
 	}
+	if m.InDim != FeatureDim {
+		return nil, fmt.Errorf("micro: model takes %d inputs, the featurizer gives %d", m.InDim, FeatureDim)
+	}
 	return NewPredictor(m, trace.Direction(dir), topo, Sample, seed, des.Time(floor)), nil
 }

@@ -271,6 +271,16 @@ func TestLoadPredictorRejectsGarbage(t *testing.T) {
 	if _, err := LoadPredictor(bytes.NewReader([]byte("junk")), topo, 1); err == nil {
 		t.Error("LoadPredictor accepted garbage")
 	}
+	// A model built for another feature width is refused at load, not left
+	// to panic in Predict.
+	var buf bytes.Buffer
+	p := NewPredictor(nn.NewModel(FeatureDim-1, 4, 1, rng.New(1)), trace.Ingress, topo, Sample, 1, 0)
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPredictor(&buf, topo, 1); err == nil {
+		t.Error("LoadPredictor accepted a model of the wrong input width")
+	}
 }
 
 func TestThresholdPolicyDeterministic(t *testing.T) {

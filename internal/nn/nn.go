@@ -46,19 +46,52 @@ func sigmoid(x float64) float64 {
 }
 
 // dot is an unrolled dot product with a bounds-check hint; the row length
-// always equals len(x) by construction.
+// always equals len(x) by construction. s0 sums the products at even indices
+// and then the odd-length tail, s1 those at odd indices. The float64
+// conversions round each product before it is added, which the Go spec says
+// forbids fusing it into a multiply-add (arm64 would fuse it otherwise): the
+// sum has the same bits on every GOARCH, and the amd64 kernel behind affine
+// reproduces them.
 func dot(row, x []float64) float64 {
 	row = row[:len(x)]
 	var s0, s1 float64
 	i := 0
 	for ; i+1 < len(x); i += 2 {
-		s0 += row[i] * x[i]
-		s1 += row[i+1] * x[i+1]
+		s0 += float64(row[i] * x[i])
+		s1 += float64(row[i+1] * x[i+1])
 	}
 	if i < len(x) {
-		s0 += row[i] * x[i]
+		s0 += float64(row[i] * x[i])
 	}
 	return s0 + s1
+}
+
+// gates sets the LSTM gate pre-activations z[r] = (b[r] + wx[r]·x) + wh[r]·h
+// for every row r of z, where wx and wh are row-major with len(x) and len(h)
+// columns. Training and inference both call it, so the two agree bit for bit.
+func gates(z, b, wx, x, wh, h []float64) {
+	affine(z, b, wx, x)
+	affine(z, z, wh, h)
+}
+
+// affine sets z[r] = b[r] + dot(w[r*n:(r+1)*n], v) with n = len(v). On amd64
+// an SSE2 kernel does every whole block of 8 rows; affineRows does the rest,
+// and every row on other GOARCHes. Both give the same bits. The lengths are
+// checked here, before any row is touched, because the kernel does not check
+// them.
+func affine(z, b, w, v []float64) {
+	if len(b) != len(z) || len(w) != len(z)*len(v) {
+		panic("nn: gate weights, bias and output disagree in size")
+	}
+	affineRows(z, b, w, v, affineKernel(z, b, w, v))
+}
+
+// affineRows is the reference affine for rows from on: one dot per row.
+func affineRows(z, b, w, v []float64, from int) {
+	n := len(v)
+	for r := from; r < len(z); r++ {
+		z[r] = b[r] + dot(w[r*n:(r+1)*n], v)
+	}
 }
 
 // Dense is a fully connected layer y = Wx + b.
@@ -165,10 +198,7 @@ type stepCache struct {
 func (l *lstmLayer) forward(x, hPrev, cPrev []float64) ([]float64, []float64, *stepCache) {
 	H := l.Hidden
 	z := make([]float64, 4*H)
-	for r := 0; r < 4*H; r++ {
-		z[r] = l.B[r] + dot(l.Wx[r*l.In:(r+1)*l.In], x) +
-			dot(l.Wh[r*H:(r+1)*H], hPrev)
-	}
+	gates(z, l.B, l.Wx, x, l.Wh, hPrev)
 	cache := &stepCache{
 		x: x, hPrev: hPrev, cPrev: cPrev,
 		i: make([]float64, H), f: make([]float64, H),
@@ -279,16 +309,13 @@ func (m *Model) NewState() *State {
 }
 
 // inferStep advances one layer in place: reads x and the old (h, c), writes
-// the new (h, c). z is caller scratch of size >= 4*Hidden. The gate math is
+// the new (h, c). z is caller scratch of size 4*Hidden. The gate math is
 // identical to forward; only the caching for backprop is omitted.
 func (l *lstmLayer) inferStep(x, h, c, z []float64) {
 	H := l.Hidden
 	// All of z depends only on the OLD h, so compute it fully before
 	// mutating h below.
-	for r := 0; r < 4*H; r++ {
-		z[r] = l.B[r] + dot(l.Wx[r*l.In:(r+1)*l.In], x) +
-			dot(l.Wh[r*H:(r+1)*H], h)
-	}
+	gates(z, l.B, l.Wx, x, l.Wh, h)
 	for j := 0; j < H; j++ {
 		ig := sigmoid(z[j])
 		fg := sigmoid(z[H+j])
@@ -301,8 +328,12 @@ func (l *lstmLayer) inferStep(x, h, c, z []float64) {
 
 // Predict runs one input through the model, updating st in place, and
 // returns the drop probability and the raw latency-head output. It performs
-// no heap allocation.
+// no heap allocation. It panics if len(x) != m.InDim, as NewModel panics on
+// bad dimensions: a wrong-width input is a caller bug, not data.
 func (m *Model) Predict(x []float64, st *State) (dropProb, latency float64) {
+	if len(x) != m.InDim {
+		panic("nn: Predict input width differs from the model's InDim")
+	}
 	cur := x
 	for l, layer := range m.lstm {
 		layer.inferStep(cur, st.h[l], st.c[l], st.z)

@@ -40,7 +40,7 @@ func TestLinkFlapDegradesTailLatency(t *testing.T) {
 	for id := uint64(9000); victim.ID == 0; id++ {
 		for d := cfg.ServersPerToR; d < cfg.NumHosts(); d++ {
 			p := &packet.Packet{Src: 0, Dst: packet.HostID(d), FlowID: id}
-			if port, ok := topology.RouteOn(cfg, nil, 0, tor0, p); ok && port == cfg.ServersPerToR {
+			if port, ok := topology.RouteOn(&cfg, nil, 0, tor0, p); ok && port == cfg.ServersPerToR {
 				victim.ID, victim.Dst = id, packet.HostID(d)
 				break
 			}

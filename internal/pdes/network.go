@@ -116,7 +116,7 @@ func (l *layout) fabricPins(sched *faults.Schedule, at []des.Time, src, dst pack
 	seen := make([]bool, l.fabric())
 	for _, now := range at {
 		for node := l.peers[src][0]; ; {
-			port, ok := topology.RouteOn(l.cfg, sched, now, node, &probe)
+			port, ok := topology.RouteOn(&l.cfg, sched, now, node, &probe)
 			if !ok {
 				break
 			}
@@ -536,7 +536,7 @@ func (n *Network) Route(sw packet.NodeID, p *packet.Packet) (int, bool) {
 			now = own.Kernel().Now()
 		}
 	}
-	return topology.RouteOn(n.Cfg, sched, now, sw, p)
+	return topology.RouteOn(&n.Cfg, sched, now, sw, p)
 }
 
 // RegisterMetrics registers every component of the experiment with reg:

@@ -287,8 +287,9 @@ func (s Spec) Validate() error {
 		if err != nil {
 			return err
 		}
+		cfg := n.topologyConfig()
 		for _, p := range ps {
-			if hosts := n.topologyConfig().NumHosts(); p.Hosts > hosts {
+			if hosts := cfg.NumHosts(); p.Hosts > hosts {
 				return fmt.Errorf("scenario: collective %q wants %d hosts, topology has %d",
 					p, p.Hosts, hosts)
 			}

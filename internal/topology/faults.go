@@ -34,7 +34,7 @@ import (
 // schedule sched as seen at virtual time now. A nil or empty schedule gives
 // the healthy routing, independent of now. ok is false when sw knows no
 // surviving route (the caller counts a route drop).
-func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID, p *packet.Packet) (int, bool) {
+func RouteOn(cfg *Config, sched *faults.Schedule, now des.Time, sw packet.NodeID, p *packet.Packet) (int, bool) {
 	dst := int(p.Dst)
 	perCluster := cfg.ToRsPerCluster * cfg.ServersPerToR
 	if dst < 0 || dst >= cfg.NumHosts() {
@@ -67,20 +67,14 @@ func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID,
 		// ToR when it picks the aggregation position).
 		apos := agg % cfg.AggsPerCluster
 		dstAgg := aggBase + packet.NodeID(dstCluster*cfg.AggsPerCluster+apos)
-		var survivors []int
-		for j := 0; j < cfg.CoresPerAgg; j++ {
+		dead := func(j int) bool {
 			core := coreBase + packet.NodeID(apos*cfg.CoresPerAgg+j)
-			if sched.ViewedLinkDown(sw, sw, core, now) ||
+			return sched.ViewedLinkDown(sw, sw, core, now) ||
 				sched.ViewedSwitchDown(sw, core, now) ||
-				sched.ViewedLinkDown(sw, core, dstAgg, now) {
-				continue
-			}
-			survivors = append(survivors, j)
+				sched.ViewedLinkDown(sw, core, dstAgg, now)
 		}
-		if len(survivors) == 0 {
-			return 0, false
-		}
-		return cfg.ToRsPerCluster + survivors[h%uint64(len(survivors))], true
+		j, ok := pickSurvivor(cfg.CoresPerAgg, h, dead)
+		return cfg.ToRsPerCluster + j, ok
 
 	case sw >= torBase: // ToR
 		tor := int(sw - torBase)
@@ -93,26 +87,45 @@ func RouteOn(cfg Config, sched *faults.Schedule, now des.Time, sw packet.NodeID,
 			return cfg.ServersPerToR + int(h%uint64(uplinks)), true
 		}
 		dstToRID := torBase + packet.NodeID(dstToR)
-		var survivors []int
-		for a := 0; a < uplinks; a++ {
-			if torUplinkDead(cfg, sched, now, sw, a, torBase, aggBase, dstToRID, dstCluster) {
-				continue
-			}
-			survivors = append(survivors, a)
-		}
-		if len(survivors) == 0 {
-			return 0, false
-		}
-		return cfg.ServersPerToR + survivors[h%uint64(len(survivors))], true
+		a, ok := pickSurvivor(uplinks, h, func(a int) bool {
+			return torUplinkDead(cfg, sched, now, sw, a, torBase, aggBase, dstToRID, dstCluster)
+		})
+		return cfg.ServersPerToR + a, ok
 
 	default: // host: hosts do not route
 		return 0, false
 	}
 }
 
+// pickSurvivor returns the (h mod m)-th of the m candidates in [0, n) that
+// dead rejects, in ascending order — the rehash over the surviving
+// equal-cost set — and false when none survives. It counts the survivors in
+// one pass and finds the pick in a second, so it allocates nothing; dead is
+// a pure function of its candidate, so both passes see the same set.
+func pickSurvivor(n int, h uint64, dead func(int) bool) (int, bool) {
+	m := 0
+	for i := 0; i < n; i++ {
+		if !dead(i) {
+			m++
+		}
+	}
+	if m == 0 {
+		return 0, false
+	}
+	k := int(h % uint64(m))
+	for i := 0; ; i++ {
+		if !dead(i) {
+			if k == 0 {
+				return i, true
+			}
+			k--
+		}
+	}
+}
+
 // torUplinkDead reports whether ToR sw believes (at time now) that uplink
 // position a cannot carry traffic toward dstToR.
-func torUplinkDead(cfg Config, sched *faults.Schedule, now des.Time,
+func torUplinkDead(cfg *Config, sched *faults.Schedule, now des.Time,
 	sw packet.NodeID, a int, torBase, aggBase, dstToRID packet.NodeID, dstCluster int) bool {
 
 	if cfg.Kind == LeafSpine {

@@ -45,7 +45,7 @@ func FuzzParseFaults(f *testing.F) {
 			for _, at := range sched.SampleTimes() {
 				for sw := tor; sw < n; sw++ {
 					p := &packet.Packet{Src: 0, Dst: packet.HostID(cfg.NumHosts() - 1), FlowID: uint64(sw)}
-					RouteOn(cfg, sched, at, sw, p)
+					RouteOn(&cfg, sched, at, sw, p)
 				}
 			}
 		}

@@ -109,7 +109,7 @@ func DefaultLeafSpineConfig(n int) Config {
 }
 
 // Validate reports the first structural problem in the config, or nil.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	switch {
 	case c.Clusters < 1:
 		return fmt.Errorf("topology: Clusters = %d, need >= 1", c.Clusters)
@@ -132,13 +132,13 @@ func (c Config) Validate() error {
 }
 
 // Counts of each device tier implied by the config.
-func (c Config) NumHosts() int { return c.Clusters * c.ToRsPerCluster * c.ServersPerToR }
+func (c *Config) NumHosts() int { return c.Clusters * c.ToRsPerCluster * c.ServersPerToR }
 
 // NumToRs returns the total ToR switch count.
-func (c Config) NumToRs() int { return c.Clusters * c.ToRsPerCluster }
+func (c *Config) NumToRs() int { return c.Clusters * c.ToRsPerCluster }
 
 // NumAggs returns the total Cluster-switch (or spine) count.
-func (c Config) NumAggs() int {
+func (c *Config) NumAggs() int {
 	if c.Kind == LeafSpine {
 		return c.AggsPerCluster
 	}
@@ -146,7 +146,7 @@ func (c Config) NumAggs() int {
 }
 
 // NumCores returns the Core switch count (zero for leaf-spine).
-func (c Config) NumCores() int {
+func (c *Config) NumCores() int {
 	if c.Kind == LeafSpine {
 		return 0
 	}
@@ -154,12 +154,12 @@ func (c Config) NumCores() int {
 }
 
 // NumNodes returns the device count: hosts plus every switch tier.
-func (c Config) NumNodes() int { return c.NumHosts() + c.NumToRs() + c.NumAggs() + c.NumCores() }
+func (c *Config) NumNodes() int { return c.NumHosts() + c.NumToRs() + c.NumAggs() + c.NumCores() }
 
 // Bases returns the first NodeID of the ToR, aggregation (spine) and core
 // tiers. Hosts occupy NodeIDs 0..NumHosts()-1, equal to their HostIDs; each
 // switch tier follows densely in that order.
-func (c Config) Bases() (tor, agg, core packet.NodeID) {
+func (c *Config) Bases() (tor, agg, core packet.NodeID) {
 	tor = packet.NodeID(c.NumHosts())
 	agg = tor + packet.NodeID(c.NumToRs())
 	core = agg + packet.NodeID(c.NumAggs())
@@ -169,7 +169,7 @@ func (c Config) Bases() (tor, agg, core packet.NodeID) {
 // NodeName returns the device name of id: host<i>, tor<i>, spine<i>
 // (leaf-spine) or agg<i>, and core<i>, indexed within the tier. Trace tracks
 // carry these names and ParseFaults resolves them back to NodeIDs.
-func (c Config) NodeName(id packet.NodeID) string {
+func (c *Config) NodeName(id packet.NodeID) string {
 	tor, agg, core := c.Bases()
 	switch {
 	case id >= core:
@@ -190,7 +190,7 @@ func (c Config) NodeName(id packet.NodeID) string {
 // deeper than a switch port — a sender rarely drops its own packets — but
 // bounded, so sender-side bufferbloat cannot grow without limit. The ToR end
 // keeps HostLink, so incast loss at the rack edge is preserved.
-func (c Config) NICLink() netsim.LinkConfig {
+func (c *Config) NICLink() netsim.LinkConfig {
 	nic := c.HostLink
 	if min := int64(200 * packet.MaxFrameSize); nic.QueueBytes < min {
 		nic.QueueBytes = min
@@ -220,7 +220,7 @@ type Link struct {
 //	Agg:  ports [0, ToRsPerCluster) face ToRs (leaf index for LeafSpine);
 //	      ports [ToRsPerCluster, +CoresPerAgg) face its core group.
 //	Core: port c faces cluster c's agg at this core's aggregation position.
-func (c Config) Links() []Link {
+func (c *Config) Links() []Link {
 	tor, agg, core := c.Bases()
 	links := make([]Link, 0, c.NumHosts()+c.NumToRs()*c.AggsPerCluster+c.NumAggs()*c.CoresPerAgg)
 	for h := 0; h < c.NumHosts(); h++ {
@@ -294,7 +294,7 @@ func Build(k *des.Kernel, cfg Config) (*Topology, error) {
 		hosts[i] = netsim.NewHost(k, packet.HostID(i), packet.NodeID(i))
 	}
 	route := netsim.RouterFunc(func(sw packet.NodeID, p *packet.Packet) (int, bool) {
-		return RouteOn(cfg, nil, 0, sw, p)
+		return RouteOn(&cfg, nil, 0, sw, p)
 	})
 	tor, _, _ := cfg.Bases()
 	var switches []*netsim.Switch
@@ -383,7 +383,7 @@ func ecmpHash(sw packet.NodeID, p *packet.Packet, seed uint64) uint64 {
 // (RouteOn with no fault schedule). Fault-aware routing lives in the PDES
 // network builder, which owns fault schedules.
 func (t *Topology) Route(sw packet.NodeID, p *packet.Packet) (int, bool) {
-	return RouteOn(t.Cfg, nil, 0, sw, p)
+	return RouteOn(&t.Cfg, nil, 0, sw, p)
 }
 
 // Path is the deterministic switch sequence a flow's packets traverse.
@@ -406,7 +406,7 @@ type Path struct {
 // consume it as a time-independent flow property, which a time-varying
 // failure view cannot be.
 func (t *Topology) PathFor(src, dst packet.HostID, flowID uint64) Path {
-	cfg := t.Cfg
+	cfg := &t.Cfg
 	probe := &packet.Packet{Src: src, Dst: dst, FlowID: flowID}
 	path := Path{SrcAgg: -1, Core: -1, DstAgg: -1}
 	srcToR := t.torBase + packet.NodeID(t.ToROf(src))

@@ -48,7 +48,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			t.Errorf("case %d: Validate accepted invalid config", i)
 		}
 	}
-	if err := DefaultClosConfig(2).Validate(); err != nil {
+	def := DefaultClosConfig(2)
+	if err := def.Validate(); err != nil {
 		t.Errorf("default Clos config rejected: %v", err)
 	}
 }
@@ -276,5 +277,38 @@ func BenchmarkBuildClos16(b *testing.B) {
 		if _, err := Build(k, DefaultClosConfig(16)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFaultedRouteRehashesOverSurvivors pins the failure-aware pick: once a
+// ToR uplink and an agg-core link are detected down, both switches rehash
+// flows over their surviving equal-cost set in ascending order, and the
+// faulted route allocates nothing.
+func TestFaultedRouteRehashesOverSurvivors(t *testing.T) {
+	cfg := DefaultClosConfig(2)
+	cfg.AggsPerCluster, cfg.CoresPerAgg = 3, 3
+	sched, err := ParseFaults(cfg, "link:tor0-agg1@1us,detect=1us;link:agg0-core1@1us,detect=1us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := des.Millisecond
+	tor, agg, _ := cfg.Bases()
+	survivors := []int{0, 2} // position 1 is down at both switches
+	dst := packet.HostID(cfg.NumHosts() - 1)
+	for id := uint64(0); id < 200; id++ {
+		p := &packet.Packet{Src: 0, Dst: dst, FlowID: id}
+		for _, hop := range []struct {
+			sw   packet.NodeID
+			base int
+		}{{tor, cfg.ServersPerToR}, {agg, cfg.ToRsPerCluster}} {
+			want := hop.base + survivors[ecmpHash(hop.sw, p, cfg.ECMPSeed)%2]
+			if got, ok := RouteOn(&cfg, sched, now, hop.sw, p); !ok || got != want {
+				t.Fatalf("flow %d at switch %d: port %d (ok=%v), want %d", id, hop.sw, got, ok, want)
+			}
+		}
+	}
+	p := &packet.Packet{Src: 0, Dst: dst, FlowID: 7}
+	if allocs := testing.AllocsPerRun(100, func() { RouteOn(&cfg, sched, now, tor, p) }); allocs != 0 {
+		t.Errorf("faulted RouteOn allocates %v times per call", allocs)
 	}
 }
