@@ -409,15 +409,13 @@ func report(res *scenario.Result) {
 		}
 	}
 	if e := res.Experiment; e != nil && res.Spec.Mode == "pdes" {
-		fmt.Printf("sync=%s lps=%d nulls=%d barriers=%d cross_lp_packets=%d parked_arrivals=%d post_horizon_drops=%d violations=%d eit_stalls=%d eit_parks=%d\n",
-			res.Spec.Sync, e.LPs, e.Nulls, e.Barriers, e.CrossPkts,
-			e.ParkedArrivals, e.PostHorizonDrops, e.Violations, e.EITStalls, e.EITParks)
+		fmt.Printf("sync=%s lps=%d", res.Spec.Sync, e.LPs)
+		for c, v := range e.Stats {
+			fmt.Printf(" %s=%d", pdes.Counter(c), v)
+		}
+		fmt.Println()
 		fmt.Printf("partition=%s cut_edges=%d cut_weight=%.1f active_channels=%d lp_load_imbalance=%.3f\n",
 			e.Partition, e.CutEdges, e.CutWeight, e.Channels, e.LoadImbalance)
-		if res.Spec.Sync == "timewarp" {
-			fmt.Printf("rollbacks=%d anti_messages=%d lazy_saved=%d gvt_advances=%d checkpoints=%d\n",
-				e.Rollbacks, e.AntiMessages, e.LazyCancelSaved, e.GVTAdvances, e.Checkpoints)
-		}
 		if res.Spec.Faults != "" {
 			fmt.Printf("fault_drops=%d route_drops=%d\n", m.FaultDrops, m.RouteDrops)
 		}

@@ -159,8 +159,8 @@ func fig1(durMS int, load float64, seed uint64, quick bool, sweep *scenario.Flag
 		fmt.Printf("%d\t%d\t%.6g\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d",
 			n, lps, res.Perf.SimPerWall, snap.Counter("des", "events_executed"),
 			syncMsgs, snap.Counter("pdes", "cross_lp_packets"),
-			e.ParkedArrivals, e.PostHorizonDrops, e.Channels,
-			snap.Counter("pdes", "rollbacks"), e.Checkpoints, res.Metrics.Completed)
+			e.Stats[pdes.ParkedArrivals], e.Stats[pdes.PostHorizonDrops], e.Channels,
+			snap.Counter("pdes", "rollbacks"), e.Stats[pdes.Checkpoints], res.Metrics.Completed)
 		if sweep.Faults != "" {
 			fmt.Printf("\t%d\t%d\t%.6g", res.Metrics.FaultDrops, res.Metrics.RouteDrops, res.Metrics.P99FCTSec)
 		}

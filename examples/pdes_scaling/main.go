@@ -63,10 +63,10 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				res := r.Experiment
+				st := r.Experiment.Stats
 				fmt.Printf("%6d %4d %9v %14.4g %10d %12d %12d %10d\n",
-					n, lps, algo, res.SimPerWall, res.Events,
-					res.Nulls+res.Barriers, res.CrossPkts, res.Rollbacks)
+					n, lps, algo, r.Experiment.SimPerWall, st[pdes.Events],
+					st[pdes.Nulls]+st[pdes.Barriers], st[pdes.CrossPkts], st[pdes.Rollbacks])
 			}
 		}
 		fmt.Println()

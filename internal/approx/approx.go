@@ -46,8 +46,8 @@ type Fabric struct {
 	topo    *topology.Topology
 	cluster int
 
-	egress  micro.PacketPredictor
-	ingress micro.PacketPredictor
+	egress  *micro.Predictor
+	ingress *micro.Predictor
 	cls     *macro.Classifier
 
 	hostPorts []*netsim.Port // attachment points for the cluster's hosts
@@ -76,7 +76,7 @@ type Fabric struct {
 }
 
 // predict times one micro-model invocation for either direction.
-func (f *Fabric) predict(p micro.PacketPredictor, now des.Time, pkt *packet.Packet,
+func (f *Fabric) predict(p *micro.Predictor, now des.Time, pkt *packet.Packet,
 	st macro.State) (drop bool, lat des.Time) {
 
 	t0 := time.Now()
@@ -130,7 +130,7 @@ func fabricNodeID(cluster int) packet.NodeID { return packet.NodeID(-(cluster + 
 // are left orphaned (they receive no further traffic and schedule no
 // events). Predictors must be dedicated to this fabric — they carry
 // streaming state.
-func Splice(topo *topology.Topology, c int, egress, ingress micro.PacketPredictor,
+func Splice(topo *topology.Topology, c int, egress, ingress *micro.Predictor,
 	mcfg macro.Config) (*Fabric, error) {
 
 	if topo.Cfg.Kind != topology.ThreeTierClos {

@@ -269,67 +269,3 @@ func TestRealClusterTrafficUnaffected(t *testing.T) {
 		t.Errorf("real-cluster traffic leaked into the fabric: %+v", s)
 	}
 }
-
-func TestEnsembleDrivesFabric(t *testing.T) {
-	// The section-7 regime ensemble satisfies the fabric's predictor
-	// contract: a hybrid run works with mixture-of-experts models.
-	k := des.NewKernel()
-	topo, err := topology.Build(k, topology.DefaultClosConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stacks := make([]*tcp.Stack, len(topo.Hosts))
-	for i, h := range topo.Hosts {
-		stacks[i] = tcp.NewStack(h, tcp.Config{})
-	}
-	rec := trace.AttachBoundary(topo, 0)
-	hosts := make([]packet.HostID, len(stacks))
-	for i := range hosts {
-		hosts[i] = packet.HostID(i)
-	}
-	specs, err := traffic.GenerateSpecs(traffic.Config{Load: 0.4, HostBandwidthBps: 10e9, Seed: 61}, hosts, 4*des.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range specs {
-		stack := stacks[sp.Src]
-		k.At(sp.At, func() { stack.StartFlow(sp.Dst, sp.Size, sp.ID, nil) })
-	}
-	k.Run(6 * des.Millisecond)
-
-	cfg := micro.TrainConfig{
-		Hidden: 8, Layers: 1,
-		NN:   nn.TrainConfig{LR: 0.02, Batches: 20, Batch: 8, BPTT: 8, Seed: 1},
-		Seed: 2,
-	}
-	eg, err := micro.TrainEnsemble(topo, trace.Egress, rec.Records, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing, err := micro.TrainEnsemble(topo, trace.Ingress, rec.Records, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	k2 := des.NewKernel()
-	topo2, _ := topology.Build(k2, topology.DefaultClosConfig(2))
-	stacks2 := make([]*tcp.Stack, len(topo2.Hosts))
-	for i, h := range topo2.Hosts {
-		stacks2[i] = tcp.NewStack(h, tcp.Config{})
-	}
-	// Note: the ensembles keep streaming state bound to topo, but feature
-	// geometry is identical for an equal config, so rebinding is safe here.
-	fab, err := Splice(topo2, 1, eg, ing, macro.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	stacks2[0].StartFlow(8, 30_000, 1, func(tcp.FlowResult) { done = true })
-	k2.Run(des.Second)
-	if !done {
-		t.Fatal("flow through ensemble-driven fabric never completed")
-	}
-	if fab.Stats().IngressPackets == 0 {
-		t.Error("ensemble fabric saw no traffic")
-	}
-}

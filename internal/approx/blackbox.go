@@ -29,8 +29,8 @@ type BlackBox struct {
 	topo   *topology.Topology
 	real   int
 
-	outbound micro.PacketPredictor // real cluster -> remote host
-	inbound  micro.PacketPredictor // remote host -> real cluster
+	outbound *micro.Predictor // real cluster -> remote host
+	inbound  *micro.Predictor // remote host -> real cluster
 	cls      *macro.Classifier
 	noMacro  bool
 
@@ -52,7 +52,7 @@ type BlackBox struct {
 }
 
 // predict times one micro-model invocation for either direction.
-func (b *BlackBox) predict(p micro.PacketPredictor, now des.Time, pkt *packet.Packet,
+func (b *BlackBox) predict(p *micro.Predictor, now des.Time, pkt *packet.Packet,
 	st macro.State) (drop bool, lat des.Time) {
 
 	t0 := time.Now()
@@ -78,7 +78,7 @@ func (b *BlackBox) CollectMetrics(e *metrics.Emitter) {
 // aggregation switches is replaced by one black box driven by the given
 // predictors. Remote clusters' switches and all cores are orphaned.
 func SpliceWholeNetwork(topo *topology.Topology, real int,
-	outbound, inbound micro.PacketPredictor, mcfg macro.Config) (*BlackBox, error) {
+	outbound, inbound *micro.Predictor, mcfg macro.Config) (*BlackBox, error) {
 
 	if topo.Cfg.Kind != topology.ThreeTierClos {
 		return nil, fmt.Errorf("approx: whole-network black box needs a 3-tier Clos")

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -132,5 +133,73 @@ func TestSnapshotNamesAndGroups(t *testing.T) {
 	names := r.Snapshot().Names()
 	if len(names) != 2 || names[0] != "a.y" || names[1] != "b.x" {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// Merging a zero-count histogram must not disturb min/max of the target, and
+// merging into a zero-count target must adopt the source's extrema.
+func TestHistogramZeroCountMerge(t *testing.T) {
+	var target, empty, src Histogram
+	target.Observe(10)
+	target.merge(&empty)
+	if s := target.Summary(); s.Count != 1 || s.Min != 10 || s.Max != 10 {
+		t.Errorf("merge of empty changed summary: %+v", s)
+	}
+
+	var fresh Histogram
+	src.Observe(5)
+	src.Observe(500)
+	fresh.merge(&src)
+	if s := fresh.Summary(); s.Count != 2 || s.Min != 5 || s.Max != 500 {
+		t.Errorf("merge into empty lost extrema: %+v", s)
+	}
+
+	// Two empties merged stay empty and serialize as all-zero.
+	var a, b Histogram
+	a.merge(&b)
+	if s := a.Summary(); s != (HistogramSummary{}) {
+		t.Errorf("empty merge produced non-zero summary: %+v", s)
+	}
+}
+
+// The largest possible sample lands in the last bucket (index 64) without
+// indexing past the array, and quantiles stay clamped to the observed max.
+func TestHistogramMaxBucketOverflow(t *testing.T) {
+	var h Histogram
+	h.Observe(math.MaxUint64)
+	h.Observe(math.MaxUint64)
+	s := h.Summary()
+	if s.Count != 2 || s.Max != math.MaxUint64 || s.Min != math.MaxUint64 {
+		t.Fatalf("summary = %+v", s)
+	}
+	if q := h.Quantile(0.99); q != float64(math.MaxUint64) {
+		t.Errorf("p99 = %v, want clamped to max", q)
+	}
+	// sum wrapped (2 * MaxUint64 overflows); Observe must still have counted
+	// both samples in the top bucket.
+	var probe Histogram
+	probe.Observe(math.MaxUint64)
+	if probe.buckets[histBuckets-1] != 1 {
+		t.Errorf("MaxUint64 not in bucket %d", histBuckets-1)
+	}
+}
+
+func TestCounterStoreHistogramCopyFrom(t *testing.T) {
+	var c Counter
+	c.Add(9)
+	saved := c // by-value checkpoint
+	c.Add(100)
+	c.Store(saved.Value())
+	if c.Value() != 9 {
+		t.Errorf("Store restore: got %d, want 9", c.Value())
+	}
+
+	var h Histogram
+	h.Observe(3)
+	savedH := h
+	h.Observe(7)
+	h.CopyFrom(&savedH)
+	if got := h.Summary(); got.Count != 1 || got.Max != 3 {
+		t.Errorf("CopyFrom restore: %+v", got)
 	}
 }

@@ -18,8 +18,7 @@ import (
 // Signed deltas are deliberate: under Time Warp a rollback restores smaller
 // counter values mid-run, so an interval can legitimately go negative; the
 // telescoping sum over all rows still equals the final quiescent snapshot
-// exactly. (For runs that must never shrink, metrics.Snapshot.Delta is the
-// strict, erroring API.)
+// exactly.
 //
 // Two drive modes cover the two engine shapes:
 //
@@ -68,24 +67,6 @@ func (s *Sampler) SetTag(tag string) {
 	s.mu.Lock()
 	s.tag = tag
 	s.mu.Unlock()
-}
-
-// Interval returns the sampling interval (0 on a nil sampler).
-func (s *Sampler) Interval() des.Time {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
-// Rows returns how many rows have been written.
-func (s *Sampler) Rows() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
 }
 
 // Err returns the first write error, if any.

@@ -119,7 +119,7 @@ func TestManyFlowsManyLPsStress(t *testing.T) {
 	if done != want {
 		t.Errorf("%d of %d flows completed in 4-LP stress", done, want)
 	}
-	if net.Sys.Stats().CrossPkts == 0 {
+	if net.Sys.Stats()[CrossPkts] == 0 {
 		t.Error("stress run never crossed an LP boundary")
 	}
 }

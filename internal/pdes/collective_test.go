@@ -215,8 +215,8 @@ func TestDeterminismPropertyCollective(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v lps=%d: %v", algo, lps, err)
 				}
-				if res.Violations != 0 {
-					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, res.Violations)
+				if res.Stats[Violations] != 0 {
+					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, res.Stats[Violations])
 				}
 				return committedGroupsCollective(t, reg), res
 			}

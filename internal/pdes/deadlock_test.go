@@ -53,7 +53,7 @@ func TestTinyInboxNoDeadlock(t *testing.T) {
 	if gotA != burst || gotB != burst {
 		t.Errorf("delivered %d/%d packets, want %d each way", gotA, gotB, burst)
 	}
-	if v := s.Stats().Violations; v != 0 {
+	if v := s.Stats()[Violations]; v != 0 {
 		t.Errorf("%d causality violations under tiny inboxes", v)
 	}
 }
@@ -80,7 +80,7 @@ func TestTinyInboxBarrierNoDeadlock(t *testing.T) {
 	if gotA != burst || gotB != burst {
 		t.Errorf("delivered %d/%d packets, want %d each way", gotA, gotB, burst)
 	}
-	if v := s.Stats().Violations; v != 0 {
+	if v := s.Stats()[Violations]; v != 0 {
 		t.Errorf("%d causality violations under tiny inboxes (barrier)", v)
 	}
 }
@@ -103,8 +103,8 @@ func TestBarrierOversubscribedTinyInbox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Violations != 0 {
-			t.Fatalf("lps=%d: %d causality violations", lps, res.Violations)
+		if res.Stats[Violations] != 0 {
+			t.Fatalf("lps=%d: %d causality violations", lps, res.Stats[Violations])
 		}
 		return committedGroups(t, reg)
 	}
@@ -219,16 +219,16 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 				t.Errorf("%d beyond-horizon packets were delivered, want 0", gotA+gotB)
 			}
 			st := s.Stats()
-			if st.ParkedArrivals != 2*burst {
+			if st[ParkedArrivals] != 2*burst {
 				t.Errorf("parked arrivals = %d, want %d (one per horizon-stamped send)",
-					st.ParkedArrivals, 2*burst)
+					st[ParkedArrivals], 2*burst)
 			}
-			if st.PostHorizonDrops != 0 {
+			if st[PostHorizonDrops] != 0 {
 				t.Errorf("post-horizon drops = %d, want 0 (conservative engines park, never drop)",
-					st.PostHorizonDrops)
+					st[PostHorizonDrops])
 			}
-			if st.Violations != 0 {
-				t.Errorf("%d causality violations", st.Violations)
+			if st[Violations] != 0 {
+				t.Errorf("%d causality violations", st[Violations])
 			}
 			for i := 0; i < s.NumLPs(); i++ {
 				if n := s.LP(i).Kernel().Pending(); n != 0 {
@@ -242,9 +242,9 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 				t.Errorf("next segment delivered %d/%d parked packets, want %d each way",
 					gotA, gotB, burst)
 			}
-			if st := s.Stats(); st.ParkedArrivals != 2*burst {
+			if st := s.Stats(); st[ParkedArrivals] != 2*burst {
 				t.Errorf("parked arrivals after resume = %d, want %d (first park counts once)",
-					st.ParkedArrivals, 2*burst)
+					st[ParkedArrivals], 2*burst)
 			}
 		})
 	}
@@ -280,15 +280,15 @@ func checkPostHorizonParked(t *testing.T, s *System, got int) {
 		}
 	}
 	st := s.Stats()
-	if st.ParkedArrivals == 0 {
+	if st[ParkedArrivals] == 0 {
 		t.Error("beyond-horizon packet was not accounted as a parked arrival")
 	}
-	if st.PostHorizonDrops != 0 {
+	if st[PostHorizonDrops] != 0 {
 		t.Errorf("post-horizon drops = %d, want 0 (conservative engines park, never drop)",
-			st.PostHorizonDrops)
+			st[PostHorizonDrops])
 	}
-	if st.Violations != 0 {
-		t.Errorf("%d causality violations", st.Violations)
+	if st[Violations] != 0 {
+		t.Errorf("%d causality violations", st[Violations])
 	}
 }
 
@@ -323,15 +323,15 @@ func TestParkedRepark(t *testing.T) {
 	if *got != 0 {
 		t.Fatalf("packet delivered %d times before its timestamp, want 0", *got)
 	}
-	if st := s.Stats(); st.ParkedArrivals != 1 {
-		t.Errorf("parked arrivals = %d after re-park, want 1", st.ParkedArrivals)
+	if st := s.Stats(); st[ParkedArrivals] != 1 {
+		t.Errorf("parked arrivals = %d after re-park, want 1", st[ParkedArrivals])
 	}
 	s.Run(120 * des.Microsecond)
 	if *got != 1 {
 		t.Errorf("parked packet delivered %d times, want 1", *got)
 	}
-	if st := s.Stats(); st.ParkedArrivals != 1 {
-		t.Errorf("parked arrivals = %d after delivery, want 1", st.ParkedArrivals)
+	if st := s.Stats(); st[ParkedArrivals] != 1 {
+		t.Errorf("parked arrivals = %d after delivery, want 1", st[ParkedArrivals])
 	}
 }
 
@@ -383,11 +383,11 @@ func TestLeafSpineStress(t *testing.T) {
 			if res.FlowsStarted == 0 || res.FlowsCompleted == 0 {
 				t.Fatalf("stress run moved no traffic: %+v", res)
 			}
-			if res.CrossPkts == 0 {
+			if res.Stats[CrossPkts] == 0 {
 				t.Error("stress run shipped no cross-LP packets")
 			}
-			if res.Violations != 0 {
-				t.Errorf("%d causality violations under stress", res.Violations)
+			if res.Stats[Violations] != 0 {
+				t.Errorf("%d causality violations under stress", res.Stats[Violations])
 			}
 		})
 	}
@@ -403,8 +403,8 @@ func eitPollRun(t *testing.T, lps int, seed uint64, opts ...Option) (string, *Ex
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violations != 0 {
-		t.Fatalf("lps=%d seed %d: %d causality violations", lps, seed, res.Violations)
+	if res.Stats[Violations] != 0 {
+		t.Fatalf("lps=%d seed %d: %d causality violations", lps, seed, res.Stats[Violations])
 	}
 	return committedGroups(t, reg), res
 }
@@ -438,8 +438,8 @@ func TestEITPollConcurrentSystemsPark(t *testing.T) {
 		if got[i] != refs[i] {
 			t.Errorf("seed %d: concurrent 2-LP run diverged from lps=1:\nref: %s\ngot: %s", seed, refs[i], got[i])
 		}
-		if r := res[i]; r.EITStalls == 0 || r.EITParks != r.EITStalls {
-			t.Errorf("seed %d: eit_parks %d, eit_stalls %d; want equal and nonzero", seed, r.EITParks, r.EITStalls)
+		if r := res[i]; r.Stats[EITStalls] == 0 || r.Stats[EITParks] != r.Stats[EITStalls] {
+			t.Errorf("seed %d: eit_parks %d, eit_stalls %d; want equal and nonzero", seed, r.Stats[EITParks], r.Stats[EITStalls])
 		}
 	}
 }
@@ -458,8 +458,8 @@ func TestEITPollOversubscribedTinyInbox(t *testing.T) {
 	if got != ref {
 		t.Errorf("oversubscribed null-message run diverged from lps=1:\nref: %s\ngot: %s", ref, got)
 	}
-	if res.EITParks != res.EITStalls {
-		t.Errorf("eit_parks %d, eit_stalls %d: a stall polled with fewer cores than LPs", res.EITParks, res.EITStalls)
+	if res.Stats[EITParks] != res.Stats[EITStalls] {
+		t.Errorf("eit_parks %d, eit_stalls %d: a stall polled with fewer cores than LPs", res.Stats[EITParks], res.Stats[EITStalls])
 	}
 }
 

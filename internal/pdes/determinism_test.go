@@ -85,12 +85,12 @@ func TestDeterminismProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v lps=%d %v: %v", algo, lps, opts, err)
 				}
-				if res.Violations != 0 {
-					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, res.Violations)
+				if res.Stats[Violations] != 0 {
+					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, res.Stats[Violations])
 				}
-				if res.QuiescentSends != 0 {
+				if res.Stats[QuiescentSends] != 0 {
 					t.Fatalf("%v lps=%d: %d sends on channels the quiescence analysis declared idle",
-						algo, lps, res.QuiescentSends)
+						algo, lps, res.Stats[QuiescentSends])
 				}
 				return committedGroups(t, reg)
 			}
@@ -143,12 +143,12 @@ func TestDeterminismProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("segmented %v lps=%d: %v", algo, lps, err)
 				}
-				if res.Violations != 0 {
-					t.Fatalf("segmented %v lps=%d: %d causality violations", algo, lps, res.Violations)
+				if res.Stats[Violations] != 0 {
+					t.Fatalf("segmented %v lps=%d: %d causality violations", algo, lps, res.Stats[Violations])
 				}
-				if res.PostHorizonDrops != 0 {
+				if res.Stats[PostHorizonDrops] != 0 {
 					t.Fatalf("segmented %v lps=%d: %d post-horizon drops (conservative engines park)",
-						algo, lps, res.PostHorizonDrops)
+						algo, lps, res.Stats[PostHorizonDrops])
 				}
 				return committedGroups(t, reg)
 			}

@@ -138,28 +138,3 @@ func (s *System) Restore(st *SystemState) error {
 	}
 	return nil
 }
-
-// Sub returns s - base, field by field: the counter deltas attributable to
-// one run when counters accumulate across forked runs on a shared system.
-// Kernel event counts are restored with the checkpoint, so the base must be
-// sampled AFTER Restore for the Events delta to be meaningful.
-func (s Stats) Sub(base Stats) Stats {
-	return Stats{
-		Events:           s.Events - base.Events,
-		Nulls:            s.Nulls - base.Nulls,
-		Barriers:         s.Barriers - base.Barriers,
-		CrossPkts:        s.CrossPkts - base.CrossPkts,
-		Violations:       s.Violations - base.Violations,
-		EITStalls:        s.EITStalls - base.EITStalls,
-		EITParks:         s.EITParks - base.EITParks,
-		ParkedArrivals:   s.ParkedArrivals - base.ParkedArrivals,
-		PostHorizonDrops: s.PostHorizonDrops - base.PostHorizonDrops,
-		Rollbacks:        s.Rollbacks - base.Rollbacks,
-		AntiMessages:     s.AntiMessages - base.AntiMessages,
-		RolledBackEvents: s.RolledBackEvents - base.RolledBackEvents,
-		GVTAdvances:      s.GVTAdvances - base.GVTAdvances,
-		LazyCancelSaved:  s.LazyCancelSaved - base.LazyCancelSaved,
-		Checkpoints:      s.Checkpoints - base.Checkpoints,
-		QuiescentSends:   s.QuiescentSends - base.QuiescentSends,
-	}
-}

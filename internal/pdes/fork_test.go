@@ -124,8 +124,8 @@ func TestForkMatchesColdStart(t *testing.T) {
 					if err := base.Sys.Run(dur); err != nil {
 						t.Fatal(err)
 					}
-					if delta := base.Sys.Stats().Sub(pre); delta.Violations != 0 {
-						t.Fatalf("round %d variant %d: %d causality violations", round, i, delta.Violations)
+					if delta := base.Sys.Stats().Sub(pre); delta[Violations] != 0 {
+						t.Fatalf("round %d variant %d: %d causality violations", round, i, delta[Violations])
 					}
 					mustEqualFlows(t, fmt.Sprintf("variant %d fork", i), colds[i].Results(), base.Results())
 					if got, want := base.FaultDrops(), colds[i].FaultDrops(); got != want {
@@ -197,10 +197,10 @@ func TestWarmCheckpointFork(t *testing.T) {
 			t.Fatalf("%s: warm checkpoint stamped at %v, want %v", name, ckpt.At(), warm)
 		}
 		if st := warmNet.Sys.Stats(); tc.lps > 1 {
-			multiLPParked += st.ParkedArrivals
-			if st.PostHorizonDrops != 0 {
+			multiLPParked += st[ParkedArrivals]
+			if st[PostHorizonDrops] != 0 {
 				t.Fatalf("%s: %d packets dropped at the warm point instead of parked",
-					name, st.PostHorizonDrops)
+					name, st[PostHorizonDrops])
 			}
 		}
 		for round := 0; round < 2; round++ {
@@ -214,8 +214,8 @@ func TestWarmCheckpointFork(t *testing.T) {
 			if err := warmNet.Sys.Run(dur); err != nil {
 				t.Fatal(err)
 			}
-			if delta := warmNet.Sys.Stats().Sub(pre); delta.Violations != 0 {
-				t.Fatalf("%s round %d: %d causality violations", name, round, delta.Violations)
+			if delta := warmNet.Sys.Stats().Sub(pre); delta[Violations] != 0 {
+				t.Fatalf("%s round %d: %d causality violations", name, round, delta[Violations])
 			}
 			mustEqualFlows(t, name+" warm fork", coldNet.Results(), warmNet.Results())
 			if got, want := warmNet.FaultDrops(), coldNet.FaultDrops(); got != want {

@@ -576,27 +576,13 @@ func (n *Network) Results() []tcp.FlowResult {
 
 // ExperimentResult is one Fig. 1 data point.
 type ExperimentResult struct {
-	ToRs, LPs        int
-	SimSeconds       float64
-	WallSeconds      float64
-	SimPerWall       float64 // the Fig. 1 y-axis: sim seconds per wall second
-	Events           uint64
-	Nulls            uint64
-	Barriers         uint64
-	CrossPkts        uint64
-	Violations       uint64 // causality violations: nonzero means a sync bug
-	EITStalls        uint64
-	EITParks         uint64 // EIT stalls that parked: EITStalls - EITParks were absorbed by polling
-	ParkedArrivals   uint64 // conservative: in-flight packets parked at the horizon, resumable
-	PostHorizonDrops uint64 // Time Warp: packets lost at the terminal horizon
-	Rollbacks        uint64 // Time Warp: state restores
-	AntiMessages     uint64 // Time Warp: speculative sends cancelled
-	LazyCancelSaved  uint64 // Time Warp: anti-messages avoided by lazy cancellation
-	GVTAdvances      uint64 // Time Warp: committed GVT advances
-	Checkpoints      uint64 // Time Warp: state snapshots taken
-	QuiescentSends   uint64 // packets on promised-idle channels: nonzero means the analysis is unsound
-	FlowsStarted     int
-	FlowsCompleted   int
+	ToRs, LPs      int
+	SimSeconds     float64
+	WallSeconds    float64
+	SimPerWall     float64 // the Fig. 1 y-axis: sim seconds per wall second
+	Stats                  // events and sync-machinery counters, indexed by Counter
+	FlowsStarted   int
+	FlowsCompleted int
 	// Fault accounting: every packet lost to a dead element (FaultDrops) or
 	// to the absence of any surviving route (RouteDrops). Both zero on a
 	// healthy run; under a fault schedule their sum is the total blackholed
@@ -636,29 +622,15 @@ type ExperimentResult struct {
 func (n *Network) AssembleResult(st Stats, dur des.Time, wall time.Duration) *ExperimentResult {
 	res := &ExperimentResult{
 		ToRs: n.Cfg.NumToRs(), LPs: n.Sys.NumLPs(),
-		SimSeconds:       dur.Seconds(),
-		WallSeconds:      wall.Seconds(),
-		Events:           st.Events,
-		Nulls:            st.Nulls,
-		Barriers:         st.Barriers,
-		CrossPkts:        st.CrossPkts,
-		Violations:       st.Violations,
-		EITStalls:        st.EITStalls,
-		EITParks:         st.EITParks,
-		ParkedArrivals:   st.ParkedArrivals,
-		PostHorizonDrops: st.PostHorizonDrops,
-		Rollbacks:        st.Rollbacks,
-		AntiMessages:     st.AntiMessages,
-		LazyCancelSaved:  st.LazyCancelSaved,
-		GVTAdvances:      st.GVTAdvances,
-		Checkpoints:      st.Checkpoints,
-		QuiescentSends:   st.QuiescentSends,
-		FlowsStarted:     len(n.specs),
-		Partition:        n.Partition.Name,
-		CutEdges:         n.Partition.CutEdges,
-		CutWeight:        n.Partition.CutWeight,
-		Channels:         n.Partition.Channels,
-		LoadImbalance:    n.Partition.LoadImbalance,
+		SimSeconds:    dur.Seconds(),
+		WallSeconds:   wall.Seconds(),
+		Stats:         st,
+		FlowsStarted:  len(n.specs),
+		Partition:     n.Partition.Name,
+		CutEdges:      n.Partition.CutEdges,
+		CutWeight:     n.Partition.CutWeight,
+		Channels:      n.Partition.Channels,
+		LoadImbalance: n.Partition.LoadImbalance,
 	}
 	if wall > 0 {
 		res.SimPerWall = res.SimSeconds / res.WallSeconds

@@ -66,14 +66,14 @@ func TestClosSmoke(t *testing.T) {
 	if res.FlowsStarted == 0 || res.FlowsCompleted == 0 {
 		t.Fatalf("clos run moved no traffic: %+v", res)
 	}
-	if res.CrossPkts == 0 {
+	if res.Stats[CrossPkts] == 0 {
 		t.Error("clos run shipped no cross-LP packets")
 	}
-	if res.Violations != 0 {
-		t.Errorf("%d causality violations", res.Violations)
+	if res.Stats[Violations] != 0 {
+		t.Errorf("%d causality violations", res.Stats[Violations])
 	}
-	if res.QuiescentSends != 0 {
-		t.Errorf("%d sends on channels the quiescence analysis declared idle", res.QuiescentSends)
+	if res.Stats[QuiescentSends] != 0 {
+		t.Errorf("%d sends on channels the quiescence analysis declared idle", res.Stats[QuiescentSends])
 	}
 }
 
@@ -175,11 +175,11 @@ func TestClosDeterminismAcrossPartitioners(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lps=%d %s: %v", lps, p.Name(), err)
 		}
-		if res.Violations != 0 {
-			t.Fatalf("lps=%d %s: %d causality violations", lps, p.Name(), res.Violations)
+		if res.Stats[Violations] != 0 {
+			t.Fatalf("lps=%d %s: %d causality violations", lps, p.Name(), res.Stats[Violations])
 		}
-		if res.QuiescentSends != 0 {
-			t.Fatalf("lps=%d %s: %d quiescent-channel sends", lps, p.Name(), res.QuiescentSends)
+		if res.Stats[QuiescentSends] != 0 {
+			t.Fatalf("lps=%d %s: %d quiescent-channel sends", lps, p.Name(), res.Stats[QuiescentSends])
 		}
 		return committedGroups(t, reg)
 	}

@@ -79,9 +79,6 @@ type Graph struct {
 	ChannelCost float64
 }
 
-// Blocks returns the number of rack/cluster blocks.
-func (g *Graph) Blocks() int { return len(g.BlockWeight) }
-
 // Fabric returns the number of fabric switches.
 func (g *Graph) Fabric() int { return len(g.FabricWeight) }
 

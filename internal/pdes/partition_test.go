@@ -159,13 +159,13 @@ func TestPlacementBeatsContiguous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Violations != 0 || res.QuiescentSends != 0 {
+			if res.Stats[Violations] != 0 || res.Stats[QuiescentSends] != 0 {
 				t.Fatalf("%s seed=%d: %d violations, %d quiescent-channel sends",
-					name, seed, res.Violations, res.QuiescentSends)
+					name, seed, res.Stats[Violations], res.Stats[QuiescentSends])
 			}
 			s := total[name]
-			s.cross += res.CrossPkts
-			s.nulls += res.Nulls
+			s.cross += res.Stats[CrossPkts]
+			s.nulls += res.Stats[Nulls]
 			total[name] = s
 		}
 	}

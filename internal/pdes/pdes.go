@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"approxsim/internal/des"
-	"approxsim/internal/metrics"
 	"approxsim/internal/netsim"
 	"approxsim/internal/obs"
 	"approxsim/internal/packet"
@@ -101,65 +100,15 @@ type LP struct {
 	// pid is the LP id, so each LP is one Perfetto process track.
 	buf *obs.Buf
 
-	// Counters for the Fig. 1 analysis and the observability layer. Each has
-	// a single writer (the LP's own goroutine, or for ParkedArrivals its
-	// drainer after the LP goroutine has finished) but is MUTATED with
-	// sync/atomic so a mid-run metrics snapshot from another goroutine reads
-	// torn-free values. Reading the plain fields is only safe at quiescence
-	// (after Run returns); mid-run readers go through Stats/CollectMetrics.
-	Nulls      uint64 // null messages sent (CMB mode)
-	Barriers   uint64 // synchronization windows executed (barrier mode)
-	CrossPkts  uint64 // packets shipped to other LPs
-	MaxHorizon des.Time
+	// count is the LP's table of Fig. 1 and Time Warp counters (counters.go).
+	count [nCounters]atomic.Uint64
 
-	// Violations counts causality violations: cross-LP packets that arrived
-	// with a timestamp in this LP's past and had to be clamped to Now. Under
-	// a correct conservative synchronization protocol this is always zero;
-	// any nonzero value is a synchronization bug, surfaced here instead of
-	// being silently absorbed.
-	Violations uint64
-	// EITStalls counts the times the LP exhausted its input promises and had
-	// to block waiting for a neighbor — the paper's §2.2 lockstep overhead.
-	EITStalls uint64
-	// EITParks counts the EIT stalls that ended in a park: polling (see wait)
-	// absorbed the other EITStalls − EITParks.
-	EITParks uint64
-	// ParkedArrivals counts cross-LP packets stamped beyond the run horizon
-	// and moved to the parked buffer. They cannot execute inside the run
-	// that received them, but they are NOT lost: the next Run (or a restored
-	// checkpoint's) re-ingests them. Each in-flight packet is counted once,
-	// at first park — re-parking at a later horizon does not recount.
-	ParkedArrivals uint64
-	// PostHorizonDrops counts cross-LP packets genuinely lost at a terminal
-	// horizon. The conservative engines never drop — they park (see
-	// ParkedArrivals) — so this is nonzero only under Time Warp, whose
-	// optimistic machinery cannot be resumed past its final GVT (gvt.go).
-	PostHorizonDrops uint64
-	// QuiescentSends counts packets emitted on a channel LimitChannels marked
-	// quiescent. Always zero when the quiescence analysis is sound (the
-	// workload is fully pre-scheduled and paths are deterministic); nonzero
-	// means a packet took a path the analysis missed, and the receiver may
-	// have executed past it — tests treat this like Violations.
-	QuiescentSends uint64
-	// InboxHighWater is the deepest the inbox has been observed, sampled at
-	// drain entry and on send backpressure (where inboxes are deepest).
+	// MaxHorizon and InboxHighWater are max-gauges, written atomically for
+	// mid-run readers. InboxHighWater is the deepest the inbox has been
+	// observed, sampled at drain entry and on send backpressure (where
+	// inboxes are deepest).
+	MaxHorizon     des.Time
 	InboxHighWater int64
-
-	// Time Warp counters (zero under the conservative engines). These are
-	// never rolled back: they account the optimistic machinery itself.
-	//
-	// Rollbacks counts straggler- or anti-message-triggered state restores.
-	Rollbacks uint64
-	// AntiMessages counts anti-messages sent to cancel speculative output.
-	AntiMessages uint64
-	// RolledBackEvents counts executed events undone by rollbacks (the
-	// wasted speculative work; committed work is the kernel's Executed).
-	RolledBackEvents uint64
-	// Checkpoints counts state snapshots taken.
-	Checkpoints uint64
-	// LazyCancelSaved counts rolled-back sends that lazy cancellation proved
-	// identical on re-execution — anti-messages (and re-sends) avoided.
-	LazyCancelSaved uint64
 }
 
 // Kernel returns the LP's event kernel; devices owned by this LP must be
@@ -261,9 +210,6 @@ func NewSystem(n int, opts ...Option) *System {
 	return s
 }
 
-// Algo returns the synchronization algorithm the system was built with.
-func (s *System) Algo() SyncAlgo { return s.cfg.algo }
-
 // LP returns logical process i.
 func (s *System) LP(i int) *LP { return s.lps[i] }
 
@@ -326,9 +272,9 @@ func (p *proxy) Receive(pkt *packet.Packet, _ int) {
 		p.lp.twEmit(p, at, pkt)
 		return
 	}
-	atomic.AddUint64(&p.lp.CrossPkts, 1)
+	p.lp.count[CrossPkts].Add(1)
 	if p.out.quiescent {
-		atomic.AddUint64(&p.lp.QuiescentSends, 1)
+		p.lp.count[QuiescentSends].Add(1)
 	}
 	if at > p.out.lastSent {
 		p.out.lastSent = at
@@ -446,19 +392,6 @@ func (s *System) LimitChannels(active func(from, to int) bool) error {
 		}
 	}
 	return nil
-}
-
-// ActiveChannels counts non-quiescent directed cross-LP channels.
-func (s *System) ActiveChannels() int {
-	n := 0
-	for _, lp := range s.lps {
-		for _, o := range lp.outs {
-			if !o.quiescent {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Run executes all LPs concurrently until the common virtual-time horizon,
@@ -741,7 +674,7 @@ func (lp *LP) ingest(m message) {
 	}
 	at := m.at
 	if now := lp.kernel.Now(); at < now {
-		atomic.AddUint64(&lp.Violations, 1)
+		lp.count[Violations].Add(1)
 		if lp.buf.Enabled() {
 			lp.buf.Emit(obs.Event{TS: now, Ph: obs.PhInstant, Name: "causality_violation",
 				Cat: "pdes", K1: "late_ns", V1: int64(now - at), K2: "from_lp", V2: int64(m.from)})
@@ -752,7 +685,7 @@ func (lp *LP) ingest(m message) {
 		at = now
 	}
 	if at > lp.end {
-		atomic.AddUint64(&lp.ParkedArrivals, 1)
+		lp.count[ParkedArrivals].Add(1)
 		lp.parked = append(lp.parked, m)
 		return
 	}
@@ -817,13 +750,13 @@ func (lp *LP) drain() bool {
 // stall is the null-message EIT stall: the LP has run up to its earliest
 // input time and waits for a neighbor's next message, which may raise it.
 func (lp *LP) stall() {
-	atomic.AddUint64(&lp.EITStalls, 1)
+	stalls := lp.count[EITStalls].Add(1)
 	if lp.buf.Enabled() {
 		lp.buf.Emit(obs.Event{TS: lp.kernel.Now(), Ph: obs.PhInstant, Name: "eit_stall",
-			Cat: "pdes", K1: "stalls", V1: int64(atomic.LoadUint64(&lp.EITStalls))})
+			Cat: "pdes", K1: "stalls", V1: int64(stalls)})
 	}
 	if lp.wait(func(ingested bool) bool { return ingested }) {
-		atomic.AddUint64(&lp.EITParks, 1)
+		lp.count[EITParks].Add(1)
 	}
 	lp.drain()
 }
@@ -915,93 +848,8 @@ func (lp *LP) sendNulls(horizon des.Time) {
 			continue // nothing new to promise
 		}
 		o.lastSent = promise
-		atomic.AddUint64(&lp.Nulls, 1)
+		lp.count[Nulls].Add(1)
 		lp.send(o.to, message{from: lp.id, at: promise})
-	}
-}
-
-// Stats aggregates LP counters.
-type Stats struct {
-	Events    uint64
-	Nulls     uint64
-	Barriers  uint64
-	CrossPkts uint64
-	// Violations is the total causality-violation count — always zero under
-	// a correct conservative protocol; tests fail when it is not.
-	Violations uint64
-	// EITStalls counts blocking waits for neighbor promises, and EITParks
-	// the ones polling did not absorb.
-	EITStalls uint64
-	EITParks  uint64
-	// ParkedArrivals counts cross-LP packets stamped beyond a conservative
-	// run's horizon and parked for the next segment — resumable, not lost.
-	ParkedArrivals uint64
-	// PostHorizonDrops counts cross-LP packets lost at a terminal horizon;
-	// nonzero only under Time Warp (the conservative engines park instead).
-	PostHorizonDrops uint64
-	// Rollbacks, AntiMessages, RolledBackEvents, and GVTAdvances account the
-	// Time Warp machinery; all zero under the conservative engines.
-	Rollbacks        uint64
-	AntiMessages     uint64
-	RolledBackEvents uint64
-	GVTAdvances      uint64
-	// LazyCancelSaved counts anti-messages avoided by lazy cancellation.
-	LazyCancelSaved uint64
-	// Checkpoints counts state snapshots taken (Time Warp only).
-	Checkpoints uint64
-	// QuiescentSends counts packets emitted on channels LimitChannels marked
-	// quiescent — always zero when the quiescence analysis is sound.
-	QuiescentSends uint64
-}
-
-// Stats sums counters across LPs. Safe to call mid-run from any goroutine:
-// every field is read atomically, so values are torn-free (though a mid-run
-// reading is only weakly consistent across fields).
-func (s *System) Stats() Stats {
-	var out Stats
-	for _, lp := range s.lps {
-		out.Events += lp.kernel.Stats().Executed
-		out.Nulls += atomic.LoadUint64(&lp.Nulls)
-		out.Barriers += atomic.LoadUint64(&lp.Barriers)
-		out.CrossPkts += atomic.LoadUint64(&lp.CrossPkts)
-		out.Violations += atomic.LoadUint64(&lp.Violations)
-		out.EITStalls += atomic.LoadUint64(&lp.EITStalls)
-		out.EITParks += atomic.LoadUint64(&lp.EITParks)
-		out.ParkedArrivals += atomic.LoadUint64(&lp.ParkedArrivals)
-		out.PostHorizonDrops += atomic.LoadUint64(&lp.PostHorizonDrops)
-		out.Rollbacks += atomic.LoadUint64(&lp.Rollbacks)
-		out.AntiMessages += atomic.LoadUint64(&lp.AntiMessages)
-		out.RolledBackEvents += atomic.LoadUint64(&lp.RolledBackEvents)
-		out.LazyCancelSaved += atomic.LoadUint64(&lp.LazyCancelSaved)
-		out.Checkpoints += atomic.LoadUint64(&lp.Checkpoints)
-		out.QuiescentSends += atomic.LoadUint64(&lp.QuiescentSends)
-	}
-	out.GVTAdvances = atomic.LoadUint64(&s.gvtAdvances)
-	return out
-}
-
-// CollectMetrics implements metrics.Collector: counters sum across LPs,
-// gauges report the worst LP. Safe to call mid-run (atomic reads).
-func (s *System) CollectMetrics(e *metrics.Emitter) {
-	e.Gauge("lps", int64(len(s.lps)))
-	e.Counter("gvt_advances", atomic.LoadUint64(&s.gvtAdvances))
-	for _, lp := range s.lps {
-		e.Counter("null_messages", atomic.LoadUint64(&lp.Nulls))
-		e.Counter("barriers", atomic.LoadUint64(&lp.Barriers))
-		e.Counter("cross_lp_packets", atomic.LoadUint64(&lp.CrossPkts))
-		e.Counter("causality_violations", atomic.LoadUint64(&lp.Violations))
-		e.Counter("eit_stalls", atomic.LoadUint64(&lp.EITStalls))
-		e.Counter("eit_parks", atomic.LoadUint64(&lp.EITParks))
-		e.Counter("parked_arrivals", atomic.LoadUint64(&lp.ParkedArrivals))
-		e.Counter("post_horizon_drops", atomic.LoadUint64(&lp.PostHorizonDrops))
-		e.Counter("rollbacks", atomic.LoadUint64(&lp.Rollbacks))
-		e.Counter("anti_messages", atomic.LoadUint64(&lp.AntiMessages))
-		e.Counter("rolled_back_events", atomic.LoadUint64(&lp.RolledBackEvents))
-		e.Counter("checkpoints", atomic.LoadUint64(&lp.Checkpoints))
-		e.Counter("lazy_cancel_saved", atomic.LoadUint64(&lp.LazyCancelSaved))
-		e.Counter("quiescent_sends", atomic.LoadUint64(&lp.QuiescentSends))
-		e.Gauge("inbox_high_water", atomic.LoadInt64(&lp.InboxHighWater))
-		e.Gauge("max_horizon_ns", atomic.LoadInt64((*int64)(&lp.MaxHorizon)))
 	}
 }
 
@@ -1083,7 +931,7 @@ func (s *System) runBarrier(end des.Time) {
 				// timing (the keyed heap orders all same-timestamp arrivals
 				// identically).
 				lp.kernel.RunBefore(horizon)
-				atomic.AddUint64(&lp.Barriers, 1)
+				lp.count[Barriers].Add(1)
 				k++
 				lp.awaitWindow(b, k)
 			}

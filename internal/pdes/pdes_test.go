@@ -132,8 +132,8 @@ func TestNullMessagesFlow(t *testing.T) {
 	// Idle LPs must still exchange nulls to advance time in lookahead
 	// steps: 1ms / 10us lookahead = ~100 rounds each direction.
 	st := s.Stats()
-	if st.Nulls < 100 {
-		t.Errorf("only %d null messages for a 1ms idle run with 10us lookahead", st.Nulls)
+	if st[Nulls] < 100 {
+		t.Errorf("only %d null messages for a 1ms idle run with 10us lookahead", st[Nulls])
 	}
 }
 
@@ -158,8 +158,8 @@ func runExperiment(t *testing.T, n, lps int) *ExperimentResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violations != 0 {
-		t.Fatalf("%d causality violations (synchronization bug)", res.Violations)
+	if res.Stats[Violations] != 0 {
+		t.Fatalf("%d causality violations (synchronization bug)", res.Stats[Violations])
 	}
 	return res
 }
@@ -169,7 +169,7 @@ func TestLeafSpineSingleThreaded(t *testing.T) {
 	if res.FlowsStarted == 0 || res.FlowsCompleted == 0 {
 		t.Fatalf("no traffic: %+v", res)
 	}
-	if res.Nulls != 0 || res.CrossPkts != 0 {
+	if res.Stats[Nulls] != 0 || res.Stats[CrossPkts] != 0 {
 		t.Errorf("single-threaded run produced cross-LP traffic: %+v", res)
 	}
 	if res.SimPerWall <= 0 {
@@ -194,7 +194,7 @@ func TestLeafSpineParallelMatchesSequential(t *testing.T) {
 		t.Errorf("parallel completed %d flows, sequential %d: suspicious divergence",
 			par.FlowsCompleted, seq.FlowsCompleted)
 	}
-	if par.Nulls == 0 || par.CrossPkts == 0 {
+	if par.Stats[Nulls] == 0 || par.Stats[CrossPkts] == 0 {
 		t.Error("parallel run shows no synchronization traffic")
 	}
 }
@@ -204,7 +204,7 @@ func TestParallelEventCountComparable(t *testing.T) {
 	// Total *useful* events should be in the same ballpark as sequential;
 	// the overhead is in messages and blocked time, not phantom events.
 	single := runExperiment(t, 4, 1)
-	ratio := float64(seq.Events) / float64(single.Events)
+	ratio := float64(seq.Stats[Events]) / float64(single.Stats[Events])
 	if ratio < 0.5 || ratio > 2.0 {
 		t.Errorf("event count ratio parallel/sequential = %.2f, want ~1", ratio)
 	}
@@ -213,7 +213,7 @@ func TestParallelEventCountComparable(t *testing.T) {
 func TestDeterministicSequentialExperiment(t *testing.T) {
 	a := runExperiment(t, 4, 1)
 	b := runExperiment(t, 4, 1)
-	if a.Events != b.Events || a.FlowsCompleted != b.FlowsCompleted {
+	if a.Stats[Events] != b.Stats[Events] || a.FlowsCompleted != b.FlowsCompleted {
 		t.Errorf("sequential experiment not deterministic: %+v vs %+v", a, b)
 	}
 }
@@ -236,7 +236,7 @@ func TestBarrierModeDeliversAcrossLPs(t *testing.T) {
 			t.Fatal("barrier-mode deliveries out of order")
 		}
 	}
-	if s.LP(0).Barriers == 0 {
+	if s.LP(0).count[Barriers].Load() == 0 {
 		t.Error("no barrier windows counted")
 	}
 }
@@ -283,10 +283,10 @@ func TestRunLeafSpineSyncBarrier(t *testing.T) {
 	if res.FlowsCompleted == 0 {
 		t.Fatal("barrier-sync experiment completed nothing")
 	}
-	if res.Barriers == 0 {
+	if res.Stats[Barriers] == 0 {
 		t.Error("no barrier windows counted")
 	}
-	if res.Nulls != 0 {
+	if res.Stats[Nulls] != 0 {
 		t.Error("barrier mode sent null messages")
 	}
 }

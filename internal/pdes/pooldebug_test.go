@@ -31,8 +31,8 @@ func TestAllAlgosPoolDebug(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if res.Violations != 0 {
-			t.Fatalf("%v: %d causality violations", algo, res.Violations)
+		if res.Stats[Violations] != 0 {
+			t.Fatalf("%v: %d causality violations", algo, res.Stats[Violations])
 		}
 		return committedGroups(t, reg)
 	}
@@ -80,11 +80,11 @@ func TestLazyDelayedAntiFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LazyCancelSaved != 0 {
-		t.Errorf("reclaim disabled but LazyCancelSaved = %d", res.LazyCancelSaved)
+	if res.Stats[LazyCancelSaved] != 0 {
+		t.Errorf("reclaim disabled but LazyCancelSaved = %d", res.Stats[LazyCancelSaved])
 	}
-	if res.Rollbacks > 0 && res.AntiMessages == 0 {
-		t.Errorf("rollbacks happened (%d) but no anti-messages were flushed", res.Rollbacks)
+	if res.Stats[Rollbacks] > 0 && res.Stats[AntiMessages] == 0 {
+		t.Errorf("rollbacks happened (%d) but no anti-messages were flushed", res.Stats[Rollbacks])
 	}
 	if got := committedGroups(t, reg); got != ref {
 		t.Errorf("delayed-anti timewarp diverged from nullmsg:\nref: %s\ngot: %s", ref, got)

@@ -22,12 +22,12 @@ import (
 // conservative engines park — PostHorizonDrops belongs to Time Warp alone).
 func checkSegmentedClean(t *testing.T, name string, res *ExperimentResult) {
 	t.Helper()
-	if res.Violations != 0 {
-		t.Fatalf("%s: %d causality violations", name, res.Violations)
+	if res.Stats[Violations] != 0 {
+		t.Fatalf("%s: %d causality violations", name, res.Stats[Violations])
 	}
-	if res.PostHorizonDrops != 0 {
+	if res.Stats[PostHorizonDrops] != 0 {
 		t.Fatalf("%s: %d post-horizon drops (conservative engines must park, not drop)",
-			name, res.PostHorizonDrops)
+			name, res.Stats[PostHorizonDrops])
 	}
 }
 

@@ -1,8 +1,6 @@
 package pdes
 
 import (
-	"sync/atomic"
-
 	"approxsim/internal/des"
 	"approxsim/internal/obs"
 	"approxsim/internal/packet"
@@ -75,7 +73,7 @@ func (lp *LP) takeSnapshot() *lpSnapshot {
 	for _, s := range lp.savers {
 		snap.blobs = append(snap.blobs, s.SaveState())
 	}
-	atomic.AddUint64(&lp.Checkpoints, 1)
+	lp.count[Checkpoints].Add(1)
 	if lp.buf.Enabled() {
 		lp.buf.Emit(obs.Event{TS: snap.now, Ph: obs.PhInstant, Name: "checkpoint",
 			Cat: "pdes", K1: "pending_events", V1: int64(lp.kernel.Pending())})

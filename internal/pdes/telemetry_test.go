@@ -69,8 +69,8 @@ func TestSnapshotConcurrentWithRun(t *testing.T) {
 			}
 			close(stop)
 			wg.Wait()
-			if st := net.Sys.Stats(); st.Violations != 0 {
-				t.Errorf("%v: %d causality violations", algo, st.Violations)
+			if st := net.Sys.Stats(); st[Violations] != 0 {
+				t.Errorf("%v: %d causality violations", algo, st[Violations])
 			}
 		})
 	}

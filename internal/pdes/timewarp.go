@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"approxsim/internal/des"
 	"approxsim/internal/obs"
@@ -183,7 +182,7 @@ func (lp *LP) twEmit(via *proxy, at des.Time, pkt *packet.Packet) {
 	if t.coasting {
 		return
 	}
-	atomic.AddUint64(&lp.CrossPkts, 1)
+	lp.count[CrossPkts].Add(1)
 	now := lp.kernel.Now()
 	if len(t.lazyQ) > 0 && !twDisableLazyMatch {
 		// Lazy cancellation, the payoff side: if this re-execution reproduces
@@ -211,7 +210,7 @@ func (lp *LP) twEmit(via *proxy, at des.Time, pkt *packet.Packet) {
 				continue
 			}
 			if s.m.via == via && s.m.orig == *pkt {
-				atomic.AddUint64(&lp.LazyCancelSaved, 1)
+				lp.count[LazyCancelSaved].Add(1)
 				t.outLog = append(t.outLog, *s)
 				t.lazyQ = append(t.lazyQ[:i], t.lazyQ[i+1:]...)
 				return
@@ -229,7 +228,7 @@ func (lp *LP) twEmit(via *proxy, at des.Time, pkt *packet.Packet) {
 				}
 				a := g.m
 				a.neg = true
-				atomic.AddUint64(&lp.AntiMessages, 1)
+				lp.count[AntiMessages].Add(1)
 				lp.twSend(g.to, a)
 				t.lazyQ = append(t.lazyQ[:j], t.lazyQ[j+1:]...)
 			}
@@ -265,7 +264,7 @@ func (lp *LP) twFlushLazy() {
 	for _, s := range t.lazyQ[:n] {
 		a := s.m
 		a.neg = true
-		atomic.AddUint64(&lp.AntiMessages, 1)
+		lp.count[AntiMessages].Add(1)
 		lp.twSend(s.to, a)
 	}
 	t.lazyQ = t.lazyQ[n:]
@@ -335,7 +334,7 @@ func (lp *LP) twLoop() {
 				sh.resp <- twReport{phase: 1}
 			case m.ctrl == twCtrlPhase2:
 				sh.resp <- twReport{phase: 2, min: lp.twLocalMin(batch[i+1:]),
-					rollbacks: atomic.LoadUint64(&lp.Rollbacks)}
+					rollbacks: lp.count[Rollbacks].Load()}
 			case m.neg:
 				lp.twHandleAnti(m)
 			default:
@@ -451,8 +450,8 @@ func (lp *LP) twRollback(at des.Time) {
 	}
 	snap := t.snaps[idx]
 	undone := lp.kernel.Stats().Executed - snap.kstate.Executed()
-	atomic.AddUint64(&lp.Rollbacks, 1)
-	atomic.AddUint64(&lp.RolledBackEvents, undone)
+	lp.count[Rollbacks].Add(1)
+	lp.count[RolledBackEvents].Add(undone)
 	if lp.buf.Enabled() {
 		lp.buf.Emit(obs.Event{TS: lp.kernel.Now(), Ph: obs.PhInstant, Name: "rollback",
 			Cat: "pdes", K1: "to_ns", V1: int64(snap.now), K2: "undone_events", V2: int64(undone)})

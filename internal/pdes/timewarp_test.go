@@ -44,8 +44,8 @@ func TestTimeWarpCrossLPDelivery(t *testing.T) {
 	if rec.arrivals[0] != 18*des.Microsecond {
 		t.Errorf("cross-LP arrival at %v, want 18us", rec.arrivals[0])
 	}
-	if st := s.Stats(); st.Violations != 0 {
-		t.Errorf("causality violations under time warp: %d", st.Violations)
+	if st := s.Stats(); st[Violations] != 0 {
+		t.Errorf("causality violations under time warp: %d", st[Violations])
 	}
 }
 
@@ -66,8 +66,8 @@ func TestTimeWarpTCPFlowAcrossLPs(t *testing.T) {
 	if len(got) != 1 || !got[0].Completed {
 		t.Fatalf("flow did not complete under time warp: %+v", got)
 	}
-	if st := s.Stats(); st.Violations != 0 {
-		t.Errorf("causality violations: %d", st.Violations)
+	if st := s.Stats(); st[Violations] != 0 {
+		t.Errorf("causality violations: %d", st[Violations])
 	}
 }
 
@@ -119,13 +119,13 @@ func TestTimeWarpStragglerRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Rollbacks == 0 {
+	if st[Rollbacks] == 0 {
 		t.Error("scenario forced no rollback (wanted at least one straggler)")
 	}
-	if st.Violations != 0 {
-		t.Errorf("causality violations: %d", st.Violations)
+	if st[Violations] != 0 {
+		t.Errorf("causality violations: %d", st[Violations])
 	}
-	if st.GVTAdvances == 0 {
+	if st[GVTAdvances] == 0 {
 		t.Error("GVT never advanced")
 	}
 	if len(rec.arrivals) != len(recRef.arrivals) {
@@ -205,8 +205,8 @@ func TestCrossAlgoEquivalence(t *testing.T) {
 		t.Skip("multi-engine leaf-spine comparison is slow")
 	}
 	ref, refStats := leafSpineFlows(t, NullMessages)
-	if refStats.Violations != 0 {
-		t.Fatalf("null messages: %d causality violations", refStats.Violations)
+	if refStats[Violations] != 0 {
+		t.Fatalf("null messages: %d causality violations", refStats[Violations])
 	}
 	completed := 0
 	for _, r := range ref {
@@ -219,8 +219,8 @@ func TestCrossAlgoEquivalence(t *testing.T) {
 	}
 	for _, algo := range []SyncAlgo{Barrier, TimeWarp} {
 		got, st := leafSpineFlows(t, algo, withGVTInterval(50*time.Microsecond))
-		if st.Violations != 0 {
-			t.Errorf("%v: %d causality violations", algo, st.Violations)
+		if st[Violations] != 0 {
+			t.Errorf("%v: %d causality violations", algo, st[Violations])
 		}
 		if len(got) != len(ref) {
 			t.Errorf("%v: %d flows, reference has %d", algo, len(got), len(ref))
@@ -256,15 +256,15 @@ func TestTimeWarpRollbackStress(t *testing.T) {
 		withGVTInterval(20*time.Microsecond),
 		withCheckpointEvery(32),
 		withTimeWindow(20*des.Microsecond))
-	t.Logf("rollbacks=%d gvt_advances=%d", res.Rollbacks, res.GVTAdvances)
-	if res.Violations != 0 {
-		t.Errorf("causality violations under stress: %d", res.Violations)
+	t.Logf("rollbacks=%d gvt_advances=%d", res.Stats[Rollbacks], res.Stats[GVTAdvances])
+	if res.Stats[Violations] != 0 {
+		t.Errorf("causality violations under stress: %d", res.Stats[Violations])
 	}
-	if res.GVTAdvances == 0 {
+	if res.Stats[GVTAdvances] == 0 {
 		t.Error("GVT never advanced under stress")
 	}
 	if got != ref {
 		t.Errorf("committed snapshot after %d rollbacks diverged from the sequential reference:\nref: %s\ngot: %s",
-			res.Rollbacks, ref, got)
+			res.Stats[Rollbacks], ref, got)
 	}
 }

@@ -120,12 +120,12 @@ func perfFromExperiment(r *pdes.ExperimentResult, forked bool) Perf {
 		WallSeconds:      r.WallSeconds,
 		SimSeconds:       r.SimSeconds,
 		SimPerWall:       r.SimPerWall,
-		Events:           r.Events,
+		Events:           r.Stats[pdes.Events],
 		ForkReused:       forked,
-		Nulls:            r.Nulls,
-		Barriers:         r.Barriers,
-		CrossPkts:        r.CrossPkts,
-		ParkedArrivals:   r.ParkedArrivals,
-		PostHorizonDrops: r.PostHorizonDrops,
+		Nulls:            r.Stats[pdes.Nulls],
+		Barriers:         r.Stats[pdes.Barriers],
+		CrossPkts:        r.Stats[pdes.CrossPkts],
+		ParkedArrivals:   r.Stats[pdes.ParkedArrivals],
+		PostHorizonDrops: r.Stats[pdes.PostHorizonDrops],
 	}
 }

@@ -276,7 +276,7 @@ func (s Spec) runNetwork(net *pdes.Network, res *Result, prog *obs.Progress, for
 	// The events clock reports this run's delta, matching the assembled
 	// result; committed time is absolute (forks resume at the warm point,
 	// never before it, so the reading is monotone within the run).
-	stop := prog.Watch(net.Sys.CommittedTime, func() uint64 { return net.Sys.Stats().Events - base.Events }, 0)
+	stop := prog.Watch(net.Sys.CommittedTime, func() uint64 { return net.Sys.Stats()[pdes.Events] - base[pdes.Events] }, 0)
 	start := time.Now()
 	err := net.Sys.Run(s.end())
 	wall := time.Since(start)
@@ -335,11 +335,11 @@ func (s Spec) flowSpecs(cfg topology.Config) ([]traffic.FlowSpec, error) {
 // checkExperiment enforces the engine's correctness invariants on a finished
 // pdes run: a violation or a quiescent-channel send is a bug, not a result.
 func checkExperiment(r *pdes.ExperimentResult) error {
-	if r.Violations != 0 {
-		return fmt.Errorf("scenario: pdes run committed %d causality violations (synchronization bug)", r.Violations)
+	if r.Stats[pdes.Violations] != 0 {
+		return fmt.Errorf("scenario: pdes run committed %d causality violations (synchronization bug)", r.Stats[pdes.Violations])
 	}
-	if r.QuiescentSends != 0 {
-		return fmt.Errorf("scenario: %d packets crossed channels the quiescence analysis declared idle", r.QuiescentSends)
+	if r.Stats[pdes.QuiescentSends] != 0 {
+		return fmt.Errorf("scenario: %d packets crossed channels the quiescence analysis declared idle", r.Stats[pdes.QuiescentSends])
 	}
 	return nil
 }

@@ -249,6 +249,11 @@ func (s Spec) Validate() error {
 	if n.DrainMS < 0 {
 		return fmt.Errorf("scenario: drain_ms %g must not be negative", n.DrainMS)
 	}
+	// Virtual time is int64 nanoseconds; a longer run would wrap negative.
+	if maxMS := float64(des.MaxTime / des.Millisecond); n.HorizonMS+n.DrainMS > maxMS {
+		return fmt.Errorf("scenario: horizon_ms %g + drain_ms %g exceeds the largest virtual time, %.0f ms",
+			n.HorizonMS, n.DrainMS, maxMS)
+	}
 	if !pdesMode {
 		if n.Topology.Clusters < 2 {
 			return fmt.Errorf("scenario: clusters %d, need at least 2", n.Topology.Clusters)

@@ -296,6 +296,9 @@ func TestValidateRejections(t *testing.T) {
 			Workload: Workload{Load: -0.1, Collective: "ring:hosts=4"}}},
 		{"load zero without collective", Spec{Mode: "pdes",
 			Workload: Workload{Load: -1}}},
+		{"horizon past max time", Spec{Mode: "pdes", Topology: Topology{Racks: 4},
+			Workload: Workload{Load: 0.1}, HorizonMS: 1e13}},
+		{"drain past max time", Spec{Mode: "full", DrainMS: 1e13}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -284,33 +284,3 @@ func (w *Window) bucket(i int) (bucket, bool) {
 	}
 	return w.buckets[len(w.buckets)-1-i], true
 }
-
-// Histogram counts observations into equal-width bins over [lo, hi); values
-// outside the range are clamped into the edge bins. Used by report tooling.
-type Histogram struct {
-	lo, hi float64
-	bins   []uint64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if hi <= lo || n <= 0 {
-		panic("stats: invalid histogram range")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]uint64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-}
-
-// Bins returns the bin counts. The slice is owned by the histogram.
-func (h *Histogram) Bins() []uint64 { return h.bins }

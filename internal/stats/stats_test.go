@@ -255,20 +255,6 @@ func TestWindowEmptyQueries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	want := []uint64{3, 1, 1, 0, 3} // clamped: -1,0,1.9 | 2 | 5 | | 9.9,10,100
-	got := h.Bins()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPropertyQuantileWithinRange(t *testing.T) {
 	f := func(xs []float64, q float64) bool {
 		clean := xs[:0]

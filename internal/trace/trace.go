@@ -19,7 +19,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -344,73 +343,6 @@ func ReadCSV(rd io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("trace: row %d is_ack: %w", i+2, err)
 		}
 		out = append(out, r)
-	}
-	return out, nil
-}
-
-// WriteJSON writes records as a JSON array (one object per traversal), the
-// structured alternative to the CSV format for downstream tooling.
-func WriteJSON(w io.Writer, records []Record) error {
-	enc := json.NewEncoder(w)
-	type jsonRecord struct {
-		EntryNS   int64  `json:"entry_ns"`
-		LatencyNS int64  `json:"latency_ns"`
-		Dropped   bool   `json:"dropped"`
-		Dir       string `json:"dir"`
-		Src       int32  `json:"src"`
-		Dst       int32  `json:"dst"`
-		Flow      uint64 `json:"flow"`
-		Size      int32  `json:"size"`
-		IsAck     bool   `json:"is_ack"`
-	}
-	out := make([]jsonRecord, len(records))
-	for i, r := range records {
-		out[i] = jsonRecord{
-			EntryNS: int64(r.Entry), LatencyNS: int64(r.Latency),
-			Dropped: r.Dropped, Dir: r.Dir.String(),
-			Src: int32(r.Src), Dst: int32(r.Dst),
-			Flow: r.Flow, Size: r.Size, IsAck: r.IsAck,
-		}
-	}
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("trace: encoding json: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON parses records written by WriteJSON.
-func ReadJSON(rd io.Reader) ([]Record, error) {
-	var in []struct {
-		EntryNS   int64  `json:"entry_ns"`
-		LatencyNS int64  `json:"latency_ns"`
-		Dropped   bool   `json:"dropped"`
-		Dir       string `json:"dir"`
-		Src       int32  `json:"src"`
-		Dst       int32  `json:"dst"`
-		Flow      uint64 `json:"flow"`
-		Size      int32  `json:"size"`
-		IsAck     bool   `json:"is_ack"`
-	}
-	if err := json.NewDecoder(rd).Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decoding json: %w", err)
-	}
-	out := make([]Record, len(in))
-	for i, r := range in {
-		var dir Direction
-		switch r.Dir {
-		case "egress":
-			dir = Egress
-		case "ingress":
-			dir = Ingress
-		default:
-			return nil, fmt.Errorf("trace: record %d has bad direction %q", i, r.Dir)
-		}
-		out[i] = Record{
-			Entry: des.Time(r.EntryNS), Latency: des.Time(r.LatencyNS),
-			Dropped: r.Dropped, Dir: dir,
-			Src: packet.HostID(r.Src), Dst: packet.HostID(r.Dst),
-			Flow: r.Flow, Size: r.Size, IsAck: r.IsAck,
-		}
 	}
 	return out, nil
 }

@@ -268,34 +268,3 @@ func TestRealisticTrainingCapture(t *testing.T) {
 		t.Fatalf("thin capture: %d egress, %d ingress", len(eg), len(ing))
 	}
 }
-
-func TestJSONRoundTrip(t *testing.T) {
-	recs := []Record{
-		{Entry: 1000, Latency: 2500, Dir: Egress, Src: 1, Dst: 9, Flow: 77, Size: 1526},
-		{Entry: 2000, Dropped: true, Dir: Ingress, Src: 9, Dst: 1, Flow: 78, Size: 66, IsAck: true},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("length %d != %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("record %d: %+v != %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	for _, bad := range []string{"", "{", `[{"dir":"sideways"}]`} {
-		if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadJSON accepted %q", bad)
-		}
-	}
-}
