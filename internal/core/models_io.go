@@ -7,7 +7,6 @@ import (
 	"approxsim/internal/des"
 	"approxsim/internal/macro"
 	"approxsim/internal/micro"
-	"approxsim/internal/nn"
 )
 
 // modelsHeader versions the on-disk bundle layout.
@@ -50,17 +49,13 @@ func LoadModels(r io.Reader) (*Models, error) {
 	if header != modelsHeader {
 		return nil, fmt.Errorf("core: unrecognized model bundle header %q", header)
 	}
-	eg, err := nn.Load(r)
+	eg, err := micro.LoadModel(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: egress model: %w", err)
 	}
-	ing, err := nn.Load(r)
+	ing, err := micro.LoadModel(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: ingress model: %w", err)
-	}
-	if eg.InDim != micro.FeatureDim || ing.InDim != micro.FeatureDim {
-		return nil, fmt.Errorf("core: models take %d and %d inputs, the featurizer gives %d",
-			eg.InDim, ing.InDim, micro.FeatureDim)
 	}
 	return &Models{
 		Egress: eg, Ingress: ing,
