@@ -1,7 +1,10 @@
-// Package approx implements the approximated cluster fabric: a single
-// simulation module that stands in for all of a cluster's ToR and Cluster
-// switches (paper Fig. 3), replacing their queuing, routing, and packet
-// processing with macro + micro model predictions.
+// Package approx implements the approximated region: a single simulation
+// module that stands in for every switch on one side of a
+// topology.Boundary, replacing their queuing, routing, and packet processing
+// with macro + micro model predictions. On the cluster side it is one
+// cluster's fabric, its ToR and Cluster switches (paper Fig. 3); on the
+// whole-network side it is the §7 single black box, every core and every
+// other cluster's switches.
 //
 // Where the full-fidelity fabric costs roughly two scheduler events per
 // packet per hop (serialization completion and arrival) plus queue state,
@@ -27,42 +30,42 @@ import (
 	"approxsim/internal/netsim"
 	"approxsim/internal/packet"
 	"approxsim/internal/topology"
+	"approxsim/internal/trace"
 )
 
-// Stats counts the fabric's activity.
+// Stats counts the fabric's activity. Egress traversals leave the
+// boundary's cluster, Ingress traversals enter it.
 type Stats struct {
-	EgressPackets  uint64 // server -> core traversals begun
-	IngressPackets uint64 // core -> server traversals begun
-	IntraPackets   uint64 // intra-cluster traversals (normally elided loads)
+	EgressPackets  uint64 // traversals leaving the boundary's cluster
+	IngressPackets uint64 // traversals entering the boundary's cluster
+	IntraPackets   uint64 // host-edge to host-edge traversals (normally elided loads)
 	EgressDrops    uint64 // model-predicted drops, egress
 	IngressDrops   uint64 // model-predicted drops, ingress
 	Conflicts      uint64 // deliveries bumped by schedule-conflict resolution
 }
 
-// Fabric is the approximated cluster: a netsim.Device whose behavior is a
-// pair of micro predictors plus a macro-state classifier.
+// Fabric is the approximated region on one side of a boundary: a
+// netsim.Device whose behavior is a pair of micro predictors plus a
+// macro-state classifier. It attaches at two edges: the cut, where slot k
+// faces core k, and the host edge, one slot per host whose link ends in the
+// region.
 type Fabric struct {
-	kernel  *des.Kernel
-	topo    *topology.Topology
-	cluster int
+	kernel *des.Kernel
+	topo   *topology.Topology
+	b      topology.Boundary
 
-	egress  *micro.Predictor
-	ingress *micro.Predictor
+	pred    [2]*micro.Predictor // indexed by trace.Direction
 	cls     *macro.Classifier
-
-	hostPorts []*netsim.Port // attachment points for the cluster's hosts
-	corePorts []*netsim.Port // attachment points for the core switches
-
-	// Delivery handlers, one per attachment point, bound at Splice.
-	toHost []func(ctx any)
-	toCore []func(ctx any)
-
-	// Conflict-resolution state: earliest time each boundary may next
-	// deliver, per core switch (egress) and per host (ingress).
-	coreFree []des.Time
-	hostFree []des.Time
-
 	noMacro bool
+
+	// hostIn is the direction of a traversal entering at the host edge:
+	// Egress for a cluster's fabric, Ingress for the black box.
+	hostIn trace.Direction
+	// crossHops and intraHops are the switch hops a traversal elides: across
+	// the cut, and from host edge to host edge.
+	crossHops, intraHops int8
+
+	cut, hosts edge
 
 	stats Stats
 
@@ -75,19 +78,95 @@ type Fabric struct {
 	predNanos   metrics.Histogram
 }
 
-// predict times one micro-model invocation for either direction.
-func (f *Fabric) predict(p *micro.Predictor, now des.Time, pkt *packet.Packet,
-	st macro.State) (drop bool, lat des.Time) {
-
-	t0 := time.Now()
-	drop, lat = p.Predict(now, pkt.Src, pkt.Dst, pkt.FlowID, pkt.Size(), pkt.IsAck(), st)
-	f.predNanos.Observe(uint64(time.Since(t0)))
-	f.invocations.Inc()
-	return drop, lat
+// edge is one set of attachment points: per slot, the fabric's port, the
+// delivery handler bound to the device behind it, and the earliest time
+// the slot may next deliver (conflict resolution).
+type edge struct {
+	ports []*netsim.Port
+	to    []func(ctx any)
+	free  []des.Time
 }
 
+// attach adds a slot to e: the fabric's next port, with link cfg, wired to
+// peer, whose deliveries dev receives on port in.
+func (f *Fabric) attach(e *edge, cfg netsim.LinkConfig, peer *netsim.Port, dev netsim.Device, in int) {
+	p := netsim.NewPort(f.kernel, f, len(f.cut.ports)+len(f.hosts.ports), cfg)
+	netsim.Connect(peer, p)
+	e.ports = append(e.ports, p)
+	e.to = append(e.to, func(ctx any) { dev.Receive(ctx.(*packet.Packet), in) })
+	e.free = append(e.free, 0)
+}
+
+// Splice replaces the switches on b's replaced side of topo with one
+// approximated fabric driven by the given predictors (egress leaves b's
+// cluster, ingress enters it). The hosts and switches at the edges are
+// re-wired to the fabric; the replaced switches are left orphaned (they
+// receive no further traffic and schedule no events). Predictors must be
+// dedicated to this fabric — they carry streaming state. noMacro pins the
+// macro-state feature to Minimal (the macro-ablation arm; it must match how
+// the models were trained).
+func Splice(topo *topology.Topology, b topology.Boundary, egress, ingress *micro.Predictor,
+	mcfg macro.Config, noMacro bool) (*Fabric, error) {
+
+	if topo.Cfg.Kind != topology.ThreeTierClos {
+		return nil, fmt.Errorf("approx: only 3-tier Clos topologies have a cluster boundary")
+	}
+	if b.Cluster < 0 || b.Cluster >= topo.Cfg.Clusters {
+		return nil, fmt.Errorf("approx: cluster %d out of range [0,%d)", b.Cluster, topo.Cfg.Clusters)
+	}
+	if egress == nil || ingress == nil {
+		return nil, fmt.Errorf("approx: both direction predictors are required")
+	}
+	f := &Fabric{
+		kernel: topo.Kernel, topo: topo, b: b,
+		pred:    [2]*micro.Predictor{trace.Egress: egress, trace.Ingress: ingress},
+		cls:     macro.New(mcfg),
+		noMacro: noMacro,
+		// A cluster's fabric elides its ToR and agg hops.
+		hostIn: trace.Egress, crossHops: 2, intraHops: 2,
+	}
+	if b.WholeNet {
+		// Core, remote agg and remote ToR across the cut; ToR, agg, core,
+		// agg and ToR between two remote hosts.
+		f.hostIn, f.crossHops, f.intraHops = trace.Ingress, 3, 5
+	}
+	// Cut slots come first in port order, then the host edge.
+	for k, core := range topo.Cores {
+		agg, port := topo.CutPort(b.Cluster, k)
+		if b.WholeNet {
+			f.attach(&f.cut, topo.Cfg.CoreLink, agg.Port(port), agg, port)
+		} else {
+			f.attach(&f.cut, topo.Cfg.CoreLink, core.Port(b.Cluster), core, b.Cluster)
+		}
+	}
+	for c := 0; c < topo.Cfg.Clusters; c++ {
+		if !b.Inside(c) {
+			continue
+		}
+		for _, h := range topo.HostsInCluster(c) {
+			f.attach(&f.hosts, topo.Cfg.HostLink, h.NIC(), h, 0)
+		}
+	}
+	return f, nil
+}
+
+// NodeID implements netsim.Device. Negative IDs cannot collide with
+// topology-assigned ones.
+func (f *Fabric) NodeID() packet.NodeID {
+	if f.b.WholeNet {
+		return -1_000_000
+	}
+	return packet.NodeID(-(f.b.Cluster + 1))
+}
+
+// Stats returns a snapshot of the fabric counters.
+func (f *Fabric) Stats() Stats { return f.stats }
+
+// MacroState returns the fabric's current congestion regime.
+func (f *Fabric) MacroState() macro.State { return f.cls.Current() }
+
 // CollectMetrics implements metrics.Collector. Register every fabric of a
-// hybrid run under one group for whole-run totals.
+// run under one group for whole-run totals.
 func (f *Fabric) CollectMetrics(e *metrics.Emitter) {
 	e.Counter("egress_packets", f.stats.EgressPackets)
 	e.Counter("ingress_packets", f.stats.IngressPackets)
@@ -99,11 +178,6 @@ func (f *Fabric) CollectMetrics(e *metrics.Emitter) {
 	e.Histogram("prediction_wall_ns", &f.predNanos)
 }
 
-// DisableMacro pins the macro-state feature to Minimal for this fabric's
-// predictions — the macro-ablation arm. Must match how the models were
-// trained.
-func (f *Fabric) DisableMacro() { f.noMacro = true }
-
 // macroFeature returns the state fed to the micro models.
 func (f *Fabric) macroFeature() macro.State {
 	if f.noMacro {
@@ -112,162 +186,85 @@ func (f *Fabric) macroFeature() macro.State {
 	return f.cls.Current()
 }
 
-// deliverTo binds the delivery handler for one attachment point: a predicted
-// delivery is scheduled with des.Kernel.AtCtxFn and the packet as its
-// context, so it allocates no closure. Band 0 and key 0 are the ordering key
-// des.Kernel.At uses.
-func deliverTo(dev netsim.Device, port int) func(ctx any) {
-	return func(ctx any) { dev.Receive(ctx.(*packet.Packet), port) }
+// hostSlot maps a host on the host edge to its slot: host IDs in order,
+// skipping the clusters whose links do not end in the region.
+func (f *Fabric) hostSlot(h packet.HostID) int {
+	per := f.topo.Cfg.ToRsPerCluster * f.topo.Cfg.ServersPerToR
+	switch {
+	case !f.b.WholeNet:
+		return int(h) - f.b.Cluster*per
+	case int(h) >= (f.b.Cluster+1)*per:
+		return int(h) - per
+	}
+	return int(h)
 }
-
-// nodeID returns the fabric's device ID. Negative IDs cannot collide with
-// topology-assigned ones.
-func fabricNodeID(cluster int) packet.NodeID { return packet.NodeID(-(cluster + 1)) }
-
-// Splice replaces cluster c's switching fabric in topo with an approximated
-// fabric driven by the given predictors. The cluster's hosts and the core
-// switches are re-wired to the fabric; the original ToR and Cluster switches
-// are left orphaned (they receive no further traffic and schedule no
-// events). Predictors must be dedicated to this fabric — they carry
-// streaming state.
-func Splice(topo *topology.Topology, c int, egress, ingress *micro.Predictor,
-	mcfg macro.Config) (*Fabric, error) {
-
-	if topo.Cfg.Kind != topology.ThreeTierClos {
-		return nil, fmt.Errorf("approx: only 3-tier Clos topologies have cluster fabrics")
-	}
-	if c < 0 || c >= topo.Cfg.Clusters {
-		return nil, fmt.Errorf("approx: cluster %d out of range [0,%d)", c, topo.Cfg.Clusters)
-	}
-	if egress == nil || ingress == nil {
-		return nil, fmt.Errorf("approx: both direction predictors are required")
-	}
-	f := &Fabric{
-		kernel:  topo.Kernel,
-		topo:    topo,
-		cluster: c,
-		egress:  egress,
-		ingress: ingress,
-		cls:     macro.New(mcfg),
-	}
-
-	hosts := topo.HostsInCluster(c)
-	f.hostFree = make([]des.Time, len(hosts))
-	for i, h := range hosts {
-		p := netsim.NewPort(topo.Kernel, f, i, topo.Cfg.HostLink)
-		f.hostPorts = append(f.hostPorts, p)
-		f.toHost = append(f.toHost, deliverTo(h, 0))
-		netsim.Connect(h.NIC(), p)
-	}
-	f.coreFree = make([]des.Time, len(topo.Cores))
-	for j, core := range topo.Cores {
-		p := netsim.NewPort(topo.Kernel, f, len(hosts)+j, topo.Cfg.CoreLink)
-		f.corePorts = append(f.corePorts, p)
-		f.toCore = append(f.toCore, deliverTo(core, c))
-		netsim.Connect(core.Port(c), p)
-	}
-	return f, nil
-}
-
-// NodeID implements netsim.Device.
-func (f *Fabric) NodeID() packet.NodeID { return fabricNodeID(f.cluster) }
-
-// Stats returns a snapshot of the fabric counters.
-func (f *Fabric) Stats() Stats { return f.stats }
-
-// MacroState returns the fabric's current congestion regime.
-func (f *Fabric) MacroState() macro.State { return f.cls.Current() }
 
 // Receive implements netsim.Device: every arriving packet is one boundary
 // traversal, resolved by a single model prediction and (at most) a single
 // scheduled delivery event.
 func (f *Fabric) Receive(pkt *packet.Packet, inPort int) {
-	if inPort < len(f.hostPorts) {
-		f.fromHost(pkt)
-		return
+	if int(pkt.Dst) < 0 || int(pkt.Dst) >= len(f.topo.Hosts) {
+		return // no such host: a real fabric would blackhole it just the same
 	}
-	f.fromCore(pkt, inPort-len(f.hostPorts))
-}
+	fromHost := inPort >= len(f.cut.ports)
+	toHost := f.b.Inside(f.topo.ClusterOf(pkt.Dst))
+	if !fromHost && !toHost {
+		return // misrouted back across the cut: blackholed likewise
+	}
+	dir := f.hostIn
+	if !fromHost {
+		dir = 1 - dir
+	}
 
-// fromHost handles a packet a cluster server sent upward.
-func (f *Fabric) fromHost(pkt *packet.Packet) {
 	now := f.kernel.Now()
-	dstInside := int(pkt.Dst) >= 0 && int(pkt.Dst) < len(f.topo.Hosts) &&
-		f.topo.ClusterOf(pkt.Dst) == f.cluster
-
 	st := f.macroFeature()
-	drop, lat := f.predict(f.egress, now, pkt, st)
+	t0 := time.Now()
+	drop, lat := f.pred[dir].Predict(now, pkt.Src, pkt.Dst, pkt.FlowID, pkt.Size(), pkt.IsAck(), st)
+	f.predNanos.Observe(uint64(time.Since(t0)))
+	f.invocations.Inc()
 	f.cls.Observe(now, lat.Seconds(), drop)
 
-	if dstInside {
-		// Intra-cluster traffic through an approximated fabric. The hybrid
-		// workload normally elides it (§6.2); when it does occur, one
-		// prediction covers the whole ToR->Agg->ToR transit.
+	hops := f.crossHops
+	switch {
+	case fromHost && toHost:
+		// Host edge to host edge through the region. The workload normally
+		// elides it (§6.2); when it does occur, one prediction covers the
+		// whole transit.
 		f.stats.IntraPackets++
-		if drop {
+		hops = f.intraHops
+	case dir == trace.Egress:
+		f.stats.EgressPackets++
+	default:
+		f.stats.IngressPackets++
+	}
+	if drop {
+		if dir == trace.Egress {
 			f.stats.EgressDrops++
-			return
+		} else {
+			f.stats.IngressDrops++
 		}
-		f.deliverToHost(pkt, now+lat)
 		return
 	}
-
-	f.stats.EgressPackets++
-	if drop {
-		f.stats.EgressDrops++
-		return
+	if toHost {
+		f.deliver(pkt, now+lat, &f.hosts, f.hostSlot(pkt.Dst), hops)
+	} else if path := f.topo.PathFor(pkt.Src, pkt.Dst, pkt.FlowID); path.Core >= 0 {
+		// Out across the cut, on the slot the routing arithmetic picks.
+		f.deliver(pkt, now+lat, &f.cut, f.topo.CoreIndex(path.Core), hops)
 	}
-	path := f.topo.PathFor(pkt.Src, pkt.Dst, pkt.FlowID)
-	if path.Core < 0 {
-		// Destination outside the topology: nothing to deliver to.
-		return
-	}
-	coreIdx := f.topo.CoreIndex(path.Core)
-	at := now + lat
-	// Conflict resolution at the fabric->core boundary.
-	ser := f.corePorts[coreIdx].Config().SerializationDelay(pkt.Size())
-	if at < f.coreFree[coreIdx] {
-		at = f.coreFree[coreIdx]
-		f.stats.Conflicts++
-	}
-	f.coreFree[coreIdx] = at + ser
-
-	pkt.Hops += 2 // the elided ToR and Agg hops
-	pkt.TTL -= 2
-	f.kernel.AtCtxFn(at, 0, 0, pkt, f.toCore[coreIdx])
 }
 
-// fromCore handles a packet a core switch forwarded down into the cluster.
-func (f *Fabric) fromCore(pkt *packet.Packet, _ int) {
-	now := f.kernel.Now()
-	if int(pkt.Dst) < 0 || int(pkt.Dst) >= len(f.topo.Hosts) ||
-		f.topo.ClusterOf(pkt.Dst) != f.cluster {
-		// Misrouted: a real fabric would blackhole it just the same.
-		return
-	}
-	f.stats.IngressPackets++
-	st := f.macroFeature()
-	drop, lat := f.predict(f.ingress, now, pkt, st)
-	f.cls.Observe(now, lat.Seconds(), drop)
-	if drop {
-		f.stats.IngressDrops++
-		return
-	}
-	f.deliverToHost(pkt, now+lat)
-}
-
-// deliverToHost schedules the single delivery event for an ingress (or
-// intra-cluster) traversal, resolving schedule conflicts per host link.
-func (f *Fabric) deliverToHost(pkt *packet.Packet, at des.Time) {
-	local := int(pkt.Dst) - f.cluster*f.topo.Cfg.ToRsPerCluster*f.topo.Cfg.ServersPerToR
-	ser := f.hostPorts[local].Config().SerializationDelay(pkt.Size())
-	if at < f.hostFree[local] {
-		at = f.hostFree[local]
+// deliver schedules the single delivery event of a traversal on slot i of
+// e, resolving schedule conflicts per slot. The event takes the packet as
+// its context, so it allocates no closure; band 0 and key 0 are the
+// ordering key des.Kernel.At uses.
+func (f *Fabric) deliver(pkt *packet.Packet, at des.Time, e *edge, i int, hops int8) {
+	ser := e.ports[i].Config().SerializationDelay(pkt.Size())
+	if at < e.free[i] {
+		at = e.free[i]
 		f.stats.Conflicts++
 	}
-	f.hostFree[local] = at + ser
-
-	pkt.Hops += 2
-	pkt.TTL -= 2
-	f.kernel.AtCtxFn(at, 0, 0, pkt, f.toHost[local])
+	e.free[i] = at + ser
+	pkt.Hops += hops
+	pkt.TTL -= hops
+	f.kernel.AtCtxFn(at, 0, 0, pkt, e.to[i])
 }

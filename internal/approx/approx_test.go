@@ -28,7 +28,7 @@ func trainPredictors(t *testing.T) (*topology.Topology, *micro.Predictor, *micro
 	for i, h := range topo.Hosts {
 		stacks[i] = tcp.NewStack(h, tcp.Config{})
 	}
-	rec := trace.AttachBoundary(topo, 0)
+	rec := trace.AttachBoundary(topo, topology.Boundary{})
 	hosts := make([]packet.HostID, len(stacks))
 	for i := range hosts {
 		hosts[i] = packet.HostID(i)
@@ -75,7 +75,7 @@ func hybridBed(t *testing.T, eg, ing *micro.Predictor) (*des.Kernel, *topology.T
 	// Fresh predictor instances bound to the new topology, sharing weights.
 	eg2 := micro.NewPredictor(eg.Model, trace.Egress, topo, micro.Sample, 7, eg.LatencyFloor)
 	ing2 := micro.NewPredictor(ing.Model, trace.Ingress, topo, micro.Sample, 8, ing.LatencyFloor)
-	fab, err := Splice(topo, 1, eg2, ing2, macro.Config{})
+	fab, err := Splice(topo, topology.Boundary{Cluster: 1}, eg2, ing2, macro.Config{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +87,28 @@ func TestSpliceValidation(t *testing.T) {
 	topo, _ := topology.Build(k, topology.DefaultClosConfig(2))
 	m := nn.NewModel(micro.FeatureDim, 4, 1, rng.New(1))
 	p := micro.NewPredictor(m, trace.Egress, topo, micro.Sample, 1, 0)
-	if _, err := Splice(topo, 5, p, p, macro.Config{}); err == nil {
-		t.Error("out-of-range cluster accepted")
-	}
-	if _, err := Splice(topo, 0, nil, p, macro.Config{}); err == nil {
-		t.Error("nil predictor accepted")
-	}
 	ls, _ := topology.Build(des.NewKernel(), topology.DefaultLeafSpineConfig(4))
-	if _, err := Splice(ls, 0, p, p, macro.Config{}); err == nil {
-		t.Error("leaf-spine splice accepted")
+	for _, side := range []struct {
+		name     string
+		wholeNet bool
+	}{{"cluster", false}, {"wholenet", true}} {
+		t.Run(side.name, func(t *testing.T) {
+			for _, c := range []int{-1, 2, 9} {
+				if _, err := Splice(topo, topology.Boundary{Cluster: c, WholeNet: side.wholeNet}, p, p, macro.Config{}, false); err == nil {
+					t.Errorf("out-of-range cluster %d accepted", c)
+				}
+			}
+			b := topology.Boundary{WholeNet: side.wholeNet}
+			if _, err := Splice(topo, b, nil, p, macro.Config{}, false); err == nil {
+				t.Error("nil egress predictor accepted")
+			}
+			if _, err := Splice(topo, b, p, nil, macro.Config{}, false); err == nil {
+				t.Error("nil ingress predictor accepted")
+			}
+			if _, err := Splice(ls, b, p, p, macro.Config{}, false); err == nil {
+				t.Error("leaf-spine splice accepted")
+			}
+		})
 	}
 }
 
@@ -144,7 +157,7 @@ func TestHybridUsesFarFewerEvents(t *testing.T) {
 		if approximate {
 			eg2 := micro.NewPredictor(eg.Model, trace.Egress, topo, micro.Sample, 7, eg.LatencyFloor)
 			ing2 := micro.NewPredictor(ing.Model, trace.Ingress, topo, micro.Sample, 8, ing.LatencyFloor)
-			if _, err := Splice(topo, 1, eg2, ing2, macro.Config{}); err != nil {
+			if _, err := Splice(topo, topology.Boundary{Cluster: 1}, eg2, ing2, macro.Config{}, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -179,7 +192,7 @@ func TestConflictResolutionSerializes(t *testing.T) {
 	m.DropHead.B[0] = -50
 	eg := micro.NewPredictor(m, trace.Egress, topo, micro.Threshold, 1, 5*des.Microsecond)
 	ing := micro.NewPredictor(m, trace.Ingress, topo, micro.Threshold, 2, 5*des.Microsecond)
-	fab, err := Splice(topo, 1, eg, ing, macro.Config{})
+	fab, err := Splice(topo, topology.Boundary{Cluster: 1}, eg, ing, macro.Config{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,11 @@ import (
 	"approxsim/internal/trace"
 )
 
-// Config describes the network one clos-mode experiment runs on and the
-// cluster it observes (scenario.Spec.EngineConfig resolves a spec into it).
-// The workload lives in the spec's flow schedule, not here. Zero fields take
-// defaults.
+// Config describes the network one clos-mode experiment runs on
+// (scenario.Spec.EngineConfig resolves a spec into it). The observed
+// cluster, the full-fidelity one whose hosts' RTTs are measured and whose
+// boundary is captured and replaced, is cluster 0. The workload lives in the
+// spec's flow schedule, not here. Zero fields take defaults.
 type Config struct {
 	// Clusters sizes the Clos fabric (paper cluster shape: 4 switches +
 	// 8 servers each). Ignored when Topology is set explicitly.
@@ -52,9 +53,6 @@ type Config struct {
 	// on such a fabric runs DCTCP hosts (the §3 modularity goal exercised end
 	// to end — the approximation pipeline is protocol-agnostic).
 	DCTCP bool
-	// ObservedCluster is the full-fidelity cluster whose hosts' RTTs are
-	// measured (and whose boundary is traced during training runs).
-	ObservedCluster int
 }
 
 // TopologyConfig resolves the effective topology configuration.
@@ -86,7 +84,7 @@ func (c Config) ObservedHosts() []packet.HostID {
 	per := tc.ToRsPerCluster * tc.ServersPerToR
 	hosts := make([]packet.HostID, per)
 	for i := range hosts {
-		hosts[i] = packet.HostID(c.ObservedCluster*per + i)
+		hosts[i] = packet.HostID(i)
 	}
 	return hosts
 }
@@ -99,84 +97,59 @@ type RunResult struct {
 	RTTs *stats.Sample
 	// Records is the boundary trace (nil unless a boundary was captured).
 	Records []trace.Record
-	// FabricStats reports each approximated region (runs with models only).
+	// FabricStats reports each approximated fabric (runs with models only).
 	FabricStats []approx.Stats
 }
 
-// Boundary names the region around the observed cluster that a run acts
-// on. A run without models records the packets crossing it (the training
-// capture); a run with models replaces what lies beyond it. Capturing and
-// replacing at the same boundary is the paper's whole pipeline.
-type Boundary int
-
-// Boundaries.
-const (
-	// NoBoundary records and replaces nothing: a plain full-fidelity run.
-	NoBoundary Boundary = iota
-	// ClusterBoundary is the per-cluster fabric boundary (the paper's
-	// primary design): captured at the observed cluster's fabric, replaced
-	// at every other cluster's.
-	ClusterBoundary
-	// WholeNetBoundary is the §7 "single black box": everything beyond the
-	// observed cluster's aggregation switches, cores included, as one region.
-	WholeNetBoundary
-)
-
-// region is one approximated part of the network: a cluster's fabric or the
-// whole-network black box.
-type region interface {
-	metrics.Collector
-	Stats() approx.Stats
-	DisableMacro()
-}
-
 // Pipeline is the paper's pipeline attached to one network: the boundary
-// recorder of a capture run or the approximated regions of a run with
+// recorder of a capture run or the approximated fabrics of a run with
 // models, plus the observed cluster's RTT recorder.
 type Pipeline struct {
 	rec     *trace.BoundaryRecorder
-	regions []region
+	fabrics []*approx.Fabric
 	rtt     *trace.RTTRecorder
 }
 
-// Attach applies boundary b to topo, a built single-kernel network shaped by
-// cfg.TopologyConfig() whose hosts run stacks, before it runs. With models
-// nil the observed cluster's traversals of b are recorded for training. With
-// models set, everything beyond b is replaced by approximated regions: one
-// fabric per cluster other than the observed one for ClusterBoundary, one
-// black box for WholeNetBoundary. Either way the observed cluster's RTTs are
+// Attach applies boundary b, the observed cluster's (b.Cluster must be 0),
+// to topo, a built single-kernel network shaped by cfg.TopologyConfig()
+// whose hosts run stacks, before it runs; nil b is a plain full-fidelity
+// run. With models nil the traversals of b are recorded for training. With
+// models set, the models replace what lies beyond the observed cluster: one
+// fabric per other cluster on the cluster side, the black box on the
+// whole-network side. Capturing and replacing at the same boundary is the
+// paper's whole pipeline. Either way the observed cluster's RTTs are
 // sampled.
-func Attach(cfg Config, topo *topology.Topology, stacks []*tcp.Stack, b Boundary, models *Models) (*Pipeline, error) {
-	if models != nil && (models.Egress == nil || models.Ingress == nil) {
+func Attach(cfg Config, topo *topology.Topology, stacks []*tcp.Stack, b *topology.Boundary, models *Models) (*Pipeline, error) {
+	switch {
+	case b != nil && b.Cluster != 0:
+		return nil, fmt.Errorf("core: boundary at cluster %d, but the observed cluster is 0", b.Cluster)
+	case models != nil && (models.Egress == nil || models.Ingress == nil):
 		return nil, fmt.Errorf("core: approximating a boundary requires trained models")
-	}
-	if models != nil && b == NoBoundary {
+	case models != nil && b == nil:
 		return nil, fmt.Errorf("core: models given but no boundary to replace")
 	}
 	p := &Pipeline{}
 	switch {
 	case models != nil:
 		var err error
-		if p.regions, err = splice(cfg, topo, b, models); err != nil {
+		if p.fabrics, err = splice(topo, *b, models); err != nil {
 			return nil, err
 		}
-	case b == ClusterBoundary:
-		p.rec = trace.AttachBoundary(topo, cfg.ObservedCluster)
-	case b == WholeNetBoundary:
-		p.rec = trace.AttachWholeNetworkBoundary(topo, cfg.ObservedCluster)
+	case b != nil:
+		p.rec = trace.AttachBoundary(topo, *b)
 	}
 	p.rtt = trace.AttachRTT(stacks, cfg.ObservedHosts())
 	return p, nil
 }
 
-// RegisterMetrics registers every approximated region with reg under
+// RegisterMetrics registers every approximated fabric with reg under
 // "approx". A nil Pipeline registers nothing.
 func (p *Pipeline) RegisterMetrics(reg *metrics.Registry) {
 	if p == nil {
 		return
 	}
-	for _, r := range p.regions {
-		reg.Register("approx", r)
+	for _, f := range p.fabrics {
+		reg.Register("approx", f)
 	}
 }
 
@@ -186,47 +159,35 @@ func (p *Pipeline) Result() *RunResult {
 	if p.rec != nil {
 		res.Records = p.rec.Records
 	}
-	for _, r := range p.regions {
-		res.FabricStats = append(res.FabricStats, r.Stats())
+	for _, f := range p.fabrics {
+		res.FabricStats = append(res.FabricStats, f.Stats())
 	}
 	return res
 }
 
-// splice replaces everything beyond boundary b with models.
-func splice(cfg Config, topo *topology.Topology, b Boundary, models *Models) ([]region, error) {
-	var regions []region
-	if b == WholeNetBoundary {
-		out := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample,
-			models.Seed^0xbb01, models.EgressFloor)
-		in := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample,
-			models.Seed^0xbb02, models.IngressFloor)
-		bb, err := approx.SpliceWholeNetwork(topo, cfg.ObservedCluster, out, in, models.Macro)
+// splice replaces what the models stand in for around the observed
+// cluster's cut: on the whole-network side the black box at cut itself, on
+// the cluster side the fabric behind every other cluster's boundary. Each
+// fabric gets its own predictors, seeded per fabric.
+func splice(topo *topology.Topology, cut topology.Boundary, models *Models) ([]*approx.Fabric, error) {
+	var fabrics []*approx.Fabric
+	for c := 0; c < topo.Cfg.Clusters; c++ {
+		b, eseed, iseed := topology.Boundary{Cluster: c}, models.Seed^uint64(c)<<8^1, models.Seed^uint64(c)<<8^2
+		switch {
+		case cut.WholeNet && c == cut.Cluster:
+			b, eseed, iseed = cut, models.Seed^0xbb01, models.Seed^0xbb02
+		case cut.WholeNet || c == cut.Cluster:
+			continue
+		}
+		eg := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample, eseed, models.EgressFloor)
+		ing := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample, iseed, models.IngressFloor)
+		f, err := approx.Splice(topo, b, eg, ing, models.Macro, models.NoMacro)
 		if err != nil {
 			return nil, err
 		}
-		regions = append(regions, bb)
-	} else {
-		for c := 0; c < topo.Cfg.Clusters; c++ {
-			if c == cfg.ObservedCluster {
-				continue
-			}
-			eg := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample,
-				models.Seed^uint64(c)<<8^1, models.EgressFloor)
-			ing := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample,
-				models.Seed^uint64(c)<<8^2, models.IngressFloor)
-			fab, err := approx.Splice(topo, c, eg, ing, models.Macro)
-			if err != nil {
-				return nil, err
-			}
-			regions = append(regions, fab)
-		}
+		fabrics = append(fabrics, f)
 	}
-	if models.NoMacro {
-		for _, r := range regions {
-			r.DisableMacro()
-		}
-	}
-	return regions, nil
+	return fabrics, nil
 }
 
 // Models bundles everything the hybrid simulation needs: the trained micro

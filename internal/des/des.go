@@ -72,7 +72,7 @@ type Event struct {
 	fn    func()
 	fnCtx func(any)
 
-	// ctx is an optional caller-supplied value attached by AtCtx/AtCtxFn. The
+	// ctx is an optional caller-supplied value attached by AtCtxFn. The
 	// kernel only hands it to fnCtx; Snapshot/Restore pass it to the caller's
 	// state callbacks so mutable objects the event refers to (in practice:
 	// in-flight packets) can be checkpointed alongside the event.
@@ -112,20 +112,20 @@ func (e *Event) Gen() uint64 { return e.gen }
 // before is the heap order (time, band, key, seq). seq is a strictly
 // increasing schedule counter, so two events at the same virtual time in the
 // same band fire in the order they were scheduled — the property that makes
-// runs reproducible. The band (AtCtxBand) separates event classes whose
+// runs reproducible. The band (see AtCtxFn) separates event classes whose
 // relative schedule order is NOT reproducible across execution strategies:
 // the PDES engines schedule cross-LP arrivals in a later band so a message
 // ingested early (null-message drains) or late (barrier windows, Time Warp
 // re-ingestion) lands at the same position among same-timestamp events either
 // way, and all synchronization algorithms commit identical event orders.
 //
-// The key (AtCtxKeyBand) breaks ties WITHIN a band by caller-chosen content
+// The key (see AtCtxFn) breaks ties WITHIN a band by caller-chosen content
 // instead of schedule order, for event classes where even the schedule order
 // within one band is not reproducible: same-timestamp network arrivals from
 // two different sender LPs reach the inbox in a racy interleaving, so the
 // PDES engines key each arrival by its transmitting device — a value derived
 // from simulation content, identical no matter which LP the transmitter lives
-// on or when its message was ingested. Plain At/AtCtx schedule with key 0.
+// on or when its message was ingested. Plain At schedules with key 0.
 func (e *Event) before(o *Event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -287,47 +287,34 @@ func (k *Kernel) Schedule(delay Time, fn func()) *Event {
 	return k.At(k.now+delay, fn)
 }
 
-// At runs fn at absolute virtual time t, which must not be before Now.
+// At runs fn at absolute virtual time t, which must not be before Now. It
+// schedules in band 0 with key 0.
 func (k *Kernel) At(t Time, fn func()) *Event {
-	return k.AtCtx(t, nil, fn)
-}
-
-// AtCtx is At with a context value attached to the event. Snapshot/Restore
-// hand ctx to the caller's state callbacks, which is how the optimistic PDES
-// engine checkpoints the contents of packets captured by pending closures.
-func (k *Kernel) AtCtx(t Time, ctx any, fn func()) *Event {
-	return k.AtCtxBand(t, 0, ctx, fn)
-}
-
-// AtCtxBand is AtCtx with an explicit ordering band: at equal timestamps,
-// lower bands fire first and seq breaks ties only within a band. Callers whose
-// scheduling MOMENT is not deterministic — cross-LP message ingestion, whose
-// timing differs between synchronization algorithms — use a later band so the
-// committed event order depends only on simulation content, never on when the
-// event object happened to be created. Plain At/AtCtx schedule in band 0.
-func (k *Kernel) AtCtxBand(t Time, band uint8, ctx any, fn func()) *Event {
-	return k.AtCtxKeyBand(t, band, 0, ctx, fn)
-}
-
-// AtCtxKeyBand is AtCtxBand with an explicit intra-band ordering key: at equal
-// (timestamp, band), lower keys fire first and seq breaks ties only within a
-// key. Callers use it when even the scheduling ORDER within a band is not
-// reproducible — cross-LP arrivals from different senders are ingested in a
-// racy interleaving — by deriving the key from simulation content (the
-// transmitting device), so the committed order of same-timestamp arrivals is
-// independent of both the synchronization algorithm and the partitioning.
-func (k *Kernel) AtCtxKeyBand(t Time, band uint8, key uint64, ctx any, fn func()) *Event {
 	if fn == nil {
 		panic("des: nil event function")
 	}
-	return k.schedule(t, band, key, ctx, fn, nil)
+	return k.schedule(t, 0, 0, nil, fn, nil)
 }
 
-// AtCtxFn is AtCtxKeyBand for a handler that receives ctx when the event
-// fires. A component that schedules the same kind of event over and over —
-// a port's packet arrivals — binds fn once and passes the varying object as
-// ctx, so scheduling allocates nothing; Snapshot/Restore treat ctx exactly as
-// for AtCtx.
+// AtCtxFn runs fn(ctx) at absolute virtual time t. A component that
+// schedules the same kind of event over and over — a port's packet arrivals
+// — binds fn once and passes the varying object as ctx, so scheduling
+// allocates nothing. Snapshot/Restore hand ctx to the caller's state
+// callbacks, which is how the optimistic PDES engine checkpoints the
+// contents of packets in flight.
+//
+// band and key order events at equal timestamps: lower bands fire first,
+// then lower keys, and seq breaks ties only within a (band, key). Callers
+// whose scheduling MOMENT is not deterministic — cross-LP message
+// ingestion, whose timing differs between synchronization algorithms — use
+// a later band so the committed event order depends only on simulation
+// content, never on when the event object happened to be created. Callers
+// whose scheduling ORDER within a band is not reproducible either —
+// cross-LP arrivals from different senders are ingested in a racy
+// interleaving — derive the key from simulation content (the transmitting
+// device), so the committed order of same-timestamp arrivals is independent
+// of both the synchronization algorithm and the partitioning. Band 0 and key
+// 0 are the order At uses.
 func (k *Kernel) AtCtxFn(t Time, band uint8, key uint64, ctx any, fn func(ctx any)) *Event {
 	if fn == nil {
 		panic("des: nil event function")

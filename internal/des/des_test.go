@@ -402,11 +402,12 @@ func TestPropertyEagerCancelMatchesModel(t *testing.T) {
 			switch op % 5 {
 			case 0, 1: // schedule
 				seq++
-				r := ref{at: k.Now() + Time(arg%50), band: uint8(arg>>6) % 2, key: uint64(arg>>7) % 3, seq: seq}
+				r := ref{at: k.Now() + Time(arg%50), seq: seq}
 				if op%5 == 0 {
 					s := seq
-					r.h = k.AtCtxKeyBand(r.at, r.band, r.key, nil, func() { fired = append(fired, s) })
+					r.h = k.At(r.at, func() { fired = append(fired, s) }) // band 0, key 0
 				} else {
+					r.band, r.key = uint8(arg>>6)%2, uint64(arg>>7)%3
 					r.h = k.AtCtxFn(r.at, r.band, r.key, seq, func(ctx any) { fired = append(fired, ctx.(uint64)) })
 				}
 				i := sort.Search(len(model), func(i int) bool { return precedes(r, model[i]) })

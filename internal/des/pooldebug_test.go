@@ -72,7 +72,7 @@ func TestPoolDebugCheckNotPooled(t *testing.T) {
 }
 
 // A stale handle that re-enters the heap is the bug class poisoning exists
-// for: the poisoned timestamp makes AtCtxBand's past-schedule check reject the
+// for: the poisoned timestamp makes schedule's past-schedule check reject the
 // replayed time, and a poisoned fn fires loudly. Simulate the closest legal
 // approximation — manually pushing the recycled object back into the heap —
 // and verify the pop-side assertion catches it.

@@ -15,7 +15,7 @@ import "sync/atomic"
 //
 // Closures are opaque, so the kernel cannot deep-copy the mutable objects
 // they capture. Events that refer to a mutable object attach it as the event
-// context (AtCtx, AtCtxFn); Snapshot calls saveCtx for each context so the
+// context (AtCtxFn); Snapshot calls saveCtx for each context so the
 // caller can record its contents, and Restore calls restoreCtx to write them
 // back. The PDES engine uses this to checkpoint in-flight packets, whose
 // header fields are mutated hop by hop.

@@ -89,7 +89,7 @@ type ctxBox struct{ n int }
 func TestSnapshotContextRoundTrip(t *testing.T) {
 	k := NewKernel()
 	box := &ctxBox{n: 1}
-	k.AtCtx(3, box, func() { box.n *= 10 })
+	k.AtCtxFn(3, 0, 0, box, func(ctx any) { ctx.(*ctxBox).n *= 10 })
 	st := k.Snapshot(func(ctx any) any { return ctx.(*ctxBox).n })
 	k.Run(10)
 	if box.n != 10 {

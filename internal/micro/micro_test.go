@@ -123,7 +123,7 @@ func captureTraining(t *testing.T, durMs int) (*topology.Topology, []trace.Recor
 	for i, h := range topo.Hosts {
 		stacks[i] = tcp.NewStack(h, tcp.Config{})
 	}
-	rec := trace.AttachBoundary(topo, 0)
+	rec := trace.AttachBoundary(topo, topology.Boundary{})
 	hosts := make([]packet.HostID, len(stacks))
 	for i := range hosts {
 		hosts[i] = packet.HostID(i)

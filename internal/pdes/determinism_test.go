@@ -50,7 +50,7 @@ func committedGroups(t *testing.T, reg *metrics.Registry) string {
 // partitioners (contiguous, spine-aware, min-cut), and across all three
 // synchronization algorithms. Partitioning moves devices between LPs and
 // reshapes which arrivals cross LP boundaries; the keyed arrival ordering
-// (des.AtCtxKeyBand over netsim.ArrivalKey) is what makes that movement
+// (des.Kernel.AtCtxFn keyed by netsim.ArrivalKey) is what makes that movement
 // invisible to committed results. The conservative engines additionally run
 // a SEGMENTED axis — Run(mid); Run(dur) — which must also match: parked
 // in-flight packets make the segment cut invisible too (Clos and collective

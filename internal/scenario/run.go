@@ -102,17 +102,17 @@ func (s Spec) EngineConfig() core.Config {
 	return s.Normalized().coreConfig()
 }
 
-// boundary is the core pipeline boundary a clos-mode spec acts on: the one a
-// full run captures, or the one hybrid (per cluster) and blackbox (whole
-// network) replace with models.
-func (s Spec) boundary() core.Boundary {
+// boundary is the observed cluster's boundary a clos-mode spec acts on: the
+// one a full run captures, or the one hybrid (cluster side) and blackbox
+// (whole-network side) replace with models. Nil for neither.
+func (s Spec) boundary() *topology.Boundary {
 	switch {
 	case s.Mode == "hybrid" || s.Capture == "cluster":
-		return core.ClusterBoundary
+		return &topology.Boundary{}
 	case s.Mode == "blackbox" || s.Capture == "wholenet":
-		return core.WholeNetBoundary
+		return &topology.Boundary{WholeNet: true}
 	}
-	return core.NoBoundary
+	return nil
 }
 
 // approximated reports whether the spec replaces a boundary with models.

@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"approxsim/internal/collective"
 	"approxsim/internal/des"
@@ -248,6 +249,10 @@ func (s Spec) Validate() error {
 	}
 	if n.DrainMS < 0 {
 		return fmt.Errorf("scenario: drain_ms %g must not be negative", n.DrainMS)
+	}
+	// Queues are int64 bytes; a deeper one would wrap negative.
+	if f, most := s.Topology.QueueFrames, int64(math.MaxInt64/packet.MaxFrameSize); f < 0 || f > most {
+		return fmt.Errorf("scenario: topology.queue_frames %d out of [0, %d] (0 = default queues)", f, most)
 	}
 	// Virtual time is int64 nanoseconds; a longer run would wrap negative.
 	if maxMS := float64(des.MaxTime / des.Millisecond); n.HorizonMS+n.DrainMS > maxMS {

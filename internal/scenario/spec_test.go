@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"approxsim/internal/packet"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -299,6 +302,8 @@ func TestValidateRejections(t *testing.T) {
 		{"horizon past max time", Spec{Mode: "pdes", Topology: Topology{Racks: 4},
 			Workload: Workload{Load: 0.1}, HorizonMS: 1e13}},
 		{"drain past max time", Spec{Mode: "full", DrainMS: 1e13}},
+		{"negative queue frames", Spec{Topology: Topology{QueueFrames: -5}}},
+		{"queue bytes overflow", Spec{Topology: Topology{QueueFrames: math.MaxInt64/packet.MaxFrameSize + 1}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

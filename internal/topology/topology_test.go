@@ -163,6 +163,36 @@ func TestClusterMembershipHelpers(t *testing.T) {
 	}
 }
 
+// TestBoundaryCutSlotFacesCore pins the layout both sides of a Boundary
+// rely on: cut slot k of cluster c is the agg port wired to core k, which
+// reaches it on its port c; and Inside picks one cluster or all the others.
+func TestBoundaryCutSlotFacesCore(t *testing.T) {
+	cfg := DefaultClosConfig(3)
+	cfg.CoresPerAgg = 2
+	topo, err := Build(des.NewKernel(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cfg.Clusters; c++ {
+		for k, core := range topo.Cores {
+			agg, port := topo.CutPort(c, k)
+			dev, in := agg.Port(port).Peer()
+			if dev != netsim.Device(core) || in != c {
+				t.Errorf("cluster %d cut slot %d reaches %v port %d, want core %d port %d",
+					c, k, dev.NodeID(), in, core.NodeID(), c)
+			}
+		}
+	}
+	for c, want := range []bool{false, true, false} {
+		if got := (Boundary{Cluster: 1}).Inside(c); got != want {
+			t.Errorf("cluster boundary at 1: Inside(%d) = %v", c, got)
+		}
+		if got := (Boundary{Cluster: 1, WholeNet: true}).Inside(c); got == want {
+			t.Errorf("whole-network boundary at 1: Inside(%d) = %v", c, got)
+		}
+	}
+}
+
 // TestPathForMatchesActualTraversal verifies that the path enumeration used
 // for model features agrees with what packets actually do.
 func TestPathForMatchesActualTraversal(t *testing.T) {

@@ -3,7 +3,9 @@
 // briefly simulate a small network in full packet-level fidelity to generate
 // training and testing sets").
 //
-// The unit of observation is a fabric traversal of a monitored cluster:
+// The unit of observation is a traversal of the region on one side of a
+// topology.Boundary (see AttachBoundary): Egress traversals leave the
+// boundary's cluster, Ingress traversals enter it. On the cluster side:
 //
 //   - Egress: a packet enters at a ToR from a server (destination outside
 //     the cluster) and leaves when it reaches a Core switch.
@@ -38,9 +40,11 @@ type Direction int8
 
 // Traversal directions.
 const (
-	// Egress is server -> fabric -> core (leaving the cluster).
+	// Egress leaves the boundary's cluster (server -> fabric -> core on
+	// the cluster side).
 	Egress Direction = iota
-	// Ingress is core -> fabric -> server (entering the cluster).
+	// Ingress enters the boundary's cluster (core -> fabric -> server on
+	// the cluster side).
 	Ingress
 )
 
@@ -65,8 +69,9 @@ type Record struct {
 	IsAck   bool
 }
 
-// BoundaryRecorder captures traversals of one cluster's fabric. Attach hooks
-// with Attach; stop observing with Detach. Records appear in entry order.
+// BoundaryRecorder captures traversals of the replaced side of one
+// topology.Boundary. Attach hooks with AttachBoundary; stop observing with
+// Detach. Records appear in entry order.
 type BoundaryRecorder struct {
 	topo    *topology.Topology
 	cluster int
@@ -77,75 +82,107 @@ type BoundaryRecorder struct {
 	// Records holds every completed or dropped traversal, in entry order.
 	Records []Record
 	// Orphans counts traversals that never completed (e.g. still inside
-	// the fabric when the run ended).
+	// the region when the run ended).
 	orphans int
 }
 
-// AttachBoundary instruments cluster c of topo and returns the recorder.
+// AttachBoundary instruments boundary b of topo and returns the recorder.
+// A traversal crosses the region b replaces, between its two edges: the
+// cut (the links between b's cluster's aggregation switches and the cores)
+// and the hosts whose links end in the region.
+//
+//   - Cluster side: Egress enters when one of the cluster's ToRs receives
+//     from a host and exits at a core; Ingress enters at one of the
+//     cluster's aggs from a core and exits at delivery to a cluster host.
+//   - Whole-network side (the §7 single black box, "in the limit, the rest
+//     of the network could be modeled as a single black box"): Egress
+//     enters when a core receives from the cluster and exits at delivery to
+//     a host of any other cluster, covering core transit plus the remote
+//     fabric; Ingress enters when a remote ToR receives from its host and
+//     exits when one of the cluster's aggs receives it from a core.
+//
+// Drops at any port of a region switch resolve the traversal as dropped.
 // Hooks chain: an already-installed OnReceive/OnDrop callback keeps firing.
-func AttachBoundary(topo *topology.Topology, c int) *BoundaryRecorder {
+func AttachBoundary(topo *topology.Topology, b topology.Boundary) *BoundaryRecorder {
 	r := &BoundaryRecorder{
 		topo:     topo,
-		cluster:  c,
+		cluster:  b.Cluster,
 		inflight: make(map[*packet.Packet]int),
 	}
 	cfg := topo.Cfg
+	// hostIn is the direction of a traversal entering at the host edge.
+	hostIn := Egress
+	if b.WholeNet {
+		hostIn = Ingress
+	}
+	var region []*netsim.Switch
+	if b.WholeNet {
+		region = append(region, topo.Cores...)
+	}
 
-	// Egress entries: ToR receives from a host-facing port, destination
-	// outside the cluster.
-	for _, tor := range topo.ToRsInCluster(c) {
-		tor := tor
-		r.chainSwitch(tor, func(p *packet.Packet, inPort int) {
-			if inPort < cfg.ServersPerToR && r.outside(p.Dst) {
-				r.open(p, Egress)
+	// Host edge: the region's ToRs open traversals from their hosts toward
+	// the other side of the cut; delivery to the region's hosts closes them.
+	for c := 0; c < cfg.Clusters; c++ {
+		if !b.Inside(c) {
+			continue
+		}
+		for _, tor := range topo.ToRsInCluster(c) {
+			r.chainSwitch(tor, func(p *packet.Packet, inPort int) {
+				if inPort < cfg.ServersPerToR && r.inside(p.Dst) == b.WholeNet {
+					r.open(p, hostIn)
+				}
+			})
+		}
+		region = append(region, topo.ToRsInCluster(c)...)
+		region = append(region, topo.AggsInCluster(c)...)
+		for _, h := range topo.HostsInCluster(c) {
+			h := h
+			old := h.OnReceive
+			h.OnReceive = func(p *packet.Packet) {
+				if old != nil {
+					old(p)
+				}
+				r.close(p)
 			}
-		})
-		// Fabric-internal drops: ToR uplink queues (egress direction) and
-		// ToR host-facing queues (ingress direction).
-		for i := 0; i < tor.NumPorts(); i++ {
-			r.chainDrop(tor.Port(i))
+			r.detach = append(r.detach, func() { h.OnReceive = old })
 		}
 	}
 
-	// Ingress entries: agg receives from a core-facing port with a
-	// destination inside the cluster. Egress exits at the core are handled
-	// below; agg drop hooks cover both directions.
-	for _, agg := range topo.AggsInCluster(c) {
-		agg := agg
+	// The cut, seen from its receiving ends: an agg of the cluster receiving
+	// from a core (inward), a core receiving from the cluster (outward).
+	for _, agg := range topo.AggsInCluster(b.Cluster) {
 		r.chainSwitch(agg, func(p *packet.Packet, inPort int) {
-			if inPort >= cfg.ToRsPerCluster && !r.outside(p.Dst) {
+			switch {
+			case inPort < cfg.ToRsPerCluster:
+			case b.WholeNet:
+				r.close(p)
+			case r.inside(p.Dst):
 				r.open(p, Ingress)
 			}
 		})
-		for i := 0; i < agg.NumPorts(); i++ {
-			r.chainDrop(agg.Port(i))
-		}
 	}
-
-	// Egress exits: arrival at any core switch.
 	for _, core := range topo.Cores {
-		r.chainSwitch(core, func(p *packet.Packet, _ int) {
-			r.close(p)
+		r.chainSwitch(core, func(p *packet.Packet, inPort int) {
+			switch {
+			case !b.WholeNet:
+				r.close(p)
+			case inPort == b.Cluster && !r.inside(p.Dst):
+				r.open(p, Egress)
+			}
 		})
 	}
 
-	// Ingress exits: delivery at a host of the cluster.
-	for _, h := range topo.HostsInCluster(c) {
-		h := h
-		old := h.OnReceive
-		h.OnReceive = func(p *packet.Packet) {
-			if old != nil {
-				old(p)
-			}
-			r.close(p)
+	for _, sw := range region {
+		for i := 0; i < sw.NumPorts(); i++ {
+			r.chainDrop(sw.Port(i))
 		}
-		r.detach = append(r.detach, func() { h.OnReceive = old })
 	}
 	return r
 }
 
-func (r *BoundaryRecorder) outside(h packet.HostID) bool {
-	return int(h) < 0 || int(h) >= len(r.topo.Hosts) || r.topo.ClusterOf(h) != r.cluster
+// inside reports whether h is a host of the boundary's cluster.
+func (r *BoundaryRecorder) inside(h packet.HostID) bool {
+	return int(h) >= 0 && int(h) < len(r.topo.Hosts) && r.topo.ClusterOf(h) == r.cluster
 }
 
 func (r *BoundaryRecorder) chainSwitch(sw *netsim.Switch, fn func(*packet.Packet, int)) {
