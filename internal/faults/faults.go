@@ -214,24 +214,10 @@ func (s *Schedule) ViewedSwitchDown(viewer, n packet.NodeID, t des.Time) bool {
 	return false
 }
 
-// Touches reports whether any fault involves device n (as a link endpoint or
-// as the failed switch). Builders use it to wire down-state closures only
-// where a fault can ever bite, keeping the healthy fast path untouched.
-func (s *Schedule) Touches(n packet.NodeID) bool {
-	if s == nil {
-		return false
-	}
-	for i := range s.Faults {
-		f := &s.Faults[i]
-		if f.A == n || (f.Kind == LinkFault && f.B == n) {
-			return true
-		}
-	}
-	return false
-}
-
 // TouchesLink reports whether any fault affects the link a-b: a fault on the
-// link itself or on either endpoint.
+// link itself or on either endpoint. Builders use it to wire down-state
+// closures only where a fault can ever bite, keeping the healthy fast path
+// untouched.
 func (s *Schedule) TouchesLink(a, b packet.NodeID) bool {
 	if s == nil {
 		return false

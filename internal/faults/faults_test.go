@@ -136,7 +136,7 @@ func TestPhysicalDownWindows(t *testing.T) {
 	var healthy *Schedule
 	if !healthy.Empty() || healthy.LinkDown(0, 5, ms) || healthy.SwitchDown(6, ms) ||
 		healthy.ViewedLinkDown(1, 0, 5, ms) || healthy.ViewedSwitchDown(1, 6, ms) ||
-		healthy.Touches(0) || healthy.TouchesLink(0, 5) {
+		healthy.TouchesLink(0, 5) {
 		t.Error("nil schedule reports a fault")
 	}
 }
@@ -178,11 +178,6 @@ func TestTouches(t *testing.T) {
 		{Kind: LinkFault, A: 0, B: 5, At: ms},
 		{Kind: SwitchFault, A: 6, B: 1, At: ms}, // B is meaningless for a switch
 	}}
-	for n, want := range map[packet.NodeID]bool{0: true, 5: true, 6: true, 1: false, 4: false} {
-		if got := s.Touches(n); got != want {
-			t.Errorf("Touches(%d) = %v, want %v", n, got, want)
-		}
-	}
 	for _, c := range []struct {
 		a, b packet.NodeID
 		want bool

@@ -35,9 +35,10 @@ const (
 	RolledBackEvents // executed events undone by rollbacks: wasted speculative work
 	Checkpoints      // state snapshots taken
 	LazyCancelSaved  // rolled-back sends lazy cancellation proved identical on re-execution
-	// QuiescentSends counts packets emitted on a channel LimitChannels marked
-	// quiescent. Nonzero means a packet took a path the analysis missed and
-	// the receiver may have run past it; it is treated like Violations.
+	// QuiescentSends counts packets emitted on a channel marked quiescent
+	// (see Network.SetFaults). Nonzero means a packet took a path the
+	// analysis missed and the receiver may have run past it; it is treated
+	// like Violations.
 	QuiescentSends
 
 	// Events (executed, summed over the LP kernels) and GVTAdvances (one per

@@ -47,9 +47,9 @@ func mustEqualFlows(t *testing.T, label string, a, b []tcp.FlowResult) {
 }
 
 // TestForkMatchesColdStart proves the fork property on both fabric kinds:
-// restoring a t=0 checkpoint of a dynamically-faultable build and applying a
-// variant's fault schedule commits flow results bit-identical to a cold start
-// built with that schedule baked in — for the healthy variant and every
+// restoring a t=0 checkpoint of a healthy build and installing a variant's
+// fault schedule with SetFaults commits flow results bit-identical to a cold
+// start built with that schedule — for the healthy variant and every
 // faulted one, across multiple restores of the same pristine checkpoint.
 func TestForkMatchesColdStart(t *testing.T) {
 	const (
@@ -100,8 +100,8 @@ func TestForkMatchesColdStart(t *testing.T) {
 				}
 			}
 
-			// One dynamically-faultable baseline, checkpointed at t=0.
-			base, err := Build(tc.cfg, lps, specs, WithDynamicFaults())
+			// One healthy baseline, checkpointed at t=0.
+			base, err := Build(tc.cfg, lps, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +181,7 @@ func TestWarmCheckpointFork(t *testing.T) {
 		{Barrier, 4},
 	} {
 		name := fmt.Sprintf("%v-lps%d", tc.algo, tc.lps)
-		warmNet, err := Build(cfg, tc.lps, specs,
-			WithSyncAlgo(tc.algo), WithDynamicFaults())
+		warmNet, err := Build(cfg, tc.lps, specs, WithSyncAlgo(tc.algo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +257,7 @@ func TestForkAfterSegmentedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := Build(cfg, lps, specs, WithDynamicFaults())
+	base, err := Build(cfg, lps, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,26 +294,6 @@ func TestForkAfterSegmentedRun(t *testing.T) {
 	}
 }
 
-// TestSetFaultsRequiresDynamicBuild locks in the configuration error.
-func TestSetFaultsRequiresDynamicBuild(t *testing.T) {
-	cfg := topology.DefaultLeafSpineConfig(4)
-	specs := forkSpecs(t, cfg, 0.3, des.Millisecond, 3)
-	net, err := Build(cfg, 2, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := topology.ParseFaults(cfg, "switch:spine0@100us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetFaults(sched); err == nil {
-		t.Fatal("SetFaults on a static build should fail")
-	}
-	if err := net.SetFaults(nil); err != nil {
-		t.Fatalf("clearing faults should always succeed: %v", err)
-	}
-}
-
 // TestCheckpointRejectsTimeWarp: the optimistic engine owns its own snapshot
 // machinery; the system-level fork is conservative-only.
 func TestCheckpointRejectsTimeWarp(t *testing.T) {
@@ -332,5 +311,93 @@ func TestCheckpointRejectsTimeWarp(t *testing.T) {
 	}
 	if err := c.Restore(&SystemState{}); err == nil {
 		t.Fatal("Restore with mismatched LP count should fail")
+	}
+}
+
+// activeChannels counts the directed LP-pair channels that are not
+// quiescent, and all of them.
+func activeChannels(s *System) (active, all int) {
+	for _, lp := range s.lps {
+		for _, o := range lp.outs {
+			all++
+			if !o.quiescent {
+				active++
+			}
+		}
+	}
+	return active, all
+}
+
+// TestSetFaultsTogglesQuiescence forks one healthy multi-LP baseline whose
+// channel analysis leaves some channels quiescent, alternating the healthy
+// schedule and a faulted one. Quiescence must follow the schedule — the
+// healthy active set, then every channel — and each variant must commit its
+// cold build's flows with no quiescent send and no causality violation.
+func TestSetFaultsTogglesQuiescence(t *testing.T) {
+	const (
+		lps  = 4
+		seed = 2
+		dur  = 2 * des.Millisecond
+	)
+	cfg := topology.DefaultLeafSpineConfig(8)
+	specs := forkSpecs(t, cfg, 0.02, dur, seed)
+	sched, err := topology.ParseFaults(cfg, "switch:spine1@200us+1ms,detect=50us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []*faults.Schedule{nil, sched}
+	colds := make([]*Network, len(variants))
+	for i, v := range variants {
+		net, err := Build(cfg, lps, specs, WithFaults(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Sys.Run(dur); err != nil {
+			t.Fatal(err)
+		}
+		colds[i] = net
+	}
+	if reflect.DeepEqual(sortedFlows(colds[0].Results()), sortedFlows(colds[1].Results())) {
+		t.Fatal("the fault changed no flow; the faulted variant proves nothing")
+	}
+
+	base, err := Build(cfg, lps, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, all := activeChannels(base.Sys)
+	if healthy == 0 || healthy == all {
+		t.Fatalf("healthy analysis left %d of %d channels active, want some but not all", healthy, all)
+	}
+	ckpt, err := base.Sys.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i, v := range variants {
+			if err := base.Sys.Restore(ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if err := base.SetFaults(v); err != nil {
+				t.Fatal(err)
+			}
+			want := healthy
+			if i > 0 {
+				want = all
+			}
+			if got, _ := activeChannels(base.Sys); got != want {
+				t.Fatalf("round %d variant %d: %d active channels, want %d", round, i, got, want)
+			}
+			pre := base.Sys.Stats()
+			if err := base.Sys.Run(dur); err != nil {
+				t.Fatal(err)
+			}
+			delta := base.Sys.Stats().Sub(pre)
+			if delta[QuiescentSends] != 0 || delta[Violations] != 0 {
+				t.Fatalf("round %d variant %d: %d quiescent sends, %d causality violations",
+					round, i, delta[QuiescentSends], delta[Violations])
+			}
+			mustEqualFlows(t, fmt.Sprintf("round %d variant %d", round, i), colds[i].Results(), base.Results())
+		}
 	}
 }

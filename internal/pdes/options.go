@@ -60,7 +60,7 @@ func ParseSyncAlgo(s string) (SyncAlgo, error) {
 }
 
 // config collects everything an Option can set on a System, plus the fixed
-// Time Warp tuning every run uses (in-package tests may override it).
+// tuning every run uses (in-package tests may override it).
 type config struct {
 	algo         SyncAlgo
 	inboxCap     int
@@ -68,12 +68,14 @@ type config struct {
 	tracer       *obs.Tracer
 	sampler      *obs.Sampler
 	samplerPoll  time.Duration
-	stallTimeout time.Duration
 	partitioner  Partitioner
 	collectives  []collective.Params
 	faults       *faults.Schedule
-	dynFaults    bool
 
+	// stallTimeout is how long the committed-time frontier may stand still
+	// before the stall watchdog dumps the flight recorder (see
+	// System.startStallWatchdog).
+	stallTimeout time.Duration
 	// gvtInterval is the wall-clock period of the Time Warp GVT computation
 	// (Mattern rounds): shorter commits and fossil-collects more eagerly at
 	// the cost of more control traffic.
@@ -88,10 +90,15 @@ type config struct {
 	window des.Time
 }
 
+// stallWindow is the stall watchdog's fixed window: a run whose committed
+// time stands still this long is a suspected deadlock.
+const stallWindow = 10 * time.Second
+
 func defaultConfig() config {
 	return config{
 		algo:            NullMessages,
 		inboxCap:        1 << 15,
+		stallTimeout:    stallWindow,
 		gvtInterval:     200 * time.Microsecond,
 		checkpointEvery: 256,
 		window:          50 * des.Microsecond,
@@ -129,9 +136,10 @@ func WithMaxRollbacks(n uint64) Option { return func(c *config) { c.maxRollbacks
 // emission Buf (trace process = LP id), the synchronization machinery emits
 // lifecycle events (EIT stalls, stragglers, rollbacks, checkpoints, GVT
 // advances), and — when the tracer carries a flight recorder — each LP kernel
-// feeds the recorder one record per executed event, and causality violations
-// or a rollback-budget abort dump the recorder automatically. A nil tracer is
-// ignored (tracing stays off).
+// feeds the recorder one record per executed event, and causality violations,
+// a rollback-budget abort or a suspected deadlock (committed time standing
+// still for 10 s of wall time) dump the recorder automatically. A nil tracer
+// is ignored (tracing stays off).
 func WithObs(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithSampler attaches an interval metrics sampler whose lifecycle Run
@@ -170,33 +178,14 @@ func WithCollectives(ps ...collective.Params) Option {
 	return func(c *config) { c.collectives = append(c.collectives, ps...) }
 }
 
-// WithFaults installs a fault schedule on the built network: link and switch
-// down state becomes visible to the netsim transmit/receive paths, routing
-// turns failure-aware (deterministic ECMP rehash over the surviving set after
-// a per-switch detection delay), the partition graph is weighted by the union
-// of pre- and post-failure routes, and channel quiescence is skipped (see
-// System.LimitChannels). Fault state is a pure function of virtual time, so
-// committed results stay bit-identical across sync algorithms, partitioners,
-// and LP counts — the property TestDeterminismProperty checks with a nonempty
-// schedule. A nil or empty schedule is the healthy default.
+// WithFaults installs a fault schedule on the built network (Build hands it
+// to Network.SetFaults): link and switch down state becomes visible to the
+// netsim transmit/receive paths, routing turns failure-aware (deterministic
+// ECMP rehash over the surviving set after a per-switch detection delay), the
+// partition graph is weighted by the union of pre- and post-failure routes,
+// and every channel stays active (no channel quiescence). Fault state is a
+// pure function of virtual time, so committed results stay bit-identical
+// across sync algorithms, partitioners, and LP counts — the property
+// TestDeterminismProperty checks with a nonempty schedule. A nil or empty
+// schedule is the healthy default.
 func WithFaults(s *faults.Schedule) Option { return func(c *config) { c.faults = s } }
-
-// WithDynamicFaults builds the network so its fault schedule can be swapped
-// between runs (Network.SetFaults) instead of being baked in at
-// construction. Every link and switch gets a down-state closure that reads
-// the CURRENT schedule — an empty schedule costs one nil-check per transmit —
-// which is what lets a checkpointed baseline (System.Checkpoint) be restored
-// and re-run under a different fault schedule without rebuilding. The price:
-// channel quiescence is never applied (the active-channel set depends on the
-// schedule) and fault trace instants are not scheduled (they would be baked
-// into the checkpoint). Committed flow results are unaffected by either.
-func WithDynamicFaults() Option { return func(c *config) { c.dynFaults = true } }
-
-// WithStallTimeout arms the deadlock watchdog: if the committed-time
-// frontier makes no progress for d of wall-clock time while Run is active,
-// the flight recorder attached via WithObs is dumped once with reason
-// "deadlock_suspected". Detection only — the run is not interrupted, since a
-// stall this long is either a wedge the caller will kill (and then wants the
-// dump for) or a grossly undersized lookahead worth the same evidence. Zero
-// (the default) disables the watchdog.
-func WithStallTimeout(d time.Duration) Option { return func(c *config) { c.stallTimeout = d } }

@@ -15,3 +15,7 @@ func withGVTInterval(d time.Duration) Option { return func(c *config) { c.gvtInt
 func withCheckpointEvery(n int) Option { return func(c *config) { c.checkpointEvery = n } }
 
 func withTimeWindow(w des.Time) Option { return func(c *config) { c.window = w } }
+
+// withStallTimeout shortens the stall watchdog's fixed window, so a test can
+// wedge a run for well under a second and still see the dump.
+func withStallTimeout(d time.Duration) Option { return func(c *config) { c.stallTimeout = d } }

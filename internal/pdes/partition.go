@@ -70,7 +70,7 @@ type Graph struct {
 	// normalized bandwidth plus estimated packets the workload pins onto it.
 	// Zero means the link exists but the workload never touches it — a cut
 	// there costs no packets and activates no channel (it will be marked
-	// quiescent, see System.LimitChannels).
+	// quiescent while the network is healthy, see Network.SetFaults).
 	EdgeWeight [][]float64
 	// ChannelCost is the estimated null-message cost of one active directed
 	// LP-pair channel over the whole run (≈ horizon / lookahead), in the same

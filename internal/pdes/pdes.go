@@ -51,7 +51,7 @@ type outLink struct {
 	lastSent  des.Time // monotone promise already made
 
 	// quiescent marks a channel the scheduled workload provably never uses
-	// (see System.LimitChannels): it sends no null messages and does not
+	// (see System.limitChannels): it sends no null messages and does not
 	// constrain the receiver's earliest input time. Data sent on a quiescent
 	// channel still flows — counted in QuiescentSends as a loud invariant
 	// breach, since the receiver no longer waits for this channel's promises.
@@ -356,42 +356,31 @@ func (s *System) ensureOut(from, to *LP, lookahead des.Time) *outLink {
 	return o
 }
 
-// LimitChannels restricts the conservative synchronization graph to the
-// channels `active` reports as used: every other channel is marked quiescent —
-// it sends no null messages and no longer holds down its receiver's earliest
-// input time. Callers must derive `active` soundly: a channel may be excluded
-// only if the scheduled workload provably never routes a packet across it
-// (with a fully pre-scheduled workload and deterministic ECMP, the exact set
-// of directed LP pairs that ever carry data is computable at build time).
-// Packets that cross a quiescent channel anyway still arrive, but are counted
-// in QuiescentSends as an invariant breach. Null-message traffic is
-// proportional to active-channel count, so this is where a traffic-aware
-// partition turns locality into less synchronization chatter. Must be called
-// before Run; it has no effect on the Time Warp engine, which does not use
-// promises.
-//
-// Quiescence is incompatible with fault injection: a fault reroutes flows
-// onto paths the workload analysis never saw, so "provably idle" stops being
-// provable the moment the first element fails. Until per-failure-epoch
-// recomputation exists, declaring both is a configuration error, returned
-// here rather than silently producing an unsound synchronization graph.
-func (s *System) LimitChannels(active func(from, to int) bool) error {
-	if !s.cfg.faults.Empty() {
-		return fmt.Errorf("pdes: LimitChannels is unsound with a fault schedule: " +
-			"failure rerouting invalidates the workload-derived channel analysis")
-	}
+// limitChannels restricts the conservative synchronization graph to the
+// channels marked in active, indexed from*lps+to (nil marks them all): every
+// other channel is marked quiescent — it sends no null messages and no longer
+// holds down its receiver's earliest input time. active must be derived
+// soundly: a channel may be left out only if the scheduled workload provably
+// never routes a packet across it (with a fully pre-scheduled workload and
+// deterministic ECMP, the exact set of directed LP pairs that ever carry data
+// is computable at build time). Packets that cross a quiescent channel anyway
+// still arrive, but are counted in QuiescentSends as an invariant breach.
+// Null-message traffic is proportional to active-channel count, so this is
+// where a traffic-aware partition turns locality into less synchronization
+// chatter. Only Network.SetFaults calls it, between runs; it has no effect on
+// the Time Warp engine, which does not use promises.
+func (s *System) limitChannels(active []bool) {
 	for _, lp := range s.lps {
 		lp.inputs = lp.inputs[:0]
 	}
 	for _, lp := range s.lps {
 		for _, o := range lp.outs {
-			o.quiescent = !active(lp.id, o.to.id)
+			o.quiescent = active != nil && !active[lp.id*len(s.lps)+o.to.id]
 			if !o.quiescent {
 				o.to.inputs = append(o.to.inputs, lp.id)
 			}
 		}
 	}
-	return nil
 }
 
 // Run executes all LPs concurrently until the common virtual-time horizon,
@@ -438,16 +427,16 @@ func (s *System) Run(end des.Time) error {
 	return err
 }
 
-// startStallWatchdog arms the deadlock detector configured by
-// WithStallTimeout: a wall-clock goroutine watching the committed-time
-// frontier, dumping the flight recorder once (reason "deadlock_suspected")
-// if the frontier makes no progress for the configured window. Detection
-// only — the run itself is left alone; a truly wedged run is killed by its
-// caller, and the dump is the artifact that explains what wedged. Returns
-// the stop function, or nil when the watchdog is not configured.
+// startStallWatchdog arms the deadlock detector whenever the tracer carries
+// a flight recorder: a wall-clock goroutine watching the committed-time
+// frontier, dumping the recorder once (reason "deadlock_suspected") if the
+// frontier makes no progress for stallWindow. Detection only — the run
+// itself is left alone; a truly wedged run is killed by its caller, and the
+// dump is the artifact that explains what wedged. Returns the stop function,
+// or nil when there is no flight recorder to dump.
 func (s *System) startStallWatchdog() func() {
 	d := s.cfg.stallTimeout
-	if d <= 0 || s.cfg.tracer == nil {
+	if !s.cfg.tracer.FlightRecorderEnabled() {
 		return nil
 	}
 	stop := make(chan struct{})

@@ -173,7 +173,7 @@ func TestTimeWarpTelemetryEndToEnd(t *testing.T) {
 func TestStallWatchdogDumpsFlightRecorder(t *testing.T) {
 	var dump bytes.Buffer
 	tracer := obs.New(obs.Options{FlightRecorder: 64, DumpWriter: &dump})
-	s := NewSystem(1, WithObs(tracer), WithStallTimeout(20*time.Millisecond))
+	s := NewSystem(1, WithObs(tracer), withStallTimeout(20*time.Millisecond))
 	k := s.LP(0).Kernel()
 	for i := 0; i < 8; i++ {
 		k.Schedule(des.Microsecond*des.Time(i+1), func() {})

@@ -3,21 +3,19 @@ package scenario
 import (
 	"sync"
 
-	"approxsim/internal/faults"
 	"approxsim/internal/obs"
 	"approxsim/internal/pdes"
-	"approxsim/internal/topology"
 )
 
 // Pool holds warmed pdes baselines keyed by BaselineKey — the spec hash with
 // the fault schedule cleared. The first run of a family (same topology,
-// workload, sync, partition, seed, horizon, warm point) builds a
-// dynamically-faultable system, optionally runs it healthy to the named warm
-// point, and checkpoints it; every subsequent family member restores that
-// checkpoint and applies only its own fault delta, skipping the build and the
-// shared prefix entirely. The fork determinism tests in internal/pdes prove
-// the forked results are bit-identical to cold starts, which is what lets the
-// server's cache treat forked and cold runs interchangeably.
+// workload, sync, partition, seed, horizon, warm point) builds the family's
+// healthy network, optionally runs it to the named warm point, and
+// checkpoints it; every member, the first included, restores that checkpoint
+// and installs its own schedule (pdes.Network.SetFaults), skipping the build
+// and the shared prefix entirely. The fork determinism tests in internal/pdes
+// prove the forked results are bit-identical to cold starts, which is what
+// lets the server's cache treat forked and cold runs interchangeably.
 type Pool struct {
 	mu        sync.Mutex
 	max       int
@@ -33,7 +31,6 @@ type Pool struct {
 // different baselines run concurrently.
 type baseline struct {
 	mu   sync.Mutex
-	cfg  topology.Config
 	net  *pdes.Network
 	ckpt *pdes.SystemState
 }
@@ -134,11 +131,9 @@ func (p *Pool) run(sp Spec, res *Result, prog *obs.Progress) error {
 	if err := b.net.Sys.Restore(b.ckpt); err != nil {
 		return err
 	}
-	var sched *faults.Schedule
-	if sp.Faults != "" {
-		if sched, err = topology.ParseFaults(b.cfg, sp.Faults); err != nil {
-			return err
-		}
+	sched, err := sp.faultSchedule(b.net.Cfg)
+	if err != nil {
+		return err
 	}
 	if err := b.net.SetFaults(sched); err != nil {
 		return err
@@ -150,23 +145,14 @@ func (p *Pool) run(sp Spec, res *Result, prog *obs.Progress) error {
 }
 
 // build constructs and warms the family baseline from its first member's
-// spec. Baseline identity covers every fault-independent spec field, so any
-// member's spec yields the same baseline.
+// spec with the faults cleared. Baseline identity covers every
+// fault-independent spec field, so any member's spec yields the same
+// baseline. The collective spec is part of that identity, so every fork
+// re-runs the same closed-loop workload from the warm checkpoint — rank
+// progress state is a registered saver and rewinds with everything else.
 func (b *baseline) build(sp Spec) error {
-	cfg := sp.topologyConfig()
-	specs, err := sp.flowSpecs(cfg)
-	if err != nil {
-		return err
-	}
-	// The collective spec is part of the baseline identity (BaselineKey only
-	// clears faults), so every fork of this family re-runs the same
-	// closed-loop workload from the warm checkpoint — rank progress state is
-	// a registered saver and rewinds with everything else.
-	popts, err := sp.pdesOptions()
-	if err != nil {
-		return err
-	}
-	net, err := pdes.Build(cfg, sp.LPs, specs, append(popts, pdes.WithDynamicFaults())...)
+	sp.Faults = ""
+	net, err := sp.build()
 	if err != nil {
 		return err
 	}
@@ -185,6 +171,6 @@ func (b *baseline) build(sp Spec) error {
 	if err != nil {
 		return err
 	}
-	b.cfg, b.net, b.ckpt = cfg, net, ckpt
+	b.net, b.ckpt = net, ckpt
 	return nil
 }

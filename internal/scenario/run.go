@@ -7,6 +7,7 @@ import (
 
 	"approxsim/internal/core"
 	"approxsim/internal/des"
+	"approxsim/internal/faults"
 	"approxsim/internal/flowsim"
 	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
@@ -206,23 +207,7 @@ func (s Spec) runPacket(res *Result, ro *runOptions) error {
 			return err
 		}
 	}
-	cfg := s.topologyConfig()
-	specs, err := s.flowSpecs(cfg)
-	if err != nil {
-		return err
-	}
-	popts, err := s.pdesOptions()
-	if err != nil {
-		return err
-	}
-	if s.Faults != "" {
-		sched, err := topology.ParseFaults(cfg, s.Faults)
-		if err != nil {
-			return err
-		}
-		popts = append(popts, pdes.WithFaults(sched))
-	}
-	net, err := pdes.Build(cfg, max(s.LPs, 1), specs, append(popts, ro.pdesOpts...)...)
+	net, err := s.build(ro.pdesOpts...)
 	if err != nil {
 		return err
 	}
@@ -250,20 +235,39 @@ func (s Spec) runPacket(res *Result, ro *runOptions) error {
 	return nil
 }
 
-// pdesOptions returns the engine options every build of the spec shares:
-// synchronization algorithm, partitioner and collective workload.
-func (s Spec) pdesOptions() ([]pdes.Option, error) {
-	algo, _ := pdes.ParseSyncAlgo(s.Sync) // grammar checked by Validate
-	part, _ := pdes.ParsePartitioner(s.Partition)
-	opts := []pdes.Option{pdes.WithSyncAlgo(algo), pdes.WithPartitioner(part)}
+// build constructs the spec's network with the one builder, pdes.Build: its
+// topology and pre-generated workload under its synchronization algorithm,
+// partitioner, collective workload and fault schedule, then opts.
+func (s Spec) build(opts ...pdes.Option) (*pdes.Network, error) {
+	cfg := s.topologyConfig()
+	specs, err := s.flowSpecs(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := s.faultSchedule(cfg)
+	if err != nil {
+		return nil, err
+	}
 	ps, err := s.collectives()
 	if err != nil {
 		return nil, err
 	}
+	algo, _ := pdes.ParseSyncAlgo(s.Sync) // grammar checked by Validate
+	part, _ := pdes.ParsePartitioner(s.Partition)
+	popts := []pdes.Option{pdes.WithSyncAlgo(algo), pdes.WithPartitioner(part), pdes.WithFaults(sched)}
 	if len(ps) > 0 {
-		opts = append(opts, pdes.WithCollectives(ps...))
+		popts = append(popts, pdes.WithCollectives(ps...))
 	}
-	return opts, nil
+	return pdes.Build(cfg, max(s.LPs, 1), specs, append(popts, opts...)...)
+}
+
+// faultSchedule parses the spec's fault schedule against cfg; nil (healthy)
+// when the spec has none.
+func (s Spec) faultSchedule(cfg topology.Config) (*faults.Schedule, error) {
+	if s.Faults == "" {
+		return nil, nil
+	}
+	return topology.ParseFaults(cfg, s.Faults)
 }
 
 // runNetwork runs a built network to the spec's end (horizon plus drain),

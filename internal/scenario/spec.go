@@ -231,6 +231,14 @@ func (s Spec) Validate() error {
 	}
 
 	// Ranges and grammars (on the normalized copy, so defaults are in play).
+	// NaN slips past every range comparison below, and neither NaN nor ±Inf
+	// survives the JSON encoding of the cache key.
+	for i, v := range []float64{n.Workload.Load, n.HorizonMS, n.DrainMS, n.WarmMS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			name := []string{"load", "horizon_ms", "drain_ms", "warm_ms"}[i]
+			return fmt.Errorf("scenario: %s %g is not a finite number", name, v)
+		}
+	}
 	if n.Workload.Collective != "" {
 		if n.Workload.Load < 0 || n.Workload.Load > 1 {
 			return fmt.Errorf("scenario: load %g out of [0, 1] (0 = collective only)", n.Workload.Load)
@@ -306,7 +314,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	if n.Faults != "" {
-		sched, err := topology.ParseFaults(n.topologyConfig(), n.Faults)
+		sched, err := n.faultSchedule(n.topologyConfig())
 		if err != nil {
 			return fmt.Errorf("scenario: faults: %w", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"approxsim/internal/packet"
@@ -309,6 +310,25 @@ func TestValidateRejections(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.spec.Validate(); err == nil {
 				t.Fatalf("Validate accepted %+v", c.spec)
+			}
+		})
+	}
+	// A non-finite number must be rejected by name, before it reaches the
+	// cache key's JSON encoding.
+	for _, c := range []struct {
+		name, field string
+		spec        Spec
+	}{
+		{"nan load", "load", Spec{Mode: "full", Workload: Workload{Load: math.NaN()}}},
+		{"infinite load", "load", Spec{Mode: "pdes", Workload: Workload{Load: math.Inf(-1)}}},
+		{"nan horizon", "horizon_ms", Spec{Mode: "pdes", HorizonMS: math.NaN()}},
+		{"nan drain", "drain_ms", Spec{Mode: "full", DrainMS: math.NaN()}},
+		{"nan warm", "warm_ms", Spec{Mode: "pdes", HorizonMS: 4, WarmMS: math.NaN()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field+" ") {
+				t.Fatalf("Validate(%+v) = %v, want an error naming %s", c.spec, err, c.field)
 			}
 		})
 	}

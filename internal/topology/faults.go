@@ -8,7 +8,6 @@ import (
 	"approxsim/internal/des"
 	"approxsim/internal/faults"
 	"approxsim/internal/netsim"
-	"approxsim/internal/obs"
 	"approxsim/internal/packet"
 )
 
@@ -202,48 +201,5 @@ func (t *Topology) switchByID(id packet.NodeID) *netsim.Switch {
 		return t.ToRs[id-t.torBase]
 	default:
 		return nil
-	}
-}
-
-// ScheduleFaultInstants schedules the fail / detected / recover instants of
-// every fault visible to lookup as ordinary kernel events on k, emitting
-// trace instants on the involved switch's track. The events carry no
-// simulation state — fault state itself is a pure function of time — they
-// exist so the outage windows are visible in the Chrome trace next to the
-// packet lifecycle they explain. The PDES network builder calls this once per
-// LP with a lookup restricted to locally owned switches.
-func ScheduleFaultInstants(k *des.Kernel, sched *faults.Schedule,
-	lookup func(packet.NodeID) *netsim.Switch) {
-
-	if sched.Empty() {
-		return
-	}
-	for i := range sched.Faults {
-		f := sched.Faults[i]
-		sw := lookup(f.A)
-		if sw == nil && f.Kind == faults.LinkFault {
-			sw = lookup(f.B)
-		}
-		if sw == nil {
-			continue
-		}
-		sw, tid := sw, int32(sw.NodeID())
-		emit := func(at des.Time, name string) {
-			k.At(at, func() {
-				buf := sw.TraceBuf() // resolved at fire time: SetTrace may follow this call
-				if buf == nil {
-					return
-				}
-				buf.Emit(obs.Event{TS: k.Now(), Ph: obs.PhInstant,
-					Name: name, Cat: "faults", Tid: tid,
-					K1: "a", V1: int64(f.A), K2: "b", V2: int64(f.B)})
-			})
-		}
-		kind := f.Kind.String()
-		emit(f.At, kind+"_fail")
-		emit(f.At+f.Detect, "fault_detected")
-		if f.Recover > 0 {
-			emit(f.Recover, kind+"_recover")
-		}
 	}
 }
