@@ -408,14 +408,14 @@ func report(res *scenario.Result) {
 				fs.EgressDrops, fs.IngressDrops, fs.Conflicts)
 		}
 	}
-	if e := res.Experiment; e != nil && res.Spec.Mode == "pdes" {
-		fmt.Printf("sync=%s lps=%d", res.Spec.Sync, e.LPs)
-		for c, v := range e.Stats {
+	if p := res.Partition; p != nil && res.Spec.Mode == "pdes" {
+		fmt.Printf("sync=%s lps=%d", res.Spec.Sync, res.Spec.LPs)
+		for c, v := range res.Stats {
 			fmt.Printf(" %s=%d", pdes.Counter(c), v)
 		}
 		fmt.Println()
 		fmt.Printf("partition=%s cut_edges=%d cut_weight=%.1f active_channels=%d lp_load_imbalance=%.3f\n",
-			e.Partition, e.CutEdges, e.CutWeight, e.Channels, e.LoadImbalance)
+			p.Name, p.CutEdges, p.CutWeight, p.Channels, p.LoadImbalance)
 		if res.Spec.Faults != "" {
 			fmt.Printf("fault_drops=%d route_drops=%d\n", m.FaultDrops, m.RouteDrops)
 		}

@@ -153,14 +153,13 @@ func fig1(durMS int, load float64, seed uint64, quick bool, sweep *scenario.Flag
 			}
 			fmt.Fprintf(os.Stderr, "figures: trace of %d-ToR/%d-LP run written to %s\n", n, lps, tracePath)
 		}
-		e := res.Experiment
 		snap := reg.Snapshot()
 		syncMsgs := snap.Counter("pdes", "null_messages") + snap.Counter("pdes", "barriers")
 		fmt.Printf("%d\t%d\t%.6g\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d",
 			n, lps, res.Perf.SimPerWall, snap.Counter("des", "events_executed"),
 			syncMsgs, snap.Counter("pdes", "cross_lp_packets"),
-			e.Stats[pdes.ParkedArrivals], e.Stats[pdes.PostHorizonDrops], e.Channels,
-			snap.Counter("pdes", "rollbacks"), e.Stats[pdes.Checkpoints], res.Metrics.Completed)
+			res.Stats[pdes.ParkedArrivals], res.Stats[pdes.PostHorizonDrops], res.Partition.Channels,
+			snap.Counter("pdes", "rollbacks"), res.Stats[pdes.Checkpoints], res.Metrics.Completed)
 		if sweep.Faults != "" {
 			fmt.Printf("\t%d\t%d\t%.6g", res.Metrics.FaultDrops, res.Metrics.RouteDrops, res.Metrics.P99FCTSec)
 		}

@@ -63,9 +63,9 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				st := r.Experiment.Stats
+				st := r.Stats
 				fmt.Printf("%6d %4d %9v %14.4g %10d %12d %12d %10d\n",
-					n, lps, algo, r.Experiment.SimPerWall, st[pdes.Events],
+					n, lps, algo, r.Perf.SimPerWall, st[pdes.Events],
 					st[pdes.Nulls]+st[pdes.Barriers], st[pdes.CrossPkts], st[pdes.Rollbacks])
 			}
 		}

@@ -180,16 +180,16 @@ func TestPDESCompletesAcrossLPCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := r.Experiment
-		if res.FlowsCompleted == 0 {
+		done := r.Metrics.Completed
+		if done == 0 {
 			t.Fatalf("lps=%d completed nothing", lps)
 		}
 		if lps == 1 {
-			base = res.FlowsCompleted
+			base = done
 			continue
 		}
-		if res.FlowsCompleted < base*7/10 || res.FlowsCompleted > base*13/10 {
-			t.Errorf("lps=%d completed %d flows vs %d sequential", lps, res.FlowsCompleted, base)
+		if done < base*7/10 || done > base*13/10 {
+			t.Errorf("lps=%d completed %d flows vs %d sequential", lps, done, base)
 		}
 	}
 }

@@ -41,9 +41,9 @@ func committedGroupsCollective(t *testing.T, reg *metrics.Registry) string {
 }
 
 // runCollectiveOnly runs a leaf-spine simulation whose ONLY workload is the
-// given collectives (no Poisson background).
+// given collectives (no Poisson background) and returns the finished network.
 func runCollectiveOnly(t *testing.T, tors, lps int, dur des.Time, algo SyncAlgo,
-	reg *metrics.Registry, ps ...collective.Params) *ExperimentResult {
+	reg *metrics.Registry, ps ...collective.Params) *Network {
 	t.Helper()
 	net, err := Build(topology.DefaultLeafSpineConfig(tors), lps, nil, WithSyncAlgo(algo), WithCollectives(ps...))
 	if err != nil {
@@ -55,7 +55,7 @@ func runCollectiveOnly(t *testing.T, tors, lps int, dur des.Time, algo SyncAlgo,
 	if err := net.Sys.Run(dur); err != nil {
 		t.Fatalf("collective run (%v, lps=%d): %v", algo, lps, err)
 	}
-	return net.AssembleResult(net.Sys.Stats(), dur, 0)
+	return net
 }
 
 // TestCollectiveRingCompletes is the basic liveness check: a 4-rank ring
@@ -63,28 +63,26 @@ func runCollectiveOnly(t *testing.T, tors, lps int, dur des.Time, algo SyncAlgo,
 // iteration, and every launched flow completes.
 func TestCollectiveRingCompletes(t *testing.T) {
 	p := collective.Params{Kind: collective.Ring, SizeBytes: 64 << 10, Iters: 2, Hosts: 4}
-	res := runCollectiveOnly(t, 2, 1, 20*des.Millisecond, NullMessages, nil, p)
-	if res.CollectiveIters != 2 {
-		t.Fatalf("completed iterations = %d, want 2", res.CollectiveIters)
+	net := runCollectiveOnly(t, 2, 1, 20*des.Millisecond, NullMessages, nil, p)
+	in := net.Collectives[0]
+	if got := in.CompletedIters(); got != 2 {
+		t.Fatalf("completed iterations = %d, want 2", got)
 	}
 	wantFlows := 2 * 2 * (4 - 1) * 4 // iters * 2(N-1) steps * N ranks
-	if res.FlowsStarted != wantFlows {
-		t.Errorf("flows started = %d, want %d", res.FlowsStarted, wantFlows)
+	if got := net.FlowsStarted(); got != wantFlows {
+		t.Errorf("flows started = %d, want %d", got, wantFlows)
 	}
-	if res.FlowsCompleted != wantFlows {
-		t.Errorf("flows completed = %d, want %d", res.FlowsCompleted, wantFlows)
+	if got := completed(net); got != wantFlows {
+		t.Errorf("flows completed = %d, want %d", got, wantFlows)
 	}
-	if len(res.CollectiveIterNS) != 2 {
-		t.Fatalf("iteration durations = %v, want 2 entries", res.CollectiveIterNS)
+	durs := in.IterDurations()
+	if len(durs) != 2 {
+		t.Fatalf("iteration durations = %v, want 2 entries", durs)
 	}
-	for i, ns := range res.CollectiveIterNS {
-		if ns <= 0 {
-			t.Errorf("iteration %d duration = %dns, want positive", i, ns)
+	for i, d := range durs {
+		if d <= 0 {
+			t.Errorf("iteration %d duration = %dns, want positive", i, d)
 		}
-	}
-	if res.CollectiveMeanIterSec <= 0 || res.CollectiveMaxIterSec < res.CollectiveMeanIterSec {
-		t.Errorf("mean/max iteration seconds inconsistent: mean=%v max=%v",
-			res.CollectiveMeanIterSec, res.CollectiveMaxIterSec)
 	}
 }
 
@@ -101,13 +99,13 @@ func TestCollectiveTreeAndAllToAllComplete(t *testing.T) {
 		{collective.AllToAll, n * (n - 1)},
 	} {
 		p := collective.Params{Kind: tc.kind, SizeBytes: 32 << 10, Iters: 3, Hosts: n}
-		res := runCollectiveOnly(t, 2, 1, 50*des.Millisecond, NullMessages, nil, p)
-		if res.CollectiveIters != 3 {
-			t.Fatalf("%v: completed iterations = %d, want 3", tc.kind, res.CollectiveIters)
+		net := runCollectiveOnly(t, 2, 1, 50*des.Millisecond, NullMessages, nil, p)
+		if got := net.Collectives[0].CompletedIters(); got != 3 {
+			t.Fatalf("%v: completed iterations = %d, want 3", tc.kind, got)
 		}
-		if want := 3 * tc.want; res.FlowsStarted != want || res.FlowsCompleted != want {
+		if want := 3 * tc.want; net.FlowsStarted() != want || completed(net) != want {
 			t.Errorf("%v: flows started/completed = %d/%d, want %d",
-				tc.kind, res.FlowsStarted, res.FlowsCompleted, want)
+				tc.kind, net.FlowsStarted(), completed(net), want)
 		}
 	}
 }
@@ -135,15 +133,15 @@ func TestCollectiveRingAnalyticBound(t *testing.T) {
 	)
 	cfg := topology.DefaultLeafSpineConfig(4) // 16 hosts, first 8 are ranks
 	p := collective.Params{Kind: collective.Ring, SizeBytes: size, Iters: iters, Hosts: n}
-	res := runCollectiveOnly(t, 4, 1, 100*des.Millisecond, NullMessages, nil, p)
-	if res.CollectiveIters != iters {
-		t.Fatalf("completed iterations = %d, want %d", res.CollectiveIters, iters)
+	in := runCollectiveOnly(t, 4, 1, 100*des.Millisecond, NullMessages, nil, p).Collectives[0]
+	if got := in.CompletedIters(); got != iters {
+		t.Fatalf("completed iterations = %d, want %d", got, iters)
 	}
 	chunk := (size + n - 1) / n
 	steps := 2 * (n - 1)
 	bound := float64(steps) * float64(chunk*8) / float64(cfg.HostLink.BandwidthBps)
-	for i, ns := range res.CollectiveIterNS {
-		got := float64(ns) / 1e9
+	for i, d := range in.IterDurations() {
+		got := d.Seconds()
 		if got < bound {
 			t.Errorf("iteration %d took %.0fus, beats the analytic lower bound %.0fus",
 				i, got*1e6, bound*1e6)
@@ -153,7 +151,7 @@ func TestCollectiveRingAnalyticBound(t *testing.T) {
 				i, got*1e6, bound*1e6)
 		}
 	}
-	t.Logf("ring N=%d S=%dKB: bound %.0fus, measured %v ns", n, size>>10, bound*1e6, res.CollectiveIterNS)
+	t.Logf("ring N=%d S=%dKB: bound %.0fus, measured %v", n, size>>10, bound*1e6, in.IterDurations())
 }
 
 // TestCollectiveTreeBeatsRingSmallPayload checks the crossover the two
@@ -165,11 +163,16 @@ func TestCollectiveTreeBeatsRingSmallPayload(t *testing.T) {
 	const n = 8
 	run := func(kind collective.Kind) float64 {
 		p := collective.Params{Kind: kind, SizeBytes: 8 << 10, Iters: 3, Hosts: n}
-		res := runCollectiveOnly(t, 4, 1, 50*des.Millisecond, NullMessages, nil, p)
-		if res.CollectiveIters != 3 {
-			t.Fatalf("%v: completed iterations = %d, want 3", kind, res.CollectiveIters)
+		in := runCollectiveOnly(t, 4, 1, 50*des.Millisecond, NullMessages, nil, p).Collectives[0]
+		if got := in.CompletedIters(); got != 3 {
+			t.Fatalf("%v: completed iterations = %d, want 3", kind, got)
 		}
-		return res.CollectiveMeanIterSec
+		var sum float64
+		durs := in.IterDurations()
+		for _, d := range durs {
+			sum += d.Seconds()
+		}
+		return sum / float64(len(durs))
 	}
 	ring, tree := run(collective.Ring), run(collective.Tree)
 	if tree >= ring {
@@ -208,48 +211,50 @@ func TestDeterminismPropertyCollective(t *testing.T) {
 			lpsHigh := tors
 			coll := collective.Params{Kind: collective.Ring, SizeBytes: size, Iters: 2, Hosts: ranks}
 
-			run := func(algo SyncAlgo, lps int, opts ...Option) (string, *ExperimentResult) {
+			// run returns the committed groups and the whole iterations the
+			// collective completed.
+			run := func(algo SyncAlgo, lps int, opts ...Option) (string, int) {
 				reg := metrics.NewRegistry()
-				res, err := runNetwork(topology.DefaultLeafSpineConfig(tors), lps, load, dur, seed, algo, reg, nil,
+				net, err := runNetwork(topology.DefaultLeafSpineConfig(tors), lps, load, dur, seed, algo, reg, nil,
 					append([]Option{WithCollectives(coll)}, opts...)...)
 				if err != nil {
 					t.Fatalf("%v lps=%d: %v", algo, lps, err)
 				}
-				if res.Stats[Violations] != 0 {
-					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, res.Stats[Violations])
+				if v := net.Sys.Stats()[Violations]; v != 0 {
+					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, v)
 				}
-				return committedGroupsCollective(t, reg), res
+				return committedGroupsCollective(t, reg), net.Collectives[0].CompletedIters()
 			}
 
-			ref, refRes := run(NullMessages, 1)
-			if refRes.CollectiveIters == 0 {
+			ref, refIters := run(NullMessages, 1)
+			if refIters == 0 {
 				t.Fatalf("reference run completed no collective iterations (size=%dKB ranks=%d)",
 					size>>10, ranks)
 			}
 
-			check := func(name string, got string, res *ExperimentResult) {
+			check := func(name string, got string, iters int) {
 				if got != ref {
 					t.Errorf("%s committed snapshot diverged from the sequential reference:\nref: %s\ngot: %s",
 						name, ref, got)
 				}
-				if res.CollectiveIters != refRes.CollectiveIters {
+				if iters != refIters {
 					t.Errorf("%s completed %d collective iterations, reference completed %d",
-						name, res.CollectiveIters, refRes.CollectiveIters)
+						name, iters, refIters)
 				}
 			}
 
 			for _, p := range partitioners {
-				got, res := run(NullMessages, lpsHigh, WithPartitioner(p))
-				check(fmt.Sprintf("nullmsg(lps=%d,%s)", lpsHigh, p.Name()), got, res)
+				got, iters := run(NullMessages, lpsHigh, WithPartitioner(p))
+				check(fmt.Sprintf("nullmsg(lps=%d,%s)", lpsHigh, p.Name()), got, iters)
 			}
 			pb := partitioners[int(seed)%len(partitioners)]
-			got, res := run(Barrier, lpsHigh, WithPartitioner(pb))
-			check(fmt.Sprintf("barrier(lps=%d,%s)", lpsHigh, pb.Name()), got, res)
-			got, res = run(Barrier, 2)
-			check("barrier(lps=2)", got, res)
+			got, iters := run(Barrier, lpsHigh, WithPartitioner(pb))
+			check(fmt.Sprintf("barrier(lps=%d,%s)", lpsHigh, pb.Name()), got, iters)
+			got, iters = run(Barrier, 2)
+			check("barrier(lps=2)", got, iters)
 			pt := partitioners[int(seed/2)%len(partitioners)]
-			got, res = run(TimeWarp, 2, withGVTInterval(50*time.Microsecond), WithPartitioner(pt))
-			check(fmt.Sprintf("timewarp(lps=2,%s)", pt.Name()), got, res)
+			got, iters = run(TimeWarp, 2, withGVTInterval(50*time.Microsecond), WithPartitioner(pt))
+			check(fmt.Sprintf("timewarp(lps=2,%s)", pt.Name()), got, iters)
 		})
 	}
 }
@@ -262,29 +267,29 @@ func TestCollectiveClosDeterminism(t *testing.T) {
 		t.Skip("heavy; skipped under -short")
 	}
 	coll := collective.Params{Kind: collective.Ring, SizeBytes: 64 << 10, Iters: 1, Hosts: 6}
-	run := func(algo SyncAlgo, lps int) (string, *ExperimentResult) {
+	run := func(algo SyncAlgo, lps int) (string, int) {
 		reg := metrics.NewRegistry()
-		res, err := runNetwork(topology.DefaultClosConfig(4), lps, 0.2, 2*des.Millisecond, 7, algo, reg, nil,
+		net, err := runNetwork(topology.DefaultClosConfig(4), lps, 0.2, 2*des.Millisecond, 7, algo, reg, nil,
 			WithCollectives(coll))
 		if err != nil {
 			t.Fatalf("%v lps=%d: %v", algo, lps, err)
 		}
-		return committedGroupsCollective(t, reg), res
+		return committedGroupsCollective(t, reg), net.Collectives[0].CompletedIters()
 	}
-	ref, refRes := run(NullMessages, 1)
-	if refRes.CollectiveIters != 1 {
-		t.Fatalf("reference completed %d collective iterations, want 1", refRes.CollectiveIters)
+	ref, refIters := run(NullMessages, 1)
+	if refIters != 1 {
+		t.Fatalf("reference completed %d collective iterations, want 1", refIters)
 	}
 	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
 		for _, lps := range []int{2, 4} {
-			got, res := run(algo, lps)
+			got, iters := run(algo, lps)
 			if got != ref {
 				t.Errorf("%v lps=%d diverged from sequential reference:\nref: %s\ngot: %s",
 					algo, lps, ref, got)
 			}
-			if res.CollectiveIters != refRes.CollectiveIters {
+			if iters != refIters {
 				t.Errorf("%v lps=%d completed %d iterations, want %d",
-					algo, lps, res.CollectiveIters, refRes.CollectiveIters)
+					algo, lps, iters, refIters)
 			}
 		}
 	}

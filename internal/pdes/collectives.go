@@ -9,7 +9,7 @@ import (
 	"approxsim/internal/traffic"
 )
 
-// Collective workload wiring for Build. Three phases:
+// Collective workload wiring for Build. Two phases:
 //
 //  1. buildCollectives (before placement) resolves each Params against the
 //     topology's host count and folds the instances' exact flow catalogs into
@@ -20,8 +20,9 @@ import (
 //     registering it as a rollback saver there — routes the stacks'
 //     receiver-side completion hook into the instances, and schedules the
 //     iteration-0 kickoffs as ordinary kernel events at time zero.
-//  3. fillCollective (after the run) reduces the per-rank virtual-time
-//     records into the deterministic result block.
+//
+// After the run, Network.Collectives exposes each instance's completed
+// iterations and per-iteration virtual-time durations.
 
 // buildCollectives resolves params against the topology's hosts: ranks are
 // the first Hosts host IDs (all of them when Hosts is 0), and each instance
@@ -93,28 +94,4 @@ func installCollectives(insts []*collective.Instance, stacks []*tcp.Stack, lpOfH
 	for _, in := range insts {
 		in.Kickoff()
 	}
-}
-
-// fillCollective reduces finished instances into the result: completed
-// iteration count, per-iteration collective durations (virtual time, so part
-// of the deterministic block), and the closed-loop flows added to
-// FlowsStarted so the flow accounting covers both workload shapes.
-func fillCollective(res *ExperimentResult, insts []*collective.Instance) {
-	var launched uint64
-	for _, in := range insts {
-		launched += in.FlowsLaunched()
-		res.CollectiveIters += in.CompletedIters()
-		for _, d := range in.IterDurations() {
-			res.CollectiveIterNS = append(res.CollectiveIterNS, int64(d))
-			s := d.Seconds()
-			res.CollectiveMeanIterSec += s
-			if s > res.CollectiveMaxIterSec {
-				res.CollectiveMaxIterSec = s
-			}
-		}
-	}
-	if n := len(res.CollectiveIterNS); n > 0 {
-		res.CollectiveMeanIterSec /= float64(n)
-	}
-	res.FlowsStarted += int(launched)
 }

@@ -13,8 +13,8 @@ import (
 type Counter int
 
 // The per-LP counters, in registry order. Each has a single writer (the LP's
-// own goroutine, or for ParkedArrivals its drainer after the LP goroutine has
-// finished) but is mutated atomically, so a mid-run Stats or CollectMetrics
+// own goroutine, or Run's once the LP goroutines have finished) but is
+// mutated atomically, so a mid-run Stats or CollectMetrics
 // from another goroutine reads torn-free values. The Time Warp counters are
 // zero under the conservative engines and are never rolled back: they account
 // the optimistic machinery itself.

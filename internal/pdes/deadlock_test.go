@@ -34,7 +34,7 @@ func runWithWatchdog(t *testing.T, deadline time.Duration, fn func()) {
 // LPs permanently (each blocked sending into the other's full inbox).
 // The drain-while-sending loop in LP.send must make this complete.
 func TestTinyInboxNoDeadlock(t *testing.T) {
-	s, a, b := twoHostSystem(t, WithInboxCap(1))
+	s, a, b := twoHostSystem(t, withInboxCap(1))
 	gotA, gotB := 0, 0
 	a.Handler = func(*packet.Packet) { gotA++ }
 	b.Handler = func(*packet.Packet) { gotB++ }
@@ -61,7 +61,7 @@ func TestTinyInboxNoDeadlock(t *testing.T) {
 // TestTinyInboxBarrierNoDeadlock exercises the same bounded-inbox hazard in
 // barrier mode, where all LPs send concurrently inside each window.
 func TestTinyInboxBarrierNoDeadlock(t *testing.T) {
-	s, a, b := twoHostSystem(t, WithInboxCap(1), WithSyncAlgo(Barrier))
+	s, a, b := twoHostSystem(t, withInboxCap(1), WithSyncAlgo(Barrier))
 	gotA, gotB := 0, 0
 	a.Handler = func(*packet.Packet) { gotA++ }
 	b.Handler = func(*packet.Packet) { gotB++ }
@@ -99,19 +99,19 @@ func TestBarrierOversubscribedTinyInbox(t *testing.T) {
 	)
 	run := func(lps int, algo SyncAlgo, opts ...Option) string {
 		reg := metrics.NewRegistry()
-		res, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, nil, opts...)
+		net, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, nil, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats[Violations] != 0 {
-			t.Fatalf("lps=%d: %d causality violations", lps, res.Stats[Violations])
+		if v := net.Sys.Stats()[Violations]; v != 0 {
+			t.Fatalf("lps=%d: %d causality violations", lps, v)
 		}
 		return committedGroups(t, reg)
 	}
 	ref := run(1, NullMessages)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var got string
-	runWithWatchdog(t, 60*time.Second, func() { got = run(4, Barrier, WithInboxCap(1)) })
+	runWithWatchdog(t, 60*time.Second, func() { got = run(4, Barrier, withInboxCap(1)) })
 	if got != ref {
 		t.Errorf("oversubscribed barrier run diverged from lps=1:\nref: %s\ngot: %s", ref, got)
 	}
@@ -176,9 +176,11 @@ func TestBarrierWindowsDoNotAllocate(t *testing.T) {
 // positive), and with capacity-1 inboxes the sequential drain wedged — the
 // first LP's catch-up blocked sending into the second's full inbox while the
 // second was not yet draining, and the send fallback spun on the sender's own
-// empty inbox forever. The concurrent two-phase catch-up must complete under
-// both conservative engines, and every beyond-horizon packet must be parked
-// and accounted as a ParkedArrival rather than silently lost.
+// empty inbox forever. The concurrent catch-up must complete under both
+// conservative engines, every beyond-horizon packet must be parked and
+// accounted as a ParkedArrival rather than silently lost, and every Run must
+// exit quiesced: all inboxes empty, no parallel run still registered. Restore
+// refuses a system whose inbox still holds a message.
 func TestFinalDrainTinyInbox(t *testing.T) {
 	const (
 		end   = 100 * des.Microsecond
@@ -186,7 +188,7 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 	)
 	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
 		t.Run(algo.String(), func(t *testing.T) {
-			s := NewSystem(2, WithInboxCap(1), WithSyncAlgo(algo))
+			s := NewSystem(2, withInboxCap(1), WithSyncAlgo(algo))
 			a := netsim.NewHost(s.LP(0).Kernel(), 0, 0)
 			b := netsim.NewHost(s.LP(1).Kernel(), 1, 1)
 			// Near-infinite bandwidth: serialization rounds to zero, so a
@@ -215,6 +217,7 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 				}
 			})
 			runWithWatchdog(t, 30*time.Second, func() { s.Run(end) })
+			checkQuiesced(t, s)
 			if gotA+gotB != 0 {
 				t.Errorf("%d beyond-horizon packets were delivered, want 0", gotA+gotB)
 			}
@@ -237,7 +240,12 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 			}
 			// The parked burst is in-flight traffic, not loss: the next run
 			// segment must deliver every packet exactly once, with no recount.
+			ckpt, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
 			runWithWatchdog(t, 30*time.Second, func() { s.Run(end + 100*des.Microsecond) })
+			checkQuiesced(t, s)
 			if gotA != burst || gotB != burst {
 				t.Errorf("next segment delivered %d/%d parked packets, want %d each way",
 					gotA, gotB, burst)
@@ -246,7 +254,29 @@ func TestFinalDrainTinyInbox(t *testing.T) {
 				t.Errorf("parked arrivals after resume = %d, want %d (first park counts once)",
 					st[ParkedArrivals], 2*burst)
 			}
+			s.LP(1).inbox <- message{from: 0, at: end}
+			if err := s.Restore(ckpt); err == nil {
+				t.Error("Restore accepted a system with a message in an inbox")
+			}
+			<-s.LP(1).inbox
+			if err := s.Restore(ckpt); err != nil {
+				t.Errorf("Restore of a quiesced system: %v", err)
+			}
 		})
+	}
+}
+
+// checkQuiesced asserts the state every conservative Run exits in: no
+// message left in any inbox, and no parallel run still registered.
+func checkQuiesced(t *testing.T, s *System) {
+	t.Helper()
+	for i := 0; i < s.NumLPs(); i++ {
+		if n := len(s.LP(i).inbox); n != 0 {
+			t.Errorf("LP %d inbox holds %d messages after Run, want 0", i, n)
+		}
+	}
+	if n := parallelRuns.Load(); n != 0 {
+		t.Errorf("%d parallel runs registered after Run returned, want 0", n)
 	}
 }
 
@@ -369,10 +399,10 @@ func TestLeafSpineStress(t *testing.T) {
 			name = "barrier"
 		}
 		t.Run(name, func(t *testing.T) {
-			var res *ExperimentResult
+			var net *Network
 			runWithWatchdog(t, 120*time.Second, func() {
 				var err error
-				res, err = runNetwork(topology.DefaultLeafSpineConfig(8), 8, 0.6, 2*des.Millisecond, 7, algo, nil, nil)
+				net, err = runNetwork(topology.DefaultLeafSpineConfig(8), 8, 0.6, 2*des.Millisecond, 7, algo, nil, nil)
 				if err != nil {
 					t.Error(err)
 				}
@@ -380,33 +410,35 @@ func TestLeafSpineStress(t *testing.T) {
 			if t.Failed() {
 				return
 			}
-			if res.FlowsStarted == 0 || res.FlowsCompleted == 0 {
-				t.Fatalf("stress run moved no traffic: %+v", res)
+			if net.FlowsStarted() == 0 || completed(net) == 0 {
+				t.Fatalf("stress run moved no traffic: %d flows started, %d completed", net.FlowsStarted(), completed(net))
 			}
-			if res.Stats[CrossPkts] == 0 {
+			st := net.Sys.Stats()
+			if st[CrossPkts] == 0 {
 				t.Error("stress run shipped no cross-LP packets")
 			}
-			if res.Stats[Violations] != 0 {
-				t.Errorf("%d causality violations under stress", res.Stats[Violations])
+			if st[Violations] != 0 {
+				t.Errorf("%d causality violations under stress", st[Violations])
 			}
 		})
 	}
 }
 
 // eitPollRun runs a leaf-spine workload on lps LPs under null messages and
-// returns the committed netsim+tcp groups with the run's result.
-func eitPollRun(t *testing.T, lps int, seed uint64, opts ...Option) (string, *ExperimentResult) {
+// returns the committed netsim+tcp groups with the run's counters.
+func eitPollRun(t *testing.T, lps int, seed uint64, opts ...Option) (string, Stats) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	res, err := runNetwork(topology.DefaultLeafSpineConfig(4), lps, 0.6, 2*des.Millisecond, seed,
+	net, err := runNetwork(topology.DefaultLeafSpineConfig(4), lps, 0.6, 2*des.Millisecond, seed,
 		NullMessages, reg, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats[Violations] != 0 {
-		t.Fatalf("lps=%d seed %d: %d causality violations", lps, seed, res.Stats[Violations])
+	st := net.Sys.Stats()
+	if st[Violations] != 0 {
+		t.Fatalf("lps=%d seed %d: %d causality violations", lps, seed, st[Violations])
 	}
-	return committedGroups(t, reg), res
+	return committedGroups(t, reg), st
 }
 
 // TestEITPollConcurrentSystemsPark runs two 2-LP null-message Systems at
@@ -423,7 +455,7 @@ func TestEITPollConcurrentSystemsPark(t *testing.T) {
 	parallelRuns.Add(1)
 	defer parallelRuns.Add(-1)
 	got := make([]string, len(seeds))
-	res := make([]*ExperimentResult, len(seeds))
+	res := make([]Stats, len(seeds))
 	done := make(chan int)
 	for i, seed := range seeds {
 		go func(i int, seed uint64) {
@@ -438,8 +470,8 @@ func TestEITPollConcurrentSystemsPark(t *testing.T) {
 		if got[i] != refs[i] {
 			t.Errorf("seed %d: concurrent 2-LP run diverged from lps=1:\nref: %s\ngot: %s", seed, refs[i], got[i])
 		}
-		if r := res[i]; r.Stats[EITStalls] == 0 || r.Stats[EITParks] != r.Stats[EITStalls] {
-			t.Errorf("seed %d: eit_parks %d, eit_stalls %d; want equal and nonzero", seed, r.Stats[EITParks], r.Stats[EITStalls])
+		if st := res[i]; st[EITStalls] == 0 || st[EITParks] != st[EITStalls] {
+			t.Errorf("seed %d: eit_parks %d, eit_stalls %d; want equal and nonzero", seed, st[EITParks], st[EITStalls])
 		}
 	}
 }
@@ -453,13 +485,13 @@ func TestEITPollOversubscribedTinyInbox(t *testing.T) {
 	ref, _ := eitPollRun(t, 1, seed)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var got string
-	var res *ExperimentResult
-	runWithWatchdog(t, 60*time.Second, func() { got, res = eitPollRun(t, 2, seed, WithInboxCap(1)) })
+	var st Stats
+	runWithWatchdog(t, 60*time.Second, func() { got, st = eitPollRun(t, 2, seed, withInboxCap(1)) })
 	if got != ref {
 		t.Errorf("oversubscribed null-message run diverged from lps=1:\nref: %s\ngot: %s", ref, got)
 	}
-	if res.Stats[EITParks] != res.Stats[EITStalls] {
-		t.Errorf("eit_parks %d, eit_stalls %d: a stall polled with fewer cores than LPs", res.Stats[EITParks], res.Stats[EITStalls])
+	if st[EITParks] != st[EITStalls] {
+		t.Errorf("eit_parks %d, eit_stalls %d: a stall polled with fewer cores than LPs", st[EITParks], st[EITStalls])
 	}
 }
 

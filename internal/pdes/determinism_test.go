@@ -81,16 +81,17 @@ func TestDeterminismProperty(t *testing.T) {
 
 			run := func(algo SyncAlgo, lps int, opts ...Option) string {
 				reg := metrics.NewRegistry()
-				res, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, nil, opts...)
+				net, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, nil, opts...)
 				if err != nil {
 					t.Fatalf("%v lps=%d %v: %v", algo, lps, opts, err)
 				}
-				if res.Stats[Violations] != 0 {
-					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, res.Stats[Violations])
+				st := net.Sys.Stats()
+				if st[Violations] != 0 {
+					t.Fatalf("%v lps=%d: %d causality violations", algo, lps, st[Violations])
 				}
-				if res.Stats[QuiescentSends] != 0 {
+				if st[QuiescentSends] != 0 {
 					t.Fatalf("%v lps=%d: %d sends on channels the quiescence analysis declared idle",
-						algo, lps, res.Stats[QuiescentSends])
+						algo, lps, st[QuiescentSends])
 				}
 				return committedGroups(t, reg)
 			}
@@ -139,16 +140,17 @@ func TestDeterminismProperty(t *testing.T) {
 			// exchange. Nullmsg sweeps every partitioner; barrier rotates one.
 			runSeg := func(algo SyncAlgo, lps int, opts ...Option) string {
 				reg := metrics.NewRegistry()
-				res, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, []des.Time{dur / 2}, opts...)
+				net, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, []des.Time{dur / 2}, opts...)
 				if err != nil {
 					t.Fatalf("segmented %v lps=%d: %v", algo, lps, err)
 				}
-				if res.Stats[Violations] != 0 {
-					t.Fatalf("segmented %v lps=%d: %d causality violations", algo, lps, res.Stats[Violations])
+				st := net.Sys.Stats()
+				if st[Violations] != 0 {
+					t.Fatalf("segmented %v lps=%d: %d causality violations", algo, lps, st[Violations])
 				}
-				if res.Stats[PostHorizonDrops] != 0 {
+				if st[PostHorizonDrops] != 0 {
 					t.Fatalf("segmented %v lps=%d: %d post-horizon drops (conservative engines park)",
-						algo, lps, res.Stats[PostHorizonDrops])
+						algo, lps, st[PostHorizonDrops])
 				}
 				return committedGroups(t, reg)
 			}

@@ -102,18 +102,25 @@ func (s *System) Restore(st *SystemState) error {
 		return fmt.Errorf("pdes: checkpoint has %d LPs, system has %d", len(st.lps), len(s.lps))
 	}
 	for i, lp := range s.lps {
-		fs := &st.lps[i]
-		if len(fs.blobs) != len(lp.savers) {
+		if len(st.lps[i].blobs) != len(lp.savers) {
 			return fmt.Errorf("pdes: LP %d checkpoint has %d savers, live LP has %d",
-				i, len(fs.blobs), len(lp.savers))
+				i, len(st.lps[i].blobs), len(lp.savers))
 		}
+		// Every Run leaves the inboxes empty (see runConservative); a message
+		// here is in-flight traffic the fork would silently lose.
+		if n := len(lp.inbox); n > 0 {
+			return fmt.Errorf("pdes: LP %d inbox holds %d messages; Restore needs a quiesced system", i, n)
+		}
+	}
+	for i, lp := range s.lps {
+		fs := &st.lps[i]
 		lp.kernel.Restore(fs.kstate, restorePacketCtx)
 		for j, sv := range lp.savers {
 			sv.RestoreState(fs.blobs[j])
 		}
 		// Per-run channel state: promises made during a previous run exceed
 		// anything the restored run will re-announce, so they must be
-		// forgotten (runNull/runBarrier also reset them at run entry; doing it
+		// forgotten (runConservative also resets them at run entry; doing it
 		// here keeps a restored system consistent even before Run). The other
 		// mirrored per-run state needs no rewind here: lastRecv is reallocated
 		// and re-seeded from the (restored) kernel clocks at every Run entry,
@@ -129,11 +136,6 @@ func (s *System) Restore(st *SystemState) error {
 		lp.parked = append([]message(nil), fs.parked...)
 		for j, m := range fs.parked {
 			restorePacketCtx(m.pkt, fs.parkedCtx[j])
-		}
-		// At quiescence nothing is in flight; drain defensively so a stray
-		// message can never leak into the forked run.
-		for len(lp.inbox) > 0 {
-			<-lp.inbox
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package pdes
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"approxsim/internal/collective"
 	"approxsim/internal/des"
@@ -593,6 +592,16 @@ func (n *Network) RegisterMetrics(reg *metrics.Registry) {
 	}
 }
 
+// FlowsStarted counts the flows the run started: the scheduled open-loop
+// workload plus every flow the collective instances launched.
+func (n *Network) FlowsStarted() int {
+	started := len(n.specs)
+	for _, in := range n.Collectives {
+		started += int(in.FlowsLaunched())
+	}
+	return started
+}
+
 // Results gathers every flow result across all stacks.
 func (n *Network) Results() []tcp.FlowResult {
 	var out []tcp.FlowResult
@@ -600,79 +609,4 @@ func (n *Network) Results() []tcp.FlowResult {
 		out = append(out, s.Results()...)
 	}
 	return out
-}
-
-// ExperimentResult is one Fig. 1 data point.
-type ExperimentResult struct {
-	ToRs, LPs      int
-	SimSeconds     float64
-	WallSeconds    float64
-	SimPerWall     float64 // the Fig. 1 y-axis: sim seconds per wall second
-	Stats                  // events and sync-machinery counters, indexed by Counter
-	FlowsStarted   int
-	FlowsCompleted int
-	// Fault accounting: every packet lost to a dead element (FaultDrops) or
-	// to the absence of any surviving route (RouteDrops). Both zero on a
-	// healthy run; under a fault schedule their sum is the total blackholed
-	// traffic — counted, never silent.
-	FaultDrops uint64
-	RouteDrops uint64
-	// Flow-completion summary over completed flows (seconds). Zero when no
-	// flow completed.
-	MeanFCTSec float64
-	P99FCTSec  float64
-	// Transport summary over completed flows (see traffic.Summarize).
-	TotalBytes int64
-	Retrans    uint64
-	Timeouts   uint64
-	GoodputBps float64
-	// Placement summary (see PartitionStats).
-	Partition     string
-	CutEdges      int
-	CutWeight     float64
-	Channels      int
-	LoadImbalance float64
-	// Collective workload summary (see internal/collective). Iteration
-	// durations are pure virtual time — part of the deterministic result,
-	// bit-identical across engines like the flow metrics above.
-	CollectiveIters       int     // whole iterations completed by every rank
-	CollectiveIterNS      []int64 // per-iteration collective durations, instance order
-	CollectiveMeanIterSec float64
-	CollectiveMaxIterSec  float64
-}
-
-// AssembleResult reduces a finished run to an ExperimentResult. st carries
-// the sync-machinery counters to report: a fresh network passes Sys.Stats()
-// directly; a forked run (see System.Restore) passes the delta against the
-// post-restore baseline, Sys.Stats().Sub(base), since those counters
-// accumulate across runs while device and TCP counters rewind with the
-// checkpoint.
-func (n *Network) AssembleResult(st Stats, dur des.Time, wall time.Duration) *ExperimentResult {
-	res := &ExperimentResult{
-		ToRs: n.Cfg.NumToRs(), LPs: n.Sys.NumLPs(),
-		SimSeconds:    dur.Seconds(),
-		WallSeconds:   wall.Seconds(),
-		Stats:         st,
-		FlowsStarted:  len(n.specs),
-		Partition:     n.Partition.Name,
-		CutEdges:      n.Partition.CutEdges,
-		CutWeight:     n.Partition.CutWeight,
-		Channels:      n.Partition.Channels,
-		LoadImbalance: n.Partition.LoadImbalance,
-	}
-	if wall > 0 {
-		res.SimPerWall = res.SimSeconds / res.WallSeconds
-	}
-	sum := traffic.Summarize(n.Results(), dur)
-	res.FlowsCompleted = sum.Completed
-	res.MeanFCTSec = sum.MeanFCT
-	res.P99FCTSec = sum.P99FCT
-	res.TotalBytes = sum.TotalBytes
-	res.Retrans = sum.Retrans
-	res.Timeouts = sum.Timeouts
-	res.GoodputBps = sum.GoodputBps
-	res.FaultDrops = n.FaultDrops()
-	res.RouteDrops = n.RouteDrops()
-	fillCollective(res, n.Collectives)
-	return res
 }

@@ -2,7 +2,6 @@ package pdes
 
 import (
 	"testing"
-	"time"
 
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
@@ -28,9 +27,9 @@ func poissonSpecs(cfg topology.Config, load float64, dur des.Time, seed uint64) 
 
 // runNetwork builds cfg on lps LPs under algo with the Poisson workload of
 // (load, seed) over dur, registers it in reg (ignored when nil), runs it
-// through each cut and then to dur, and reduces the run.
+// through each cut and then to dur, and returns the finished network.
 func runNetwork(cfg topology.Config, lps int, load float64, dur des.Time, seed uint64,
-	algo SyncAlgo, reg *metrics.Registry, cuts []des.Time, opts ...Option) (*ExperimentResult, error) {
+	algo SyncAlgo, reg *metrics.Registry, cuts []des.Time, opts ...Option) (*Network, error) {
 
 	specs, err := poissonSpecs(cfg, load, dur, seed)
 	if err != nil {
@@ -43,7 +42,6 @@ func runNetwork(cfg topology.Config, lps int, load float64, dur des.Time, seed u
 	if reg != nil {
 		net.RegisterMetrics(reg)
 	}
-	start := time.Now()
 	for _, end := range cuts {
 		if err := net.Sys.Run(end); err != nil {
 			return nil, err
@@ -52,34 +50,39 @@ func runNetwork(cfg topology.Config, lps int, load float64, dur des.Time, seed u
 	if err := net.Sys.Run(dur); err != nil {
 		return nil, err
 	}
-	return net.AssembleResult(net.Sys.Stats(), dur, time.Since(start)), nil
+	return net, nil
 }
+
+// completed counts the flows of net that ran to completion.
+func completed(net *Network) int { return traffic.Summarize(net.Results(), 0).Completed }
 
 // TestClosSmoke drives traffic through the partitioned three-tier Clos and
 // checks the run is healthy: flows move, cross-LP traffic exists, and neither
 // the conservative promises nor the quiescence analysis are violated.
 func TestClosSmoke(t *testing.T) {
-	res, err := runNetwork(topology.DefaultClosConfig(4), 2, 0.4, des.Millisecond, 11, NullMessages, nil, nil)
+	net, err := runNetwork(topology.DefaultClosConfig(4), 2, 0.4, des.Millisecond, 11, NullMessages, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FlowsStarted == 0 || res.FlowsCompleted == 0 {
-		t.Fatalf("clos run moved no traffic: %+v", res)
+	if net.FlowsStarted() == 0 || completed(net) == 0 {
+		t.Fatalf("clos run moved no traffic: %d flows started, %d completed", net.FlowsStarted(), completed(net))
 	}
-	if res.Stats[CrossPkts] == 0 {
+	st := net.Sys.Stats()
+	if st[CrossPkts] == 0 {
 		t.Error("clos run shipped no cross-LP packets")
 	}
-	if res.Stats[Violations] != 0 {
-		t.Errorf("%d causality violations", res.Stats[Violations])
+	if st[Violations] != 0 {
+		t.Errorf("%d causality violations", st[Violations])
 	}
-	if res.Stats[QuiescentSends] != 0 {
-		t.Errorf("%d sends on channels the quiescence analysis declared idle", res.Stats[QuiescentSends])
+	if st[QuiescentSends] != 0 {
+		t.Errorf("%d sends on channels the quiescence analysis declared idle", st[QuiescentSends])
 	}
 }
 
-// TestClosResultTransportStats: a Clos result carries the transport summary
-// of its flows — retransmissions, timeouts and goodput exactly as
-// traffic.Summarize reports them — and counts the ToRs of every cluster.
+// TestClosResultTransportStats: a Clos run reports its transport summary —
+// the flows started are exactly the scheduled ones, and they deliver — and
+// the network counts the ToRs of every cluster. (That scenario results copy
+// this summary exactly is scenario.TestReduceMatchesNetwork.)
 func TestClosResultTransportStats(t *testing.T) {
 	const dur = des.Millisecond
 	cfg := topology.DefaultClosConfig(4)
@@ -94,17 +97,15 @@ func TestClosResultTransportStats(t *testing.T) {
 	if err := net.Sys.Run(dur); err != nil {
 		t.Fatal(err)
 	}
-	res := net.AssembleResult(net.Sys.Stats(), dur, 0)
-	want := traffic.Summarize(net.Results(), dur)
-	if want.GoodputBps == 0 {
-		t.Fatal("the workload delivered nothing; the comparison below would prove nothing")
+	sum := traffic.Summarize(net.Results(), dur)
+	if sum.GoodputBps == 0 || sum.Completed == 0 {
+		t.Fatalf("the workload delivered nothing: %+v", sum)
 	}
-	if res.Retrans != want.Retrans || res.Timeouts != want.Timeouts || res.GoodputBps != want.GoodputBps {
-		t.Errorf("result retrans/timeouts/goodput = %d/%d/%g, summary %d/%d/%g",
-			res.Retrans, res.Timeouts, res.GoodputBps, want.Retrans, want.Timeouts, want.GoodputBps)
+	if net.FlowsStarted() != len(specs) || sum.Flows != len(specs) {
+		t.Errorf("%d flows started, %d with results, want the %d scheduled", net.FlowsStarted(), sum.Flows, len(specs))
 	}
-	if res.ToRs != cfg.NumToRs() {
-		t.Errorf("result counts %d ToRs, the topology has %d", res.ToRs, cfg.NumToRs())
+	if got, want := net.Cfg.NumToRs(), cfg.Clusters*cfg.ToRsPerCluster; got != want {
+		t.Errorf("network counts %d ToRs, the topology has %d", got, want)
 	}
 }
 
@@ -170,16 +171,14 @@ func TestClosDeterminismAcrossPartitioners(t *testing.T) {
 	}
 	run := func(lps int, p Partitioner) string {
 		reg := metrics.NewRegistry()
-		res, err := runNetwork(topology.DefaultClosConfig(4), lps, 0.4, des.Millisecond, 11, NullMessages, reg, nil,
+		net, err := runNetwork(topology.DefaultClosConfig(4), lps, 0.4, des.Millisecond, 11, NullMessages, reg, nil,
 			WithPartitioner(p))
 		if err != nil {
 			t.Fatalf("lps=%d %s: %v", lps, p.Name(), err)
 		}
-		if res.Stats[Violations] != 0 {
-			t.Fatalf("lps=%d %s: %d causality violations", lps, p.Name(), res.Stats[Violations])
-		}
-		if res.Stats[QuiescentSends] != 0 {
-			t.Fatalf("lps=%d %s: %d quiescent-channel sends", lps, p.Name(), res.Stats[QuiescentSends])
+		if st := net.Sys.Stats(); st[Violations] != 0 || st[QuiescentSends] != 0 {
+			t.Fatalf("lps=%d %s: %d causality violations, %d quiescent-channel sends",
+				lps, p.Name(), st[Violations], st[QuiescentSends])
 		}
 		return committedGroups(t, reg)
 	}

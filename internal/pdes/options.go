@@ -63,15 +63,19 @@ func ParseSyncAlgo(s string) (SyncAlgo, error) {
 // tuning every run uses (in-package tests may override it).
 type config struct {
 	algo         SyncAlgo
-	inboxCap     int
 	maxRollbacks uint64
 	tracer       *obs.Tracer
 	sampler      *obs.Sampler
-	samplerPoll  time.Duration
 	partitioner  Partitioner
 	collectives  []collective.Params
 	faults       *faults.Schedule
 
+	// inboxCap is the per-LP inbox capacity of the conservative engines; the
+	// Time Warp engine uses unbounded queues.
+	inboxCap int
+	// samplerPoll is the wall-clock poll period of the sampler on a
+	// multi-LP run (see WithSampler); zero keeps the sampler's default.
+	samplerPoll time.Duration
 	// stallTimeout is how long the committed-time frontier may stand still
 	// before the stall watchdog dumps the flight recorder (see
 	// System.startStallWatchdog).
@@ -112,21 +116,6 @@ type Option func(*config)
 // is NullMessages.
 func WithSyncAlgo(a SyncAlgo) Option { return func(c *config) { c.algo = a } }
 
-// WithInboxCap sets the per-LP inbox capacity for the conservative engines.
-// Correctness does not depend on the capacity — cross-LP sends drain the
-// sender's own inbox while waiting (see LP.send) — but small inboxes increase
-// synchronization stalls; the deadlock regression tests use capacity 1 to
-// exercise the worst case. The Time Warp engine uses unbounded inboxes and
-// ignores this setting.
-func WithInboxCap(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			panic("pdes: inbox capacity must be at least 1")
-		}
-		c.inboxCap = n
-	}
-}
-
 // WithMaxRollbacks aborts a Time Warp run with an error once the total
 // rollback count across LPs exceeds n — a safety valve against rollback
 // thrashing on hostile topologies. Zero (the default) means unlimited.
@@ -152,10 +141,6 @@ func WithObs(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 // sampler event inside a speculative kernel would be rolled back and
 // re-fired. A nil sampler is ignored.
 func WithSampler(s *obs.Sampler) Option { return func(c *config) { c.sampler = s } }
-
-// WithSamplerPoll sets the wall-clock poll period of the Run-managed sampler
-// (see WithSampler). Non-positive keeps the sampler's default (1ms).
-func WithSamplerPoll(d time.Duration) Option { return func(c *config) { c.samplerPoll = d } }
 
 // WithPartitioner selects how Build places fabric switches onto LPs (see
 // Partitioner). The default is ContiguousPartitioner, which reproduces the

@@ -154,18 +154,19 @@ func TestPlacementBeatsContiguous(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seed := range []uint64{1, 2, 3, 42} {
-			res, err := runNetwork(cfg, 4, 0.7, 2*des.Millisecond, seed, NullMessages, nil, nil,
+			net, err := runNetwork(cfg, 4, 0.7, 2*des.Millisecond, seed, NullMessages, nil, nil,
 				WithPartitioner(part))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats[Violations] != 0 || res.Stats[QuiescentSends] != 0 {
+			st := net.Sys.Stats()
+			if st[Violations] != 0 || st[QuiescentSends] != 0 {
 				t.Fatalf("%s seed=%d: %d violations, %d quiescent-channel sends",
-					name, seed, res.Stats[Violations], res.Stats[QuiescentSends])
+					name, seed, st[Violations], st[QuiescentSends])
 			}
 			s := total[name]
-			s.cross += res.Stats[CrossPkts]
-			s.nulls += res.Stats[Nulls]
+			s.cross += st[CrossPkts]
+			s.nulls += st[Nulls]
 			total[name] = s
 		}
 	}

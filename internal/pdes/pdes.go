@@ -91,9 +91,8 @@ type LP struct {
 	// NEXT segment of a segmented run. The buffer is re-ingested at the next
 	// Run entry (resumeParked) and rides System checkpoints (fork.go), which
 	// is what makes Run(t1); Run(t2) commit bit-identically to Run(t2) and
-	// warm multi-LP forking sound. Appended only in quiesced phases (the LP's
-	// own goroutine, its post-run drainer, finalCatchUp) and consumed at Run
-	// entry / Checkpoint / Restore, so it needs no lock.
+	// warm multi-LP forking sound. Appended only by the LP's own goroutine
+	// and consumed at Run entry / Checkpoint / Restore, so it needs no lock.
 	parked []message
 
 	// buf is the LP's trace emission handle (nil when tracing is off); its
@@ -389,6 +388,16 @@ func (s *System) limitChannels(active []bool) {
 // it (all state committed). The error is always nil for the conservative
 // algorithms; Time Warp fails when WithMaxRollbacks is exceeded.
 func (s *System) Run(end des.Time) error {
+	var loop func(*LP, *barrier) int64
+	switch s.cfg.algo {
+	case NullMessages:
+		loop = func(lp *LP, _ *barrier) int64 { lp.run(); return 0 }
+	case Barrier:
+		loop = s.barrierWindows(end)
+	case TimeWarp:
+	default:
+		return fmt.Errorf("pdes: unknown sync algorithm %v", s.cfg.algo)
+	}
 	if sp := s.cfg.sampler; sp != nil {
 		if len(s.lps) == 1 {
 			// Every algorithm runs a lone LP as its plain kernel, so the
@@ -403,15 +412,15 @@ func (s *System) Run(end des.Time) error {
 		defer stopWatch()
 	}
 	var err error
-	switch s.cfg.algo {
-	case NullMessages:
-		s.runNull(end)
-	case Barrier:
-		s.runBarrier(end)
-	case TimeWarp:
+	switch {
+	case len(s.lps) == 1:
+		// A lone LP has no channel, so it never receives a message or parks
+		// an arrival: every algorithm reduces to its kernel.
+		s.lps[0].kernel.Run(end)
+	case s.cfg.algo == TimeWarp:
 		err = s.runTimeWarp(end)
 	default:
-		err = fmt.Errorf("pdes: unknown sync algorithm %v", s.cfg.algo)
+		s.runConservative(end, loop)
 	}
 	if sp := s.cfg.sampler; sp != nil {
 		// The final row is stamped at the horizon on success, at the last
@@ -470,8 +479,29 @@ func (s *System) startStallWatchdog() func() {
 	return func() { close(stop); <-done }
 }
 
-// runNull executes the Chandy-Misra-Bryant null-message protocol.
-func (s *System) runNull(end des.Time) {
+// runConservative runs a multi-LP conservative engine to end on one
+// goroutine per LP. Each goroutine runs loop, which advances its LP strictly
+// below end and returns the number of windows it waited for on the run's
+// barrier (zero under null messages). Then, in three phases separated by
+// that barrier:
+//
+//  1. The LP waits for every other LP to finish its loop, ingesting its
+//     inbox the whole time so a neighbor still running never blocks on it
+//     for good. Everything it ingests is stamped at or beyond end (its inputs
+//     promised nothing earlier): arrivals at exactly end are scheduled,
+//     later ones parked for the next segment (ParkedArrivals).
+//  2. The catch-up: the loops execute strictly below end, so deliveries
+//     stamped exactly end are still pending. Once every LP is past phase 1
+//     every such arrival is in some inbox; the LP drains its own and runs its
+//     kernel inclusively to end. Events at end may send across LPs (always
+//     stamped beyond end: lookahead is positive), so the LP again waits for
+//     the others while it ingests. A sequential catch-up would deadlock on a
+//     small inbox: a sender blocked on an LP that no longer consumes spins on
+//     its own empty inbox forever.
+//  3. Nothing sends anymore; one last drain parks what is still in flight.
+//
+// Every inbox is empty when runConservative returns.
+func (s *System) runConservative(end des.Time, loop func(*LP, *barrier) int64) {
 	n := len(s.lps)
 	for _, lp := range s.lps {
 		lp.end = end
@@ -482,10 +512,10 @@ func (s *System) runNull(end des.Time) {
 		// Seed input promises at the committed floor rather than zero: Run is
 		// only entered at quiescence, where every kernel clock agrees, so no
 		// sender can emit anything at or before its own Now. On a fresh system
-		// the floor is zero (identical to the historical init); on a resumed
-		// segment it is the previous horizon, which spares the protocol a
-		// lookahead-step-at-a-time null-message climb from zero back to time
-		// already committed.
+		// the floor is zero; on a resumed segment it is the previous horizon,
+		// which spares the null-message protocol a lookahead-step-at-a-time
+		// climb from zero back to time already committed. The barrier protocol
+		// records promises but never reads them.
 		floor := lp.kernel.Now()
 		for _, in := range lp.inputs {
 			lp.lastRecv[in] = floor
@@ -502,102 +532,22 @@ func (s *System) runNull(end des.Time) {
 		// here, before any LP goroutine starts.
 		lp.resumeParked()
 	}
-	if n == 1 {
-		s.lps[0].kernel.Run(end)
-		return
-	}
 	s.enterParallel()
 	defer parallelRuns.Add(-1)
+	b := newBarrier(n)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var drainers sync.WaitGroup
 	for _, lp := range s.lps {
 		wg.Add(1)
 		go func(lp *LP) {
 			defer wg.Done()
-			lp.run()
-			// Keep the inbox draining so late senders never block, until the
-			// coordinator announces global completion. Ingest (not just count)
-			// what arrives: everything is stamped at or beyond this LP's
-			// horizon — its inputs promised nothing earlier — so packets at
-			// exactly `end` are scheduled for the final catch-up and later
-			// ones are parked for the next segment. Only this drainer touches
-			// the LP's state after lp.run returned, so the access is race-free.
-			drainers.Add(1)
-			go func() {
-				defer drainers.Done()
-				for {
-					select {
-					case m := <-lp.inbox:
-						lp.ingest(m)
-					case <-stop:
-						// stop closes only after every LP goroutine has
-						// returned, so nothing sends anymore — but a message
-						// may already be sitting in the inbox, and select
-						// picks branches at random when both are ready. Flush
-						// before exiting so every straggler is accounted.
-						for {
-							select {
-							case m := <-lp.inbox:
-								lp.ingest(m)
-							default:
-								return
-							}
-						}
-					}
-				}
-			}()
-		}(lp)
-	}
-	wg.Wait()
-	close(stop)
-	drainers.Wait()
-	// The window loops execute strictly below their horizons (RunBefore), so
-	// deliveries stamped exactly at `end` are still pending. Execute them now
-	// that every same-timestamp arrival is guaranteed to be in the heap.
-	s.finalCatchUp(end)
-}
-
-// finalCatchUp runs every kernel once more, inclusively, to the horizon, so
-// deliveries stamped exactly at `end` execute instead of lingering in the
-// heap. Events at `end` can emit cross-LP sends (always stamped beyond the
-// horizon: lookahead is positive), so the catch-up needs the same two-phase
-// structure as a barrier window: every LP computes while its inbox stays
-// drained, because a sequential catch-up would leave some inboxes unconsumed
-// and a sender blocked on a full one would deadlock — with a bounded inbox
-// the send fallback spins on the sender's own empty inbox forever. The
-// drained messages are ingested, which parks every post-horizon packet
-// (ParkedArrivals) for the next segment instead of silently losing it.
-func (s *System) finalCatchUp(end des.Time) {
-	var wg, compute sync.WaitGroup
-	stop := make(chan struct{})
-	for _, lp := range s.lps {
-		wg.Add(1)
-		compute.Add(1)
-		go func(lp *LP) {
-			defer wg.Done()
+			k := loop(lp, b)
+			lp.awaitWindow(b, k+1)
 			lp.drain()
 			lp.kernel.Run(end)
-			compute.Done()
-			for {
-				select {
-				case m := <-lp.inbox:
-					lp.ingest(m)
-				case <-stop:
-					for {
-						select {
-						case m := <-lp.inbox:
-							lp.ingest(m)
-						default:
-							return
-						}
-					}
-				}
-			}
+			lp.awaitWindow(b, k+2)
+			lp.drain()
 		}(lp)
 	}
-	compute.Wait()
-	close(stop)
 	wg.Wait()
 }
 
@@ -759,7 +709,7 @@ func (lp *LP) stall() {
 const waitPoll = 30 * time.Microsecond
 
 // parallelRuns counts the multi-LP Systems inside a conservative Run in this
-// process (raised and lowered by runNull and runBarrier).
+// process (raised and lowered by runConservative).
 var parallelRuns atomic.Int32
 
 // enterParallel registers a multi-LP conservative run; the caller lowers
@@ -779,10 +729,10 @@ func (s *System) mayPoll() bool {
 }
 
 // wait is the one blocking wait of both conservative engines: the
-// null-message EIT stall and the barrier window wait. It returns once ready
-// reports true; ready is asked after each inbox ingest and told whether that
-// ingest took a message. The LP ingests its inbox the whole time, so a
-// neighbor blocked sending to it always makes progress.
+// null-message EIT stall and the barrier wait (LP.awaitWindow). It returns
+// once ready reports true; ready is asked after each inbox ingest and told
+// whether that ingest took a message. The LP ingests its inbox the whole
+// time, so a neighbor blocked sending to it always makes progress.
 //
 // While mayPoll allows, the LP first polls for up to waitPoll in rounds of
 // ingest, check, runtime.Gosched. Then it parks: it raises its sleeping flag,
@@ -842,41 +792,23 @@ func (lp *LP) sendNulls(horizon des.Time) {
 	}
 }
 
-// runBarrier executes all LPs to the horizon using time-stepped barrier
-// synchronization — the other classic conservative algorithm. All LPs
-// advance in lockstep windows of the global minimum lookahead; a barrier
-// separates windows. Any message sent during window [t, t+d) carries a
-// timestamp >= t+d (lookahead >= d), so delivering queued messages at the
-// next window boundary preserves causality.
+// barrierWindows returns the loop of the barrier engine: time-stepped
+// synchronization, the other classic conservative algorithm. All LPs advance
+// in lockstep windows of the global minimum lookahead; a barrier separates
+// windows. Any message sent during window [t, t+d) carries a timestamp >=
+// t+d (lookahead >= d), so delivering queued messages at the next window
+// boundary preserves causality.
 //
-// Each LP runs on one worker goroutine for the whole run. A worker drains its
-// inbox, executes its window, arrives at the barrier and waits there for the
-// other LPs (LP.awaitWindow): like an EIT stall it goes through LP.wait,
-// polling the shared arrival counter while the gate allows, then parking
-// until the last arrival wakes it. Nothing is spawned or allocated per window.
+// An LP drains its inbox, executes its window, arrives at the barrier and
+// waits there for the other LPs (LP.awaitWindow): like an EIT stall it goes
+// through LP.wait, polling the shared arrival counter while the gate allows,
+// then parking until the last arrival wakes it. Nothing is spawned or
+// allocated per window.
 //
 // Compared to null messages, barriers trade per-channel chatter for
 // synchronization points whose count is horizon/lookahead — a different
 // flavor of the same Figure 1 overhead.
-func (s *System) runBarrier(end des.Time) {
-	n := len(s.lps)
-	for _, lp := range s.lps {
-		lp.end = end
-		lp.lastRecv = make([]des.Time, n)
-		for _, o := range lp.outs {
-			o.lastSent = 0 // per-run state, as in runNull
-		}
-		// Re-ingest arrivals parked past a previous segment's horizon, before
-		// any window goroutine starts (as in runNull; the lastRecv bumps are
-		// recorded but unused — the barrier protocol does not track promises).
-		lp.resumeParked()
-	}
-	if n == 1 {
-		s.lps[0].kernel.Run(end)
-		return
-	}
-	s.enterParallel()
-	defer parallelRuns.Add(-1)
+func (s *System) barrierWindows(end des.Time) func(*LP, *barrier) int64 {
 	delta := des.MaxTime
 	for _, lp := range s.lps {
 		for _, o := range lp.outs {
@@ -898,48 +830,33 @@ func (s *System) runBarrier(end des.Time) {
 	// keyed heap orders events identically regardless of which window
 	// ingested them — the segmented-determinism tests pin this.
 	start := s.CommittedTime()
-	b := newBarrier(n)
-	var wg sync.WaitGroup
-	for _, lp := range s.lps {
-		wg.Add(1)
-		go func(lp *LP) {
-			defer wg.Done()
-			var k int64
-			for t := start; t < end; t += delta {
-				horizon := t + delta
-				if horizon > end {
-					horizon = end
-				}
-				lp.drain()
-				lp.maxHorizon(horizon)
-				// Strictly below the window boundary: a message sent during
-				// this window may be stamped exactly `horizon`, and it is only
-				// guaranteed to have been ingested by the NEXT window's drain.
-				// Deferring boundary events until the window strictly passes
-				// them makes the committed order independent of message arrival
-				// timing (the keyed heap orders all same-timestamp arrivals
-				// identically).
-				lp.kernel.RunBefore(horizon)
-				lp.count[Barriers].Add(1)
-				k++
-				lp.awaitWindow(b, k)
-			}
-		}(lp)
+	return func(lp *LP, b *barrier) int64 {
+		var k int64
+		for t := start; t < end; t += delta {
+			horizon := min(t+delta, end)
+			lp.drain()
+			lp.maxHorizon(horizon)
+			// Strictly below the window boundary: a message sent during this
+			// window may be stamped exactly `horizon`, and it is only
+			// guaranteed to have been ingested by the NEXT window's drain.
+			// Deferring boundary events until the window strictly passes them
+			// makes the committed order independent of message arrival timing
+			// (the keyed heap orders all same-timestamp arrivals identically).
+			lp.kernel.RunBefore(horizon)
+			lp.count[Barriers].Add(1)
+			k++
+			lp.awaitWindow(b, k)
+		}
+		return k
 	}
-	wg.Wait()
-	// Final catch-up: messages sent during the last window carry timestamps
-	// at or beyond `end`; deliveries stamped exactly `end` still execute and
-	// may themselves emit cross-LP sends. A sequential drain-and-run here can
-	// deadlock with a small inbox capacity (a later LP's catch-up send blocks
-	// on an earlier, no-longer-consuming LP), so the catch-up runs all LPs
-	// concurrently with live drainers, matching the null-message engine.
-	s.finalCatchUp(end)
 }
 
-// barrier releases runBarrier's windows. Window k is complete when the
-// shared arrival counter reaches k·n; the last arrival wakes every LP it finds
-// sleeping in wait. Waiters re-check the counter after any wake, so a stale
-// token left from an earlier window is harmless.
+// barrier separates the phases of a conservative run: the barrier engine's
+// windows, then the end of every LP's loop and of the catch-up (see
+// System.runConservative). Window k is complete when the shared arrival
+// counter reaches k·n; the last arrival wakes every LP it finds sleeping in
+// wait. Waiters re-check the counter after any wake, so a stale token left
+// from an earlier window is harmless.
 type barrier struct {
 	n       int64
 	arrived atomic.Int64

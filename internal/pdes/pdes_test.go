@@ -1,6 +1,8 @@
 package pdes
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"approxsim/internal/des"
@@ -152,49 +154,49 @@ func TestBuildLeafSpineValidation(t *testing.T) {
 }
 
 // runExperiment is a tiny Fig. 1 cell used by several tests.
-func runExperiment(t *testing.T, n, lps int) *ExperimentResult {
+func runExperiment(t *testing.T, n, lps int) *Network {
 	t.Helper()
-	res, err := runNetwork(topology.DefaultLeafSpineConfig(n), lps, 0.3, 2*des.Millisecond, 9, NullMessages, nil, nil)
+	net, err := runNetwork(topology.DefaultLeafSpineConfig(n), lps, 0.3, 2*des.Millisecond, 9, NullMessages, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats[Violations] != 0 {
-		t.Fatalf("%d causality violations (synchronization bug)", res.Stats[Violations])
+	if v := net.Sys.Stats()[Violations]; v != 0 {
+		t.Fatalf("%d causality violations (synchronization bug)", v)
 	}
-	return res
+	return net
 }
 
+// TestLeafSpineSingleThreaded: one LP moves traffic with no cross-LP
+// machinery. (Sim-per-wall is measured where runs are timed:
+// scenario.TestReduceMatchesNetwork checks it.)
 func TestLeafSpineSingleThreaded(t *testing.T) {
-	res := runExperiment(t, 4, 1)
-	if res.FlowsStarted == 0 || res.FlowsCompleted == 0 {
-		t.Fatalf("no traffic: %+v", res)
+	net := runExperiment(t, 4, 1)
+	if net.FlowsStarted() == 0 || completed(net) == 0 {
+		t.Fatalf("no traffic: %d flows started, %d completed", net.FlowsStarted(), completed(net))
 	}
-	if res.Stats[Nulls] != 0 || res.Stats[CrossPkts] != 0 {
-		t.Errorf("single-threaded run produced cross-LP traffic: %+v", res)
-	}
-	if res.SimPerWall <= 0 {
-		t.Error("no throughput measured")
+	if st := net.Sys.Stats(); st[Nulls] != 0 || st[CrossPkts] != 0 {
+		t.Errorf("single-threaded run produced cross-LP traffic: %v", st)
 	}
 }
 
 func TestLeafSpineParallelMatchesSequential(t *testing.T) {
 	seq := runExperiment(t, 4, 1)
 	par := runExperiment(t, 4, 4)
-	if par.FlowsStarted != seq.FlowsStarted {
-		t.Fatalf("workloads differ: %d vs %d flows", par.FlowsStarted, seq.FlowsStarted)
+	if par.FlowsStarted() != seq.FlowsStarted() {
+		t.Fatalf("workloads differ: %d vs %d flows", par.FlowsStarted(), seq.FlowsStarted())
 	}
-	if par.FlowsCompleted == 0 {
+	parDone, seqDone := completed(par), completed(seq)
+	if parDone == 0 {
 		t.Fatal("parallel run completed no flows")
 	}
 	// Causality violations would desynchronize TCP wholesale; identical
 	// workloads should complete a very similar flow count. (Cross-LP tie
 	// ordering may differ, so exact equality is not guaranteed.)
-	lo, hi := seq.FlowsCompleted*8/10, seq.FlowsCompleted*12/10+1
-	if par.FlowsCompleted < lo || par.FlowsCompleted > hi {
-		t.Errorf("parallel completed %d flows, sequential %d: suspicious divergence",
-			par.FlowsCompleted, seq.FlowsCompleted)
+	lo, hi := seqDone*8/10, seqDone*12/10+1
+	if parDone < lo || parDone > hi {
+		t.Errorf("parallel completed %d flows, sequential %d: suspicious divergence", parDone, seqDone)
 	}
-	if par.Stats[Nulls] == 0 || par.Stats[CrossPkts] == 0 {
+	if st := par.Sys.Stats(); st[Nulls] == 0 || st[CrossPkts] == 0 {
 		t.Error("parallel run shows no synchronization traffic")
 	}
 }
@@ -204,7 +206,7 @@ func TestParallelEventCountComparable(t *testing.T) {
 	// Total *useful* events should be in the same ballpark as sequential;
 	// the overhead is in messages and blocked time, not phantom events.
 	single := runExperiment(t, 4, 1)
-	ratio := float64(seq.Stats[Events]) / float64(single.Stats[Events])
+	ratio := float64(seq.Sys.Stats()[Events]) / float64(single.Sys.Stats()[Events])
 	if ratio < 0.5 || ratio > 2.0 {
 		t.Errorf("event count ratio parallel/sequential = %.2f, want ~1", ratio)
 	}
@@ -213,8 +215,55 @@ func TestParallelEventCountComparable(t *testing.T) {
 func TestDeterministicSequentialExperiment(t *testing.T) {
 	a := runExperiment(t, 4, 1)
 	b := runExperiment(t, 4, 1)
-	if a.Stats[Events] != b.Stats[Events] || a.FlowsCompleted != b.FlowsCompleted {
-		t.Errorf("sequential experiment not deterministic: %+v vs %+v", a, b)
+	if ea, eb := a.Sys.Stats()[Events], b.Sys.Stats()[Events]; ea != eb || completed(a) != completed(b) {
+		t.Errorf("sequential experiment not deterministic: %d events, %d completed vs %d events, %d completed",
+			ea, completed(a), eb, completed(b))
+	}
+}
+
+// TestConservativeRunOneGoroutinePerLP pins the shared lifecycle of both
+// conservative engines: a multi-LP Run starts exactly one goroutine per LP,
+// and each LP's loop and its catch-up at the horizon run on that goroutine.
+func TestConservativeRunOneGoroutinePerLP(t *testing.T) {
+	const end = 100 * des.Microsecond
+	goroutineID := func() string {
+		buf := make([]byte, 64)
+		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	}
+	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
+		t.Run(algo.String(), func(t *testing.T) {
+			s, a, _ := twoHostSystem(t, WithSyncAlgo(algo))
+			s.LP(0).Kernel().Schedule(0, func() {
+				a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 934})
+			})
+			// Per-LP samples, each written only by its LP's own events.
+			ids := make([][]string, s.NumLPs())
+			counts := make([][]int, s.NumLPs())
+			for i := 0; i < s.NumLPs(); i++ {
+				for _, at := range []des.Time{0, end / 2, end} {
+					s.LP(i).Kernel().Schedule(at, func() {
+						ids[i] = append(ids[i], goroutineID())
+						counts[i] = append(counts[i], runtime.NumGoroutine())
+					})
+				}
+			}
+			base := runtime.NumGoroutine()
+			s.Run(end)
+			for i := range ids {
+				if len(ids[i]) != 3 {
+					t.Fatalf("LP %d ran %d of its 3 events", i, len(ids[i]))
+				}
+				if ids[i][0] != ids[i][1] || ids[i][0] != ids[i][2] {
+					t.Errorf("LP %d ran its events at 0, mid-run and the horizon on goroutines %v, want one", i, ids[i])
+				}
+				for _, n := range counts[i] {
+					if n != base+s.NumLPs() {
+						t.Errorf("LP %d saw %d goroutines during Run, want %d (one per LP beyond the %d before it)",
+							i, n, base+s.NumLPs(), base)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -276,17 +325,18 @@ func TestBarrierMatchesNullMessageResults(t *testing.T) {
 }
 
 func TestRunLeafSpineSyncBarrier(t *testing.T) {
-	res, err := runNetwork(topology.DefaultLeafSpineConfig(4), 2, 0.3, des.Millisecond, 9, Barrier, nil, nil)
+	net, err := runNetwork(topology.DefaultLeafSpineConfig(4), 2, 0.3, des.Millisecond, 9, Barrier, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FlowsCompleted == 0 {
+	if completed(net) == 0 {
 		t.Fatal("barrier-sync experiment completed nothing")
 	}
-	if res.Stats[Barriers] == 0 {
+	st := net.Sys.Stats()
+	if st[Barriers] == 0 {
 		t.Error("no barrier windows counted")
 	}
-	if res.Stats[Nulls] != 0 {
+	if st[Nulls] != 0 {
 		t.Error("barrier mode sent null messages")
 	}
 }

@@ -27,12 +27,13 @@ func TestAllAlgosPoolDebug(t *testing.T) {
 
 	run := func(algo SyncAlgo, opts ...Option) string {
 		reg := metrics.NewRegistry()
-		res, err := runNetwork(topology.DefaultLeafSpineConfig(tors), lps, load, dur, seed, algo, reg, nil, opts...)
+		net, err := runNetwork(topology.DefaultLeafSpineConfig(tors), lps, load, dur, seed, algo, reg, nil, opts...)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if res.Stats[Violations] != 0 {
-			t.Fatalf("%v: %d causality violations", algo, res.Stats[Violations])
+		st := net.Sys.Stats()
+		if st[Violations] != 0 {
+			t.Fatalf("%v: %d causality violations", algo, st[Violations])
 		}
 		return committedGroups(t, reg)
 	}
@@ -76,15 +77,16 @@ func TestLazyDelayedAntiFallback(t *testing.T) {
 	twDisableLazyMatch = true
 	defer func() { twDisableLazyMatch = false }()
 	reg := metrics.NewRegistry()
-	res, err := runNetwork(cfg, lps, load, dur, seed, TimeWarp, reg, nil, withGVTInterval(50*time.Microsecond))
+	net, err := runNetwork(cfg, lps, load, dur, seed, TimeWarp, reg, nil, withGVTInterval(50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats[LazyCancelSaved] != 0 {
-		t.Errorf("reclaim disabled but LazyCancelSaved = %d", res.Stats[LazyCancelSaved])
+	st := net.Sys.Stats()
+	if st[LazyCancelSaved] != 0 {
+		t.Errorf("reclaim disabled but LazyCancelSaved = %d", st[LazyCancelSaved])
 	}
-	if res.Stats[Rollbacks] > 0 && res.Stats[AntiMessages] == 0 {
-		t.Errorf("rollbacks happened (%d) but no anti-messages were flushed", res.Stats[Rollbacks])
+	if st[Rollbacks] > 0 && st[AntiMessages] == 0 {
+		t.Errorf("rollbacks happened (%d) but no anti-messages were flushed", st[Rollbacks])
 	}
 	if got := committedGroups(t, reg); got != ref {
 		t.Errorf("delayed-anti timewarp diverged from nullmsg:\nref: %s\ngot: %s", ref, got)

@@ -20,14 +20,15 @@ import (
 // checkSegmentedClean fails on any of the invariants a segmented conservative
 // run must keep: no causality violations, and no terminal drops (the
 // conservative engines park — PostHorizonDrops belongs to Time Warp alone).
-func checkSegmentedClean(t *testing.T, name string, res *ExperimentResult) {
+func checkSegmentedClean(t *testing.T, name string, net *Network) {
 	t.Helper()
-	if res.Stats[Violations] != 0 {
-		t.Fatalf("%s: %d causality violations", name, res.Stats[Violations])
+	st := net.Sys.Stats()
+	if st[Violations] != 0 {
+		t.Fatalf("%s: %d causality violations", name, st[Violations])
 	}
-	if res.Stats[PostHorizonDrops] != 0 {
+	if st[PostHorizonDrops] != 0 {
 		t.Fatalf("%s: %d post-horizon drops (conservative engines must park, not drop)",
-			name, res.Stats[PostHorizonDrops])
+			name, st[PostHorizonDrops])
 	}
 }
 
@@ -56,11 +57,11 @@ func TestDeterminismPropertySegmented(t *testing.T) {
 		)
 		run := func(algo SyncAlgo, lps int, cuts []des.Time, opts ...Option) string {
 			reg := metrics.NewRegistry()
-			res, err := runNetwork(topology.DefaultClosConfig(clusters), lps, load, dur, seed, algo, reg, cuts, opts...)
+			net, err := runNetwork(topology.DefaultClosConfig(clusters), lps, load, dur, seed, algo, reg, cuts, opts...)
 			if err != nil {
 				t.Fatalf("%v lps=%d cuts=%v: %v", algo, lps, cuts, err)
 			}
-			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), res)
+			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), net)
 			return committedGroups(t, reg)
 		}
 		ref := run(NullMessages, 1, nil)
@@ -111,11 +112,10 @@ func TestDeterminismPropertySegmented(t *testing.T) {
 			if err := net.Sys.Run(dur); err != nil {
 				t.Fatal(err)
 			}
-			res := net.AssembleResult(net.Sys.Stats(), dur, 0)
-			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), res)
-			if res.CollectiveIters != p.Iters {
+			checkSegmentedClean(t, fmt.Sprintf("%v lps=%d cuts=%v", algo, lps, cuts), net)
+			if got := net.Collectives[0].CompletedIters(); got != p.Iters {
 				t.Fatalf("%v lps=%d cuts=%v: %d iterations completed, want %d",
-					algo, lps, cuts, res.CollectiveIters, p.Iters)
+					algo, lps, cuts, got, p.Iters)
 			}
 			return committedGroupsCollective(t, reg)
 		}

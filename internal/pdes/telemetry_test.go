@@ -125,7 +125,7 @@ func TestTimeWarpTelemetryEndToEnd(t *testing.T) {
 		withTimeWindow(30*des.Microsecond),
 		WithObs(tracer),
 		WithSampler(sampler),
-		WithSamplerPoll(100*time.Microsecond))
+		withSamplerPoll(100*time.Microsecond))
 	net.RegisterMetrics(reg)
 	if err := net.Sys.Run(dur); err != nil {
 		t.Fatal(err)

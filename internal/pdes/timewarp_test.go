@@ -243,28 +243,28 @@ func TestCrossAlgoEquivalence(t *testing.T) {
 func TestTimeWarpRollbackStress(t *testing.T) {
 	const seed = 11
 	cfg := topology.DefaultLeafSpineConfig(4)
-	run := func(algo SyncAlgo, lps int, opts ...Option) (string, *ExperimentResult) {
+	run := func(algo SyncAlgo, lps int, opts ...Option) (string, Stats) {
 		reg := metrics.NewRegistry()
-		res, err := runNetwork(cfg, lps, 0.6, 2*des.Millisecond, seed, algo, reg, nil, opts...)
+		net, err := runNetwork(cfg, lps, 0.6, 2*des.Millisecond, seed, algo, reg, nil, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return committedGroups(t, reg), res
+		return committedGroups(t, reg), net.Sys.Stats()
 	}
 	ref, _ := run(NullMessages, 1)
-	got, res := run(TimeWarp, 4,
+	got, st := run(TimeWarp, 4,
 		withGVTInterval(20*time.Microsecond),
 		withCheckpointEvery(32),
 		withTimeWindow(20*des.Microsecond))
-	t.Logf("rollbacks=%d gvt_advances=%d", res.Stats[Rollbacks], res.Stats[GVTAdvances])
-	if res.Stats[Violations] != 0 {
-		t.Errorf("causality violations under stress: %d", res.Stats[Violations])
+	t.Logf("rollbacks=%d gvt_advances=%d", st[Rollbacks], st[GVTAdvances])
+	if st[Violations] != 0 {
+		t.Errorf("causality violations under stress: %d", st[Violations])
 	}
-	if res.Stats[GVTAdvances] == 0 {
+	if st[GVTAdvances] == 0 {
 		t.Error("GVT never advanced under stress")
 	}
 	if got != ref {
 		t.Errorf("committed snapshot after %d rollbacks diverged from the sequential reference:\nref: %s\ngot: %s",
-			res.Stats[Rollbacks], ref, got)
+			st[Rollbacks], ref, got)
 	}
 }

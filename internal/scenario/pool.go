@@ -141,7 +141,7 @@ func (p *Pool) run(sp Spec, res *Result, prog *obs.Progress) error {
 	// Counters accumulate across forks on the shared system; runNetwork
 	// samples its base after Restore (which rewinds kernel event counts with
 	// the checkpoint), so the deltas belong to this run alone.
-	return sp.runNetwork(b.net, res, prog, forked)
+	return sp.runNetwork(b.net, nil, res, prog, forked)
 }
 
 // build constructs and warms the family baseline from its first member's

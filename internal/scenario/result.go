@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"time"
+
 	"approxsim/internal/core"
+	"approxsim/internal/des"
 	"approxsim/internal/pdes"
+	"approxsim/internal/traffic"
 )
 
 // Metrics is the deterministic block of a result: identical specs produce
@@ -72,60 +76,68 @@ type Result struct {
 	Perf    Perf    `json:"perf"`
 
 	// Engine-native results for callers that need more than the summary,
-	// never serialized. Experiment is the assembled packet-level result
-	// (partition layout, sync counters) of every mode but fluid; Run adds
-	// what the paper's pipeline measured (RTT samples, boundary captures,
-	// fabric stats) in the clos modes full, hybrid and blackbox.
-	Run        *core.RunResult        `json:"-"`
-	Experiment *pdes.ExperimentResult `json:"-"`
+	// never serialized. Every mode but fluid sets Stats, this run's delta of
+	// the sync-machinery counters, and Partition, the placement the network
+	// was built with; Run is what the paper's pipeline measured (RTT
+	// samples, boundary captures, fabric stats) in the clos modes full,
+	// hybrid and blackbox.
+	Stats     pdes.Stats           `json:"-"`
+	Partition *pdes.PartitionStats `json:"-"`
+	Run       *core.RunResult      `json:"-"`
 }
 
-// addPipeline adds what only a clos run's pipeline and transport summary
-// report: delivered bytes and the observed cluster's RTT quantiles. Pdes-mode
-// results have never carried total_bytes; adding it there would change every
-// committed pdes-mode Metrics block.
-func (m *Metrics) addPipeline(e *pdes.ExperimentResult, r *core.RunResult) {
-	m.TotalBytes = e.TotalBytes
-	if r.RTTs.Len() > 0 {
-		m.RTTSamples = r.RTTs.Len()
-		m.RTTP50Sec = r.RTTs.Quantile(0.5)
-		m.RTTP99Sec = r.RTTs.Quantile(0.99)
+// reduce fills Metrics and Perf from net after a run to end that took wall
+// time, with r.Stats and r.Run already set. Flows counts flows started, open
+// loop and collective, in every mode. Delivered bytes and the observed
+// cluster's RTT quantiles are what only a clos run's pipeline reports:
+// pdes-mode results have never carried total_bytes, and adding it there
+// would change every committed pdes-mode Metrics block.
+func (r *Result) reduce(net *pdes.Network, end des.Time, wall time.Duration, forked bool) {
+	sum := traffic.Summarize(net.Results(), end)
+	m := Metrics{
+		Flows:      net.FlowsStarted(),
+		Completed:  sum.Completed,
+		MeanFCTSec: sum.MeanFCT,
+		P99FCTSec:  sum.P99FCT,
+		Retrans:    sum.Retrans,
+		Timeouts:   sum.Timeouts,
+		GoodputBps: sum.GoodputBps,
+		FaultDrops: net.FaultDrops(),
+		RouteDrops: net.RouteDrops(),
 	}
-}
-
-// metricsFromExperiment reduces a packet-level result to the deterministic
-// block. Flows counts flows started, in every mode.
-func metricsFromExperiment(r *pdes.ExperimentResult) Metrics {
-	return Metrics{
-		Flows:      r.FlowsStarted,
-		Completed:  r.FlowsCompleted,
-		MeanFCTSec: r.MeanFCTSec,
-		P99FCTSec:  r.P99FCTSec,
-		Retrans:    r.Retrans,
-		Timeouts:   r.Timeouts,
-		GoodputBps: r.GoodputBps,
-		FaultDrops: r.FaultDrops,
-		RouteDrops: r.RouteDrops,
-
-		CollectiveIters:       r.CollectiveIters,
-		CollectiveIterNS:      r.CollectiveIterNS,
-		CollectiveMeanIterSec: r.CollectiveMeanIterSec,
-		CollectiveMaxIterSec:  r.CollectiveMaxIterSec,
+	for _, in := range net.Collectives {
+		m.CollectiveIters += in.CompletedIters()
+		for _, d := range in.IterDurations() {
+			m.CollectiveIterNS = append(m.CollectiveIterNS, int64(d))
+			m.CollectiveMeanIterSec += d.Seconds()
+			m.CollectiveMaxIterSec = max(m.CollectiveMaxIterSec, d.Seconds())
+		}
 	}
-}
-
-// perfFromExperiment reduces a packet-level result to the performance block.
-func perfFromExperiment(r *pdes.ExperimentResult, forked bool) Perf {
-	return Perf{
-		WallSeconds:      r.WallSeconds,
-		SimSeconds:       r.SimSeconds,
-		SimPerWall:       r.SimPerWall,
-		Events:           r.Stats[pdes.Events],
+	if n := len(m.CollectiveIterNS); n > 0 {
+		m.CollectiveMeanIterSec /= float64(n)
+	}
+	if r.Run != nil {
+		m.TotalBytes = sum.TotalBytes
+		if rtts := r.Run.RTTs; rtts.Len() > 0 {
+			m.RTTSamples = rtts.Len()
+			m.RTTP50Sec = rtts.Quantile(0.5)
+			m.RTTP99Sec = rtts.Quantile(0.99)
+		}
+	}
+	st := r.Stats
+	r.Metrics = m
+	r.Perf = Perf{
+		WallSeconds:      wall.Seconds(),
+		SimSeconds:       end.Seconds(),
+		Events:           st[pdes.Events],
 		ForkReused:       forked,
-		Nulls:            r.Stats[pdes.Nulls],
-		Barriers:         r.Stats[pdes.Barriers],
-		CrossPkts:        r.Stats[pdes.CrossPkts],
-		ParkedArrivals:   r.Stats[pdes.ParkedArrivals],
-		PostHorizonDrops: r.Stats[pdes.PostHorizonDrops],
+		Nulls:            st[pdes.Nulls],
+		Barriers:         st[pdes.Barriers],
+		CrossPkts:        st[pdes.CrossPkts],
+		ParkedArrivals:   st[pdes.ParkedArrivals],
+		PostHorizonDrops: st[pdes.PostHorizonDrops],
+	}
+	if wall > 0 {
+		r.Perf.SimPerWall = r.Perf.SimSeconds / r.Perf.WallSeconds
 	}
 }

@@ -225,14 +225,7 @@ func (s Spec) runPacket(res *Result, ro *runOptions) error {
 		net.RegisterMetrics(ro.registry)
 		pipe.RegisterMetrics(ro.registry)
 	}
-	if err := s.runNetwork(net, res, ro.progress, false); err != nil {
-		return err
-	}
-	if pipe != nil {
-		res.Run = pipe.Result()
-		res.Metrics.addPipeline(res.Experiment, res.Run)
-	}
-	return nil
+	return s.runNetwork(net, pipe, res, ro.progress, false)
 }
 
 // build constructs the spec's network with the one builder, pdes.Build: its
@@ -271,15 +264,16 @@ func (s Spec) faultSchedule(cfg topology.Config) (*faults.Schedule, error) {
 }
 
 // runNetwork runs a built network to the spec's end (horizon plus drain),
-// publishing live progress into prog, and fills res. Engine counters are
-// reported as deltas over this run: a network restored from a pooled
-// checkpoint reports its own run alone, and on a fresh network the delta is
-// the whole count.
-func (s Spec) runNetwork(net *pdes.Network, res *Result, prog *obs.Progress, forked bool) error {
+// publishing live progress into prog, and fills res; pipe is the clos
+// modes' attached pipeline, nil in pdes mode. Engine counters are reported
+// as deltas over this run: a network restored from a pooled checkpoint
+// reports its own run alone, and on a fresh network the delta is the whole
+// count.
+func (s Spec) runNetwork(net *pdes.Network, pipe *core.Pipeline, res *Result, prog *obs.Progress, forked bool) error {
 	base := net.Sys.Stats()
-	// The events clock reports this run's delta, matching the assembled
-	// result; committed time is absolute (forks resume at the warm point,
-	// never before it, so the reading is monotone within the run).
+	// The events clock reports this run's delta, matching res.Stats;
+	// committed time is absolute (forks resume at the warm point, never
+	// before it, so the reading is monotone within the run).
 	stop := prog.Watch(net.Sys.CommittedTime, func() uint64 { return net.Sys.Stats()[pdes.Events] - base[pdes.Events] }, 0)
 	start := time.Now()
 	err := net.Sys.Run(s.end())
@@ -288,11 +282,15 @@ func (s Spec) runNetwork(net *pdes.Network, res *Result, prog *obs.Progress, for
 	if err != nil {
 		return err
 	}
-	r := net.AssembleResult(net.Sys.Stats().Sub(base), s.end(), wall)
-	if err := checkExperiment(r); err != nil {
+	st := net.Sys.Stats().Sub(base)
+	if err := checkStats(st); err != nil {
 		return err
 	}
-	res.Experiment, res.Metrics, res.Perf = r, metricsFromExperiment(r), perfFromExperiment(r, forked)
+	res.Stats, res.Partition = st, net.Partition
+	if pipe != nil {
+		res.Run = pipe.Result()
+	}
+	res.reduce(net, s.end(), wall, forked)
 	return nil
 }
 
@@ -336,14 +334,15 @@ func (s Spec) flowSpecs(cfg topology.Config) ([]traffic.FlowSpec, error) {
 	return traffic.GenerateSpecs(tc, hosts, s.horizon())
 }
 
-// checkExperiment enforces the engine's correctness invariants on a finished
-// pdes run: a violation or a quiescent-channel send is a bug, not a result.
-func checkExperiment(r *pdes.ExperimentResult) error {
-	if r.Stats[pdes.Violations] != 0 {
-		return fmt.Errorf("scenario: pdes run committed %d causality violations (synchronization bug)", r.Stats[pdes.Violations])
+// checkStats enforces the engine's correctness invariants on a finished
+// run's counters: a violation or a quiescent-channel send is a bug, not a
+// result.
+func checkStats(st pdes.Stats) error {
+	if st[pdes.Violations] != 0 {
+		return fmt.Errorf("scenario: pdes run committed %d causality violations (synchronization bug)", st[pdes.Violations])
 	}
-	if r.Stats[pdes.QuiescentSends] != 0 {
-		return fmt.Errorf("scenario: %d packets crossed channels the quiescence analysis declared idle", r.Stats[pdes.QuiescentSends])
+	if st[pdes.QuiescentSends] != 0 {
+		return fmt.Errorf("scenario: %d packets crossed channels the quiescence analysis declared idle", st[pdes.QuiescentSends])
 	}
 	return nil
 }

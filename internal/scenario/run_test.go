@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"testing"
 
+	"approxsim/internal/core"
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
 	"approxsim/internal/pdes"
+	"approxsim/internal/traffic"
 )
 
 // mustMetricsJSON canonicalizes a Metrics block for bit-level comparison —
@@ -304,5 +306,86 @@ func TestPoolIneligibleFallsCold(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Builds != 0 {
 		t.Fatalf("timewarp run touched the pool: %+v", st)
+	}
+}
+
+// TestReduceMatchesNetwork pins the one reduction from a finished network to
+// a result: Metrics carry the flow summary of the network's own results
+// exactly (traffic.Summarize over the run's end), the flows started and the
+// collective iterations; total_bytes and RTTs only in the clos modes; Perf
+// carries the run's counters and its sim-per-wall rate.
+func TestReduceMatchesNetwork(t *testing.T) {
+	for _, sp := range []Spec{
+		{Mode: "full", Workload: Workload{Load: 0.3}, Seed: 4, HorizonMS: 2},
+		{Mode: "pdes", Topology: Topology{Racks: 4}, Workload: Workload{Load: 0.2, Collective: "ring:hosts=4,size=64KB,iters=2"},
+			LPs: 2, Seed: 4, HorizonMS: 3},
+	} {
+		t.Run(sp.Mode, func(t *testing.T) {
+			if err := sp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			sp = sp.Normalized()
+			net, err := sp.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pipe *core.Pipeline
+			if sp.Mode != "pdes" {
+				topo, err := net.Topology()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pipe, err = core.Attach(sp.coreConfig(), topo, net.Stacks, sp.boundary(), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := &Result{}
+			if err := sp.runNetwork(net, pipe, res, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			m, want := res.Metrics, traffic.Summarize(net.Results(), sp.end())
+			if want.Completed == 0 {
+				t.Fatal("the workload completed nothing; the comparison below would prove nothing")
+			}
+			if m.Flows != net.FlowsStarted() || m.Completed != want.Completed || m.MeanFCTSec != want.MeanFCT ||
+				m.P99FCTSec != want.P99FCT || m.Retrans != want.Retrans || m.Timeouts != want.Timeouts ||
+				m.GoodputBps != want.GoodputBps {
+				t.Errorf("metrics %+v do not carry the network's summary %+v (%d flows started)", m, want, net.FlowsStarted())
+			}
+			if m.FaultDrops != net.FaultDrops() || m.RouteDrops != net.RouteDrops() {
+				t.Errorf("drops %d/%d, network counts %d/%d", m.FaultDrops, m.RouteDrops, net.FaultDrops(), net.RouteDrops())
+			}
+			if clos := sp.Mode != "pdes"; clos != (m.TotalBytes == want.TotalBytes) || clos != (m.RTTSamples > 0) {
+				t.Errorf("total_bytes %d (summary %d), %d RTT samples: want both only in the clos modes",
+					m.TotalBytes, want.TotalBytes, m.RTTSamples)
+			}
+			if sp.Workload.Collective != "" {
+				in := net.Collectives[0]
+				if m.CollectiveIters != in.CompletedIters() || m.CollectiveIters == 0 || len(m.CollectiveIterNS) != len(in.IterDurations()) {
+					t.Errorf("collective iters %d over %v, network completed %d over %v",
+						m.CollectiveIters, m.CollectiveIterNS, in.CompletedIters(), in.IterDurations())
+				}
+				var sum float64
+				for _, d := range in.IterDurations() {
+					sum += d.Seconds()
+				}
+				if mean := sum / float64(len(m.CollectiveIterNS)); m.CollectiveMeanIterSec != mean ||
+					m.CollectiveMeanIterSec <= 0 || m.CollectiveMaxIterSec < m.CollectiveMeanIterSec {
+					t.Errorf("collective mean/max %v/%v, want mean %v and max at least the mean",
+						m.CollectiveMeanIterSec, m.CollectiveMaxIterSec, mean)
+				}
+			}
+			p, st := res.Perf, net.Sys.Stats()
+			if res.Stats != st || p.Events != st[pdes.Events] || p.Nulls != st[pdes.Nulls] ||
+				p.CrossPkts != st[pdes.CrossPkts] || p.ParkedArrivals != st[pdes.ParkedArrivals] {
+				t.Errorf("perf %+v / stats %v, network counts %v", p, res.Stats, st)
+			}
+			if res.Partition != net.Partition {
+				t.Error("result does not carry the network's partition")
+			}
+			if p.SimSeconds != sp.end().Seconds() || p.SimPerWall <= 0 || p.SimPerWall != p.SimSeconds/p.WallSeconds {
+				t.Errorf("sim %vs over wall %vs at %v sim-s per wall-s", p.SimSeconds, p.WallSeconds, p.SimPerWall)
+			}
+		})
 	}
 }

@@ -239,6 +239,17 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: %s %g is not a finite number", name, v)
 		}
 	}
+	if n.Mode == "fluid" {
+		// The fluid engine runs its own completion window and keeps no
+		// queues, so either field would only alias cache keys of one run.
+		// Normalized fills in the default drain, which stays accepted.
+		if n.DrainMS != n.HorizonMS/2 {
+			return fmt.Errorf("scenario: drain_ms does not apply to fluid mode")
+		}
+		if n.Topology.QueueFrames != 0 {
+			return fmt.Errorf("scenario: topology.queue_frames does not apply to fluid mode")
+		}
+	}
 	if n.Workload.Collective != "" {
 		if n.Workload.Load < 0 || n.Workload.Load > 1 {
 			return fmt.Errorf("scenario: load %g out of [0, 1] (0 = collective only)", n.Workload.Load)

@@ -278,6 +278,8 @@ func TestValidateRejections(t *testing.T) {
 		{"bad size dist", Spec{Workload: Workload{SizeDist: "pareto"}}},
 		{"dctcp in pdes", Spec{Mode: "pdes", DCTCP: true}},
 		{"dctcp in fluid", Spec{Mode: "fluid", DCTCP: true}},
+		{"drain in fluid", Spec{Mode: "fluid", DrainMS: 3}},
+		{"queue frames in fluid", Spec{Mode: "fluid", Topology: Topology{QueueFrames: 10}}},
 		{"bad sync", Spec{Mode: "pdes", Sync: "lockstep"}},
 		{"bad partition", Spec{Mode: "pdes", Partition: "random"}},
 		{"too many lps", Spec{Mode: "pdes", Topology: Topology{Racks: 4}, LPs: 8}},
