@@ -317,14 +317,14 @@ func TestBlackBoxVsHybridEventCounts(t *testing.T) {
 	// Every count of all four runs is pinned exactly: capture on either
 	// side of the boundary and replacement on either side must not move.
 	want := []pinned{
-		{events: 302135, records: 11533, rtts: 3231, flows: 22},
-		{events: 302135, records: 11517, rtts: 3231, flows: 22},
-		{events: 27724, rtts: 507, flows: 8, fabrics: []approx.Stats{
+		{events: 211629, records: 11533, rtts: 3231, flows: 22},
+		{events: 211629, records: 11517, rtts: 3231, flows: 22},
+		{events: 19927, rtts: 507, flows: 8, fabrics: []approx.Stats{
 			{EgressPackets: 560, IngressPackets: 552, EgressDrops: 31, IngressDrops: 57, Conflicts: 492},
 			{EgressPackets: 314, IngressPackets: 340, EgressDrops: 18, IngressDrops: 30, Conflicts: 146},
 			{EgressPackets: 347, IngressPackets: 366, EgressDrops: 28, IngressDrops: 37, Conflicts: 136},
 		}},
-		{events: 20840, rtts: 531, flows: 5, fabrics: []approx.Stats{
+		{events: 15154, rtts: 531, flows: 5, fabrics: []approx.Stats{
 			{EgressPackets: 1115, IngressPackets: 1079, EgressDrops: 86, IngressDrops: 92, Conflicts: 453},
 		}},
 	}

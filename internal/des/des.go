@@ -239,7 +239,11 @@ type Kernel struct {
 	nsched uint64 // events scheduled
 	ncanc  uint64 // events canceled
 	hook   Hook
-	stop   bool
+
+	// cur is the seq half of the order cursor (see Passed): at time now, every
+	// band-0, key-0 event with a seq below cur has run. Written atomically by
+	// the owner, so Passed is safe from any goroutine.
+	cur uint64
 
 	// Event free list (pool.go). Owned by the kernel goroutine like the heap.
 	free []*Event
@@ -293,7 +297,7 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("des: nil event function")
 	}
-	return k.schedule(t, 0, 0, nil, fn, nil)
+	return k.schedule(t, 0, 0, k.ReserveSeq(), nil, fn, nil)
 }
 
 // AtCtxFn runs fn(ctx) at absolute virtual time t. A component that
@@ -319,16 +323,61 @@ func (k *Kernel) AtCtxFn(t Time, band uint8, key uint64, ctx any, fn func(ctx an
 	if fn == nil {
 		panic("des: nil event function")
 	}
-	return k.schedule(t, band, key, ctx, nil, fn)
+	return k.schedule(t, band, key, k.ReserveSeq(), ctx, nil, fn)
 }
 
-func (k *Kernel) schedule(t Time, band uint8, key uint64, ctx any, fn func(), fnCtx func(any)) *Event {
+// ReserveSeq consumes the next schedule sequence number without scheduling
+// anything, and returns it. A component that would schedule an event only to
+// find, when it fires, that nothing needs doing reserves its seq instead: the
+// deferred event (see Passed) then holds the place in the (at, band, key, seq)
+// order that the real one would have taken, and AtSeq can still schedule it
+// there, so every other event keeps the seq it had and the committed order is
+// unchanged.
+func (k *Kernel) ReserveSeq() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// AtSeq runs fn at absolute virtual time t in band 0 with key 0, under a seq
+// that ReserveSeq returned. The event must not already have Passed.
+func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) *Event {
+	if fn == nil {
+		panic("des: nil event function")
+	}
+	if seq == 0 || seq > k.seq {
+		panic(fmt.Sprintf("des: AtSeq with unreserved seq %d", seq))
+	}
+	return k.schedule(t, 0, 0, seq, nil, fn, nil)
+}
+
+// Passed reports whether an event keyed (t, 0, 0, seq) — band 0, key 0, with
+// a seq from ReserveSeq reserved before the clock reached t — would already
+// have run. It compares the key against the order cursor:
+//
+//   - inside an event, the cursor is that event's (at, band, key, seq);
+//   - after Run(until), everything at or before until has passed;
+//   - after RunBefore(until) advanced the clock, nothing at until has;
+//   - a KernelState checkpoints the cursor and Restore puts it back.
+//
+// Safe to call from any goroutine; a reader racing the kernel may see the
+// answer one event early or late.
+func (k *Kernel) Passed(t Time, seq uint64) bool {
+	if now := k.Now(); t != now {
+		return t < now
+	}
+	return seq < atomic.LoadUint64(&k.cur)
+}
+
+// setCursor records that, at the current time, every band-0 key-0 event with
+// a seq below cur has run.
+func (k *Kernel) setCursor(cur uint64) { atomic.StoreUint64(&k.cur, cur) }
+
+func (k *Kernel) schedule(t Time, band uint8, key uint64, seq uint64, ctx any, fn func(), fnCtx func(any)) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, k.now))
 	}
-	k.seq++
 	e := k.alloc()
-	e.at, e.band, e.key, e.seq = t, band, key, k.seq
+	e.at, e.band, e.key, e.seq = t, band, key, seq
 	e.fn, e.fnCtx, e.ctx = fn, fnCtx, ctx
 	k.heap.push(e)
 	atomic.AddUint64(&k.nsched, 1)
@@ -365,6 +414,13 @@ func (k *Kernel) Step() bool {
 	e := k.heap.pop()
 	checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
 	k.setNow(e.at)
+	// The event is the cursor: band-0 key-0 seqs below its own have run at
+	// this time, and so has all of band 0 key 0 once a later (band, key) runs.
+	if e.band == 0 && e.key == 0 {
+		k.setCursor(e.seq)
+	} else {
+		k.setCursor(math.MaxUint64)
+	}
 	fn, fnCtx, ctx := e.fn, e.fnCtx, e.ctx
 	at, seq := e.at, e.seq
 	if n := atomic.AddUint64(&k.nexec, 1); n%publishEvery == 0 {
@@ -386,21 +442,24 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events in timestamp order until the queue drains, until the
-// next event would fire after `until`, or until Stop is called. On return,
-// Now is min(until, time of last executed event); events beyond `until`
-// remain queued so the caller can resume with a later horizon.
+// Run executes events in timestamp order until the queue drains or the next
+// event would fire after `until`. On return, Now is min(until, time of last
+// executed event); events beyond `until` remain queued so the caller can
+// resume with a later horizon.
 func (k *Kernel) Run(until Time) {
-	k.stop = false
 	defer k.publish()
-	for !k.stop && len(k.heap) > 0 && k.heap[0].at <= until {
+	for len(k.heap) > 0 && k.heap[0].at <= until {
 		k.Step()
 	}
 	// Advance idle time to the horizon so repeated Run calls observe
 	// monotonic progress — except for the drain-everything horizon used by
 	// RunAll, where the end of the last event is the natural finish time.
-	if k.now < until && until != MaxTime && !k.stop {
+	if k.now < until && until != MaxTime {
 		k.setNow(until)
+	}
+	// Every event at or before until has run.
+	if k.now <= until {
+		k.setCursor(math.MaxUint64)
 	}
 }
 
@@ -414,22 +473,18 @@ func (k *Kernel) Run(until Time) {
 // already in the heap, where the (band, key) order makes their committed
 // order independent of ingestion timing.
 func (k *Kernel) RunBefore(until Time) {
-	k.stop = false
 	defer k.publish()
-	for !k.stop && len(k.heap) > 0 && k.heap[0].at < until {
+	for len(k.heap) > 0 && k.heap[0].at < until {
 		k.Step()
 	}
-	if k.now < until && !k.stop {
+	if k.now < until {
 		k.setNow(until)
+		k.setCursor(0) // nothing at until has run
 	}
 }
 
 // RunAll executes events until the queue is fully drained.
 func (k *Kernel) RunAll() { k.Run(MaxTime) }
-
-// Stop makes Run return after the currently executing event completes.
-// It may be called from inside an event.
-func (k *Kernel) Stop() { k.stop = true }
 
 // Pending returns the number of events in the heap. The heap holds only live
 // events, so that is exactly Scheduled − Executed − Canceled, and it is

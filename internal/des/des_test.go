@@ -152,26 +152,6 @@ func TestRunAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.RunAll()
-	if count != 3 {
-		t.Errorf("executed %d events after Stop at 3", count)
-	}
-	if k.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", k.Pending())
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -83,3 +83,24 @@ func TestPoolDebugPopAssertsOnPooledEvent(t *testing.T) {
 	k.heap.push(e) // corruption: a pooled object reachable from the heap
 	mustPanic(t, "pop on a recycled event", func() { k.Step() })
 }
+
+// An AtSeq event comes from the free list and goes back to it like any other:
+// it reuses a recycled object and is poisoned once it fires.
+func TestPoolDebugAtSeqRecycles(t *testing.T) {
+	k := NewKernel()
+	first := k.Schedule(10, func() {})
+	k.RunAll()
+	fired := false
+	e := k.AtSeq(20, k.ReserveSeq(), func() { fired = true })
+	if e != first {
+		t.Fatal("AtSeq did not reuse the recycled event object")
+	}
+	k.RunAll()
+	if !fired {
+		t.Fatal("AtSeq event did not fire")
+	}
+	if !e.pooled || e.at != poisonTime {
+		t.Fatalf("fired AtSeq event not recycled: pooled=%v at=%d", e.pooled, e.at)
+	}
+	mustPanic(t, "recycled event fired", e.fn)
+}

@@ -39,6 +39,7 @@ type savedEvent struct {
 type KernelState struct {
 	now    Time
 	seq    uint64
+	cur    uint64 // the order cursor's seq (see Kernel.Passed)
 	nexec  uint64
 	nsched uint64
 	ncanc  uint64
@@ -57,7 +58,7 @@ func (s *KernelState) Executed() uint64 { return s.nexec }
 // The kernel must be quiescent (not inside Run/Step) when called.
 func (k *Kernel) Snapshot(saveCtx func(ctx any) any) *KernelState {
 	st := &KernelState{
-		now: k.now, seq: k.seq,
+		now: k.now, seq: k.seq, cur: k.cur,
 		nexec: k.nexec, nsched: k.nsched, ncanc: k.ncanc,
 		events: make([]savedEvent, len(k.heap)),
 	}
@@ -90,6 +91,7 @@ func (k *Kernel) Snapshot(saveCtx func(ctx any) any) *KernelState {
 func (k *Kernel) Restore(st *KernelState, restoreCtx func(ctx, blob any)) {
 	k.setNow(st.now)
 	k.seq = st.seq
+	k.setCursor(st.cur)
 	// Counters shrink here by design: rolled-back work is un-counted. Stores
 	// are atomic so a concurrent sampler never sees a torn value (it must
 	// tolerate non-monotone readings from optimistic runs — see obs.Sampler).

@@ -79,26 +79,3 @@ func TestRunResumeAcrossManyHorizons(t *testing.T) {
 		t.Errorf("single run executed %d, chopped run %d", *c1, *c2)
 	}
 }
-
-// TestStopInsideRunThenResume: Stop must not lose events.
-func TestStopInsideRunThenResume(t *testing.T) {
-	k := NewKernel()
-	total := 0
-	for i := 1; i <= 100; i++ {
-		i := i
-		k.Schedule(Time(i), func() {
-			total++
-			if i == 50 {
-				k.Stop()
-			}
-		})
-	}
-	k.RunAll()
-	if total != 50 {
-		t.Fatalf("stopped run executed %d, want 50", total)
-	}
-	k.RunAll()
-	if total != 100 {
-		t.Fatalf("resumed run executed %d, want 100", total)
-	}
-}

@@ -111,17 +111,27 @@ type Port struct {
 	queue       []*packet.Packet
 	qhead       int
 	queuedBytes int64
-	busy        bool
 
-	// txSize is the size of the packet currently serializing. The completion
-	// event reads it instead of capturing the packet, which lets every
-	// transmission share the single txDone closure below; txSize is
-	// checkpointed with the port state, since a rollback can land between
-	// transmit start and completion. The arrival at the peer likewise shares
-	// one handler, arrive, which receives its packet as the event context.
-	// Both are bound once in NewPort and the event objects come from the
-	// kernel pool, so forwarding a packet allocates nothing.
-	txSize int64
+	// busy is set while a packet serializes: until busyUntil, the time its
+	// last bit leaves. txSize is that packet's size, charged to the stats on
+	// completion. The completion (tx-done) is an event only when a queued
+	// packet waits for it. Otherwise it is a phantom: phantom holds the seq
+	// des.Kernel.ReserveSeq set aside for it, and the port completes it
+	// lazily — in Send once the kernel reports the key (busyUntil, 0, 0,
+	// phantom) Passed, and in Stats — exactly as if the event had run. A
+	// Send that queues behind a pending phantom arms the real event with
+	// that seq, so the committed event order is the same either way.
+	// phantom is 0 when the port is idle or the tx-done is armed. busyUntil,
+	// txSize and phantom are stored atomically for Stats.
+	busy      bool
+	busyUntil des.Time
+	txSize    int64
+	phantom   uint64
+
+	// txDone and arrive are the tx-done and arrival handlers, bound once in
+	// NewPort and shared by every transmission; the arrival's packet rides
+	// as its event context. With event objects from the kernel pool,
+	// forwarding a packet allocates nothing.
 	txDone func()
 	arrive func(any)
 
@@ -181,16 +191,34 @@ func (p *Port) Index() int { return p.index }
 // tid (conventionally the owning device's NodeID). A nil b disables tracing.
 func (p *Port) SetTrace(b *obs.Buf, tid int32) { p.trace, p.tid = b, tid }
 
-// Stats returns a torn-free snapshot of the port counters. Safe to call from
-// any goroutine.
+// Stats returns a torn-free snapshot of the port counters, with a phantom
+// tx-done that has Passed counted as complete. Safe to call from any
+// goroutine.
 func (p *Port) Stats() PortStats {
-	return PortStats{
-		TxPackets:  atomic.LoadUint64(&p.stats.TxPackets),
-		TxBytes:    atomic.LoadUint64(&p.stats.TxBytes),
-		Drops:      atomic.LoadUint64(&p.stats.Drops),
-		ECNMarks:   atomic.LoadUint64(&p.stats.ECNMarks),
-		FaultDrops: atomic.LoadUint64(&p.stats.FaultDrops),
-		MaxQueue:   atomic.LoadInt64(&p.stats.MaxQueue),
+	for {
+		ph := atomic.LoadUint64(&p.phantom)
+		until := des.Time(atomic.LoadInt64((*int64)(&p.busyUntil)))
+		size := atomic.LoadInt64(&p.txSize)
+		st := PortStats{
+			TxPackets:  atomic.LoadUint64(&p.stats.TxPackets),
+			TxBytes:    atomic.LoadUint64(&p.stats.TxBytes),
+			Drops:      atomic.LoadUint64(&p.stats.Drops),
+			ECNMarks:   atomic.LoadUint64(&p.stats.ECNMarks),
+			FaultDrops: atomic.LoadUint64(&p.stats.FaultDrops),
+			MaxQueue:   atomic.LoadInt64(&p.stats.MaxQueue),
+		}
+		// Send clears phantom before it charges the completed phantom's
+		// packet, so if phantom reads the same on both sides, the counters
+		// read in between do not include it yet. Otherwise a concurrent
+		// Send moved on; read again rather than count the packet twice.
+		if atomic.LoadUint64(&p.phantom) != ph {
+			continue
+		}
+		if ph != 0 && p.kernel.Passed(until, ph) {
+			st.TxPackets++
+			st.TxBytes += uint64(size)
+		}
+		return st
 	}
 }
 
@@ -207,6 +235,14 @@ func (p *Port) Send(pkt *packet.Packet) {
 	if p.peer == nil {
 		panic(fmt.Sprintf("netsim: send on unconnected port %d of node %d",
 			p.index, p.owner.NodeID()))
+	}
+	if p.phantom != 0 && p.kernel.Passed(p.busyUntil, p.phantom) {
+		// The unarmed tx-done would have run by now and found the queue
+		// empty: charge its packet and free the transmitter. Clearing
+		// phantom before charging is what Stats relies on.
+		p.setPhantom(0)
+		p.completeTx()
+		p.busy = false
 	}
 	if !p.busy {
 		p.transmit(pkt)
@@ -241,6 +277,23 @@ func (p *Port) Send(pkt *packet.Packet) {
 	if p.queuedBytes > p.stats.MaxQueue {
 		atomic.StoreInt64(&p.stats.MaxQueue, p.queuedBytes)
 	}
+	if p.phantom != 0 {
+		p.armTxDone()
+	}
+}
+
+// armTxDone schedules the real tx-done in the place its reserved seq holds.
+func (p *Port) armTxDone() {
+	p.kernel.AtSeq(p.busyUntil, p.phantom, p.txDone)
+	p.setPhantom(0)
+}
+
+func (p *Port) setPhantom(seq uint64) { atomic.StoreUint64(&p.phantom, seq) }
+
+// completeTx charges the stats for the packet that just left the wire.
+func (p *Port) completeTx() {
+	atomic.AddUint64(&p.stats.TxPackets, 1)
+	atomic.AddUint64(&p.stats.TxBytes, uint64(p.txSize))
 }
 
 // dropFault discards a packet that hit a dead link, charging FaultDrops.
@@ -288,7 +341,10 @@ func (p *Port) popQueue() *packet.Packet {
 
 // transmit clocks pkt onto the wire. The transmitter stays busy for the
 // serialization delay; arrival at the peer happens one propagation delay
-// after serialization completes.
+// after serialization completes. The tx-done starts as a phantom (see Port)
+// and is armed at once only when a packet already waits in the queue, or
+// when serialization takes no time: the cursor can only place a phantom
+// reserved before the clock reached its time.
 //
 // When the link is down (fault injection) the packet — and any queued
 // successors, since the down state cannot change before the kernel advances —
@@ -305,7 +361,7 @@ func (p *Port) transmit(pkt *packet.Packet) {
 		return
 	}
 	p.busy = true
-	p.txSize = int64(pkt.Size())
+	atomic.StoreInt64(&p.txSize, int64(pkt.Size()))
 	ser := p.cfg.SerializationDelay(pkt.Size())
 	arrival := ser + p.cfg.PropDelay
 	if p.trace != nil {
@@ -322,19 +378,22 @@ func (p *Port) transmit(pkt *packet.Packet) {
 		key = ArrivalKey(p.owner.NodeID())
 	}
 	p.kernel.AtCtxFn(p.kernel.Now()+arrival, p.cfg.ArrivalBand, key, pkt, p.arrive)
-	p.kernel.Schedule(ser, p.txDone)
+	atomic.StoreInt64((*int64)(&p.busyUntil), int64(p.kernel.Now()+ser))
+	p.setPhantom(p.kernel.ReserveSeq())
+	if p.qhead < len(p.queue) || ser == 0 {
+		p.armTxDone()
+	}
 }
 
 // onArrive is the arrival handler shared by every transmission on this port
 // (see arrive): the packet has finished propagating and reaches the peer.
 func (p *Port) onArrive(ctx any) { p.peer.Receive(ctx.(*packet.Packet), p.peerPort) }
 
-// onTxDone is the serialization-complete handler, shared by every
-// transmission on this port (see txDone): it charges the stats for the packet
-// that just left the wire and starts the next queued one.
+// onTxDone is the handler of an armed tx-done, shared by every transmission
+// on this port (see txDone): it charges the stats for the packet that just
+// left the wire and starts the next queued one.
 func (p *Port) onTxDone() {
-	atomic.AddUint64(&p.stats.TxPackets, 1)
-	atomic.AddUint64(&p.stats.TxBytes, uint64(p.txSize))
+	p.completeTx()
 	next := p.popQueue()
 	if next == nil {
 		p.busy = false

@@ -3,6 +3,7 @@ package netsim
 import (
 	"sync/atomic"
 
+	"approxsim/internal/des"
 	"approxsim/internal/packet"
 )
 
@@ -26,13 +27,20 @@ type portState struct {
 	queue       []packet.Packet
 	queuedBytes int64
 	busy        bool
-	txSize      int64 // size of the packet on the wire (read by txDone)
-	stats       PortStats
+	// busyUntil, txSize and phantom describe the packet on the wire; a
+	// rollback can land between its transmit start and its tx-done. phantom
+	// is the reserved seq of an unarmed tx-done, 0 when it is armed (the
+	// kernel checkpoint holds the event) or the port is idle.
+	busyUntil des.Time
+	txSize    int64
+	phantom   uint64
+	stats     PortStats
 }
 
 // SaveState implements the pdes StateSaver contract for a port.
 func (p *Port) SaveState() any {
-	st := portState{queuedBytes: p.queuedBytes, busy: p.busy, txSize: p.txSize, stats: p.stats}
+	st := portState{queuedBytes: p.queuedBytes, busy: p.busy, busyUntil: p.busyUntil,
+		txSize: p.txSize, phantom: p.phantom, stats: p.stats}
 	if live := p.queue[p.qhead:]; len(live) > 0 {
 		st.queue = make([]packet.Packet, len(live))
 		for i, pkt := range live {
@@ -49,7 +57,9 @@ func (p *Port) RestoreState(v any) {
 	st := v.(portState)
 	atomic.StoreInt64(&p.queuedBytes, st.queuedBytes)
 	p.busy = st.busy
-	p.txSize = st.txSize
+	atomic.StoreInt64((*int64)(&p.busyUntil), int64(st.busyUntil))
+	atomic.StoreInt64(&p.txSize, st.txSize)
+	p.setPhantom(st.phantom)
 	atomic.StoreUint64(&p.stats.TxPackets, st.stats.TxPackets)
 	atomic.StoreUint64(&p.stats.TxBytes, st.stats.TxBytes)
 	atomic.StoreUint64(&p.stats.Drops, st.stats.Drops)

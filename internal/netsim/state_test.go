@@ -134,7 +134,8 @@ func TestSwitchSaveRestore(t *testing.T) {
 // after the queue has drained and while it is partly drained again: the
 // restored FIFO must hold the same packets in the same order with the same
 // byte count, and the replay must deliver exactly what the first run
-// delivered after the checkpoint.
+// delivered after the checkpoint. It then does the same for a port whose
+// tx-done is a pending phantom.
 func TestPortStateRoundTripPartlyDrained(t *testing.T) {
 	k := des.NewKernel()
 	cfg := LinkConfig{BandwidthBps: 1e9, QueueBytes: 1 << 20}
@@ -185,5 +186,37 @@ func TestPortStateRoundTripPartlyDrained(t *testing.T) {
 	}
 	if port.QueuedBytes() != 0 {
 		t.Errorf("queue holds %d bytes after the replay drained it", port.QueuedBytes())
+	}
+
+	// An unarmed phantom pending: one packet on the wire, none queued. The
+	// restored port must neither count it early nor lose it, and a packet
+	// that queues behind it after the restore must arm it in its place.
+	port.Send(&packet.Packet{Seq: 6, PayloadLen: 100})
+	if port.phantom == 0 {
+		t.Fatal("a lone transmission did not leave a phantom tx-done")
+	}
+	st, ks = port.SaveState(), k.Snapshot(savePkt)
+	pending, before := port.Stats(), len(dst.got)
+	k.RunAll()
+	drained := port.Stats()
+	if drained.TxPackets != pending.TxPackets+1 {
+		t.Fatalf("phantom charged %d packets, want 1", drained.TxPackets-pending.TxPackets)
+	}
+	port.RestoreState(st)
+	k.Restore(ks, restorePkt)
+	dst.got = dst.got[:before]
+	if port.phantom == 0 || port.Stats() != pending {
+		t.Fatalf("restored phantom %d, stats %+v, want pending with %+v", port.phantom, port.Stats(), pending)
+	}
+	port.Send(&packet.Packet{Seq: 7, PayloadLen: 100})
+	if port.phantom != 0 || port.QueuedBytes() == 0 {
+		t.Fatalf("send behind the restored phantom: phantom %d, queued %d bytes", port.phantom, port.QueuedBytes())
+	}
+	k.RunAll()
+	if got := delivered(before); fmt.Sprint(got) != "[6 7]" {
+		t.Fatalf("after the phantom restore delivered %v, want [6 7]", got)
+	}
+	if got := port.Stats().TxPackets; got != pending.TxPackets+2 {
+		t.Errorf("TxPackets %d after the phantom restore, want %d", got, pending.TxPackets+2)
 	}
 }
