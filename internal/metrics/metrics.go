@@ -94,16 +94,24 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records v as n samples, for a caller that measures one in n
+// operations: count, sum and v's bucket grow by n, so the mean stays an
+// unbiased estimate over all of them. n = 0 records nothing.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if n == 0 {
+		return
+	}
 	if atomic.LoadUint64(&h.count) == 0 || v < atomic.LoadUint64(&h.min) {
 		atomic.StoreUint64(&h.min, v)
 	}
 	if v > atomic.LoadUint64(&h.max) {
 		atomic.StoreUint64(&h.max, v)
 	}
-	atomic.AddUint64(&h.count, 1)
-	atomic.AddUint64(&h.sum, v)
-	atomic.AddUint64(&h.buckets[bits.Len64(v)], 1)
+	atomic.AddUint64(&h.count, n)
+	atomic.AddUint64(&h.sum, v*n)
+	atomic.AddUint64(&h.buckets[bits.Len64(v)], n)
 }
 
 // Count returns the number of samples observed.

@@ -47,6 +47,30 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN checks that ObserveN(v, n) leaves the same count,
+// sum, buckets, min and max as n calls of Observe(v), from empty and from a
+// histogram that already holds samples on either side of v.
+func TestHistogramObserveN(t *testing.T) {
+	for _, prior := range [][]uint64{nil, {1, 5000}, {700}} {
+		for _, v := range []uint64{0, 1, 3, 900, 1 << 40} {
+			for _, n := range []uint64{0, 1, 16} {
+				var once, each Histogram
+				for _, p := range prior {
+					once.Observe(p)
+					each.Observe(p)
+				}
+				once.ObserveN(v, n)
+				for i := uint64(0); i < n; i++ {
+					each.Observe(v)
+				}
+				if once != each {
+					t.Errorf("prior %v: ObserveN(%d, %d) = %+v, %d Observe calls %+v", prior, v, n, once, n, each)
+				}
+			}
+		}
+	}
+}
+
 func TestHistogramQuantileClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(10)

@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"math"
 	"testing"
 
 	"approxsim/internal/des"
@@ -16,12 +17,33 @@ func TestLatencyCeilingClampsWildPredictions(t *testing.T) {
 	// Force an absurd latency-head output: bias 5 denormalizes to ~e^92 ns.
 	m.LatHead.B[0] = 5
 	p := NewPredictor(m, trace.Egress, topo, Threshold, 1, des.Microsecond)
-	_, lat := p.Predict(0, 0, 8, 1, 100, false, macro.Minimal)
+	_, lat := p.Predict(0, 0, 8, 100, false, topo.PathFor(0, 8, 1), macro.Minimal)
 	if lat > p.LatencyCeiling {
 		t.Errorf("latency %v exceeds ceiling %v", lat, p.LatencyCeiling)
 	}
 	if p.LatencyCeiling != 100*des.Millisecond {
 		t.Errorf("default ceiling = %v, want 100ms", p.LatencyCeiling)
+	}
+}
+
+// TestExplodingLatencyHeadHitsCeiling drives latency-head outputs past
+// int64 nanoseconds (y ≳ 2.37), +Inf and NaN through Predict: each must
+// saturate to the ceiling, never wrap around to the floor.
+func TestExplodingLatencyHeadHitsCeiling(t *testing.T) {
+	topo := buildTopo(t)
+	for _, y := range []float64{2.5, 10, math.Inf(1), math.NaN()} {
+		if got := DenormalizeLatency(y); got != des.MaxTime {
+			t.Errorf("DenormalizeLatency(%v) = %v, want des.MaxTime", y, got)
+		}
+		m := nn.NewModel(FeatureDim, 4, 1, rng.New(1))
+		for i := range m.LatHead.W {
+			m.LatHead.W[i] = 0
+		}
+		m.LatHead.B[0] = y
+		p := NewPredictor(m, trace.Egress, topo, Threshold, 1, des.Microsecond)
+		if _, lat := p.Predict(0, 0, 8, 100, false, topo.PathFor(0, 8, 1), macro.Minimal); lat != p.LatencyCeiling {
+			t.Errorf("latency head %v: Predict latency %v, want the ceiling %v", y, lat, p.LatencyCeiling)
+		}
 	}
 }
 
@@ -39,7 +61,7 @@ func TestNoMacroTrainingArm(t *testing.T) {
 		t.Errorf("ablated training loss did not fall: %v -> %v", stats.FirstLoss, stats.LastLoss)
 	}
 	// Predictions still behave.
-	drop, lat := p.Predict(0, 0, 8, 1, 100, false, macro.Minimal)
+	drop, lat := p.Predict(0, 0, 8, 100, false, topo.PathFor(0, 8, 1), macro.Minimal)
 	if !drop && (lat < p.LatencyFloor || lat > p.LatencyCeiling) {
 		t.Errorf("ablated predictor latency %v outside [%v, %v]", lat, p.LatencyFloor, p.LatencyCeiling)
 	}

@@ -46,12 +46,20 @@ func NormalizeLatency(lat des.Time) float64 {
 	return math.Log1p(float64(lat)) / latencyLogScale
 }
 
-// DenormalizeLatency inverts NormalizeLatency.
+// DenormalizeLatency inverts NormalizeLatency. It saturates at des.MaxTime
+// in float64, before converting: above y ≈ 2.37 the nanosecond count leaves
+// int64's range, where the conversion is implementation-defined (amd64
+// gives MinInt64, arm64 saturates). +Inf and NaN saturate too, so an
+// exploding latency head reads as the slowest fabric, not the fastest.
 func DenormalizeLatency(y float64) des.Time {
 	if y < 0 {
 		y = 0
 	}
-	return des.Time(math.Expm1(y * latencyLogScale))
+	ns := math.Expm1(y * latencyLogScale)
+	if !(ns < float64(des.MaxTime)) {
+		return des.MaxTime
+	}
+	return des.Time(ns)
 }
 
 // Featurizer turns boundary arrivals into model inputs. It is stateful (the
@@ -82,13 +90,14 @@ func (f *Featurizer) Features(now des.Time, src, dst packet.HostID, flow uint64,
 	size int32, isAck bool, st macro.State) []float64 {
 
 	x := new([FeatureDim]float64)
-	f.featuresInto(x, now, src, dst, flow, size, isAck, st)
+	f.featuresInto(x, now, src, dst, size, isAck, f.topo.PathFor(src, dst, flow), st)
 	return x[:]
 }
 
-// featuresInto is Features writing into x instead of allocating.
+// featuresInto is Features writing into x instead of allocating, for a
+// packet whose healthy-baseline path (topology.PathFor) is path.
 func (f *Featurizer) featuresInto(x *[FeatureDim]float64, now des.Time, src, dst packet.HostID,
-	flow uint64, size int32, isAck bool, st macro.State) {
+	size int32, isAck bool, path topology.Path, st macro.State) {
 
 	gap := float64(0)
 	if f.hasLast {
@@ -100,7 +109,6 @@ func (f *Featurizer) featuresInto(x *[FeatureDim]float64, now des.Time, src, dst
 	f.gapEWMA += (gap - f.gapEWMA) / 8
 
 	nHosts := float64(len(f.topo.Hosts))
-	path := f.topo.PathFor(src, dst, flow)
 	nt := float64(len(f.topo.ToRs))
 	na := float64(len(f.topo.Aggs))
 	nc := float64(len(f.topo.Cores))
@@ -186,10 +194,12 @@ func NewPredictor(m *nn.Model, dir trace.Direction, topo *topology.Topology,
 
 // Predict consumes one boundary arrival and returns the model's decision:
 // whether the fabric drops the packet and, if not, its transit latency.
-func (p *Predictor) Predict(now des.Time, src, dst packet.HostID, flow uint64,
-	size int32, isAck bool, st macro.State) (drop bool, latency des.Time) {
+// path is the packet's healthy-baseline path, topology.PathFor(src, dst,
+// flow), which the caller has usually computed for routing already.
+func (p *Predictor) Predict(now des.Time, src, dst packet.HostID, size int32, isAck bool,
+	path topology.Path, st macro.State) (drop bool, latency des.Time) {
 
-	p.feat.featuresInto(&p.x, now, src, dst, flow, size, isAck, st)
+	p.feat.featuresInto(&p.x, now, src, dst, size, isAck, path, st)
 	prob, latRaw := p.Model.Predict(p.x[:], p.state)
 	switch p.policy {
 	case Threshold:

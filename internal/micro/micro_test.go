@@ -176,8 +176,8 @@ func TestTrainAndPredictEndToEnd(t *testing.T) {
 	}
 	// Predictions must be physically plausible.
 	for i := 0; i < 100; i++ {
-		drop, lat := p.Predict(des.Time(i)*10_000, 0, 8+packet.HostID(i%8),
-			uint64(i), packet.MaxFrameSize, false, macro.Minimal)
+		drop, lat := p.Predict(des.Time(i)*10_000, 0, 8+packet.HostID(i%8), packet.MaxFrameSize, false,
+			topo.PathFor(0, 8+packet.HostID(i%8), uint64(i)), macro.Minimal)
 		if !drop {
 			if lat < p.LatencyFloor {
 				t.Fatalf("latency %v below floor %v", lat, p.LatencyFloor)
@@ -210,7 +210,7 @@ func TestTrainedLatencyInRightBallpark(t *testing.T) {
 		if r.Dropped || r.Latency <= 0 {
 			continue
 		}
-		_, lat := p.Predict(r.Entry, r.Src, r.Dst, r.Flow, r.Size, r.IsAck, cls.Current())
+		_, lat := p.Predict(r.Entry, r.Src, r.Dst, r.Size, r.IsAck, topo.PathFor(r.Src, r.Dst, r.Flow), cls.Current())
 		cls.Observe(r.Entry, r.Latency.Seconds(), r.Dropped)
 		obsSum += r.Latency.Seconds()
 		predSum += lat.Seconds()
@@ -258,8 +258,9 @@ func TestPredictorSaveLoad(t *testing.T) {
 	// the seeded stream, so compare full tuples).
 	p.Reset(topo)
 	for i := 0; i < 30; i++ {
-		d1, l1 := p.Predict(des.Time(i)*5000, 8, 0, uint64(i), 500, false, macro.Minimal)
-		d2, l2 := p2.Predict(des.Time(i)*5000, 8, 0, uint64(i), 500, false, macro.Minimal)
+		path := topo.PathFor(8, 0, uint64(i))
+		d1, l1 := p.Predict(des.Time(i)*5000, 8, 0, 500, false, path, macro.Minimal)
+		d2, l2 := p2.Predict(des.Time(i)*5000, 8, 0, 500, false, path, macro.Minimal)
 		if d1 != d2 || l1 != l2 {
 			t.Fatalf("loaded predictor diverged at step %d", i)
 		}
@@ -285,9 +286,9 @@ func TestThresholdPolicyDeterministic(t *testing.T) {
 	topo := buildTopo(t)
 	m := nn.NewModel(FeatureDim, 8, 1, rng.New(1))
 	p := NewPredictor(m, trace.Egress, topo, Threshold, 1, 0)
-	d1, _ := p.Predict(0, 0, 8, 1, 100, false, macro.Minimal)
+	d1, _ := p.Predict(0, 0, 8, 100, false, topo.PathFor(0, 8, 1), macro.Minimal)
 	p2 := NewPredictor(m, trace.Egress, topo, Threshold, 99, 0)
-	d2, _ := p2.Predict(0, 0, 8, 1, 100, false, macro.Minimal)
+	d2, _ := p2.Predict(0, 0, 8, 100, false, topo.PathFor(0, 8, 1), macro.Minimal)
 	if d1 != d2 {
 		t.Error("Threshold policy varied with seed")
 	}
@@ -299,9 +300,10 @@ func TestPredictDoesNotAllocate(t *testing.T) {
 	topo := buildTopo(t)
 	p := NewPredictor(nn.NewModel(FeatureDim, 8, 2, rng.New(1)), trace.Egress, topo, Sample, 1, 0)
 	now := des.Time(0)
+	path := topo.PathFor(0, 8, 1)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		now += des.Microsecond
-		p.Predict(now, 0, 8, 1, 1500, false, macro.Minimal)
+		p.Predict(now, 0, 8, 1500, false, path, macro.Minimal)
 	}); allocs != 0 {
 		t.Errorf("Predictor.Predict allocates %.1f objects per packet, want 0", allocs)
 	}

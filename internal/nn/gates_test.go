@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -48,38 +50,81 @@ func randVec(src *rng.Source, n int, mix uint8) []float64 {
 	return v
 }
 
+// haveAVX2 reports whether this CPU can run the AVX2 kernels.
+var haveAVX2 = cpuHasAVX2()
+
+// withKernel runs fn with the AVX2 kernels on or off, then restores the
+// dispatch. Tests that use it must not run in parallel.
+func withKernel(avx2 bool, fn func()) {
+	saved := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = saved }()
+	fn()
+}
+
+// forEachKernel runs fn as one subtest on the AVX2 path (skipped without
+// AVX2) and one with the Go loop forced.
+func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, avx2 := range []bool{true, false} {
+		name := "go"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if avx2 && !haveAVX2 {
+				t.Skip("CPU has no AVX2")
+			}
+			withKernel(avx2, func() { fn(t) })
+		})
+	}
+}
+
+// fuzzKernels runs fn on every dispatch this CPU can run, for fuzz targets,
+// whose inputs run without subtests.
+func fuzzKernels(fn func()) {
+	if haveAVX2 {
+		withKernel(true, fn)
+	}
+	withKernel(false, fn)
+}
+
 // checkGates compares gates with gatesRef bit for bit on one random problem
 // with the given input width and hidden size.
 func checkGates(t *testing.T, seed uint64, in, hid int, mix uint8) {
 	t.Helper()
 	src := rng.New(seed)
 	rows := 4 * hid
-	b := randVec(src, rows, mix)
-	wx := randVec(src, rows*in, mix)
+	l := &lstmLayer{In: in, Hidden: hid}
+	l.B = randVec(src, rows, mix)
+	l.Wx = randVec(src, rows*in, mix)
 	x := randVec(src, in, mix)
-	wh := randVec(src, rows*hid, mix)
+	l.Wh = randVec(src, rows*hid, mix)
 	h := randVec(src, hid, mix)
+	l.pack()
 	got, want := make([]float64, rows), make([]float64, rows)
-	gates(got, b, wx, x, wh, h)
-	gatesRef(want, b, wx, x, wh, h)
+	l.gates(got, x, h)
+	gatesRef(want, l.B, l.Wx, x, l.Wh, h)
 	for r := range got {
 		if !sameBits(got[r], want[r]) {
-			t.Fatalf("In=%d H=%d mix=%d seed=%d: z[%d] = %v (%#x), reference %v (%#x)",
-				in, hid, mix, seed, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+			t.Fatalf("avx2=%v In=%d H=%d mix=%d seed=%d: z[%d] = %v (%#x), reference %v (%#x)",
+				useAVX2, in, hid, mix, seed, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
 		}
 	}
 }
 
 func TestGatesMatchReference(t *testing.T) {
-	seed := uint64(1)
-	for _, in := range []int{0, 1, 2, 7, 13, 16, 128} {
-		for _, hid := range []int{1, 2, 3, 4, 16, 32, 128} {
-			for mix := uint8(0); mix < 4; mix++ {
-				checkGates(t, seed, in, hid, mix)
-				seed++
+	forEachKernel(t, func(t *testing.T) {
+		seed := uint64(1)
+		for _, in := range []int{0, 1, 2, 7, 13, 16, 128} {
+			for _, hid := range []int{1, 2, 3, 4, 5, 16, 20, 32, 128} {
+				for mix := uint8(0); mix < 4; mix++ {
+					checkGates(t, seed, in, hid, mix)
+					seed++
+				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzGates checks the gate kernel against the Go reference bit for bit over
@@ -91,55 +136,143 @@ func FuzzGates(f *testing.F) {
 	f.Add(uint64(3), uint8(7), uint8(3), uint8(2))
 	f.Add(uint64(4), uint8(128), uint8(128), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, in, hid, mix uint8) {
-		checkGates(t, seed, int(in%129), int(hid%129)+1, mix)
+		fuzzKernels(func() { checkGates(t, seed, int(in%129), int(hid%129)+1, mix) })
 	})
 }
 
-// predictRef is Predict with every gate computed by the Go reference loop.
+// cellInputs returns n values for the cell update, each drawn from the
+// values where tanh and sigmoid change branch — ±4.97 and, for sigmoid's
+// 0.5*x, ±9.94, each with its float neighbours — and ±Inf, NaN, ±0, ±the
+// smallest subnormal, a, b and ordinary values.
+func cellInputs(src *rng.Source, n int, a, b float64) []float64 {
+	var pool []float64
+	for _, edge := range []float64{4.97, 2 * 4.97} {
+		for _, e := range []float64{edge, -edge} {
+			pool = append(pool, e, math.Nextafter(e, math.Inf(1)), math.Nextafter(e, math.Inf(-1)))
+		}
+	}
+	tiny := math.Float64frombits(1)
+	pool = append(pool, math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), tiny, -tiny, a, b)
+	v := make([]float64, n)
+	for i := range v {
+		if k := src.Intn(len(pool) + 4); k < len(pool) {
+			v[i] = pool[k]
+		} else {
+			v[i] = src.Normal(0, 5)
+		}
+	}
+	return v
+}
+
+// FuzzLSTMStep checks the cell update (activations, c and h) of one LSTM
+// step against the Go reference bit for bit, at the activations' clamp
+// edges and on non-finite, zero and subnormal inputs. FuzzGates covers the
+// gate half of the step.
+func FuzzLSTMStep(f *testing.F) {
+	f.Add(uint64(1), uint8(16), 4.97, -4.97)
+	f.Add(uint64(2), uint8(5), math.Inf(1), math.NaN())
+	f.Add(uint64(3), uint8(4), math.Copysign(0, -1), math.Float64frombits(1))
+	f.Add(uint64(4), uint8(20), 9.94, 0.5)
+	f.Fuzz(func(t *testing.T, seed uint64, hid uint8, a, b float64) {
+		H := int(hid%64) + 1
+		src := rng.New(seed)
+		z := cellInputs(src, 4*H, a, b)
+		c0 := cellInputs(src, H, a, b)
+		wantC, wantH := append([]float64(nil), c0...), make([]float64, H)
+		cellRows(z, wantC, wantH, 0)
+		fuzzKernels(func() {
+			gotC, gotH := append([]float64(nil), c0...), make([]float64, H)
+			cell(z, gotC, gotH)
+			for j := range gotC {
+				if !sameBits(gotC[j], wantC[j]) || !sameBits(gotH[j], wantH[j]) {
+					t.Fatalf("avx2=%v H=%d unit %d: z=(%v %v %v %v) c=%v: got c=%v h=%v, reference c=%v h=%v",
+						useAVX2, H, j, z[j], z[H+j], z[2*H+j], z[3*H+j], c0[j], gotC[j], gotH[j], wantC[j], wantH[j])
+				}
+			}
+		})
+	})
+}
+
+// predictRef is Predict with every gate and cell update computed by the Go
+// reference loop.
 func predictRef(m *Model, x []float64, st *State) (dropProb, latency float64) {
 	cur := x
 	for l, layer := range m.lstm {
 		h, c, z := st.h[l], st.c[l], st.z
 		gatesRef(z, layer.B, layer.Wx, cur, layer.Wh, h)
-		H := layer.Hidden
-		for j := 0; j < H; j++ {
-			c[j] = sigmoid(z[H+j])*c[j] + sigmoid(z[j])*tanh(z[2*H+j])
-			h[j] = sigmoid(z[3*H+j]) * tanh(c[j])
-		}
+		cellRows(z, c, h, 0)
 		cur = h
 	}
 	return sigmoid(m.DropHead.forward1(cur)), m.LatHead.forward1(cur)
 }
 
-// TestPredictSequenceMatchesReference runs 1,000 predictions through the
-// kernel and the reference side by side, so any difference in one step's
-// bits would also show in the recurrent state it leaves behind.
-func TestPredictSequenceMatchesReference(t *testing.T) {
-	for _, size := range []struct{ in, hid, layers int }{
-		{13, 16, 1}, {13, 32, 2}, {13, 5, 2}, {12, 128, 2},
-	} {
-		m := NewModel(size.in, size.hid, size.layers, rng.New(uint64(size.hid)))
-		got, want := m.NewState(), m.NewState()
-		src := rng.New(7)
-		x := make([]float64, size.in)
-		for step := 0; step < 1000; step++ {
-			for i := range x {
-				x[i] = src.Normal(0, 1+float64(i))
-			}
-			gp, gl := m.Predict(x, got)
-			wp, wl := predictRef(m, x, want)
-			if !sameBits(gp, wp) || !sameBits(gl, wl) {
-				t.Fatalf("%+v step %d: Predict = (%v, %v), reference (%v, %v)", size, step, gp, gl, wp, wl)
-			}
-			for l := range got.h {
-				for j := range got.h[l] {
-					if !sameBits(got.h[l][j], want.h[l][j]) || !sameBits(got.c[l][j], want.c[l][j]) {
-						t.Fatalf("%+v step %d: layer %d state %d differs", size, step, l, j)
-					}
+// checkPredictSequence runs 1,000 predictions through m and the reference
+// side by side, so any difference in one step's bits would also show in
+// the recurrent state it leaves behind.
+func checkPredictSequence(t *testing.T, m *Model, what string) {
+	t.Helper()
+	got, want := m.NewState(), m.NewState()
+	src := rng.New(7)
+	x := make([]float64, m.InDim)
+	for step := 0; step < 1000; step++ {
+		for i := range x {
+			x[i] = src.Normal(0, 1+float64(i))
+		}
+		gp, gl := m.Predict(x, got)
+		wp, wl := predictRef(m, x, want)
+		if !sameBits(gp, wp) || !sameBits(gl, wl) {
+			t.Fatalf("%s step %d: Predict = (%v, %v), reference (%v, %v)", what, step, gp, gl, wp, wl)
+		}
+		for l := range got.h {
+			for j := range got.h[l] {
+				if !sameBits(got.h[l][j], want.h[l][j]) || !sameBits(got.c[l][j], want.c[l][j]) {
+					t.Fatalf("%s step %d: layer %d state %d differs", what, step, l, j)
 				}
 			}
 		}
 	}
+}
+
+// TestPredictSequenceMatchesReference covers whole 16-row blocks and 4-unit
+// groups (H=4, 16, 20, 32, 128) and leftovers for the Go loop (H=5).
+func TestPredictSequenceMatchesReference(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, size := range []struct{ in, hid, layers int }{
+			{13, 16, 1}, {13, 32, 2}, {13, 5, 2}, {13, 4, 2}, {13, 20, 2}, {12, 128, 2},
+		} {
+			m := NewModel(size.in, size.hid, size.layers, rng.New(uint64(size.hid)))
+			checkPredictSequence(t, m, fmt.Sprintf("%+v", size))
+		}
+	})
+}
+
+// TestPackedWeightsFollowTraining checks that the packed weights are rebuilt
+// wherever the weights change: after training steps, and in a model Load
+// returns.
+func TestPackedWeightsFollowTraining(t *testing.T) {
+	src := rng.New(3)
+	var data []Example
+	for i := 0; i < 200; i++ {
+		x := make([]float64, 13)
+		for j := range x {
+			x[j] = src.Normal(0, 1)
+		}
+		data = append(data, Example{X: x, Dropped: x[0] > 1, Latency: 0.5 + 0.1*x[1]})
+	}
+	forEachKernel(t, func(t *testing.T) {
+		m := NewModel(13, 20, 2, rng.New(5))
+		Train(m, data, TrainConfig{LR: 0.05, Batches: 5, Batch: 4, BPTT: 8, Seed: 1})
+		checkPredictSequence(t, m, "trained")
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredictSequence(t, loaded, "loaded")
+	})
 }
 
 func TestPredictPanicsOnWrongWidth(t *testing.T) {

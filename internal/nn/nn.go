@@ -26,6 +26,12 @@ import (
 // inference cost (hundreds of gate activations per packet prediction), and
 // training back-propagates through the same approximation so gradients stay
 // exactly consistent with the forward pass.
+//
+// It evaluates x*(135135 + x2*(17325 + x2*(378 + x2))) over
+// 135135 + x2*(62370 + x2*(3150 + x2*28)) one rounded operation at a time:
+// the float64 conversions forbid fusing a product into a multiply-add, so
+// the result has the same bits on every GOARCH and the amd64 cell kernel
+// (lstm_amd64.s) reproduces it lane by lane. NaN stays NaN; ±Inf gives ±1.
 func tanh(x float64) float64 {
 	if x > 4.97 {
 		return 1
@@ -34,15 +40,20 @@ func tanh(x float64) float64 {
 		return -1
 	}
 	x2 := x * x
-	a := x * (135135 + x2*(17325+x2*(378+x2)))
-	b := 135135 + x2*(62370+x2*(3150+x2*28))
+	a := 378 + x2
+	a = 17325 + float64(x2*a)
+	a = 135135 + float64(x2*a)
+	a = x * a
+	b := 3150 + float64(x2*28)
+	b = 62370 + float64(x2*b)
+	b = 135135 + float64(x2*b)
 	return a / b
 }
 
 // sigmoid is the logistic function, expressed through tanh so it shares the
 // fast approximation: sigma(x) = (1 + tanh(x/2)) / 2.
 func sigmoid(x float64) float64 {
-	return 0.5 + 0.5*tanh(0.5*x)
+	return 0.5 + float64(0.5*tanh(0.5*x))
 }
 
 // dot is an unrolled dot product with a bounds-check hint; the row length
@@ -66,24 +77,30 @@ func dot(row, x []float64) float64 {
 	return s0 + s1
 }
 
-// gates sets the LSTM gate pre-activations z[r] = (b[r] + wx[r]·x) + wh[r]·h
-// for every row r of z, where wx and wh are row-major with len(x) and len(h)
-// columns. Training and inference both call it, so the two agree bit for bit.
-func gates(z, b, wx, x, wh, h []float64) {
-	affine(z, b, wx, x)
-	affine(z, z, wh, h)
+// gates sets the LSTM gate pre-activations z[r] = (b[r] + Wx[r]·x) + Wh[r]·h
+// for every row r of z. Training and inference both call it, so the two
+// agree bit for bit.
+func (l *lstmLayer) gates(z, x, h []float64) {
+	affine(z, l.B, l.Wx, l.wxp, x)
+	affine(z, z, l.Wh, l.whp, h)
 }
 
-// affine sets z[r] = b[r] + dot(w[r*n:(r+1)*n], v) with n = len(v). On amd64
-// an SSE2 kernel does every whole block of 8 rows; affineRows does the rest,
-// and every row on other GOARCHes. Both give the same bits. The lengths are
+// affine sets z[r] = b[r] + dot(w[r*n:(r+1)*n], v) with n = len(v). w is
+// row-major and wp is its column-packed copy (packBlocks). With AVX2 the
+// kernel does every whole block of 16 rows from wp; affineRows does the
+// rest, and every row without AVX2. Both give the same bits. The lengths are
 // checked here, before any row is touched, because the kernel does not check
 // them.
-func affine(z, b, w, v []float64) {
-	if len(b) != len(z) || len(w) != len(z)*len(v) {
+func affine(z, b, w, wp, v []float64) {
+	if len(b) != len(z) || len(w) != len(z)*len(v) || len(wp) != (len(z)&^15)*len(v) {
 		panic("nn: gate weights, bias and output disagree in size")
 	}
-	affineRows(z, b, w, v, affineKernel(z, b, w, v))
+	from := 0
+	if useAVX2 {
+		affineAVX2(z, b, wp, v)
+		from = len(z) &^ 15
+	}
+	affineRows(z, b, w, v, from)
 }
 
 // affineRows is the reference affine for rows from on: one dot per row.
@@ -91,6 +108,59 @@ func affineRows(z, b, w, v []float64, from int) {
 	n := len(v)
 	for r := from; r < len(z); r++ {
 		z[r] = b[r] + dot(w[r*n:(r+1)*n], v)
+	}
+}
+
+// packBlocks returns the column-packed copy of the whole 16-row blocks of w,
+// a row-major matrix of the given rows and n columns, reusing dst's storage
+// when it is large enough: wp[(blk*n+j)*16+r] = w[(blk*16+r)*n+j]. The rows
+// past the last whole block are left out; affineRows reads them from w.
+func packBlocks(dst, w []float64, rows, n int) []float64 {
+	blocks := rows / 16
+	if size := blocks * 16 * n; cap(dst) >= size {
+		dst = dst[:size]
+	} else {
+		dst = make([]float64, size)
+	}
+	for blk := 0; blk < blocks; blk++ {
+		for j := 0; j < n; j++ {
+			col := dst[(blk*n+j)*16 : (blk*n+j+1)*16]
+			for r := range col {
+				col[r] = w[(blk*16+r)*n+j]
+			}
+		}
+	}
+	return dst
+}
+
+// cell applies the inference cell update to every hidden unit j, reading
+// the gate pre-activations z (gate-major, 4H) and rewriting the state:
+// c[j] = sigmoid(zf)*c[j] + sigmoid(zi)*tanh(zg), h[j] = sigmoid(zo)*tanh(c[j]).
+// With AVX2 the kernel does every whole group of 4 units; cellRows does the
+// rest, and every unit without AVX2. Both give the same bits.
+func cell(z, c, h []float64) {
+	if len(z) != 4*len(c) || len(h) != len(c) {
+		panic("nn: cell state and gates disagree in size")
+	}
+	from := 0
+	if useAVX2 {
+		cellAVX2(z, c, h)
+		from = len(c) &^ 3
+	}
+	cellRows(z, c, h, from)
+}
+
+// cellRows is the reference cell update for units from on. The float64
+// conversions keep c's two products unfused, as in tanh.
+func cellRows(z, c, h []float64, from int) {
+	H := len(c)
+	for j := from; j < H; j++ {
+		ig := sigmoid(z[j])
+		fg := sigmoid(z[H+j])
+		gg := tanh(z[2*H+j])
+		og := sigmoid(z[3*H+j])
+		c[j] = float64(fg*c[j]) + float64(ig*gg)
+		h[j] = og * tanh(c[j])
 	}
 }
 
@@ -157,6 +227,17 @@ type lstmLayer struct {
 	B          []float64 // 4H
 
 	dWx, dWh, dB []float64
+
+	// wxp and whp are Wx and Wh column-packed for the gate kernel
+	// (packBlocks). pack rebuilds them; every write to Wx or Wh must be
+	// followed by one.
+	wxp, whp []float64
+}
+
+// pack rebuilds the packed copies of Wx and Wh.
+func (l *lstmLayer) pack() {
+	l.wxp = packBlocks(l.wxp, l.Wx, 4*l.Hidden, l.In)
+	l.whp = packBlocks(l.whp, l.Wh, 4*l.Hidden, l.Hidden)
 }
 
 func newLSTMLayer(in, hidden int, src *rng.Source) *lstmLayer {
@@ -183,6 +264,7 @@ func newLSTMLayer(in, hidden int, src *rng.Source) *lstmLayer {
 	for h := 0; h < hidden; h++ {
 		l.B[hidden+h] = 1
 	}
+	l.pack()
 	return l
 }
 
@@ -198,7 +280,7 @@ type stepCache struct {
 func (l *lstmLayer) forward(x, hPrev, cPrev []float64) ([]float64, []float64, *stepCache) {
 	H := l.Hidden
 	z := make([]float64, 4*H)
-	gates(z, l.B, l.Wx, x, l.Wh, hPrev)
+	l.gates(z, x, hPrev)
 	cache := &stepCache{
 		x: x, hPrev: hPrev, cPrev: cPrev,
 		i: make([]float64, H), f: make([]float64, H),
@@ -211,7 +293,7 @@ func (l *lstmLayer) forward(x, hPrev, cPrev []float64) ([]float64, []float64, *s
 		cache.f[j] = sigmoid(z[H+j])
 		cache.g[j] = tanh(z[2*H+j])
 		cache.o[j] = sigmoid(z[3*H+j])
-		cache.c[j] = cache.f[j]*cPrev[j] + cache.i[j]*cache.g[j]
+		cache.c[j] = float64(cache.f[j]*cPrev[j]) + float64(cache.i[j]*cache.g[j])
 		cache.tanhC[j] = tanh(cache.c[j])
 		h[j] = cache.o[j] * cache.tanhC[j]
 	}
@@ -312,18 +394,10 @@ func (m *Model) NewState() *State {
 // the new (h, c). z is caller scratch of size 4*Hidden. The gate math is
 // identical to forward; only the caching for backprop is omitted.
 func (l *lstmLayer) inferStep(x, h, c, z []float64) {
-	H := l.Hidden
 	// All of z depends only on the OLD h, so compute it fully before
 	// mutating h below.
-	gates(z, l.B, l.Wx, x, l.Wh, h)
-	for j := 0; j < H; j++ {
-		ig := sigmoid(z[j])
-		fg := sigmoid(z[H+j])
-		gg := tanh(z[2*H+j])
-		og := sigmoid(z[3*H+j])
-		c[j] = fg*c[j] + ig*gg
-		h[j] = og * tanh(c[j])
-	}
+	l.gates(z, x, h)
+	cell(z, c, h)
 }
 
 // Predict runs one input through the model, updating st in place, and
@@ -362,6 +436,14 @@ func (m *Model) params() [][2][]float64 {
 		[2][]float64{m.LatHead.W, m.LatHead.dW},
 		[2][]float64{m.LatHead.B, m.LatHead.dB})
 	return ps
+}
+
+// pack rebuilds every layer's packed weights; call it after the weights
+// change.
+func (m *Model) pack() {
+	for _, l := range m.lstm {
+		l.pack()
+	}
 }
 
 // zeroGrads clears all accumulated gradients.

@@ -134,12 +134,18 @@ func TestLSTMGradcheck(t *testing.T) {
 		// Check a deterministic subset of each tensor (full check is slow).
 		stride := len(w)/7 + 1
 		for i := 0; i < len(w); i += stride {
+			// The forward pass reads the packed copies of the LSTM
+			// weights, so every direct write re-packs them.
+			set := func(v float64) {
+				w[i] = v
+				m.pack()
+			}
 			old := w[i]
-			w[i] = old + eps
+			set(old + eps)
 			up := lossOf()
-			w[i] = old - eps
+			set(old - eps)
 			down := lossOf()
-			w[i] = old
+			set(old)
 			num := (up - down) / (2 * eps)
 			if math.Abs(num-g[i]) > 1e-4*(1+math.Abs(num)) {
 				t.Fatalf("param %d index %d: analytic %v vs numeric %v", pi, i, g[i], num)

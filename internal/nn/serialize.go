@@ -61,6 +61,7 @@ func Load(r io.Reader) (*Model, error) {
 			len(layer.B) != 4*snap.Hidden {
 			return nil, fmt.Errorf("nn: layer %d weight shapes inconsistent", l)
 		}
+		layer.pack()
 		m.lstm = append(m.lstm, layer)
 	}
 	mk := func(w, b []float64, in int) (*Dense, error) {

@@ -92,6 +92,7 @@ func (o *sgd) step(m *Model, scale float64) {
 			w[i] += v[i]
 		}
 	}
+	m.pack()
 }
 
 // clipGrads rescales all gradients to a maximum global L2 norm.
