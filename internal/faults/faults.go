@@ -186,6 +186,28 @@ func (s *Schedule) viewedWindow(viewer packet.NodeID, i int, t des.Time) bool {
 	return t >= f.At+d && t < end
 }
 
+// AllViewedUp reports whether every viewer believes every element up at t:
+// t lies outside each fault's widest viewed window, [At+Detect,
+// recover+Detect+DetectJitter), which covers the window of every viewer
+// whatever its jitter. It hashes nothing, so failure-aware routing can take
+// its healthy arithmetic at such instants without asking per element.
+func (s *Schedule) AllViewedUp(t des.Time) bool {
+	if s == nil {
+		return true
+	}
+	for i := range s.Faults {
+		f := &s.Faults[i]
+		end := f.recoverEnd()
+		if end != des.MaxTime {
+			end += f.Detect + f.DetectJitter
+		}
+		if t >= f.At+f.Detect && t < end {
+			return false
+		}
+	}
+	return true
+}
+
 // ViewedLinkDown reports whether viewer believes link a-b is down at t.
 func (s *Schedule) ViewedLinkDown(viewer, a, b packet.NodeID, t des.Time) bool {
 	if s == nil {

@@ -3,9 +3,11 @@ package pdes
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"approxsim/internal/collective"
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
 	"approxsim/internal/rng"
@@ -54,7 +56,9 @@ func committedGroups(t *testing.T, reg *metrics.Registry) string {
 // invisible to committed results. The conservative engines additionally run
 // a SEGMENTED axis — Run(mid); Run(dur) — which must also match: parked
 // in-flight packets make the segment cut invisible too (Clos and collective
-// segmented coverage lives in TestDeterminismPropertySegmented).
+// segmented coverage lives in TestDeterminismPropertySegmented). On the
+// 4-ToR seeds a skewed workload, ranks on the first two racks, adds an uneven
+// block split to every engine and to the segmented axis.
 func TestDeterminismProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is heavy; skipped under -short")
@@ -190,6 +194,63 @@ func TestDeterminismProperty(t *testing.T) {
 			fcheck(fmt.Sprintf("faults/timewarp(lps=%d,%s)", twLPs, pf.Name()),
 				run(TimeWarp, twLPs, WithFaults(fsched),
 					withGVTInterval(50*time.Microsecond), WithPartitioner(pf)))
+
+			// An uneven block split: with ranks and traffic only on the first
+			// two of four racks — a ring over their hosts plus Poisson flows
+			// among them — the weighted placement cuts after rack 0 at 2 LPs.
+			// That split must commit like the sequential run under every
+			// engine and across a segment cut.
+			if tors != 4 {
+				return
+			}
+			sspecs, err := skewedSpecs(cfg, 2, load, dur, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring, err := collective.Parse(fmt.Sprintf("ring:size=64KB,iters=2,hosts=%d", 2*cfg.ServersPerToR))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSkew := func(algo SyncAlgo, lps int, cuts []des.Time, opts ...Option) string {
+				reg := metrics.NewRegistry()
+				net, err := runSpecs(cfg, lps, sspecs, dur, algo, reg, cuts,
+					append([]Option{WithCollectives(ring...)}, opts...)...)
+				if err != nil {
+					t.Fatalf("skewed %v lps=%d: %v", algo, lps, err)
+				}
+				if lps == 2 && reflect.DeepEqual(net.Partition.BlockLP, contiguousBlocks(tors, 2)) {
+					t.Fatalf("skewed %v lps=2: racks kept the even split %v", algo, net.Partition.BlockLP)
+				}
+				st := net.Sys.Stats()
+				if st[Violations] != 0 || st[QuiescentSends] != 0 {
+					t.Fatalf("skewed %v lps=%d: %d violations, %d quiescent sends",
+						algo, lps, st[Violations], st[QuiescentSends])
+				}
+				if len(cuts) > 0 && st[PostHorizonDrops] != 0 {
+					t.Fatalf("segmented skewed %v lps=%d: %d post-horizon drops (conservative engines park)",
+						algo, lps, st[PostHorizonDrops])
+				}
+				return committedGroups(t, reg)
+			}
+			sref := runSkew(NullMessages, 1, nil)
+			scheck := func(name, got string) {
+				if got != sref {
+					t.Errorf("%s skewed snapshot diverged from the sequential reference:\nref: %s\ngot: %s",
+						name, sref, got)
+				}
+			}
+			for _, p := range partitioners {
+				scheck(fmt.Sprintf("skewed/nullmsg(lps=2,%s)", p.Name()),
+					runSkew(NullMessages, 2, nil, WithPartitioner(p)))
+			}
+			scheck(fmt.Sprintf("skewed/barrier(lps=2,%s)", pb.Name()),
+				runSkew(Barrier, 2, nil, WithPartitioner(pb)))
+			scheck(fmt.Sprintf("skewed/timewarp(lps=2,%s)", pt.Name()),
+				runSkew(TimeWarp, 2, nil, withGVTInterval(50*time.Microsecond), WithPartitioner(pt)))
+			for _, algo := range []SyncAlgo{NullMessages, Barrier} {
+				scheck(fmt.Sprintf("skewed/segmented/%v(lps=2,%s)", algo, pb.Name()),
+					runSkew(algo, 2, []des.Time{dur / 2}, WithPartitioner(pb)))
+			}
 		})
 	}
 }

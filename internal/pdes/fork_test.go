@@ -60,18 +60,31 @@ func TestForkMatchesColdStart(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cfg    topology.Config
+		racks  int // racks carrying traffic; 0 = all
 		faults []string
 	}{
-		{"leafspine", topology.DefaultLeafSpineConfig(4), []string{
+		{"leafspine", topology.DefaultLeafSpineConfig(4), 0, []string{
 			"switch:spine0@500us+600us,detect=50us,jitter=10us",
 		}},
-		{"clos", topology.DefaultClosConfig(4), []string{
+		// Traffic on the first two racks only: the blocks split unevenly.
+		{"leafspine-skewed", topology.DefaultLeafSpineConfig(4), 2, []string{
+			"switch:spine0@500us+600us,detect=50us,jitter=10us",
+		}},
+		{"clos", topology.DefaultClosConfig(4), 0, []string{
 			"link:agg0-core0@500us+600us,detect=50us,jitter=10us",
 			"switch:core1@500us+600us,detect=50us,jitter=10us",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			specs := forkSpecs(t, tc.cfg, 0.3, dur, seed)
+			if tc.racks > 0 {
+				// Fewer hosts carry fewer flows: at load 0.3 none crosses the
+				// outage, and the variant would prove nothing.
+				var err error
+				if specs, err = skewedSpecs(tc.cfg, tc.racks, 0.9, dur, seed); err != nil {
+					t.Fatal(err)
+				}
+			}
 			variants := []*faults.Schedule{nil} // healthy first
 			for _, spec := range tc.faults {
 				sched, err := topology.ParseFaults(tc.cfg, spec)
@@ -100,10 +113,20 @@ func TestForkMatchesColdStart(t *testing.T) {
 				}
 			}
 
-			// One healthy baseline, checkpointed at t=0.
+			// One healthy baseline, checkpointed at t=0. Block weights read
+			// only the workload, so it places its blocks like every cold
+			// faulted build.
 			base, err := Build(tc.cfg, lps, specs)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i, cold := range colds {
+				if !reflect.DeepEqual(cold.Partition.BlockLP, base.Partition.BlockLP) {
+					t.Fatalf("variant %d placed blocks %v, baseline %v", i, cold.Partition.BlockLP, base.Partition.BlockLP)
+				}
+			}
+			if tc.racks > 0 && reflect.DeepEqual(base.Partition.BlockLP, contiguousBlocks(len(base.Partition.BlockLP), lps)) {
+				t.Fatalf("skewed workload kept the even split %v", base.Partition.BlockLP)
 			}
 			ckpt, err := base.Sys.Checkpoint()
 			if err != nil {

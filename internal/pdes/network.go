@@ -271,11 +271,14 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 		return nil, err
 	}
 
-	// Placement. Blocks are pinned contiguously (identical across
-	// partitioners — see partition.go); only the fabric moves. Collective
-	// instances are resolved first so the declared workload — open-loop
-	// schedule plus the full closed-loop flow catalog — weights the partition
-	// graph and feeds channel quiescence with exactly the flows that will run.
+	// Placement. Blocks are pinned in contiguous runs cut by block weight
+	// (identical across partitioners — see partition.go); only the fabric
+	// moves. Collective instances are resolved first so the declared workload
+	// — open-loop schedule plus the full closed-loop flow catalog — weights
+	// the partition graph and feeds channel quiescence with exactly the flows
+	// that will run. Block weights read only that workload, never the fault
+	// schedule, so a healthy pool baseline and a cold faulted build of one
+	// family place their blocks identically.
 	part := n.Sys.cfg.partitioner
 	if part == nil {
 		part = ContiguousPartitioner{}
@@ -286,10 +289,7 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 	}
 	n.Collectives = insts
 	g := l.graph(declared, sched)
-	blockLP := make([]int, l.blocks)
-	for b := range blockLP {
-		blockLP[b] = b * lps / l.blocks
-	}
+	blockLP := placeBlocks(g.BlockWeight, lps)
 	fabricLP := part.Partition(g, blockLP, lps)
 	if len(fabricLP) != g.Fabric() {
 		return nil, fmt.Errorf("pdes: partitioner %q returned %d placements for %d fabric switches",

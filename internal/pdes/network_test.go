@@ -14,7 +14,14 @@ import (
 // poissonSpecs generates the standard Poisson web-search workload over every
 // host of cfg at the given load, arriving until dur.
 func poissonSpecs(cfg topology.Config, load float64, dur des.Time, seed uint64) ([]traffic.FlowSpec, error) {
-	hosts := make([]packet.HostID, cfg.NumHosts())
+	return skewedSpecs(cfg, cfg.NumToRs(), load, dur, seed)
+}
+
+// skewedSpecs is the Poisson workload of (load, seed) confined to the hosts
+// of the first racks racks, the rest idle: the ranks-on-the-first-racks shape
+// whose block weights make the builder cut the racks unevenly.
+func skewedSpecs(cfg topology.Config, racks int, load float64, dur des.Time, seed uint64) ([]traffic.FlowSpec, error) {
+	hosts := make([]packet.HostID, racks*cfg.ServersPerToR)
 	for i := range hosts {
 		hosts[i] = packet.HostID(i)
 	}
@@ -35,6 +42,13 @@ func runNetwork(cfg topology.Config, lps int, load float64, dur des.Time, seed u
 	if err != nil {
 		return nil, err
 	}
+	return runSpecs(cfg, lps, specs, dur, algo, reg, cuts, opts...)
+}
+
+// runSpecs is runNetwork over an explicit workload.
+func runSpecs(cfg topology.Config, lps int, specs []traffic.FlowSpec, dur des.Time,
+	algo SyncAlgo, reg *metrics.Registry, cuts []des.Time, opts ...Option) (*Network, error) {
+
 	net, err := Build(cfg, lps, specs, append([]Option{WithSyncAlgo(algo)}, opts...)...)
 	if err != nil {
 		return nil, err

@@ -12,12 +12,15 @@
 // whose edges are weighted by bandwidth plus the workload's traffic.
 //
 // Rack blocks (a ToR or cluster with its hosts and stacks) are pinned
-// contiguously: they hold the stateful endpoints whose spread fixes workload
-// balance, every partitioner then sees the identical host→LP map — so
-// partition choice can change performance but never which flows start where —
-// and for bipartite fabrics every cut edge has exactly one fabric endpoint,
-// making the fabric placement the entire cut. The partitioners differ only in
-// where the fabric switches go.
+// contiguously, by weight (placeBlocks): each LP takes a run of consecutive
+// blocks, and the runs are cut where the heaviest LP's summed block weight is
+// least. Blocks hold the stateful endpoints whose spread fixes workload
+// balance — a workload whose ranks sit on the first racks would otherwise
+// load one LP and leave the other idle. Every partitioner then sees the
+// identical host→LP map — so partition choice can change performance but
+// never which flows start where — and for bipartite fabrics every cut edge
+// has exactly one fabric endpoint, making the fabric placement the entire
+// cut. The partitioners differ only in where the fabric switches go.
 //
 // What placement can and cannot buy. Under uniform all-to-all traffic the
 // EXPECTED fraction of traffic a balanced placement localizes is nearly
@@ -94,6 +97,95 @@ type Partitioner interface {
 	Name() string
 	// Partition returns fabricLP, len == g.Fabric(), every entry in [0, lps).
 	Partition(g *Graph, blockLP []int, lps int) []int
+}
+
+// placeBlocks pins n = len(w) blocks onto lps LPs in contiguous runs, every LP
+// at least one block, choosing the split whose heaviest LP carries the least
+// summed weight w. On an exact tie it takes the split whose LP start blocks
+// lie closest, in summed distance, to the even split's (block b on LP
+// b*lps/n), and of those the one with the earliest starts — so equal weights
+// give exactly the even split. lps must lie in [1, n].
+//
+// Two dynamic programs over the n² run sums, O(lps·n²) each: the first finds
+// the least heaviest load, the second the least distance to the even starts
+// among the splits whose every run stays within it. Run sums are accumulated
+// left to right, the order a per-LP load sum takes, so "exact tie" means
+// bit-equal loads.
+func placeBlocks(w []float64, lps int) []int {
+	n := len(w)
+	out := make([]int, n)
+	if lps <= 1 {
+		return out
+	}
+	// run[i][j] is the summed weight of blocks [i, j).
+	run := make([][]float64, n+1)
+	for i := range run {
+		run[i] = make([]float64, n+1)
+		for j := i + 1; j <= n; j++ {
+			run[i][j] = run[i][j-1] + w[j-1]
+		}
+	}
+	// heavy[k][j]: least heaviest load over splits of blocks [0, j) onto k+1
+	// LPs.
+	heavy := make([][]float64, lps)
+	heavy[0] = run[0]
+	for k := 1; k < lps; k++ {
+		heavy[k] = make([]float64, n+1)
+		for j := k + 1; j <= n; j++ {
+			best := math.Inf(1)
+			for i := k; i < j; i++ {
+				best = math.Min(best, math.Max(heavy[k-1][i], run[i][j]))
+			}
+			heavy[k][j] = best
+		}
+	}
+	limit := heavy[lps-1][n]
+
+	// dist[k][i]: least summed |start - even start| of LPs k.. when LP k
+	// starts at block i and covers through block n-1, every run within
+	// limit; -1 when no such split exists.
+	even := func(k int) int { return (k*n + lps - 1) / lps }
+	abs := func(x int) int { return max(x, -x) }
+	dist := make([][]int, lps)
+	for k := lps - 1; k >= 0; k-- {
+		dist[k] = make([]int, n+1)
+		for i := range dist[k] {
+			dist[k][i] = -1
+		}
+		for i := k; i <= n-(lps-k); i++ {
+			if k == lps-1 {
+				if run[i][n] <= limit {
+					dist[k][i] = abs(i - even(k))
+				}
+				continue
+			}
+			for j := i + 1; j <= n-(lps-k-1); j++ {
+				if d := dist[k+1][j]; d >= 0 && run[i][j] <= limit {
+					if d += abs(i - even(k)); dist[k][i] < 0 || d < dist[k][i] {
+						dist[k][i] = d
+					}
+				}
+			}
+		}
+	}
+	// Walk the starts forward, taking at each LP the earliest next start that
+	// keeps the optimum.
+	start := 0
+	for k := 0; k < lps-1; k++ {
+		rest := dist[k][start] - abs(start-even(k))
+		next := start + 1
+		for dist[k+1][next] != rest || run[start][next] > limit {
+			next++
+		}
+		for b := start; b < next; b++ {
+			out[b] = k
+		}
+		start = next
+	}
+	for b := start; b < n; b++ {
+		out[b] = lps - 1
+	}
+	return out
 }
 
 // ParsePartitioner maps a command-line name to a Partitioner.
@@ -473,13 +565,15 @@ type PartitionStats struct {
 	LoadImbalance float64
 	// OwnedDevices[l] counts devices (hosts + switches) owned by LP l.
 	OwnedDevices []int
+	// BlockLP[b] is the LP owning block b (a rack or cluster with its hosts).
+	BlockLP []int
 }
 
 // partitionStats computes PartitionStats for an assignment. devicesPerBlock
 // is the device count a block contributes (hosts + edge switches); each
 // fabric switch contributes one.
 func partitionStats(name string, g *Graph, blockLP, fabricLP []int, lps, devicesPerBlock int) *PartitionStats {
-	st := &PartitionStats{Name: name, OwnedDevices: make([]int, lps)}
+	st := &PartitionStats{Name: name, OwnedDevices: make([]int, lps), BlockLP: blockLP}
 	load := make([]float64, lps)
 	for b, lp := range blockLP {
 		st.OwnedDevices[lp] += devicesPerBlock

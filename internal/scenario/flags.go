@@ -92,16 +92,20 @@ func (f *Flags) Spec() Spec {
 
 // PDESSpec assembles one pdes-mode sweep point: the sweep loop supplies size
 // and placement, the bound flags supply the sync/partition/faults grammars.
+// The lps=1 point is the sequential reference of every sweep, so it carries
+// neither sync nor partition, matching Validate's applicability rules.
 func (f *Flags) PDESSpec(racks, lps int, load float64, seed uint64, durMS float64) Spec {
-	return Spec{
+	sp := Spec{
 		Mode:      "pdes",
 		Topology:  Topology{Kind: "leafspine", Racks: racks},
 		Workload:  Workload{Load: load, Collective: f.Collective},
-		Sync:      f.Sync,
-		Partition: f.Partition,
 		Faults:    f.Faults,
 		LPs:       lps,
 		Seed:      seed,
 		HorizonMS: durMS,
 	}
+	if lps != 1 {
+		sp.Sync, sp.Partition = f.Sync, f.Partition
+	}
+	return sp
 }

@@ -311,6 +311,17 @@ func (s Spec) Validate() error {
 		// flight at the warm point are parked and ride the checkpoint.)
 		return fmt.Errorf("scenario: warm_ms needs a conservative sync (nullmsg or barrier); timewarp cannot checkpoint a warm point — drop warm_ms or switch sync")
 	}
+	if n.LPs == 1 {
+		// A lone LP runs as its plain kernel under every algorithm and
+		// placement, so either field would only alias cache keys of one run.
+		// Normalized fills in the defaults, which stay accepted.
+		if n.Sync != "nullmsg" {
+			return fmt.Errorf("scenario: sync does not apply to lps 1")
+		}
+		if n.Partition != "contiguous" {
+			return fmt.Errorf("scenario: partition does not apply to lps 1")
+		}
+	}
 	if n.Workload.Collective != "" {
 		ps, err := collective.Parse(n.Workload.Collective)
 		if err != nil {

@@ -334,6 +334,44 @@ func TestValidateRejections(t *testing.T) {
 			}
 		})
 	}
+	// One LP runs as its plain kernel whatever the sync or placement, so a
+	// non-default value is rejected by name rather than minting a second
+	// cache key for the same run.
+	for _, c := range []struct {
+		name, field string
+		spec        Spec
+	}{
+		{"barrier at one lp", "sync", Spec{Mode: "pdes", LPs: 1, Sync: "barrier"}},
+		{"timewarp at default lps", "sync", Spec{Mode: "pdes", Sync: "timewarp"}},
+		{"mincut at one lp", "partition", Spec{Mode: "pdes", LPs: 1, Partition: "mincut"}},
+		{"spine at default lps", "partition", Spec{Mode: "pdes", Partition: "spine"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field+" ") {
+				t.Fatalf("Validate(%+v) = %v, want an error naming %s", c.spec, err, c.field)
+			}
+		})
+	}
+}
+
+// TestOneLPDefaultsShareAKey: at lps 1 the defaults, spelled out or aliased,
+// are accepted and hash to the key of the bare spec.
+func TestOneLPDefaultsShareAKey(t *testing.T) {
+	bare := Spec{Mode: "pdes", LPs: 1, Seed: 3}
+	want, err := bare.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []Spec{
+		{Mode: "pdes", Seed: 3},
+		{Mode: "pdes", LPs: 1, Seed: 3, Sync: "nullmsg", Partition: "contiguous"},
+		{Mode: "pdes", LPs: 1, Seed: 3, Sync: "null"},
+	} {
+		if got, err := sp.Key(); err != nil || got != want {
+			t.Errorf("Key(%+v) = %q, %v; want %q", sp, got, err, want)
+		}
+	}
 }
 
 // TestValidateWarmMultiLP pins the bugfix's API half: warm_ms with lps > 1
@@ -408,10 +446,36 @@ func TestFlagsSpec(t *testing.T) {
 		t.Fatalf("pdes-mode spec dropped fields: %+v", sp2)
 	}
 
+	// Bind's -sync and -partition defaults are the normalized defaults, so an
+	// -lps 1 run that leaves them alone validates.
+	fs3 := flag.NewFlagSet("t", flag.ContinueOnError)
+	f3 := Bind(fs3)
+	if err := fs3.Parse([]string{"-mode", "pdes", "-lps", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f3.Spec().Validate(); err != nil {
+		t.Fatal(err)
+	}
+
 	sweep := BindSweep(flag.NewFlagSet("t", flag.ContinueOnError))
 	psp := sweep.PDESSpec(16, 4, 0.4, 1, 2)
 	if err := psp.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// A sweep's lps=1 point is its sequential reference: it drops the swept
+	// sync and partition instead of failing validation.
+	fs4 := flag.NewFlagSet("t", flag.ContinueOnError)
+	sweep = BindSweep(fs4)
+	if err := fs4.Parse([]string{"-sync", "barrier", "-partition", "mincut"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, lps := range []int{1, 4} {
+		if err := sweep.PDESSpec(16, lps, 0.4, 1, 2).Validate(); err != nil {
+			t.Fatalf("lps=%d sweep point: %v", lps, err)
+		}
+	}
+	if sp := sweep.PDESSpec(16, 4, 0.4, 1, 2); sp.Sync != "barrier" || sp.Partition != "mincut" {
+		t.Fatalf("lps=4 sweep point dropped sync or partition: %+v", sp)
 	}
 }
 

@@ -27,7 +27,9 @@ import (
 // packets blackhole at the physical failure point (counted as FaultDrops by
 // netsim, never silent). After detection the viewer rehashes deterministically
 // over the SURVIVING equal-cost set, sorted ascending, so when every element
-// is up the pick reduces to exactly the healthy hash%n arithmetic.
+// is up the pick reduces to exactly the healthy hash%n arithmetic — which
+// RouteOn therefore takes outright at every instant no viewer believes any
+// element down (faults.Schedule.AllViewedUp).
 
 // RouteOn routes p at switch sw on a fabric shaped by cfg, under fault
 // schedule sched as seen at virtual time now. A nil or empty schedule gives
@@ -42,7 +44,7 @@ func RouteOn(cfg *Config, sched *faults.Schedule, now des.Time, sw packet.NodeID
 	torBase, aggBase, coreBase := cfg.Bases()
 	dstToR := dst / cfg.ServersPerToR
 	dstCluster := dst / perCluster
-	healthy := sched.Empty()
+	healthy := sched.AllViewedUp(now)
 	switch {
 	case sw >= coreBase: // core: one port per cluster
 		return dstCluster, true
@@ -97,14 +99,20 @@ func RouteOn(cfg *Config, sched *faults.Schedule, now des.Time, sw packet.NodeID
 }
 
 // pickSurvivor returns the (h mod m)-th of the m candidates in [0, n) that
-// dead rejects, in ascending order — the rehash over the surviving
-// equal-cost set — and false when none survives. It counts the survivors in
-// one pass and finds the pick in a second, so it allocates nothing; dead is
-// a pure function of its candidate, so both passes see the same set.
+// dead does not reject, in ascending order — the rehash over the surviving
+// equal-cost set — and false when none survives. dead runs once per
+// candidate, into a bit mask the pick then walks; up to 64 candidates the
+// mask lives on the stack and nothing is allocated.
 func pickSurvivor(n int, h uint64, dead func(int) bool) (int, bool) {
+	var small [1]uint64
+	alive := small[:]
+	if n > 64 {
+		alive = make([]uint64, (n+63)/64)
+	}
 	m := 0
 	for i := 0; i < n; i++ {
 		if !dead(i) {
+			alive[i/64] |= 1 << (i % 64)
 			m++
 		}
 	}
@@ -113,7 +121,7 @@ func pickSurvivor(n int, h uint64, dead func(int) bool) (int, bool) {
 	}
 	k := int(h % uint64(m))
 	for i := 0; ; i++ {
-		if !dead(i) {
+		if alive[i/64]&(1<<(i%64)) != 0 {
 			if k == 0 {
 				return i, true
 			}
