@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"approxsim/internal/approx"
 	"approxsim/internal/des"
@@ -223,7 +224,8 @@ type TrainOptions struct {
 	Seed uint64
 }
 
-// TrainModels fits ingress and egress micro models from a boundary capture.
+// TrainModels fits ingress and egress micro models from a boundary capture,
+// the two directions on two goroutines.
 // topoCfg must describe the topology the records came from (for feature
 // extraction); the returned models can be applied to larger topologies —
 // the paper's central generalization step.
@@ -244,13 +246,25 @@ func TrainModels(records []trace.Record, topoCfg topology.Config, opts TrainOpti
 		Macro: opts.Macro, NN: opts.NN, Seed: opts.Seed,
 		NoMacro: opts.NoMacro,
 	}
+	// The two directions share no state (both only read topo), so they
+	// train at once.
+	var (
+		ing    *micro.Predictor
+		ingErr error
+		wg     sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ing, _, ingErr = micro.Train(topo, trace.Ingress, records, mcfg)
+	}()
 	eg, _, err := micro.Train(topo, trace.Egress, records, mcfg)
+	wg.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("core: training egress model: %w", err)
 	}
-	ing, _, err := micro.Train(topo, trace.Ingress, records, mcfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: training ingress model: %w", err)
+	if ingErr != nil {
+		return nil, fmt.Errorf("core: training ingress model: %w", ingErr)
 	}
 	return &Models{
 		Egress: eg.Model, Ingress: ing.Model,

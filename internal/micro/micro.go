@@ -83,9 +83,9 @@ func NewFeaturizer(topo *topology.Topology) *Featurizer {
 var gapScale = math.Log1p(1e9)
 
 // Features computes the model input for a packet arriving at the boundary
-// now, and advances the inter-arrival state. It returns a fresh slice, which
-// the training paths keep; streaming inference featurizes into a buffer it
-// owns (featuresInto).
+// now, and advances the inter-arrival state. It returns a fresh slice;
+// BuildExamples and streaming inference featurize into memory they own
+// (featuresInto).
 func (f *Featurizer) Features(now des.Time, src, dst packet.HostID, flow uint64,
 	size int32, isAck bool, st macro.State) []float64 {
 
@@ -248,22 +248,36 @@ func (c TrainConfig) withDefaults() TrainConfig {
 
 // BuildExamples converts one direction's boundary records into training
 // examples: features from a streaming featurizer + macro labeler, labels
-// from the recorded outcome. It also returns the smallest observed latency
-// (the physical floor). Records must be in entry order.
+// from the recorded outcome. With noMacro the macro feature is the constant
+// Minimal (the ablation arm). It also returns the smallest observed latency
+// (the physical floor). Records must be in entry order. Every feature
+// vector is cut from one backing array.
 func BuildExamples(topo *topology.Topology, records []trace.Record,
-	mcfg macro.Config) (examples []nn.Example, floor des.Time) {
+	mcfg macro.Config, noMacro bool) (examples []nn.Example, floor des.Time) {
 
+	n := 0
+	for _, r := range records {
+		if labeled(r) {
+			n++
+		}
+	}
+	xs := make([]float64, n*FeatureDim)
+	examples = make([]nn.Example, 0, n)
 	cls := macro.New(mcfg)
 	feat := NewFeaturizer(topo)
 	floor = des.MaxTime
 	for _, r := range records {
-		if !r.Dropped && r.Latency <= 0 {
-			// Unresolved traversal (still inside the fabric when capture
-			// ended): no label exists for it.
+		if !labeled(r) {
 			continue
 		}
-		st := cls.Current()
-		x := feat.Features(r.Entry, r.Src, r.Dst, r.Flow, r.Size, r.IsAck, st)
+		st := macro.Minimal
+		if !noMacro {
+			st = cls.Current()
+		}
+		x := xs[:FeatureDim:FeatureDim]
+		xs = xs[FeatureDim:]
+		feat.featuresInto((*[FeatureDim]float64)(x), r.Entry, r.Src, r.Dst, r.Size, r.IsAck,
+			topo.PathFor(r.Src, r.Dst, r.Flow), st)
 		ex := nn.Example{X: x, Dropped: r.Dropped}
 		if !r.Dropped {
 			ex.Latency = NormalizeLatency(r.Latency)
@@ -280,30 +294,10 @@ func BuildExamples(topo *topology.Topology, records []trace.Record,
 	return examples, floor
 }
 
-// buildExamplesNoMacro is BuildExamples with the macro feature pinned to
-// Minimal (the ablation arm).
-func buildExamplesNoMacro(topo *topology.Topology, records []trace.Record) ([]nn.Example, des.Time) {
-	feat := NewFeaturizer(topo)
-	floor := des.MaxTime
-	var examples []nn.Example
-	for _, r := range records {
-		if !r.Dropped && r.Latency <= 0 {
-			continue
-		}
-		x := feat.Features(r.Entry, r.Src, r.Dst, r.Flow, r.Size, r.IsAck, macro.Minimal)
-		ex := nn.Example{X: x, Dropped: r.Dropped}
-		if !r.Dropped {
-			ex.Latency = NormalizeLatency(r.Latency)
-			if r.Latency < floor {
-				floor = r.Latency
-			}
-		}
-		examples = append(examples, ex)
-	}
-	if floor == des.MaxTime {
-		floor = 0
-	}
-	return examples, floor
+// labeled reports whether r has a label: an unresolved traversal (still
+// inside the fabric when capture ended) has neither a drop nor a latency.
+func labeled(r trace.Record) bool {
+	return r.Dropped || r.Latency > 0
 }
 
 // Train fits a predictor for one direction from boundary records.
@@ -317,13 +311,7 @@ func Train(topo *topology.Topology, dir trace.Direction, records []trace.Record,
 			dirRecords = append(dirRecords, r)
 		}
 	}
-	var examples []nn.Example
-	var floor des.Time
-	if cfg.NoMacro {
-		examples, floor = buildExamplesNoMacro(topo, dirRecords)
-	} else {
-		examples, floor = BuildExamples(topo, dirRecords, cfg.Macro)
-	}
+	examples, floor := BuildExamples(topo, dirRecords, cfg.Macro, cfg.NoMacro)
 	bptt := cfg.NN.BPTT
 	if bptt == 0 {
 		bptt = 16

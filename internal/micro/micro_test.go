@@ -143,7 +143,7 @@ func captureTraining(t *testing.T, durMs int) (*topology.Topology, []trace.Recor
 func TestBuildExamples(t *testing.T) {
 	topo, records := captureTraining(t, 4)
 	eg, _ := trace.Split(records)
-	examples, floor := BuildExamples(topo, eg, macro.Config{})
+	examples, floor := BuildExamples(topo, eg, macro.Config{}, false)
 	// Unresolved traversals are skipped, so examples <= records.
 	if len(examples) == 0 || len(examples) > len(eg) {
 		t.Fatalf("%d examples from %d records", len(examples), len(eg))

@@ -20,3 +20,9 @@ func affineAVX2(z, b, wp, v []float64)
 //
 //go:noescape
 func cellAVX2(z, c, h []float64)
+
+// backRowsAVX2 is backRowsGo over every row. The caller has checked the
+// lengths.
+//
+//go:noescape
+func backRowsAVX2(dz, w, dw, v, dx []float64)

@@ -215,3 +215,92 @@ unit:
 
 none:
 	RET
+
+// func backRowsAVX2(dz, w, dw, v, dx []float64)
+//
+// For every row r with g = dz[r] != 0 (NaN included), in row order, with
+// n = len(v): dw[r*n+i] += g*v[i] for every i, then, unless len(dx) is 0,
+// dx[i] += w[r*n+i]*g. Four columns per step (VMULPD then VADDPD, never
+// fused), then the leftover columns one at a time (VMULSD then VADDSD): each
+// element sees the Go loop's additions in the Go loop's order, so every
+// result has the same bits. A zero g is skipped as in the Go loop. The
+// caller has checked len(w) == len(dw) == len(dz)*n and len(dx) is 0 or n.
+TEXT ·backRowsAVX2(SB), NOSPLIT, $0-120
+	MOVQ dz_len+8(FP), CX      // rows
+	TESTQ CX, CX
+	JZ   out
+	MOVQ dz_base+0(FP), SI     // dz[r]
+	MOVQ w_base+24(FP), R8     // row r of w
+	MOVQ dw_base+48(FP), R9    // row r of dw
+	MOVQ v_base+72(FP), R10
+	MOVQ v_len+80(FP), DX      // n
+	MOVQ dx_base+96(FP), R11
+	MOVQ dx_len+104(FP), R12
+	MOVQ DX, BX
+	ANDQ $-4, BX               // columns done four at a time
+	MOVQ DX, R13
+	SHLQ $3, R13               // row stride in bytes
+	VXORPD X7, X7, X7
+
+row:
+	VMOVSD (SI), X0
+	VUCOMISD X7, X0
+	JNE  nonzero
+	JPS  nonzero               // unordered: g is NaN
+	JMP  next
+
+nonzero:
+	VBROADCASTSD (SI), Y0
+	XORQ AX, AX
+
+dwquad:
+	CMPQ AX, BX
+	JGE  dwtail
+	VMULPD (R10)(AX*8), Y0, Y1 // g*v
+	VADDPD (R9)(AX*8), Y1, Y1
+	VMOVUPD Y1, (R9)(AX*8)
+	ADDQ $4, AX
+	JMP  dwquad
+
+dwtail:
+	CMPQ AX, DX
+	JGE  dxrow
+	VMULSD (R10)(AX*8), X0, X1
+	VADDSD (R9)(AX*8), X1, X1
+	VMOVSD X1, (R9)(AX*8)
+	INCQ AX
+	JMP  dwtail
+
+dxrow:
+	TESTQ R12, R12
+	JZ   next
+	XORQ AX, AX
+
+dxquad:
+	CMPQ AX, BX
+	JGE  dxtail
+	VMULPD (R8)(AX*8), Y0, Y1  // w[r]*g
+	VADDPD (R11)(AX*8), Y1, Y1
+	VMOVUPD Y1, (R11)(AX*8)
+	ADDQ $4, AX
+	JMP  dxquad
+
+dxtail:
+	CMPQ AX, DX
+	JGE  next
+	VMULSD (R8)(AX*8), X0, X1
+	VADDSD (R11)(AX*8), X1, X1
+	VMOVSD X1, (R11)(AX*8)
+	INCQ AX
+	JMP  dxtail
+
+next:
+	ADDQ $8, SI
+	ADDQ R13, R8
+	ADDQ R13, R9
+	DECQ CX
+	JNZ  row
+	VZEROUPPER
+
+out:
+	RET

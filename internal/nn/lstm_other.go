@@ -11,3 +11,5 @@ func cpuHasAVX2() bool { return false }
 func affineAVX2(z, b, wp, v []float64) { panic("nn: no AVX2 kernel on this GOARCH") }
 
 func cellAVX2(z, c, h []float64) { panic("nn: no AVX2 kernel on this GOARCH") }
+
+func backRowsAVX2(dz, w, dw, v, dx []float64) { panic("nn: no AVX2 kernel on this GOARCH") }

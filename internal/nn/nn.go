@@ -164,6 +164,17 @@ func cellRows(z, c, h []float64, from int) {
 	}
 }
 
+// SetAVX2 turns the AVX2 kernels on or off and returns the previous
+// setting; on takes effect only where the CPU has AVX2. The kernels and the
+// Go loop give the same bits, and SetAVX2 lets tests outside this package
+// check that end to end. It must not be called while a model trains or
+// predicts.
+func SetAVX2(on bool) (was bool) {
+	was = useAVX2
+	useAVX2 = on && cpuHasAVX2()
+	return was
+}
+
 // Dense is a fully connected layer y = Wx + b.
 type Dense struct {
 	In, Out int
@@ -187,9 +198,11 @@ func NewDense(in, out int, src *rng.Source) *Dense {
 	return d
 }
 
-// Forward computes y = Wx + b into a fresh slice.
-func (d *Dense) Forward(x []float64) []float64 {
-	y := make([]float64, d.Out)
+// forwardInto computes y = Wx + b. Each output sums its bias and products
+// in index order, one after the other: training and validation read the
+// heads through it, and the trained weights' bits depend on that order
+// (dot's even/odd order, behind forward1, gives others).
+func (d *Dense) forwardInto(x, y []float64) {
 	for o := 0; o < d.Out; o++ {
 		sum := d.B[o]
 		row := d.W[o*d.In : (o+1)*d.In]
@@ -198,13 +211,13 @@ func (d *Dense) Forward(x []float64) []float64 {
 		}
 		y[o] = sum
 	}
-	return y
 }
 
-// Backward accumulates gradients given dy and the cached input x, and
-// returns dx.
-func (d *Dense) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, d.In)
+// backwardInto accumulates the gradients given dy and the input x, and
+// overwrites dx with the input gradient: every output's share added in
+// turn to zero.
+func (d *Dense) backwardInto(x, dy, dx []float64) {
+	clear(dx)
 	for o := 0; o < d.Out; o++ {
 		g := dy[o]
 		d.dB[o] += g
@@ -215,7 +228,6 @@ func (d *Dense) Backward(x, dy []float64) []float64 {
 			dx[i] += row[i] * g
 		}
 	}
-	return dx
 }
 
 // lstmLayer is one LSTM layer. Weight rows are gate-major in the order
@@ -268,79 +280,119 @@ func newLSTMLayer(in, hidden int, src *rng.Source) *lstmLayer {
 	return l
 }
 
-// stepCache holds the activations one forward step needs for backprop.
+// stepCache holds what one layer's forward step leaves for backprop: its
+// inputs (x, hPrev, cPrev, which belong to the layer below and the previous
+// step) and its own activations and output.
 type stepCache struct {
 	x, hPrev, cPrev []float64
 	i, f, g, o      []float64 // post-activation gates
-	c, tanhC        []float64
+	c, tanhC, h     []float64
 }
 
-// forward computes one timestep. hPrev/cPrev are the layer's previous
-// hidden/cell state; returns h, c and the cache.
-func (l *lstmLayer) forward(x, hPrev, cPrev []float64) ([]float64, []float64, *stepCache) {
+// newStepCaches returns n caches for hidden size H, their buffers cut from
+// one allocation.
+func newStepCaches(n, H int) []stepCache {
+	buf := make([]float64, 7*H*n)
+	next := func() []float64 {
+		v := buf[:H:H]
+		buf = buf[H:]
+		return v
+	}
+	caches := make([]stepCache, n)
+	for k := range caches {
+		sc := &caches[k]
+		sc.i, sc.f, sc.g, sc.o = next(), next(), next(), next()
+		sc.c, sc.tanhC, sc.h = next(), next(), next()
+	}
+	return caches
+}
+
+// forwardInto computes one timestep from x and the layer's previous
+// hidden/cell state into sc, whose h and c are the new state. z is scratch
+// of size 4*Hidden.
+func (l *lstmLayer) forwardInto(sc *stepCache, x, hPrev, cPrev, z []float64) {
 	H := l.Hidden
-	z := make([]float64, 4*H)
 	l.gates(z, x, hPrev)
-	cache := &stepCache{
-		x: x, hPrev: hPrev, cPrev: cPrev,
-		i: make([]float64, H), f: make([]float64, H),
-		g: make([]float64, H), o: make([]float64, H),
-		c: make([]float64, H), tanhC: make([]float64, H),
-	}
-	h := make([]float64, H)
+	sc.x, sc.hPrev, sc.cPrev = x, hPrev, cPrev
 	for j := 0; j < H; j++ {
-		cache.i[j] = sigmoid(z[j])
-		cache.f[j] = sigmoid(z[H+j])
-		cache.g[j] = tanh(z[2*H+j])
-		cache.o[j] = sigmoid(z[3*H+j])
-		cache.c[j] = float64(cache.f[j]*cPrev[j]) + float64(cache.i[j]*cache.g[j])
-		cache.tanhC[j] = tanh(cache.c[j])
-		h[j] = cache.o[j] * cache.tanhC[j]
+		sc.i[j] = sigmoid(z[j])
+		sc.f[j] = sigmoid(z[H+j])
+		sc.g[j] = tanh(z[2*H+j])
+		sc.o[j] = sigmoid(z[3*H+j])
+		sc.c[j] = float64(sc.f[j]*cPrev[j]) + float64(sc.i[j]*sc.g[j])
+		sc.tanhC[j] = tanh(sc.c[j])
+		sc.h[j] = sc.o[j] * sc.tanhC[j]
 	}
-	return h, cache.c, cache
 }
 
-// backward consumes dh and dc for this step, accumulates weight gradients,
-// and returns (dx, dhPrev, dcPrev).
-func (l *lstmLayer) backward(cache *stepCache, dh, dc []float64) (dx, dhPrev, dcPrev []float64) {
+// backwardInto takes one step back through the layer and accumulates its
+// weight gradients. On entry dh and dc are the gradients of the step's h
+// and c; on return they are those of hPrev and cPrev. dz is scratch of size
+// 4*Hidden. dx receives the gradient of x, unless it is empty: the bottom
+// layer's input gradient has no reader.
+func (l *lstmLayer) backwardInto(sc *stepCache, dh, dc, dz, dx []float64) {
 	H := l.Hidden
-	dz := make([]float64, 4*H)
-	dcPrev = make([]float64, H)
 	for j := 0; j < H; j++ {
-		do := dh[j] * cache.tanhC[j]
-		dct := dc[j] + dh[j]*cache.o[j]*(1-cache.tanhC[j]*cache.tanhC[j])
-		di := dct * cache.g[j]
-		df := dct * cache.cPrev[j]
-		dg := dct * cache.i[j]
-		dcPrev[j] = dct * cache.f[j]
+		do := dh[j] * sc.tanhC[j]
+		dct := dc[j] + dh[j]*sc.o[j]*(1-sc.tanhC[j]*sc.tanhC[j])
+		di := dct * sc.g[j]
+		df := dct * sc.cPrev[j]
+		dg := dct * sc.i[j]
+		dc[j] = dct * sc.f[j]
 
-		dz[j] = di * cache.i[j] * (1 - cache.i[j])
-		dz[H+j] = df * cache.f[j] * (1 - cache.f[j])
-		dz[2*H+j] = dg * (1 - cache.g[j]*cache.g[j])
-		dz[3*H+j] = do * cache.o[j] * (1 - cache.o[j])
+		dz[j] = di * sc.i[j] * (1 - sc.i[j])
+		dz[H+j] = df * sc.f[j] * (1 - sc.f[j])
+		dz[2*H+j] = dg * (1 - sc.g[j]*sc.g[j])
+		dz[3*H+j] = do * sc.o[j] * (1 - sc.o[j])
 	}
-	dx = make([]float64, l.In)
-	dhPrev = make([]float64, H)
-	for r := 0; r < 4*H; r++ {
-		g := dz[r]
+	for r, g := range dz {
+		if g != 0 {
+			l.dB[r] += g
+		}
+	}
+	clear(dx)
+	backRows(dz, l.Wx, l.dWx, sc.x, dx)
+	clear(dh)
+	backRows(dz, l.Wh, l.dWh, sc.hPrev, dh)
+}
+
+// backRows accumulates one weight matrix's share of an LSTM step's
+// backward pass. For every row r with g = dz[r] != 0, in row order, it adds
+// g*v to row r of dw and, unless dx is empty, w's row r times g to dx; w
+// and dw are row-major with n = len(v) columns. A zero g is skipped, not
+// added: adding its +0 products would turn a -0 into +0. With AVX2 the
+// kernel does every row; without, backRowsGo. Both give the same bits.
+func backRows(dz, w, dw, v, dx []float64) {
+	if len(w) != len(dz)*len(v) || len(dw) != len(w) || (len(dx) != 0 && len(dx) != len(v)) {
+		panic("nn: backward weights, gradients and input disagree in size")
+	}
+	if useAVX2 {
+		backRowsAVX2(dz, w, dw, v, dx)
+		return
+	}
+	backRowsGo(dz, w, dw, v, dx)
+}
+
+// backRowsGo is the reference backRows. The float64 conversions keep every
+// product unfused, as in dot.
+func backRowsGo(dz, w, dw, v, dx []float64) {
+	n := len(v)
+	for r, g := range dz {
 		if g == 0 {
 			continue
 		}
-		l.dB[r] += g
-		rowX := l.Wx[r*l.In : (r+1)*l.In]
-		growX := l.dWx[r*l.In : (r+1)*l.In]
-		for i, xi := range cache.x {
-			growX[i] += g * xi
-			dx[i] += rowX[i] * g
+		grow := dw[r*n : (r+1)*n]
+		for i, vi := range v {
+			grow[i] += float64(g * vi)
 		}
-		rowH := l.Wh[r*H : (r+1)*H]
-		growH := l.dWh[r*H : (r+1)*H]
-		for i, hi := range cache.hPrev {
-			growH[i] += g * hi
-			dhPrev[i] += rowH[i] * g
+		if len(dx) == 0 {
+			continue
+		}
+		row := w[r*n : (r+1)*n]
+		for i, wi := range row {
+			dx[i] += float64(wi * g)
 		}
 	}
-	return dx, dhPrev, dcPrev
 }
 
 // Model is the paper's micro-model architecture: a stacked LSTM whose final
@@ -446,13 +498,10 @@ func (m *Model) pack() {
 	}
 }
 
-// zeroGrads clears all accumulated gradients.
-func (m *Model) zeroGrads() {
-	for _, p := range m.params() {
-		g := p[1]
-		for i := range g {
-			g[i] = 0
-		}
+// zeroGrads clears the gradients of ps, a Model's params.
+func zeroGrads(ps [][2][]float64) {
+	for _, p := range ps {
+		clear(p[1])
 	}
 }
 

@@ -33,9 +33,10 @@ func TestDenseForward(t *testing.T) {
 		B:  []float64{10, 20},
 		dW: make([]float64, 4), dB: make([]float64, 2),
 	}
-	y := d.Forward([]float64{1, 1})
+	y := make([]float64, 2)
+	d.forwardInto([]float64{1, 1}, y)
 	if y[0] != 13 || y[1] != 27 {
-		t.Errorf("Forward = %v, want [13 27]", y)
+		t.Errorf("forwardInto = %v, want [13 27]", y)
 	}
 }
 
@@ -44,12 +45,14 @@ func TestDenseBackwardGradcheck(t *testing.T) {
 	d := NewDense(3, 2, src)
 	x := []float64{0.5, -1.2, 0.3}
 	// Scalar objective: sum of outputs squared.
+	y := make([]float64, 2)
 	obj := func() float64 {
-		y := d.Forward(x)
+		d.forwardInto(x, y)
 		return y[0]*y[0] + y[1]*y[1]
 	}
-	y := d.Forward(x)
-	dx := d.Backward(x, []float64{2 * y[0], 2 * y[1]})
+	d.forwardInto(x, y)
+	dx := make([]float64, 3)
+	d.backwardInto(x, []float64{2 * y[0], 2 * y[1]}, dx)
 	const eps = 1e-6
 	// Check dW numerically.
 	for i := range d.W {
@@ -93,38 +96,13 @@ func TestLSTMGradcheck(t *testing.T) {
 		{X: []float64{0.9, -0.5, 0.1}, Dropped: false, Latency: 0.4},
 	}
 	const alpha = 0.5
-	m.zeroGrads()
-	m.bpttWindow(window, alpha)
+	zeroGrads(m.params())
+	newWindowScratch(m, len(window)).bptt(window, alpha)
 
+	// The summed loss of a fresh forward pass from the zero state, as bptt
+	// runs it.
 	lossOf := func() float64 {
-		// Fresh forward (stateless from zero) exactly as bpttWindow does.
-		h := make([][]float64, m.Layers)
-		c := make([][]float64, m.Layers)
-		for l := 0; l < m.Layers; l++ {
-			h[l] = make([]float64, m.Hidden)
-			c[l] = make([]float64, m.Hidden)
-		}
-		var loss float64
-		for _, ex := range window {
-			cur := ex.X
-			for l, layer := range m.lstm {
-				nh, nc, _ := layer.forward(cur, h[l], c[l])
-				h[l], c[l] = nh, nc
-				cur = nh
-			}
-			z := m.DropHead.Forward(cur)[0]
-			lat := m.LatHead.Forward(cur)[0]
-			y := 0.0
-			if ex.Dropped {
-				y = 1
-			}
-			loss += math.Max(z, 0) - z*y + math.Log1p(math.Exp(-math.Abs(z)))
-			if !ex.Dropped {
-				d := lat - ex.Latency
-				loss += alpha * d * d
-			}
-		}
-		return loss
+		return EvalLoss(m, window, alpha) * float64(len(window))
 	}
 
 	const eps = 1e-6
@@ -358,14 +336,14 @@ func TestNumParams(t *testing.T) {
 
 func TestGradClipBoundsNorm(t *testing.T) {
 	m := NewModel(2, 4, 1, rng.New(2))
-	m.zeroGrads()
+	zeroGrads(m.params())
 	// Inject huge gradients.
 	for _, p := range m.params() {
 		for i := range p[1] {
 			p[1][i] = 1000
 		}
 	}
-	clipGrads(m, 1.0, 1.0)
+	clipGrads(m.params(), 1.0, 1.0)
 	var sq float64
 	for _, p := range m.params() {
 		for _, g := range p[1] {
@@ -437,6 +415,39 @@ func TestValidationAndEarlyStopping(t *testing.T) {
 	if stats.ValLoss > 1.0 {
 		t.Errorf("validation loss %v did not come down", stats.ValLoss)
 	}
+
+	// A learning rate this small cannot improve the validation loss, so
+	// patience 1 is sure to stop at the second check, long before the
+	// configured last tenth of batches. LastLoss must average the last
+	// batches that ran, not the ones that never did.
+	m = NewModel(1, 8, 1, rng.New(7))
+	stats = Train(m, data, TrainConfig{
+		LR: 1e-300, Alpha: 1.0, Batches: 400, Batch: 8, BPTT: 8, Seed: 1,
+		ValFraction: 0.2, Patience: 1,
+	})
+	if !stats.Stopped || stats.Batches != 80 {
+		t.Fatalf("Stopped=%v after %d batches, want an early stop after 80", stats.Stopped, stats.Batches)
+	}
+	if !(stats.FirstLoss > 0) || !(stats.LastLoss > 0) {
+		t.Errorf("FirstLoss %v, LastLoss %v after an early stop; both must be positive", stats.FirstLoss, stats.LastLoss)
+	}
+}
+
+// TestTrainAllocationsDoNotGrow checks that BPTT reuses its scratch: ten
+// batches allocate as many times as one.
+func TestTrainAllocationsDoNotGrow(t *testing.T) {
+	data := goldenData(200, 5, 1)
+	forEachKernel(t, func(t *testing.T) {
+		m := NewModel(5, 8, 2, rng.New(1))
+		allocs := func(batches int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				Train(m, data, TrainConfig{LR: 0.01, Batches: batches, Batch: 4, BPTT: 8, Seed: 1})
+			})
+		}
+		if one, ten := allocs(1), allocs(10); one != ten {
+			t.Errorf("Train allocated %v times for 1 batch and %v for 10", one, ten)
+		}
+	})
 }
 
 func TestValidationHoldoutNotTrainedOn(t *testing.T) {
