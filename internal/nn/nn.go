@@ -164,17 +164,6 @@ func cellRows(z, c, h []float64, from int) {
 	}
 }
 
-// SetAVX2 turns the AVX2 kernels on or off and returns the previous
-// setting; on takes effect only where the CPU has AVX2. The kernels and the
-// Go loop give the same bits, and SetAVX2 lets tests outside this package
-// check that end to end. It must not be called while a model trains or
-// predicts.
-func SetAVX2(on bool) (was bool) {
-	was = useAVX2
-	useAVX2 = on && cpuHasAVX2()
-	return was
-}
-
 // Dense is a fully connected layer y = Wx + b.
 type Dense struct {
 	In, Out int

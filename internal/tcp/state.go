@@ -80,7 +80,6 @@ func (s *Stack) RestoreState(v any) {
 	for k := range s.conns {
 		delete(s.conns, k)
 	}
-	s.demux = [2]demuxEntry{}
 	for i := range st.conns {
 		cs := &st.conns[i]
 		c := cs.c

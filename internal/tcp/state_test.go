@@ -95,9 +95,6 @@ func TestStackSnapshotDropsPostSnapshotFlows(t *testing.T) {
 	if sa.ConnCount() != 0 {
 		t.Fatalf("post-snapshot connection survived the restore: %d conns", sa.ConnCount())
 	}
-	if c := sa.lookup(7); c != nil {
-		t.Fatal("post-snapshot connection survived the restore in the demux slots")
-	}
 	k.RunAll()
 	if len(sa.Results()) != 0 {
 		t.Fatalf("post-snapshot flow produced results after rollback: %+v", sa.Results())

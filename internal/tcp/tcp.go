@@ -114,11 +114,6 @@ type Stack struct {
 	kernel *des.Kernel
 	cfg    Config
 	conns  map[uint64]*conn
-	// demux holds the two connections handle found last, most recent
-	// first, in front of the conns map: a host's segments come in runs of
-	// a few flows. A new connection enters at the front; RestoreState,
-	// which rebuilds conns, empties it.
-	demux [2]demuxEntry
 
 	// OnRTTSample, if non-nil, observes every RTT measurement this host's
 	// senders take. The Fig. 4 harness collects these from hosts in the
@@ -216,7 +211,6 @@ func (s *Stack) StartFlow(dst packet.HostID, size int64, flowID uint64, onDone f
 	}
 	c := newSenderConn(s, dst, size, flowID, onDone)
 	s.conns[flowID] = c
-	s.remember(flowID, c)
 	atomic.StoreInt64(&s.nconns, int64(len(s.conns)))
 	c.sendSYN()
 }
@@ -241,12 +235,11 @@ func (s *Stack) Results() []FlowResult {
 // unknown flow instantiates the receiving side (the simulator's equivalent
 // of a listening socket that accepts everything).
 func (s *Stack) handle(p *packet.Packet) {
-	c := s.lookup(p.FlowID)
-	if c == nil {
+	c, ok := s.conns[p.FlowID]
+	if !ok {
 		if p.Flags&packet.FlagSYN != 0 && p.Flags&packet.FlagACK == 0 {
 			c = newReceiverConn(s, p.Src, p.FlowID)
 			s.conns[p.FlowID] = c
-			s.remember(p.FlowID, c)
 			atomic.StoreInt64(&s.nconns, int64(len(s.conns)))
 		} else {
 			// Stray segment for a forgotten connection; ignore, as a real
@@ -255,34 +248,4 @@ func (s *Stack) handle(p *packet.Packet) {
 		}
 	}
 	c.receive(p)
-}
-
-// demuxEntry is one slot of Stack.demux; an empty slot has a nil c.
-type demuxEntry struct {
-	flow uint64
-	c    *conn
-}
-
-// lookup returns the connection of flow, or nil, trying the demux slots
-// before the map.
-func (s *Stack) lookup(flow uint64) *conn {
-	if e := s.demux[0]; e.c != nil && e.flow == flow {
-		return e.c
-	}
-	if e := s.demux[1]; e.c != nil && e.flow == flow {
-		s.demux[1] = s.demux[0]
-		s.demux[0] = e
-		return e.c
-	}
-	c := s.conns[flow]
-	if c != nil {
-		s.remember(flow, c)
-	}
-	return c
-}
-
-// remember puts flow's connection c at the front of the demux slots.
-func (s *Stack) remember(flow uint64, c *conn) {
-	s.demux[1] = s.demux[0]
-	s.demux[0] = demuxEntry{flow, c}
 }
