@@ -12,18 +12,16 @@
 //	approxsim -mode fluid -clusters 4
 //	approxsim -mode pdes -racks 8 -lps 4
 //	approxsim -mode pdes -racks 8 -lps 4 -sync timewarp
-//	approxsim -mode pdes -racks 8 -lps 4 -partition mincut
 //
 // PDES mode synchronizes its logical processes with -sync: nullmsg
 // (conservative null messages, the default), barrier (global barriers), or
-// timewarp (optimistic with rollback). -partition picks how the fabric
-// switches are placed onto LPs: contiguous (round-robin baseline), spine
-// (pack spines next to the racks they exchange the most traffic with), or
-// mincut (greedy Kernighan-Lin refinement of the cut). Committed results
-// are bit-identical across partitioners; only the synchronization overhead
-// changes. Time Warp has one fixed configuration — a 50µs speculation window
-// past GVT, a GVT round every 200µs of wall time, a checkpoint every 256
-// events, and lazy cancellation — and -max-rollbacks is its only knob.
+// timewarp (optimistic with rollback). Racks are placed onto LPs in
+// contiguous runs cut by the workload's weight, and spine f on LP f % lps.
+// Committed results are bit-identical across LP counts and algorithms; only
+// the synchronization overhead changes. Time Warp has one fixed
+// configuration — a 50µs speculation window past GVT, a GVT round every
+// 200µs of wall time, a checkpoint every 256 events, and lazy cancellation —
+// and -max-rollbacks is its only knob.
 //
 // Hybrid mode loads models produced by the trainmodel command; if -models
 // is omitted it trains a small model in-process first (convenient for
@@ -415,7 +413,7 @@ func report(res *scenario.Result) {
 		}
 		fmt.Println()
 		fmt.Printf("partition=%s cut_edges=%d cut_weight=%.1f active_channels=%d lp_load_imbalance=%.3f\n",
-			p.Name, p.CutEdges, p.CutWeight, p.Channels, p.LoadImbalance)
+			res.Spec.Partition, p.CutEdges, p.CutWeight, p.Channels, p.LoadImbalance)
 		if res.Spec.Faults != "" {
 			fmt.Printf("fault_drops=%d route_drops=%d\n", m.FaultDrops, m.RouteDrops)
 		}

@@ -20,7 +20,7 @@
 // Every run goes through the scenario API (internal/scenario): each sweep
 // point is a scenario.Spec, so any row here can be reproduced exactly by
 // POSTing the same spec to the simd server or passing the same flags to
-// approxsim. The -sync / -partition / -faults grammars come from
+// approxsim. The -sync / -faults grammars come from
 // scenario.BindSweep — defined once, shared with every other front-end.
 package main
 
@@ -49,7 +49,7 @@ func main() {
 		batches = flag.Int("batches", 400, "training batches for figs 4/5")
 		trace   = flag.String("trace", "", "fig 1: Chrome trace of the last sweep point to this file (open in Perfetto)")
 	)
-	sweep := scenario.BindSweep(flag.CommandLine) // -sync, -partition, -faults (fig 1)
+	sweep := scenario.BindSweep(flag.CommandLine) // -sync, -faults, -collective (fig 1)
 	flag.Parse()
 	trainBatches = *batches
 
@@ -106,8 +106,7 @@ func fig1(durMS int, load float64, seed uint64, quick bool, sweep *scenario.Flag
 			}
 		}
 	}
-	fmt.Printf("# Figure 1: leaf-spine scaling, sim-seconds per wall-second (sync=%s partition=%s)\n",
-		sweep.Sync, sweep.Partition)
+	fmt.Printf("# Figure 1: leaf-spine scaling, sim-seconds per wall-second (sync=%s)\n", sweep.Sync)
 	header := "tors\tlps\tsim_per_wall\tevents\tsync_msgs\tcross_pkts\tparked\tdropped\tchannels\trollbacks\tckpts\tflows"
 	if sweep.Faults != "" {
 		fmt.Printf("# faults: %s\n", sweep.Faults)

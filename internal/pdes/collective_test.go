@@ -17,7 +17,7 @@ import (
 // determinism contract as everything else in the engine: every flow launch is
 // triggered by a committed virtual-time event (a FIN arriving, a send
 // completing), never by wall clock, so the committed collective progress
-// counters must be bit-identical across sync algorithms, partitioners, and LP
+// counters must be bit-identical across sync algorithms and LP
 // counts. These tests prove that, plus the analytic iteration-time bounds that
 // make the results physically meaningful.
 
@@ -184,19 +184,14 @@ func TestCollectiveTreeBeatsRingSmallPayload(t *testing.T) {
 // TestDeterminismPropertyCollective extends the determinism property to the
 // closed-loop workload engine: a ring all-reduce over half the hosts, layered
 // on light Poisson background traffic, must commit bit-identical netsim, tcp,
-// AND collective metric groups across the partitioner x sync-algo x LP-count
-// matrix versus the sequential single-LP reference. Collective launches
+// AND collective metric groups across the sync-algo x LP-count matrix
+// versus the sequential single-LP reference. Collective launches
 // happen inside TCP completion callbacks, so this is the test that would
 // catch a wall-clock dependency, a cross-LP direct call, or a rank state that
 // Time Warp fails to checkpoint and re-derive after rollback.
 func TestDeterminismPropertyCollective(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is heavy; skipped under -short")
-	}
-	partitioners := []Partitioner{
-		ContiguousPartitioner{},
-		SpineAwarePartitioner{},
-		MinCutPartitioner{},
 	}
 	const seeds = 6
 	for seed := uint64(1); seed <= seeds; seed++ {
@@ -243,18 +238,14 @@ func TestDeterminismPropertyCollective(t *testing.T) {
 				}
 			}
 
-			for _, p := range partitioners {
-				got, iters := run(NullMessages, lpsHigh, WithPartitioner(p))
-				check(fmt.Sprintf("nullmsg(lps=%d,%s)", lpsHigh, p.Name()), got, iters)
-			}
-			pb := partitioners[int(seed)%len(partitioners)]
-			got, iters := run(Barrier, lpsHigh, WithPartitioner(pb))
-			check(fmt.Sprintf("barrier(lps=%d,%s)", lpsHigh, pb.Name()), got, iters)
+			got, iters := run(NullMessages, lpsHigh)
+			check(fmt.Sprintf("nullmsg(lps=%d)", lpsHigh), got, iters)
+			got, iters = run(Barrier, lpsHigh)
+			check(fmt.Sprintf("barrier(lps=%d)", lpsHigh), got, iters)
 			got, iters = run(Barrier, 2)
 			check("barrier(lps=2)", got, iters)
-			pt := partitioners[int(seed/2)%len(partitioners)]
-			got, iters = run(TimeWarp, 2, withGVTInterval(50*time.Microsecond), WithPartitioner(pt))
-			check(fmt.Sprintf("timewarp(lps=2,%s)", pt.Name()), got, iters)
+			got, iters = run(TimeWarp, 2, withGVTInterval(50*time.Microsecond))
+			check("timewarp(lps=2)", got, iters)
 		})
 	}
 }

@@ -15,8 +15,7 @@ import (
 )
 
 // Determinism property test: the committed results of a leaf-spine run must
-// be bit-identical across synchronization algorithms, LP counts and
-// partitioners. The event free list recycles event objects and Time Warp's
+// be bit-identical across synchronization algorithms and LP counts. The event free list recycles event objects and Time Warp's
 // lazy cancellation suppresses anti-messages; neither may change what
 // commits. A single flipped bit in the netsim or tcp metric groups here means
 // an ownership bug (a recycled event fired with stale state) or a
@@ -48,10 +47,9 @@ func committedGroups(t *testing.T, reg *metrics.Registry) string {
 // at 2 LPs on odd seeds and at the highest LP count on even ones. The
 // reference is a SINGLE-LP run — a plain sequential simulation — and every
 // parallel run's committed netsim+tcp metric snapshot must match it exactly,
-// across LP counts (1, 2, and 4 where the topology permits), across all three
-// partitioners (contiguous, spine-aware, min-cut), and across all three
-// synchronization algorithms. Partitioning moves devices between LPs and
-// reshapes which arrivals cross LP boundaries; the keyed arrival ordering
+// across LP counts (1, 2, and 4 where the topology permits) and across all
+// three synchronization algorithms. The LP count moves devices between LPs
+// and reshapes which arrivals cross LP boundaries; the keyed arrival ordering
 // (des.Kernel.AtCtxFn keyed by netsim.ArrivalKey) is what makes that movement
 // invisible to committed results. The conservative engines additionally run
 // a SEGMENTED axis — Run(mid); Run(dur) — which must also match: parked
@@ -62,11 +60,6 @@ func committedGroups(t *testing.T, reg *metrics.Registry) string {
 func TestDeterminismProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is heavy; skipped under -short")
-	}
-	partitioners := []Partitioner{
-		ContiguousPartitioner{},
-		SpineAwarePartitioner{},
-		MinCutPartitioner{},
 	}
 	const seeds = 25
 	for seed := uint64(1); seed <= seeds; seed++ {
@@ -110,30 +103,20 @@ func TestDeterminismProperty(t *testing.T) {
 				}
 			}
 
-			// All three partitioners under null messages at the highest LP
-			// count this topology supports.
-			for _, p := range partitioners {
-				check(fmt.Sprintf("nullmsg(lps=%d,%s)", lpsHigh, p.Name()),
-					run(NullMessages, lpsHigh, WithPartitioner(p)))
-			}
+			// Null messages at the highest LP count this topology supports.
+			check(fmt.Sprintf("nullmsg(lps=%d)", lpsHigh), run(NullMessages, lpsHigh))
 
-			// Barrier at lps=2, and at lpsHigh with a rotating partitioner.
+			// Barrier at lps=2 and at lpsHigh.
 			check("barrier(lps=2)", run(Barrier, 2))
-			pb := partitioners[int(seed)%len(partitioners)]
-			check(fmt.Sprintf("barrier(lps=%d,%s)", lpsHigh, pb.Name()),
-				run(Barrier, lpsHigh, WithPartitioner(pb)))
+			check(fmt.Sprintf("barrier(lps=%d)", lpsHigh), run(Barrier, lpsHigh))
 
-			// Time Warp with a rotating partitioner, so every (LP count,
-			// partitioner) combination appears across the seed sweep.
-			pt := partitioners[int(seed/2)%len(partitioners)]
-			check(fmt.Sprintf("timewarp(lps=%d,%s)", twLPs, pt.Name()),
-				run(TimeWarp, twLPs, withGVTInterval(50*time.Microsecond), WithPartitioner(pt)))
+			check(fmt.Sprintf("timewarp(lps=%d)", twLPs),
+				run(TimeWarp, twLPs, withGVTInterval(50*time.Microsecond)))
 
 			// Cross-algo at an intermediate LP count when the topology is
 			// large enough to make lps=2 distinct from lpsHigh.
 			if lpsHigh > 2 {
-				check("nullmsg(lps=2,mincut)",
-					run(NullMessages, 2, WithPartitioner(MinCutPartitioner{})))
+				check("nullmsg(lps=2)", run(NullMessages, 2))
 			}
 
 			// Segmented axis: Run(mid); Run(dur) must commit identically to
@@ -141,10 +124,10 @@ func TestDeterminismProperty(t *testing.T) {
 			// — stamped in (mid, mid+lookahead] — are parked at the first
 			// horizon and re-ingested at the second Run's entry; losing them
 			// (the pre-park engine dropped them) skews every downstream TCP
-			// exchange. Nullmsg sweeps every partitioner; barrier rotates one.
-			runSeg := func(algo SyncAlgo, lps int, opts ...Option) string {
+			// exchange.
+			runSeg := func(algo SyncAlgo, lps int) string {
 				reg := metrics.NewRegistry()
-				net, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, []des.Time{dur / 2}, opts...)
+				net, err := runNetwork(cfg, lps, load, dur, seed, algo, reg, []des.Time{dur / 2})
 				if err != nil {
 					t.Fatalf("segmented %v lps=%d: %v", algo, lps, err)
 				}
@@ -158,12 +141,8 @@ func TestDeterminismProperty(t *testing.T) {
 				}
 				return committedGroups(t, reg)
 			}
-			for _, p := range partitioners {
-				check(fmt.Sprintf("segmented/nullmsg(lps=%d,%s)", lpsHigh, p.Name()),
-					runSeg(NullMessages, lpsHigh, WithPartitioner(p)))
-			}
-			check(fmt.Sprintf("segmented/barrier(lps=%d,%s)", lpsHigh, pb.Name()),
-				runSeg(Barrier, lpsHigh, WithPartitioner(pb)))
+			check(fmt.Sprintf("segmented/nullmsg(lps=%d)", lpsHigh), runSeg(NullMessages, lpsHigh))
+			check(fmt.Sprintf("segmented/barrier(lps=%d)", lpsHigh), runSeg(Barrier, lpsHigh))
 
 			// The same property must hold with a NONEMPTY fault schedule: a
 			// mid-run link flap plus a spine failure, with detection delay and
@@ -184,16 +163,11 @@ func TestDeterminismProperty(t *testing.T) {
 						name, fref, got)
 				}
 			}
-			for _, p := range partitioners {
-				fcheck(fmt.Sprintf("faults/nullmsg(lps=%d,%s)", lpsHigh, p.Name()),
-					run(NullMessages, lpsHigh, WithFaults(fsched), WithPartitioner(p)))
-			}
-			pf := partitioners[int(seed)%len(partitioners)]
-			fcheck(fmt.Sprintf("faults/barrier(lps=2,%s)", pf.Name()),
-				run(Barrier, 2, WithFaults(fsched), WithPartitioner(pf)))
-			fcheck(fmt.Sprintf("faults/timewarp(lps=%d,%s)", twLPs, pf.Name()),
-				run(TimeWarp, twLPs, WithFaults(fsched),
-					withGVTInterval(50*time.Microsecond), WithPartitioner(pf)))
+			fcheck(fmt.Sprintf("faults/nullmsg(lps=%d)", lpsHigh),
+				run(NullMessages, lpsHigh, WithFaults(fsched)))
+			fcheck("faults/barrier(lps=2)", run(Barrier, 2, WithFaults(fsched)))
+			fcheck(fmt.Sprintf("faults/timewarp(lps=%d)", twLPs),
+				run(TimeWarp, twLPs, WithFaults(fsched), withGVTInterval(50*time.Microsecond)))
 
 			// An uneven block split: with ranks and traffic only on the first
 			// two of four racks — a ring over their hosts plus Poisson flows
@@ -239,17 +213,12 @@ func TestDeterminismProperty(t *testing.T) {
 						name, sref, got)
 				}
 			}
-			for _, p := range partitioners {
-				scheck(fmt.Sprintf("skewed/nullmsg(lps=2,%s)", p.Name()),
-					runSkew(NullMessages, 2, nil, WithPartitioner(p)))
-			}
-			scheck(fmt.Sprintf("skewed/barrier(lps=2,%s)", pb.Name()),
-				runSkew(Barrier, 2, nil, WithPartitioner(pb)))
-			scheck(fmt.Sprintf("skewed/timewarp(lps=2,%s)", pt.Name()),
-				runSkew(TimeWarp, 2, nil, withGVTInterval(50*time.Microsecond), WithPartitioner(pt)))
+			scheck("skewed/nullmsg(lps=2)", runSkew(NullMessages, 2, nil))
+			scheck("skewed/barrier(lps=2)", runSkew(Barrier, 2, nil))
+			scheck("skewed/timewarp(lps=2)", runSkew(TimeWarp, 2, nil, withGVTInterval(50*time.Microsecond)))
 			for _, algo := range []SyncAlgo{NullMessages, Barrier} {
-				scheck(fmt.Sprintf("skewed/segmented/%v(lps=2,%s)", algo, pb.Name()),
-					runSkew(algo, 2, []des.Time{dur / 2}, WithPartitioner(pb)))
+				scheck(fmt.Sprintf("skewed/segmented/%v(lps=2)", algo),
+					runSkew(algo, 2, []des.Time{dur / 2}))
 			}
 		})
 	}

@@ -21,10 +21,9 @@ import (
 // topology's link plan. A block — a rack (a ToR and its servers) on a
 // leaf-spine, a whole cluster (servers, ToRs and aggregation switches) on a
 // Clos — is pinned contiguously to an LP, so every intra-block link stays
-// LP-local. The fabric tier (spines or cores) is placed by the configured
-// Partitioner (default: the historical round-robin scatter, the placement
-// that makes data centers maximally hostile to PDES), and only links into it
-// can cross an LP boundary.
+// LP-local. The fabric tier (spines or cores) is scattered round-robin across
+// the LPs (see partition.go), and only links into it can cross an LP
+// boundary.
 type Network struct {
 	Sys    *System
 	Cfg    topology.Config
@@ -160,8 +159,7 @@ func (l *layout) fabricPins(sched *faults.Schedule, at []des.Time, src, dst pack
 // by expected event rates. With a workload the per-link packet counts are
 // exact a-priori (see fabricPins) — an edge weight of zero means the workload
 // provably never touches that link. Without a workload every edge carries its
-// normalized bandwidth instead, so placements still order sensibly (and
-// nothing can be declared idle).
+// normalized bandwidth instead (and nothing can be declared idle).
 func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph {
 	nB, nF := l.blocks, l.fabric()
 	g := &Graph{
@@ -183,7 +181,6 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 				g.EdgeWeight[b][f] = bw
 			}
 		}
-		g.ChannelCost = bw
 		return g
 	}
 	var maxAt des.Time
@@ -194,12 +191,12 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 	}
 	// A flow can transfer at most line rate × the virtual time left before the
 	// horizon; estimating its full size would overweight late large flows the
-	// run will truncate, inflating cut weight relative to channel cost.
+	// run will truncate.
 	bytesPerNs := float64(l.cfg.HostLink.BandwidthBps) / 8e9
 	// With a fault schedule, a flow's pin can change at each detection or
 	// recovery edge; weight every fabric switch in the UNION of pre- and
 	// post-failure routes at full cost, so whichever epoch the run spends
-	// longest in, the placement already accounted for that traffic.
+	// longest in, the weights already account for that traffic.
 	samples := []des.Time{0}
 	if !sched.Empty() {
 		samples = sched.SampleTimes()
@@ -214,7 +211,7 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 		// An endpoint block runs ~3 events per packet (host link hop, ToR hop,
 		// TCP processing/timers) in each direction; a fabric switch runs ~1
 		// per traversal. The ratio, not the absolute scale, is what matters:
-		// it sets how much fabric the imbalance bound lets one LP absorb.
+		// it sets where placeBlocks cuts.
 		g.BlockWeight[src] += 3 * pk
 		g.BlockWeight[dst] += 3 * pk
 		if src == dst {
@@ -231,14 +228,6 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 			g.EdgeWeight[src][f] += pk
 		}
 	}
-	// One active channel costs up to one promise per lookahead of virtual
-	// time; this prices removing a channel in the same units (packet events)
-	// as the cut weight.
-	la := l.fabricLink.PropDelay
-	if la < 1 {
-		la = 1
-	}
-	g.ChannelCost = float64(maxAt / la)
 	return g
 }
 
@@ -271,18 +260,14 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 		return nil, err
 	}
 
-	// Placement. Blocks are pinned in contiguous runs cut by block weight
-	// (identical across partitioners — see partition.go); only the fabric
-	// moves. Collective instances are resolved first so the declared workload
-	// — open-loop schedule plus the full closed-loop flow catalog — weights
-	// the partition graph and feeds channel quiescence with exactly the flows
-	// that will run. Block weights read only that workload, never the fault
-	// schedule, so a healthy pool baseline and a cold faulted build of one
-	// family place their blocks identically.
-	part := n.Sys.cfg.partitioner
-	if part == nil {
-		part = ContiguousPartitioner{}
-	}
+	// Placement (see partition.go): blocks in contiguous runs cut by block
+	// weight, fabric switch f on LP f % lps. Collective instances are
+	// resolved first so the declared workload — open-loop schedule plus the
+	// full closed-loop flow catalog — weights the partition graph and feeds
+	// channel quiescence with exactly the flows that will run. Block weights
+	// read only that workload, never the fault schedule, so a healthy pool
+	// baseline and a cold faulted build of one family place their blocks
+	// identically.
 	insts, declared, err := buildCollectives(n.Sys.cfg.collectives, specs, cfg.NumHosts(), cfg.HostLink.BandwidthBps)
 	if err != nil {
 		return nil, err
@@ -290,18 +275,11 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 	n.Collectives = insts
 	g := l.graph(declared, sched)
 	blockLP := placeBlocks(g.BlockWeight, lps)
-	fabricLP := part.Partition(g, blockLP, lps)
-	if len(fabricLP) != g.Fabric() {
-		return nil, fmt.Errorf("pdes: partitioner %q returned %d placements for %d fabric switches",
-			part.Name(), len(fabricLP), g.Fabric())
+	fabricLP := make([]int, l.fabric())
+	for f := range fabricLP {
+		fabricLP[f] = f % lps
 	}
-	for f, lp := range fabricLP {
-		if lp < 0 || lp >= lps {
-			return nil, fmt.Errorf("pdes: partitioner %q placed fabric switch %d on LP %d (have %d LPs)",
-				part.Name(), f, lp, lps)
-		}
-	}
-	n.Partition = partitionStats(part.Name(), g, blockLP, fabricLP, lps, int(l.fabricBase)/l.blocks)
+	n.Partition = partitionStats(g, blockLP, fabricLP, lps, int(l.fabricBase)/l.blocks)
 	n.lpOf = make([]int, cfg.NumNodes())
 	for id := range n.lpOf {
 		if nid := packet.NodeID(id); nid >= l.fabricBase {

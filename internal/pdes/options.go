@@ -66,7 +66,6 @@ type config struct {
 	maxRollbacks uint64
 	tracer       *obs.Tracer
 	sampler      *obs.Sampler
-	partitioner  Partitioner
 	collectives  []collective.Params
 	faults       *faults.Schedule
 
@@ -142,13 +141,6 @@ func WithObs(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 // re-fired. A nil sampler is ignored.
 func WithSampler(s *obs.Sampler) Option { return func(c *config) { c.sampler = s } }
 
-// WithPartitioner selects how Build places fabric switches onto LPs (see
-// Partitioner). The default is ContiguousPartitioner, which reproduces the
-// historical placement exactly. Committed simulation results are
-// bit-identical across partitioners — the choice affects performance
-// (cross-LP traffic, null-message volume), never outcomes.
-func WithPartitioner(p Partitioner) Option { return func(c *config) { c.partitioner = p } }
-
 // WithCollectives installs closed-loop collective-communication workloads
 // (ring/tree all-reduce, all-to-all; see internal/collective) on the built
 // network. Unlike the open-loop specs Build schedules, collective flows launch
@@ -170,7 +162,7 @@ func WithCollectives(ps ...collective.Params) Option {
 // partition graph is weighted by the union of pre- and post-failure routes,
 // and every channel stays active (no channel quiescence). Fault state is a
 // pure function of virtual time, so committed results stay bit-identical
-// across sync algorithms, partitioners, and LP counts — the property
+// across sync algorithms and LP counts — the property
 // TestDeterminismProperty checks with a nonempty schedule. A nil or empty
 // schedule is the healthy default.
 func WithFaults(s *faults.Schedule) Option { return func(c *config) { c.faults = s } }

@@ -6,36 +6,10 @@ import (
 	"testing"
 
 	"approxsim/internal/collective"
-	"approxsim/internal/des"
+	"approxsim/internal/packet"
 	"approxsim/internal/rng"
 	"approxsim/internal/topology"
 )
-
-// randGraph builds a random bipartite communication graph: block weights near
-// 10, fabric weights near 2, edges a mix of zero (untrafficked) and positive
-// weights, and a channel cost comparable to a few edges.
-func randGraph(seed uint64, blocks, fabric int) *Graph {
-	r := rng.NewLabeled(seed, "partition-test")
-	g := &Graph{
-		BlockWeight:  make([]float64, blocks),
-		FabricWeight: make([]float64, fabric),
-		EdgeWeight:   make([][]float64, blocks),
-		ChannelCost:  5 * r.Float64(),
-	}
-	for b := range g.BlockWeight {
-		g.BlockWeight[b] = 8 + 4*r.Float64()
-		g.EdgeWeight[b] = make([]float64, fabric)
-		for f := range g.EdgeWeight[b] {
-			if r.Intn(3) > 0 {
-				g.EdgeWeight[b][f] = 10 * r.Float64()
-			}
-		}
-	}
-	for f := range g.FabricWeight {
-		g.FabricWeight[f] = 1 + 2*r.Float64()
-	}
-	return g
-}
 
 // contiguousBlocks pins block b to LP b*lps/blocks — the even split, which
 // the PDES network builder's weighted placement (placeBlocks) reduces to when
@@ -165,149 +139,24 @@ func TestPlaceBlocksEdgeCases(t *testing.T) {
 	}
 }
 
-func TestContiguousPartitionerBaseline(t *testing.T) {
-	g := randGraph(1, 6, 5)
-	got := ContiguousPartitioner{}.Partition(g, contiguousBlocks(6, 3), 3)
-	want := []int{0, 1, 2, 0, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("contiguous placement = %v, want round-robin %v", got, want)
-	}
-}
-
-func TestParsePartitioner(t *testing.T) {
-	for _, name := range []string{"contiguous", "spine", "mincut"} {
-		p, err := ParsePartitioner(name)
-		if err != nil {
-			t.Fatalf("ParsePartitioner(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("ParsePartitioner(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if _, err := ParsePartitioner("metis"); err == nil {
-		t.Error("ParsePartitioner accepted an unknown name")
-	}
-}
-
-// TestPartitionersRespectLoadBound checks the imbalance bound on a graph
-// where a bounded placement certainly exists (fabric weight is a small
-// fraction of the total), for every LP count the network builder uses.
-func TestPartitionersRespectLoadBound(t *testing.T) {
-	for _, lps := range []int{2, 3, 4} {
-		blocks, fabric := 2*lps, lps
-		g := randGraph(uint64(lps), blocks, fabric)
-		blockLP := contiguousBlocks(blocks, lps)
-		for _, p := range []Partitioner{SpineAwarePartitioner{}, MinCutPartitioner{}} {
-			fabricLP := p.Partition(g, blockLP, lps)
-			if len(fabricLP) != fabric {
-				t.Fatalf("%s lps=%d: placement has %d entries, want %d", p.Name(), lps, len(fabricLP), fabric)
-			}
-			load := make([]float64, lps)
-			for b, lp := range blockLP {
-				load[lp] += g.BlockWeight[b]
-			}
-			for f, lp := range fabricLP {
-				if lp < 0 || lp >= lps {
-					t.Fatalf("%s lps=%d: fabric %d placed on invalid LP %d", p.Name(), lps, f, lp)
-				}
-				load[lp] += g.FabricWeight[f]
-			}
-			bound := loadBound(g, 0, lps)
-			for l, w := range load {
-				if w > bound+1e-9 {
-					t.Errorf("%s lps=%d: LP %d load %.2f exceeds bound %.2f", p.Name(), lps, l, w, bound)
-				}
-			}
-		}
-	}
-}
-
-// TestMinCutNotWorseThanContiguous is the refinement guarantee: because the
-// min-cut partitioner also refines from the contiguous seed, its objective can
-// never exceed the baseline's.
-func TestMinCutNotWorseThanContiguous(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		g := randGraph(seed, 8, 4)
-		blockLP := contiguousBlocks(8, 4)
-		cont := ContiguousPartitioner{}.Partition(g, blockLP, 4)
-		mc := MinCutPartitioner{}.Partition(g, blockLP, 4)
-		co := objectiveOf(g, blockLP, cont, 4)
-		mo := objectiveOf(g, blockLP, mc, 4)
-		if mo > co+1e-9 {
-			t.Errorf("seed %d: mincut objective %.3f worse than contiguous %.3f", seed, mo, co)
-		}
-	}
-}
-
-// TestSpineConcentratesChannels: with a meaningful channel cost and load
-// slack, the spine-aware packer must keep fewer promise channels alive than
-// round-robin scatter, which activates every LP pair.
-func TestSpineConcentratesChannels(t *testing.T) {
-	const lps = 4
-	g := randGraph(7, 2*lps, lps)
-	g.ChannelCost = 100 // make concentration clearly worth any cut weight
-	blockLP := contiguousBlocks(2*lps, lps)
-	cont := partitionStats("contiguous", g, blockLP,
-		ContiguousPartitioner{}.Partition(g, blockLP, lps), lps, 1)
-	spine := partitionStats("spine", g, blockLP,
-		SpineAwarePartitioner{}.Partition(g, blockLP, lps), lps, 1)
-	if spine.Channels >= cont.Channels {
-		t.Errorf("spine keeps %d active channels, contiguous %d — packing bought nothing",
-			spine.Channels, cont.Channels)
-	}
-}
-
-// TestPlacementBeatsContiguous runs the Fig. 1 leaf-spine workload (8 racks,
-// 4 LPs, load 0.7, 2 ms) over a fixed seed set: summed over the seeds, the
-// spine-aware and min-cut placements must each send fewer cross-LP packets
-// AND fewer null messages than contiguous. Cross-LP packets are exact for a
-// placement; the null count wobbles with goroutine timing, but whole channels
-// going quiescent moves it by far more than that jitter.
-func TestPlacementBeatsContiguous(t *testing.T) {
-	cfg := topology.DefaultLeafSpineConfig(8)
-	type sums struct{ cross, nulls uint64 }
-	total := map[string]sums{}
-	for _, name := range []string{"contiguous", "spine", "mincut"} {
-		part, err := ParsePartitioner(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seed := range []uint64{1, 2, 3, 42} {
-			net, err := runNetwork(cfg, 4, 0.7, 2*des.Millisecond, seed, NullMessages, nil, nil,
-				WithPartitioner(part))
+// TestFabricPlacementRoundRobin pins the fabric placement on both fabrics:
+// fabric switch f (spine f on a leaf-spine, core f on a Clos) runs on LP
+// f % lps, whatever the LP count.
+func TestFabricPlacementRoundRobin(t *testing.T) {
+	for _, cfg := range []topology.Config{topology.DefaultLeafSpineConfig(8), topology.DefaultClosConfig(4)} {
+		l := newLayout(cfg)
+		for _, lps := range []int{2, 3, 4} {
+			net, err := Build(cfg, lps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := net.Sys.Stats()
-			if st[Violations] != 0 || st[QuiescentSends] != 0 {
-				t.Fatalf("%s seed=%d: %d violations, %d quiescent-channel sends",
-					name, seed, st[Violations], st[QuiescentSends])
+			for f := 0; f < l.fabric(); f++ {
+				id := l.fabricBase + packet.NodeID(f)
+				if got, want := net.switchByID(id).Kernel(), net.Sys.LP(f%lps).Kernel(); got != want {
+					t.Errorf("%s lps=%d: fabric switch %d (%s) is not on LP %d",
+						l.unit, lps, f, cfg.NodeName(id), f%lps)
+				}
 			}
-			s := total[name]
-			s.cross += st[CrossPkts]
-			s.nulls += st[Nulls]
-			total[name] = s
-		}
-	}
-	base := total["contiguous"]
-	for _, name := range []string{"spine", "mincut"} {
-		if s := total[name]; s.cross >= base.cross || s.nulls >= base.nulls {
-			t.Errorf("%s cross=%d nulls=%d does not beat contiguous cross=%d nulls=%d",
-				name, s.cross, s.nulls, base.cross, base.nulls)
-		}
-	}
-}
-
-// TestPartitionersDeterministic: identical inputs must produce identical
-// placements — committed results are required to be reproducible and the
-// quiescence analysis is derived from the placement.
-func TestPartitionersDeterministic(t *testing.T) {
-	blockLP := contiguousBlocks(8, 4)
-	for _, p := range []Partitioner{ContiguousPartitioner{}, SpineAwarePartitioner{}, MinCutPartitioner{}} {
-		a := p.Partition(randGraph(3, 8, 4), blockLP, 4)
-		b := p.Partition(randGraph(3, 8, 4), blockLP, 4)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s is nondeterministic: %v vs %v", p.Name(), a, b)
 		}
 	}
 }
@@ -322,11 +171,10 @@ func TestPartitionStatsExact(t *testing.T) {
 			{3, 0}, // block 0: traffic to fabric 0 only
 			{1, 4}, // block 1: traffic to both
 		},
-		ChannelCost: 1,
 	}
 	blockLP := []int{0, 1}
 	fabricLP := []int{0, 1} // fabric 0 with block 0, fabric 1 with block 1
-	st := partitionStats("test", g, blockLP, fabricLP, 2, 3)
+	st := partitionStats(g, blockLP, fabricLP, 2, 3)
 	// Cut edges: (block1, fabric0) weight 1 and (block0, fabric1) weight 0.
 	if st.CutEdges != 2 {
 		t.Errorf("CutEdges = %d, want 2", st.CutEdges)
@@ -350,24 +198,20 @@ func TestPartitionStatsExact(t *testing.T) {
 // TestRingPlacementSplitsTheWork builds the 8-rack ring all-reduce whose 16
 // ranks are hosts 0–15 — racks 0–3, the other four racks idle — on 2 LPs.
 // The even split would hand LP 0 every rank; the weighted split must cut
-// after rack 1, identically under every partitioner, and bring the graph's
-// load imbalance near 1.
+// after rack 1 and bring the graph's load imbalance near 1.
 func TestRingPlacementSplitsTheWork(t *testing.T) {
 	ps, err := collective.Parse("ring:size=1MB,iters=8,hosts=16,gap=50us")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 0, 1, 1, 1, 1, 1, 1}
-	for _, p := range []Partitioner{ContiguousPartitioner{}, SpineAwarePartitioner{}, MinCutPartitioner{}} {
-		net, err := Build(topology.DefaultLeafSpineConfig(8), 2, nil, WithCollectives(ps...), WithPartitioner(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := net.Partition.BlockLP; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: racks placed %v, want %v", p.Name(), got, want)
-		}
-		if p.Name() == "contiguous" && net.Partition.LoadImbalance > 1.1 {
-			t.Errorf("contiguous: LoadImbalance = %.3f, want <= 1.1", net.Partition.LoadImbalance)
-		}
+	net, err := Build(topology.DefaultLeafSpineConfig(8), 2, nil, WithCollectives(ps...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := net.Partition.BlockLP, []int{0, 0, 1, 1, 1, 1, 1, 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("racks placed %v, want %v", got, want)
+	}
+	if net.Partition.LoadImbalance > 1.1 {
+		t.Errorf("LoadImbalance = %.3f, want <= 1.1", net.Partition.LoadImbalance)
 	}
 }

@@ -35,19 +35,13 @@ func checkSegmentedClean(t *testing.T, name string, net *Network) {
 // TestDeterminismPropertySegmented extends the determinism property to the
 // segmented axis on the three-tier Clos and on collective workloads. (The
 // leaf-spine segmented axis rides inside TestDeterminismProperty itself.)
-// Every segmented run — nullmsg and barrier, all three partitioners, LP
-// counts up to the cluster count — must commit the same metric snapshot as
+// Every segmented run — nullmsg and barrier, LP counts up to the cluster
+// count — must commit the same metric snapshot as
 // the cold sequential reference, with and without a ring all-reduce.
 func TestDeterminismPropertySegmented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test is heavy; skipped under -short")
 	}
-	partitioners := []Partitioner{
-		ContiguousPartitioner{},
-		SpineAwarePartitioner{},
-		MinCutPartitioner{},
-	}
-
 	t.Run("clos", func(t *testing.T) {
 		const (
 			clusters = 4
@@ -55,9 +49,9 @@ func TestDeterminismPropertySegmented(t *testing.T) {
 			seed     = 9
 			dur      = des.Millisecond
 		)
-		run := func(algo SyncAlgo, lps int, cuts []des.Time, opts ...Option) string {
+		run := func(algo SyncAlgo, lps int, cuts []des.Time) string {
 			reg := metrics.NewRegistry()
-			net, err := runNetwork(topology.DefaultClosConfig(clusters), lps, load, dur, seed, algo, reg, cuts, opts...)
+			net, err := runNetwork(topology.DefaultClosConfig(clusters), lps, load, dur, seed, algo, reg, cuts)
 			if err != nil {
 				t.Fatalf("%v lps=%d cuts=%v: %v", algo, lps, cuts, err)
 			}
@@ -67,21 +61,17 @@ func TestDeterminismPropertySegmented(t *testing.T) {
 		ref := run(NullMessages, 1, nil)
 		mid := dur / 2
 		for _, algo := range []SyncAlgo{NullMessages, Barrier} {
-			for _, p := range partitioners {
-				for _, lps := range []int{2, clusters} {
-					name := fmt.Sprintf("segmented/%v(lps=%d,%s)", algo, lps, p.Name())
-					if got := run(algo, lps, []des.Time{mid}, WithPartitioner(p)); got != ref {
-						t.Errorf("%s diverged from the cold sequential reference:\nref: %s\ngot: %s",
-							name, ref, got)
-					}
+			for _, lps := range []int{2, clusters} {
+				if got := run(algo, lps, []des.Time{mid}); got != ref {
+					t.Errorf("segmented/%v(lps=%d) diverged from the cold sequential reference:\nref: %s\ngot: %s",
+						algo, lps, ref, got)
 				}
 			}
 		}
 		// Three segments with an off-grid first cut: parked packets that are
 		// STILL beyond the next horizon must re-park and survive to the
 		// segment that finally covers their timestamp.
-		if got := run(NullMessages, clusters, []des.Time{dur / 3, 2 * dur / 3},
-			WithPartitioner(MinCutPartitioner{})); got != ref {
+		if got := run(NullMessages, clusters, []des.Time{dur / 3, 2 * dur / 3}); got != ref {
 			t.Errorf("three-segment run diverged from the cold reference:\nref: %s\ngot: %s", ref, got)
 		}
 	})

@@ -4,7 +4,7 @@ import "flag"
 
 // Flags is the one definition of the CLI flag surface over Spec: approxsim
 // binds the full set, figures binds the sweep subset, and both produce Specs
-// through it — so the -faults / -partition / -sync grammars (and every
+// through it — so the -faults / -sync grammars (and every
 // default) exist exactly once, here, instead of once per command.
 type Flags struct {
 	Mode       string
@@ -19,7 +19,6 @@ type Flags struct {
 	Racks      int
 	LPs        int
 	Sync       string
-	Partition  string
 	Faults     string
 	Collective string
 }
@@ -43,7 +42,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// BindSweep registers only the PDES sweep subset (sync, partition, faults) —
+// BindSweep registers only the PDES sweep subset (sync, faults, collective) —
 // for commands like figures whose sweep loops own size, load, and seed.
 func BindSweep(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
@@ -55,7 +54,6 @@ func BindSweep(fs *flag.FlagSet) *Flags {
 // the satellite refactor exists to centralize.
 func (f *Flags) bindPDESGrammar(fs *flag.FlagSet) {
 	fs.StringVar(&f.Sync, "sync", "nullmsg", "pdes synchronization: nullmsg | barrier | timewarp")
-	fs.StringVar(&f.Partition, "partition", "contiguous", "pdes fabric placement: contiguous | spine | mincut")
 	fs.StringVar(&f.Faults, "faults", "", "pdes fault schedule, e.g. 'link:tor0-spine1@1ms+500us,detect=50us,jitter=10us;switch:spine0@2ms+1ms' ('+dur' omitted = permanent)")
 	fs.StringVar(&f.Collective, "collective", "", "pdes collective workload, e.g. 'ring:size=256KB,iters=4,hosts=8' (kinds: ring | tree | alltoall; -load 0 = collective only)")
 }
@@ -77,7 +75,6 @@ func (f *Flags) Spec() Spec {
 	if f.Mode == "pdes" {
 		sp.Topology = Topology{Kind: "leafspine", Racks: f.Racks}
 		sp.Sync = f.Sync
-		sp.Partition = f.Partition
 		sp.LPs = f.LPs
 		sp.Faults = f.Faults
 		sp.Workload.Collective = f.Collective
@@ -91,9 +88,9 @@ func (f *Flags) Spec() Spec {
 }
 
 // PDESSpec assembles one pdes-mode sweep point: the sweep loop supplies size
-// and placement, the bound flags supply the sync/partition/faults grammars.
-// The lps=1 point is the sequential reference of every sweep, so it carries
-// neither sync nor partition, matching Validate's applicability rules.
+// and placement, the bound flags supply the sync/faults grammars. The lps=1
+// point is the sequential reference of every sweep, so it carries no sync,
+// matching Validate's applicability rules.
 func (f *Flags) PDESSpec(racks, lps int, load float64, seed uint64, durMS float64) Spec {
 	sp := Spec{
 		Mode:      "pdes",
@@ -105,7 +102,7 @@ func (f *Flags) PDESSpec(racks, lps int, load float64, seed uint64, durMS float6
 		HorizonMS: durMS,
 	}
 	if lps != 1 {
-		sp.Sync, sp.Partition = f.Sync, f.Partition
+		sp.Sync = f.Sync
 	}
 	return sp
 }

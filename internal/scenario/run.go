@@ -230,7 +230,7 @@ func (s Spec) runPacket(res *Result, ro *runOptions) error {
 
 // build constructs the spec's network with the one builder, pdes.Build: its
 // topology and pre-generated workload under its synchronization algorithm,
-// partitioner, collective workload and fault schedule, then opts.
+// collective workload and fault schedule, then opts.
 func (s Spec) build(opts ...pdes.Option) (*pdes.Network, error) {
 	cfg := s.topologyConfig()
 	specs, err := s.flowSpecs(cfg)
@@ -246,8 +246,7 @@ func (s Spec) build(opts ...pdes.Option) (*pdes.Network, error) {
 		return nil, err
 	}
 	algo, _ := pdes.ParseSyncAlgo(s.Sync) // grammar checked by Validate
-	part, _ := pdes.ParsePartitioner(s.Partition)
-	popts := []pdes.Option{pdes.WithSyncAlgo(algo), pdes.WithPartitioner(part), pdes.WithFaults(sched)}
+	popts := []pdes.Option{pdes.WithSyncAlgo(algo), pdes.WithFaults(sched)}
 	if len(ps) > 0 {
 		popts = append(popts, pdes.WithCollectives(ps...))
 	}

@@ -81,8 +81,9 @@ type Spec struct {
 	// Sync is the PDES synchronization algorithm: nullmsg | barrier |
 	// timewarp (pdes mode; default nullmsg).
 	Sync string `json:"sync,omitempty"`
-	// Partition is the PDES fabric placement: contiguous | spine | mincut
-	// (pdes mode; default contiguous).
+	// Partition is the PDES fabric placement. Its one value, and the
+	// default, is contiguous: racks in contiguous runs by weight, fabric
+	// switch f on LP f % lps (pdes mode).
 	Partition string `json:"partition,omitempty"`
 	// LPs is the logical-process count (pdes mode; default 1).
 	LPs int `json:"lps,omitempty"`
@@ -295,8 +296,8 @@ func (s Spec) Validate() error {
 	if _, err := pdes.ParseSyncAlgo(n.Sync); err != nil {
 		return err
 	}
-	if _, err := pdes.ParsePartitioner(n.Partition); err != nil {
-		return err
+	if n.Partition != "contiguous" {
+		return fmt.Errorf("scenario: partition %q, the only fabric placement is \"contiguous\"", n.Partition)
 	}
 	if n.WarmMS < 0 {
 		return fmt.Errorf("scenario: warm_ms %g must not be negative", n.WarmMS)
@@ -312,14 +313,11 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: warm_ms needs a conservative sync (nullmsg or barrier); timewarp cannot checkpoint a warm point — drop warm_ms or switch sync")
 	}
 	if n.LPs == 1 {
-		// A lone LP runs as its plain kernel under every algorithm and
-		// placement, so either field would only alias cache keys of one run.
-		// Normalized fills in the defaults, which stay accepted.
+		// A lone LP runs as its plain kernel under every algorithm, so the
+		// field would only alias cache keys of one run. Normalized fills in
+		// the default, which stays accepted.
 		if n.Sync != "nullmsg" {
 			return fmt.Errorf("scenario: sync does not apply to lps 1")
-		}
-		if n.Partition != "contiguous" {
-			return fmt.Errorf("scenario: partition does not apply to lps 1")
 		}
 	}
 	if n.Workload.Collective != "" {

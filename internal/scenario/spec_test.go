@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -56,7 +57,7 @@ var goldenSpecs = []struct {
 		Workload:  Workload{Load: 0.6},
 		Faults:    "link:tor0-spine0@2ms+1ms,detect=40us",
 		Sync:      "barrier",
-		Partition: "spine",
+		Partition: "contiguous",
 		LPs:       4,
 		Seed:      21,
 		HorizonMS: 6,
@@ -79,7 +80,7 @@ var goldenSpecs = []struct {
 		Topology:  Topology{Racks: 8},
 		Workload:  Workload{Load: 0.3, Collective: "tree:size=64KB,hosts=8;alltoall:size=1MB,iters=2,hosts=4,gap=50us"},
 		Sync:      "timewarp",
-		Partition: "mincut",
+		Partition: "contiguous",
 		LPs:       4,
 		Seed:      12,
 		HorizonMS: 8,
@@ -265,7 +266,7 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown mode", Spec{Mode: "quantum"}},
 		{"lps outside pdes", Spec{Mode: "full", LPs: 2}},
 		{"sync outside pdes", Spec{Mode: "full", Sync: "nullmsg"}},
-		{"partition outside pdes", Spec{Mode: "fluid", Partition: "mincut"}},
+		{"partition outside pdes", Spec{Mode: "fluid", Partition: "contiguous"}},
 		{"faults outside pdes", Spec{Mode: "full", Faults: "switch:spine0@1ms"}},
 		{"warm outside pdes", Spec{Mode: "full", WarmMS: 1}},
 		{"racks outside pdes", Spec{Mode: "full", Topology: Topology{Racks: 4}}},
@@ -315,6 +316,24 @@ func TestValidateRejections(t *testing.T) {
 			}
 		})
 	}
+	// A retired placement is rejected at any LP count, by an error that
+	// names the one placement left.
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"mincut at one lp", Spec{Mode: "pdes", LPs: 1, Partition: "mincut"}},
+		{"spine at default lps", Spec{Mode: "pdes", Partition: "spine"}},
+		{"mincut at two lps", Spec{Mode: "pdes", LPs: 2, Partition: "mincut"}},
+		{"spine at two lps", Spec{Mode: "pdes", LPs: 2, Partition: "spine"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), `"contiguous"`) {
+				t.Fatalf("Validate(%+v) = %v, want an error naming \"contiguous\"", c.spec, err)
+			}
+		})
+	}
 	// A non-finite number must be rejected by name, before it reaches the
 	// cache key's JSON encoding.
 	for _, c := range []struct {
@@ -334,17 +353,15 @@ func TestValidateRejections(t *testing.T) {
 			}
 		})
 	}
-	// One LP runs as its plain kernel whatever the sync or placement, so a
-	// non-default value is rejected by name rather than minting a second
-	// cache key for the same run.
+	// One LP runs as its plain kernel whatever the sync, so a non-default
+	// value is rejected by name rather than minting a second cache key for
+	// the same run.
 	for _, c := range []struct {
 		name, field string
 		spec        Spec
 	}{
 		{"barrier at one lp", "sync", Spec{Mode: "pdes", LPs: 1, Sync: "barrier"}},
 		{"timewarp at default lps", "sync", Spec{Mode: "pdes", Sync: "timewarp"}},
-		{"mincut at one lp", "partition", Spec{Mode: "pdes", LPs: 1, Partition: "mincut"}},
-		{"spine at default lps", "partition", Spec{Mode: "pdes", Partition: "spine"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.spec.Validate()
@@ -446,8 +463,8 @@ func TestFlagsSpec(t *testing.T) {
 		t.Fatalf("pdes-mode spec dropped fields: %+v", sp2)
 	}
 
-	// Bind's -sync and -partition defaults are the normalized defaults, so an
-	// -lps 1 run that leaves them alone validates.
+	// Bind's -sync default is the normalized default, so an -lps 1 run that
+	// leaves it alone validates.
 	fs3 := flag.NewFlagSet("t", flag.ContinueOnError)
 	f3 := Bind(fs3)
 	if err := fs3.Parse([]string{"-mode", "pdes", "-lps", "1"}); err != nil {
@@ -463,10 +480,10 @@ func TestFlagsSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sweep's lps=1 point is its sequential reference: it drops the swept
-	// sync and partition instead of failing validation.
+	// sync instead of failing validation.
 	fs4 := flag.NewFlagSet("t", flag.ContinueOnError)
 	sweep = BindSweep(fs4)
-	if err := fs4.Parse([]string{"-sync", "barrier", "-partition", "mincut"}); err != nil {
+	if err := fs4.Parse([]string{"-sync", "barrier"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, lps := range []int{1, 4} {
@@ -474,8 +491,16 @@ func TestFlagsSpec(t *testing.T) {
 			t.Fatalf("lps=%d sweep point: %v", lps, err)
 		}
 	}
-	if sp := sweep.PDESSpec(16, 4, 0.4, 1, 2); sp.Sync != "barrier" || sp.Partition != "mincut" {
-		t.Fatalf("lps=4 sweep point dropped sync or partition: %+v", sp)
+	if sp := sweep.PDESSpec(16, 4, 0.4, 1, 2); sp.Sync != "barrier" {
+		t.Fatalf("lps=4 sweep point dropped sync: %+v", sp)
+	}
+
+	// The fabric placement has no flag.
+	fs5 := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs5.SetOutput(io.Discard)
+	Bind(fs5)
+	if err := fs5.Parse([]string{"-partition", "contiguous"}); err == nil {
+		t.Fatal("Bind registered a -partition flag")
 	}
 }
 

@@ -270,7 +270,7 @@ func quantile(xs []float64, q float64) float64 {
 // FlowSpec is one pre-generated flow arrival. Every packet-level engine runs
 // static schedules: arrivals are scheduled on the source host's logical
 // process at build time, and the same schedule declares the workload to the
-// partitioner and the channel-quiescence analysis.
+// rack placement and the channel-quiescence analysis.
 type FlowSpec struct {
 	At       des.Time
 	Src, Dst packet.HostID
