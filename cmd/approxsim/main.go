@@ -274,7 +274,7 @@ func run(f *scenario.Flags, opts obsOptions) error {
 	}
 	stopProgress := func() {}
 	if opts.progress > 0 {
-		prog := obs.NewProgress(des.Time(sp.Normalized().HorizonMS * float64(des.Millisecond)))
+		prog := &obs.Progress{}
 		ropts = append(ropts, scenario.WithProgress(prog))
 		stopProgress = reportProgress(os.Stderr, prog, opts.progress)
 	}
@@ -305,7 +305,7 @@ func run(f *scenario.Flags, opts obsOptions) error {
 // virtual time crosses a multiple of every, and a last line when the
 // returned stop is called. It reads the same committed-time gauges the
 // scenario server serves for GET /v1/runs/{id}, so it works in every mode:
-// packet-level runs publish them live, fluid runs once at the end.
+// packet-level runs are read live, fluid runs publish once at the end.
 func reportProgress(w io.Writer, prog *obs.Progress, every des.Time) (stop func()) {
 	start := time.Now()
 	line := func() {

@@ -40,7 +40,7 @@ func TestProgressEveryMode(t *testing.T) {
 		{Mode: "fluid", Workload: scenario.Workload{Load: 0.3}, Seed: 5, HorizonMS: 1},
 	} {
 		t.Run(sp.Mode, func(t *testing.T) {
-			prog := obs.NewProgress(des.Time(sp.HorizonMS * float64(des.Millisecond)))
+			prog := &obs.Progress{}
 			var out syncBuffer
 			stop := reportProgress(&out, prog, 500*des.Microsecond)
 			res, err := scenario.Run(sp, scenario.WithProgress(prog))
@@ -62,11 +62,11 @@ func TestProgressEveryMode(t *testing.T) {
 // TestProgressLinePerBoundary: a line is printed once committed time crosses
 // a multiple of the interval, stamped with the time observed.
 func TestProgressLinePerBoundary(t *testing.T) {
-	prog := obs.NewProgress(10 * des.Millisecond)
+	prog := &obs.Progress{}
 	var out syncBuffer
 	stop := reportProgress(&out, prog, des.Millisecond)
 	defer stop()
-	prog.Publish(2500*des.Microsecond, 42)
+	prog.Attach(func() des.Time { return 2500 * des.Microsecond }, func() uint64 { return 42 })
 	want := fmt.Sprintf("progress t=%v ", 2500*des.Microsecond)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if lines := out.lines(); strings.HasPrefix(lines[0], want) && strings.HasSuffix(lines[0], " events=42") {

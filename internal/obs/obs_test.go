@@ -4,10 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
@@ -262,31 +261,21 @@ func TestSamplerSignedDeltas(t *testing.T) {
 	}
 }
 
-func TestSamplerPolling(t *testing.T) {
+// TestSamplerObserve feeds Observe a fake committed clock: a reading short of
+// the next interval boundary writes nothing, a reading that jumps several
+// boundaries writes one row stamped with the time actually seen, and the
+// counter deltas telescope to the final snapshot.
+func TestSamplerObserve(t *testing.T) {
 	var c metrics.Counter
 	reg := metrics.NewRegistry()
 	reg.RegisterFunc("g", func(e *metrics.Emitter) { e.Counter("c", c.Value()) })
 
-	var clock struct {
-		mu sync.Mutex
-		t  des.Time
-	}
-	read := func() des.Time {
-		clock.mu.Lock()
-		defer clock.mu.Unlock()
-		return clock.t
-	}
-
-	var out syncBuffer
+	var out bytes.Buffer
 	s := NewSampler(reg, &out, des.Millisecond)
 	s.SetTag("poll")
-	s.StartPolling(read, 100*time.Microsecond)
-	for i := 1; i <= 4; i++ {
+	for _, now := range []des.Time{500 * des.Microsecond, des.Millisecond, 1500 * des.Microsecond, 3700 * des.Microsecond, 3900 * des.Microsecond} {
 		c.Add(10)
-		clock.mu.Lock()
-		clock.t = des.Time(i) * des.Millisecond
-		clock.mu.Unlock()
-		time.Sleep(2 * time.Millisecond)
+		s.Observe(now)
 	}
 	if err := s.Close(4 * des.Millisecond); err != nil {
 		t.Fatal(err)
@@ -296,33 +285,21 @@ func TestSamplerPolling(t *testing.T) {
 	if len(rows) < 2 {
 		t.Fatalf("want >= 2 rows, got %d", len(rows))
 	}
+	var stamps []float64
 	var sum int64
 	for _, r := range rows {
+		stamps = append(stamps, r.TS)
 		sum += int64(r.Counters["g.c"])
 		if r.Tag != "poll" {
 			t.Errorf("row missing tag: %+v", r)
 		}
 	}
-	if sum != 40 {
-		t.Errorf("telescoped %d, want 40", sum)
+	// 1 ms crosses the first boundary; 3.7 ms skips the 2 and 3 ms ones and
+	// is stamped as seen; the final row is Close's.
+	if want := []float64{0.001, 0.0037, 0.004}; fmt.Sprint(stamps) != fmt.Sprint(want) {
+		t.Errorf("row stamps %v, want %v", stamps, want)
 	}
-}
-
-// syncBuffer is a mutex-guarded bytes.Buffer: the polling goroutine writes
-// rows while Close writes the final one from the test goroutine.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) Bytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.b.Bytes()...)
+	if sum != 50 {
+		t.Errorf("telescoped %d, want 50", sum)
+	}
 }

@@ -2,123 +2,91 @@ package obs
 
 import (
 	"sync/atomic"
-	"time"
 
 	"approxsim/internal/des"
 )
 
-// Progress is a per-run gauge set a live simulation publishes and any
-// goroutine may read: the committed virtual-time frontier (GVT under Time
-// Warp, the minimum kernel clock under the conservative engines), the
-// executed-event count, and the run's horizon. It is the run-granular
-// counterpart of the Sampler — where the sampler streams interval rows to a
-// writer, Progress holds only the latest reading, which is exactly what a
-// serving layer needs to answer "how far along is run X?" cheaply and often
-// (the scenario server's GET /v1/runs/{id} reads these gauges live).
+// Progress is a per-run gauge pair any goroutine may read: the committed
+// virtual-time frontier (GVT under Time Warp, the minimum kernel clock under
+// the conservative engines) and the executed-event count. It is the
+// run-granular counterpart of the Sampler — where the sampler streams
+// interval rows to a writer, Progress answers "how far along is run X?"
+// cheaply and often (the scenario server's GET /v1/runs/{id} reads it live).
 //
-// Committed time is clamped monotone: the underlying clocks only advance
-// within one run, but the clamp makes that a hard guarantee for readers even
-// against a racing final Publish. The zero Progress is ready to use; a nil
-// *Progress is a safe no-op receiver, mirroring Sampler.
+// Progress is a view, not a poller: while a run has a source attached,
+// Committed and Events read the live system on the caller's goroutine; once
+// the run finishes they return the frozen final reading. A reader re-checks
+// the source after reading it and discards the reading if the run finished
+// meanwhile, so a pooled System that goes on to run the next fork can never
+// leak that fork's clock into this run's gauges — provided the owner calls
+// Finish before anything else may run the system.
+//
+// Committed time is clamped monotone across reads. The zero Progress is
+// ready to use; a nil *Progress is a safe no-op receiver, mirroring Sampler.
 type Progress struct {
-	horizon   int64 // des.Time; written once by NewProgress
-	committed int64 // des.Time, atomic, monotone
-	events    uint64
-	done      uint32
+	src       atomic.Pointer[progressSource]
+	committed atomic.Int64 // des.Time, monotone
+	events    atomic.Uint64
 }
 
-// NewProgress returns a Progress for a run to the given horizon.
-func NewProgress(horizon des.Time) *Progress {
-	return &Progress{horizon: int64(horizon)}
+type progressSource struct {
+	clock  func() des.Time
+	events func() uint64
 }
 
-// Publish records the latest committed time and executed-event count.
-// Committed time never regresses: stale publishes lose.
-func (p *Progress) Publish(committed des.Time, events uint64) {
+// Attach makes clock and events the live source of p until Finish. Both must
+// be safe from any goroutine (System.CommittedTime and System.Stats are).
+func (p *Progress) Attach(clock func() des.Time, events func() uint64) {
 	if p == nil {
 		return
 	}
-	for {
-		cur := atomic.LoadInt64(&p.committed)
-		if int64(committed) <= cur {
-			break
-		}
-		if atomic.CompareAndSwapInt64(&p.committed, cur, int64(committed)) {
-			break
-		}
-	}
-	atomic.StoreUint64(&p.events, events)
+	p.src.Store(&progressSource{clock, events})
 }
 
-// Finish publishes a final reading and marks the run complete.
+// Finish freezes p at a final reading and detaches its source; readers see
+// the frozen values from then on.
 func (p *Progress) Finish(committed des.Time, events uint64) {
 	if p == nil {
 		return
 	}
-	p.Publish(committed, events)
-	atomic.StoreUint32(&p.done, 1)
+	p.clamp(committed)
+	p.events.Store(events)
+	p.src.Store(nil)
 }
 
-// Committed returns the latest committed virtual time (0 on nil).
+// clamp raises the committed gauge to t (stale readings lose) and returns
+// the gauge.
+func (p *Progress) clamp(t des.Time) des.Time {
+	for {
+		cur := p.committed.Load()
+		if int64(t) <= cur || p.committed.CompareAndSwap(cur, int64(t)) {
+			return des.Time(max(cur, int64(t)))
+		}
+	}
+}
+
+// Committed returns the committed virtual time (0 on nil).
 func (p *Progress) Committed() des.Time {
 	if p == nil {
 		return 0
 	}
-	return des.Time(atomic.LoadInt64(&p.committed))
+	if src := p.src.Load(); src != nil {
+		if t := src.clock(); p.src.Load() == src {
+			return p.clamp(t)
+		}
+	}
+	return des.Time(p.committed.Load())
 }
 
-// Events returns the latest executed-event count (0 on nil).
+// Events returns the executed-event count (0 on nil).
 func (p *Progress) Events() uint64 {
 	if p == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&p.events)
-}
-
-// Horizon returns the run's virtual-time horizon (0 on nil).
-func (p *Progress) Horizon() des.Time {
-	if p == nil {
-		return 0
-	}
-	return des.Time(atomic.LoadInt64(&p.horizon))
-}
-
-// Done reports whether Finish has been called.
-func (p *Progress) Done() bool {
-	return p != nil && atomic.LoadUint32(&p.done) == 1
-}
-
-// Watch spawns a wall-clock poller publishing clock()/events() every period
-// until the returned stop function is called; stop takes one final reading
-// and marks the Progress done. Both functions must be safe from any goroutine
-// (System.CommittedTime and System.Stats are — the same contract as
-// Sampler.StartPolling). A non-positive period picks a default. On a nil
-// receiver Watch is a no-op and returns a callable stop.
-func (p *Progress) Watch(clock func() des.Time, events func() uint64, every time.Duration) (stop func()) {
-	if p == nil {
-		return func() {}
-	}
-	if every <= 0 {
-		every = time.Millisecond
-	}
-	quit := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-ticker.C:
-				p.Publish(clock(), events())
-			}
+	if src := p.src.Load(); src != nil {
+		if n := src.events(); p.src.Load() == src {
+			return n
 		}
-	}()
-	return func() {
-		close(quit)
-		<-finished
-		p.Finish(clock(), events())
 	}
+	return p.events.Load()
 }

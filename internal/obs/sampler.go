@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
@@ -25,12 +24,12 @@ import (
 //   - InstallKernel schedules a recurring kernel event, so single-kernel
 //     runs (a one-LP PDES system included) sample deterministically at exact
 //     sim-time boundaries, on the kernel's own goroutine.
-//   - StartPolling spawns a wall-clock poller over a committed-time clock
-//     (GVT for Time Warp, min kernel time for conservative PDES). A sampler
-//     event inside an optimistic kernel would be rolled back and re-fired,
-//     duplicating rows; polling committed time can never observe speculation
-//     that will be undone. Rows land at or after each boundary, stamped with
-//     the committed time actually observed.
+//   - Observe is fed committed-time readings (GVT for Time Warp, min kernel
+//     time for conservative PDES) by the caller's wall-clock poller — a
+//     multi-LP System.Run's monitor. A sampler event inside an optimistic
+//     kernel would be rolled back and re-fired, duplicating rows; a committed
+//     reading can never observe speculation that will be undone. Rows land
+//     at or after each boundary, stamped with the committed time observed.
 //
 // Close emits one final row so the telescoping-sum property holds however
 // the run ended.
@@ -45,8 +44,7 @@ type Sampler struct {
 	rows int
 	err  error
 
-	stop chan struct{}
-	done chan struct{}
+	seen int64 // index of the last interval boundary Observe sampled past
 }
 
 // NewSampler returns a sampler emitting rows to w every interval of sim time.
@@ -195,53 +193,23 @@ func (s *Sampler) InstallKernel(k *des.Kernel, end des.Time) {
 	}
 }
 
-// StartPolling spawns a goroutine that samples whenever clock — a committed
-// sim-time reading, safe from any goroutine — crosses the next interval
-// boundary. every is the wall-clock poll period (a non-positive value picks a
-// default). Stop the poller with Close.
-func (s *Sampler) StartPolling(clock func() des.Time, every time.Duration) {
-	if s == nil {
+// Observe samples when now — a committed sim-time reading — has crossed the
+// next interval boundary, skipping boundaries it jumped over: one row per
+// observation, stamped with the time actually seen. Call it from one
+// goroutine, and Close only after the last Observe returns.
+func (s *Sampler) Observe(now des.Time) {
+	if s == nil || int64(now/s.interval) <= s.seen {
 		return
 	}
-	if every <= 0 {
-		every = time.Millisecond
-	}
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		next := s.interval
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-ticker.C:
-				now := clock()
-				if now < next {
-					continue
-				}
-				s.Sample(now)
-				// Skip boundaries the clock jumped over; one row per
-				// observation, stamped with the time actually seen.
-				next = now - now%s.interval + s.interval
-			}
-		}
-	}()
+	s.seen = int64(now / s.interval)
+	s.Sample(now)
 }
 
-// Close stops a running poller (if any) and writes the final row stamped at
-// now, guaranteeing the rows telescope to the end-of-run snapshot. It returns
-// the first write error encountered.
+// Close writes the final row stamped at now, guaranteeing the rows telescope
+// to the end-of-run snapshot. It returns the first write error encountered.
 func (s *Sampler) Close(now des.Time) error {
 	if s == nil {
 		return nil
-	}
-	if s.stop != nil {
-		close(s.stop)
-		<-s.done
-		s.stop = nil
 	}
 	s.sample(now, true)
 	return s.Err()

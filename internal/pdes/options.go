@@ -72,12 +72,11 @@ type config struct {
 	// inboxCap is the per-LP inbox capacity of the conservative engines; the
 	// Time Warp engine uses unbounded queues.
 	inboxCap int
-	// samplerPoll is the wall-clock poll period of the sampler on a
-	// multi-LP run (see WithSampler); zero keeps the sampler's default.
-	samplerPoll time.Duration
+	// monitorPoll is the tick of the run monitor (see System.startMonitor)
+	// while it feeds a multi-LP sampler.
+	monitorPoll time.Duration
 	// stallTimeout is how long the committed-time frontier may stand still
-	// before the stall watchdog dumps the flight recorder (see
-	// System.startStallWatchdog).
+	// before the monitor dumps the flight recorder.
 	stallTimeout time.Duration
 	// gvtInterval is the wall-clock period of the Time Warp GVT computation
 	// (Mattern rounds): shorter commits and fossil-collects more eagerly at
@@ -93,7 +92,7 @@ type config struct {
 	window des.Time
 }
 
-// stallWindow is the stall watchdog's fixed window: a run whose committed
+// stallWindow is the stall check's fixed window: a run whose committed
 // time stands still this long is a suspected deadlock.
 const stallWindow = 10 * time.Second
 
@@ -101,6 +100,7 @@ func defaultConfig() config {
 	return config{
 		algo:            NullMessages,
 		inboxCap:        1 << 15,
+		monitorPoll:     time.Millisecond,
 		stallTimeout:    stallWindow,
 		gvtInterval:     200 * time.Microsecond,
 		checkpointEvery: 256,
@@ -125,20 +125,21 @@ func WithMaxRollbacks(n uint64) Option { return func(c *config) { c.maxRollbacks
 // lifecycle events (EIT stalls, stragglers, rollbacks, checkpoints, GVT
 // advances), and — when the tracer carries a flight recorder — each LP kernel
 // feeds the recorder one record per executed event, and causality violations,
-// a rollback-budget abort or a suspected deadlock (committed time standing
-// still for 10 s of wall time) dump the recorder automatically. A nil tracer
-// is ignored (tracing stays off).
+// a rollback-budget abort or a suspected deadlock dump the recorder
+// automatically. The last is the stall check of Run's monitor goroutine
+// (started for a flight recorder even on one LP): committed time standing
+// still for 10 s of wall time. A nil tracer is ignored (tracing stays off).
 func WithObs(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithSampler attaches an interval metrics sampler whose lifecycle Run
-// manages: on several LPs a wall-clock poller over the system's committed
-// virtual time (GVT under Time Warp, the minimum kernel clock under the
-// conservative engines) starts when Run starts; on one LP the sampler is a
-// recurring event on its kernel, sampling at exact sim-time boundaries.
-// Either way it is closed — emitting the final row — when Run returns.
-// Polling committed time is what makes interval rows safe under optimism: a
-// sampler event inside a speculative kernel would be rolled back and
-// re-fired. A nil sampler is ignored.
+// manages: on several LPs Run's monitor goroutine feeds it the system's
+// committed virtual time (GVT under Time Warp, the minimum kernel clock under
+// the conservative engines) every millisecond of wall time (Sampler.Observe);
+// on one LP the sampler is a recurring event on its kernel, sampling at exact
+// sim-time boundaries. Either way it is closed — emitting the final row —
+// when Run returns. Sampling committed time is what makes interval rows safe
+// under optimism: a sampler event inside a speculative kernel would be rolled
+// back and re-fired. A nil sampler is ignored.
 func WithSampler(s *obs.Sampler) Option { return func(c *config) { c.sampler = s } }
 
 // WithCollectives installs closed-loop collective-communication workloads

@@ -16,8 +16,8 @@ func withCheckpointEvery(n int) Option { return func(c *config) { c.checkpointEv
 
 func withTimeWindow(w des.Time) Option { return func(c *config) { c.window = w } }
 
-// withStallTimeout shortens the stall watchdog's fixed window, so a test can
-// wedge a run for well under a second and still see the dump.
+// withStallTimeout shortens the run monitor's fixed stall window, so a test
+// can wedge a run for well under a second and still see the dump.
 func withStallTimeout(d time.Duration) Option { return func(c *config) { c.stallTimeout = d } }
 
 // withInboxCap sets the per-LP inbox capacity of the conservative engines
@@ -26,6 +26,6 @@ func withStallTimeout(d time.Duration) Option { return func(c *config) { c.stall
 // regression tests use capacity 1 to exercise the worst case.
 func withInboxCap(n int) Option { return func(c *config) { c.inboxCap = n } }
 
-// withSamplerPoll sets the wall-clock poll period of the Run-managed sampler
-// (see WithSampler); non-positive keeps the sampler's default (1ms).
-func withSamplerPoll(d time.Duration) Option { return func(c *config) { c.samplerPoll = d } }
+// withMonitorPoll sets the run monitor's tick while it feeds a multi-LP
+// sampler (default 1ms; see System.startMonitor).
+func withMonitorPoll(d time.Duration) Option { return func(c *config) { c.monitorPoll = d } }

@@ -223,7 +223,7 @@ func (s *System) Tracer() *obs.Tracer { return s.cfg.tracer }
 // or before it can never be undone. Under Time Warp this is the last
 // published GVT; under the conservative engines — which never speculate —
 // it is the minimum kernel clock. Safe from any goroutine mid-run; this is
-// the clock the Run-managed sampler polls.
+// the clock Run's monitor and an attached obs.Progress read.
 func (s *System) CommittedTime() des.Time {
 	if s.cfg.algo == TimeWarp && len(s.lps) > 1 {
 		return des.Time(atomic.LoadInt64(&s.committed))
@@ -398,19 +398,13 @@ func (s *System) Run(end des.Time) error {
 	default:
 		return fmt.Errorf("pdes: unknown sync algorithm %v", s.cfg.algo)
 	}
-	if sp := s.cfg.sampler; sp != nil {
-		if len(s.lps) == 1 {
-			// Every algorithm runs a lone LP as its plain kernel, so the
-			// sampler rides that kernel as a recurring event: rows land at
-			// exact sim-time boundaries, race-free.
-			sp.InstallKernel(s.lps[0].kernel, end)
-		} else {
-			sp.StartPolling(s.CommittedTime, s.cfg.samplerPoll)
-		}
+	if sp := s.cfg.sampler; sp != nil && len(s.lps) == 1 {
+		// Every algorithm runs a lone LP as its plain kernel, so the sampler
+		// rides that kernel as a recurring event: rows land at exact sim-time
+		// boundaries, race-free.
+		sp.InstallKernel(s.lps[0].kernel, end)
 	}
-	if stopWatch := s.startStallWatchdog(); stopWatch != nil {
-		defer stopWatch()
-	}
+	stopMonitor := s.startMonitor()
 	var err error
 	switch {
 	case len(s.lps) == 1:
@@ -422,6 +416,7 @@ func (s *System) Run(end des.Time) error {
 	default:
 		s.runConservative(end, loop)
 	}
+	stopMonitor()
 	if sp := s.cfg.sampler; sp != nil {
 		// The final row is stamped at the horizon on success, at the last
 		// committed time on an abort.
@@ -436,47 +431,53 @@ func (s *System) Run(end des.Time) error {
 	return err
 }
 
-// startStallWatchdog arms the deadlock detector whenever the tracer carries
-// a flight recorder: a wall-clock goroutine watching the committed-time
-// frontier, dumping the recorder once (reason "deadlock_suspected") if the
-// frontier makes no progress for stallWindow. Detection only — the run
-// itself is left alone; a truly wedged run is killed by its caller, and the
-// dump is the artifact that explains what wedged. Returns the stop function,
-// or nil when there is no flight recorder to dump.
-func (s *System) startStallWatchdog() func() {
-	d := s.cfg.stallTimeout
-	if !s.cfg.tracer.FlightRecorderEnabled() {
-		return nil
+// startMonitor starts the run's one wall-clock goroutine when there is
+// something to watch, and returns the function that stops and joins it. Each
+// tick reads the committed-time frontier once and feeds it to
+//   - a multi-LP sampler (Sampler.Observe), which emits a row whenever the
+//     frontier crosses an interval boundary, and
+//   - the stall check, armed whenever the tracer carries a flight recorder:
+//     a frontier that makes no progress for stallTimeout dumps the recorder
+//     once (reason "deadlock_suspected"). Detection only — the run itself is
+//     left alone; a truly wedged run is killed by its caller, and the dump is
+//     the artifact that explains what wedged.
+func (s *System) startMonitor() (stop func()) {
+	var sp *obs.Sampler
+	if len(s.lps) > 1 {
+		sp = s.cfg.sampler
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
+	watch := s.cfg.tracer.FlightRecorderEnabled()
+	if sp == nil && !watch {
+		return func() {}
+	}
+	// Rows want a fine tick; the stall check alone needs a few per window.
+	poll := s.cfg.monitorPoll
+	if sp == nil {
+		poll = s.cfg.stallTimeout / 4
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		last := s.CommittedTime()
-		lastMove := time.Now()
-		poll := d / 4
-		if poll <= 0 {
-			poll = d
-		}
 		ticker := time.NewTicker(poll)
 		defer ticker.Stop()
+		last, lastMove := s.CommittedTime(), time.Now()
 		for {
 			select {
-			case <-stop:
+			case <-quit:
 				return
 			case <-ticker.C:
-				if now := s.CommittedTime(); now != last {
-					last, lastMove = now, time.Now()
-					continue
-				}
-				if time.Since(lastMove) >= d {
-					s.cfg.tracer.DumpFlightRecorder("deadlock_suspected", last)
-					return
-				}
+			}
+			now := s.CommittedTime()
+			sp.Observe(now)
+			if now != last {
+				last, lastMove = now, time.Now()
+			} else if watch && time.Since(lastMove) >= s.cfg.stallTimeout {
+				s.cfg.tracer.DumpFlightRecorder("deadlock_suspected", last)
+				watch = false
 			}
 		}
 	}()
-	return func() { close(stop); <-done }
+	return func() { close(quit); <-done }
 }
 
 // runConservative runs a multi-LP conservative engine to end on one

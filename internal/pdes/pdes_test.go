@@ -1,12 +1,16 @@
 package pdes
 
 import (
+	"io"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"approxsim/internal/des"
+	"approxsim/internal/metrics"
 	"approxsim/internal/netsim"
+	"approxsim/internal/obs"
 	"approxsim/internal/packet"
 	"approxsim/internal/tcp"
 	"approxsim/internal/topology"
@@ -222,48 +226,82 @@ func TestDeterministicSequentialExperiment(t *testing.T) {
 }
 
 // TestConservativeRunOneGoroutinePerLP pins the shared lifecycle of both
-// conservative engines: a multi-LP Run starts exactly one goroutine per LP,
-// and each LP's loop and its catch-up at the horizon run on that goroutine.
+// conservative engines: a multi-LP Run starts exactly one goroutine per LP —
+// plus the one run monitor when it has a sampler or a flight recorder to
+// feed — each LP's loop and its catch-up at the horizon run on that
+// goroutine, and every goroutine Run started is gone once it returns.
 func TestConservativeRunOneGoroutinePerLP(t *testing.T) {
 	const end = 100 * des.Microsecond
 	goroutineID := func() string {
 		buf := make([]byte, 64)
 		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 	}
+	legs := []struct {
+		name    string
+		opts    func() []Option
+		monitor int
+	}{
+		{"bare", func() []Option { return nil }, 0},
+		{"monitored", func() []Option {
+			return []Option{
+				WithSampler(obs.NewSampler(metrics.NewRegistry(), io.Discard, 10*des.Microsecond)),
+				WithObs(obs.New(obs.Options{FlightRecorder: 64})),
+			}
+		}, 1},
+	}
 	for _, algo := range []SyncAlgo{NullMessages, Barrier} {
 		t.Run(algo.String(), func(t *testing.T) {
-			s, a, _ := twoHostSystem(t, WithSyncAlgo(algo))
-			s.LP(0).Kernel().Schedule(0, func() {
-				a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 934})
-			})
-			// Per-LP samples, each written only by its LP's own events.
-			ids := make([][]string, s.NumLPs())
-			counts := make([][]int, s.NumLPs())
-			for i := 0; i < s.NumLPs(); i++ {
-				for _, at := range []des.Time{0, end / 2, end} {
-					s.LP(i).Kernel().Schedule(at, func() {
-						ids[i] = append(ids[i], goroutineID())
-						counts[i] = append(counts[i], runtime.NumGoroutine())
+			for _, leg := range legs {
+				t.Run(leg.name, func(t *testing.T) {
+					s, a, _ := twoHostSystem(t, append(leg.opts(), WithSyncAlgo(algo))...)
+					s.LP(0).Kernel().Schedule(0, func() {
+						a.Send(&packet.Packet{Src: 0, Dst: 1, PayloadLen: 934})
 					})
-				}
-			}
-			base := runtime.NumGoroutine()
-			s.Run(end)
-			for i := range ids {
-				if len(ids[i]) != 3 {
-					t.Fatalf("LP %d ran %d of its 3 events", i, len(ids[i]))
-				}
-				if ids[i][0] != ids[i][1] || ids[i][0] != ids[i][2] {
-					t.Errorf("LP %d ran its events at 0, mid-run and the horizon on goroutines %v, want one", i, ids[i])
-				}
-				for _, n := range counts[i] {
-					if n != base+s.NumLPs() {
-						t.Errorf("LP %d saw %d goroutines during Run, want %d (one per LP beyond the %d before it)",
-							i, n, base+s.NumLPs(), base)
+					// Per-LP samples, each written only by its LP's own events.
+					ids := make([][]string, s.NumLPs())
+					counts := make([][]int, s.NumLPs())
+					for i := 0; i < s.NumLPs(); i++ {
+						for _, at := range []des.Time{0, end / 2, end} {
+							s.LP(i).Kernel().Schedule(at, func() {
+								ids[i] = append(ids[i], goroutineID())
+								counts[i] = append(counts[i], runtime.NumGoroutine())
+							})
+						}
 					}
-				}
+					base := runtime.NumGoroutine()
+					if err := s.Run(end); err != nil {
+						t.Fatal(err)
+					}
+					want := base + s.NumLPs() + leg.monitor
+					for i := range ids {
+						if len(ids[i]) != 3 {
+							t.Fatalf("LP %d ran %d of its 3 events", i, len(ids[i]))
+						}
+						if ids[i][0] != ids[i][1] || ids[i][0] != ids[i][2] {
+							t.Errorf("LP %d ran its events at 0, mid-run and the horizon on goroutines %v, want one", i, ids[i])
+						}
+						for _, n := range counts[i] {
+							if n != want {
+								t.Errorf("LP %d saw %d goroutines during Run, want %d (one per LP and %d monitor beyond the %d before it)",
+									i, n, want, leg.monitor, base)
+							}
+						}
+					}
+					waitGoroutines(t, base)
+				})
 			}
 		})
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back to
+// base: a goroutine Run joined may still be on its way out when Run returns.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, want the %d before it (leak)", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

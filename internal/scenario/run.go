@@ -52,12 +52,12 @@ func WithPDESOptions(opts ...pdes.Option) RunOption {
 // baseline instead of cold-starting (see Pool).
 func WithPool(p *Pool) RunOption { return func(o *runOptions) { o.pool = p } }
 
-// WithProgress publishes live run progress into p. Packet-level runs (cold or
-// pooled — unlike a registry, progress does not pin the run to a cold start)
-// stream committed virtual time and executed events from a wall-clock poller
-// over System.CommittedTime while the run is in flight; fluid runs publish
-// only the final reading. Either way p is marked done when the run returns —
-// the scenario server serves GET /v1/runs/{id} straight from these gauges.
+// WithProgress exposes live run progress through p. While a packet-level run
+// (cold or pooled — unlike a registry, progress does not pin the run to a
+// cold start) is in flight, p reads its committed virtual time and executed
+// events straight from the system; fluid runs publish only the final reading.
+// Either way p holds the final reading when the run returns — the scenario
+// server serves GET /v1/runs/{id} straight from these gauges.
 func WithProgress(p *obs.Progress) RunOption {
 	return func(o *runOptions) { o.progress = p }
 }
@@ -81,17 +81,16 @@ func Run(sp Spec, opts ...RunOption) (*Result, error) {
 	}
 	res := &Result{Spec: n, Key: key}
 	if n.Mode == "fluid" {
-		err = n.runFluid(res)
+		// A fluid run has no committed clock: its final reading is its only one.
+		if err = n.runFluid(res); err == nil {
+			ro.progress.Finish(des.Time(res.Perf.SimSeconds*float64(des.Second)), res.Perf.Events)
+		}
 	} else {
 		err = n.runPacket(res, &ro)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Publish the authoritative final reading whatever the engine: fluid runs
-	// get their only data point, packet runs overwrite the poller's last
-	// sample with the assembled result's counts.
-	ro.progress.Finish(des.Time(res.Perf.SimSeconds*float64(des.Second)), res.Perf.Events)
 	return res, nil
 }
 
@@ -263,21 +262,23 @@ func (s Spec) faultSchedule(cfg topology.Config) (*faults.Schedule, error) {
 }
 
 // runNetwork runs a built network to the spec's end (horizon plus drain),
-// publishing live progress into prog, and fills res; pipe is the clos
-// modes' attached pipeline, nil in pdes mode. Engine counters are reported
-// as deltas over this run: a network restored from a pooled checkpoint
-// reports its own run alone, and on a fresh network the delta is the whole
-// count.
+// with prog reading the live system, and fills res; pipe is the clos modes'
+// attached pipeline, nil in pdes mode. Engine counters are reported as deltas
+// over this run: a network restored from a pooled checkpoint reports its own
+// run alone, and on a fresh network the delta is the whole count.
 func (s Spec) runNetwork(net *pdes.Network, pipe *core.Pipeline, res *Result, prog *obs.Progress, forked bool) error {
 	base := net.Sys.Stats()
-	// The events clock reports this run's delta, matching res.Stats;
+	// The events source reports this run's delta, matching res.Stats;
 	// committed time is absolute (forks resume at the warm point, never
-	// before it, so the reading is monotone within the run).
-	stop := prog.Watch(net.Sys.CommittedTime, func() uint64 { return net.Sys.Stats()[pdes.Events] - base[pdes.Events] }, 0)
+	// before it, so the reading is monotone within the run). prog is frozen
+	// before returning, so a pooled caller unlocks the shared system only
+	// after prog has stopped reading it.
+	events := func() uint64 { return net.Sys.Stats()[pdes.Events] - base[pdes.Events] }
+	prog.Attach(net.Sys.CommittedTime, events)
+	defer func() { prog.Finish(net.Sys.CommittedTime(), events()) }()
 	start := time.Now()
 	err := net.Sys.Run(s.end())
 	wall := time.Since(start)
-	stop()
 	if err != nil {
 		return err
 	}

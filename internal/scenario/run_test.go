@@ -3,7 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"approxsim/internal/core"
 	"approxsim/internal/des"
@@ -269,7 +273,7 @@ func TestRunPublishesProgress(t *testing.T) {
 		"pooled": {Mode: "pdes", Topology: Topology{Racks: 4}, Workload: Workload{Load: 0.3}, LPs: 1, Seed: 6, HorizonMS: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			prog := obs.NewProgress(des.Time(sp.HorizonMS * float64(des.Millisecond)))
+			prog := &obs.Progress{}
 			opts := []RunOption{WithProgress(prog)}
 			if name == "pooled" {
 				opts = append(opts, WithPool(NewPool(2)))
@@ -278,16 +282,147 @@ func TestRunPublishesProgress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !prog.Done() {
-				t.Fatal("progress not marked done")
-			}
 			if prog.Events() != res.Perf.Events || prog.Events() == 0 {
 				t.Fatalf("progress events %d, perf events %d", prog.Events(), res.Perf.Events)
 			}
-			if prog.Committed() < des.Time(sp.HorizonMS*float64(des.Millisecond)) {
-				t.Fatalf("final committed %v below horizon", prog.Committed())
+			if end := des.Time(res.Perf.SimSeconds * float64(des.Second)); prog.Committed() != end {
+				t.Fatalf("final committed %v, want the run's end %v", prog.Committed(), end)
 			}
 		})
+	}
+}
+
+// TestPoolForkProgressIsolation runs two fault variants of one warm family
+// through one Pool, the second queued on the shared System while the first
+// runs, and keeps polling the first run's Progress until both are done. The
+// first Progress must never read the second fork's live system: its event
+// count never falls (the second fork's Restore rewinds the shared counters),
+// and it settles on the first run's own final reading. The first variant
+// enters through Pool.run, the level that releases the baseline's lock, so
+// this fails if its Progress is frozen only after that release.
+func TestPoolForkProgressIsolation(t *testing.T) {
+	family := Spec{Mode: "pdes", Topology: Topology{Racks: 4}, Workload: Workload{Load: 0.5},
+		LPs: 2, Seed: 19, HorizonMS: 2, WarmMS: 1}
+	first, second := family, family
+	first.Faults = "switch:spine0@1200us+300us,detect=50us"
+	second.Faults = "link:tor0-spine0@1100us+500us,detect=60us"
+	if err := first.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(1)
+	var prog obs.Progress
+	res := &Result{Spec: first.Normalized()}
+	var firstErr, secondErr error
+	var secondRes *Result
+	var wg sync.WaitGroup
+	wg.Add(2)
+	firstDone := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		defer close(firstDone)
+		firstErr = pool.run(res.Spec, res, &prog)
+	}()
+	go func() {
+		defer wg.Done()
+		// Queue behind the first run once it holds the shared System.
+	wait:
+		for prog.Committed() == 0 {
+			select {
+			case <-firstDone:
+				break wait
+			default:
+				runtime.Gosched()
+			}
+		}
+		secondRes, secondErr = Run(second, WithPool(pool))
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var seen uint64
+	for polling := true; polling; runtime.Gosched() {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		n := prog.Events()
+		if n < seen {
+			t.Fatalf("first run's events fell from %d to %d: it read the second fork", seen, n)
+		}
+		seen = n
+	}
+	if firstErr != nil || secondErr != nil {
+		t.Fatal(firstErr, secondErr)
+	}
+	if res.Perf.Events == secondRes.Perf.Events {
+		t.Fatalf("both variants ran %d events; the check cannot tell them apart", res.Perf.Events)
+	}
+	if end := des.Time(res.Perf.SimSeconds * float64(des.Second)); prog.Committed() != end || prog.Events() != res.Perf.Events {
+		t.Errorf("first run's Progress reads %v/%d after the second fork, want its own final %v/%d",
+			prog.Committed(), prog.Events(), end, res.Perf.Events)
+	}
+	if st := pool.Stats(); st.Builds != 1 || st.Reuses != 1 {
+		t.Fatalf("pool stats %+v, want one warm baseline both variants forked", st)
+	}
+}
+
+// TestRunProgressStartsNoGoroutine: a multi-LP run handed a Progress starts
+// one goroutine per LP and nothing else — the Progress reads the live system
+// on its reader's goroutine — and leaves none behind. A watcher samples the
+// goroutine count while every LP is provably running: committed time (the
+// minimum LP clock) has left 0 and not yet reached the end.
+func TestRunProgressStartsNoGoroutine(t *testing.T) {
+	sp := Spec{Mode: "pdes", Topology: Topology{Racks: 4}, Workload: Workload{Load: 0.5}, LPs: 2, Seed: 9, HorizonMS: 3}
+	end := des.Time((sp.Normalized().HorizonMS + sp.Normalized().DrainMS) * float64(des.Millisecond))
+	var prog obs.Progress
+	// Goroutines of earlier tests may still be on their way out.
+	base := runtime.NumGoroutine()
+	for held := 0; held < 20; held++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, held = n, 0
+		}
+	}
+	quit, counts := make(chan struct{}), make(chan []int)
+	go func() {
+		var seen []int
+		for {
+			select {
+			case <-quit:
+				counts <- seen
+				return
+			default:
+			}
+			c0 := prog.Committed()
+			n := runtime.NumGoroutine()
+			if c0 > 0 && prog.Committed() < end {
+				seen = append(seen, n)
+			}
+			runtime.Gosched()
+		}
+	}()
+	_, err := Run(sp, WithProgress(&prog))
+	close(quit)
+	seen := <-counts
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Committed() != end {
+		t.Fatalf("run ended at %v, want %v", prog.Committed(), end)
+	}
+	if len(seen) == 0 {
+		t.Fatal("no goroutine count sampled mid-run")
+	}
+	// The minimum: a runtime goroutine running finalizers counts while it
+	// runs, so single samples may read high; a goroutine Run started would
+	// raise every one.
+	if n, want := slices.Min(seen), base+1+sp.LPs; n != want {
+		t.Fatalf("%d goroutines mid-run, want %d (the %d before Run, the watcher and %d LPs)", n, want, base, sp.LPs)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, want the %d before it (leak)", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -429,7 +429,7 @@ func (s *Server) execute(sp scenario.Spec, endpoint string) RunResponse {
 	s.sem <- struct{}{} // acquire a worker slot
 	queueWait := time.Since(ru.enqueuedAt)
 	s.sm.queueWaitNS.Observe(uint64(queueWait.Nanoseconds()))
-	prog := obs.NewProgress(des.Time(n.HorizonMS * float64(des.Millisecond)))
+	prog := &obs.Progress{}
 	ru.markRunning(queueWait, prog)
 
 	start := time.Now()
