@@ -412,8 +412,8 @@ func report(res *scenario.Result) {
 			fmt.Printf(" %s=%d", pdes.Counter(c), v)
 		}
 		fmt.Println()
-		fmt.Printf("partition=%s cut_edges=%d cut_weight=%.1f active_channels=%d lp_load_imbalance=%.3f\n",
-			res.Spec.Partition, p.CutEdges, p.CutWeight, p.Channels, p.LoadImbalance)
+		fmt.Printf("partition=%s cut_edges=%d active_channels=%d lp_load_imbalance=%.3f\n",
+			res.Spec.Partition, p.CutEdges, p.Channels, p.LoadImbalance)
 		if res.Spec.Faults != "" {
 			fmt.Printf("fault_drops=%d route_drops=%d\n", m.FaultDrops, m.RouteDrops)
 		}

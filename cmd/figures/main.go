@@ -86,7 +86,9 @@ func main() {
 // 8 LPs (the paper's "1, 2, 4 machines" axis). Synchronization counters come
 // from the shared metrics registry: every kernel, LP, switch, and stack in
 // the experiment reports through it, so the columns here are the same
-// aggregates a -metrics snapshot of the approxsim command would show.
+// aggregates a -metrics snapshot of the approxsim command would show. The
+// channels column counts the directed LP channels the healthy network keeps
+// live (pdes.PartitionStats.Channels); under -faults every channel is live.
 func fig1(durMS int, load float64, seed uint64, quick bool, sweep *scenario.Flags, tracePath string) error {
 	if durMS == 0 {
 		durMS = 2

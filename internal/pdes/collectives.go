@@ -13,8 +13,8 @@ import (
 //
 //  1. buildCollectives (before placement) resolves each Params against the
 //     topology's host count and folds the instances' exact flow catalogs into
-//     the declared workload, so partition-graph weighting and channel
-//     quiescence account for closed-loop traffic like any other flows.
+//     the declared workload, so block weights and channel quiescence account
+//     for closed-loop traffic like any other flows.
 //  2. installCollectives (after device construction) binds every rank's
 //     progress engine to its host's TCP stack ON THAT HOST'S OWN LP —
 //     registering it as a rollback saver there — routes the stacks'

@@ -37,7 +37,6 @@ var pdesGroup = []struct {
 	{"max_horizon_ns", metrics.KindGauge},
 	{"cut_edges", metrics.KindGauge},
 	{"active_channels", metrics.KindGauge},
-	{"cut_weight", metrics.KindFloat},
 	{"lp_load_imbalance", metrics.KindFloat},
 	{"owned_devices_lp0", metrics.KindGauge},
 	{"owned_devices", metrics.KindGauge},

@@ -113,16 +113,16 @@ func TestForkMatchesColdStart(t *testing.T) {
 				}
 			}
 
-			// One healthy baseline, checkpointed at t=0. Block weights read
-			// only the workload, so it places its blocks like every cold
-			// faulted build.
+			// One healthy baseline, checkpointed at t=0. Placement and its
+			// stats read only the workload, so it places and reports like
+			// every cold faulted build.
 			base, err := Build(tc.cfg, lps, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, cold := range colds {
-				if !reflect.DeepEqual(cold.Partition.BlockLP, base.Partition.BlockLP) {
-					t.Fatalf("variant %d placed blocks %v, baseline %v", i, cold.Partition.BlockLP, base.Partition.BlockLP)
+				if !reflect.DeepEqual(cold.Partition, base.Partition) {
+					t.Fatalf("variant %d partition %+v, baseline %+v", i, *cold.Partition, *base.Partition)
 				}
 			}
 			if tc.racks > 0 && reflect.DeepEqual(base.Partition.BlockLP, contiguousBlocks(len(base.Partition.BlockLP), lps)) {

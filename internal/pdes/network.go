@@ -43,8 +43,10 @@ type Network struct {
 	lpOf  []int              // owning LP by NodeID
 	wires []wire             // every link in plan order, with its two ports
 
-	// active[from*lps+to] marks the channels the healthy workload analysis
-	// proved used; nil when nothing was proved (one LP or no workload).
+	// active[from*lps+to] marks the channels the healthy network keeps live:
+	// those the declared workload's fabric crossings use (see weights). The
+	// rest are promised idle; a packet on one still flows, but trips the
+	// QuiescentSends counter, the loud breach detector for this analysis.
 	active []bool
 
 	// faults is the current schedule (see SetFaults); faultGen counts
@@ -68,7 +70,6 @@ type layout struct {
 	unit       string            // what a block is: "rack" or "cluster"
 	blocks     int               // racks (leaf-spine) or clusters (Clos)
 	fabricBase packet.NodeID     // first fabric switch: the spines or the cores
-	fabricLink netsim.LinkConfig // configuration of the links into the fabric
 	peers      [][]packet.NodeID // peers[id][port]: the device behind each port
 }
 
@@ -82,9 +83,6 @@ func newLayout(cfg topology.Config) *layout {
 	for _, ln := range l.links {
 		l.peers[ln.A] = append(l.peers[ln.A], ln.B)
 		l.peers[ln.B] = append(l.peers[ln.B], ln.A)
-		if ln.Fabric {
-			l.fabricLink = ln.Cfg
-		}
 	}
 	return l
 }
@@ -108,7 +106,7 @@ func (l *layout) block(id packet.NodeID) int {
 
 // flowPkts estimates the packet-event cost of one flow direction: data
 // segments forward, one ACK per segment back (plus the handshake). Only
-// relative magnitudes matter — the estimates weight the partitioning graph,
+// relative magnitudes matter — the estimates weight the blocks for placement,
 // they are never compared against measured counters.
 func flowPkts(size int64) float64 {
 	segs := (size + packet.MSS - 1) / packet.MSS
@@ -118,70 +116,46 @@ func flowPkts(size int64) float64 {
 	return float64(segs + 1)
 }
 
-// fabricPins returns the fabric switches (indices above fabricBase, ascending
-// and distinct) that the src→dst direction of flow id is routed through at
-// any of the instants in at. ECMP hashes only the switch, the packet's
-// Src/Dst/FlowID and the seed — fields identical on every packet of a
-// direction, retransmissions included — so with an empty schedule the result
-// is the direction's one exact pin. The walk follows topology.RouteOn up the
-// wiring plan from the source ToR; a route that turns down (or finds no
-// surviving port) before reaching the fabric adds nothing.
-func (l *layout) fabricPins(sched *faults.Schedule, at []des.Time, src, dst packet.HostID, id uint64) []int {
+// fabricPin returns the fabric switch (index above fabricBase) the healthy
+// fabric routes the src→dst direction of flow id through. ECMP hashes only
+// the switch, the packet's Src/Dst/FlowID and the seed — fields identical on
+// every packet of a direction, retransmissions included — so the pin is
+// exact. The walk follows topology.RouteOn up the wiring plan from the source
+// ToR; false means the route turns down before reaching the fabric.
+func (l *layout) fabricPin(src, dst packet.HostID, id uint64) (int, bool) {
 	probe := packet.Packet{Src: src, Dst: dst, FlowID: id}
-	seen := make([]bool, l.fabric())
-	for _, now := range at {
-		for node := l.peers[src][0]; ; {
-			port, ok := topology.RouteOn(&l.cfg, sched, now, node, &probe)
-			if !ok {
-				break
-			}
-			next := l.peers[node][port]
-			if next >= l.fabricBase {
-				seen[next-l.fabricBase] = true
-				break
-			}
-			if next < node {
-				break // turned down toward the destination
-			}
-			node = next
+	for node := l.peers[src][0]; ; {
+		port, ok := topology.RouteOn(&l.cfg, nil, 0, node, &probe)
+		if !ok {
+			return 0, false
 		}
-	}
-	var pins []int
-	for f, hit := range seen {
-		if hit {
-			pins = append(pins, f)
+		next := l.peers[node][port]
+		if next >= l.fabricBase {
+			return int(next - l.fabricBase), true
 		}
+		if next < node {
+			return 0, false // turned down toward the destination
+		}
+		node = next
 	}
-	return pins
 }
 
-// graph builds the partitioning graph: blocks and fabric switches, weighted
-// by expected event rates. With a workload the per-link packet counts are
-// exact a-priori (see fabricPins) — an edge weight of zero means the workload
-// provably never touches that link. Without a workload every edge carries its
-// normalized bandwidth instead (and nothing can be declared idle).
-func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph {
-	nB, nF := l.blocks, l.fabric()
-	g := &Graph{
-		BlockWeight:  make([]float64, nB),
-		FabricWeight: make([]float64, nF),
-		EdgeWeight:   make([][]float64, nB),
-	}
-	for b := range g.EdgeWeight {
-		g.BlockWeight[b] = float64(int(l.fabricBase) / nB) // device-count baseline
-		g.EdgeWeight[b] = make([]float64, nF)
-	}
-	for f := range g.FabricWeight {
-		g.FabricWeight[f] = 1
-	}
-	if len(specs) == 0 {
-		bw := float64(l.fabricLink.BandwidthBps) / 1e9
-		for b := range g.EdgeWeight {
-			for f := range g.EdgeWeight[b] {
-				g.EdgeWeight[b][f] = bw
+// weigh makes the one pass over the declared workload (see weights).
+func (l *layout) weigh(specs []traffic.FlowSpec) *weights {
+	w := &weights{block: make([]float64, l.blocks), fabric: make([]float64, l.fabric()),
+		crossings: make([]crossing, 0, 2*len(specs))}
+	for b := range w.block {
+		w.block[b] = float64(int(l.fabricBase) / l.blocks) // device-count baseline
+		if len(specs) == 0 {
+			// Nothing declared proves a channel idle: every block may cross
+			// every fabric switch, both ways.
+			for f := range w.fabric {
+				w.crossings = append(w.crossings, crossing{b, b, f})
 			}
 		}
-		return g
+	}
+	for f := range w.fabric {
+		w.fabric[f] = 1
 	}
 	var maxAt des.Time
 	for _, sp := range specs {
@@ -193,14 +167,6 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 	// horizon; estimating its full size would overweight late large flows the
 	// run will truncate.
 	bytesPerNs := float64(l.cfg.HostLink.BandwidthBps) / 8e9
-	// With a fault schedule, a flow's pin can change at each detection or
-	// recovery edge; weight every fabric switch in the UNION of pre- and
-	// post-failure routes at full cost, so whichever epoch the run spends
-	// longest in, the weights already account for that traffic.
-	samples := []des.Time{0}
-	if !sched.Empty() {
-		samples = sched.SampleTimes()
-	}
 	for _, sp := range specs {
 		size := sp.Size
 		if cap := int64(float64(maxAt-sp.At) * bytesPerNs); cap < size {
@@ -212,23 +178,22 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 		// TCP processing/timers) in each direction; a fabric switch runs ~1
 		// per traversal. The ratio, not the absolute scale, is what matters:
 		// it sets where placeBlocks cuts.
-		g.BlockWeight[src] += 3 * pk
-		g.BlockWeight[dst] += 3 * pk
+		w.block[src] += 3 * pk
+		w.block[dst] += 3 * pk
 		if src == dst {
 			continue // never leaves the block
 		}
-		for _, f := range l.fabricPins(sched, samples, sp.Src, sp.Dst, sp.ID) {
-			g.FabricWeight[f] += pk
-			g.EdgeWeight[src][f] += pk
-			g.EdgeWeight[dst][f] += pk
+		// Data: src → forward pin → dst; ACKs: dst → reverse pin → src.
+		if f, ok := l.fabricPin(sp.Src, sp.Dst, sp.ID); ok {
+			w.fabric[f] += pk
+			w.crossings = append(w.crossings, crossing{src, dst, f})
 		}
-		for _, f := range l.fabricPins(sched, samples, sp.Dst, sp.Src, sp.ID) {
-			g.FabricWeight[f] += pk
-			g.EdgeWeight[dst][f] += pk
-			g.EdgeWeight[src][f] += pk
+		if f, ok := l.fabricPin(sp.Dst, sp.Src, sp.ID); ok {
+			w.fabric[f] += pk
+			w.crossings = append(w.crossings, crossing{dst, src, f})
 		}
 	}
-	return g
+	return w
 }
 
 // Build constructs cfg — a topology.LeafSpine or topology.ThreeTierClos
@@ -239,10 +204,11 @@ func (l *layout) graph(specs []traffic.FlowSpec, sched *faults.Schedule) *Graph 
 // including Time Warp.
 //
 // specs, together with any WithCollectives flow catalog, are also the
-// declared workload: they weight the partition graph and prove cross-LP
-// channels idle (channel quiescence, see SetFaults). Declaring and scheduling
-// in one call keeps the two identical — the soundness condition of both
-// analyses.
+// declared workload. One pass over it weights the blocks for placement and
+// records the fabric crossings that prove cross-LP channels idle (channel
+// quiescence, see SetFaults); both feed the PartitionStats. Declaring and
+// scheduling in one call keeps the two identical — the soundness condition of
+// quiescence.
 func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Option) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -261,25 +227,23 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 	}
 
 	// Placement (see partition.go): blocks in contiguous runs cut by block
-	// weight, fabric switch f on LP f % lps. Collective instances are
-	// resolved first so the declared workload — open-loop schedule plus the
-	// full closed-loop flow catalog — weights the partition graph and feeds
-	// channel quiescence with exactly the flows that will run. Block weights
-	// read only that workload, never the fault schedule, so a healthy pool
-	// baseline and a cold faulted build of one family place their blocks
-	// identically.
+	// weight, fabric switch f on LP f % lps. Collective instances are resolved
+	// first so the declared workload is exactly the flows that will run:
+	// open-loop schedule plus the full closed-loop flow catalog. No fault
+	// schedule enters it, so a healthy pool baseline and a cold faulted build
+	// of one family place and report identically.
 	insts, declared, err := buildCollectives(n.Sys.cfg.collectives, specs, cfg.NumHosts(), cfg.HostLink.BandwidthBps)
 	if err != nil {
 		return nil, err
 	}
 	n.Collectives = insts
-	g := l.graph(declared, sched)
-	blockLP := placeBlocks(g.BlockWeight, lps)
+	w := l.weigh(declared)
+	blockLP := placeBlocks(w.block, lps)
 	fabricLP := make([]int, l.fabric())
 	for f := range fabricLP {
 		fabricLP[f] = f % lps
 	}
-	n.Partition = partitionStats(g, blockLP, fabricLP, lps, int(l.fabricBase)/l.blocks)
+	n.Partition, n.active = partitionStats(w, blockLP, fabricLP, lps, int(l.fabricBase)/l.blocks)
 	n.lpOf = make([]int, cfg.NumNodes())
 	for id := range n.lpOf {
 		if nid := packet.NodeID(id); nid >= l.fabricBase {
@@ -355,37 +319,6 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 		n.wires = append(n.wires, wire{ln.A, ln.B, pa, pb})
 	}
 
-	// Channel quiescence: with the workload declared up front, the set of LP
-	// pairs any packet can ever cross is computable exactly — the workload is
-	// fully pre-scheduled, ECMP pins each flow direction to one fabric switch,
-	// and every packet of a flow (handshake, data, ACKs, retransmissions)
-	// travels one of the flow's two pinned paths. Channels outside that set
-	// are promised-idle: no null messages, and receivers never wait on them. A
-	// packet on a quiescent channel still flows correctly but trips the
-	// QuiescentSends counter — the loud invariant breach detector for this
-	// analysis. The set is computed whatever the schedule; SetFaults applies
-	// it only while the schedule is empty.
-	if len(declared) > 0 && lps > 1 {
-		n.active = make([]bool, lps*lps)
-		mark := func(a, b int) {
-			if a != b {
-				n.active[a*lps+b] = true
-			}
-		}
-		healthy := []des.Time{0}
-		for _, sp := range declared {
-			src, dst := n.lpOf[sp.Src], n.lpOf[sp.Dst]
-			// Data: src → forward pin → dst; ACKs: dst → reverse pin → src.
-			for _, f := range l.fabricPins(nil, healthy, sp.Src, sp.Dst, sp.ID) {
-				mark(src, fabricLP[f])
-				mark(fabricLP[f], dst)
-			}
-			for _, f := range l.fabricPins(nil, healthy, sp.Dst, sp.Src, sp.ID) {
-				mark(dst, fabricLP[f])
-				mark(fabricLP[f], src)
-			}
-		}
-	}
 	if err := n.SetFaults(sched); err != nil {
 		return nil, err
 	}
@@ -411,7 +344,7 @@ func Build(cfg topology.Config, lps int, specs []traffic.FlowSpec, opts ...Optio
 // involved (for a link fault between two LPs, on both); an instant left from
 // a replaced schedule emits nothing, and one already in the past is skipped.
 // Channel quiescence follows the schedule: while it is empty the active set
-// Build proved applies, otherwise every channel is active, since failure
+// Build proved applies, otherwise every channel is live, since failure
 // rerouting moves flows onto fabric switches that analysis proved idle.
 func (n *Network) SetFaults(sched *faults.Schedule) error {
 	if sched == nil {

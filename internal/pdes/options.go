@@ -147,8 +147,8 @@ func WithSampler(s *obs.Sampler) Option { return func(c *config) { c.sampler = s
 // network. Unlike the open-loop specs Build schedules, collective flows launch
 // from TCP completion callbacks — but their complete flow catalog (src, dst,
 // size, ID) is still known at build time, so Build folds it into the declared
-// workload: partition-graph weighting and channel quiescence see exactly the
-// flows that will run, keeping both analyses sound. The catalog comes from
+// workload: block weights, channel quiescence and active_channels see exactly
+// the flows that will run, keeping quiescence sound. The catalog comes from
 // the same Params that drive the launches, so declared and actual workloads
 // cannot diverge. Ranks are the first Hosts host IDs of the topology (all
 // hosts when Hosts is 0).
@@ -159,11 +159,10 @@ func WithCollectives(ps ...collective.Params) Option {
 // WithFaults installs a fault schedule on the built network (Build hands it
 // to Network.SetFaults): link and switch down state becomes visible to the
 // netsim transmit/receive paths, routing turns failure-aware (deterministic
-// ECMP rehash over the surviving set after a per-switch detection delay), the
-// partition graph is weighted by the union of pre- and post-failure routes,
-// and every channel stays active (no channel quiescence). Fault state is a
-// pure function of virtual time, so committed results stay bit-identical
-// across sync algorithms and LP counts — the property
-// TestDeterminismProperty checks with a nonempty schedule. A nil or empty
-// schedule is the healthy default.
+// ECMP rehash over the surviving set after a per-switch detection delay), and
+// every channel stays live (no channel quiescence). Placement and its
+// PartitionStats never read it. Fault state is a pure function of virtual
+// time, so committed results stay bit-identical across sync algorithms and LP
+// counts — the property TestDeterminismProperty checks with a nonempty
+// schedule. A nil or empty schedule is the healthy default.
 func WithFaults(s *faults.Schedule) Option { return func(c *config) { c.faults = s } }

@@ -9,7 +9,10 @@
 // workload whose ranks sit on the first racks would otherwise load one LP and
 // leave the other idle. Fabric switch f goes to LP f % lps, the historical
 // round-robin scatter. Only links into the fabric can then cross an LP
-// boundary.
+// boundary. The block weights come from one pass over the declared workload
+// (weights), which also records the fabric crossings that, once blocks are
+// placed, fix the channels the healthy network keeps live and the
+// PartitionStats.
 //
 // Placements that pack the fabric onto few LPs, or refine the realized cut,
 // send fewer null messages and cross-LP packets but were measured to buy no
@@ -22,28 +25,6 @@ import (
 
 	"approxsim/internal/metrics"
 )
-
-// Graph is the device communication graph of a build, stored densely as a
-// block × fabric weight matrix. Block weights place the blocks; every weight
-// feeds the placement statistics (PartitionStats).
-//
-// Weights are expected event rates: a baseline per device (every device costs
-// kernel events just by existing) plus the estimated packet events of the
-// scheduled workload on the paths ECMP pins its flows to. Without a workload
-// every edge carries its normalized bandwidth instead.
-type Graph struct {
-	// BlockWeight[b] is the expected event rate of block b (hosts + edge
-	// switch + scheduled flow events).
-	BlockWeight []float64
-	// FabricWeight[f] is the expected event rate of fabric switch f.
-	FabricWeight []float64
-	// EdgeWeight[b][f] is the weight of the (block b, fabric f) link:
-	// normalized bandwidth plus estimated packets the workload pins onto it.
-	// Zero means the link exists but the workload never touches it — a cut
-	// there costs no packets and activates no channel (it will be marked
-	// quiescent while the network is healthy, see Network.SetFaults).
-	EdgeWeight [][]float64
-}
 
 // placeBlocks pins n = len(w) blocks onto lps LPs in contiguous runs, every LP
 // at least one block, choosing the split whose heaviest LP carries the least
@@ -134,27 +115,31 @@ func placeBlocks(w []float64, lps int) []int {
 	return out
 }
 
-// pairKey flattens an unordered LP pair into an index for the cut-edge
-// counting table.
-func pairKey(a, b, lps int) int {
-	if a > b {
-		a, b = b, a
-	}
-	return a*lps + b
+// weights is what layout.weigh reads off the declared workload: expected
+// event rates — a baseline per device plus each flow's estimated packet
+// events on the paths ECMP pins it to in the healthy fabric — and the fabric
+// crossings that prove which LP channels the workload can use. The fault
+// schedule never enters it.
+type weights struct {
+	block, fabric []float64 // by block, by fabric switch
+	crossings     []crossing
 }
 
+// crossing is one flow direction's trip up out of block src, through fabric
+// switch f, down into block dst. Every packet of the direction takes it.
+type crossing struct{ src, dst, f int }
+
 // PartitionStats summarizes a placement for the metrics registry and the
-// CLIs: how much of the graph the partition cuts, how many promise channels
-// it keeps alive, and how evenly it spreads the expected event rate.
+// CLIs: how many fabric links it cuts, how many promise channels it keeps
+// live, and how evenly it spreads the expected event rate.
 type PartitionStats struct {
 	// CutEdges counts fabric links whose endpoints live on different LPs.
 	CutEdges int
-	// CutWeight is the summed edge weight of those links — with traffic-aware
-	// weights, an a-priori estimate of cross-LP packet volume.
-	CutWeight float64
-	// Channels counts active directed LP-pair channels: ordered pairs crossed
-	// by at least one traffic-carrying cut edge. Null-message volume is
-	// proportional to it.
+	// Channels counts the directed LP channels the healthy network keeps
+	// live: those the declared workload uses, or every channel when there is
+	// none. Null-message volume is proportional to it. It describes the
+	// placement, not a faulted run: under a non-empty fault schedule every
+	// channel is live.
 	Channels int
 	// LoadImbalance is max-LP-weight / mean-LP-weight (1.0 = perfectly even).
 	LoadImbalance float64
@@ -164,45 +149,46 @@ type PartitionStats struct {
 	BlockLP []int
 }
 
-// partitionStats computes PartitionStats for an assignment. devicesPerBlock
-// is the device count a block contributes (hosts + edge switches); each
-// fabric switch contributes one.
-func partitionStats(g *Graph, blockLP, fabricLP []int, lps, devicesPerBlock int) *PartitionStats {
+// partitionStats computes PartitionStats for an assignment, and the directed
+// LP channels, indexed from*lps+to, that w's crossings use (Network.active).
+// devicesPerBlock is the device count a block contributes (hosts + edge
+// switches); each fabric switch contributes one.
+func partitionStats(w *weights, blockLP, fabricLP []int, lps, devicesPerBlock int) (*PartitionStats, []bool) {
 	st := &PartitionStats{OwnedDevices: make([]int, lps), BlockLP: blockLP}
 	load := make([]float64, lps)
 	for b, lp := range blockLP {
 		st.OwnedDevices[lp] += devicesPerBlock
-		load[lp] += g.BlockWeight[b]
+		load[lp] += w.block[b]
 	}
 	for f, lp := range fabricLP {
 		st.OwnedDevices[lp]++
-		load[lp] += g.FabricWeight[f]
+		load[lp] += w.fabric[f]
 	}
-	var total, max float64
+	var total, max float64 // total > 0: every fabric switch weighs at least 1
 	for _, l := range load {
 		total += l
 		max = math.Max(max, l)
 	}
-	if total > 0 {
-		st.LoadImbalance = max * float64(lps) / total
-	}
-	pairs := make([]bool, lps*lps)
-	for b, blp := range blockLP {
-		for f, flp := range fabricLP {
-			if blp == flp {
-				continue
-			}
-			st.CutEdges++
-			st.CutWeight += g.EdgeWeight[b][f]
-			if g.EdgeWeight[b][f] > 0 {
-				if k := pairKey(blp, flp, lps); !pairs[k] {
-					pairs[k] = true
-					st.Channels += 2
-				}
+	st.LoadImbalance = max * float64(lps) / total
+	for _, blp := range blockLP {
+		for _, flp := range fabricLP {
+			if blp != flp {
+				st.CutEdges++
 			}
 		}
 	}
-	return st
+	active := make([]bool, lps*lps)
+	mark := func(a, b int) {
+		if a != b && !active[a*lps+b] {
+			active[a*lps+b] = true
+			st.Channels++
+		}
+	}
+	for _, c := range w.crossings {
+		mark(blockLP[c.src], fabricLP[c.f])
+		mark(fabricLP[c.f], blockLP[c.dst])
+	}
+	return st, active
 }
 
 // CollectMetrics implements metrics.Collector so a build's placement streams
@@ -210,7 +196,6 @@ func partitionStats(g *Graph, blockLP, fabricLP []int, lps, devicesPerBlock int)
 func (st *PartitionStats) CollectMetrics(e *metrics.Emitter) {
 	e.Gauge("cut_edges", int64(st.CutEdges))
 	e.Gauge("active_channels", int64(st.Channels))
-	e.Float("cut_weight", st.CutWeight)
 	e.Float("lp_load_imbalance", st.LoadImbalance)
 	for l, n := range st.OwnedDevices {
 		// Per-LP ownership under distinct names (gauges max-merge; per-LP

@@ -1,14 +1,17 @@
 package pdes
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"approxsim/internal/collective"
+	"approxsim/internal/des"
 	"approxsim/internal/packet"
 	"approxsim/internal/rng"
 	"approxsim/internal/topology"
+	"approxsim/internal/traffic"
 )
 
 // contiguousBlocks pins block b to LP b*lps/blocks — the even split, which
@@ -161,37 +164,85 @@ func TestFabricPlacementRoundRobin(t *testing.T) {
 	}
 }
 
-// TestPartitionStatsExact pins the stats computation on a hand-built graph:
-// 2 blocks on 2 LPs, 2 fabric switches, one placed locally and one across.
+// TestPartitionStatsExact pins the stats computation on hand-built weights:
+// 2 blocks on 2 LPs, 2 fabric switches, fabric f placed with block f. The one
+// crossing, block 1 through fabric 0 into block 0, keeps only the channel
+// LP 1 → LP 0 live.
 func TestPartitionStatsExact(t *testing.T) {
-	g := &Graph{
-		BlockWeight:  []float64{10, 10},
-		FabricWeight: []float64{2, 2},
-		EdgeWeight: [][]float64{
-			{3, 0}, // block 0: traffic to fabric 0 only
-			{1, 4}, // block 1: traffic to both
-		},
+	w := &weights{
+		block:     []float64{10, 10},
+		fabric:    []float64{2, 2},
+		crossings: []crossing{{src: 1, dst: 0, f: 0}},
 	}
-	blockLP := []int{0, 1}
-	fabricLP := []int{0, 1} // fabric 0 with block 0, fabric 1 with block 1
-	st := partitionStats(g, blockLP, fabricLP, 2, 3)
-	// Cut edges: (block1, fabric0) weight 1 and (block0, fabric1) weight 0.
+	st, active := partitionStats(w, []int{0, 1}, []int{0, 1}, 2, 3)
+	// Cut edges: (block 1, fabric 0) and (block 0, fabric 1).
 	if st.CutEdges != 2 {
 		t.Errorf("CutEdges = %d, want 2", st.CutEdges)
 	}
-	if math.Abs(st.CutWeight-1) > 1e-12 {
-		t.Errorf("CutWeight = %g, want 1", st.CutWeight)
-	}
-	// Only the weight-1 edge activates a channel (both directions); the
-	// zero-weight cut edge is quiescent.
-	if st.Channels != 2 {
-		t.Errorf("Channels = %d, want 2", st.Channels)
+	if want := []bool{false, false, true, false}; st.Channels != 1 || !reflect.DeepEqual(active, want) {
+		t.Errorf("Channels = %d, active %v; want 1, %v", st.Channels, active, want)
 	}
 	if math.Abs(st.LoadImbalance-1) > 1e-12 {
 		t.Errorf("LoadImbalance = %g, want 1 (symmetric loads)", st.LoadImbalance)
 	}
 	if want := []int{4, 4}; !reflect.DeepEqual(st.OwnedDevices, want) {
 		t.Errorf("OwnedDevices = %v, want %v", st.OwnedDevices, want)
+	}
+}
+
+// TestChannelsMatchEngine pins the channel quiescence set by its size on both
+// fabrics, with open-loop and collective workloads and without any: each
+// healthy build keeps exactly active of its total directed channels live
+// (sending promises), and Partition.Channels reports that same count.
+func TestChannelsMatchEngine(t *testing.T) {
+	ring, err := collective.Parse("ring:size=64KB,iters=2,hosts=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cfg           topology.Config
+		lps           int
+		load          float64 // Poisson load over 2 ms, seed 1; 0 = none
+		opts          []Option
+		active, total int
+	}{
+		{topology.DefaultLeafSpineConfig(8), 4, 0.01, nil, 5, 12},
+		{topology.DefaultLeafSpineConfig(8), 8, 0.01, nil, 7, 56},
+		{topology.DefaultLeafSpineConfig(16), 8, 0.05, nil, 22, 56},
+		{topology.DefaultLeafSpineConfig(8), 8, 0.4, nil, 44, 56},
+		{topology.DefaultLeafSpineConfig(8), 2, 0.6, nil, 2, 2},
+		{topology.DefaultClosConfig(4), 4, 0.01, nil, 3, 10},
+		{topology.DefaultClosConfig(8), 8, 0.05, nil, 16, 26},
+		{topology.DefaultLeafSpineConfig(8), 4, 0, []Option{WithCollectives(ring...)}, 10, 12},
+		{topology.DefaultLeafSpineConfig(8), 4, 0, nil, 12, 12},
+	} {
+		l := newLayout(tc.cfg)
+		name := fmt.Sprintf("%d %ss on %d LPs, load %g, %d collectives", l.blocks, l.unit, tc.lps, tc.load, len(tc.opts))
+		var specs []traffic.FlowSpec
+		if tc.load > 0 {
+			if specs, err = poissonSpecs(tc.cfg, tc.load, 2*des.Millisecond, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net, err := Build(tc.cfg, tc.lps, specs, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		active, total := 0, 0
+		for _, lp := range net.Sys.lps {
+			for _, o := range lp.outs {
+				total++
+				if !o.quiescent {
+					active++
+				}
+			}
+		}
+		if active != tc.active || total != tc.total {
+			t.Errorf("%s: engine keeps %d of %d channels live, want %d of %d", name, active, total, tc.active, tc.total)
+		}
+		if net.Partition.Channels != active {
+			t.Errorf("%s: Partition.Channels = %d, engine keeps %d", name, net.Partition.Channels, active)
+		}
 	}
 }
 

@@ -358,16 +358,11 @@ func (s *System) ensureOut(from, to *LP, lookahead des.Time) *outLink {
 // limitChannels restricts the conservative synchronization graph to the
 // channels marked in active, indexed from*lps+to (nil marks them all): every
 // other channel is marked quiescent — it sends no null messages and no longer
-// holds down its receiver's earliest input time. active must be derived
-// soundly: a channel may be left out only if the scheduled workload provably
-// never routes a packet across it (with a fully pre-scheduled workload and
-// deterministic ECMP, the exact set of directed LP pairs that ever carry data
-// is computable at build time). Packets that cross a quiescent channel anyway
-// still arrive, but are counted in QuiescentSends as an invariant breach.
-// Null-message traffic is proportional to active-channel count, so this is
-// where a traffic-aware partition turns locality into less synchronization
-// chatter. Only Network.SetFaults calls it, between runs; it has no effect on
-// the Time Warp engine, which does not use promises.
+// holds down its receiver's earliest input time. active must be sound: a
+// channel may be left out only if no packet of the scheduled workload can
+// cross it. Only Network.SetFaults calls it, between runs, with the set Build
+// proved (see Network.active) or nil; it has no effect on the Time Warp
+// engine, which does not use promises.
 func (s *System) limitChannels(active []bool) {
 	for _, lp := range s.lps {
 		lp.inputs = lp.inputs[:0]

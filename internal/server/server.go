@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -274,12 +275,30 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// decodeSpec parses and vets one spec from a request body decoder. Unknown
-// fields are rejected: a typo'd field would otherwise be silently dropped
-// from the canonical form and alias the request onto the wrong cache key.
-func decodeSpec(dec *json.Decoder) (scenario.Spec, error) {
+// decodeJSON decodes the one JSON value r holds into v. Unknown fields are
+// rejected — a typo'd field would otherwise be silently dropped from the
+// canonical form and alias the request onto the wrong cache key — and so is
+// anything but white space after the value.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("unexpected data after the JSON value")
+	default:
+		return fmt.Errorf("unexpected data after the JSON value: %w", err)
+	}
+}
+
+// decodeSpec parses and vets the one spec r holds.
+func decodeSpec(r io.Reader) (scenario.Spec, error) {
 	var sp scenario.Spec
-	if err := dec.Decode(&sp); err != nil {
+	if err := decodeJSON(r, &sp); err != nil {
 		return sp, fmt.Errorf("bad scenario JSON: %w", err)
 	}
 	if err := sp.Validate(); err != nil {
@@ -298,9 +317,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	sp, err := decodeSpec(dec)
+	sp, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.reject(w, err)
 		return
@@ -321,9 +338,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Scenarios []json.RawMessage `json:"scenarios"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.reject(w, fmt.Errorf("bad sweep JSON: %w", err))
 		return
 	}
@@ -338,9 +353,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	results := make([]RunResponse, len(req.Scenarios))
 	var wg sync.WaitGroup
 	for i, raw := range req.Scenarios {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		sp, err := decodeSpec(dec)
+		sp, err := decodeSpec(bytes.NewReader(raw))
 		if err != nil {
 			s.sm.errors.Inc()
 			results[i] = RunResponse{Error: err.Error()}

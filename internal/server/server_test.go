@@ -244,6 +244,47 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// TestRunTrailingData: a /v1/run body holding anything after its spec — a
+// second spec or garbage — is a 400 that never reaches the engine, and the
+// next well-formed request succeeds.
+func TestRunTrailingData(t *testing.T) {
+	s, ts := newTestServer(t)
+	spec := fmt.Sprintf(pdesSpec, 5, "")
+	for name, body := range map[string]string{
+		"second value": spec + `{"mode":"quantum"}`,
+		"garbage":      spec + ` garbage`,
+	} {
+		var r RunResponse
+		if code := post(t, ts, "/v1/run", body, &r); code != http.StatusBadRequest || r.Error == "" {
+			t.Errorf("%s: status %d, error %q; want 400 with an error", name, code, r.Error)
+		}
+	}
+	if st := s.Stats(); st.Runs != 0 {
+		t.Fatalf("rejected requests reached the engine: %+v", st)
+	}
+	var r RunResponse
+	if code := post(t, ts, "/v1/run", spec+"\n", &r); code != http.StatusOK || r.Error != "" {
+		t.Fatalf("well-formed request after the rejections: status %d, error %q", code, r.Error)
+	}
+}
+
+// TestSweepTrailingData: the same for a /v1/sweep body.
+func TestSweepTrailingData(t *testing.T) {
+	s, ts := newTestServer(t)
+	sweep := `{"scenarios":[` + fmt.Sprintf(pdesSpec, 6, "") + `]}`
+	var r RunResponse
+	if code := post(t, ts, "/v1/sweep", sweep+` junk`, &r); code != http.StatusBadRequest || r.Error == "" {
+		t.Errorf("status %d, error %q; want 400 with an error", code, r.Error)
+	}
+	if st := s.Stats(); st.Runs != 0 {
+		t.Fatalf("rejected request reached the engine: %+v", st)
+	}
+	var sr SweepResponse
+	if code := post(t, ts, "/v1/sweep", sweep, &sr); code != http.StatusOK || len(sr.Results) != 1 || sr.Results[0].Error != "" {
+		t.Fatalf("well-formed sweep after the rejection: status %d, reply %+v", code, sr)
+	}
+}
+
 // TestOversizeBody: a /v1/run or /v1/sweep body past maxBodyBytes is refused
 // with 413 and an error reply, counted as an error, and leaves the server
 // serving the next normal request.
