@@ -106,7 +106,10 @@ func (f *Featurizer) featuresInto(x *[FeatureDim]float64, now des.Time, src, dst
 	f.lastArrival = now
 	f.hasLast = true
 	// EWMA with the usual 1/8 gain (same constant TCP uses for SRTT).
-	f.gapEWMA += (gap - f.gapEWMA) / 8
+	// The float64 conversion keeps the product the compiler makes of the
+	// division by 8 from fusing with the addition on GOARCHes that fuse
+	// (arm64), so the features have the same bits everywhere.
+	f.gapEWMA += float64((gap - f.gapEWMA) / 8)
 
 	nHosts := float64(len(f.topo.Hosts))
 	nt := float64(len(f.topo.ToRs))

@@ -60,11 +60,13 @@ func checkBackRows(t *testing.T, seed uint64, rows, n int, a, b float64) {
 	}
 }
 
+// TestBackRowsMatchReference covers every column count up to 130: whole
+// 16-column blocks (up to eight at 128) with and without leftover columns.
 func TestBackRowsMatchReference(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		seed := uint64(1)
 		for _, rows := range []int{0, 1, 3, 4, 20, 64} {
-			for n := 0; n <= 40; n++ {
+			for n := 0; n <= 130; n++ {
 				checkBackRows(t, seed, rows, n, 1, -1)
 				seed++
 			}
@@ -92,7 +94,7 @@ func TestBackRowsKeepsNegativeZero(t *testing.T) {
 }
 
 // FuzzBackward checks the backward row kernel against the Go loop bit for
-// bit over 1 to 40 columns and up to 64 rows, with ±0, ±Inf, NaN and
+// bit over 1 to 130 columns and up to 64 rows, with ±0, ±Inf, NaN and
 // subnormals in the gradients, the inputs and the weights.
 func FuzzBackward(f *testing.F) {
 	f.Add(uint64(1), uint8(13), uint8(64), 1.0, -1.0)
@@ -100,7 +102,56 @@ func FuzzBackward(f *testing.F) {
 	f.Add(uint64(3), uint8(5), uint8(20), math.Copysign(0, -1), math.Float64frombits(1))
 	f.Add(uint64(4), uint8(1), uint8(1), 1e300, -1e-300)
 	f.Add(uint64(5), uint8(40), uint8(7), 0.5, 2.0)
+	f.Add(uint64(6), uint8(127), uint8(64), math.NaN(), -1.5)
 	f.Fuzz(func(t *testing.T, seed uint64, n, rows uint8, a, b float64) {
-		fuzzKernels(func() { checkBackRows(t, seed, int(rows%65), int(n%40)+1, a, b) })
+		fuzzKernels(func() { checkBackRows(t, seed, int(rows%65), int(n%130)+1, a, b) })
+	})
+}
+
+// checkGateGrads runs gateGrads and gateGradsRows on copies of one step's
+// state for H units and compares dz, dc and dB bit for bit.
+func checkGateGrads(t *testing.T, seed uint64, H int, a, b float64) {
+	t.Helper()
+	src := rng.New(seed)
+	gates := backInputs(src, 4*H, a, b)
+	tc := backInputs(src, H, a, b)
+	cPrev := backInputs(src, H, a, b)
+	dh := backInputs(src, H, a, b)
+	dc0 := backInputs(src, H, a, b)
+	dB0 := backInputs(src, 4*H, a, b)
+	wantDC, wantDZ, wantDB := append([]float64(nil), dc0...), make([]float64, 4*H), append([]float64(nil), dB0...)
+	gateGradsRows(gates, tc, cPrev, dh, wantDC, wantDZ, wantDB, 0)
+	gotDC, gotDZ, gotDB := append([]float64(nil), dc0...), make([]float64, 4*H), append([]float64(nil), dB0...)
+	gateGrads(gates, tc, cPrev, dh, gotDC, gotDZ, gotDB)
+	for j := range gotDC {
+		if !sameBits(gotDC[j], wantDC[j]) {
+			t.Fatalf("avx2=%v H=%d seed=%d: dc[%d] = %v (%#x), reference %v (%#x)", useAVX2, H, seed,
+				j, gotDC[j], math.Float64bits(gotDC[j]), wantDC[j], math.Float64bits(wantDC[j]))
+		}
+	}
+	for r := range gotDZ {
+		if !sameBits(gotDZ[r], wantDZ[r]) {
+			t.Fatalf("avx2=%v H=%d seed=%d: dz[%d] = %v (%#x), reference %v (%#x)", useAVX2, H, seed,
+				r, gotDZ[r], math.Float64bits(gotDZ[r]), wantDZ[r], math.Float64bits(wantDZ[r]))
+		}
+		if !sameBits(gotDB[r], wantDB[r]) {
+			t.Fatalf("avx2=%v H=%d seed=%d: dB[%d] = %v (%#x), reference %v (%#x)", useAVX2, H, seed,
+				r, gotDB[r], math.Float64bits(gotDB[r]), wantDB[r], math.Float64bits(wantDB[r]))
+		}
+	}
+}
+
+// FuzzGateGrads checks the gate-gradient kernel against the Go loop bit for
+// bit over 1 to 64 units (whole 4-unit groups and leftovers), with ±0, ±Inf,
+// NaN and subnormals in the gates, tanh(c), cPrev, both gradients and the
+// bias gradient it adds to.
+func FuzzGateGrads(f *testing.F) {
+	f.Add(uint64(1), uint8(16), 1.0, -1.0)
+	f.Add(uint64(2), uint8(5), math.Inf(1), math.NaN())
+	f.Add(uint64(3), uint8(4), math.Copysign(0, -1), math.Float64frombits(1))
+	f.Add(uint64(4), uint8(1), 1e300, -1e-300)
+	f.Add(uint64(5), uint8(63), 0.5, 2.0)
+	f.Fuzz(func(t *testing.T, seed uint64, hid uint8, a, b float64) {
+		fuzzKernels(func() { checkGateGrads(t, seed, int(hid%64)+1, a, b) })
 	})
 }

@@ -90,7 +90,8 @@ func fuzzKernels(fn func()) {
 }
 
 // checkGates compares gates with gatesRef bit for bit on one random problem
-// with the given input width and hidden size.
+// with the given input width and hidden size, then the cell update on top
+// of them with cellRows: the gates it stores in z, c, tanh(c) and h.
 func checkGates(t *testing.T, seed uint64, in, hid int, mix uint8) {
 	t.Helper()
 	src := rng.New(seed)
@@ -101,16 +102,29 @@ func checkGates(t *testing.T, seed uint64, in, hid int, mix uint8) {
 	x := randVec(src, in, mix)
 	l.Wh = randVec(src, rows*hid, mix)
 	h := randVec(src, hid, mix)
+	cPrev := randVec(src, hid, mix)
 	l.pack()
 	got, want := make([]float64, rows), make([]float64, rows)
 	l.gates(got, x, h)
 	gatesRef(want, l.B, l.Wx, x, l.Wh, h)
-	for r := range got {
-		if !sameBits(got[r], want[r]) {
-			t.Fatalf("avx2=%v In=%d H=%d mix=%d seed=%d: z[%d] = %v (%#x), reference %v (%#x)",
-				useAVX2, in, hid, mix, seed, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+	compare := func(what string, got, want []float64) {
+		t.Helper()
+		for r := range got {
+			if !sameBits(got[r], want[r]) {
+				t.Fatalf("avx2=%v In=%d H=%d mix=%d seed=%d: %s[%d] = %v (%#x), reference %v (%#x)", useAVX2, in, hid, mix, seed,
+					what, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+			}
 		}
 	}
+	compare("z", got, want)
+	gotC, gotTC, gotH := make([]float64, hid), make([]float64, hid), make([]float64, hid)
+	wantC, wantTC, wantH := make([]float64, hid), make([]float64, hid), make([]float64, hid)
+	cell(got, cPrev, gotC, gotTC, gotH)
+	cellRows(want, cPrev, wantC, wantTC, wantH, 0)
+	compare("gates", got, want)
+	compare("c", gotC, wantC)
+	compare("tanh(c)", gotTC, wantTC)
+	compare("h", gotH, wantH)
 }
 
 func TestGatesMatchReference(t *testing.T) {
@@ -164,10 +178,11 @@ func cellInputs(src *rng.Source, n int, a, b float64) []float64 {
 	return v
 }
 
-// FuzzLSTMStep checks the cell update (activations, c and h) of one LSTM
-// step against the Go reference bit for bit, at the activations' clamp
-// edges and on non-finite, zero and subnormal inputs. FuzzGates covers the
-// gate half of the step.
+// FuzzLSTMStep checks the cell update of one LSTM step against the Go
+// reference bit for bit: the gates it stores over z (i, f, g, o), c,
+// tanh(c) and h, at the activations' clamp edges and on non-finite, zero
+// and subnormal inputs. It steps in place, as Predict does (c is cPrev).
+// FuzzGates covers the gate half of the step.
 func FuzzLSTMStep(f *testing.F) {
 	f.Add(uint64(1), uint8(16), 4.97, -4.97)
 	f.Add(uint64(2), uint8(5), math.Inf(1), math.NaN())
@@ -176,17 +191,26 @@ func FuzzLSTMStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, hid uint8, a, b float64) {
 		H := int(hid%64) + 1
 		src := rng.New(seed)
-		z := cellInputs(src, 4*H, a, b)
+		z0 := cellInputs(src, 4*H, a, b)
 		c0 := cellInputs(src, H, a, b)
-		wantC, wantH := append([]float64(nil), c0...), make([]float64, H)
-		cellRows(z, wantC, wantH, 0)
+		wantZ, wantC := append([]float64(nil), z0...), append([]float64(nil), c0...)
+		wantTC, wantH := make([]float64, H), make([]float64, H)
+		cellRows(wantZ, wantC, wantC, wantTC, wantH, 0)
 		fuzzKernels(func() {
-			gotC, gotH := append([]float64(nil), c0...), make([]float64, H)
-			cell(z, gotC, gotH)
+			gotZ, gotC := append([]float64(nil), z0...), append([]float64(nil), c0...)
+			gotTC, gotH := make([]float64, H), make([]float64, H)
+			cell(gotZ, gotC, gotC, gotTC, gotH)
 			for j := range gotC {
-				if !sameBits(gotC[j], wantC[j]) || !sameBits(gotH[j], wantH[j]) {
-					t.Fatalf("avx2=%v H=%d unit %d: z=(%v %v %v %v) c=%v: got c=%v h=%v, reference c=%v h=%v",
-						useAVX2, H, j, z[j], z[H+j], z[2*H+j], z[3*H+j], c0[j], gotC[j], gotH[j], wantC[j], wantH[j])
+				same := sameBits(gotC[j], wantC[j]) && sameBits(gotTC[j], wantTC[j]) && sameBits(gotH[j], wantH[j])
+				for k := 0; k < 4; k++ {
+					same = same && sameBits(gotZ[k*H+j], wantZ[k*H+j])
+				}
+				if !same {
+					t.Fatalf("avx2=%v H=%d unit %d: z=(%v %v %v %v) c=%v: got gates (%v %v %v %v) c=%v tanh(c)=%v h=%v, "+
+						"reference gates (%v %v %v %v) c=%v tanh(c)=%v h=%v", useAVX2, H, j,
+						z0[j], z0[H+j], z0[2*H+j], z0[3*H+j], c0[j],
+						gotZ[j], gotZ[H+j], gotZ[2*H+j], gotZ[3*H+j], gotC[j], gotTC[j], gotH[j],
+						wantZ[j], wantZ[H+j], wantZ[2*H+j], wantZ[3*H+j], wantC[j], wantTC[j], wantH[j])
 				}
 			}
 		})
@@ -200,7 +224,7 @@ func predictRef(m *Model, x []float64, st *State) (dropProb, latency float64) {
 	for l, layer := range m.lstm {
 		h, c, z := st.h[l], st.c[l], st.z
 		gatesRef(z, layer.B, layer.Wx, cur, layer.Wh, h)
-		cellRows(z, c, h, 0)
+		cellRows(z, c, c, st.tc, h, 0)
 		cur = h
 	}
 	return sigmoid(m.DropHead.forward1(cur)), m.LatHead.forward1(cur)

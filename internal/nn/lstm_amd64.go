@@ -19,7 +19,13 @@ func affineAVX2(z, b, wp, v []float64)
 // checked the lengths.
 //
 //go:noescape
-func cellAVX2(z, c, h []float64)
+func cellAVX2(z, cPrev, c, tc, h []float64)
+
+// gateGradsAVX2 is gateGradsRows over every whole group of 4 units. The
+// caller has checked the lengths.
+//
+//go:noescape
+func gateGradsAVX2(a, tc, cPrev, dh, dc, dz, dB []float64)
 
 // backRowsAVX2 is backRowsGo over every row. The caller has checked the
 // lengths.

@@ -32,6 +32,12 @@ import (
 // the float64 conversions forbid fusing a product into a multiply-add, so
 // the result has the same bits on every GOARCH and the amd64 cell kernel
 // (lstm_amd64.s) reproduces it lane by lane. NaN stays NaN; ±Inf gives ±1.
+//
+// The same rule holds for every product in this package that is added to or
+// subtracted from something: it is rounded with float64(...) first. amd64
+// fuses only an explicit math.FMA, so the conversions change no amd64 bits;
+// arm64 and the others would fuse the product otherwise, and CI fails if
+// the arm64 listing of this package holds a fused multiply-add.
 func tanh(x float64) float64 {
 	if x > 4.97 {
 		return 1
@@ -39,7 +45,7 @@ func tanh(x float64) float64 {
 	if x < -4.97 {
 		return -1
 	}
-	x2 := x * x
+	x2 := float64(x * x)
 	a := 378 + x2
 	a = 17325 + float64(x2*a)
 	a = 135135 + float64(x2*a)
@@ -133,34 +139,38 @@ func packBlocks(dst, w []float64, rows, n int) []float64 {
 	return dst
 }
 
-// cell applies the inference cell update to every hidden unit j, reading
-// the gate pre-activations z (gate-major, 4H) and rewriting the state:
-// c[j] = sigmoid(zf)*c[j] + sigmoid(zi)*tanh(zg), h[j] = sigmoid(zo)*tanh(c[j]).
-// With AVX2 the kernel does every whole group of 4 units; cellRows does the
-// rest, and every unit without AVX2. Both give the same bits.
-func cell(z, c, h []float64) {
-	if len(z) != 4*len(c) || len(h) != len(c) {
+// cell applies the cell update to every hidden unit j. On entry z holds the
+// gate pre-activations (gate-major, 4H); on return it holds the gates
+// i = sigmoid(zi), f = sigmoid(zf), g = tanh(zg), o = sigmoid(zo), and
+// c[j] = f*cPrev[j] + i*g, tc[j] = tanh(c[j]), h[j] = o*tc[j]. cPrev may be
+// c itself. Backprop reads the gates and tc; Predict ignores them. With AVX2
+// the kernel does every whole group of 4 units; cellRows does the rest, and
+// every unit without AVX2. Both give the same bits.
+func cell(z, cPrev, c, tc, h []float64) {
+	if len(z) != 4*len(c) || len(cPrev) != len(c) || len(tc) != len(c) || len(h) != len(c) {
 		panic("nn: cell state and gates disagree in size")
 	}
 	from := 0
 	if useAVX2 {
-		cellAVX2(z, c, h)
+		cellAVX2(z, cPrev, c, tc, h)
 		from = len(c) &^ 3
 	}
-	cellRows(z, c, h, from)
+	cellRows(z, cPrev, c, tc, h, from)
 }
 
 // cellRows is the reference cell update for units from on. The float64
 // conversions keep c's two products unfused, as in tanh.
-func cellRows(z, c, h []float64, from int) {
+func cellRows(z, cPrev, c, tc, h []float64, from int) {
 	H := len(c)
 	for j := from; j < H; j++ {
 		ig := sigmoid(z[j])
 		fg := sigmoid(z[H+j])
 		gg := tanh(z[2*H+j])
 		og := sigmoid(z[3*H+j])
-		c[j] = float64(fg*c[j]) + float64(ig*gg)
-		h[j] = og * tanh(c[j])
+		z[j], z[H+j], z[2*H+j], z[3*H+j] = ig, fg, gg, og
+		c[j] = float64(fg*cPrev[j]) + float64(ig*gg)
+		tc[j] = tanh(c[j])
+		h[j] = og * tc[j]
 	}
 }
 
@@ -181,8 +191,10 @@ func NewDense(in, out int, src *rng.Source) *Dense {
 		dW: make([]float64, out*in), dB: make([]float64, out),
 	}
 	limit := math.Sqrt(6.0 / float64(in+out))
+	// src.Float64 returns a product: float64 rounds it, so that it cannot
+	// fuse into 2u-1 (see tanh). newLSTMLayer does the same.
 	for i := range d.W {
-		d.W[i] = (2*src.Float64() - 1) * limit
+		d.W[i] = (2*float64(src.Float64()) - 1) * limit
 	}
 	return d
 }
@@ -196,7 +208,7 @@ func (d *Dense) forwardInto(x, y []float64) {
 		sum := d.B[o]
 		row := d.W[o*d.In : (o+1)*d.In]
 		for i, xi := range x {
-			sum += row[i] * xi
+			sum += float64(row[i] * xi)
 		}
 		y[o] = sum
 	}
@@ -213,8 +225,8 @@ func (d *Dense) backwardInto(x, dy, dx []float64) {
 		row := d.W[o*d.In : (o+1)*d.In]
 		grow := d.dW[o*d.In : (o+1)*d.In]
 		for i, xi := range x {
-			grow[i] += g * xi
-			dx[i] += row[i] * g
+			grow[i] += float64(g * xi)
+			dx[i] += float64(row[i] * g)
 		}
 	}
 }
@@ -254,11 +266,11 @@ func newLSTMLayer(in, hidden int, src *rng.Source) *lstmLayer {
 	}
 	limX := math.Sqrt(6.0 / float64(in+hidden))
 	for i := range l.Wx {
-		l.Wx[i] = (2*src.Float64() - 1) * limX
+		l.Wx[i] = (2*float64(src.Float64()) - 1) * limX
 	}
 	limH := math.Sqrt(6.0 / float64(2*hidden))
 	for i := range l.Wh {
-		l.Wh[i] = (2*src.Float64() - 1) * limH
+		l.Wh[i] = (2*float64(src.Float64()) - 1) * limH
 	}
 	// Forget-gate bias starts at 1: the standard trick that lets gradients
 	// flow early in training.
@@ -269,12 +281,23 @@ func newLSTMLayer(in, hidden int, src *rng.Source) *lstmLayer {
 	return l
 }
 
+// step advances the layer one timestep: it computes the gate
+// pre-activations from x and hPrev into z, then applies the cell update
+// from cPrev (see cell), leaving the gates in z and the new state in c,
+// tc = tanh(c) and h. Training steps into a stepCache; Predict steps in
+// place (h is hPrev, c is cPrev), which is safe because all of z depends
+// only on the old h and is computed before h is written.
+func (l *lstmLayer) step(x, hPrev, cPrev, z, c, tc, h []float64) {
+	l.gates(z, x, hPrev)
+	cell(z, cPrev, c, tc, h)
+}
+
 // stepCache holds what one layer's forward step leaves for backprop: its
 // inputs (x, hPrev, cPrev, which belong to the layer below and the previous
 // step) and its own activations and output.
 type stepCache struct {
 	x, hPrev, cPrev []float64
-	i, f, g, o      []float64 // post-activation gates
+	gates           []float64 // post-activation gates i, f, g, o, gate-major (4H)
 	c, tanhC, h     []float64
 }
 
@@ -282,36 +305,18 @@ type stepCache struct {
 // one allocation.
 func newStepCaches(n, H int) []stepCache {
 	buf := make([]float64, 7*H*n)
-	next := func() []float64 {
-		v := buf[:H:H]
-		buf = buf[H:]
+	next := func(size int) []float64 {
+		v := buf[:size:size]
+		buf = buf[size:]
 		return v
 	}
 	caches := make([]stepCache, n)
 	for k := range caches {
 		sc := &caches[k]
-		sc.i, sc.f, sc.g, sc.o = next(), next(), next(), next()
-		sc.c, sc.tanhC, sc.h = next(), next(), next()
+		sc.gates = next(4 * H)
+		sc.c, sc.tanhC, sc.h = next(H), next(H), next(H)
 	}
 	return caches
-}
-
-// forwardInto computes one timestep from x and the layer's previous
-// hidden/cell state into sc, whose h and c are the new state. z is scratch
-// of size 4*Hidden.
-func (l *lstmLayer) forwardInto(sc *stepCache, x, hPrev, cPrev, z []float64) {
-	H := l.Hidden
-	l.gates(z, x, hPrev)
-	sc.x, sc.hPrev, sc.cPrev = x, hPrev, cPrev
-	for j := 0; j < H; j++ {
-		sc.i[j] = sigmoid(z[j])
-		sc.f[j] = sigmoid(z[H+j])
-		sc.g[j] = tanh(z[2*H+j])
-		sc.o[j] = sigmoid(z[3*H+j])
-		sc.c[j] = float64(sc.f[j]*cPrev[j]) + float64(sc.i[j]*sc.g[j])
-		sc.tanhC[j] = tanh(sc.c[j])
-		sc.h[j] = sc.o[j] * sc.tanhC[j]
-	}
 }
 
 // backwardInto takes one step back through the layer and accumulates its
@@ -320,29 +325,58 @@ func (l *lstmLayer) forwardInto(sc *stepCache, x, hPrev, cPrev, z []float64) {
 // 4*Hidden. dx receives the gradient of x, unless it is empty: the bottom
 // layer's input gradient has no reader.
 func (l *lstmLayer) backwardInto(sc *stepCache, dh, dc, dz, dx []float64) {
-	H := l.Hidden
-	for j := 0; j < H; j++ {
-		do := dh[j] * sc.tanhC[j]
-		dct := dc[j] + dh[j]*sc.o[j]*(1-sc.tanhC[j]*sc.tanhC[j])
-		di := dct * sc.g[j]
-		df := dct * sc.cPrev[j]
-		dg := dct * sc.i[j]
-		dc[j] = dct * sc.f[j]
-
-		dz[j] = di * sc.i[j] * (1 - sc.i[j])
-		dz[H+j] = df * sc.f[j] * (1 - sc.f[j])
-		dz[2*H+j] = dg * (1 - sc.g[j]*sc.g[j])
-		dz[3*H+j] = do * sc.o[j] * (1 - sc.o[j])
-	}
-	for r, g := range dz {
-		if g != 0 {
-			l.dB[r] += g
-		}
-	}
+	gateGrads(sc.gates, sc.tanhC, sc.cPrev, dh, dc, dz, l.dB)
 	clear(dx)
 	backRows(dz, l.Wx, l.dWx, sc.x, dx)
 	clear(dh)
 	backRows(dz, l.Wh, l.dWh, sc.hPrev, dh)
+}
+
+// gateGrads sets dz to the gradients of one step's gate pre-activations,
+// adds each of them to the bias gradient dB, and turns dc from the gradient
+// of the step's c into that of cPrev, given the step's gates a (gate-major
+// i, f, g, o, as cell leaves them), tc = tanh(c), cPrev, and dh, the
+// gradient of the step's h. A zero dz[r] is not added to dB[r], as in
+// backRows. With AVX2 the kernel does every whole group of 4 units;
+// gateGradsRows does the rest, and every unit without AVX2. Both give the
+// same bits.
+func gateGrads(a, tc, cPrev, dh, dc, dz, dB []float64) {
+	H := len(tc)
+	if len(a) != 4*H || len(dz) != 4*H || len(dB) != 4*H || len(cPrev) != H || len(dh) != H || len(dc) != H {
+		panic("nn: gate gradients and step state disagree in size")
+	}
+	from := 0
+	if useAVX2 {
+		gateGradsAVX2(a, tc, cPrev, dh, dc, dz, dB)
+		from = H &^ 3
+	}
+	gateGradsRows(a, tc, cPrev, dh, dc, dz, dB, from)
+}
+
+// gateGradsRows is the reference gateGrads for units from on. The float64
+// conversions keep the two products that meet an addition or subtraction
+// unfused, as in tanh.
+func gateGradsRows(a, tc, cPrev, dh, dc, dz, dB []float64, from int) {
+	H := len(tc)
+	for j := from; j < H; j++ {
+		i, f, g, o, t := a[j], a[H+j], a[2*H+j], a[3*H+j], tc[j]
+		do := dh[j] * t
+		dct := dc[j] + float64(dh[j]*o*(1-float64(t*t)))
+		di := dct * g
+		df := dct * cPrev[j]
+		dg := dct * i
+		dc[j] = dct * f
+
+		dz[j] = di * i * (1 - i)
+		dz[H+j] = df * f * (1 - f)
+		dz[2*H+j] = dg * (1 - float64(g*g))
+		dz[3*H+j] = do * o * (1 - o)
+		for r := j; r < len(dz); r += H {
+			if d := dz[r]; d != 0 {
+				dB[r] += d
+			}
+		}
+	}
 }
 
 // backRows accumulates one weight matrix's share of an LSTM step's
@@ -418,27 +452,18 @@ func NewModel(inDim, hidden, layers int, src *rng.Source) *Model {
 // hybrid simulation costs one Predict, so this path is hot).
 type State struct {
 	h, c [][]float64
-	z    []float64 // gate pre-activation scratch, 4*Hidden
+	z    []float64 // gate scratch, 4*Hidden
+	tc   []float64 // tanh(c) scratch, Hidden: the cell writes it, Predict never reads it
 }
 
 // NewState returns zeroed recurrent state.
 func (m *Model) NewState() *State {
-	st := &State{z: make([]float64, 4*m.Hidden)}
+	st := &State{z: make([]float64, 4*m.Hidden), tc: make([]float64, m.Hidden)}
 	for l := 0; l < m.Layers; l++ {
 		st.h = append(st.h, make([]float64, m.Hidden))
 		st.c = append(st.c, make([]float64, m.Hidden))
 	}
 	return st
-}
-
-// inferStep advances one layer in place: reads x and the old (h, c), writes
-// the new (h, c). z is caller scratch of size 4*Hidden. The gate math is
-// identical to forward; only the caching for backprop is omitted.
-func (l *lstmLayer) inferStep(x, h, c, z []float64) {
-	// All of z depends only on the OLD h, so compute it fully before
-	// mutating h below.
-	l.gates(z, x, h)
-	cell(z, c, h)
 }
 
 // Predict runs one input through the model, updating st in place, and
@@ -451,7 +476,7 @@ func (m *Model) Predict(x []float64, st *State) (dropProb, latency float64) {
 	}
 	cur := x
 	for l, layer := range m.lstm {
-		layer.inferStep(cur, st.h[l], st.c[l], st.z)
+		layer.step(cur, st.h[l], st.c[l], st.z, st.c[l], st.tc, st.h[l])
 		cur = st.h[l]
 	}
 	return sigmoid(m.DropHead.forward1(cur)), m.LatHead.forward1(cur)

@@ -90,7 +90,7 @@ func (o *sgd) step(scale float64) {
 	for pi, p := range o.ps {
 		w, g, v := p[0], p[1], o.vel[pi]
 		for i := range w {
-			v[i] = o.mu*v[i] - o.lr*g[i]*scale
+			v[i] = float64(o.mu*v[i]) - float64(o.lr*g[i]*scale)
 			w[i] += v[i]
 		}
 	}
@@ -104,7 +104,7 @@ func clipGrads(ps [][2][]float64, maxNorm, scale float64) {
 	for _, p := range ps {
 		for _, g := range p[1] {
 			gg := g * scale
-			sq += gg * gg
+			sq += float64(gg * gg)
 		}
 	}
 	norm := math.Sqrt(sq)
@@ -221,7 +221,7 @@ type windowScratch struct {
 	m         *Model
 	steps     [][]stepCache // [t][layer]
 	zero      []float64     // the zero state every window starts from
-	z         []float64     // gate pre-activations, then their gradients
+	dz        []float64     // a step's gate gradients
 	drop, lat []float64     // head outputs per step
 	dh, dc    [][]float64   // per-layer gradient carries
 	dx        []float64     // a layer's input gradient
@@ -233,7 +233,7 @@ type windowScratch struct {
 func newWindowScratch(m *Model, T int) *windowScratch {
 	H := m.Hidden
 	ws := &windowScratch{
-		m: m, zero: make([]float64, H), z: make([]float64, 4*H),
+		m: m, zero: make([]float64, H), dz: make([]float64, 4*H),
 		drop: make([]float64, T), lat: make([]float64, T),
 		dx: make([]float64, H), dTop: make([]float64, H), dTopLat: make([]float64, H),
 	}
@@ -256,10 +256,10 @@ func addLoss(loss, z, lat float64, ex Example, alpha float64) float64 {
 	if ex.Dropped {
 		y = 1
 	}
-	loss += math.Max(z, 0) - z*y + math.Log1p(math.Exp(-math.Abs(z)))
+	loss += math.Max(z, 0) - float64(z*y) + math.Log1p(math.Exp(-math.Abs(z)))
 	if !ex.Dropped {
 		d := lat - ex.Latency
-		loss += alpha * d * d
+		loss += float64(alpha * d * d)
 	}
 	return loss
 }
@@ -279,7 +279,8 @@ func (ws *windowScratch) bptt(window []Example, alpha float64) float64 {
 				hPrev, cPrev = ws.steps[t-1][l].h, ws.steps[t-1][l].c
 			}
 			sc := &ws.steps[t][l]
-			layer.forwardInto(sc, cur, hPrev, cPrev, ws.z)
+			sc.x, sc.hPrev, sc.cPrev = cur, hPrev, cPrev
+			layer.step(cur, hPrev, cPrev, sc.gates, sc.c, sc.tanhC, sc.h)
 			cur = sc.h
 		}
 		m.DropHead.forwardInto(cur, out[:])
@@ -322,7 +323,7 @@ func (ws *windowScratch) bptt(window []Example, alpha float64) float64 {
 			if l == 0 {
 				dx = nil
 			}
-			m.lstm[l].backwardInto(&ws.steps[t][l], dh, ws.dc[l], ws.z, dx)
+			m.lstm[l].backwardInto(&ws.steps[t][l], dh, ws.dc[l], ws.dz, dx)
 			dFromAbove = dx
 		}
 	}
@@ -342,7 +343,7 @@ func EvalLoss(m *Model, data []Example, alpha float64) float64 {
 	for _, ex := range data {
 		cur := ex.X
 		for l, layer := range m.lstm {
-			layer.inferStep(cur, st.h[l], st.c[l], st.z)
+			layer.step(cur, st.h[l], st.c[l], st.z, st.c[l], st.tc, st.h[l])
 			cur = st.h[l]
 		}
 		m.DropHead.forwardInto(cur, z[:])

@@ -150,7 +150,16 @@ func TestRunObservedMidFlight(t *testing.T) {
 	// first progress sample if the run is already executing.
 	var samples []RunRecord
 	var id string
-	deadline := time.Now().Add(30 * time.Second)
+	// The polls give up a tenth of the remaining time before the test
+	// binary's own -timeout would end it, not after a fixed wall-clock
+	// span: on a loaded host (other packages' race suites sharing its CPUs)
+	// the run is slow, not wrong, and a run that never finishes still fails
+	// here, by name. Without a -timeout, the go command's default of ten
+	// minutes applies.
+	deadline := time.Now().Add(10 * time.Minute)
+	if d, ok := t.Deadline(); ok {
+		deadline = d.Add(-time.Until(d) / 10)
+	}
 	for id == "" {
 		if time.Now().After(deadline) {
 			t.Fatal("run never appeared in /v1/runs")
