@@ -218,19 +218,27 @@ type Hook interface {
 }
 
 // publishEvery is how many executed events may pass between publications of
-// the kernel's gauges to their atomic mirrors (see Kernel.publish).
+// the kernel's clock and executed count to their atomic mirrors, and between
+// safepoints (see Kernel.publish).
 const publishEvery = 256
 
 // Kernel is a single-threaded discrete-event scheduler: exactly one goroutine
-// may schedule, cancel, and run events. The clock and the executed,
-// scheduled and canceled counters are single-writer atomics updated per
-// event, so other goroutines (the obs interval sampler, a metrics snapshot,
-// the PDES committed-time readers) may read Now, Pending, Stats, and
-// CollectMetrics live while the kernel runs. The remaining gauges are plain
-// fields of the owning goroutine whose atomic mirrors trail them by at most
-// publishEvery events mid-run and are exact whenever Run, RunBefore,
-// RunLimit or Restore returns. The pdes package builds multi-LP simulations
-// out of one Kernel per logical process.
+// may schedule, cancel, and run events. The clock, the order cursor and every
+// counter are plain fields of that goroutine, so the event path pays no
+// locked instruction. Another goroutine reads them in one of two ways:
+//
+//   - PublishedNow and PublishedExecuted read atomic copies of the clock and
+//     the executed count. They trail the live values by at most publishEvery
+//     events mid-run and are exact whenever Run, RunBefore, RunLimit or
+//     Restore returns. Committed-time readers and progress gauges use them.
+//   - Everything else (Now, Passed, Stats, Pending, CollectMetrics) is read by
+//     the owner, when the kernel is stopped, or at a safepoint: every
+//     publishEvery events, between two events, the kernel calls the hook set
+//     with SetSafepoint, where its owner may hand the kernel to a reader for
+//     a while (the pdes engine's metrics gate does).
+//
+// The pdes package builds multi-LP simulations out of one Kernel per logical
+// process.
 type Kernel struct {
 	now    Time
 	heap   eventHeap
@@ -241,22 +249,23 @@ type Kernel struct {
 	hook   Hook
 
 	// cur is the seq half of the order cursor (see Passed): at time now, every
-	// band-0, key-0 event with a seq below cur has run. Written atomically by
-	// the owner, so Passed is safe from any goroutine.
+	// band-0, key-0 event with a seq below cur has run.
 	cur uint64
 
 	// Event free list (pool.go). Owned by the kernel goroutine like the heap.
 	free []*Event
 
-	// Gauges written only by the owning goroutine, and the atomic mirrors that
-	// publish them (with len(free)) to concurrent readers.
 	heapHW int    // deepest the heap has been
 	phit   uint64 // allocations served from the free list
 	pmiss  uint64 // allocations that hit the Go allocator
-	pub    struct {
-		heapHW, free int64
-		phit, pmiss  uint64
+
+	// pub holds the atomic copies of now and nexec (see publish), and
+	// safepoint the hook the kernel calls every publishEvery events.
+	pub struct {
+		now   atomic.Int64
+		nexec atomic.Uint64
 	}
+	safepoint func()
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -268,18 +277,32 @@ func NewKernel() *Kernel {
 // from the kernel's owning goroutine while it is not running events.
 func (k *Kernel) SetHook(h Hook) { k.hook = h }
 
-// Now returns the current virtual time. Safe to call from any goroutine.
-func (k *Kernel) Now() Time { return Time(atomic.LoadInt64((*int64)(&k.now))) }
+// SetSafepoint installs (or, with nil, removes) the safepoint hook: the kernel
+// calls fn on its own goroutine every publishEvery executed events, after an
+// event has finished and before the next one starts. Must be called while the
+// kernel is not running events.
+func (k *Kernel) SetSafepoint(fn func()) { k.safepoint = fn }
 
-// setNow advances the clock visibly to concurrent readers.
-func (k *Kernel) setNow(t Time) { atomic.StoreInt64((*int64)(&k.now), int64(t)) }
+// Now returns the current virtual time. Owner goroutine, stopped kernel or
+// safepoint only; other goroutines read PublishedNow.
+func (k *Kernel) Now() Time { return k.now }
 
-// publish copies the owner-only gauges to their atomic mirrors.
+// PublishedNow returns the clock as last published: at most publishEvery
+// events behind Now mid-run, and equal to it once Run, RunBefore, RunLimit or
+// Restore has returned. Safe to call from any goroutine.
+func (k *Kernel) PublishedNow() Time { return Time(k.pub.now.Load()) }
+
+// PublishedExecuted returns the executed-event count as last published, with
+// the same staleness as PublishedNow. Safe to call from any goroutine.
+func (k *Kernel) PublishedExecuted() uint64 { return k.pub.nexec.Load() }
+
+// publish copies the clock and the executed count to their atomic mirrors.
+// It is kept out of line so the stores stay off Step's own code.
+//
+//go:noinline
 func (k *Kernel) publish() {
-	atomic.StoreInt64(&k.pub.heapHW, int64(k.heapHW))
-	atomic.StoreInt64(&k.pub.free, int64(len(k.free)))
-	atomic.StoreUint64(&k.pub.phit, k.phit)
-	atomic.StoreUint64(&k.pub.pmiss, k.pmiss)
+	k.pub.now.Store(int64(k.now))
+	k.pub.nexec.Store(k.nexec)
 }
 
 // Schedule runs fn after delay virtual time. A negative delay panics: the
@@ -359,18 +382,13 @@ func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) *Event {
 //   - after RunBefore(until) advanced the clock, nothing at until has;
 //   - a KernelState checkpoints the cursor and Restore puts it back.
 //
-// Safe to call from any goroutine; a reader racing the kernel may see the
-// answer one event early or late.
+// Owner goroutine, stopped kernel or safepoint only, like Now.
 func (k *Kernel) Passed(t Time, seq uint64) bool {
-	if now := k.Now(); t != now {
-		return t < now
+	if t != k.now {
+		return t < k.now
 	}
-	return seq < atomic.LoadUint64(&k.cur)
+	return seq < k.cur
 }
-
-// setCursor records that, at the current time, every band-0 key-0 event with
-// a seq below cur has run.
-func (k *Kernel) setCursor(cur uint64) { atomic.StoreUint64(&k.cur, cur) }
 
 func (k *Kernel) schedule(t Time, band uint8, key uint64, seq uint64, ctx any, fn func(), fnCtx func(any)) *Event {
 	if t < k.now {
@@ -380,7 +398,7 @@ func (k *Kernel) schedule(t Time, band uint8, key uint64, seq uint64, ctx any, f
 	e.at, e.band, e.key, e.seq = t, band, key, seq
 	e.fn, e.fnCtx, e.ctx = fn, fnCtx, ctx
 	k.heap.push(e)
-	atomic.AddUint64(&k.nsched, 1)
+	k.nsched++
 	if n := len(k.heap); n > k.heapHW {
 		k.heapHW = n
 	}
@@ -401,7 +419,7 @@ func (k *Kernel) Cancel(e *Event) {
 	}
 	k.heap.remove(e.index)
 	e.canceled = true
-	atomic.AddUint64(&k.ncanc, 1)
+	k.ncanc++
 	k.release(e)
 }
 
@@ -413,19 +431,17 @@ func (k *Kernel) Step() bool {
 	}
 	e := k.heap.pop()
 	checkNotPooled(e, "pop") // pooldebug: a pooled event in the heap is corruption
-	k.setNow(e.at)
+	k.now = e.at
 	// The event is the cursor: band-0 key-0 seqs below its own have run at
 	// this time, and so has all of band 0 key 0 once a later (band, key) runs.
 	if e.band == 0 && e.key == 0 {
-		k.setCursor(e.seq)
+		k.cur = e.seq
 	} else {
-		k.setCursor(math.MaxUint64)
+		k.cur = math.MaxUint64
 	}
 	fn, fnCtx, ctx := e.fn, e.fnCtx, e.ctx
 	at, seq := e.at, e.seq
-	if n := atomic.AddUint64(&k.nexec, 1); n%publishEvery == 0 {
-		k.publish()
-	}
+	k.nexec++
 	// Release before running the handler: anything it schedules may reuse the
 	// object immediately, which is what makes the steady-state hot path
 	// allocation-free. The handler was extracted first, and handles kept past
@@ -438,6 +454,14 @@ func (k *Kernel) Step() bool {
 		fnCtx(ctx)
 	} else {
 		fn()
+	}
+	// The event has finished and the next has not started: an event
+	// boundary, where the mirrors are refreshed and a reader may be let in.
+	if k.nexec%publishEvery == 0 {
+		k.publish()
+		if k.safepoint != nil {
+			k.safepoint()
+		}
 	}
 	return true
 }
@@ -455,11 +479,11 @@ func (k *Kernel) Run(until Time) {
 	// monotonic progress — except for the drain-everything horizon used by
 	// RunAll, where the end of the last event is the natural finish time.
 	if k.now < until && until != MaxTime {
-		k.setNow(until)
+		k.now = until
 	}
 	// Every event at or before until has run.
 	if k.now <= until {
-		k.setCursor(math.MaxUint64)
+		k.cur = math.MaxUint64
 	}
 }
 
@@ -478,27 +502,18 @@ func (k *Kernel) RunBefore(until Time) {
 		k.Step()
 	}
 	if k.now < until {
-		k.setNow(until)
-		k.setCursor(0) // nothing at until has run
+		k.now = until
+		k.cur = 0 // nothing at until has run
 	}
 }
 
 // RunAll executes events until the queue is fully drained.
 func (k *Kernel) RunAll() { k.Run(MaxTime) }
 
-// Pending returns the number of events in the heap. The heap holds only live
-// events, so that is exactly Scheduled − Executed − Canceled, and it is
-// computed from those per-event counters: exact on the owning goroutine and
-// live for concurrent readers, whose reading may momentarily err high (never
-// negative). Safe to call from any goroutine.
-func (k *Kernel) Pending() int {
-	exec := atomic.LoadUint64(&k.nexec)
-	canc := atomic.LoadUint64(&k.ncanc)
-	if d := int64(atomic.LoadUint64(&k.nsched) - exec - canc); d > 0 {
-		return int(d)
-	}
-	return 0
-}
+// Pending returns the number of events in the heap, which holds only live
+// events: exactly Scheduled − Executed − Canceled. Owner goroutine, stopped
+// kernel or safepoint only.
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // NextEventTime returns the time of the earliest pending event and true, or
 // (0, false) if none is pending. The PDES engine uses this to compute
@@ -521,23 +536,24 @@ type Stats struct {
 	PoolFree      int    // events currently parked on the free list
 }
 
-// Stats returns a snapshot of the kernel's work counters. Safe to call from
-// any goroutine; the last four fields are the published gauges (see Kernel).
+// Stats returns a snapshot of the kernel's work counters. Owner goroutine,
+// stopped kernel or safepoint only.
 func (k *Kernel) Stats() Stats {
 	return Stats{
-		Executed:      atomic.LoadUint64(&k.nexec),
-		Scheduled:     atomic.LoadUint64(&k.nsched),
-		Canceled:      atomic.LoadUint64(&k.ncanc),
-		HeapHighWater: int(atomic.LoadInt64(&k.pub.heapHW)),
-		PoolHits:      atomic.LoadUint64(&k.pub.phit),
-		PoolMisses:    atomic.LoadUint64(&k.pub.pmiss),
-		PoolFree:      int(atomic.LoadInt64(&k.pub.free)),
+		Executed:      k.nexec,
+		Scheduled:     k.nsched,
+		Canceled:      k.ncanc,
+		HeapHighWater: k.heapHW,
+		PoolHits:      k.phit,
+		PoolMisses:    k.pmiss,
+		PoolFree:      len(k.free),
 	}
 }
 
 // CollectMetrics implements metrics.Collector. Registering several kernels
 // (one per PDES LP) under one group sums the counters and takes the maximum
-// of the gauges. Safe to call while the kernel runs.
+// of the gauges. Mid-run it must run at the kernel's safepoint: a registry
+// reaches it through the gate of the simulation that owns the kernel.
 func (k *Kernel) CollectMetrics(e *metrics.Emitter) {
 	st := k.Stats()
 	e.Counter("events_executed", st.Executed)

@@ -1,7 +1,5 @@
 package des
 
-import "sync/atomic"
-
 // Kernel snapshot/restore: the state-saving hooks the optimistic (Time Warp)
 // PDES engine and the snapshot-fork pool are built on.
 //
@@ -89,15 +87,13 @@ func (k *Kernel) Snapshot(saveCtx func(ctx any) any) *KernelState {
 // from the saved heap). restoreCtx (may be nil) is invoked with each saved
 // event context and the blob saveCtx produced for it.
 func (k *Kernel) Restore(st *KernelState, restoreCtx func(ctx, blob any)) {
-	k.setNow(st.now)
+	k.now = st.now
 	k.seq = st.seq
-	k.setCursor(st.cur)
-	// Counters shrink here by design: rolled-back work is un-counted. Stores
-	// are atomic so a concurrent sampler never sees a torn value (it must
-	// tolerate non-monotone readings from optimistic runs — see obs.Sampler).
-	atomic.StoreUint64(&k.nexec, st.nexec)
-	atomic.StoreUint64(&k.nsched, st.nsched)
-	atomic.StoreUint64(&k.ncanc, st.ncanc)
+	k.cur = st.cur
+	// Counters shrink here by design: rolled-back work is un-counted (a
+	// sampler must tolerate non-monotone readings from optimistic runs — see
+	// obs.Sampler).
+	k.nexec, k.nsched, k.ncanc = st.nexec, st.nsched, st.ncanc
 	// Events scheduled after the snapshot drop out of the heap here. They are
 	// NOT recycled: a later (now discarded) snapshot may still pin them, and
 	// dangling references in rolled-back bookkeeping must keep reading them

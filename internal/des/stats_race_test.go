@@ -3,24 +3,21 @@ package des
 import (
 	"sync"
 	"testing"
-
-	"approxsim/internal/metrics"
 )
 
-// The kernel's contract is single-writer atomics: one goroutine runs events
-// while any number of observers read Now/Pending/Stats/CollectMetrics. This
-// test exists for the race detector — the gauges in particular are plain
-// owner fields that readers may only see through their published atomic
-// mirrors, so a reader touching an owner field, or a non-atomic publish,
-// fails `go test -race`.
+// The kernel's contract is plain fields for one writer: one goroutine runs
+// events, and other goroutines may read only PublishedNow and
+// PublishedExecuted, the atomic copies it publishes every publishEvery events
+// and whenever a run returns. This test exists for the race detector — a
+// reader touching an owner field, or a non-atomic publish, fails
+// `go test -race` — and checks that the published values never run backwards
+// and end exact.
 func TestStatsConcurrentWithRun(t *testing.T) {
 	k := NewKernel()
-	reg := metrics.NewRegistry()
-	reg.Register("des", k)
 
 	// A self-perpetuating workload with churn in both directions: schedules,
 	// cancels (so events leave mid-heap and are recycled), and nested fan-out
-	// (so the heap high-water mark keeps moving while readers poll it).
+	// (so the heap high-water mark keeps moving).
 	var n int
 	var tick func()
 	tick = func() {
@@ -41,20 +38,21 @@ func TestStatsConcurrentWithRun(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var lastNow Time
+			var lastExec uint64
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				st := k.Stats()
-				if st.HeapHighWater < 0 {
-					t.Error("negative heap high-water")
+				now, exec := k.PublishedNow(), k.PublishedExecuted()
+				if now < lastNow || exec < lastExec {
+					t.Errorf("published values ran backwards: now %v -> %v, executed %d -> %d",
+						lastNow, now, lastExec, exec)
 					return
 				}
-				_ = k.Now()
-				_ = k.Pending()
-				_ = reg.Snapshot()
+				lastNow, lastExec = now, exec
 			}
 		}()
 	}
@@ -69,5 +67,9 @@ func TestStatsConcurrentWithRun(t *testing.T) {
 	}
 	if st.Executed == 0 || st.Canceled == 0 {
 		t.Fatalf("workload did not exercise execute+cancel paths: %+v", st)
+	}
+	if k.PublishedNow() != k.Now() || k.PublishedExecuted() != st.Executed {
+		t.Fatalf("after RunAll: published now %v executed %d, want %v and %d",
+			k.PublishedNow(), k.PublishedExecuted(), k.Now(), st.Executed)
 	}
 }

@@ -5,21 +5,26 @@
 //
 // Design constraints, in order:
 //
-//   - Near-zero cost on the hot path. Instruments are plain struct fields the
-//     owning component mutates directly (Counter.Inc is one uncontended atomic
-//     add). There is no lock and no map lookup per update; the des kernel
-//     executes tens of millions of events per second and must barely notice it
-//     is being observed.
-//   - Single-writer atomics. Each kernel/LP/device updates only its own
-//     instruments from its own goroutine, but updates and reads go through
-//     sync/atomic so Registry.Snapshot may run concurrently with a live
-//     simulation (the interval sampler in internal/obs does exactly that).
-//     Instruments stay plain structs — no noCopy — so the PDES state savers
-//     can checkpoint them by value; restore paths use Store/CopyFrom, which
-//     write atomically. A mid-run snapshot is weakly consistent: every field
-//     is individually torn-free, but cross-field invariants (a histogram's
-//     sum/count pair, a gauge against its high-water) are only exact at
-//     quiescence.
+//   - Near-zero cost on the hot path. There is no lock and no map lookup per
+//     update; the des kernel executes tens of millions of events per second
+//     and must barely notice it is being observed. The counters the event
+//     path writes most (the kernel's, the ports' and the hosts') are plain
+//     fields of the goroutine that runs them, with no locked instruction.
+//   - Gated reads of plain counters. A simulation whose collectors read plain
+//     fields installs a Gate (AddGate), and Snapshot runs every collector
+//     inside it: mid-run, the gate pauses the simulation's goroutines at a
+//     safepoint (an event boundary) for the length of the collection, so
+//     Registry.Snapshot may still run concurrently with a live simulation
+//     (the interval sampler in internal/obs does exactly that).
+//   - Single-writer atomics for the instruments. Counter, Gauge and Histogram
+//     are updated only by their owning goroutine but read and written through
+//     sync/atomic, because some of them (the scenario server's) are shared by
+//     goroutines no gate stops. Instruments stay plain structs — no noCopy —
+//     so the PDES state savers can checkpoint them by value; restore paths
+//     use Store/CopyFrom, which write atomically. A snapshot of instruments
+//     outside a gate is weakly consistent: every field is individually
+//     torn-free, but cross-field invariants (a histogram's sum/count pair, a
+//     gauge against its high-water) are only exact at quiescence.
 //   - Deterministic output. Snapshots iterate groups in registration order
 //     and metrics in first-emission order, so two identical runs serialize to
 //     byte-identical JSON — diffable in tests and across commits.
@@ -213,11 +218,12 @@ type HistogramSummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// Collector is implemented by any component that exposes metrics. It may be
-// called while the owning goroutines are live (instruments are read
-// atomically) and must emit every metric it owns, zero-valued or not, so
-// snapshot schemas stay stable across runs. Collectors that derive values
-// from non-instrument state must read that state race-free themselves.
+// Collector is implemented by any component that exposes metrics. It must
+// emit every metric it owns, zero-valued or not, so snapshot schemas stay
+// stable across runs. It may be called while the owning goroutines are live
+// if it reads only instruments (they are read atomically) or if its owner
+// installed a Gate on the registry; collectors that derive values from other
+// state must otherwise read it race-free themselves.
 type Collector interface {
 	CollectMetrics(e *Emitter)
 }
@@ -228,11 +234,20 @@ type CollectorFunc func(*Emitter)
 // CollectMetrics implements Collector.
 func (f CollectorFunc) CollectMetrics(e *Emitter) { f(e) }
 
+// Gate lets a registry read collectors whose state is written, without
+// atomics, by goroutines of a running simulation. Hold calls collect exactly
+// once, at a time when none of those goroutines writes: while it pauses them
+// at a safepoint, or at once when nothing runs.
+type Gate interface {
+	Hold(collect func())
+}
+
 // Registry holds named collectors grouped by subsystem prefix ("des",
 // "pdes", "netsim", ...). Registration order fixes snapshot order.
 type Registry struct {
 	mu      sync.Mutex
 	entries []regEntry
+	gates   []Gate
 }
 
 type regEntry struct {
@@ -249,6 +264,14 @@ func (r *Registry) Register(group string, c Collector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.entries = append(r.entries, regEntry{group: group, c: c})
+}
+
+// AddGate makes every later Snapshot collect inside g (see Gate). Add each
+// gate once: a gate entered twice waits on itself.
+func (r *Registry) AddGate(g Gate) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gates = append(r.gates, g)
 }
 
 // RegisterFunc is Register for a bare function.
@@ -271,20 +294,41 @@ func (r *Registry) Groups() []string {
 	return out
 }
 
-// Snapshot collects every registered metric. It is safe to call while the
-// simulation is running; a mid-run snapshot is weakly consistent (see the
-// package comment), while a snapshot at quiescence is exact and
-// deterministic.
+// Snapshot collects every registered metric inside every gate (see Gate),
+// the first gate added outermost. It is safe to call while the simulation is
+// running; a snapshot at quiescence is exact and deterministic.
 func (r *Registry) Snapshot() *Snapshot {
-	r.mu.Lock()
-	entries := make([]regEntry, len(r.entries))
-	copy(entries, r.entries)
-	r.mu.Unlock()
+	entries, gates := r.registered()
+	var s *Snapshot
+	collect := func() { s = collectAll(entries) }
+	for i := len(gates) - 1; i >= 0; i-- {
+		g, inner := gates[i], collect
+		collect = func() { g.Hold(inner) }
+	}
+	collect()
+	return s
+}
 
+// SnapshotUngated collects every registered metric without entering the
+// gates. It is for a caller that is itself the only writer of every gated
+// collector — an event on the kernel of a one-LP run, which would otherwise
+// wait on itself for the run to reach a safepoint.
+func (r *Registry) SnapshotUngated() *Snapshot {
+	entries, _ := r.registered()
+	return collectAll(entries)
+}
+
+// registered copies the collectors and gates out from under the lock.
+func (r *Registry) registered() ([]regEntry, []Gate) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]regEntry(nil), r.entries...), append([]Gate(nil), r.gates...)
+}
+
+func collectAll(entries []regEntry) *Snapshot {
 	s := &Snapshot{index: map[string]int{}}
 	for _, e := range entries {
-		em := &Emitter{snap: s, group: e.group}
-		e.c.CollectMetrics(em)
+		e.c.CollectMetrics(&Emitter{snap: s, group: e.group})
 	}
 	return s
 }

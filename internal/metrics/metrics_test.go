@@ -227,3 +227,39 @@ func TestCounterStoreHistogramCopyFrom(t *testing.T) {
 		t.Errorf("CopyFrom restore: %+v", got)
 	}
 }
+
+// gateFunc adapts a function to Gate.
+type gateFunc func(collect func())
+
+func (f gateFunc) Hold(collect func()) { f(collect) }
+
+// Snapshot runs every collector inside every gate, once each, in the order
+// the gates were added; SnapshotUngated enters none.
+func TestSnapshotInsideGates(t *testing.T) {
+	r := NewRegistry()
+	var trail []string
+	r.RegisterFunc("g", func(e *Emitter) {
+		trail = append(trail, "collect")
+		e.Counter("n", 1)
+	})
+	for _, name := range []string{"a", "b"} {
+		r.AddGate(gateFunc(func(collect func()) {
+			trail = append(trail, name+"<")
+			collect()
+			trail = append(trail, ">"+name)
+		}))
+	}
+	if s := r.Snapshot(); s.Counter("g", "n") != 1 {
+		t.Fatalf("gated snapshot lost the counter: %v", s.Names())
+	}
+	if got, want := strings.Join(trail, " "), "a< b< collect >b >a"; got != want {
+		t.Errorf("gated snapshot ran %q, want %q", got, want)
+	}
+	trail = nil
+	if s := r.SnapshotUngated(); s.Counter("g", "n") != 1 {
+		t.Fatalf("ungated snapshot lost the counter: %v", s.Names())
+	}
+	if got := strings.Join(trail, " "); got != "collect" {
+		t.Errorf("ungated snapshot ran %q, want just the collection", got)
+	}
+}

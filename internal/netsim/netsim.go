@@ -80,10 +80,9 @@ func (c LinkConfig) SerializationDelay(size int32) des.Time {
 	return des.Time(q)
 }
 
-// PortStats counts per-port activity. The live copy inside a Port is updated
-// with single-writer atomics so mid-run metrics snapshots are torn-free; the
-// value returned by Port.Stats (and checkpointed by SaveState) is a plain
-// struct.
+// PortStats counts per-port activity. The live copy inside a Port is a plain
+// field of the goroutine that runs the port's kernel; Port.Stats returns it
+// with a completed phantom tx-done counted in.
 type PortStats struct {
 	TxPackets  uint64 // packets fully serialized onto the link
 	TxBytes    uint64
@@ -121,8 +120,7 @@ type Port struct {
 	// phantom) Passed, and in Stats — exactly as if the event had run. A
 	// Send that queues behind a pending phantom arms the real event with
 	// that seq, so the committed event order is the same either way.
-	// phantom is 0 when the port is idle or the tx-done is armed. busyUntil,
-	// txSize and phantom are stored atomically for Stats.
+	// phantom is 0 when the port is idle or the tx-done is armed.
 	busy      bool
 	busyUntil des.Time
 	txSize    int64
@@ -191,40 +189,21 @@ func (p *Port) Index() int { return p.index }
 // tid (conventionally the owning device's NodeID). A nil b disables tracing.
 func (p *Port) SetTrace(b *obs.Buf, tid int32) { p.trace, p.tid = b, tid }
 
-// Stats returns a torn-free snapshot of the port counters, with a phantom
-// tx-done that has Passed counted as complete. Safe to call from any
-// goroutine.
+// Stats returns the port counters, with a phantom tx-done that has Passed
+// counted as complete. Like every read of the port, it runs on the goroutine
+// that owns the port's kernel, while that kernel is stopped, or at its
+// safepoint (a registry reaches it through the simulation's gate).
 func (p *Port) Stats() PortStats {
-	for {
-		ph := atomic.LoadUint64(&p.phantom)
-		until := des.Time(atomic.LoadInt64((*int64)(&p.busyUntil)))
-		size := atomic.LoadInt64(&p.txSize)
-		st := PortStats{
-			TxPackets:  atomic.LoadUint64(&p.stats.TxPackets),
-			TxBytes:    atomic.LoadUint64(&p.stats.TxBytes),
-			Drops:      atomic.LoadUint64(&p.stats.Drops),
-			ECNMarks:   atomic.LoadUint64(&p.stats.ECNMarks),
-			FaultDrops: atomic.LoadUint64(&p.stats.FaultDrops),
-			MaxQueue:   atomic.LoadInt64(&p.stats.MaxQueue),
-		}
-		// Send clears phantom before it charges the completed phantom's
-		// packet, so if phantom reads the same on both sides, the counters
-		// read in between do not include it yet. Otherwise a concurrent
-		// Send moved on; read again rather than count the packet twice.
-		if atomic.LoadUint64(&p.phantom) != ph {
-			continue
-		}
-		if ph != 0 && p.kernel.Passed(until, ph) {
-			st.TxPackets++
-			st.TxBytes += uint64(size)
-		}
-		return st
+	st := p.stats
+	if p.phantom != 0 && p.kernel.Passed(p.busyUntil, p.phantom) {
+		st.TxPackets++
+		st.TxBytes += uint64(p.txSize)
 	}
+	return st
 }
 
-// QueuedBytes returns the current output-queue occupancy in bytes. Safe to
-// call from any goroutine.
-func (p *Port) QueuedBytes() int64 { return atomic.LoadInt64(&p.queuedBytes) }
+// QueuedBytes returns the current output-queue occupancy in bytes.
+func (p *Port) QueuedBytes() int64 { return p.queuedBytes }
 
 // Peer returns the device and port index on the far side of the link.
 func (p *Port) Peer() (Device, int) { return p.peer, p.peerPort }
@@ -238,9 +217,8 @@ func (p *Port) Send(pkt *packet.Packet) {
 	}
 	if p.phantom != 0 && p.kernel.Passed(p.busyUntil, p.phantom) {
 		// The unarmed tx-done would have run by now and found the queue
-		// empty: charge its packet and free the transmitter. Clearing
-		// phantom before charging is what Stats relies on.
-		p.setPhantom(0)
+		// empty: charge its packet and free the transmitter.
+		p.phantom = 0
 		p.completeTx()
 		p.busy = false
 	}
@@ -250,7 +228,7 @@ func (p *Port) Send(pkt *packet.Packet) {
 	}
 	size := int64(pkt.Size())
 	if p.queuedBytes+size > p.cfg.QueueBytes {
-		atomic.AddUint64(&p.stats.Drops, 1)
+		p.stats.Drops++
 		if p.trace != nil {
 			p.trace.Emit(obs.Event{TS: p.kernel.Now(), Ph: obs.PhInstant,
 				Name: "drop", Cat: "netsim", Tid: p.tid,
@@ -264,7 +242,7 @@ func (p *Port) Send(pkt *packet.Packet) {
 	if p.cfg.ECNThresholdBytes > 0 && pkt.ECNCapable &&
 		p.queuedBytes >= p.cfg.ECNThresholdBytes {
 		pkt.ECNMarked = true
-		atomic.AddUint64(&p.stats.ECNMarks, 1)
+		p.stats.ECNMarks++
 		if p.trace != nil {
 			p.trace.Emit(obs.Event{TS: p.kernel.Now(), Ph: obs.PhInstant,
 				Name: "ecn_mark", Cat: "netsim", Tid: p.tid,
@@ -273,9 +251,9 @@ func (p *Port) Send(pkt *packet.Packet) {
 	}
 	pkt.EnqueueTime = p.kernel.Now()
 	p.pushQueue(pkt)
-	atomic.AddInt64(&p.queuedBytes, size)
+	p.queuedBytes += size
 	if p.queuedBytes > p.stats.MaxQueue {
-		atomic.StoreInt64(&p.stats.MaxQueue, p.queuedBytes)
+		p.stats.MaxQueue = p.queuedBytes
 	}
 	if p.phantom != 0 {
 		p.armTxDone()
@@ -285,20 +263,18 @@ func (p *Port) Send(pkt *packet.Packet) {
 // armTxDone schedules the real tx-done in the place its reserved seq holds.
 func (p *Port) armTxDone() {
 	p.kernel.AtSeq(p.busyUntil, p.phantom, p.txDone)
-	p.setPhantom(0)
+	p.phantom = 0
 }
-
-func (p *Port) setPhantom(seq uint64) { atomic.StoreUint64(&p.phantom, seq) }
 
 // completeTx charges the stats for the packet that just left the wire.
 func (p *Port) completeTx() {
-	atomic.AddUint64(&p.stats.TxPackets, 1)
-	atomic.AddUint64(&p.stats.TxBytes, uint64(p.txSize))
+	p.stats.TxPackets++
+	p.stats.TxBytes += uint64(p.txSize)
 }
 
 // dropFault discards a packet that hit a dead link, charging FaultDrops.
 func (p *Port) dropFault(pkt *packet.Packet) {
-	atomic.AddUint64(&p.stats.FaultDrops, 1)
+	p.stats.FaultDrops++
 	if p.trace != nil {
 		p.trace.Emit(obs.Event{TS: p.kernel.Now(), Ph: obs.PhInstant,
 			Name: "fault_drop", Cat: "netsim", Tid: p.tid,
@@ -335,7 +311,7 @@ func (p *Port) popQueue() *packet.Packet {
 	if p.qhead == len(p.queue) {
 		p.queue, p.qhead = p.queue[:0], 0
 	}
-	atomic.AddInt64(&p.queuedBytes, -int64(next.Size()))
+	p.queuedBytes -= int64(next.Size())
 	return next
 }
 
@@ -361,7 +337,7 @@ func (p *Port) transmit(pkt *packet.Packet) {
 		return
 	}
 	p.busy = true
-	atomic.StoreInt64(&p.txSize, int64(pkt.Size()))
+	p.txSize = int64(pkt.Size())
 	ser := p.cfg.SerializationDelay(pkt.Size())
 	arrival := ser + p.cfg.PropDelay
 	if p.trace != nil {
@@ -378,8 +354,8 @@ func (p *Port) transmit(pkt *packet.Packet) {
 		key = ArrivalKey(p.owner.NodeID())
 	}
 	p.kernel.AtCtxFn(p.kernel.Now()+arrival, p.cfg.ArrivalBand, key, pkt, p.arrive)
-	atomic.StoreInt64((*int64)(&p.busyUntil), int64(p.kernel.Now()+ser))
-	p.setPhantom(p.kernel.ReserveSeq())
+	p.busyUntil = p.kernel.Now() + ser
+	p.phantom = p.kernel.ReserveSeq()
 	if p.qhead < len(p.queue) || ser == 0 {
 		p.armTxDone()
 	}
@@ -509,7 +485,8 @@ func (s *Switch) SetTrace(b *obs.Buf) {
 func (s *Switch) TraceBuf() *obs.Buf { return s.trace }
 
 // TotalFaultDrops sums the switch's receive-side fault drops with every
-// port's dead-link drops. Safe to call from any goroutine.
+// port's dead-link drops. It reads the ports, so it runs where Port.Stats
+// may.
 func (s *Switch) TotalFaultDrops() uint64 {
 	n := atomic.LoadUint64(&s.FaultDrops)
 	for _, p := range s.ports {
@@ -585,8 +562,8 @@ type Host struct {
 	// OnReceive, if non-nil, observes arrivals before Handler runs.
 	OnReceive func(pkt *packet.Packet)
 
-	// RxPackets counts delivered packets. Updated atomically; read it with
-	// atomic.LoadUint64 (or at quiescence).
+	// RxPackets counts delivered packets. A plain field of the goroutine
+	// that runs the host's kernel, read like Port.Stats.
 	RxPackets uint64
 
 	trace *obs.Buf
@@ -644,7 +621,7 @@ func (h *Host) SetTrace(b *obs.Buf) {
 // CollectMetrics implements metrics.Collector: delivered packets plus the
 // NIC's port counters.
 func (h *Host) CollectMetrics(e *metrics.Emitter) {
-	e.Counter("rx_packets", atomic.LoadUint64(&h.RxPackets))
+	e.Counter("rx_packets", h.RxPackets)
 	if h.nic != nil {
 		h.nic.CollectMetrics(e)
 	}
@@ -652,7 +629,7 @@ func (h *Host) CollectMetrics(e *metrics.Emitter) {
 
 // Receive implements Device: deliver the packet to the transport handler.
 func (h *Host) Receive(pkt *packet.Packet, _ int) {
-	atomic.AddUint64(&h.RxPackets, 1)
+	h.RxPackets++
 	if h.trace != nil {
 		h.trace.Emit(obs.Event{TS: h.kernel.Now(), Ph: obs.PhInstant,
 			Name: "deliver", Cat: "netsim", Tid: int32(h.nodeID),

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 
 	"approxsim/internal/des"
@@ -101,47 +100,6 @@ func TestStatsAtRunBoundaryCountsPhantom(t *testing.T) {
 	wantTx(t, "after the next send", p, 1)
 	k.RunAll()
 	wantTx(t, "drained", p, 2)
-}
-
-// Stats is read by samplers while the kernel runs. Under -race this checks
-// the phantom's fields are published race-free; every reading must lie
-// between zero and the final count, and the final reading is exact.
-func TestStatsConcurrentReader(t *testing.T) {
-	k, p, _, ser := phantomLink(t)
-	const n = 2000
-	for i := 0; i < n; i++ {
-		// Alternate back-to-back and spaced sends, so the port flips between
-		// armed tx-dones and phantoms.
-		at := des.Time(i) * ser
-		if i%3 == 0 {
-			at += ser / 2
-		}
-		k.At(at, func() { p.Send(&packet.Packet{PayloadLen: phantomPayload}) })
-	}
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if st := p.Stats(); st.TxPackets > n {
-				t.Errorf("mid-run TxPackets = %d, more than the %d sent", st.TxPackets, n)
-				return
-			}
-		}
-	}()
-	k.RunAll()
-	close(done)
-	wg.Wait()
-	st := p.Stats()
-	if st.TxPackets+st.Drops != n {
-		t.Fatalf("TxPackets %d + Drops %d != %d sent", st.TxPackets, st.Drops, n)
-	}
 }
 
 // A packet that serializes in zero time has its tx-done at the current

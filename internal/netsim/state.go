@@ -50,22 +50,11 @@ func (p *Port) SaveState() any {
 	return st
 }
 
-// RestoreState implements the pdes StateSaver contract for a port. Counter
-// fields are stored atomically: a rollback may race with a concurrent metrics
-// snapshot, which must see torn-free (if momentarily stale) values.
+// RestoreState implements the pdes StateSaver contract for a port.
 func (p *Port) RestoreState(v any) {
 	st := v.(portState)
-	atomic.StoreInt64(&p.queuedBytes, st.queuedBytes)
-	p.busy = st.busy
-	atomic.StoreInt64((*int64)(&p.busyUntil), int64(st.busyUntil))
-	atomic.StoreInt64(&p.txSize, st.txSize)
-	p.setPhantom(st.phantom)
-	atomic.StoreUint64(&p.stats.TxPackets, st.stats.TxPackets)
-	atomic.StoreUint64(&p.stats.TxBytes, st.stats.TxBytes)
-	atomic.StoreUint64(&p.stats.Drops, st.stats.Drops)
-	atomic.StoreUint64(&p.stats.ECNMarks, st.stats.ECNMarks)
-	atomic.StoreUint64(&p.stats.FaultDrops, st.stats.FaultDrops)
-	atomic.StoreInt64(&p.stats.MaxQueue, st.stats.MaxQueue)
+	p.queuedBytes, p.busy, p.busyUntil = st.queuedBytes, st.busy, st.busyUntil
+	p.txSize, p.phantom, p.stats = st.txSize, st.phantom, st.stats
 	clear(p.queue)
 	p.queue, p.qhead = p.queue[:0], 0
 	for i := range st.queue {
@@ -121,7 +110,7 @@ func (h *Host) SaveState() any {
 // RestoreState implements the pdes StateSaver contract for a host.
 func (h *Host) RestoreState(v any) {
 	st := v.(hostState)
-	atomic.StoreUint64(&h.RxPackets, st.rxPackets)
+	h.RxPackets = st.rxPackets
 	if h.nic != nil && st.nic != nil {
 		h.nic.RestoreState(st.nic)
 	}

@@ -14,7 +14,8 @@ import (
 // cheaply and often (the scenario server's GET /v1/runs/{id} reads it live).
 //
 // Progress is a view, not a poller: while a run has a source attached,
-// Committed and Events read the live system on the caller's goroutine; once
+// Committed and Events read the live system's published clock and event
+// count on the caller's goroutine (at most a few hundred events stale); once
 // the run finishes they return the frozen final reading. A reader re-checks
 // the source after reading it and discards the reading if the run finished
 // meanwhile, so a pooled System that goes on to run the next fork can never

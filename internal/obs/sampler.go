@@ -78,16 +78,16 @@ func (s *Sampler) Err() error {
 }
 
 // Sample takes a registry snapshot and writes one row stamped at sim time
-// now. Safe from any goroutine.
+// now. Safe from any goroutine but the one running a gated simulation.
 func (s *Sampler) Sample(now des.Time) {
-	s.sample(now, false)
-}
-
-func (s *Sampler) sample(now des.Time, final bool) {
 	if s == nil {
 		return
 	}
-	snap := s.reg.Snapshot()
+	s.write(now, s.reg.Snapshot(), false)
+}
+
+// write appends one row for snap, stamped at sim time now.
+func (s *Sampler) write(now des.Time, snap *metrics.Snapshot, final bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	row := s.formatRow(now, snap, final)
@@ -176,14 +176,17 @@ func (s *Sampler) formatRow(now des.Time, snap *metrics.Snapshot, final bool) st
 
 // InstallKernel schedules the sampler as a recurring kernel event up to end:
 // the deterministic drive mode for single-kernel runs. Must be called before
-// the run starts, from the kernel's owning goroutine.
+// the run starts, from the kernel's owning goroutine. The event is the
+// kernel's own goroutine, so it collects without the registry's gates
+// (metrics.Registry.SnapshotUngated): the gate of a one-LP run would wait for
+// this very goroutine to reach a safepoint.
 func (s *Sampler) InstallKernel(k *des.Kernel, end des.Time) {
 	if s == nil {
 		return
 	}
 	var tick func()
 	tick = func() {
-		s.Sample(k.Now())
+		s.write(k.Now(), s.reg.SnapshotUngated(), false)
 		if k.Now()+s.interval <= end {
 			k.Schedule(s.interval, tick)
 		}
@@ -211,6 +214,6 @@ func (s *Sampler) Close(now des.Time) error {
 	if s == nil {
 		return nil
 	}
-	s.sample(now, true)
+	s.write(now, s.reg.Snapshot(), true)
 	return s.Err()
 }

@@ -76,11 +76,13 @@ func (s Stats) Sub(base Stats) Stats {
 
 // Stats sums counters across LPs. Safe to call mid-run from any goroutine:
 // every counter is read atomically, so values are torn-free (though a mid-run
-// reading is only weakly consistent across counters).
+// reading is only weakly consistent across counters). Events sums the
+// kernels' published executed counts (des.Kernel.PublishedExecuted), which
+// trail the live ones mid-run and are exact once Run returns.
 func (s *System) Stats() Stats {
 	var out Stats
 	for _, lp := range s.lps {
-		out[Events] += lp.kernel.Stats().Executed
+		out[Events] += lp.kernel.PublishedExecuted()
 		for c := range nCounters {
 			out[c] += lp.count[c].Load()
 		}

@@ -480,8 +480,10 @@ func (n *Network) Route(sw packet.NodeID, p *packet.Packet) (int, bool) {
 // RegisterMetrics registers every component of the experiment with reg:
 // per-LP kernels under "des", the synchronization engine and the placement
 // under "pdes", switches and hosts under "netsim", the TCP stacks under "tcp",
-// and collective ranks under "collective".
+// and collective ranks under "collective". It installs the System as reg's
+// gate, so a snapshot taken while the system runs collects at a safepoint.
 func (n *Network) RegisterMetrics(reg *metrics.Registry) {
+	reg.AddGate(n.Sys)
 	for i := 0; i < n.Sys.NumLPs(); i++ {
 		reg.Register("des", n.Sys.LP(i).Kernel())
 	}

@@ -67,7 +67,8 @@ type LP struct {
 
 	// sleeping and wake are the LP's parking slot in wait: the LP raises
 	// sleeping before it parks, and a barrier release sends a token on the
-	// 1-slot wake channel of every LP it finds sleeping.
+	// 1-slot wake channel of every LP it finds sleeping. A metrics collection
+	// sends one to every LP (see gate).
 	sleeping atomic.Bool
 	wake     chan struct{}
 
@@ -168,6 +169,9 @@ type System struct {
 	// every LP has a core of its own (LPs ≤ GOMAXPROCS). Read on every wait,
 	// so GOMAXPROCS, which takes the scheduler lock, is asked once per Run.
 	fitsCores bool
+
+	// gate pauses the LPs for a mid-run metrics collection (gate.go).
+	gate gate
 }
 
 // NewSystem creates n empty logical processes. Options select the
@@ -184,8 +188,10 @@ func NewSystem(n int, opts ...Option) *System {
 		o(&cfg)
 	}
 	s := &System{cfg: cfg}
+	s.gate.cond.L = &s.gate.mu
 	for i := 0; i < n; i++ {
 		lp := &LP{id: i, sys: s, kernel: des.NewKernel()}
+		lp.kernel.SetSafepoint(lp.safepoint)
 		if n > 1 {
 			// A lone LP has no cross-LP channel, so it never receives a
 			// message; a nil inbox spares it the full-capacity buffer.
@@ -222,15 +228,16 @@ func (s *System) Tracer() *obs.Tracer { return s.cfg.tracer }
 // CommittedTime returns a lower bound on the committed virtual time: state at
 // or before it can never be undone. Under Time Warp this is the last
 // published GVT; under the conservative engines — which never speculate —
-// it is the minimum kernel clock. Safe from any goroutine mid-run; this is
-// the clock Run's monitor and an attached obs.Progress read.
+// it is the minimum published kernel clock (des.Kernel.PublishedNow), exact
+// once Run returns. Safe from any goroutine mid-run; this is the clock Run's
+// monitor and an attached obs.Progress read.
 func (s *System) CommittedTime() des.Time {
 	if s.cfg.algo == TimeWarp && len(s.lps) > 1 {
 		return des.Time(atomic.LoadInt64(&s.committed))
 	}
 	min := des.MaxTime
 	for _, lp := range s.lps {
-		if t := lp.kernel.Now(); t < min {
+		if t := lp.kernel.PublishedNow(); t < min {
 			min = t
 		}
 	}
@@ -296,6 +303,8 @@ func (lp *LP) send(dst *LP, m message) {
 	}
 	// Backpressure path: the destination inbox is at its deepest right now —
 	// sample it for the high-water gauge (drain only samples its own entry).
+	// A metrics collection pauses a destination that never drains; the wake
+	// token it sends gets this sender to its safepoint too.
 	dst.inboxDepth(len(dst.inbox))
 	for {
 		select {
@@ -303,6 +312,8 @@ func (lp *LP) send(dst *LP, m message) {
 			return
 		case in := <-lp.inbox:
 			lp.ingest(in)
+		case <-lp.wake:
+			lp.safepoint()
 		}
 	}
 }
@@ -393,6 +404,9 @@ func (s *System) Run(end des.Time) error {
 	default:
 		return fmt.Errorf("pdes: unknown sync algorithm %v", s.cfg.algo)
 	}
+	// Setup and wrap-up on this goroutine exclude metrics collections; the
+	// engines let them in for their parallel phase (gate.open, gate.close).
+	s.gate.serial.Lock()
 	if sp := s.cfg.sampler; sp != nil && len(s.lps) == 1 {
 		// Every algorithm runs a lone LP as its plain kernel, so the sampler
 		// rides that kernel as a recurring event: rows land at exact sim-time
@@ -404,13 +418,20 @@ func (s *System) Run(end des.Time) error {
 	switch {
 	case len(s.lps) == 1:
 		// A lone LP has no channel, so it never receives a message or parks
-		// an arrival: every algorithm reduces to its kernel.
+		// an arrival: every algorithm reduces to its kernel, run on this
+		// goroutine.
+		s.gate.open(1)
 		s.lps[0].kernel.Run(end)
+		s.gate.leave()
+		s.gate.close()
 	case s.cfg.algo == TimeWarp:
 		err = s.runTimeWarp(end)
 	default:
 		s.runConservative(end, loop)
 	}
+	// The run has ended for the gate before the sampler's final row, which
+	// then collects at once.
+	s.gate.serial.Unlock()
 	stopMonitor()
 	if sp := s.cfg.sampler; sp != nil {
 		// The final row is stamped at the horizon on success, at the last
@@ -532,10 +553,12 @@ func (s *System) runConservative(end des.Time, loop func(*LP, *barrier) int64) {
 	defer parallelRuns.Add(-1)
 	b := newBarrier(n)
 	var wg sync.WaitGroup
+	s.gate.open(n)
 	for _, lp := range s.lps {
 		wg.Add(1)
 		go func(lp *LP) {
 			defer wg.Done()
+			defer s.gate.leave()
 			k := loop(lp, b)
 			lp.awaitWindow(b, k+1)
 			lp.drain()
@@ -545,6 +568,7 @@ func (s *System) runConservative(end des.Time, loop func(*LP, *barrier) int64) {
 		}(lp)
 	}
 	wg.Wait()
+	s.gate.close()
 }
 
 // eit is the earliest input time: the weakest promise across inputs.
@@ -624,7 +648,7 @@ func (lp *LP) ingest(m message) {
 		lp.parked = append(lp.parked, m)
 		return
 	}
-	lp.scheduleArrival(m.at, m)
+	lp.scheduleArrival(at, m)
 }
 
 // scheduleArrival schedules the delivery event for a cross-LP packet arrival.
@@ -734,11 +758,13 @@ func (s *System) mayPoll() bool {
 // ingest, check, runtime.Gosched. Then it parks: it raises its sleeping flag,
 // re-checks ready, and blocks on its inbox or its wake channel. The flag and
 // the condition ready reads are a store-then-load pair on each side (see
-// awaitWindow), so no wakeup is lost. wait reports whether it parked.
+// awaitWindow), so no wakeup is lost. wait reports whether it parked. Every
+// poll round and every park starts at a safepoint (see gate).
 func (lp *LP) wait(ready func(ingested bool) bool) (parked bool) {
 	if lp.sys.mayPoll() {
 		start := time.Now()
 		for {
+			lp.safepoint()
 			if ready(lp.drain()) {
 				return false
 			}
@@ -750,6 +776,7 @@ func (lp *LP) wait(ready func(ingested bool) bool) (parked bool) {
 	}
 	ingested := false
 	for {
+		lp.safepoint()
 		lp.sleeping.Store(true)
 		if ready(ingested) {
 			lp.sleeping.Store(false)

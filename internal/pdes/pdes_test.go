@@ -26,6 +26,28 @@ func TestSingleLPRunsLocally(t *testing.T) {
 	}
 }
 
+// TestIngestLateArrivalRecovers: a cross-LP packet stamped before the
+// receiver's clock is a causality violation. Ingest counts it and delivers
+// the packet at the receiver's Now instead of scheduling into the kernel's
+// past, which would panic.
+func TestIngestLateArrivalRecovers(t *testing.T) {
+	s := NewSystem(2)
+	lp := s.LP(1)
+	lp.end = des.Millisecond
+	lp.lastRecv = []des.Time{0, des.MaxTime}
+	lp.kernel.Run(100)
+	var at []des.Time
+	via := &proxy{key: 1, deliver: func(any) { at = append(at, lp.kernel.Now()) }}
+	lp.ingest(message{from: 0, at: 50, pkt: &packet.Packet{}, via: via})
+	lp.kernel.Run(200)
+	if v := lp.count[Violations].Load(); v != 1 {
+		t.Errorf("Violations = %d, want 1", v)
+	}
+	if len(at) != 1 || at[0] != 100 {
+		t.Errorf("delivered at %v, want once at 100ns", at)
+	}
+}
+
 func TestNewSystemPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

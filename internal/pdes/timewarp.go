@@ -303,12 +303,14 @@ func (lp *LP) twRunnable() bool {
 }
 
 // take swaps out the inbox, blocking while there is neither input nor
-// runnable work. Wakeups come from deliver and from the coordinator's
-// broadcast after publishing a new GVT or termination.
+// runnable work. Wakeups come from deliver, from the coordinator's broadcast
+// after publishing a new GVT or termination, and from a metrics collection,
+// which needs the LP at the safepoint atop twLoop.
 func (t *lpTW) take(lp *LP) []twMsg {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.box) == 0 && !t.shared.done.Load() && !lp.twRunnable() && !lp.twLazyFlushable() {
+	for len(t.box) == 0 && !t.shared.done.Load() && !lp.twRunnable() && !lp.twLazyFlushable() &&
+		!lp.sys.gate.req.Load() {
 		t.cond.Wait()
 	}
 	lp.inboxDepth(len(t.box))
@@ -324,6 +326,7 @@ func (lp *LP) twLoop() {
 	sh := t.shared
 	every := lp.sys.cfg.checkpointEvery
 	for {
+		lp.safepoint()
 		batch := t.take(lp)
 		for i := 0; i < len(batch); i++ {
 			m := batch[i]

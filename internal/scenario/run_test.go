@@ -12,6 +12,7 @@ import (
 	"approxsim/internal/core"
 	"approxsim/internal/des"
 	"approxsim/internal/metrics"
+	"approxsim/internal/nn"
 	"approxsim/internal/obs"
 	"approxsim/internal/pdes"
 	"approxsim/internal/traffic"
@@ -523,4 +524,91 @@ func TestReduceMatchesNetwork(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotConcurrentWithOneLPRun hammers Registry.Snapshot and Progress
+// while scenario.Run runs a full Clos spec and a hybrid spec, each on one LP
+// and so on the caller's goroutine. The registry collects through the run's
+// gate, which pauses that goroutine at a kernel safepoint; under -race any
+// read that bypasses it fails. Committed time never runs backwards and the
+// final readings are exact. A short run can end before the hammer catches it
+// in progress, so each spec runs until a snapshot has, at most ten times.
+func TestSnapshotConcurrentWithOneLPRun(t *testing.T) {
+	base := Spec{Topology: Topology{Clusters: 2}, Workload: Workload{Load: 0.4}, Seed: 12345, HorizonMS: 2}
+	capture := base
+	capture.Capture = "cluster"
+	full, err := Run(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := core.TrainModels(full.Run.Records, base.EngineConfig().TopologyConfig(), core.TrainOptions{
+		Hidden: 8, Layers: 1,
+		NN:   nn.TrainConfig{LR: 0.02, Batches: 20, Batch: 8, BPTT: 8, Seed: 1},
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := base
+	hybrid.Mode = "hybrid"
+	for name, sp := range map[string]Spec{"full": base, "hybrid": hybrid} {
+		t.Run(name, func(t *testing.T) {
+			for try := 0; try < 10; try++ {
+				if hammerRun(t, sp, models) > 0 {
+					return
+				}
+			}
+			t.Error("no snapshot caught the run in progress in ten runs")
+		})
+	}
+}
+
+// hammerRun runs sp while a goroutine loops over Registry.Snapshot and
+// Progress, checks the readings, and returns how many snapshots caught the
+// run in progress.
+func hammerRun(t *testing.T, sp Spec, models *core.Models) (mid int) {
+	t.Helper()
+	reg, prog, end := metrics.NewRegistry(), &obs.Progress{}, sp.Normalized().end()
+	quit, started := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last des.Time
+		for i := 0; ; i++ {
+			if i == 1 {
+				close(started)
+			}
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			snap := reg.Snapshot()
+			if vt := des.Time(snap.Gauge("des", "virtual_time_ns")); vt > 0 && vt < end {
+				mid++
+			}
+			now := prog.Committed()
+			if now < last {
+				t.Errorf("committed time ran backwards: %v then %v", last, now)
+				return
+			}
+			last = now
+			_ = prog.Events()
+		}
+	}()
+	<-started
+	res, err := Run(sp, WithRegistry(reg), WithProgress(prog), WithModels(models))
+	close(quit)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counter("des", "events_executed"); got != res.Perf.Events || prog.Events() != got {
+		t.Errorf("events: snapshot %d, progress %d, perf %d", got, prog.Events(), res.Perf.Events)
+	}
+	if prog.Committed() != end {
+		t.Errorf("final committed %v, want %v", prog.Committed(), end)
+	}
+	return mid
 }
