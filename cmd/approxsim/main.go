@@ -1,5 +1,5 @@
 // Command approxsim runs a single data-center simulation — full-fidelity,
-// hybrid (approximated), flow-level, or PDES-parallel — and prints a
+// hybrid (approximated), or PDES-parallel — and prints a
 // workload summary. It is a thin front-end over the scenario API: the flags
 // assemble a scenario.Spec (see internal/scenario) and scenario.Run executes
 // it, so the exact same experiment can be replayed through the figures
@@ -9,7 +9,6 @@
 //
 //	approxsim -mode full -clusters 4 -dur 10 -load 0.4
 //	approxsim -mode hybrid -clusters 8 -models models.bin
-//	approxsim -mode fluid -clusters 4
 //	approxsim -mode pdes -racks 8 -lps 4
 //	approxsim -mode pdes -racks 8 -lps 4 -sync timewarp
 //
@@ -260,13 +259,12 @@ func run(f *scenario.Flags, opts obsOptions) error {
 	}
 	defer orun.close()
 
-	// Every packet-level mode takes the engine options; fluid ignores them.
 	ropts := []scenario.RunOption{scenario.WithPDESOptions(pdesOptions(opts, orun, reg)...)}
 	if reg != nil {
 		ropts = append(ropts, scenario.WithRegistry(reg))
 	}
-	if (f.Mode == "hybrid" || f.Mode == "blackbox") && f.Models == "" {
-		m, err := trainInProcess(sp, f.Mode)
+	if f.Mode == "hybrid" && f.Models == "" {
+		m, err := trainInProcess(sp)
 		if err != nil {
 			return err
 		}
@@ -304,8 +302,7 @@ func run(f *scenario.Flags, opts obsOptions) error {
 // reportProgress prints a progress line to w whenever the run's committed
 // virtual time crosses a multiple of every, and a last line when the
 // returned stop is called. It reads the same committed-time gauges the
-// scenario server serves for GET /v1/runs/{id}, so it works in every mode:
-// packet-level runs are read live, fluid runs publish once at the end.
+// scenario server serves for GET /v1/runs/{id}, read live in every mode.
 func reportProgress(w io.Writer, prog *obs.Progress, every des.Time) (stop func()) {
 	start := time.Now()
 	line := func() {
@@ -340,8 +337,8 @@ func reportProgress(w io.Writer, prog *obs.Progress, every des.Time) (stop func(
 	}
 }
 
-// pdesOptions translates the observability flags into engine options for a
-// packet-level run. System.Run manages the interval sampler's lifecycle: on
+// pdesOptions translates the observability flags into engine options for
+// the run. System.Run manages the interval sampler's lifecycle: on
 // one LP it rides the kernel, on several it polls the committed-time clock,
 // because under optimistic sync a kernel-scheduled sample could itself be
 // rolled back.
@@ -360,23 +357,16 @@ func pdesOptions(opts obsOptions, orun *obsRun, reg *metrics.Registry) []pdes.Op
 }
 
 // trainInProcess fits a small model bundle when no -models file was given:
-// a boundary-captured full-fidelity run through the same scenario API
-// (cluster boundary for hybrid, whole-network for blackbox), then a quick
-// training pass.
-func trainInProcess(sp scenario.Spec, mode string) (*core.Models, error) {
-	capture := "cluster"
-	if mode == "blackbox" {
-		capture = "wholenet"
-	}
-	fmt.Fprintf(os.Stderr, "approxsim: no -models given; training a small %s model in-process\n", capture)
+// a cluster-boundary-captured full-fidelity run through the same scenario
+// API, then a quick training pass.
+func trainInProcess(sp scenario.Spec) (*core.Models, error) {
+	fmt.Fprintln(os.Stderr, "approxsim: no -models given; training a small cluster model in-process")
 	trainSp := sp.Normalized()
 	trainSp.Mode = "full"
 	trainSp.ModelsPath = ""
-	trainSp.Capture = capture
-	if mode == "hybrid" {
-		// Cluster-boundary models generalize across scale; capture small.
-		trainSp.Topology.Clusters = 2
-	}
+	trainSp.Capture = "cluster"
+	// Cluster-boundary models generalize across scale; capture small.
+	trainSp.Topology.Clusters = 2
 	res, err := scenario.Run(trainSp)
 	if err != nil {
 		return nil, err

@@ -37,7 +37,6 @@ func TestProgressEveryMode(t *testing.T) {
 	for _, sp := range []scenario.Spec{
 		{Mode: "full", Workload: scenario.Workload{Load: 0.3}, Seed: 5, HorizonMS: 1},
 		{Mode: "pdes", Topology: scenario.Topology{Racks: 4}, Workload: scenario.Workload{Load: 0.3}, LPs: 2, Seed: 5, HorizonMS: 1},
-		{Mode: "fluid", Workload: scenario.Workload{Load: 0.3}, Seed: 5, HorizonMS: 1},
 	} {
 		t.Run(sp.Mode, func(t *testing.T) {
 			prog := &obs.Progress{}

@@ -10,8 +10,6 @@
 //	figures -fig events     # ablation: event counts full vs hybrid
 //	figures -fig alpha      # ablation: joint-loss alpha sweep
 //	figures -fig macro      # ablation: macro-state feature on/off
-//	figures -fig blackbox   # extension: section-7 single-black-box limit
-//	figures -fig flow       # ablation: flow-level baseline speed/accuracy
 //
 // Output is tab-separated series, one row per data point, mirroring the
 // figure's axes. Pass -dur/-load/-seed to vary the workload, and -quick to
@@ -40,7 +38,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "", "which figure to regenerate: 1, 4, 5, events, alpha, macro, flow")
+		fig     = flag.String("fig", "", "which figure to regenerate: 1, 4, 5, events, alpha, macro")
 		durMS   = flag.Int("dur", 0, "virtual milliseconds to simulate (0 = figure default)")
 		load    = flag.Float64("load", 0.4, "offered load as a fraction of host bandwidth")
 		seed    = flag.Uint64("seed", 1, "root random seed")
@@ -67,12 +65,8 @@ func main() {
 		err = figAlpha(*durMS, *load, *seed)
 	case "macro":
 		err = figMacro(*durMS, *load, *seed)
-	case "blackbox":
-		err = figBlackBox(*durMS, *load, *seed)
-	case "flow":
-		err = figFlow(*durMS, *load, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: figures -fig {1|4|5|events|alpha|macro|blackbox|flow} [-dur ms] [-load f] [-seed n] [-quick]")
+		fmt.Fprintln(os.Stderr, "usage: figures -fig {1|4|5|events|alpha|macro} [-dur ms] [-load f] [-seed n] [-quick]")
 		os.Exit(2)
 	}
 	if err != nil {
@@ -450,99 +444,5 @@ func figMacro(durMS int, load float64, seed uint64) error {
 		}
 		fmt.Printf("%s\t%.4f\n", label, cmp.KS)
 	}
-	return nil
-}
-
-// figBlackBox quantifies the section-7 limiting case: per-cluster fabrics
-// vs one black box replacing cores and every remote cluster. Rows compare
-// events, wall time, and RTT accuracy against the same ground truth.
-func figBlackBox(durMS int, load float64, seed uint64) error {
-	if durMS == 0 {
-		durMS = 5
-	}
-	sp := closSpec(4, durMS, load, seed)
-	sp.Capture = "cluster"
-	fullC, err := scenario.Run(sp)
-	if err != nil {
-		return err
-	}
-	sp.Capture = "wholenet"
-	fullW, err := scenario.Run(sp)
-	if err != nil {
-		return err
-	}
-	opts := core.TrainOptions{
-		Hidden: 24, Layers: 1,
-		NN:   nn.TrainConfig{LR: 0.02, Batches: trainBatches, Batch: 16, BPTT: 16, Seed: seed},
-		Seed: seed,
-	}
-	topoCfg := core.Config{Clusters: 4}.TopologyConfig()
-	mh, err := core.TrainModels(fullC.Run.Records, topoCfg, opts)
-	if err != nil {
-		return err
-	}
-	mb, err := core.TrainModels(fullW.Run.Records, topoCfg, opts)
-	if err != nil {
-		return err
-	}
-	evalSp := closSpec(4, durMS, load, seed+1000)
-	truth, err := scenario.Run(evalSp)
-	if err != nil {
-		return err
-	}
-	hySp := evalSp
-	hySp.Mode = "hybrid"
-	hybrid, err := scenario.Run(hySp, scenario.WithModels(mh))
-	if err != nil {
-		return err
-	}
-	bbSp := evalSp
-	bbSp.Mode = "blackbox"
-	blackbox, err := scenario.Run(bbSp, scenario.WithModels(mb))
-	if err != nil {
-		return err
-	}
-	ch, err := core.CompareRTT(truth.Run, hybrid.Run, 64)
-	if err != nil {
-		return err
-	}
-	cb, err := core.CompareRTT(truth.Run, blackbox.Run, 64)
-	if err != nil {
-		return err
-	}
-	fmt.Println("# Extension: per-cluster fabrics vs single black box (4 clusters)")
-	fmt.Println("variant\tevents\twall_s\tks_distance")
-	fmt.Printf("full\t%d\t%.4f\t0\n", truth.Perf.Events, truth.Perf.WallSeconds)
-	fmt.Printf("hybrid\t%d\t%.4f\t%.4f\n", hybrid.Perf.Events, hybrid.Perf.WallSeconds, ch.KS)
-	fmt.Printf("blackbox\t%d\t%.4f\t%.4f\n", blackbox.Perf.Events, blackbox.Perf.WallSeconds, cb.KS)
-	return nil
-}
-
-// figFlow contrasts the flow-level baseline with packet-level simulation:
-// events, wall time, and mean-FCT disagreement. Same spec, two modes.
-func figFlow(durMS int, load float64, seed uint64) error {
-	if durMS == 0 {
-		durMS = 5
-	}
-	sp := closSpec(2, durMS, load, seed)
-	sp.Mode = "fluid"
-	fluid, err := scenario.Run(sp)
-	if err != nil {
-		return err
-	}
-	// Packet-level run of the same workload; the long drain (3x horizon)
-	// mirrors the fluid engine's 4x-horizon completion window.
-	sp.Mode = "full"
-	sp.DrainMS = float64(3 * durMS)
-	pk, err := scenario.Run(sp)
-	if err != nil {
-		return err
-	}
-	fmt.Println("# Ablation: flow-level (fluid) baseline vs packet-level simulation")
-	fmt.Println("engine\tevents\twall_s\tflows_done\tmean_fct_s")
-	fmt.Printf("fluid\t%d\t%.5f\t%d\t%.6g\n",
-		fluid.Perf.Events, fluid.Perf.WallSeconds, fluid.Metrics.Completed, fluid.Metrics.MeanFCTSec)
-	fmt.Printf("packet\t%d\t%.5f\t%d\t%.6g\n",
-		pk.Perf.Events, pk.Perf.WallSeconds, pk.Metrics.Completed, pk.Metrics.MeanFCTSec)
 	return nil
 }

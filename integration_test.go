@@ -5,9 +5,9 @@ import (
 
 	"approxsim/internal/core"
 	"approxsim/internal/des"
-	"approxsim/internal/flowsim"
 	"approxsim/internal/nn"
 	"approxsim/internal/packet"
+	"approxsim/internal/pdes"
 	"approxsim/internal/scenario"
 	"approxsim/internal/topology"
 	"approxsim/internal/traffic"
@@ -105,60 +105,51 @@ func TestFullDeterministic(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnLightLoad cross-validates the three engines: at light
-// load (no loss, little queueing), the packet simulator's mean FCT should
-// approach the fluid bound (which ignores slow start, so packet FCTs are
-// somewhat larger, never smaller).
+// TestEnginesAgreeOnLightLoad cross-validates the packet engine against a
+// closed-form bound: at light load (no loss, little queueing) no flow can
+// finish faster than its bytes serialize onto the host link, and slow start
+// keeps packet FCTs somewhat above that bound, never wildly so.
 func TestEnginesAgreeOnLightLoad(t *testing.T) {
 	topoCfg := topology.DefaultClosConfig(2)
-	topo, err := topology.Build(des.NewKernel(), topoCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := make([]packet.HostID, len(topo.Hosts))
+	hosts := make([]packet.HostID, topoCfg.NumHosts())
 	for i := range hosts {
 		hosts[i] = packet.HostID(i)
 	}
 	const dur = 4 * des.Millisecond
-	specs, err := traffic.GenerateSpecs(traffic.Config{
-		Load: 0.1, HostBandwidthBps: topoCfg.HostLink.BandwidthBps, Seed: 7,
-	}, hosts, dur)
+	bw := topoCfg.HostLink.BandwidthBps
+	specs, err := traffic.GenerateSpecs(traffic.Config{Load: 0.1, HostBandwidthBps: bw, Seed: 7}, hosts, dur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) < 3 {
 		t.Skip("not enough arrivals at this seed")
 	}
-
-	fluid := flowsim.New(topo)
-	for _, sp := range specs {
-		fluid.Add(flowsim.Flow{ID: sp.ID, Src: sp.Src, Dst: sp.Dst, Size: sp.Size, Start: sp.At})
-	}
-	var fluidMean float64
-	n := 0
-	for _, f := range fluid.Run(dur * 10) {
-		if f.Completed() {
-			fluidMean += f.FCT().Seconds()
-			n++
-		}
-	}
-	fluidMean /= float64(n)
-
-	pk, err := scenario.Run(scenario.Spec{
-		Topology:  scenario.Topology{Clusters: 2},
-		Workload:  scenario.Workload{Load: 0.1},
-		Seed:      7,
-		HorizonMS: float64(dur / des.Millisecond),
-		DrainMS:   float64(9 * dur / des.Millisecond),
-	})
+	net, err := pdes.Build(topoCfg, 1, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pk.Metrics.MeanFCTSec < fluidMean*0.8 {
-		t.Errorf("packet mean FCT %.3g beats fluid bound %.3g: impossible", pk.Metrics.MeanFCTSec, fluidMean)
+	if err := net.Sys.Run(10 * dur); err != nil {
+		t.Fatal(err)
 	}
-	if pk.Metrics.MeanFCTSec > fluidMean*50 {
-		t.Errorf("packet mean FCT %.3g vs fluid %.3g: engines disagree wildly", pk.Metrics.MeanFCTSec, fluidMean)
+	var fctSum, boundSum float64
+	n := 0
+	for _, f := range net.Results() {
+		if !f.Completed {
+			continue
+		}
+		bound := float64(f.Size*8) / float64(bw)
+		if fct := f.FCT().Seconds(); fct < bound {
+			t.Errorf("flow %d: packet FCT %.3g beats the physical bound %.3g: impossible", f.FlowID, fct, bound)
+		}
+		fctSum += f.FCT().Seconds()
+		boundSum += bound
+		n++
+	}
+	if n == 0 {
+		t.Fatal("no flow completed at light load")
+	}
+	if fctSum > boundSum*50 {
+		t.Errorf("packet mean FCT %.3g vs bound %.3g: engine far off physics", fctSum/float64(n), boundSum/float64(n))
 	}
 }
 

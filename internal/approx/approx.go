@@ -1,10 +1,7 @@
 // Package approx implements the approximated region: a single simulation
-// module that stands in for every switch on one side of a
-// topology.Boundary, replacing their queuing, routing, and packet processing
-// with macro + micro model predictions. On the cluster side it is one
-// cluster's fabric, its ToR and Cluster switches (paper Fig. 3); on the
-// whole-network side it is the §7 single black box, every core and every
-// other cluster's switches.
+// module that stands in for one cluster's fabric behind a topology.Boundary,
+// its ToR and Cluster switches (paper Fig. 3), replacing their queuing,
+// routing, and packet processing with macro + micro model predictions.
 //
 // Where the full-fidelity fabric costs roughly two scheduler events per
 // packet per hop (serialization completion and arrival) plus queue state,
@@ -44,11 +41,10 @@ type Stats struct {
 	Conflicts      uint64 // deliveries bumped by schedule-conflict resolution
 }
 
-// Fabric is the approximated region on one side of a boundary: a
+// Fabric is the approximated cluster fabric behind a boundary: a
 // netsim.Device whose behavior is a pair of micro predictors plus a
 // macro-state classifier. It attaches at two edges: the cut, where slot k
-// faces core k, and the host edge, one slot per host whose link ends in the
-// region.
+// faces core k, and the host edge, one slot per host of the cluster.
 type Fabric struct {
 	kernel *des.Kernel
 	topo   *topology.Topology
@@ -57,13 +53,6 @@ type Fabric struct {
 	pred    [2]*micro.Predictor // indexed by trace.Direction
 	cls     *macro.Classifier
 	noMacro bool
-
-	// hostIn is the direction of a traversal entering at the host edge:
-	// Egress for a cluster's fabric, Ingress for the black box.
-	hostIn trace.Direction
-	// crossHops and intraHops are the switch hops a traversal elides: across
-	// the cut, and from host edge to host edge.
-	crossHops, intraHops int8
 
 	cut, hosts edge
 
@@ -77,6 +66,10 @@ type Fabric struct {
 	invocations metrics.Counter
 	predNanos   metrics.Histogram
 }
+
+// elidedHops is the switch hops a traversal elides, the cluster's ToR and
+// agg: across the cut, and from host edge to host edge alike.
+const elidedHops int8 = 2
 
 // predictSample is how many predictions one timed prediction stands for.
 // Two clock reads cost a few percent of a prediction, so timing every one
@@ -102,7 +95,7 @@ func (f *Fabric) attach(e *edge, cfg netsim.LinkConfig, peer *netsim.Port, dev n
 	e.free = append(e.free, 0)
 }
 
-// Splice replaces the switches on b's replaced side of topo with one
+// Splice replaces the ToR and agg switches of b's cluster with one
 // approximated fabric driven by the given predictors (egress leaves b's
 // cluster, ingress enters it). The hosts and switches at the edges are
 // re-wired to the fabric; the replaced switches are left orphaned (they
@@ -127,42 +120,20 @@ func Splice(topo *topology.Topology, b topology.Boundary, egress, ingress *micro
 		pred:    [2]*micro.Predictor{trace.Egress: egress, trace.Ingress: ingress},
 		cls:     macro.New(mcfg),
 		noMacro: noMacro,
-		// A cluster's fabric elides its ToR and agg hops.
-		hostIn: trace.Egress, crossHops: 2, intraHops: 2,
-	}
-	if b.WholeNet {
-		// Core, remote agg and remote ToR across the cut; ToR, agg, core,
-		// agg and ToR between two remote hosts.
-		f.hostIn, f.crossHops, f.intraHops = trace.Ingress, 3, 5
 	}
 	// Cut slots come first in port order, then the host edge.
-	for k, core := range topo.Cores {
-		agg, port := topo.CutPort(b.Cluster, k)
-		if b.WholeNet {
-			f.attach(&f.cut, topo.Cfg.CoreLink, agg.Port(port), agg, port)
-		} else {
-			f.attach(&f.cut, topo.Cfg.CoreLink, core.Port(b.Cluster), core, b.Cluster)
-		}
+	for _, core := range topo.Cores {
+		f.attach(&f.cut, topo.Cfg.CoreLink, core.Port(b.Cluster), core, b.Cluster)
 	}
-	for c := 0; c < topo.Cfg.Clusters; c++ {
-		if !b.Inside(c) {
-			continue
-		}
-		for _, h := range topo.HostsInCluster(c) {
-			f.attach(&f.hosts, topo.Cfg.HostLink, h.NIC(), h, 0)
-		}
+	for _, h := range topo.HostsInCluster(b.Cluster) {
+		f.attach(&f.hosts, topo.Cfg.HostLink, h.NIC(), h, 0)
 	}
 	return f, nil
 }
 
 // NodeID implements netsim.Device. Negative IDs cannot collide with
 // topology-assigned ones.
-func (f *Fabric) NodeID() packet.NodeID {
-	if f.b.WholeNet {
-		return -1_000_000
-	}
-	return packet.NodeID(-(f.b.Cluster + 1))
-}
+func (f *Fabric) NodeID() packet.NodeID { return packet.NodeID(-(f.b.Cluster + 1)) }
 
 // Stats returns a snapshot of the fabric counters.
 func (f *Fabric) Stats() Stats { return f.stats }
@@ -191,17 +162,9 @@ func (f *Fabric) macroFeature() macro.State {
 	return f.cls.Current()
 }
 
-// hostSlot maps a host on the host edge to its slot: host IDs in order,
-// skipping the clusters whose links do not end in the region.
+// hostSlot maps a host of the cluster to its slot on the host edge.
 func (f *Fabric) hostSlot(h packet.HostID) int {
-	per := f.topo.Cfg.ToRsPerCluster * f.topo.Cfg.ServersPerToR
-	switch {
-	case !f.b.WholeNet:
-		return int(h) - f.b.Cluster*per
-	case int(h) >= (f.b.Cluster+1)*per:
-		return int(h) - per
-	}
-	return int(h)
+	return int(h) - f.b.Cluster*f.topo.Cfg.ToRsPerCluster*f.topo.Cfg.ServersPerToR
 }
 
 // Receive implements netsim.Device: every arriving packet is one boundary
@@ -216,9 +179,9 @@ func (f *Fabric) Receive(pkt *packet.Packet, inPort int) {
 	if !fromHost && !toHost {
 		return // misrouted back across the cut: blackholed likewise
 	}
-	dir := f.hostIn
-	if !fromHost {
-		dir = 1 - dir
+	dir := trace.Ingress
+	if fromHost {
+		dir = trace.Egress
 	}
 
 	now := f.kernel.Now()
@@ -238,14 +201,12 @@ func (f *Fabric) Receive(pkt *packet.Packet, inPort int) {
 	f.invocations.Inc()
 	f.cls.Observe(now, lat.Seconds(), drop)
 
-	hops := f.crossHops
 	switch {
 	case fromHost && toHost:
 		// Host edge to host edge through the region. The workload normally
 		// elides it (§6.2); when it does occur, one prediction covers the
 		// whole transit.
 		f.stats.IntraPackets++
-		hops = f.intraHops
 	case dir == trace.Egress:
 		f.stats.EgressPackets++
 	default:
@@ -260,10 +221,10 @@ func (f *Fabric) Receive(pkt *packet.Packet, inPort int) {
 		return
 	}
 	if toHost {
-		f.deliver(pkt, now+lat, &f.hosts, f.hostSlot(pkt.Dst), hops)
+		f.deliver(pkt, now+lat, &f.hosts, f.hostSlot(pkt.Dst))
 	} else if path.Core >= 0 {
 		// Out across the cut, on the slot the routing arithmetic picks.
-		f.deliver(pkt, now+lat, &f.cut, f.topo.CoreIndex(path.Core), hops)
+		f.deliver(pkt, now+lat, &f.cut, f.topo.CoreIndex(path.Core))
 	}
 }
 
@@ -271,14 +232,14 @@ func (f *Fabric) Receive(pkt *packet.Packet, inPort int) {
 // e, resolving schedule conflicts per slot. The event takes the packet as
 // its context, so it allocates no closure; band 0 and key 0 are the
 // ordering key des.Kernel.At uses.
-func (f *Fabric) deliver(pkt *packet.Packet, at des.Time, e *edge, i int, hops int8) {
+func (f *Fabric) deliver(pkt *packet.Packet, at des.Time, e *edge, i int) {
 	ser := e.ports[i].Config().SerializationDelay(pkt.Size())
 	if at < e.free[i] {
 		at = e.free[i]
 		f.stats.Conflicts++
 	}
 	e.free[i] = at + ser
-	pkt.Hops += hops
-	pkt.TTL -= hops
+	pkt.Hops += elidedHops
+	pkt.TTL -= elidedHops
 	f.kernel.AtCtxFn(at, 0, 0, pkt, e.to[i])
 }

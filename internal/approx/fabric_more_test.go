@@ -42,12 +42,6 @@ func rawBed(t *testing.T, floor des.Time) (*des.Kernel, *topology.Topology, *Fab
 	return fixedBed(t, 2, topology.Boundary{Cluster: 1}, floor, false)
 }
 
-// bbBed replaces everything beyond the aggregation switches of cluster real
-// of a 4-cluster Clos with the black box.
-func bbBed(t *testing.T, real int) (*des.Kernel, *topology.Topology, *Fabric) {
-	return fixedBed(t, 4, topology.Boundary{Cluster: real, WholeNet: true}, 4*des.Microsecond, false)
-}
-
 func TestFabricRespectsLatencyFloor(t *testing.T) {
 	const floor = 7 * des.Microsecond
 	k, topo, _ := rawBed(t, floor)
@@ -151,8 +145,8 @@ func TestFabricWithTCPBidirectional(t *testing.T) {
 	}
 }
 
-// TestMisroutedPacketBlackholed hands each side's fabric packets a real
-// region would blackhole: nothing is delivered, nothing panics and nothing
+// TestMisroutedPacketBlackholed hands a cluster fabric packets a real
+// fabric would blackhole: nothing is delivered, nothing panics and nothing
 // counts as a traversal. Port 0 is the first cut slot; the host edge
 // follows the cut.
 func TestMisroutedPacketBlackholed(t *testing.T) {
@@ -167,10 +161,6 @@ func TestMisroutedPacketBlackholed(t *testing.T) {
 		// No such host, sent from a host of the fabric.
 		{"cluster/host_out_of_range", topology.Boundary{Cluster: 1}, packet.Packet{Src: 8, Dst: 9999}, -1},
 		{"cluster/host_negative", topology.Boundary{Cluster: 1}, packet.Packet{Src: 8, Dst: -3}, -1},
-		// The real cluster never routes its own hosts outward.
-		{"wholenet/cut_real_dst", topology.Boundary{Cluster: 1, WholeNet: true}, packet.Packet{Src: 0, Dst: 8}, 0},
-		{"wholenet/cut_out_of_range", topology.Boundary{Cluster: 1, WholeNet: true}, packet.Packet{Src: 0, Dst: 9999}, 0},
-		{"wholenet/host_out_of_range", topology.Boundary{Cluster: 1, WholeNet: true}, packet.Packet{Src: 0, Dst: 9999}, -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,58 +187,38 @@ func TestMisroutedPacketBlackholed(t *testing.T) {
 	}
 }
 
-// TestFabricTraversalDoesNotAllocate pins the allocation-free boundary path
-// on both sides: every traversal kind, sent from host NICs (prediction,
-// conflict resolution, the one delivery event and the packet's onward
-// hops), allocates nothing.
+// TestFabricTraversalDoesNotAllocate pins the allocation-free boundary path:
+// every traversal kind, sent from host NICs (prediction, conflict
+// resolution, the one delivery event and the packet's onward hops),
+// allocates nothing.
 func TestFabricTraversalDoesNotAllocate(t *testing.T) {
-	cases := []struct {
-		name     string
-		clusters int
-		b        topology.Boundary
-		pkts     []packet.Packet
-	}{
-		{"cluster", 2, topology.Boundary{Cluster: 1}, []packet.Packet{
-			{Src: 8, Dst: 0, FlowID: 9},   // egress
-			{Src: 0, Dst: 9, FlowID: 10},  // ingress
-			{Src: 8, Dst: 12, FlowID: 11}, // intra
-		}},
-		{"wholenet", 4, topology.Boundary{Cluster: 1, WholeNet: true}, []packet.Packet{
-			{Src: 8, Dst: 0, FlowID: 1},   // outbound
-			{Src: 0, Dst: 8, FlowID: 2},   // inbound
-			{Src: 16, Dst: 24, FlowID: 3}, // remote to remote
-		}},
+	sends := []packet.Packet{
+		{Src: 8, Dst: 0, FlowID: 9},   // egress
+		{Src: 0, Dst: 9, FlowID: 10},  // ingress
+		{Src: 8, Dst: 12, FlowID: 11}, // intra
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			k, topo, _ := fixedBed(t, tc.clusters, tc.b, 2*des.Microsecond, false)
-			delivered := 0
-			for _, p := range tc.pkts {
-				topo.Hosts[p.Dst].OnReceive = func(*packet.Packet) { delivered++ }
-			}
-			pkts := make([]packet.Packet, len(tc.pkts))
-			traverse := func() {
-				for i, p := range tc.pkts {
-					pkts[i] = packet.Packet{Src: p.Src, Dst: p.Dst, FlowID: p.FlowID, PayloadLen: 1000}
-					topo.Hosts[p.Src].Send(&pkts[i])
-				}
-				k.RunAll()
-			}
-			if allocs := testing.AllocsPerRun(100, traverse); allocs != 0 {
-				t.Errorf("%d traversals allocate %.1f objects, want 0", len(pkts), allocs)
-			}
-			if want := len(pkts) * 101; delivered != want {
-				t.Errorf("%d deliveries, want %d", delivered, want)
-			}
-		})
+	k, topo, _ := fixedBed(t, 2, topology.Boundary{Cluster: 1}, 2*des.Microsecond, false)
+	delivered := 0
+	for _, p := range sends {
+		topo.Hosts[p.Dst].OnReceive = func(*packet.Packet) { delivered++ }
+	}
+	pkts := make([]packet.Packet, len(sends))
+	traverse := func() {
+		for i, p := range sends {
+			pkts[i] = packet.Packet{Src: p.Src, Dst: p.Dst, FlowID: p.FlowID, PayloadLen: 1000}
+			topo.Hosts[p.Src].Send(&pkts[i])
+		}
+		k.RunAll()
+	}
+	if allocs := testing.AllocsPerRun(100, traverse); allocs != 0 {
+		t.Errorf("%d traversals allocate %.1f objects, want 0", len(pkts), allocs)
+	}
+	if want := len(pkts) * 101; delivered != want {
+		t.Errorf("%d deliveries, want %d", delivered, want)
 	}
 }
 
-func TestBlackBoxNodeIDDistinct(t *testing.T) {
-	_, _, bb := bbBed(t, 0)
-	if bb.NodeID() != -1_000_000 {
-		t.Errorf("black box NodeID = %d, want -1000000", bb.NodeID())
-	}
+func TestFabricNodeIDDistinct(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		_, _, fab := fixedBed(t, 4, topology.Boundary{Cluster: c}, 0, false)
 		if want := packet.NodeID(-(c + 1)); fab.NodeID() != want {
@@ -257,79 +227,9 @@ func TestBlackBoxNodeIDDistinct(t *testing.T) {
 	}
 }
 
-func TestBlackBoxOutboundDelivery(t *testing.T) {
-	// Real cluster is 1 (hosts 8..15): host 8 sends to remote host 0.
-	k, topo, bb := bbBed(t, 1)
-	var got *packet.Packet
-	var at des.Time
-	topo.Hosts[0].OnReceive = func(p *packet.Packet) { got, at = p, k.Now() }
-	topo.Hosts[8].Send(&packet.Packet{Src: 8, Dst: 0, FlowID: 1, PayloadLen: 100})
-	k.RunAll()
-	if got == nil {
-		t.Fatal("outbound packet not delivered")
-	}
-	// Path: host->ToR->agg (real), then one predicted hop. Total hop count
-	// must equal the 5 a full path would show.
-	if got.Hops != 5 {
-		t.Errorf("hops = %d, want 5", got.Hops)
-	}
-	if at <= 0 {
-		t.Error("delivery at time zero")
-	}
-	if s := bb.Stats(); s.EgressPackets != 1 || s.IngressPackets != 0 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestBlackBoxInboundDelivery(t *testing.T) {
-	k, topo, bb := bbBed(t, 1)
-	var got *packet.Packet
-	topo.Hosts[8].OnReceive = func(p *packet.Packet) { got = p }
-	topo.Hosts[0].Send(&packet.Packet{Src: 0, Dst: 8, FlowID: 2, PayloadLen: 100})
-	k.RunAll()
-	if got == nil {
-		t.Fatal("inbound packet not delivered")
-	}
-	if got.Hops != 5 {
-		t.Errorf("hops = %d, want 5", got.Hops)
-	}
-	if s := bb.Stats(); s.IngressPackets != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestBlackBoxRemoteToRemote(t *testing.T) {
-	// Host 0 (cluster 0) -> host 24 (cluster 3), with real cluster 1:
-	// wholly inside the box, one prediction end to end.
-	k, topo, bb := bbBed(t, 1)
-	var got *packet.Packet
-	topo.Hosts[24].OnReceive = func(p *packet.Packet) { got = p }
-	topo.Hosts[0].Send(&packet.Packet{Src: 0, Dst: 24, FlowID: 3, PayloadLen: 100})
-	k.RunAll()
-	if got == nil || got.FlowID != 3 {
-		t.Fatal("remote-to-remote packet not delivered")
-	}
-	// Remote hosts attach to the box directly: all five hops are elided.
-	if got.Hops != 5 {
-		t.Errorf("hops = %d, want 5", got.Hops)
-	}
-	if s := bb.Stats(); s.IntraPackets != 1 || s.IngressPackets != 0 || s.EgressPackets != 0 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
-// TestBlackBoxHostIndexSkipsRealCluster checks the host-edge slot of each
-// side: a cluster fabric numbers its own hosts from 0; the black box numbers
-// every remote host in ID order, skipping the real cluster's block.
-func TestBlackBoxHostIndexSkipsRealCluster(t *testing.T) {
-	_, _, bb := bbBed(t, 1)
-	// Remote hosts are clusters 0, 2, 3: IDs 0..7, 16..31.
-	cases := map[packet.HostID]int{0: 0, 7: 7, 16: 8, 31: 23}
-	for h, want := range cases {
-		if got := bb.hostSlot(h); got != want {
-			t.Errorf("black box hostSlot(%d) = %d, want %d", h, got, want)
-		}
-	}
+// TestFabricHostSlot checks the host-edge slot: a cluster fabric numbers
+// its own hosts from 0.
+func TestFabricHostSlot(t *testing.T) {
 	_, _, fab := fixedBed(t, 4, topology.Boundary{Cluster: 2}, 0, false)
 	for h, want := range map[packet.HostID]int{16: 0, 23: 7} {
 		if got := fab.hostSlot(h); got != want {
@@ -338,29 +238,14 @@ func TestBlackBoxHostIndexSkipsRealCluster(t *testing.T) {
 	}
 }
 
-func TestBlackBoxDisableMacro(t *testing.T) {
-	_, _, bb := fixedBed(t, 4, topology.Boundary{WholeNet: true}, 4*des.Microsecond, true)
+func TestFabricDisableMacro(t *testing.T) {
+	_, _, fab := fixedBed(t, 4, topology.Boundary{}, 4*des.Microsecond, true)
 	// Heavy observations would normally move the state; pinned mode stays
 	// Minimal in the feature it feeds predictors.
 	for i := 0; i < 1000; i++ {
-		bb.cls.Observe(des.Time(i)*des.Microsecond, 1e-3, i%2 == 0)
+		fab.cls.Observe(des.Time(i)*des.Microsecond, 1e-3, i%2 == 0)
 	}
-	if got := bb.macroFeature(); got != macro.Minimal {
+	if got := fab.macroFeature(); got != macro.Minimal {
 		t.Errorf("pinned macro feature = %v", got)
-	}
-}
-
-func TestBlackBoxTCPFullTransfer(t *testing.T) {
-	k, topo, _ := bbBed(t, 1)
-	stacks := make([]*tcp.Stack, len(topo.Hosts))
-	for i, h := range topo.Hosts {
-		stacks[i] = tcp.NewStack(h, tcp.Config{})
-	}
-	done := 0
-	stacks[8].StartFlow(0, 60_000, 21, func(tcp.FlowResult) { done++ })  // out of real
-	stacks[16].StartFlow(9, 60_000, 22, func(tcp.FlowResult) { done++ }) // into real
-	k.Run(des.Second)
-	if done != 2 {
-		t.Fatalf("%d of 2 TCP flows completed through the black box", done)
 	}
 }

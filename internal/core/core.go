@@ -115,11 +115,9 @@ type Pipeline struct {
 // to topo, a built single-kernel network shaped by cfg.TopologyConfig()
 // whose hosts run stacks, before it runs; nil b is a plain full-fidelity
 // run. With models nil the traversals of b are recorded for training. With
-// models set, the models replace what lies beyond the observed cluster: one
-// fabric per other cluster on the cluster side, the black box on the
-// whole-network side. Capturing and replacing at the same boundary is the
-// paper's whole pipeline. Either way the observed cluster's RTTs are
-// sampled.
+// models set, the models replace the fabric of every other cluster.
+// Capturing and replacing at the same boundary is the paper's whole
+// pipeline. Either way the observed cluster's RTTs are sampled.
 func Attach(cfg Config, topo *topology.Topology, stacks []*tcp.Stack, b *topology.Boundary, models *Models) (*Pipeline, error) {
 	switch {
 	case b != nil && b.Cluster != 0:
@@ -166,23 +164,18 @@ func (p *Pipeline) Result() *RunResult {
 	return res
 }
 
-// splice replaces what the models stand in for around the observed
-// cluster's cut: on the whole-network side the black box at cut itself, on
-// the cluster side the fabric behind every other cluster's boundary. Each
-// fabric gets its own predictors, seeded per fabric.
+// splice replaces the fabric behind every cluster's boundary but the
+// observed cluster's cut. Each fabric gets its own predictors, seeded per
+// fabric.
 func splice(topo *topology.Topology, cut topology.Boundary, models *Models) ([]*approx.Fabric, error) {
 	var fabrics []*approx.Fabric
 	for c := 0; c < topo.Cfg.Clusters; c++ {
-		b, eseed, iseed := topology.Boundary{Cluster: c}, models.Seed^uint64(c)<<8^1, models.Seed^uint64(c)<<8^2
-		switch {
-		case cut.WholeNet && c == cut.Cluster:
-			b, eseed, iseed = cut, models.Seed^0xbb01, models.Seed^0xbb02
-		case cut.WholeNet || c == cut.Cluster:
+		if c == cut.Cluster {
 			continue
 		}
-		eg := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample, eseed, models.EgressFloor)
-		ing := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample, iseed, models.IngressFloor)
-		f, err := approx.Splice(topo, b, eg, ing, models.Macro, models.NoMacro)
+		eg := micro.NewPredictor(models.Egress, trace.Egress, topo, micro.Sample, models.Seed^uint64(c)<<8^1, models.EgressFloor)
+		ing := micro.NewPredictor(models.Ingress, trace.Ingress, topo, micro.Sample, models.Seed^uint64(c)<<8^2, models.IngressFloor)
+		f, err := approx.Splice(topo, topology.Boundary{Cluster: c}, eg, ing, models.Macro, models.NoMacro)
 		if err != nil {
 			return nil, err
 		}

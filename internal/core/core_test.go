@@ -264,35 +264,7 @@ func TestDCTCPEndToEnd(t *testing.T) {
 	}
 }
 
-func TestBlackBoxEndToEnd(t *testing.T) {
-	// The section 7 "single black box" limit: capture the whole-network
-	// boundary, train, replace everything beyond the observed cluster's
-	// aggs, and run.
-	sp := closSpec(4, 4, 171)
-	full := run(t, sp, "full", "wholenet", nil)
-	eg, ing := trace.Split(full.Run.Records)
-	if len(eg) == 0 || len(ing) == 0 {
-		t.Fatalf("whole-net capture thin: %d egress, %d ingress", len(eg), len(ing))
-	}
-	bb := run(t, sp, "blackbox", "", tinyTrain(t, full.Run.Records, sp, 30, false))
-	if bb.Metrics.Completed == 0 {
-		t.Fatal("no flows completed through the black box")
-	}
-	if len(bb.Run.FabricStats) != 1 {
-		t.Fatalf("want 1 black box stats entry, got %d", len(bb.Run.FabricStats))
-	}
-	s := bb.Run.FabricStats[0]
-	if s.EgressPackets == 0 || s.IngressPackets == 0 {
-		t.Errorf("black box traffic counters empty: %+v", s)
-	}
-	// The black box elides even more than per-cluster fabrics: cores are
-	// gone too, so events must be below the full run's.
-	if bb.Perf.Events >= full.Perf.Events {
-		t.Errorf("black box events %d >= full %d", bb.Perf.Events, full.Perf.Events)
-	}
-}
-
-// pinned is what TestBlackBoxVsHybridEventCounts holds exactly for one run.
+// pinned is what TestCaptureAndHybridEventCounts holds exactly for one run.
 type pinned struct {
 	events               uint64
 	records, rtts, flows int
@@ -303,32 +275,21 @@ func pinOf(res *scenario.Result) pinned {
 	return pinned{res.Perf.Events, len(res.Run.Records), res.Run.RTTs.Len(), res.Metrics.Completed, res.Run.FabricStats}
 }
 
-func TestBlackBoxVsHybridEventCounts(t *testing.T) {
+func TestCaptureAndHybridEventCounts(t *testing.T) {
 	sp := closSpec(4, 3, 181)
 	fullC := run(t, sp, "full", "cluster", nil)
-	fullW := run(t, sp, "full", "wholenet", nil)
 	hybrid := run(t, sp, "hybrid", "", tinyTrain(t, fullC.Run.Records, sp, 25, false))
-	blackbox := run(t, sp, "blackbox", "", tinyTrain(t, fullW.Run.Records, sp, 25, false))
-	// Black box replaces strictly more of the network than per-cluster
-	// fabrics (cores included), so it must schedule fewer events.
-	if blackbox.Perf.Events >= hybrid.Perf.Events {
-		t.Errorf("black box events %d >= hybrid %d", blackbox.Perf.Events, hybrid.Perf.Events)
-	}
-	// Every count of all four runs is pinned exactly: capture on either
-	// side of the boundary and replacement on either side must not move.
+	// Every count of both runs is pinned exactly: neither the capture nor
+	// the replacement may move.
 	want := []pinned{
 		{events: 211629, records: 11533, rtts: 3231, flows: 22},
-		{events: 211629, records: 11517, rtts: 3231, flows: 22},
 		{events: 19927, rtts: 507, flows: 8, fabrics: []approx.Stats{
 			{EgressPackets: 560, IngressPackets: 552, EgressDrops: 31, IngressDrops: 57, Conflicts: 492},
 			{EgressPackets: 314, IngressPackets: 340, EgressDrops: 18, IngressDrops: 30, Conflicts: 146},
 			{EgressPackets: 347, IngressPackets: 366, EgressDrops: 28, IngressDrops: 37, Conflicts: 136},
 		}},
-		{events: 15154, rtts: 531, flows: 5, fabrics: []approx.Stats{
-			{EgressPackets: 1115, IngressPackets: 1079, EgressDrops: 86, IngressDrops: 92, Conflicts: 453},
-		}},
 	}
-	for i, res := range []*scenario.Result{fullC, fullW, hybrid, blackbox} {
+	for i, res := range []*scenario.Result{fullC, hybrid} {
 		if got := pinOf(res); !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("run %d:\n got %+v\nwant %+v", i, got, want[i])
 		}

@@ -252,6 +252,13 @@ func TestDeterministicSequentialExperiment(t *testing.T) {
 // plus the one run monitor when it has a sampler or a flight recorder to
 // feed — each LP's loop and its catch-up at the horizon run on that
 // goroutine, and every goroutine Run started is gone once it returns.
+//
+// The goroutine count is read only mid-run. By then every LP provably
+// lives: reaching end/2 takes the other LP's EIT or a passed barrier, and no
+// LP leaves before the horizon. At time 0 an LP may run before Run has
+// started the other's goroutine, and at the horizon the other may already
+// have returned. The count before Run is read once it holds still, after
+// the previous subtest's goroutine has exited.
 func TestConservativeRunOneGoroutinePerLP(t *testing.T) {
 	const end = 100 * des.Microsecond
 	goroutineID := func() string {
@@ -281,16 +288,18 @@ func TestConservativeRunOneGoroutinePerLP(t *testing.T) {
 					})
 					// Per-LP samples, each written only by its LP's own events.
 					ids := make([][]string, s.NumLPs())
-					counts := make([][]int, s.NumLPs())
+					counts := make([]int, s.NumLPs())
 					for i := 0; i < s.NumLPs(); i++ {
 						for _, at := range []des.Time{0, end / 2, end} {
 							s.LP(i).Kernel().Schedule(at, func() {
 								ids[i] = append(ids[i], goroutineID())
-								counts[i] = append(counts[i], runtime.NumGoroutine())
+								if at == end/2 {
+									counts[i] = runtime.NumGoroutine()
+								}
 							})
 						}
 					}
-					base := runtime.NumGoroutine()
+					base := settledGoroutines()
 					if err := s.Run(end); err != nil {
 						t.Fatal(err)
 					}
@@ -302,11 +311,9 @@ func TestConservativeRunOneGoroutinePerLP(t *testing.T) {
 						if ids[i][0] != ids[i][1] || ids[i][0] != ids[i][2] {
 							t.Errorf("LP %d ran its events at 0, mid-run and the horizon on goroutines %v, want one", i, ids[i])
 						}
-						for _, n := range counts[i] {
-							if n != want {
-								t.Errorf("LP %d saw %d goroutines during Run, want %d (one per LP and %d monitor beyond the %d before it)",
-									i, n, want, leg.monitor, base)
-							}
+						if counts[i] != want {
+							t.Errorf("LP %d saw %d goroutines mid-run, want %d (one per LP and %d monitor beyond the %d before it)",
+								i, counts[i], want, leg.monitor, base)
 						}
 					}
 					waitGoroutines(t, base)
@@ -314,6 +321,22 @@ func TestConservativeRunOneGoroutinePerLP(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once five readings a
+// millisecond apart agree (or after a second): the goroutine of a subtest
+// that just returned may still be on its way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same, deadline := 0, time.Now().Add(time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // waitGoroutines fails the test unless the goroutine count settles back to

@@ -27,13 +27,13 @@ type Flags struct {
 // destination struct. Call fs.Parse, then Spec.
 func Bind(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Mode, "mode", "full", "full | hybrid | blackbox | fluid | pdes")
+	fs.StringVar(&f.Mode, "mode", "full", "full | hybrid | pdes")
 	fs.IntVar(&f.Clusters, "clusters", 2, "number of clusters (4 switches + 8 servers each)")
 	fs.IntVar(&f.DurMS, "dur", 5, "virtual milliseconds of flow arrivals")
 	fs.Float64Var(&f.Load, "load", 0.4, "offered load fraction of host bandwidth")
 	fs.Uint64Var(&f.Seed, "seed", 1, "root random seed")
 	fs.StringVar(&f.Pattern, "pattern", "uniform", "uniform | intercluster | intracluster | incast | permutation")
-	fs.StringVar(&f.Models, "models", "", "model bundle from trainmodel (hybrid/blackbox modes)")
+	fs.StringVar(&f.Models, "models", "", "model bundle from trainmodel (hybrid mode)")
 	fs.BoolVar(&f.DCTCP, "dctcp", false, "run DCTCP instead of TCP New Reno (shallow ECN marking everywhere)")
 	fs.StringVar(&f.Workload, "workload", "websearch", "flow-size distribution: websearch | datamining")
 	fs.IntVar(&f.Racks, "racks", 4, "leaf-spine racks (pdes mode)")
@@ -81,7 +81,7 @@ func (f *Flags) Spec() Spec {
 	} else {
 		sp.Topology = Topology{Kind: "clos", Clusters: f.Clusters}
 	}
-	if f.Mode == "hybrid" || f.Mode == "blackbox" {
+	if f.Mode == "hybrid" {
 		sp.ModelsPath = f.Models
 	}
 	return sp

@@ -76,11 +76,10 @@ type Result struct {
 	Perf    Perf    `json:"perf"`
 
 	// Engine-native results for callers that need more than the summary,
-	// never serialized. Every mode but fluid sets Stats, this run's delta of
-	// the sync-machinery counters, and Partition, the placement the network
-	// was built with; Run is what the paper's pipeline measured (RTT
-	// samples, boundary captures, fabric stats) in the clos modes full,
-	// hybrid and blackbox.
+	// never serialized. Every mode sets Stats, this run's delta of the
+	// sync-machinery counters, and Partition, the placement the network was
+	// built with; Run is what the paper's pipeline measured (RTT samples,
+	// boundary captures, fabric stats) in the clos modes full and hybrid.
 	Stats     pdes.Stats           `json:"-"`
 	Partition *pdes.PartitionStats `json:"-"`
 	Run       *core.RunResult      `json:"-"`

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"approxsim/internal/core"
-	"approxsim/internal/des"
 	"approxsim/internal/faults"
-	"approxsim/internal/flowsim"
 	"approxsim/internal/metrics"
 	"approxsim/internal/obs"
 	"approxsim/internal/packet"
@@ -30,7 +28,7 @@ type runOptions struct {
 	progress *obs.Progress
 }
 
-// WithModels supplies trained models in-process for hybrid/blackbox modes,
+// WithModels supplies trained models in-process for hybrid mode,
 // taking precedence over the spec's models_path.
 func WithModels(m *core.Models) RunOption { return func(o *runOptions) { o.models = m } }
 
@@ -40,10 +38,10 @@ func WithModels(m *core.Models) RunOption { return func(o *runOptions) { o.model
 // calls and cannot carry a caller's registry.
 func WithRegistry(r *metrics.Registry) RunOption { return func(o *runOptions) { o.registry = r } }
 
-// WithPDESOptions forwards extra engine options to a packet-level run — every
-// mode but fluid (tracing, samplers, rollback budgets, ...). Extra options pin
-// the run to a cold start: they configure a System at construction, which a
-// pooled baseline has already been through.
+// WithPDESOptions forwards extra engine options to the run (tracing,
+// samplers, rollback budgets, ...). Extra options pin the run to a cold
+// start: they configure a System at construction, which a pooled baseline
+// has already been through.
 func WithPDESOptions(opts ...pdes.Option) RunOption {
 	return func(o *runOptions) { o.pdesOpts = append(o.pdesOpts, opts...) }
 }
@@ -52,12 +50,12 @@ func WithPDESOptions(opts ...pdes.Option) RunOption {
 // baseline instead of cold-starting (see Pool).
 func WithPool(p *Pool) RunOption { return func(o *runOptions) { o.pool = p } }
 
-// WithProgress exposes live run progress through p. While a packet-level run
-// (cold or pooled — unlike a registry, progress does not pin the run to a
-// cold start) is in flight, p reads its committed virtual time and executed
-// events straight from the system; fluid runs publish only the final reading.
-// Either way p holds the final reading when the run returns — the scenario
-// server serves GET /v1/runs/{id} straight from these gauges.
+// WithProgress exposes live run progress through p. While a run (cold or
+// pooled — unlike a registry, progress does not pin the run to a cold start)
+// is in flight, p reads its committed virtual time and executed events
+// straight from the system, and p holds the final reading when the run
+// returns — the scenario server serves GET /v1/runs/{id} straight from these
+// gauges.
 func WithProgress(p *obs.Progress) RunOption {
 	return func(o *runOptions) { o.progress = p }
 }
@@ -80,15 +78,7 @@ func Run(sp Spec, opts ...RunOption) (*Result, error) {
 		o(&ro)
 	}
 	res := &Result{Spec: n, Key: key}
-	if n.Mode == "fluid" {
-		// A fluid run has no committed clock: its final reading is its only one.
-		if err = n.runFluid(res); err == nil {
-			ro.progress.Finish(des.Time(res.Perf.SimSeconds*float64(des.Second)), res.Perf.Events)
-		}
-	} else {
-		err = n.runPacket(res, &ro)
-	}
-	if err != nil {
+	if err := n.runPacket(res, &ro); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -103,20 +93,17 @@ func (s Spec) EngineConfig() core.Config {
 }
 
 // boundary is the observed cluster's boundary a clos-mode spec acts on: the
-// one a full run captures, or the one hybrid (cluster side) and blackbox
-// (whole-network side) replace with models. Nil for neither.
+// one a full run captures, or the one hybrid replaces with models everywhere
+// else. Nil for neither.
 func (s Spec) boundary() *topology.Boundary {
-	switch {
-	case s.Mode == "hybrid" || s.Capture == "cluster":
+	if s.approximated() || s.Capture == "cluster" {
 		return &topology.Boundary{}
-	case s.Mode == "blackbox" || s.Capture == "wholenet":
-		return &topology.Boundary{WholeNet: true}
 	}
 	return nil
 }
 
 // approximated reports whether the spec replaces a boundary with models.
-func (s Spec) approximated() bool { return s.Mode == "hybrid" || s.Mode == "blackbox" }
+func (s Spec) approximated() bool { return s.Mode == "hybrid" }
 
 // coreConfig assembles the clos-mode engine config (normalized specs only).
 func (s Spec) coreConfig() core.Config {
@@ -128,7 +115,7 @@ func (s Spec) coreConfig() core.Config {
 	}
 }
 
-// resolveModels finds the trained models a hybrid/blackbox run needs:
+// resolveModels finds the trained models a hybrid run needs:
 // in-process (WithModels) wins, then the spec's models_path.
 func (s Spec) resolveModels(ro *runOptions) (*core.Models, error) {
 	if ro.models != nil {
@@ -145,50 +132,7 @@ func (s Spec) resolveModels(ro *runOptions) (*core.Models, error) {
 	return core.LoadModels(f)
 }
 
-// runFluid executes the flow-level (fluid) baseline: no packets, just rate
-// shares recomputed on flow arrival/departure. The 4x horizon gives slow
-// flows room to finish, mirroring the packet modes' drain.
-func (s Spec) runFluid(res *Result) error {
-	topoCfg := s.topologyConfig()
-	topo, err := topology.Build(des.NewKernel(), topoCfg)
-	if err != nil {
-		return err
-	}
-	specs, err := s.flowSpecs(topoCfg)
-	if err != nil {
-		return err
-	}
-	sim := flowsim.New(topo)
-	for _, sp := range specs {
-		sim.Add(flowsim.Flow{ID: sp.ID, Src: sp.Src, Dst: sp.Dst, Size: sp.Size, Start: sp.At})
-	}
-	start := time.Now()
-	flows := sim.Run(s.horizon() * 4)
-	wall := time.Since(start)
-	var meanFCT float64
-	done := 0
-	for _, f := range flows {
-		if f.Completed() {
-			done++
-			meanFCT += f.FCT().Seconds()
-		}
-	}
-	if done > 0 {
-		meanFCT /= float64(done)
-	}
-	res.Metrics = Metrics{Flows: len(flows), Completed: done, MeanFCTSec: meanFCT}
-	res.Perf = Perf{
-		WallSeconds: wall.Seconds(),
-		SimSeconds:  (s.horizon() * 4).Seconds(),
-		Events:      sim.Events(),
-	}
-	if wall > 0 {
-		res.Perf.SimPerWall = res.Perf.SimSeconds / wall.Seconds()
-	}
-	return nil
-}
-
-// runPacket executes a packet-level spec — full, hybrid, blackbox or pdes —
+// runPacket executes a spec — full, hybrid or pdes —
 // on a network from the one builder, pdes.Build: through the pool when one is
 // supplied and the spec is eligible, cold otherwise. Clos modes build one LP
 // and attach the paper's pipeline (core.Attach) to its devices.

@@ -166,9 +166,8 @@ func TestPooledWarmMultiLPMatchesCold(t *testing.T) {
 // repeated cold runs, for every engine mode that needs no trained models.
 func TestRunDeterminism(t *testing.T) {
 	specs := map[string]Spec{
-		"full":  {Mode: "full", HorizonMS: 1, Workload: Workload{Load: 0.3}, Seed: 5},
-		"fluid": {Mode: "fluid", HorizonMS: 1, Workload: Workload{Load: 0.3}, Seed: 5},
-		"pdes":  {Mode: "pdes", HorizonMS: 1, Workload: Workload{Load: 0.3}, Seed: 5, LPs: 2},
+		"full": {Mode: "full", HorizonMS: 1, Workload: Workload{Load: 0.3}, Seed: 5},
+		"pdes": {Mode: "pdes", HorizonMS: 1, Workload: Workload{Load: 0.3}, Seed: 5, LPs: 2},
 	}
 	for name, sp := range specs {
 		t.Run(name, func(t *testing.T) {

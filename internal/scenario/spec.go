@@ -32,8 +32,8 @@ import (
 
 // Topology selects and sizes the simulated fabric.
 type Topology struct {
-	// Kind is "clos" (the paper's multi-cluster shape; full/hybrid/blackbox/
-	// fluid modes) or "leafspine" (the Fig. 1 PDES substrate; pdes mode).
+	// Kind is "clos" (the paper's multi-cluster shape; full and hybrid
+	// modes) or "leafspine" (the Fig. 1 PDES substrate; pdes mode).
 	Kind string `json:"kind"`
 	// Clusters sizes the Clos fabric (clos only; default 2).
 	Clusters int `json:"clusters,omitempty"`
@@ -70,8 +70,7 @@ type Workload struct {
 // takes its documented default (see Normalized); Validate rejects fields that
 // do not apply to the selected mode rather than silently ignoring them.
 type Spec struct {
-	// Mode selects the engine: full | hybrid | blackbox | fluid | pdes
-	// (default full).
+	// Mode selects the engine: full | hybrid | pdes (default full).
 	Mode     string   `json:"mode"`
 	Topology Topology `json:"topology"`
 	Workload Workload `json:"workload"`
@@ -106,11 +105,11 @@ type Spec struct {
 	WarmMS float64 `json:"warm_ms,omitempty"`
 	// DCTCP switches hosts and switches to DCTCP with shallow ECN marking.
 	DCTCP bool `json:"dctcp,omitempty"`
-	// ModelsPath is a trained model bundle for hybrid/blackbox modes
+	// ModelsPath is a trained model bundle for hybrid mode
 	// (callers may instead supply models in-process via WithModels).
 	ModelsPath string `json:"models_path,omitempty"`
 	// Capture records boundary traces for training (full mode only):
-	// "" | cluster | wholenet.
+	// "" | cluster.
 	Capture string `json:"capture,omitempty"`
 }
 
@@ -171,9 +170,9 @@ func (s Spec) Normalized() Spec {
 // embedded mini-language (sync, partition, faults, pattern, size_dist).
 func (s Spec) Validate() error {
 	switch s.Mode {
-	case "", "full", "hybrid", "blackbox", "fluid", "pdes":
+	case "", "full", "hybrid", "pdes":
 	default:
-		return fmt.Errorf("scenario: unknown mode %q (want full, hybrid, blackbox, fluid, or pdes)", s.Mode)
+		return fmt.Errorf("scenario: unknown mode %q (want full, hybrid, or pdes)", s.Mode)
 	}
 	n := s.Normalized()
 	pdesMode := n.Mode == "pdes"
@@ -217,18 +216,18 @@ func (s Spec) Validate() error {
 	if s.Capture != "" && n.Mode != "full" {
 		return fmt.Errorf("scenario: capture only applies to full mode")
 	}
-	if s.DCTCP && (pdesMode || n.Mode == "fluid") {
-		// The leaf-spine PDES stacks and the fluid engine run fixed transport;
-		// silently ignoring the flag would alias two different cache keys.
+	if s.DCTCP && pdesMode {
+		// The leaf-spine PDES stacks run fixed transport; silently ignoring
+		// the flag would alias two different cache keys.
 		return fmt.Errorf("scenario: dctcp only applies to the packet-level clos modes")
 	}
-	if s.ModelsPath != "" && n.Mode != "hybrid" && n.Mode != "blackbox" {
-		return fmt.Errorf("scenario: models_path only applies to hybrid and blackbox modes")
+	if s.ModelsPath != "" && n.Mode != "hybrid" {
+		return fmt.Errorf("scenario: models_path only applies to hybrid mode")
 	}
 	switch s.Capture {
-	case "", "cluster", "wholenet":
+	case "", "cluster":
 	default:
-		return fmt.Errorf("scenario: unknown capture %q (want cluster or wholenet)", s.Capture)
+		return fmt.Errorf("scenario: unknown capture %q (want cluster)", s.Capture)
 	}
 
 	// Ranges and grammars (on the normalized copy, so defaults are in play).
@@ -238,17 +237,6 @@ func (s Spec) Validate() error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			name := []string{"load", "horizon_ms", "drain_ms", "warm_ms"}[i]
 			return fmt.Errorf("scenario: %s %g is not a finite number", name, v)
-		}
-	}
-	if n.Mode == "fluid" {
-		// The fluid engine runs its own completion window and keeps no
-		// queues, so either field would only alias cache keys of one run.
-		// Normalized fills in the default drain, which stays accepted.
-		if n.DrainMS != n.HorizonMS/2 {
-			return fmt.Errorf("scenario: drain_ms does not apply to fluid mode")
-		}
-		if n.Topology.QueueFrames != 0 {
-			return fmt.Errorf("scenario: topology.queue_frames does not apply to fluid mode")
 		}
 	}
 	if n.Workload.Collective != "" {
@@ -384,7 +372,7 @@ func (s Spec) BaselineKey() (string, error) {
 }
 
 // horizon, drain, and warm convert the millisecond knobs to virtual time;
-// end is how long a packet-level run simulates: the horizon plus the drain
+// end is how long a run simulates: the horizon plus the drain
 // (zero in pdes mode).
 func (s Spec) horizon() des.Time { return des.Time(s.HorizonMS * float64(des.Millisecond)) }
 func (s Spec) drain() des.Time   { return des.Time(s.DrainMS * float64(des.Millisecond)) }

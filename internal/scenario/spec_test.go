@@ -264,23 +264,23 @@ func TestValidateRejections(t *testing.T) {
 		spec Spec
 	}{
 		{"unknown mode", Spec{Mode: "quantum"}},
+		{"fluid mode", Spec{Mode: "fluid"}},
+		{"blackbox mode", Spec{Mode: "blackbox"}},
 		{"lps outside pdes", Spec{Mode: "full", LPs: 2}},
 		{"sync outside pdes", Spec{Mode: "full", Sync: "nullmsg"}},
-		{"partition outside pdes", Spec{Mode: "fluid", Partition: "contiguous"}},
+		{"partition outside pdes", Spec{Mode: "hybrid", Partition: "contiguous"}},
 		{"faults outside pdes", Spec{Mode: "full", Faults: "switch:spine0@1ms"}},
 		{"warm outside pdes", Spec{Mode: "full", WarmMS: 1}},
 		{"racks outside pdes", Spec{Mode: "full", Topology: Topology{Racks: 4}}},
 		{"clusters in pdes", Spec{Mode: "pdes", Topology: Topology{Clusters: 2}}},
-		{"capture outside full", Spec{Mode: "fluid", Capture: "cluster"}},
+		{"capture outside full", Spec{Mode: "hybrid", Capture: "cluster"}},
 		{"unknown capture", Spec{Mode: "full", Capture: "everything"}},
+		{"wholenet capture", Spec{Mode: "full", Capture: "wholenet"}},
 		{"models outside hybrid", Spec{Mode: "full", ModelsPath: "m.bin"}},
 		{"bad load", Spec{Workload: Workload{Load: 1.5}}},
 		{"bad pattern", Spec{Workload: Workload{Pattern: "bursty"}}},
 		{"bad size dist", Spec{Workload: Workload{SizeDist: "pareto"}}},
 		{"dctcp in pdes", Spec{Mode: "pdes", DCTCP: true}},
-		{"dctcp in fluid", Spec{Mode: "fluid", DCTCP: true}},
-		{"drain in fluid", Spec{Mode: "fluid", DrainMS: 3}},
-		{"queue frames in fluid", Spec{Mode: "fluid", Topology: Topology{QueueFrames: 10}}},
 		{"bad sync", Spec{Mode: "pdes", Sync: "lockstep"}},
 		{"bad partition", Spec{Mode: "pdes", Partition: "random"}},
 		{"too many lps", Spec{Mode: "pdes", Topology: Topology{Racks: 4}, LPs: 8}},

@@ -225,11 +225,13 @@ func TestConcurrentPosts(t *testing.T) {
 func TestRejections(t *testing.T) {
 	s, ts := newTestServer(t)
 	for name, body := range map[string]string{
-		"malformed":     `{"mode":`,
-		"unknown mode":  `{"mode":"quantum"}`,
-		"unknown field": `{"mode":"full","horzon_ms":5}`,
-		"capture":       `{"mode":"full","capture":"cluster"}`,
-		"bad faults":    `{"mode":"pdes","faults":"spine0 dies"}`,
+		"malformed":        `{"mode":`,
+		"unknown mode":     `{"mode":"quantum"}`,
+		"fluid mode":       `{"mode":"fluid"}`,
+		"unknown field":    `{"mode":"full","horzon_ms":5}`,
+		"capture":          `{"mode":"full","capture":"cluster"}`,
+		"wholenet capture": `{"mode":"full","capture":"wholenet"}`,
+		"bad faults":       `{"mode":"pdes","faults":"spine0 dies"}`,
 	} {
 		var r RunResponse
 		if code := post(t, ts, "/v1/run", body, &r); code != http.StatusBadRequest {

@@ -402,9 +402,9 @@ type Path struct {
 // clusters that no longer physically exist in the hybrid simulation.
 //
 // PathFor always enumerates the HEALTHY-baseline path, ignoring any installed
-// fault schedule: the approximation features and the flow-level fast path
-// consume it as a time-independent flow property, which a time-varying
-// failure view cannot be.
+// fault schedule: the approximation features consume it as a
+// time-independent flow property, which a time-varying failure view cannot
+// be.
 func (t *Topology) PathFor(src, dst packet.HostID, flowID uint64) Path {
 	cfg := &t.Cfg
 	probe := &packet.Packet{Src: src, Dst: dst, FlowID: flowID}
@@ -439,28 +439,17 @@ func (t *Topology) PathFor(src, dst packet.HostID, flowID uint64) Path {
 
 // Boundary is the cut the approximation pipeline records at and replaces
 // behind (paper §3, Fig. 3): the links between cluster Cluster's
-// aggregation switches and the cores of a 3-tier Clos. Cut slot k is the
-// link to core k (see CutPort).
+// aggregation switches and the cores of a 3-tier Clos. Cut slot k is core
+// k's port Cluster. The models replace the cluster's own fabric, its ToR and
+// aggregation switches.
 type Boundary struct {
 	// Cluster is the cluster whose aggregation switches sit on the cut.
 	Cluster int
-	// WholeNet selects the side the models replace. False: the cluster's
-	// own fabric, its ToR and Cluster switches (the paper's per-cluster
-	// design). True: everything beyond the cut, every core and every other
-	// cluster's switches (the §7 single black box).
-	WholeNet bool
 }
 
-// Inside reports whether cluster c's ToR and Cluster switches lie on the
-// replaced side of b; their hosts' links then end in the replaced region.
-func (b Boundary) Inside(c int) bool { return (c == b.Cluster) != b.WholeNet }
-
-// CutPort returns cut slot k of cluster c: the aggregation switch and its
-// port facing core k.
-func (t *Topology) CutPort(c, k int) (*netsim.Switch, int) {
-	cfg := &t.Cfg
-	return t.AggsInCluster(c)[k/cfg.CoresPerAgg], cfg.ToRsPerCluster + k%cfg.CoresPerAgg
-}
+// Inside reports whether cluster c's ToR and aggregation switches lie on
+// the replaced side of b; their hosts' links then end in the replaced region.
+func (b Boundary) Inside(c int) bool { return c == b.Cluster }
 
 // CoreIndex converts a core switch NodeID to its index in Cores.
 func (t *Topology) CoreIndex(id packet.NodeID) int { return int(id - t.coreBase) }

@@ -163,9 +163,9 @@ func TestClusterMembershipHelpers(t *testing.T) {
 	}
 }
 
-// TestBoundaryCutSlotFacesCore pins the layout both sides of a Boundary
-// rely on: cut slot k of cluster c is the agg port wired to core k, which
-// reaches it on its port c; and Inside picks one cluster or all the others.
+// TestBoundaryCutSlotFacesCore pins the layout a Boundary relies on: cut
+// slot k of cluster c is core k's port c, wired to the cluster's agg at
+// core k's aggregation position; and Inside picks that one cluster.
 func TestBoundaryCutSlotFacesCore(t *testing.T) {
 	cfg := DefaultClosConfig(3)
 	cfg.CoresPerAgg = 2
@@ -175,20 +175,17 @@ func TestBoundaryCutSlotFacesCore(t *testing.T) {
 	}
 	for c := 0; c < cfg.Clusters; c++ {
 		for k, core := range topo.Cores {
-			agg, port := topo.CutPort(c, k)
-			dev, in := agg.Port(port).Peer()
-			if dev != netsim.Device(core) || in != c {
-				t.Errorf("cluster %d cut slot %d reaches %v port %d, want core %d port %d",
-					c, k, dev.NodeID(), in, core.NodeID(), c)
+			agg, port := topo.AggsInCluster(c)[k/cfg.CoresPerAgg], cfg.ToRsPerCluster+k%cfg.CoresPerAgg
+			dev, in := core.Port(c).Peer()
+			if dev != netsim.Device(agg) || in != port {
+				t.Errorf("cluster %d cut slot %d reaches %v port %d, want agg %d port %d",
+					c, k, dev.NodeID(), in, agg.NodeID(), port)
 			}
 		}
 	}
 	for c, want := range []bool{false, true, false} {
 		if got := (Boundary{Cluster: 1}).Inside(c); got != want {
 			t.Errorf("cluster boundary at 1: Inside(%d) = %v", c, got)
-		}
-		if got := (Boundary{Cluster: 1, WholeNet: true}).Inside(c); got == want {
-			t.Errorf("whole-network boundary at 1: Inside(%d) = %v", c, got)
 		}
 	}
 }

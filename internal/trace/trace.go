@@ -3,9 +3,9 @@
 // briefly simulate a small network in full packet-level fidelity to generate
 // training and testing sets").
 //
-// The unit of observation is a traversal of the region on one side of a
+// The unit of observation is a traversal of the cluster fabric behind a
 // topology.Boundary (see AttachBoundary): Egress traversals leave the
-// boundary's cluster, Ingress traversals enter it. On the cluster side:
+// boundary's cluster, Ingress traversals enter it.
 //
 //   - Egress: a packet enters at a ToR from a server (destination outside
 //     the cluster) and leaves when it reaches a Core switch.
@@ -40,11 +40,9 @@ type Direction int8
 
 // Traversal directions.
 const (
-	// Egress leaves the boundary's cluster (server -> fabric -> core on
-	// the cluster side).
+	// Egress leaves the boundary's cluster (server -> fabric -> core).
 	Egress Direction = iota
-	// Ingress enters the boundary's cluster (core -> fabric -> server on
-	// the cluster side).
+	// Ingress enters the boundary's cluster (core -> fabric -> server).
 	Ingress
 )
 
@@ -69,7 +67,7 @@ type Record struct {
 	IsAck   bool
 }
 
-// BoundaryRecorder captures traversals of the replaced side of one
+// BoundaryRecorder captures traversals of the cluster fabric behind one
 // topology.Boundary. Attach hooks with AttachBoundary; stop observing with
 // Detach. Records appear in entry order.
 type BoundaryRecorder struct {
@@ -87,19 +85,12 @@ type BoundaryRecorder struct {
 }
 
 // AttachBoundary instruments boundary b of topo and returns the recorder.
-// A traversal crosses the region b replaces, between its two edges: the
-// cut (the links between b's cluster's aggregation switches and the cores)
-// and the hosts whose links end in the region.
-//
-//   - Cluster side: Egress enters when one of the cluster's ToRs receives
-//     from a host and exits at a core; Ingress enters at one of the
-//     cluster's aggs from a core and exits at delivery to a cluster host.
-//   - Whole-network side (the §7 single black box, "in the limit, the rest
-//     of the network could be modeled as a single black box"): Egress
-//     enters when a core receives from the cluster and exits at delivery to
-//     a host of any other cluster, covering core transit plus the remote
-//     fabric; Ingress enters when a remote ToR receives from its host and
-//     exits when one of the cluster's aggs receives it from a core.
+// A traversal crosses the region b replaces, b's cluster's own fabric,
+// between its two edges: the cut (the links between the cluster's
+// aggregation switches and the cores) and the cluster's hosts. Egress
+// enters when one of the cluster's ToRs receives from a host and exits at a
+// core; Ingress enters at one of the cluster's aggs from a core and exits at
+// delivery to a cluster host.
 //
 // Drops at any port of a region switch resolve the traversal as dropped.
 // Hooks chain: an already-installed OnReceive/OnDrop callback keeps firing.
@@ -110,69 +101,43 @@ func AttachBoundary(topo *topology.Topology, b topology.Boundary) *BoundaryRecor
 		inflight: make(map[*packet.Packet]int),
 	}
 	cfg := topo.Cfg
-	// hostIn is the direction of a traversal entering at the host edge.
-	hostIn := Egress
-	if b.WholeNet {
-		hostIn = Ingress
-	}
-	var region []*netsim.Switch
-	if b.WholeNet {
-		region = append(region, topo.Cores...)
-	}
 
-	// Host edge: the region's ToRs open traversals from their hosts toward
-	// the other side of the cut; delivery to the region's hosts closes them.
-	for c := 0; c < cfg.Clusters; c++ {
-		if !b.Inside(c) {
-			continue
-		}
-		for _, tor := range topo.ToRsInCluster(c) {
-			r.chainSwitch(tor, func(p *packet.Packet, inPort int) {
-				if inPort < cfg.ServersPerToR && r.inside(p.Dst) == b.WholeNet {
-					r.open(p, hostIn)
-				}
-			})
-		}
-		region = append(region, topo.ToRsInCluster(c)...)
-		region = append(region, topo.AggsInCluster(c)...)
-		for _, h := range topo.HostsInCluster(c) {
-			h := h
-			old := h.OnReceive
-			h.OnReceive = func(p *packet.Packet) {
-				if old != nil {
-					old(p)
-				}
-				r.close(p)
+	// Host edge: the cluster's ToRs open traversals from their hosts toward
+	// the other side of the cut; delivery to the cluster's hosts closes them.
+	tors, aggs := topo.ToRsInCluster(b.Cluster), topo.AggsInCluster(b.Cluster)
+	for _, tor := range tors {
+		r.chainSwitch(tor, func(p *packet.Packet, inPort int) {
+			if inPort < cfg.ServersPerToR && !r.inside(p.Dst) {
+				r.open(p, Egress)
 			}
-			r.detach = append(r.detach, func() { h.OnReceive = old })
+		})
+	}
+	for _, h := range topo.HostsInCluster(b.Cluster) {
+		h := h
+		old := h.OnReceive
+		h.OnReceive = func(p *packet.Packet) {
+			if old != nil {
+				old(p)
+			}
+			r.close(p)
 		}
+		r.detach = append(r.detach, func() { h.OnReceive = old })
 	}
 
 	// The cut, seen from its receiving ends: an agg of the cluster receiving
-	// from a core (inward), a core receiving from the cluster (outward).
-	for _, agg := range topo.AggsInCluster(b.Cluster) {
+	// from a core opens an inward traversal, a core closes an outward one.
+	for _, agg := range aggs {
 		r.chainSwitch(agg, func(p *packet.Packet, inPort int) {
-			switch {
-			case inPort < cfg.ToRsPerCluster:
-			case b.WholeNet:
-				r.close(p)
-			case r.inside(p.Dst):
+			if inPort >= cfg.ToRsPerCluster && r.inside(p.Dst) {
 				r.open(p, Ingress)
 			}
 		})
 	}
 	for _, core := range topo.Cores {
-		r.chainSwitch(core, func(p *packet.Packet, inPort int) {
-			switch {
-			case !b.WholeNet:
-				r.close(p)
-			case inPort == b.Cluster && !r.inside(p.Dst):
-				r.open(p, Egress)
-			}
-		})
+		r.chainSwitch(core, func(p *packet.Packet, _ int) { r.close(p) })
 	}
 
-	for _, sw := range region {
+	for _, sw := range append(append([]*netsim.Switch{}, tors...), aggs...) {
 		for i := 0; i < sw.NumPorts(); i++ {
 			r.chainDrop(sw.Port(i))
 		}

@@ -12,12 +12,11 @@ import (
 	"approxsim/internal/traffic"
 )
 
-// bed builds a Clos of the given size with stacks and a recorder at
-// boundary b.
-func bed(t *testing.T, clusters int, b topology.Boundary) (*des.Kernel, *topology.Topology, []*tcp.Stack, *BoundaryRecorder) {
+// testbed records cluster 0's fabric of a 2-cluster Clos with stacks.
+func testbed(t *testing.T) (*des.Kernel, *topology.Topology, []*tcp.Stack, *BoundaryRecorder) {
 	t.Helper()
 	k := des.NewKernel()
-	topo, err := topology.Build(k, topology.DefaultClosConfig(clusters))
+	topo, err := topology.Build(k, topology.DefaultClosConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +24,7 @@ func bed(t *testing.T, clusters int, b topology.Boundary) (*des.Kernel, *topolog
 	for i, h := range topo.Hosts {
 		stacks[i] = tcp.NewStack(h, tcp.Config{})
 	}
-	return k, topo, stacks, AttachBoundary(topo, b)
-}
-
-// testbed records cluster 0's fabric of a 2-cluster Clos.
-func testbed(t *testing.T) (*des.Kernel, *topology.Topology, []*tcp.Stack, *BoundaryRecorder) {
-	return bed(t, 2, topology.Boundary{})
-}
-
-// wholeNetBed records everything beyond cluster 0 of a 4-cluster Clos.
-func wholeNetBed(t *testing.T) (*des.Kernel, *topology.Topology, []*tcp.Stack, *BoundaryRecorder) {
-	return bed(t, 4, topology.Boundary{WholeNet: true})
+	return k, topo, stacks, AttachBoundary(topo, topology.Boundary{})
 }
 
 func TestEgressTraversalRecorded(t *testing.T) {
@@ -109,141 +98,36 @@ func TestOtherClusterNotRecorded(t *testing.T) {
 	}
 }
 
-func TestWholeNetEgressSpansCoreAndRemoteFabric(t *testing.T) {
-	k, _, stacks, rec := wholeNetBed(t)
-	// Cluster 0 host -> cluster 2 host: outbound traversal covers
-	// core + remote fabric (two extra links vs the per-cluster boundary).
-	stacks[0].StartFlow(16, 3000, 1, nil)
-	k.RunAll()
-	eg, _ := Split(rec.Records)
-	if len(eg) == 0 {
-		t.Fatal("no outbound records")
-	}
-	for _, r := range eg {
-		if r.Dropped || r.Latency <= 0 {
-			continue
-		}
-		// Idle-path transit: core queue + core->agg + agg->ToR + ToR->host
-		// links; must exceed 3 propagation delays (3us) and stay tiny.
-		if r.Latency < 3*des.Microsecond || r.Latency > des.Millisecond {
-			t.Errorf("implausible whole-net egress latency %v", r.Latency)
-		}
-	}
-}
-
-func TestWholeNetIngressRecorded(t *testing.T) {
-	k, _, stacks, rec := wholeNetBed(t)
-	stacks[16].StartFlow(0, 3000, 1, nil)
-	k.RunAll()
-	_, ing := Split(rec.Records)
-	if len(ing) == 0 {
-		t.Fatal("no inbound records")
-	}
-	for _, r := range ing {
-		if !r.Dropped && r.Latency <= 0 {
-			t.Errorf("unresolved inbound traversal: %+v", r)
-		}
-	}
-}
-
-func TestWholeNetRemoteToRemoteNotRecorded(t *testing.T) {
-	k, _, stacks, rec := wholeNetBed(t)
-	// Cluster 1 -> cluster 2: never touches cluster 0's boundary region
-	// ... but it DOES transit the cores, which belong to the black box
-	// region. Such packets never exit toward cluster 0, so they must not
-	// produce records (their destination is outside the real cluster).
-	stacks[8].StartFlow(16, 3000, 1, nil)
-	k.RunAll()
-	_, ing := Split(rec.Records)
-	if len(ing) != 0 {
-		t.Errorf("remote-to-remote traffic produced %d inbound records", len(ing))
-	}
-	eg, _ := Split(rec.Records)
-	if len(eg) != 0 {
-		t.Errorf("remote-to-remote traffic produced %d outbound records", len(eg))
-	}
-}
-
-func TestWholeNetIntraRealClusterNotRecorded(t *testing.T) {
-	k, _, stacks, rec := wholeNetBed(t)
-	stacks[0].StartFlow(4, 3000, 1, nil) // within cluster 0
-	k.RunAll()
-	if len(rec.Records) != 0 {
-		t.Errorf("intra-real-cluster traffic produced %d records", len(rec.Records))
-	}
-}
-
-func TestWholeNetLatencyWiderThanClusterBoundary(t *testing.T) {
-	// The same flow observed by both recorders: whole-net egress spans a
-	// superset of the per-cluster egress, so its latency must be larger.
-	k, topo, stacks, wn := wholeNetBed(t)
-	cl := AttachBoundary(topo, topology.Boundary{})
-	stacks[0].StartFlow(16, 20_000, 1, nil)
-	k.RunAll()
-	egWN, _ := Split(wn.Records)
-	egCL, _ := Split(cl.Records)
-	if len(egWN) == 0 || len(egCL) == 0 {
-		t.Fatal("missing records from one recorder")
-	}
-	var meanWN, meanCL float64
-	var nWN, nCL int
-	for _, r := range egWN {
-		if !r.Dropped && r.Latency > 0 {
-			meanWN += r.Latency.Seconds()
-			nWN++
-		}
-	}
-	for _, r := range egCL {
-		if !r.Dropped && r.Latency > 0 {
-			meanCL += r.Latency.Seconds()
-			nCL++
-		}
-	}
-	meanWN /= float64(nWN)
-	meanCL /= float64(nCL)
-	if meanWN <= meanCL {
-		t.Errorf("whole-net mean egress latency %.3g <= cluster-boundary %.3g; spans are nested",
-			meanWN, meanCL)
-	}
-}
-
 // TestDropRecorded overloads shallow fabric and core queues: drops inside
-// the recorded region resolve traversals as dropped on either side.
+// the recorded region resolve traversals as dropped.
 func TestDropRecorded(t *testing.T) {
-	for _, b := range []topology.Boundary{{}, {WholeNet: true}} {
-		k := des.NewKernel()
-		cfg := topology.DefaultClosConfig(2)
-		// Brutally shallow fabric queues to force drops.
-		cfg.FabricLink.QueueBytes = 2 * packet.MaxFrameSize
-		cfg.CoreLink.QueueBytes = 2 * packet.MaxFrameSize
-		topo, err := topology.Build(k, cfg)
-		if err != nil {
-			t.Fatal(err)
+	k := des.NewKernel()
+	cfg := topology.DefaultClosConfig(2)
+	// Brutally shallow fabric queues to force drops.
+	cfg.FabricLink.QueueBytes = 2 * packet.MaxFrameSize
+	cfg.CoreLink.QueueBytes = 2 * packet.MaxFrameSize
+	topo, err := topology.Build(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stacks := make([]*tcp.Stack, len(topo.Hosts))
+	for i, h := range topo.Hosts {
+		stacks[i] = tcp.NewStack(h, tcp.Config{MinRTO: des.Millisecond, InitialRTO: des.Millisecond})
+	}
+	rec := AttachBoundary(topo, topology.Boundary{})
+	// All 8 cluster-0 hosts blast cluster 1: uplinks overload.
+	for i := 0; i < 8; i++ {
+		stacks[i].StartFlow(packet.HostID(8+i), 500_000, uint64(i+1), nil)
+	}
+	k.Run(50 * des.Millisecond)
+	drops := 0
+	for _, r := range rec.Records {
+		if r.Dropped {
+			drops++
 		}
-		stacks := make([]*tcp.Stack, len(topo.Hosts))
-		for i, h := range topo.Hosts {
-			stacks[i] = tcp.NewStack(h, tcp.Config{MinRTO: des.Millisecond, InitialRTO: des.Millisecond})
-		}
-		rec := AttachBoundary(topo, b)
-		// All 8 cluster-0 hosts blast cluster 1: uplinks overload. Beyond
-		// the cut they all blast host 8, so its ToR port overloads too.
-		for i := 0; i < 8; i++ {
-			dst := packet.HostID(8 + i)
-			if b.WholeNet {
-				dst = 8
-			}
-			stacks[i].StartFlow(dst, 500_000, uint64(i+1), nil)
-		}
-		k.Run(50 * des.Millisecond)
-		drops := 0
-		for _, r := range rec.Records {
-			if r.Dropped {
-				drops++
-			}
-		}
-		if drops == 0 {
-			t.Errorf("%+v: no drops recorded despite overloaded shallow queues", b)
-		}
+	}
+	if drops == 0 {
+		t.Error("no drops recorded despite overloaded shallow queues")
 	}
 }
 
