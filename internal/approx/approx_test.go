@@ -88,21 +88,23 @@ func TestSpliceValidation(t *testing.T) {
 	m := nn.NewModel(micro.FeatureDim, 4, 1, rng.New(1))
 	p := micro.NewPredictor(m, trace.Egress, topo, micro.Sample, 1, 0)
 	ls, _ := topology.Build(des.NewKernel(), topology.DefaultLeafSpineConfig(4))
-	for _, c := range []int{-1, 2, 9} {
-		if _, err := Splice(topo, topology.Boundary{Cluster: c}, p, p, macro.Config{}, false); err == nil {
-			t.Errorf("out-of-range cluster %d accepted", c)
+	t.Run("cluster", func(t *testing.T) {
+		for _, c := range []int{-1, 2, 9} {
+			if _, err := Splice(topo, topology.Boundary{Cluster: c}, p, p, macro.Config{}, false); err == nil {
+				t.Errorf("out-of-range cluster %d accepted", c)
+			}
 		}
-	}
-	b := topology.Boundary{}
-	if _, err := Splice(topo, b, nil, p, macro.Config{}, false); err == nil {
-		t.Error("nil egress predictor accepted")
-	}
-	if _, err := Splice(topo, b, p, nil, macro.Config{}, false); err == nil {
-		t.Error("nil ingress predictor accepted")
-	}
-	if _, err := Splice(ls, b, p, p, macro.Config{}, false); err == nil {
-		t.Error("leaf-spine splice accepted")
-	}
+		b := topology.Boundary{}
+		if _, err := Splice(topo, b, nil, p, macro.Config{}, false); err == nil {
+			t.Error("nil egress predictor accepted")
+		}
+		if _, err := Splice(topo, b, p, nil, macro.Config{}, false); err == nil {
+			t.Error("nil ingress predictor accepted")
+		}
+		if _, err := Splice(ls, b, p, p, macro.Config{}, false); err == nil {
+			t.Error("leaf-spine splice accepted")
+		}
+	})
 }
 
 func TestFlowThroughApproxFabricCompletes(t *testing.T) {

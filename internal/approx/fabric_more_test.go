@@ -197,25 +197,27 @@ func TestFabricTraversalDoesNotAllocate(t *testing.T) {
 		{Src: 0, Dst: 9, FlowID: 10},  // ingress
 		{Src: 8, Dst: 12, FlowID: 11}, // intra
 	}
-	k, topo, _ := fixedBed(t, 2, topology.Boundary{Cluster: 1}, 2*des.Microsecond, false)
-	delivered := 0
-	for _, p := range sends {
-		topo.Hosts[p.Dst].OnReceive = func(*packet.Packet) { delivered++ }
-	}
-	pkts := make([]packet.Packet, len(sends))
-	traverse := func() {
-		for i, p := range sends {
-			pkts[i] = packet.Packet{Src: p.Src, Dst: p.Dst, FlowID: p.FlowID, PayloadLen: 1000}
-			topo.Hosts[p.Src].Send(&pkts[i])
+	t.Run("cluster", func(t *testing.T) {
+		k, topo, _ := fixedBed(t, 2, topology.Boundary{Cluster: 1}, 2*des.Microsecond, false)
+		delivered := 0
+		for _, p := range sends {
+			topo.Hosts[p.Dst].OnReceive = func(*packet.Packet) { delivered++ }
 		}
-		k.RunAll()
-	}
-	if allocs := testing.AllocsPerRun(100, traverse); allocs != 0 {
-		t.Errorf("%d traversals allocate %.1f objects, want 0", len(pkts), allocs)
-	}
-	if want := len(pkts) * 101; delivered != want {
-		t.Errorf("%d deliveries, want %d", delivered, want)
-	}
+		pkts := make([]packet.Packet, len(sends))
+		traverse := func() {
+			for i, p := range sends {
+				pkts[i] = packet.Packet{Src: p.Src, Dst: p.Dst, FlowID: p.FlowID, PayloadLen: 1000}
+				topo.Hosts[p.Src].Send(&pkts[i])
+			}
+			k.RunAll()
+		}
+		if allocs := testing.AllocsPerRun(100, traverse); allocs != 0 {
+			t.Errorf("%d traversals allocate %.1f objects, want 0", len(pkts), allocs)
+		}
+		if want := len(pkts) * 101; delivered != want {
+			t.Errorf("%d deliveries, want %d", delivered, want)
+		}
+	})
 }
 
 func TestFabricNodeIDDistinct(t *testing.T) {
